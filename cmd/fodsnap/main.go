@@ -144,8 +144,8 @@ func cmdVerify(args []string) {
 		fail(err)
 	}
 	st := ix.Stats()
-	fmt.Printf("fodsnap: %s OK: arity %d, %d cover bags (degree %d, radius %d), %d skip pointers\n",
-		args[0], ix.Arity(), st.CoverBags, st.CoverDegree, st.CoverRadius, st.SkipPointers)
+	fmt.Printf("fodsnap: %s OK: arity %d, %d cover bags (degree %d, radius %d), %d skip pointers in %d tables\n",
+		args[0], ix.Arity(), st.CoverBags, st.CoverDegree, st.CoverRadius, st.SkipPointers, st.SkipTables)
 }
 
 // parseGen parses class:n[:colors[:seed]] (fodserve's -gen without the name).

@@ -126,3 +126,23 @@ func TestCLIBenchSingleExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestCLISnapVerifyFixtures: fodsnap verify accepts the committed snapshot
+// fixtures — the current one and the one written before the skip build
+// stopped materialising rows for vertices outside the starter list — and
+// restores each to one table per distinct list.
+func TestCLISnapVerifyFixtures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	fodsnap := buildTool(t, "fodsnap")
+	for _, name := range []string{"golden-grid64.fodsnap", "golden-grid64-allrows.fodsnap"} {
+		out, err := exec.Command(fodsnap, "verify", filepath.Join("internal", "snap", "testdata", name)).CombinedOutput()
+		if err != nil {
+			t.Fatalf("fodsnap verify %s: %v\n%s", name, err, out)
+		}
+		if !strings.Contains(string(out), " OK: arity 2") || !strings.Contains(string(out), "in 2 tables") {
+			t.Fatalf("fodsnap verify %s: unexpected report %q", name, out)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -50,7 +51,8 @@ type Stats struct {
 	CoverBags     int
 	CoverDegree   int
 	StarterSizes  []int // per (clause, component) starter-list size
-	SkipPointers  int   // total materialized skip pointers
+	SkipTables    int   // distinct skip-pointer tables (components with equal starter lists share one)
+	SkipPointers  int   // total materialized skip pointers, a shared table counted once
 	Candidates    int   // candidates examined by NextGeq calls
 	DeadEnds      int   // candidates rejected after deeper levels failed
 	LocalEvals    int   // bag-local formula evaluations (memo misses)
@@ -297,6 +299,7 @@ func Preprocess(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
 		e.clauses = append(e.clauses, rt)
 	}
 	root.End()
+	e.tallySkip()
 	e.exportInstruments(opt.Obs)
 	return e, nil
 }
@@ -317,6 +320,7 @@ func (e *Engine) exportInstruments(reg *obs.Registry) {
 	reg.Gauge("engine.cover_bags").Set(int64(e.stats.CoverBags))
 	reg.Gauge("engine.cover_degree").Set(int64(e.stats.CoverDegree))
 	reg.Gauge("engine.cover_radius").Set(int64(e.stats.CoverRadius))
+	reg.Gauge("engine.skip_tables").Set(int64(e.stats.SkipTables))
 	reg.Gauge("engine.skip_pointers").Set(int64(e.stats.SkipPointers))
 	reg.Gauge("engine.clauses").Set(int64(len(e.clauses)))
 	e.instr.nextGeq = reg.Histogram("engine.next_geq_ns")
@@ -355,16 +359,57 @@ func (e *Engine) buildClause(cl *Clause, pool *par.Pool, trace *obs.Span, checkp
 		if err := checkpoint(); err != nil {
 			return nil, err
 		}
-		if e.k >= 2 {
-			sp = trace.Child("skip")
-			c.skip = skip.New(e.g, e.cov, e.k-1, c.starter)
-			e.stats.SkipWall += sp.End()
-			e.stats.SkipPointers += c.skip.Size()
+		if d := e.sameStarter(rt, c.starter); d != nil {
+			c.shareStarter(d)
+		} else {
+			if e.k >= 2 {
+				sp = trace.Child("skip")
+				c.skip = skip.New(e.g, e.cov, e.k-1, c.starter)
+				e.stats.SkipWall += sp.End()
+			}
+			e.buildKernelLists(c, pool)
 		}
-		e.buildKernelLists(c, pool)
 		rt.comps = append(rt.comps, c)
 	}
 	return rt, nil
+}
+
+// sameStarter returns a component of a finished clause, or of rt, the clause
+// being assembled, whose starter list equals starter, or nil. Lemma 5.8 is
+// stated for a list, not for the formula it came from: the skip pointers
+// and the per-kernel lists are functions of (cover, k, list) alone, so
+// components with equal lists share them instead of building them again.
+func (e *Engine) sameStarter(rt *clauseRT, starter []graph.V) *compRT {
+	for _, cl := range append(slices.Clip(e.clauses), rt) {
+		for _, d := range cl.comps {
+			if slices.Equal(d.starter, starter) {
+				return d
+			}
+		}
+	}
+	return nil
+}
+
+// shareStarter makes c use d's starter list, which equals its own, and
+// everything derived from the list alone.
+func (c *compRT) shareStarter(d *compRT) {
+	c.starter, c.inStart, c.skip, c.byKernel = d.starter, d.inStart, d.skip, d.byKernel
+}
+
+// tallySkip sets the skip statistics: the distinct tables behind the
+// components and their pointers, a shared table counted once.
+func (e *Engine) tallySkip() {
+	var seen []*skip.Pointers
+	pointers := 0
+	for _, cl := range e.clauses {
+		for _, c := range cl.comps {
+			if c.skip != nil && !slices.ContainsFunc(seen, c.skip.SharesTable) {
+				seen = append(seen, c.skip)
+				pointers += c.skip.Size()
+			}
+		}
+	}
+	e.stats.SkipTables, e.stats.SkipPointers = len(seen), pointers
 }
 
 // computeStarter fills c.starter: the vertices v that can take the

@@ -39,6 +39,8 @@ func (e *Engine) Explain() string {
 	fmt.Fprintf(&sb, "  cover: radius %d, %d bags, degree %d\n",
 		e.stats.CoverRadius, e.stats.CoverBags, e.stats.CoverDegree)
 	fmt.Fprintf(&sb, "  distance index: radius %d, %v\n", e.dix.Radius(), e.dix.Stats())
+	fmt.Fprintf(&sb, "  skip pointers: %d components, %d tables, %d pointers\n",
+		len(e.stats.StarterSizes), e.stats.SkipTables, e.stats.SkipPointers)
 	fmt.Fprintf(&sb, "  %d live clauses (after guard evaluation):\n", len(e.clauses))
 	for ci, rt := range e.clauses {
 		fmt.Fprintf(&sb, "    clause %d: %s\n", ci, rt.clause.Type)

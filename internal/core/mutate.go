@@ -173,27 +173,25 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 	for _, rt := range e.clauses {
 		rt2 := &clauseRT{clause: rt.clause, compOf: rt.compOf, firstOf: rt.firstOf}
 		for _, c := range rt.comps {
-			c2, err := e2.patchComp(ctx, c, covNew, info, affected, pool)
+			c2, err := e2.patchComp(ctx, rt2, c, covNew, info, affected, pool)
 			if err != nil {
 				return nil, err
 			}
 			rt2.comps = append(rt2.comps, c2)
 			e2.stats.StarterSizes = append(e2.stats.StarterSizes, len(c2.starter))
-			if c2.skip != nil {
-				e2.stats.SkipPointers += c2.skip.Size()
-			}
 		}
 		e2.clauses = append(e2.clauses, rt2)
 	}
+	e2.tallySkip()
 	e2.stats.MutWall = time.Since(start)
 	e2.exportInstruments(e.obsReg)
 	return e2, nil
 }
 
-// patchComp derives the runtime of one component for the mutated engine:
-// re-test starters in the affected region, overlay (or rebuild) the skip
-// pointers, and resplice the per-kernel starter lists.
-func (e2 *Engine) patchComp(ctx context.Context, c *compRT, covNew *cover.Cover, info *cover.PatchInfo, affected []graph.V, pool *par.Pool) (*compRT, error) {
+// patchComp derives the runtime of one component of the clause rt2 of the
+// mutated engine: re-test starters in the affected region, overlay (or
+// rebuild) the skip pointers, and resplice the per-kernel starter lists.
+func (e2 *Engine) patchComp(ctx context.Context, rt2 *clauseRT, c *compRT, covNew *cover.Cover, info *cover.PatchInfo, affected []graph.V, pool *par.Pool) (*compRT, error) {
 	c2 := &compRT{
 		positions: c.positions,
 		typ:       c.typ,
@@ -231,12 +229,18 @@ func (e2 *Engine) patchComp(ctx context.Context, c *compRT, covNew *cover.Cover,
 		return nil, err
 	}
 
-	// Skip pointers: overlay while the accumulated delta stays small,
-	// rebuild past the threshold (the overlay's scan cost is O(|delta|)).
+	// Skip pointers: overlay while the accumulated delta stays small — the
+	// overlay is this component's own, the base under it stays shared and
+	// unwritten — and rebuild past the threshold (the overlay's scan cost
+	// is O(|delta|)), once per distinct list as in Preprocess: pointers an
+	// earlier component of e2 holds for an equal list are exact for this
+	// one too.
 	if e2.k >= 2 {
 		delta := mergeSortedV(starterDiff, info.KernelDelta)
-		if c.skip != nil && c.skip.DeltaLen()+len(delta) <= skip.RebuildThreshold(e2.g.N()) {
+		if c.skip.DeltaLen()+len(delta) <= skip.RebuildThreshold(e2.g.N()) {
 			c2.skip = c.skip.WithDelta(covNew, c2.starter, delta)
+		} else if d := e2.sameStarter(rt2, c2.starter); d != nil {
+			c2.skip = d.skip
 		} else {
 			c2.skip = skip.New(e2.g, covNew, e2.k-1, c2.starter)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cover"
 	"repro/internal/dist"
@@ -64,8 +65,14 @@ func (e *Engine) SnapshotParts() EngineParts {
 			for j, v := range c.starter {
 				cp.Starter[j] = int32(v)
 			}
-			if c.skip != nil {
-				sp := c.skip.Parts()
+			if sk := c.skip; sk != nil {
+				if sk.DeltaLen() > 0 {
+					// An overlay answers from the table of an older
+					// version plus a correction set the format has no
+					// section for; the file gets this version's table.
+					sk = skip.New(e.g, e.cov, e.k-1, c.starter)
+				}
+				sp := sk.Parts()
 				cp.Skip = &sp
 			}
 			comps[i] = cp
@@ -184,6 +191,7 @@ func RestoreEngine(g *graph.Graph, q *LocalQuery, p EngineParts, opt Options) (*
 	}
 	sp.End()
 	root.End()
+	e.tallySkip()
 	e.exportInstruments(opt.Obs)
 	return e, nil
 }
@@ -235,15 +243,27 @@ func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool) (*
 			if cp.Skip.K != e.k-1 {
 				return nil, fmt.Errorf("component %d skip table has set size %d, arity needs %d", li, cp.Skip.K, e.k-1)
 			}
-			sk, err := skip.FromPartsObs(e.cov, c.starter, *cp.Skip, e.obsReg)
-			if err != nil {
-				return nil, err
-			}
-			c.skip = sk
-			e.stats.SkipPointers += sk.Size()
 		}
-		e.buildKernelLists(c, pool)
+		// Components with equal starter lists share one table, as in
+		// Preprocess — when their sections agree word for word, which a
+		// file written by Preprocess guarantees and a crafted one need not.
+		if d := e.sameStarter(rt, c.starter); d != nil && (e.k < 2 || sameSkipParts(d.skip.Parts(), *cp.Skip)) {
+			c.shareStarter(d)
+		} else {
+			if e.k >= 2 {
+				sk, err := skip.FromPartsObs(e.cov, c.starter, *cp.Skip, e.obsReg)
+				if err != nil {
+					return nil, err
+				}
+				c.skip = sk
+			}
+			e.buildKernelLists(c, pool)
+		}
 		rt.comps = append(rt.comps, c)
 	}
 	return rt, nil
+}
+
+func sameSkipParts(a, b skip.Parts) bool {
+	return a.K == b.K && slices.Equal(a.TableOff, b.TableOff) && slices.Equal(a.TableRow, b.TableRow)
 }

@@ -539,8 +539,8 @@ func (c *Cover) KernelP() int { return c.kernelP }
 // Kernel returns the sorted p-kernel of bag i.
 func (c *Cover) Kernel(i int) []graph.V { return c.kernels[i] }
 
-// InKernel reports whether v ∈ K_p(X_i), in constant time (binary search
-// over the ≤ δ(𝒳) kernel ids of v; the equivalent Storing-Theorem lookup
+// InKernel reports whether v ∈ K_p(X_i), in constant time (a scan of the
+// ≤ δ(𝒳) sorted kernel ids of v; the equivalent Storing-Theorem lookup
 // backs KernelContains and is exercised by the tests).
 //
 //fod:hotpath
@@ -548,9 +548,12 @@ func (c *Cover) InKernel(i int, v graph.V) bool {
 	if c.kernelOf == nil {
 		panic("cover: ComputeKernels has not been called")
 	}
-	ks := c.kernelOf[v]
-	j := sort.Search(len(ks), func(j int) bool { return ks[j] >= int32(i) })
-	return j < len(ks) && ks[j] == int32(i)
+	for _, x := range c.kernelOf[v] {
+		if x >= int32(i) {
+			return x == int32(i)
+		}
+	}
+	return false
 }
 
 // KernelContains is InKernel served by the Storing-Theorem structure

@@ -75,6 +75,8 @@ func TestHotClosureMatchesAllocGuards(t *testing.T) {
 		{"internal/core", "nextLast"},
 		{"internal/core", "test"},
 		{"internal/core", "localEval"},
+		// The Claim 5.9 chase under nextGeq: one row lookup per hop.
+		{"internal/skip", "lookup"},
 		// internal/lowdeg LOWDEG_GUARD suite: same contract on the
 		// low-degree engine.
 		{"internal/lowdeg", "Next"},

@@ -28,7 +28,8 @@ type cacheKey struct {
 // build; the other N−1 wait on the flight and share its result. A waiter
 // whose context expires leaves immediately (the request fails with the
 // context error); when the last waiter of a flight has left, the build
-// itself is canceled through the core's phase checkpoints. Successful
+// itself is canceled through the core's phase checkpoints and the flight
+// leaves the map at once, so nobody can join it any more. Successful
 // builds are inserted even if every waiter has gone — the work is done,
 // the next request should profit.
 type indexCache struct {
@@ -172,7 +173,14 @@ func (c *indexCache) lookup(ctx context.Context, key cacheKey) (ix *repro.Index,
 			select {
 			case <-f.done: // build already finished; nothing to cancel
 			default:
+				// Retire the flight with its cancellation, under the same
+				// lock: a retry arriving before run unwinds must open a
+				// fresh flight, not join this one and inherit its
+				// context.Canceled.
 				f.cancel()
+				if c.flights[key] == f {
+					delete(c.flights, key)
+				}
 			}
 		}
 		c.mu.Unlock()
@@ -223,7 +231,9 @@ func (c *indexCache) run(ctx context.Context, key cacheKey, f *flight) {
 	f.cancel() // release the context's resources
 	c.mu.Lock()
 	f.ix, f.err = ix, err
-	delete(c.flights, key)
+	if c.flights[key] == f { // an abandoned flight was retired when it was canceled
+		delete(c.flights, key)
+	}
 	if err == nil {
 		c.insertLocked(key, ix)
 	}

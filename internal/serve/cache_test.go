@@ -148,8 +148,9 @@ func TestCacheAbandonedSuccessIsCached(t *testing.T) {
 	started := make(chan struct{})
 	finish := make(chan struct{})
 	c := newIndexCache(context.Background(), 4, nil, func(ctx context.Context, key cacheKey) (*repro.Index, error) {
-		builds.Add(1)
-		close(started)
+		if builds.Add(1) == 1 {
+			close(started)
+		}
 		<-finish // ignore ctx: a build between checkpoints can't be stopped
 		return ix, nil
 	})
@@ -181,6 +182,55 @@ func TestCacheAbandonedSuccessIsCached(t *testing.T) {
 	}
 	if n := builds.Load(); n > 2 {
 		t.Fatalf("%d builds for one abandoned flight + polling hits", n)
+	}
+}
+
+// TestCacheAbandonedFlightIsNotJoined: the flight whose last waiter left is
+// canceled and retired in one step, so a retry that arrives while its build
+// is still unwinding (parked here until the test lets it go) opens a fresh
+// flight instead of inheriting context.Canceled from the doomed one.
+func TestCacheAbandonedFlightIsNotJoined(t *testing.T) {
+	ix := stubIndex(t)
+	var builds atomic.Int64
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	unwound := make(chan struct{})
+	c := newIndexCache(context.Background(), 4, nil, func(ctx context.Context, key cacheKey) (*repro.Index, error) {
+		if builds.Add(1) > 1 {
+			return ix, nil
+		}
+		close(parked)
+		<-release // between checkpoints: the cancellation is not seen yet
+		defer close(unwound)
+		return nil, ctx.Err()
+	})
+	key := cacheKey{graph: "g", canonical: "q"}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-parked
+		cancel() // the only waiter leaves while the build is parked
+	}()
+	if _, _, err := c.Get(ctx, key); !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiter error %v, want Canceled", err)
+	}
+	// The doomed build has not returned: the retry must not wait for it
+	// (joining it would, until the timeout).
+	rctx, rcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer rcancel()
+	got, hit, err := c.Get(rctx, key)
+	if err != nil || got != ix || hit {
+		t.Fatalf("retry beside a canceled flight: ix=%v hit=%v err=%v", got, hit, err)
+	}
+	if st := c.Stats(); builds.Load() != 2 || st.FlightShared != 0 || st.Misses != 2 {
+		t.Fatalf("%d builds, stats %+v: the retry joined the canceled flight", builds.Load(), st)
+	}
+	// When the doomed flight finally unwinds it must leave the retry's
+	// entry alone.
+	close(release)
+	<-unwound
+	if got, hit, err := c.Get(context.Background(), key); err != nil || got != ix || !hit {
+		t.Fatalf("after the canceled flight unwound: ix=%v hit=%v err=%v", got, hit, err)
 	}
 }
 

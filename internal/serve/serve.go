@@ -648,7 +648,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	_, cached, err := s.cache.Get(r.Context(), cacheKey{graph: entry.graph, version: gv.version, canonical: entry.canonical})
 	if err != nil {
-		writeCacheErr(w, r, err)
+		s.writeCacheErr(w, r, err)
 		return
 	}
 	wall := time.Since(start)
@@ -733,7 +733,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 
 	ix, _, err := s.cache.Get(r.Context(), cacheKey{graph: entry.graph, version: gv.version, canonical: entry.canonical})
 	if err != nil {
-		writeCacheErr(w, r, err)
+		s.writeCacheErr(w, r, err)
 		return
 	}
 
@@ -748,7 +748,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	for len(sols) < limit {
 		if len(sols)%64 == 0 && ctx.Err() != nil {
 			sp.End()
-			writeCacheErr(w, r, ctx.Err())
+			s.writeCacheErr(w, r, ctx.Err())
 			return
 		}
 		sol, ok := it.Next()
@@ -820,7 +820,7 @@ func (s *Server) tupleEndpoint(w http.ResponseWriter, r *http.Request) (*queryEn
 	}
 	ix, _, err := s.cache.Get(r.Context(), cacheKey{graph: entry.graph, version: gv.version, canonical: entry.canonical})
 	if err != nil {
-		writeCacheErr(w, r, err)
+		s.writeCacheErr(w, r, err)
 		return nil, nil, nil, 0, false
 	}
 	return entry, req.Tuple, ix, gv.version, true
@@ -873,14 +873,14 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	gv := s.graphs[entry.graph].Head()
 	ix, _, err := s.cache.Get(r.Context(), cacheKey{graph: entry.graph, version: gv.version, canonical: entry.canonical})
 	if err != nil {
-		writeCacheErr(w, r, err)
+		s.writeCacheErr(w, r, err)
 		return
 	}
 	sp := s.reg.StartSpan(r.Context(), "count.eval")
 	n, fast, err := ix.SolutionCountCtx(r.Context())
 	sp.End()
 	if err != nil {
-		writeCacheErr(w, r, err)
+		s.writeCacheErr(w, r, err)
 		return
 	}
 	writeData(w, r, http.StatusOK, CountResponse{
@@ -1024,8 +1024,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// writeCacheErr maps index-acquisition errors to API errors.
-func writeCacheErr(w http.ResponseWriter, r *http.Request, err error) {
+// writeCacheErr maps index-acquisition errors to API errors. A canceled
+// build is shutting_down only while the server drains (Shutdown cancels
+// the builds); on a serving one it is an internal error like any other
+// failed build, not a reason for the client to go elsewhere.
+func (s *Server) writeCacheErr(w http.ResponseWriter, r *http.Request, err error) {
 	var gone *versionGoneError
 	switch {
 	case errors.As(err, &gone):
@@ -1033,11 +1036,17 @@ func writeCacheErr(w http.ResponseWriter, r *http.Request, err error) {
 			gone.Error()+"; restart the enumeration without a cursor")
 	case errors.Is(err, context.DeadlineExceeded):
 		writeErr(w, r, http.StatusGatewayTimeout, ErrDeadlineExceeded, "request deadline exceeded")
-	case errors.Is(err, context.Canceled):
+	case errors.Is(err, context.Canceled) && s.draining():
 		writeErr(w, r, http.StatusServiceUnavailable, ErrShuttingDown, "request canceled")
 	default:
 		writeErr(w, r, http.StatusInternalServerError, ErrInternal, err.Error())
 	}
+}
+
+func (s *Server) draining() bool {
+	s.shutMu.RLock()
+	defer s.shutMu.RUnlock()
+	return s.closed
 }
 
 func validateTuple(tuple []int, arity, n int) error {

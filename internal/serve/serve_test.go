@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -326,25 +328,62 @@ func TestDebugMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestDeadlineExceededDuringBuild: a request whose deadline is far shorter
-// than the build aborts with 504 deadline_exceeded, and — its flight
-// having lost its only waiter — the underlying build is canceled through
-// the core checkpoints. A later request rebuilds successfully.
+// TestDeadlineExceededDuringBuild: a request whose deadline passes during
+// the build aborts with 504 deadline_exceeded, and — its flight having
+// lost its only waiter — the underlying build is canceled. A retry that
+// arrives while the canceled build is still unwinding (parked on a hook
+// here, so nothing depends on timing) builds afresh and succeeds.
 func TestDeadlineExceededDuringBuild(t *testing.T) {
-	_, ts := testServer(t, nil)
+	s, ts := testServer(t, nil)
+	build := s.cache.build
+	var builds atomic.Int64
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	s.cache.build = func(ctx context.Context, key cacheKey) (*repro.Index, error) {
+		if builds.Add(1) > 1 {
+			return build(ctx, key)
+		}
+		close(parked)
+		<-release // a phase that outlasts the deadline and the retry
+		return nil, ctx.Err()
+	}
 	body := QueryRequest{Graph: "big", Query: "dist(x,y) > 2 & C0(y)", Vars: []string{"x", "y"}}
-	resp, data := postJSON(t, ts.URL+"/v1/query?timeout_ms=1", body)
+	resp, data := postJSON(t, ts.URL+"/v1/query?timeout_ms=50", body)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", resp.StatusCode, data)
 	}
 	if c := errCode(t, data); c != ErrDeadlineExceeded {
 		t.Fatalf("error code %q, want %q", c, ErrDeadlineExceeded)
 	}
-	// The canceled flight must not poison the key: an unhurried retry
-	// succeeds and builds fresh.
-	resp, data = postJSON(t, ts.URL+"/v1/query", body)
+	select {
+	case <-parked:
+	default:
+		t.Fatal("the deadline passed before the build started")
+	}
+	// The canceled flight must not poison the key. Were the retry to join
+	// it, it would wait for release and time out.
+	resp, data = postJSON(t, ts.URL+"/v1/query?timeout_ms=60000", body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("retry after canceled build: status %d: %s", resp.StatusCode, data)
+		t.Fatalf("retry beside a canceled build: status %d: %s", resp.StatusCode, data)
+	}
+	if n := builds.Load(); n != 2 {
+		t.Fatalf("%d builds, want 2", n)
+	}
+}
+
+// TestCanceledBuildOnServingServer: a build that fails with
+// context.Canceled while the server is not draining is an internal error,
+// not 503 shutting_down — a healthy server must not tell clients to leave.
+func TestCanceledBuildOnServingServer(t *testing.T) {
+	s, ts := testServer(t, nil)
+	s.cache.build = func(ctx context.Context, key cacheKey) (*repro.Index, error) {
+		return nil, fmt.Errorf("build: %w", context.Canceled)
+	}
+	body := QueryRequest{Graph: "big", Query: "dist(x,y) > 2 & C0(y)", Vars: []string{"x", "y"}}
+	resp, data := postJSON(t, ts.URL+"/v1/query", body)
+	if resp.StatusCode != http.StatusInternalServerError || errCode(t, data) != ErrInternal {
+		t.Fatalf("status %d code %q, want 500 %q: %s", resp.StatusCode, errCode(t, data), ErrInternal, data)
 	}
 }
 

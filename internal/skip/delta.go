@@ -11,7 +11,7 @@
 // by the patch. Call that sorted set the delta D. For v ∉ D the old and
 // new predicates agree — for every bag of S: preexisting bags keep v's
 // membership, and for bag ids created by the patch the base cover's
-// InKernel binary-searches v's (old) kernel list and correctly reports
+// InKernel scans v's (old) kernel list and correctly reports
 // false, which matches v ∉ K′ since all members of new-bag kernels are
 // in D.
 //
@@ -30,8 +30,6 @@
 package skip
 
 import (
-	"sort"
-
 	"repro/internal/cover"
 	"repro/internal/graph"
 )
@@ -48,9 +46,10 @@ func RebuildThreshold(n int) int {
 }
 
 // WithDelta returns skip pointers for the mutated index: the receiver's
-// tables remain the base (and keep serving the receiver's version
-// unchanged), while queries against the result are answered under the new
-// cover newCov and new restriction list newL, exact for every (b, S).
+// table remains the base, read and never written (it keeps serving the
+// receiver's version, and any other overlay of it, unchanged), while
+// queries against the result are answered under the new cover newCov and
+// new restriction list newL, exact for every (b, S).
 //
 // delta must contain every vertex whose eligibility ingredients changed,
 // sorted ascending: the L-diff, KernelDelta of the cover patch, and the
@@ -59,27 +58,9 @@ func RebuildThreshold(n int) int {
 // table and the deltas union (a vertex whose eligibility changed
 // base→v1 or v1→v2 is in one of them).
 func (p *Pointers) WithDelta(newCov *cover.Cover, newL []graph.V, delta []graph.V) *Pointers {
-	out := &Pointers{
-		cov: p.cov, k: p.k,
-		sortedL:  p.sortedL,
-		inL:      p.inL,
-		nextGeqL: p.nextGeqL,
-		table:    p.table,
-		size:     p.size,
-		newCov:   newCov,
-	}
-	n := len(p.inL)
-	out.newInL = make([]bool, n)
-	out.newSortedL = make([]graph.V, 0, len(newL))
+	out := &Pointers{table: p.table, newCov: newCov, newInL: make([]bool, len(p.nextGeqL))}
 	for _, v := range newL {
-		if !out.newInL[v] {
-			out.newInL[v] = true
-		}
-	}
-	for v := 0; v < n; v++ {
-		if out.newInL[v] {
-			out.newSortedL = append(out.newSortedL, v)
-		}
+		out.newInL[v] = true
 	}
 	if p.delta == nil {
 		out.delta = make([]int32, len(delta))
@@ -112,13 +93,30 @@ func (p *Pointers) WithDelta(newCov *cover.Cover, newL []graph.V, delta []graph.
 // the quantity callers compare against RebuildThreshold.
 func (p *Pointers) DeltaLen() int { return len(p.delta) }
 
-// inDelta reports v ∈ D by binary search.
+// deltaGeq returns the index of the first element of D at or after v
+// (len(D) if there is none), by binary search.
+//
+//fod:hotpath
+func (p *Pointers) deltaGeq(v graph.V) int {
+	d := p.delta
+	lo, hi := 0, len(d)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if d[mid] < int32(v) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// inDelta reports v ∈ D.
 //
 //fod:hotpath
 func (p *Pointers) inDelta(v graph.V) bool {
-	d := p.delta
-	i := sort.Search(len(d), func(i int) bool { return d[i] >= int32(v) })
-	return i < len(d) && d[i] == int32(v)
+	i := p.deltaGeq(v)
+	return i < len(p.delta) && p.delta[i] == int32(v)
 }
 
 //fod:hotpath
@@ -145,8 +143,7 @@ func (p *Pointers) queryDelta(b graph.V, S []int32) graph.V {
 	}
 	// Candidate 2: the first new-eligible delta vertex in [b, v).
 	d := p.delta
-	i := sort.Search(len(d), func(i int) bool { return d[i] >= int32(b) })
-	for ; i < len(d); i++ {
+	for i := p.deltaGeq(b); i < len(d); i++ {
 		w := graph.V(d[i])
 		if v != None && w >= v {
 			break

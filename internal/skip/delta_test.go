@@ -10,6 +10,8 @@ import (
 	"repro/internal/graph"
 )
 
+func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
 // mutateFixture applies a random edit batch to (g, cov, L) and returns the
 // new graph, the patched cover, the new starter list, and the eligibility
 // delta exactly as the engine's mutation path assembles it: the L-diff

@@ -9,14 +9,16 @@
 // Following the paper, only the pointers for the inductively defined
 // families SC(b) are materialized: SC(b) starts from the singletons {X}
 // with b ∈ K_r(X) and is closed under S ↦ S ∪ {X} whenever |S| < k and
-// SKIP(b, S) ∈ K_r(X). The pointers are computed for b from largest to
-// smallest; an arbitrary query (b, S) is resolved by the constant-length
-// pointer chase of Claim 5.9.
+// SKIP(b+1, S) ∈ K_r(X). An arbitrary query (b, S) is resolved by the
+// constant-length pointer chase of Claim 5.9, which hops to the first
+// element c of L at or after b and from then on reads rows of c alone —
+// so rows exist for b ∈ L only; the rest of the lemma's table is never
+// looked at. The rows are computed for b ∈ L from largest to smallest,
+// each from the rows of the element of L after it.
 package skip
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cover"
 	"repro/internal/graph"
@@ -27,36 +29,32 @@ import (
 // benchmarks; raise the array size below to extend it.
 const MaxSetSize = 4
 
-// entry is one materialized pointer: the sorted bag set S (padded with -1)
-// and SKIP(b, S) (-1 encodes Null).
-type entry struct {
-	bags [MaxSetSize]int32
-	val  int32
+// table is one Lemma 5.8 table for a (cover, k, L) triple, immutable once
+// built. In memory it has the layout of Parts: a row is k+1 words — the
+// bag set S, sorted, padded to k words with -1, then SKIP(b+1, S) with -1
+// for Null — and the rows of vertex b are rows[off[b]*(k+1):off[b+1]*(k+1)],
+// sorted by their first k words. The families are small (≤ δ(𝒳)^k), so a
+// lookup is a few comparisons.
+type table struct {
+	cov *cover.Cover
+	k   int // maximum |S|
+
+	nextGeqL []int32 // per vertex: min{x ∈ L : x ≥ v}, n entries; -1 = none
+	off      []int32
+	rows     []int32
 }
 
 // Pointers answers SKIP queries for one (cover, kernel radius, L) triple.
 type Pointers struct {
-	cov *cover.Cover
-	k   int // maximum |S|
-
-	sortedL  []graph.V
-	inL      []bool
-	nextGeqL []int32 // per vertex: min{x ∈ L : x ≥ v}, n entries; -1 = none
-
-	// table[b] holds the pointers for all S ∈ SC(b). The families are
-	// small (≤ δ(𝒳)^k), so lookups scan the slice — faster and leaner
-	// than hashing the composite key.
-	table [][]entry
-	size  int
+	*table
 
 	// Delta overlay (nil on a freshly built table): when a mutation patched
-	// the index, cov/inL/table above stay the *base* version and queries
-	// are answered under newCov/newInL with the correction set delta; see
-	// delta.go.
-	newCov     *cover.Cover
-	newInL     []bool
-	newSortedL []graph.V
-	delta      []int32 // sorted vertices whose eligibility may differ from base
+	// the index, the table above stays the *base* version, shared with
+	// every other overlay of it, and queries are answered under
+	// newCov/newInL with the correction set delta; see delta.go.
+	newCov *cover.Cover
+	newInL []bool
+	delta  []int32 // sorted vertices whose eligibility may differ from base
 }
 
 // None is returned by Query when no element qualifies.
@@ -72,106 +70,187 @@ func New(g *graph.Graph, cov *cover.Cover, k int, L []graph.V) *Pointers {
 	if cov.KernelP() < 0 {
 		panic("skip: cover kernels not computed")
 	}
-	p := &Pointers{cov: cov, k: k, table: make([][]entry, g.N())}
-	p.buildL(g.N(), L)
+	n, w := g.N(), k+1
+	t := &table{cov: cov, k: k, nextGeqL: nextGeq(n, L), off: make([]int32, n+1)}
 
-	// Downward sweep: for each b from large to small, generate SC(b)
-	// breadth-first by set size and record SKIP(b, S) for each member.
-	// Per-vertex entry lists are kept sorted so resolve can binary-search.
-	var queue [][MaxSetSize]int32
-	seen := map[[MaxSetSize]int32]struct{}{}
-	for b := g.N() - 1; b >= 0; b-- {
-		kernels := cov.KernelsOf(b)
-		if len(kernels) == 0 {
+	// Downward sweep over L. SC(b) is generated breadth-first by set size
+	// into cur, sorted, and written below the rows of the previous vertex:
+	// the arena fills from its end, so the finished table is its tail.
+	arena := make([]int32, 4*w*len(L))
+	pos := len(arena)
+	var prev, cur []int32 // rows of the element of L after b; rows of b
+	next := int32(-1)     // that element
+	for b := n - 1; b >= 0; b-- {
+		if t.nextGeqL[b] != int32(b) {
 			continue
 		}
-		queue = queue[:0]
-		clear(seen)
-		for _, x := range kernels {
-			var s [MaxSetSize]int32
-			s[0] = x
-			for i := 1; i < MaxSetSize; i++ {
-				s[i] = -1
-			}
-			queue = append(queue, s)
-			seen[s] = struct{}{}
+		cur = cur[:0]
+		for _, x := range cov.KernelsOf(b) {
+			cur = appendRow(cur, k, [MaxSetSize]int32{x, -1, -1, -1})
 		}
-		for head := 0; head < len(queue); head++ {
-			s := queue[head]
-			v := p.resolve(b, s[:setLen(s)])
-			p.table[b] = append(p.table[b], entry{bags: s, val: int32(v)})
-			p.size++
-			if v == None {
+		// Rows of one set size are contiguous; larger marks where the sets
+		// one bag larger than the one at head start, which are the only
+		// rows a new set can repeat.
+		larger := len(cur)
+		for head := 0; head < len(cur); head += w {
+			if head == larger {
+				larger = len(cur)
+			}
+			var s [MaxSetSize]int32
+			sl := copy(s[:], cur[head:head+k])
+			for sl > 0 && s[sl-1] < 0 {
+				sl--
+			}
+			// Every S ∈ SC(b) holds a kernel around b, so SKIP(b, S) is
+			// SKIP(b+1, S), which the rows of next resolve.
+			v := next
+			if next >= 0 {
+				if x := t.kernelAround(next, s[:sl]); x >= 0 {
+					v = int32(t.chase(prev, x, s[:sl]))
+				}
+			}
+			cur[head+k] = v
+			if v < 0 || sl == k {
 				continue
 			}
-			if sl := setLen(s); sl < p.k {
-				for _, y := range cov.KernelsOf(v) {
-					ns, ok := setAdd(s, y)
-					if !ok {
-						continue
-					}
-					if _, dup := seen[ns]; dup {
-						continue
-					}
-					seen[ns] = struct{}{}
-					queue = append(queue, ns)
+			for _, y := range cov.KernelsOf(int(v)) {
+				ns, ok := setAdd(s, sl, y)
+				if ok && !hasRow(cur[larger:], k, ns) {
+					cur = appendRow(cur, k, ns)
 				}
 			}
 		}
-		sort.Slice(p.table[b], func(i, j int) bool {
-			return bagsLess(p.table[b][i].bags, p.table[b][j].bags)
-		})
+		sortRows(cur, k)
+		if len(cur) > pos {
+			grown := make([]int32, 2*len(arena)+len(cur))
+			pos = len(grown) - copy(grown[len(grown)-(len(arena)-pos):], arena[pos:])
+			arena = grown
+		}
+		pos -= len(cur)
+		prev = arena[pos : pos+copy(arena[pos:], cur)]
+		next = int32(b)
+		t.off[b+1] = int32(len(cur) / w)
 	}
-	return p
+	for b := 0; b < n; b++ {
+		t.off[b+1] += t.off[b]
+	}
+	t.rows = arena[pos:]
+	if pos > 0 { // let go of the unused head
+		t.rows = make([]int32, len(arena)-pos)
+		copy(t.rows, arena[pos:])
+	}
+	return &Pointers{table: t}
 }
 
-func bagsLess(a, b [MaxSetSize]int32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+// nextGeq returns, per vertex v of [0,n), the first element of L at or
+// after v, or -1.
+func nextGeq(n int, L []graph.V) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = -1
+	}
+	for _, v := range L {
+		out[v] = int32(v)
+	}
+	next := int32(-1)
+	for v := n - 1; v >= 0; v-- {
+		if out[v] >= 0 {
+			next = out[v]
+		}
+		out[v] = next
+	}
+	return out
+}
+
+// appendRow appends the row of set s with its value still to be filled in.
+func appendRow(rows []int32, k int, s [MaxSetSize]int32) []int32 {
+	return append(append(rows, s[:k]...), -1)
+}
+
+// hasRow reports whether one of the rows holds the set s.
+func hasRow(rows []int32, k int, s [MaxSetSize]int32) bool {
+	for i := 0; i < len(rows); i += k + 1 {
+		if cmpSets(rows[i:i+k], s[:k]) == 0 {
+			return true
 		}
 	}
 	return false
 }
 
-// lookup finds the stored SKIP(c, s), which must exist for s ∈ SC(c).
+// sortRows sorts rows by their sets (insertion sort: a family is small and
+// its singletons arrive sorted).
+func sortRows(rows []int32, k int) {
+	w := k + 1
+	var tmp [MaxSetSize + 1]int32
+	for i := w; i < len(rows); i += w {
+		j := i
+		for j > 0 && cmpSets(rows[j-w:j-w+k], rows[i:i+k]) > 0 {
+			j -= w
+		}
+		if j < i {
+			copy(tmp[:w], rows[i:i+w])
+			copy(rows[j+w:i+w], rows[j:i])
+			copy(rows[j:j+w], tmp[:w])
+		}
+	}
+}
+
+// cmpSets orders padded sorted sets of equal length lexicographically; the
+// -1 padding puts a set before its extensions.
 //
 //fod:hotpath
-func (p *Pointers) lookup(c int32, s [MaxSetSize]int32) (int32, bool) {
-	es := p.table[c]
-	i := sort.Search(len(es), func(i int) bool { return !bagsLess(es[i].bags, s) })
-	if i < len(es) && es[i].bags == s {
-		return es[i].val, true
+func cmpSets(a, b []int32) int {
+	for i, x := range a {
+		if x != b[i] {
+			if x < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// lookup finds the value stored for the set s among the rows es of one
+// vertex; it exists whenever s ∈ SC of that vertex.
+//
+//fod:hotpath
+func (t *table) lookup(es []int32, s *[MaxSetSize]int32) (int32, bool) {
+	w := t.k + 1
+	lo, hi := 0, len(es)/w
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		row := es[mid*w : mid*w+w]
+		switch c := cmpSets(row[:t.k], s[:t.k]); {
+		case c == 0:
+			return row[t.k], true
+		case c < 0:
+			lo = mid + 1
+		default:
+			hi = mid
+		}
 	}
 	return 0, false
 }
 
-func (p *Pointers) buildL(n int, L []graph.V) {
-	p.inL = make([]bool, n)
-	for _, v := range L {
-		p.inL[v] = true
-	}
-	for v := 0; v < n; v++ {
-		if p.inL[v] {
-			p.sortedL = append(p.sortedL, v)
+// L returns the sorted restriction list.
+func (p *Pointers) L() []graph.V {
+	var out []graph.V
+	for v, c := range p.nextGeqL {
+		if c == int32(v) {
+			out = append(out, v)
 		}
 	}
-	p.nextGeqL = make([]int32, n)
-	next := int32(-1)
-	for v := n - 1; v >= 0; v-- {
-		if p.inL[v] {
-			next = int32(v)
-		}
-		p.nextGeqL[v] = next
-	}
+	return out
 }
 
-// L returns the sorted restriction list.
-func (p *Pointers) L() []graph.V { return p.sortedL }
+// Size returns the number of materialized pointers (the Σ_{b∈L} |SC(b)|
+// of Claim 5.10).
+func (p *Pointers) Size() int { return len(p.rows) / (p.k + 1) }
 
-// Size returns the number of materialized pointers (the Σ_b |SC(b)| of
-// Claim 5.10).
-func (p *Pointers) Size() int { return p.size }
+// SharesTable reports whether p and q answer from the same table: one is
+// the other, or both are delta overlays of one base.
+func (p *Pointers) SharesTable(q *Pointers) bool { return p.table == q.table }
 
 // Query returns SKIP(b, S) in constant time, or None. S may be in any
 // order and must contain at most k bag indices. It is called per
@@ -199,47 +278,50 @@ func (p *Pointers) Query(b graph.V, S []int) graph.V {
 	return p.resolve(b, bags[:len(S)])
 }
 
-// resolve implements Claim 5.9: it answers SKIP(b, S) using only pointers
-// stored for vertices > b (during preprocessing) or any vertices (at query
-// time, when the table is complete).
+// resolve answers SKIP(b, S) from the finished table: hop to the first
+// element c of L at or after b; it is the answer unless a kernel of S
+// holds it, and then the rows of c lead to the answer.
 //
 //fod:hotpath
-func (p *Pointers) resolve(b graph.V, S []int32) graph.V {
-	// Case 1: b itself qualifies.
-	if b < len(p.inL) && p.inL[b] && !p.inKernels(b, S) {
-		return b
-	}
-	// Case 2: hop to the next element of L strictly after b.
-	if b+1 >= len(p.nextGeqL) {
+func (t *table) resolve(b graph.V, S []int32) graph.V {
+	if b >= len(t.nextGeqL) {
 		return None
 	}
-	c := p.nextGeqL[b+1]
+	c := t.nextGeqL[b]
 	if c < 0 {
 		return None
 	}
-	if !p.inKernels(int(c), S) {
+	x := t.kernelAround(c, S)
+	if x < 0 {
 		return int(c)
 	}
-	// c sits in some kernel of S; chase the stored pointers, growing S′
-	// maximally (each growth step is justified by the SC closure rule).
-	var sp [MaxSetSize]int32
-	for i := range sp {
-		sp[i] = -1
-	}
-	// Seed with one bag of S whose kernel contains c.
-	seeded := false
+	w := t.k + 1
+	return t.chase(t.rows[int(t.off[c])*w:int(t.off[c+1])*w], x, S)
+}
+
+// kernelAround returns a bag of S whose kernel contains c, or -1.
+//
+//fod:hotpath
+func (t *table) kernelAround(c int32, S []int32) int32 {
 	for _, x := range S {
-		if p.cov.InKernel(int(x), int(c)) {
-			sp[0] = x
-			seeded = true
-			break
+		if t.cov.InKernel(int(x), int(c)) {
+			return x
 		}
 	}
-	if !seeded {
-		panic("skip: inKernels inconsistent")
-	}
-	for {
-		v, ok := p.lookup(c, sp)
+	return -1
+}
+
+// chase implements Claim 5.9 for an element c of L with rows es and a bag
+// x ∈ S whose kernel contains c: it returns SKIP(c, S), reading es and
+// nothing else of the table. It starts from S′ = {x} ∈ SC(c) and follows
+// the stored pointers, growing S′ maximally (each growth step is justified
+// by the SC closure rule).
+//
+//fod:hotpath
+func (t *table) chase(es []int32, x int32, S []int32) graph.V {
+	sp := [MaxSetSize]int32{x, -1, -1, -1}
+	for sl := 1; ; {
+		v, ok := t.lookup(es, &sp)
 		if !ok {
 			panic("skip: missing pointer in the SC table")
 		}
@@ -247,15 +329,14 @@ func (p *Pointers) resolve(b graph.V, S []int32) graph.V {
 			return None
 		}
 		grown := false
-		if setLen(sp) < len(S) {
+		if sl < len(S) {
 			for _, y := range S {
-				if setHas(sp, y) {
-					continue
-				}
-				if p.cov.InKernel(int(y), int(v)) {
-					sp, _ = setAdd(sp, y)
-					grown = true
-					break
+				if t.cov.InKernel(int(y), int(v)) {
+					if ns, ok := setAdd(sp, sl, y); ok {
+						sp, grown = ns, true
+						sl++
+						break
+					}
 				}
 			}
 		}
@@ -265,50 +346,22 @@ func (p *Pointers) resolve(b graph.V, S []int32) graph.V {
 	}
 }
 
-//fod:hotpath
-func (p *Pointers) inKernels(v graph.V, S []int32) bool {
-	for _, x := range S {
-		if p.cov.InKernel(int(x), v) {
-			return true
-		}
-	}
-	return false
-}
-
-// setLen returns the number of used entries of a padded sorted set.
+// setAdd inserts y into the set of the first n words of s, keeping them
+// sorted; ok=false if it is full or y is already present.
 //
 //fod:hotpath
-func setLen(s [MaxSetSize]int32) int {
-	n := 0
-	for _, x := range s {
-		if x >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
-func setHas(s [MaxSetSize]int32, y int32) bool {
-	for _, x := range s {
-		if x == y {
-			return true
-		}
-	}
-	return false
-}
-
-// setAdd inserts y keeping the used prefix sorted; ok=false if full or
-// already present.
-func setAdd(s [MaxSetSize]int32, y int32) ([MaxSetSize]int32, bool) {
-	n := setLen(s)
-	if n == MaxSetSize || setHas(s, y) {
+func setAdd(s [MaxSetSize]int32, n int, y int32) ([MaxSetSize]int32, bool) {
+	if n == MaxSetSize {
 		return s, false
 	}
 	i := n
-	for i > 0 && s[i-1] > y {
-		s[i] = s[i-1]
+	for i > 0 && s[i-1] >= y {
+		if s[i-1] == y {
+			return s, false
+		}
 		i--
 	}
+	copy(s[i+1:n+1], s[i:n])
 	s[i] = y
 	return s, true
 }

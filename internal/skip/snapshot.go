@@ -9,49 +9,32 @@ import (
 )
 
 // Parts is the flat serialized form of the skip pointers: the Lemma 5.8
-// SC-table in CSR layout over vertices. The restriction list L is NOT
-// included — it is always the owning component's starter list, which the
-// engine snapshot already carries; FromParts takes it as input and
-// rebuilds the derived inL/nextGeqL arrays from it.
-//
-// Rows are K+1 words wide, not MaxSetSize+1: a set never holds more than
-// the preprocessed K bags, so the remaining words are always the -1
-// padding and serializing them would only bloat the file (for k=1 it
-// would more than double it).
+// SC-table in CSR layout over vertices, which is also its layout in
+// memory (see table). The restriction list L is NOT included — it is
+// always the owning component's starter list, which the engine snapshot
+// already carries; FromParts takes it as input and rebuilds the derived
+// nextGeqL array from it.
 type Parts struct {
 	K        int
 	TableOff []int32 // len n+1, prefix sums of per-vertex entry counts
 	TableRow []int32 // K+1 words per entry: bags[K], val
 }
 
-// The k=1 fast path of FromParts spells out all MaxSetSize padding words;
-// this trips a compile error if the constant ever changes.
-const _ = uint(MaxSetSize-4) + uint(4-MaxSetSize)
-
-// Parts returns the serialized form of the pointers.
+// Parts returns the serialized form of the pointers: the table itself,
+// not a copy of it.
 func (p *Pointers) Parts() Parts {
-	out := Parts{K: p.k, TableOff: make([]int32, len(p.table)+1)}
-	total := 0
-	for i, es := range p.table {
-		total += len(es)
-		out.TableOff[i+1] = int32(total)
-	}
-	out.TableRow = make([]int32, 0, total*(p.k+1))
-	for _, es := range p.table {
-		for _, e := range es {
-			out.TableRow = append(out.TableRow, e.bags[:p.k]...)
-			out.TableRow = append(out.TableRow, e.val)
-		}
-	}
-	return out
+	return Parts{K: p.k, TableOff: p.off, TableRow: p.rows}
 }
 
 // FromParts reconstructs the pointers over cov for the restriction list L
-// (the component's starter list, sorted ascending). It validates every
-// index the constant-time resolve path chases — bag ids against the
-// cover, values against the vertex universe, per-vertex sort order for
-// the binary search of lookup — so corrupted snapshots error instead of
-// panicking mid-query.
+// (the component's starter list, sorted ascending). The table is adopted,
+// not copied: parts must not be modified afterwards. Before that it
+// validates every index the constant-time resolve path chases — bag ids
+// against the cover, values against the vertex universe, set shape and
+// per-vertex sort order for the binary search of lookup — so corrupted
+// snapshots error instead of panicking mid-query. Rows of vertices outside
+// L (files written before the build stopped making them) are checked like
+// the others and never read.
 func FromParts(cov *cover.Cover, L []int, parts Parts) (*Pointers, error) {
 	return FromPartsObs(cov, L, parts, nil)
 }
@@ -73,105 +56,60 @@ func FromPartsObs(cov *cover.Cover, L []int, parts Parts, reg *obs.Registry) (*P
 }
 
 func fromParts(cov *cover.Cover, L []int, parts Parts) (*Pointers, error) {
-	if parts.K < 1 || parts.K > MaxSetSize {
-		return nil, fmt.Errorf("skip: snapshot set size %d outside [1, %d]", parts.K, MaxSetSize)
+	k := parts.K
+	if k < 1 || k > MaxSetSize {
+		return nil, fmt.Errorf("skip: snapshot set size %d outside [1, %d]", k, MaxSetSize)
 	}
 	if cov.KernelP() < 0 {
 		return nil, fmt.Errorf("skip: restored cover has no kernels")
 	}
-	n := len(parts.TableOff) - 1
-	if n < 0 || parts.TableOff[0] != 0 {
+	off, rows := parts.TableOff, parts.TableRow
+	n := len(off) - 1
+	if n < 0 || off[0] != 0 {
 		return nil, fmt.Errorf("skip: snapshot table offsets malformed")
 	}
-	nbags := cov.NumBags()
-	p := &Pointers{cov: cov, k: parts.K, table: make([][]entry, n)}
 	for _, v := range L {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("skip: restriction-list vertex %d outside [0,%d)", v, n)
 		}
 	}
-	p.buildL(n, L)
-	width := parts.K + 1
-	if int(parts.TableOff[n])*width != len(parts.TableRow) {
-		return nil, fmt.Errorf("skip: table holds %d words, offsets claim %d entries", len(parts.TableRow), parts.TableOff[n])
+	w := k + 1
+	if int(off[n])*w != len(rows) {
+		return nil, fmt.Errorf("skip: table holds %d words, offsets claim %d entries", len(rows), off[n])
 	}
-	// All entries live in one backing array; table rows are subslices.
-	// The per-vertex allocation this replaces dominated restore time.
-	flat := make([]entry, int(parts.TableOff[n]))
+	nbags := cov.NumBags()
 	for b := 0; b < n; b++ {
-		lo, hi := parts.TableOff[b], parts.TableOff[b+1]
-		if lo > hi {
+		if off[b] > off[b+1] {
 			return nil, fmt.Errorf("skip: table offsets of vertex %d out of order", b)
 		}
-		cnt := int(hi - lo)
-		if cnt == 0 {
-			continue
-		}
-		es := flat[lo:hi:hi]
-		if width == 2 {
-			// Specialized k=1 path: each row is (bag, val). Same checks as
-			// the general loop below — bag in range, val in range, strictly
-			// increasing bag order (bagsLess over singleton sets).
-			rows := parts.TableRow[int(lo)*2 : int(hi)*2]
-			for i := 0; i < cnt; i++ {
-				bag, val := rows[2*i], rows[2*i+1]
-				if bag < 0 || int(bag) >= nbags {
-					return nil, fmt.Errorf("skip: entry of vertex %d names bag %d of %d", b, bag, nbags)
-				}
-				if val < -1 || int(val) >= n {
-					return nil, fmt.Errorf("skip: entry of vertex %d points at %d outside [-1,%d)", b, val, n)
-				}
-				if i > 0 && rows[2*i-2] >= bag {
-					return nil, fmt.Errorf("skip: entries of vertex %d not sorted", b)
-				}
-				e := &es[i]
-				e.bags[0], e.bags[1], e.bags[2], e.bags[3] = bag, -1, -1, -1
-				e.val = val
-			}
-			p.table[b] = es
-			p.size += cnt
-			continue
-		}
-		for i := 0; i < cnt; i++ {
-			row := parts.TableRow[(int(lo)+i)*width : (int(lo)+i+1)*width]
-			e := &es[i]
-			// Only the K serialized words carry data; the padding up to
-			// MaxSetSize is synthesized here, never read from input.
+		for i := int(off[b]) * w; i < int(off[b+1])*w; i += w {
+			row := rows[i : i+w]
 			used := 0
-			for j := 0; j < parts.K; j++ {
-				x := row[j]
-				if x < -1 {
+			for j, x := range row[:k] {
+				switch {
+				case x < -1:
 					return nil, fmt.Errorf("skip: entry of vertex %d has padding word %d (want -1)", b, x)
-				}
-				if x >= 0 {
-					if int(x) >= nbags {
-						return nil, fmt.Errorf("skip: entry of vertex %d names bag %d of %d", b, x, nbags)
-					}
-					if j > used {
-						return nil, fmt.Errorf("skip: entry of vertex %d has a gap in its bag set", b)
-					}
-					if j > 0 && row[j-1] >= x {
-						return nil, fmt.Errorf("skip: entry of vertex %d has an unsorted bag set", b)
-					}
+				case x < 0:
+				case int(x) >= nbags:
+					return nil, fmt.Errorf("skip: entry of vertex %d names bag %d of %d", b, x, nbags)
+				case j > used:
+					return nil, fmt.Errorf("skip: entry of vertex %d has a gap in its bag set", b)
+				case j > 0 && row[j-1] >= x:
+					return nil, fmt.Errorf("skip: entry of vertex %d has an unsorted bag set", b)
+				default:
 					used = j + 1
 				}
-				e.bags[j] = x
-			}
-			for j := parts.K; j < MaxSetSize; j++ {
-				e.bags[j] = -1
 			}
 			if used == 0 {
-				return nil, fmt.Errorf("skip: entry of vertex %d has set size %d outside [1,%d]", b, used, p.k)
+				return nil, fmt.Errorf("skip: entry of vertex %d has set size %d outside [1,%d]", b, used, k)
 			}
-			if e.val = row[parts.K]; int(e.val) >= n || e.val < -1 {
-				return nil, fmt.Errorf("skip: entry of vertex %d points at %d outside [-1,%d)", b, e.val, n)
+			if val := row[k]; val < -1 || int(val) >= n {
+				return nil, fmt.Errorf("skip: entry of vertex %d points at %d outside [-1,%d)", b, val, n)
 			}
-			if i > 0 && !bagsLess(es[i-1].bags, e.bags) {
+			if i > int(off[b])*w && cmpSets(rows[i-w:i-w+k], row[:k]) >= 0 {
 				return nil, fmt.Errorf("skip: entries of vertex %d not sorted", b)
 			}
 		}
-		p.table[b] = es
-		p.size += cnt
 	}
-	return p, nil
+	return &Pointers{table: &table{cov: cov, k: k, nextGeqL: nextGeq(n, L), off: off, rows: rows}}, nil
 }

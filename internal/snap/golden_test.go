@@ -16,6 +16,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden snapshot fixtu
 
 const goldenPath = "testdata/golden-grid64.fodsnap"
 
+// goldenAllRowsPath is the fixture as the commit before the skip build was
+// restricted to b ∈ L wrote it, with SC rows for every vertex: the pin that
+// files of that era keep loading. It is never regenerated.
+const goldenAllRowsPath = "testdata/golden-grid64-allrows.fodsnap"
+
 // goldenIndex is the fixed graph/query pair the golden fixture pins. Keep
 // it in sync with the committed file: regenerate with
 //
@@ -68,31 +73,50 @@ func TestGoldenFormat(t *testing.T) {
 	}
 }
 
-// TestGoldenLoads proves old files stay readable: the committed fixture —
-// written by whatever code version created it — must still restore and
+// TestGoldenLoads proves old files stay readable: the committed fixtures —
+// written by whatever code version created them — must still restore and
 // answer exactly like a freshly built index.
 func TestGoldenLoads(t *testing.T) {
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden fixture (regenerate with -update): %v", err)
+	fresh := goldenIndex(t)
+	for _, path := range []string{goldenPath, goldenAllRowsPath} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden fixture (regenerate %s with -update): %v", goldenPath, err)
+		}
+		f, err := snap.Parse(data)
+		if err != nil {
+			t.Fatalf("%s does not parse: %v", path, err)
+		}
+		meta, err := snap.ReadMeta(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.GraphN != 64 || meta.K != 2 {
+			t.Fatalf("%s: metadata off: n=%d k=%d", path, meta.GraphN, meta.K)
+		}
+		loaded, err := repro.ReadIndexSnapshot(data)
+		if err != nil {
+			t.Fatalf("%s does not restore: %v", path, err)
+		}
+		if got, want := enumerate(loaded), enumerate(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s answers differently: %d solutions vs %d fresh", path, len(got), len(want))
+		}
+		if st := loaded.Stats(); st.SkipTables != 2 {
+			t.Fatalf("%s restored to %d skip tables, want 2", path, st.SkipTables)
+		}
 	}
-	f, err := snap.Parse(data)
-	if err != nil {
-		t.Fatalf("fixture does not parse: %v", err)
+	// The two fixtures differ in their skip sections and in nothing the
+	// answers depend on: the old one carries the rows nobody reads.
+	if old, cur := mustStat(t, goldenAllRowsPath), mustStat(t, goldenPath); old <= cur {
+		t.Fatalf("the all-rows fixture (%d bytes) is not larger than the current one (%d)", old, cur)
 	}
-	meta, err := snap.ReadMeta(f)
+}
+
+func mustStat(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.GraphN != 64 || meta.K != 2 {
-		t.Fatalf("fixture metadata off: n=%d k=%d", meta.GraphN, meta.K)
-	}
-	loaded, err := repro.ReadIndexSnapshot(data)
-	if err != nil {
-		t.Fatalf("fixture does not restore: %v", err)
-	}
-	fresh := goldenIndex(t)
-	if got, want := enumerate(loaded), enumerate(fresh); !reflect.DeepEqual(got, want) {
-		t.Fatalf("fixture answers differently: %d solutions vs %d fresh", len(got), len(want))
-	}
+	return fi.Size()
 }

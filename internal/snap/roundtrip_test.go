@@ -13,9 +13,12 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/conform"
 	"repro/internal/core"
 	"repro/internal/fo"
+	"repro/internal/graph"
 	"repro/internal/naive"
+	"repro/internal/snap"
 )
 
 // rtCase mirrors the graph/query pairs of the examples/ programs
@@ -78,6 +81,44 @@ func enumerate(ix *repro.Index) [][]int {
 		return true
 	})
 	return out
+}
+
+// TestRoundTripSharedTables: far3 has five components over two distinct
+// starter lists. The file still carries one skip section per component;
+// the index restored from it passes the whole engine contract against the
+// naive oracle and holds two tables, not five.
+func TestRoundTripSharedTables(t *testing.T) {
+	tc := rtCase{"far3", "grid", 36, "dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", []string{"x", "y", "z"}}
+	g, built, _, data := buildAndReload(t, tc, 1)
+	s, err := snap.Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := 0
+	for _, clause := range s.Parts.Clauses {
+		for _, comp := range clause {
+			if comp.Skip != nil {
+				sections++
+			}
+		}
+	}
+	lq, err := core.Compile(fo.MustParse(tc.query), []fo.Var{"x", "y", "z"}, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.RestoreEngine(s.Graph, lq, s.Parts, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); sections != 5 || st.SkipTables != 2 || st.SkipPointers != built.Stats().SkipPointers {
+		t.Fatalf("%d skip sections restored to %d tables with %d pointers; want 5 sections, 2 tables, %d pointers",
+			sections, st.SkipTables, st.SkipPointers, built.Stats().SkipPointers)
+	}
+	sys := conform.System{Name: "far3/restored", Engine: e, K: lq.K, N: g.N(),
+		NewCursor: func(a []graph.V) conform.Cursor { return e.IteratorFrom(a) }}
+	if err := conform.CheckAll(sys, conform.NewNaive(g, lq).Solutions()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRoundTripDifferential(t *testing.T) {

@@ -6,8 +6,12 @@
 #            analyzers (see README "Static analysis"), and the
 #            concurrency-sensitive suite under -race in -short mode; the
 #            serving layer (internal/serve) additionally runs its full
-#            suite under -race — it is the concurrency surface of the repo
-#            — and the snapshot decoder fuzzes for 30s (FuzzSnapshotLoad):
+#            suite under -race — it is the concurrency surface of the repo —
+#            and its flight-lifetime tests (Deadline|Singleflight|Abandon)
+#            twenty times over; the benchmark module bench/ (not part of
+#            ./...) is vetted and tested, so a break of an exported
+#            signature it calls is caught here; the snapshot decoder
+#            fuzzes for 30s (FuzzSnapshotLoad):
 #            hostile bytes must yield typed errors, never a panic or OOM;
 #            the cross-engine fuzzer (FuzzEngineEquivalence) drives the
 #            core engine, the lowdeg engine and the naive oracle through
@@ -76,6 +80,11 @@ if [[ "$tier" == "2" || "$tier" == "all" ]]; then
     go test -race -short ./...
     echo "== tier 2: serving layer full suite under -race =="
     go test -race -count=1 ./internal/serve/
+    echo "== tier 2: flight lifetime tests (deadline, singleflight, abandoned builds) x20 under -race =="
+    go test -race -count=20 -run 'Deadline|Singleflight|Abandon' ./internal/serve/
+    echo "== tier 2: bench/ compiles against the exported signatures and passes its own tests =="
+    go vet -C bench ./...
+    go test -C bench -count=1 ./...
     echo "== tier 2: trace ring + tail sampling under -race =="
     go test -race -count=1 -run 'TestRing|TestTailSampling|TestTraceSpanTree' ./internal/obs/
     echo "== tier 2: snapshot decoder fuzz (30s) =="
