@@ -6,7 +6,7 @@ import (
 	"repro/internal/graph"
 )
 
-// Option tunes Build (functional options over the former IndexOptions).
+// Option tunes Build and the snapshot loaders by filling an IndexOptions.
 type Option func(*IndexOptions)
 
 // WithParallelism bounds the preprocessing worker count. 0 (the default)
@@ -18,7 +18,8 @@ func WithParallelism(workers int) Option {
 }
 
 // WithMetrics instruments the index with the given registry; see
-// IndexOptions.Metrics.
+// IndexOptions.Metrics. The snapshot loaders and savers record their
+// decode, restore and encode spans into it.
 func WithMetrics(reg *Metrics) Option {
 	return func(o *IndexOptions) { o.Metrics = reg }
 }
@@ -33,21 +34,40 @@ func WithEngine(kind EngineKind) Option {
 }
 
 // Build performs the pseudo-linear preprocessing of Theorem 2.3 and is the
-// single v1 entry point for index construction: context-bounded, tuned by
+// single entry point for index construction: context-bounded, tuned by
 // functional options.
 //
 //	ix, err := repro.Build(ctx, g, q)
 //	ix, err := repro.Build(ctx, g, q, repro.WithParallelism(1), repro.WithMetrics(reg))
 //
-// The context bounds preprocessing (checked between phases); pass
-// context.Background() for an unbounded build. BuildIndex, BuildIndexOpt,
-// and BuildIndexCtx are deprecated wrappers around this function.
+// The preprocessing checks ctx between its phases (dist → cover → kernel →
+// starter → skip) and aborts with an error wrapping ctx's error once it is
+// canceled or past its deadline — the serving layer uses this to enforce
+// per-request build deadlines. Pass context.Background() for an unbounded
+// build.
 func Build(ctx context.Context, g *Graph, q *Query, opts ...Option) (*Index, error) {
+	o := resolveOptions(opts)
+	lq, err := q.compile()
+	if err != nil {
+		return nil, err
+	}
+	sel, err := selectEngine(g, o.Engine)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := newEngine(ctx, g, lq, sel.Chosen, o)
+	if err != nil {
+		return nil, err
+	}
+	return &Index{eng: eng, sel: sel, k: lq.K, q: q}, nil
+}
+
+func resolveOptions(opts []Option) IndexOptions {
 	var o IndexOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return BuildIndexCtx(ctx, g, q, o)
+	return o
 }
 
 // EditOp is one kind of graph mutation; see the Edit constructors.
@@ -98,45 +118,24 @@ func PatchGraph(g *Graph, edits []Edit) (*Graph, error) { return graph.Patch(g, 
 //
 // Edits that are not local (a clause guard flips, a layout refuses to
 // patch, the accumulated deltas outgrow their thresholds) transparently
-// fall back to a full rebuild; Stats().MutRebuilds counts those.
+// fall back to a full rebuild; Stats().MutRebuilds counts those. An engine
+// without an incremental path (lowdeg) rebuilds on every effective batch
+// and counts each one.
 func (ix *Index) ApplyEdits(ctx context.Context, edits []Edit) (*Index, error) {
-	if ix.le != nil {
-		// The low-degree engine has no incremental path: a real edit is a
-		// full (but linear, hence cheap) rebuild; an identity batch returns
-		// the engine — and so the index — unchanged.
-		le2, err := ix.le.ApplyEdits(ctx, edits)
-		if err != nil {
-			return nil, err
-		}
-		if le2 == ix.le {
-			return ix, nil
-		}
-		return &Index{le: le2, sel: ix.sel, k: ix.k, q: ix.q, version: ix.version + 1}, nil
-	}
-	e2, err := ix.e.ApplyEdits(ctx, edits)
+	eng, err := ix.eng.applyEdits(ctx, edits)
 	if err != nil {
 		return nil, err
 	}
-	if e2 == ix.e {
+	if eng == ix.eng {
 		// The batch netted out to the identity; the index is its own next
 		// version.
 		return ix, nil
 	}
-	return &Index{e: e2, sel: ix.sel, k: ix.k, q: ix.q, version: ix.version + 1}, nil
-}
-
-// Mutate is ApplyEdits under the name the serving layer's endpoint uses.
-func (ix *Index) Mutate(ctx context.Context, edits []Edit) (*Index, error) {
-	return ix.ApplyEdits(ctx, edits)
+	return &Index{eng: eng, sel: ix.sel, k: ix.k, q: ix.q, version: ix.version + 1}, nil
 }
 
 // Graph returns the graph this index version answers over.
-func (ix *Index) Graph() *Graph {
-	if ix.le != nil {
-		return ix.le.Graph()
-	}
-	return ix.e.Graph()
-}
+func (ix *Index) Graph() *Graph { return ix.eng.Graph() }
 
 // Version returns the index's mutation generation: 0 for a freshly built
 // index, incremented by every effective ApplyEdits.

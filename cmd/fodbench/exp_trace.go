@@ -26,10 +26,7 @@ func runTrace(quick bool) {
 	tr := tracer.Start("fodbench build+enumerate", obs.TraceID{}, "")
 	ctx := obs.ContextWithSpan(context.Background(), obs.SpanCtx{Trace: tr})
 
-	ix, err := repro.BuildIndexCtx(ctx, g, q, repro.IndexOptions{
-		Parallelism: parallelism,
-		Metrics:     benchReg,
-	})
+	ix, err := repro.Build(ctx, g, q, repro.WithParallelism(parallelism), repro.WithMetrics(benchReg))
 	if err != nil {
 		fmt.Printf("trace: build failed: %v\n", err)
 		return

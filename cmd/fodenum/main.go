@@ -74,7 +74,7 @@ func main() {
 		defer cancel()
 	}
 	start := time.Now()
-	ix, err := repro.BuildIndexCtx(ctx, g, q, repro.IndexOptions{Parallelism: *parallel, Metrics: reg})
+	ix, err := repro.Build(ctx, g, q, repro.WithParallelism(*parallel), repro.WithMetrics(reg))
 	if err != nil {
 		fail(err)
 	}

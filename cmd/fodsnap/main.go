@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -90,7 +91,7 @@ func cmdBuild(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	ix, err := repro.BuildIndexOpt(g, q, repro.IndexOptions{Parallelism: *parallel})
+	ix, err := repro.Build(context.Background(), g, q, repro.WithParallelism(*parallel))
 	if err != nil {
 		fail(err)
 	}

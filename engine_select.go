@@ -95,13 +95,8 @@ func selectEngine(g *Graph, req EngineKind) (Selection, error) {
 }
 
 // Engine returns the kind of engine backing this index.
-func (ix *Index) Engine() EngineKind {
-	if ix.le != nil {
-		return EngineLowDeg
-	}
-	return EngineCore
-}
+func (ix *Index) Engine() EngineKind { return ix.sel.Chosen }
 
 // Selection returns the engine-routing decision recorded when the index
-// was built (zero value for restored snapshots predating selection).
+// was built (a forced core choice for restored snapshots).
 func (ix *Index) Selection() Selection { return ix.sel }

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -25,7 +26,7 @@ func main() {
 	}
 
 	start := time.Now()
-	ix, err := repro.BuildIndex(g, q)
+	ix, err := repro.Build(context.Background(), g, q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -50,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start = time.Now()
-	ix, err := repro.BuildIndex(g, q)
+	ix, err := repro.Build(context.Background(), g, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ix2, err := repro.BuildIndex(g, q2)
+	ix2, err := repro.Build(context.Background(), g, q2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -36,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	ix1, err := repro.BuildIndex(g, q1)
+	ix1, err := repro.Build(context.Background(), g, q1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start = time.Now()
-	ix2, err := repro.BuildIndex(g, q2)
+	ix2, err := repro.Build(context.Background(), g, q2)
 	if err != nil {
 		log.Fatal(err)
 	}

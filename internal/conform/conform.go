@@ -13,6 +13,7 @@ package conform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -92,7 +93,7 @@ type NextLaster interface {
 	NextLast(prefix []graph.V, b graph.V) (graph.V, bool)
 }
 
-// Cursor is the pull-iterator face (core.Iterator, lowdeg.Iterator, or
+// Cursor is the pull-iterator face (core.Iterator over either engine, or
 // the materialized naive cursor).
 type Cursor interface {
 	Seek(a []graph.V)
@@ -150,7 +151,7 @@ func CheckEnumeration(sys System, want [][]graph.V) error {
 		return fmt.Errorf("%s: enumeration yielded %d solutions, want %d", sys.Name, len(got), len(want))
 	}
 	for i := range got {
-		if !tupleEq(got[i], want[i]) {
+		if !slices.Equal(got[i], want[i]) {
 			return fmt.Errorf("%s: solution %d = %v, want %v", sys.Name, i, got[i], want[i])
 		}
 	}
@@ -179,11 +180,11 @@ func CheckNextGeq(sys System, want [][]graph.V) error {
 		}
 		return nil
 	}
-	if sol, ok := sys.Engine.NextGeq(zero); !ok || !tupleEq(sol, want[0]) {
+	if sol, ok := sys.Engine.NextGeq(zero); !ok || !slices.Equal(sol, want[0]) {
 		return fmt.Errorf("%s: NextGeq(zero) = %v,%v, want %v", sys.Name, sol, ok, want[0])
 	}
 	for i, w := range want {
-		if sol, ok := sys.Engine.NextGeq(w); !ok || !tupleEq(sol, w) {
+		if sol, ok := sys.Engine.NextGeq(w); !ok || !slices.Equal(sol, w) {
 			return fmt.Errorf("%s: NextGeq(%v) = %v,%v, want itself", sys.Name, w, sol, ok)
 		}
 		succ, carry := incTuple(w, sys.N)
@@ -191,7 +192,7 @@ func CheckNextGeq(sys System, want [][]graph.V) error {
 			continue // w is the maximum tuple; nothing is above it
 		}
 		if i+1 < len(want) {
-			if sol, ok := sys.Engine.NextGeq(succ); !ok || !tupleEq(sol, want[i+1]) {
+			if sol, ok := sys.Engine.NextGeq(succ); !ok || !slices.Equal(sol, want[i+1]) {
 				return fmt.Errorf("%s: NextGeq(%v) = %v,%v, want %v", sys.Name, succ, sol, ok, want[i+1])
 			}
 		} else if sol, ok := sys.Engine.NextGeq(succ); ok {
@@ -270,7 +271,7 @@ func CheckCursor(sys System, want [][]graph.V) error {
 			return fmt.Errorf("%s: cursor(page=%d) yielded %d solutions, want %d", sys.Name, page, len(got), len(want))
 		}
 		for i := range got {
-			if !tupleEq(got[i], want[i]) {
+			if !slices.Equal(got[i], want[i]) {
 				return fmt.Errorf("%s: cursor(page=%d) solution %d = %v, want %v", sys.Name, page, i, got[i], want[i])
 			}
 		}
@@ -282,7 +283,7 @@ func CheckCursor(sys System, want [][]graph.V) error {
 		it.Seek(want[mid])
 		for i := mid; i < len(want); i++ {
 			sol, ok := it.Next()
-			if !ok || !tupleEq(sol, want[i]) {
+			if !ok || !slices.Equal(sol, want[i]) {
 				return fmt.Errorf("%s: re-seek cursor at %d = %v,%v, want %v", sys.Name, i, sol, ok, want[i])
 			}
 		}
@@ -358,7 +359,7 @@ type NaiveEngine struct {
 // NewNaive builds the oracle adapter for q over g.
 func NewNaive(g *graph.Graph, q *core.LocalQuery) *NaiveEngine {
 	sols := naive.SolutionsLocal(g, q)
-	sort.Slice(sols, func(i, j int) bool { return lexLess(sols[i], sols[j]) })
+	sort.Slice(sols, func(i, j int) bool { return slices.Compare(sols[i], sols[j]) < 0 })
 	return &NaiveEngine{sols: sols, k: q.K, n: g.N()}
 }
 
@@ -367,7 +368,7 @@ func NewNaive(g *graph.Graph, q *core.LocalQuery) *NaiveEngine {
 func (e *NaiveEngine) Solutions() [][]graph.V { return e.sols }
 
 func (e *NaiveEngine) NextGeq(a []graph.V) ([]graph.V, bool) {
-	i := sort.Search(len(e.sols), func(i int) bool { return !lexLess(e.sols[i], a) })
+	i := sort.Search(len(e.sols), func(i int) bool { return slices.Compare(e.sols[i], a) >= 0 })
 	if i == len(e.sols) {
 		return nil, false
 	}
@@ -375,8 +376,8 @@ func (e *NaiveEngine) NextGeq(a []graph.V) ([]graph.V, bool) {
 }
 
 func (e *NaiveEngine) Test(a []graph.V) bool {
-	i := sort.Search(len(e.sols), func(i int) bool { return !lexLess(e.sols[i], a) })
-	return i < len(e.sols) && tupleEq(e.sols[i], a)
+	i := sort.Search(len(e.sols), func(i int) bool { return slices.Compare(e.sols[i], a) >= 0 })
+	return i < len(e.sols) && slices.Equal(e.sols[i], a)
 }
 
 func (e *NaiveEngine) Enumerate(yield func([]graph.V) bool) {
@@ -391,7 +392,7 @@ func (e *NaiveEngine) Count() int { return len(e.sols) }
 
 func (e *NaiveEngine) NextLast(prefix []graph.V, b graph.V) (graph.V, bool) {
 	for _, s := range e.sols {
-		if tupleEq(s[:e.k-1], prefix) && s[e.k-1] >= b {
+		if slices.Equal(s[:e.k-1], prefix) && s[e.k-1] >= b {
 			return s[e.k-1], true
 		}
 	}
@@ -412,7 +413,7 @@ func (e *NaiveEngine) Cursor(a []graph.V) Cursor {
 }
 
 func (c *naiveCursor) Seek(a []graph.V) {
-	c.idx = sort.Search(len(c.e.sols), func(i int) bool { return !lexLess(c.e.sols[i], a) })
+	c.idx = sort.Search(len(c.e.sols), func(i int) bool { return slices.Compare(c.e.sols[i], a) >= 0 })
 }
 
 func (c *naiveCursor) HasNext() bool { return c.idx < len(c.e.sols) }
@@ -424,27 +425,6 @@ func (c *naiveCursor) Next() ([]graph.V, bool) {
 	s := c.e.sols[c.idx]
 	c.idx++
 	return s, true
-}
-
-func tupleEq(a, b []graph.V) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func lexLess(a, b []graph.V) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // incTuple returns the lexicographic successor of a over [0,n)^k.

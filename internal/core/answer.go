@@ -40,8 +40,8 @@ func (e *Engine) nextGeq(a []graph.V) ([]graph.V, bool) {
 		return nil, false
 	}
 	var best []graph.V
-	for _, rt := range e.clauses {
-		cand := e.nextClause(rt, a)
+	for i := range e.clauses {
+		cand := e.nextClause(i, a)
 		if cand != nil && (best == nil || lexLess(cand, best)) {
 			best = cand
 		}
@@ -50,15 +50,6 @@ func (e *Engine) nextGeq(a []graph.V) ([]graph.V, bool) {
 		return nil, false
 	}
 	return best, true
-}
-
-// NextGt returns the smallest solution strictly greater than ā.
-func (e *Engine) NextGt(a []graph.V) ([]graph.V, bool) {
-	succ, ok := incrementTuple(a, e.g.N())
-	if !ok {
-		return nil, false
-	}
-	return e.NextGeq(succ)
 }
 
 // NextLast implements Lemma 5.2; see nextLast. Instrumented engines
@@ -196,98 +187,46 @@ func (e *Engine) testClause(rt *clauseRT, a []graph.V) bool {
 	return true
 }
 
-// Enumerate implements Corollary 2.5: it yields every solution exactly
-// once, in increasing lexicographic order, until exhaustion or until yield
-// returns false. The tuple passed to yield is reused; copy it to retain it.
-//
-// On an instrumented engine every iteration's answer-production time (the
-// NextGeq step — the paper's "delay", excluding the caller's yield body)
-// is recorded into the engine.delay_ns histogram, which is what the
-// fodbench delay profiler reports against the constant-delay claim.
-//
-//fod:ctxok the yield callback is the cancellation path: any caller that
-// must honor a deadline returns false from yield (CountCtx does exactly
-// that); a ctx parameter here would put a select on the constant-delay
-// loop of every caller, cancellable or not.
-func (e *Engine) Enumerate(yield func([]graph.V) bool) {
-	if e.g.N() == 0 {
-		return
-	}
-	h := e.instr.delay
-	cur := make([]graph.V, e.k)
-	for {
-		var sol []graph.V
-		var ok bool
-		if h != nil {
-			start := time.Now()
-			sol, ok = e.nextGeq(cur)
-			h.Observe(time.Since(start))
-		} else {
-			sol, ok = e.nextGeq(cur)
-		}
-		if !ok {
-			return
-		}
-		if !yield(sol) {
-			return
-		}
-		next, ok := incrementTuple(sol, e.g.N())
-		if !ok {
-			return
-		}
-		cur = next
-	}
-}
+// Enumerate is the shared Corollary 2.5 loop (see Enumerate in
+// iterator.go) over this engine. On an instrumented engine every answer's
+// production time is recorded into the engine.delay_ns histogram.
+func (e *Engine) Enumerate(yield func([]graph.V) bool) { Enumerate(e, e.instr.delay, yield) }
 
 // Count returns |q(G)| by full enumeration.
 func (e *Engine) Count() int {
-	n := 0
-	e.Enumerate(func([]graph.V) bool { n++; return true })
+	n, _ := e.CountCtx(context.Background())
 	return n
 }
 
-// countCheckEvery is how many answers a cancellable count produces
-// between ctx polls: frequent enough that a canceled request stops after
-// a bounded number of constant-delay steps, rare enough that the poll
-// cost vanishes against the enumeration itself.
-const countCheckEvery = 4096
-
-// CountCtx counts by full enumeration with cooperative cancellation,
-// polling ctx every countCheckEvery answers. It returns ctx.Err() if the
-// context was canceled before the solution set was exhausted.
+// CountCtx is Count with cooperative cancellation; see CountCtx in
+// iterator.go.
 func (e *Engine) CountCtx(ctx context.Context) (int, error) {
-	n := 0
-	canceled := false
-	e.Enumerate(func([]graph.V) bool {
-		n++
-		if n%countCheckEvery == 0 {
-			select {
-			case <-ctx.Done():
-				canceled = true
-				return false
-			default:
-			}
-		}
-		return true
-	})
-	if canceled {
-		return 0, ctx.Err()
-	}
-	return n, nil
+	return CountCtx(ctx, e, e.instr.delay)
 }
 
-// nextClause returns the smallest tuple ≥ a matching the clause, or nil.
+// Iterator returns a cursor positioned at the first solution.
+func (e *Engine) Iterator() *Iterator { return e.IteratorFrom(make([]graph.V, e.k)) }
+
+// IteratorFrom returns a cursor positioned at the smallest solution ≥ a.
+func (e *Engine) IteratorFrom(a []graph.V) *Iterator { return NewIterator(e, a) }
+
+// NumClauses, Arity and N complete the ClauseStepper contract.
+func (e *Engine) NumClauses() int { return len(e.clauses) }
+func (e *Engine) Arity() int      { return e.k }
+func (e *Engine) N() int          { return e.g.N() }
+
+// nextClause returns the smallest tuple ≥ a matching clause i, or nil.
 //
 //fod:hotpath
-func (e *Engine) nextClause(rt *clauseRT, a []graph.V) []graph.V {
+func (e *Engine) nextClause(i int, a []graph.V) []graph.V {
 	tuple := make([]graph.V, e.k)
-	if e.nextClauseInto(rt, a, tuple) {
+	if e.NextClauseInto(i, a, tuple) {
 		return tuple
 	}
 	return nil
 }
 
-// nextClauseInto writes the smallest tuple ≥ a matching the clause into
+// NextClauseInto writes the smallest tuple ≥ a matching clause i into
 // tuple (len(tuple) == k) and reports whether one exists. It is a
 // lexicographic backtracking search whose per-level candidate generators
 // are the paper's Case I (new component: skip pointers over the starter
@@ -296,8 +235,8 @@ func (e *Engine) nextClause(rt *clauseRT, a []graph.V) []graph.V {
 // state caller that supplies the buffer (the Iterator) allocates nothing.
 //
 //fod:hotpath
-func (e *Engine) nextClauseInto(rt *clauseRT, a, tuple []graph.V) bool {
-	return e.nextClauseRec(rt, a, tuple, 0, true)
+func (e *Engine) NextClauseInto(i int, a, tuple []graph.V) bool {
+	return e.nextClauseRec(e.clauses[i], a, tuple, 0, true)
 }
 
 // nextClauseRec places position j of tuple; tight means the prefix equals
@@ -478,40 +417,4 @@ func (e *Engine) cachedBall(anchor graph.V) []graph.V {
 	b := e.componentBall(anchor)
 	e.ballCache.Store(anchor, b)
 	return b
-}
-
-//fod:hotpath
-func lexLess(a, b []graph.V) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-// incrementTupleInto writes the successor of a in the lexicographic order
-// on [0,n)^k into dst (len(dst) == len(a)); ok=false at the maximum.
-//
-//fod:hotpath
-func incrementTupleInto(dst, a []graph.V, n int) bool {
-	copy(dst, a)
-	for i := len(dst) - 1; i >= 0; i-- {
-		if dst[i]+1 < n {
-			dst[i]++
-			return true
-		}
-		dst[i] = 0
-	}
-	return false
-}
-
-// incrementTuple returns the successor of a in the lexicographic order on
-// [0,n)^k, or ok=false at the maximum.
-func incrementTuple(a []graph.V, n int) ([]graph.V, bool) {
-	out := make([]graph.V, len(a))
-	if !incrementTupleInto(out, a, n) {
-		return nil, false
-	}
-	return out, true
 }

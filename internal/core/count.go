@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/graph"
@@ -185,7 +186,7 @@ func (e *Engine) countFarGroup(group []*clauseRT) int {
 			}
 		}
 		far := len(l0)*len(l1) - e.closePairs(l0, l1)
-		if popcount(mask)%2 == 1 {
+		if bits.OnesCount(uint(mask))%2 == 1 {
 			total += far
 		} else {
 			total -= far
@@ -262,13 +263,4 @@ func intersectSorted(a, b []graph.V) []graph.V {
 		}
 	}
 	return out
-}
-
-func popcount(x int) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

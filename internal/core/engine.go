@@ -95,7 +95,7 @@ type instruments struct {
 
 // Engine is the preprocessed structure of Theorem 2.3 for one graph and one
 // LocalQuery. Preprocess must complete before use; afterwards the
-// answering methods (NextGeq, NextGt, NextLast, Test, Enumerate, Count,
+// answering methods (NextGeq, NextLast, Test, Enumerate, Count,
 // FastCount, Stats) are safe for concurrent use — query-time scratch is
 // pooled per goroutine and the lazy caches are concurrent maps.
 type Engine struct {

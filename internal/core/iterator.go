@@ -1,6 +1,29 @@
 package core
 
-import "repro/internal/graph"
+import (
+	"context"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/obs"
+)
+
+// ClauseStepper is what an engine provides to be enumerated: the shared
+// Iterator — and through it Enumerate and CountCtx — is written once
+// against these four methods, and every engine (this package's, and
+// internal/lowdeg's) supplies only its own per-clause search.
+type ClauseStepper interface {
+	// NumClauses returns the number of live clauses (τ, i).
+	NumClauses() int
+	// NextClauseInto writes the smallest tuple ≥ a matching clause i into
+	// buf (len(buf) == Arity()) and reports whether one exists. It must
+	// not allocate and must be safe for concurrent use.
+	NextClauseInto(i int, a, buf []graph.V) bool
+	// Arity returns the tuple width k.
+	Arity() int
+	// N returns the number of vertices; tuples range over [0,N)^k.
+	N() int
+}
 
 // Iterator is the pull-style face of Corollary 2.5: a cursor over the
 // solution set in lexicographic order with constant-delay Next calls.
@@ -12,15 +35,17 @@ import "repro/internal/graph"
 // contrast, is a one-shot primitive and probes every clause).
 //
 // The iterator owns every buffer it hands out, keeping steady-state Next
-// calls allocation-free (the LINT_GUARD AllocsPerRun suite pins Next at
-// 0 allocs/op): the slice returned by Next is valid only until the
+// calls allocation-free (the AllocsPerRun guards pin Next at 0 allocs/op
+// over either engine): the slice returned by Next is valid only until the
 // following Next or Seek call — copy it to retain it, exactly as with
 // Enumerate.
 //
-// An Iterator borrows the Engine and must not be used concurrently with
-// other Engine calls.
+// One Iterator is for one goroutine; any number of them may run over the
+// same engine concurrently with each other and with every other engine
+// call.
 type Iterator struct {
-	e     *Engine
+	s     ClauseStepper
+	n     int
 	nexts [][]graph.V // per clause: candidate ≥ cursor (aliases bufs), nil = drained
 	bufs  [][]graph.V // per-clause candidate buffers
 	cur   []graph.V   // the next solution to hand out
@@ -29,54 +54,52 @@ type Iterator struct {
 	has   bool
 }
 
-// Iterator returns a cursor positioned at the first solution.
-func (e *Engine) Iterator() *Iterator {
-	it := &Iterator{e: e}
-	it.Seek(make([]graph.V, e.k))
-	return it
-}
-
-// IteratorFrom returns a cursor positioned at the smallest solution ≥ a.
-func (e *Engine) IteratorFrom(a []graph.V) *Iterator {
-	it := &Iterator{e: e}
+// NewIterator returns a cursor over s positioned at the smallest solution
+// ≥ a. Every buffer is allocated here and reused by each later Seek and
+// Next.
+func NewIterator(s ClauseStepper, a []graph.V) *Iterator {
+	k, nc := s.Arity(), s.NumClauses()
+	it := &Iterator{
+		s: s, n: s.N(),
+		nexts: make([][]graph.V, nc),
+		bufs:  make([][]graph.V, nc),
+		cur:   make([]graph.V, k),
+		prev:  make([]graph.V, k),
+		succ:  make([]graph.V, k),
+	}
+	for i := range it.bufs {
+		it.bufs[i] = make([]graph.V, k)
+	}
 	it.Seek(a)
 	return it
 }
 
 // Seek repositions the cursor at the smallest solution ≥ a (Theorem 2.3:
-// constant time per clause). Buffers are created on first use and reused
-// by every later Seek and Next.
+// constant time per clause).
 //
 //fod:ctxok the loop is over the compiled query's clauses — work bounded
 // by query size, not by the graph or the solution set, so there is
 // nothing to cancel mid-way.
 func (it *Iterator) Seek(a []graph.V) {
-	if it.bufs == nil {
-		n := len(it.e.clauses)
-		it.nexts = make([][]graph.V, n)
-		it.bufs = make([][]graph.V, n)
-		for i := range it.bufs {
-			it.bufs[i] = make([]graph.V, it.e.k)
-		}
-		it.cur = make([]graph.V, it.e.k)
-		it.prev = make([]graph.V, it.e.k)
-		it.succ = make([]graph.V, it.e.k)
-	}
 	it.has = false
-	if it.e.g.N() == 0 {
-		for i := range it.nexts {
-			it.nexts[i] = nil
-		}
-		return
+	if it.n == 0 {
+		return // no tuples at all; every clause cursor stays drained
 	}
-	for i, rt := range it.e.clauses {
-		if it.e.nextClauseInto(rt, a, it.bufs[i]) {
-			it.nexts[i] = it.bufs[i]
-		} else {
-			it.nexts[i] = nil
-		}
+	for i := range it.nexts {
+		it.advance(i, a)
 	}
 	it.settle()
+}
+
+// advance moves clause i's cursor to its smallest match ≥ a.
+//
+//fod:hotpath
+func (it *Iterator) advance(i int, a []graph.V) {
+	if it.s.NextClauseInto(i, a, it.bufs[i]) {
+		it.nexts[i] = it.bufs[i]
+	} else {
+		it.nexts[i] = nil
+	}
 }
 
 // settle copies the overall minimum of the per-clause candidates into
@@ -114,7 +137,7 @@ func (it *Iterator) Next() ([]graph.V, bool) {
 	// upcoming solution without clobbering the slice being returned.
 	out := it.cur
 	it.cur, it.prev = it.prev, it.cur
-	if !incrementTupleInto(it.succ, out, it.e.g.N()) {
+	if !incrementTupleInto(it.succ, out, it.n) {
 		it.has = false
 		return out, true
 	}
@@ -122,13 +145,101 @@ func (it *Iterator) Next() ([]graph.V, bool) {
 	// clauses may share a solution tuple).
 	for i, cand := range it.nexts {
 		if cand != nil && !lexLess(out, cand) { // cand ≤ out, i.e. cand == out
-			if it.e.nextClauseInto(it.e.clauses[i], it.succ, it.bufs[i]) {
-				it.nexts[i] = it.bufs[i]
-			} else {
-				it.nexts[i] = nil
-			}
+			it.advance(i, it.succ)
 		}
 	}
 	it.settle()
 	return out, true
+}
+
+// Enumerate implements Corollary 2.5 over any engine: it yields every
+// solution exactly once, in increasing lexicographic order, until
+// exhaustion or until yield returns false. The tuple passed to yield is
+// reused; copy it to retain it. This is the one enumeration loop behind
+// every engine's Enumerate, Count and CountCtx.
+//
+// With a non-nil delay histogram every answer's production time (the
+// cursor step — the paper's "delay", excluding the caller's yield body) is
+// recorded, which is what the fodbench delay profiler reports against the
+// constant-delay claim. The clock reads live here, outside the
+// //fod:hotpath Next.
+//
+//fod:ctxok the yield callback is the cancellation path: any caller that
+// must honor a deadline returns false from yield (CountCtx does exactly
+// that); a ctx parameter here would put a select on the constant-delay
+// loop of every caller, cancellable or not.
+func Enumerate(s ClauseStepper, delay *obs.Histogram, yield func([]graph.V) bool) {
+	it := NewIterator(s, make([]graph.V, s.Arity()))
+	for it.has {
+		var sol []graph.V
+		if delay != nil {
+			start := time.Now()
+			sol, _ = it.Next()
+			delay.Observe(time.Since(start))
+		} else {
+			sol, _ = it.Next()
+		}
+		if !yield(sol) {
+			return
+		}
+	}
+}
+
+// countCheckEvery is how many answers a cancellable count produces
+// between ctx polls: frequent enough that a canceled request stops after
+// a bounded number of constant-delay steps, rare enough that the poll
+// cost vanishes against the enumeration itself.
+const countCheckEvery = 4096
+
+// CountCtx counts |q(G)| by full enumeration with cooperative
+// cancellation, polling ctx every countCheckEvery answers. It returns
+// ctx.Err() if the context was canceled before the solution set was
+// exhausted.
+func CountCtx(ctx context.Context, s ClauseStepper, delay *obs.Histogram) (int, error) {
+	n := 0
+	canceled := false
+	Enumerate(s, delay, func([]graph.V) bool {
+		n++
+		if n%countCheckEvery == 0 {
+			select {
+			case <-ctx.Done():
+				canceled = true
+				return false
+			default:
+			}
+		}
+		return true
+	})
+	if canceled {
+		return 0, ctx.Err()
+	}
+	return n, nil
+}
+
+// lexLess reports a < b in the lexicographic order on equal-length tuples.
+//
+//fod:hotpath
+func lexLess(a, b []graph.V) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
+}
+
+// incrementTupleInto writes the successor of a in the lexicographic order
+// on [0,n)^k into dst (len(dst) == len(a)); ok=false at the maximum.
+//
+//fod:hotpath
+func incrementTupleInto(dst, a []graph.V, n int) bool {
+	copy(dst, a)
+	for i := len(dst) - 1; i >= 0; i-- {
+		if dst[i]+1 < n {
+			dst[i]++
+			return true
+		}
+		dst[i] = 0
+	}
+	return false
 }

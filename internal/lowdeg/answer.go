@@ -3,8 +3,10 @@ package lowdeg
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -25,9 +27,9 @@ func (e *Engine) nextGeq(a []graph.V) ([]graph.V, bool) {
 		return nil, false
 	}
 	var best []graph.V
-	for _, rt := range e.clauses {
-		cand := e.nextClause(rt, a)
-		if cand != nil && (best == nil || lexLess(cand, best)) {
+	for i := range e.clauses {
+		cand := e.nextClause(i, a)
+		if cand != nil && (best == nil || slices.Compare(cand, best) < 0) {
 			best = cand
 		}
 	}
@@ -35,15 +37,6 @@ func (e *Engine) nextGeq(a []graph.V) ([]graph.V, bool) {
 		return nil, false
 	}
 	return best, true
-}
-
-// NextGt returns the smallest solution strictly greater than ā.
-func (e *Engine) NextGt(a []graph.V) ([]graph.V, bool) {
-	succ, ok := incrementTuple(a, e.g.N())
-	if !ok {
-		return nil, false
-	}
-	return e.NextGeq(succ)
 }
 
 // NextLast is the Lemma 5.2 primitive: for a fixed (k−1)-prefix ā it
@@ -159,88 +152,47 @@ func (e *Engine) testClause(rt *clauseRT, a []graph.V) bool {
 	return true
 }
 
-// Enumerate yields every solution exactly once in increasing
-// lexicographic order, until exhaustion or until yield returns false.
-// The tuple passed to yield is reused; copy it to retain it.
-//
-//fod:ctxok the yield callback is the cancellation path: any caller that
-// must honor a deadline returns false from yield (CountCtx does exactly
-// that); a ctx parameter here would put a select on the constant-delay
-// loop of every caller, cancellable or not.
-func (e *Engine) Enumerate(yield func([]graph.V) bool) {
-	if e.g.N() == 0 {
-		return
-	}
-	cur := make([]graph.V, e.k)
-	for {
-		sol, ok := e.nextGeq(cur)
-		if !ok {
-			return
-		}
-		if !yield(sol) {
-			return
-		}
-		next, ok := incrementTuple(sol, e.g.N())
-		if !ok {
-			return
-		}
-		cur = next
-	}
-}
+// Enumerate, Count, CountCtx and the cursors are the shared loop and
+// Iterator of internal/core, driven through this engine's NextClauseInto.
+func (e *Engine) Enumerate(yield func([]graph.V) bool) { core.Enumerate(e, nil, yield) }
 
 // Count returns |q(G)| by full enumeration.
 func (e *Engine) Count() int {
-	n := 0
-	e.Enumerate(func([]graph.V) bool { n++; return true })
+	n, _ := e.CountCtx(context.Background())
 	return n
 }
 
-// countCheckEvery is how many answers CountCtx produces between ctx
-// polls — the same trade as the core engine's: bounded cancellation
-// latency without a per-answer select.
-const countCheckEvery = 4096
+// CountCtx is Count with cooperative cancellation; see core.CountCtx.
+func (e *Engine) CountCtx(ctx context.Context) (int, error) { return core.CountCtx(ctx, e, nil) }
 
-// CountCtx counts by full enumeration with cooperative cancellation,
-// polling ctx every countCheckEvery answers. It returns ctx.Err() if the
-// context was canceled before the solution set was exhausted.
-func (e *Engine) CountCtx(ctx context.Context) (int, error) {
-	n := 0
-	canceled := false
-	e.Enumerate(func([]graph.V) bool {
-		n++
-		if n%countCheckEvery == 0 {
-			select {
-			case <-ctx.Done():
-				canceled = true
-				return false
-			default:
-			}
-		}
-		return true
-	})
-	if canceled {
-		return 0, ctx.Err()
-	}
-	return n, nil
-}
+// Iterator returns a cursor positioned at the first solution.
+func (e *Engine) Iterator() *core.Iterator { return e.IteratorFrom(make([]graph.V, e.k)) }
+
+// IteratorFrom returns a cursor positioned at the smallest solution ≥ a.
+func (e *Engine) IteratorFrom(a []graph.V) *core.Iterator { return core.NewIterator(e, a) }
+
+// NumClauses, Arity and N complete the core.ClauseStepper contract.
+func (e *Engine) NumClauses() int { return len(e.clauses) }
+func (e *Engine) Arity() int      { return e.k }
+func (e *Engine) N() int          { return e.g.N() }
 
 //fod:hotpath
-func (e *Engine) nextClause(rt *clauseRT, a []graph.V) []graph.V {
+func (e *Engine) nextClause(i int, a []graph.V) []graph.V {
 	tuple := make([]graph.V, e.k)
-	if e.nextClauseInto(rt, a, tuple) {
+	if e.NextClauseInto(i, a, tuple) {
 		return tuple
 	}
 	return nil
 }
 
-// nextClauseInto writes the smallest tuple ≥ a matching the clause into
+// NextClauseInto writes the smallest tuple ≥ a matching clause i into
 // tuple and reports whether one exists — the same lexicographic
 // backtracking as the core engine, with the low-degree Case I/II
 // candidate generators below.
 //
 //fod:hotpath
-func (e *Engine) nextClauseInto(rt *clauseRT, a, tuple []graph.V) bool {
-	return e.nextClauseRec(rt, a, tuple, 0, true)
+func (e *Engine) NextClauseInto(i int, a, tuple []graph.V) bool {
+	return e.nextClauseRec(e.clauses[i], a, tuple, 0, true)
 }
 
 // nextClauseRec places position j of tuple; tight means the prefix equals
@@ -377,39 +329,4 @@ func searchInt32(row []int32, x int32) int {
 		}
 	}
 	return lo
-}
-
-//fod:hotpath
-func lexLess(a, b []graph.V) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-// incrementTupleInto writes the successor of a in the lexicographic order
-// on [0,n)^k into dst; ok=false at the maximum.
-//
-//fod:hotpath
-func incrementTupleInto(dst, a []graph.V, n int) bool {
-	copy(dst, a)
-	for i := len(dst) - 1; i >= 0; i-- {
-		if dst[i]+1 < n {
-			dst[i]++
-			return true
-		}
-		dst[i] = 0
-	}
-	return false
-}
-
-// incrementTuple returns the successor of a, or ok=false at the maximum.
-func incrementTuple(a []graph.V, n int) ([]graph.V, bool) {
-	out := make([]graph.V, len(a))
-	if !incrementTupleInto(out, a, n) {
-		return nil, false
-	}
-	return out, true
 }

@@ -1,6 +1,10 @@
 package lowdeg
 
-import "repro/internal/graph"
+import (
+	"math/bits"
+
+	"repro/internal/graph"
+)
 
 // FastCount returns |q(G)| without enumerating the result set — the
 // Grohe–Schweikardt counting result ([18] of the paper), which on
@@ -111,7 +115,7 @@ func (e *Engine) countFarGroup(group []*clauseRT) int {
 			}
 		}
 		far := len(l0)*len(l1) - e.closePairs(l0, l1)
-		if popcount(mask)%2 == 1 {
+		if bits.OnesCount(uint(mask))%2 == 1 {
 			total += far
 		} else {
 			total -= far
@@ -222,13 +226,4 @@ func intersectSorted(a, b []graph.V) []graph.V {
 		}
 	}
 	return out
-}
-
-func popcount(x int) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

@@ -19,7 +19,7 @@
 // constant d.
 //
 // The engine answers through the same contract as core.Engine (NextGeq,
-// NextGt, NextLast, Test, Enumerate, Count, FastCount, Iterator) and is
+// NextLast, Test, Enumerate, Count, FastCount, Iterator) and is
 // differential-tested against it and the naive oracle by the
 // internal/conform battery; queries are consumed in the identical
 // decomposed LocalQuery form, so the two engines are interchangeable
@@ -29,7 +29,7 @@ package lowdeg
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -72,6 +72,12 @@ type Stats struct {
 	Workers     int           // preprocessing parallelism used
 	BallWall    time.Duration // wall time of the ball materialization
 	StarterWall time.Duration // wall time of starter-list computation
+
+	// Mutations counts the effective ApplyEdits generations since the
+	// from-scratch build; every one is a full rebuild, so MutRebuilds
+	// always equals it (both fields mirror core.Stats).
+	Mutations   int
+	MutRebuilds int
 }
 
 // counters holds the answering-phase statistics as atomic instruments so
@@ -233,7 +239,7 @@ func ballCSR(g *graph.Graph, r int, pool *par.Pool) ([]int32, []int32) {
 		ball := scratch[wk].BallMulti([]graph.V{v}, r)
 		row := make([]int32, len(ball))
 		copy(row, ball)
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(row)
 		rows[v] = row
 	})
 	off := make([]int32, n+1)
@@ -286,7 +292,7 @@ func (e *Engine) computeStarter(c *compRT, pool *par.Pool) {
 	c.inStart = make([]bool, e.g.N())
 	pool.ForEach(e.g.N(), func(v int) {
 		if len(c.positions) == 1 {
-			c.inStart[v] = e.localEval(c, []graph.V{v})
+			c.inStart[v] = e.evalLocal(c, []graph.V{v})
 		} else {
 			c.inStart[v] = e.completesComponent(c, []graph.V{v})
 		}
@@ -361,6 +367,16 @@ func (e *Engine) localEval(c *compRT, vals []graph.V) bool {
 		e.ctr.localEvalHits.Add(1)
 		return r.(bool)
 	}
+	res := e.evalLocal(c, vals)
+	c.memo.Store(key, res)
+	return res
+}
+
+// evalLocal is localEval without the memo. computeStarter calls it directly
+// for singleton components: each vertex is evaluated once there and inStart
+// is the memo from then on, so an entry per vertex in c.memo would never be
+// read again.
+func (e *Engine) evalLocal(c *compRT, vals []graph.V) bool {
 	e.ctr.localEvals.Add(1)
 	var res bool
 	if e.q.Guarded {
@@ -387,7 +403,6 @@ func (e *Engine) localEval(c *compRT, vals []graph.V) bool {
 		//fod:coldpath memoized fallback for uncertified queries
 		res = e.exactBallEval(c, vals)
 	}
-	c.memo.Store(key, res)
 	return res
 }
 
@@ -501,7 +516,13 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 	}
 	opt := e.opt
 	opt.Ctx = ctx
-	return Preprocess(g2, e.q, opt)
+	e2, err := Preprocess(g2, e.q, opt)
+	if err != nil {
+		return nil, err
+	}
+	e2.stats.Mutations = e.stats.Mutations + 1
+	e2.stats.MutRebuilds = e.stats.MutRebuilds + 1
+	return e2, nil
 }
 
 // Explain renders the engine structure — the low-degree analogue of the

@@ -17,7 +17,7 @@ import (
 func stubIndex(t *testing.T) *repro.Index {
 	t.Helper()
 	g := repro.Generate("path", 10, repro.GenOptions{Colors: 1, Seed: 1})
-	ix, err := repro.BuildIndex(g, repro.MustParseQuery("C0(x)", "x"))
+	ix, err := repro.Build(context.Background(), g, repro.MustParseQuery("C0(x)", "x"))
 	if err != nil {
 		t.Fatal(err)
 	}

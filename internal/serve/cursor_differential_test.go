@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -89,7 +90,7 @@ func checkPaging(t *testing.T, base string, s *Server, g *repro.Graph, gname, sr
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := repro.BuildIndex(g, q)
+	ix, err := repro.Build(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}

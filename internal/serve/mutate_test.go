@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/base64"
 	"fmt"
 	"net/http"
@@ -82,7 +83,7 @@ func TestMutateEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := repro.BuildIndex(gNew, repro.MustParseQuery("E(x,y)", "x", "y"))
+	ix, err := repro.Build(context.Background(), gNew, repro.MustParseQuery("E(x,y)", "x", "y"))
 	if err != nil {
 		t.Fatal(err)
 	}

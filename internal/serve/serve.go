@@ -92,7 +92,7 @@ type Config struct {
 	// (default 2m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Parallelism forwards to IndexOptions.Parallelism for cache builds.
+	// Parallelism forwards to repro.WithParallelism for cache builds.
 	Parallelism int
 	// Engine selects the enumeration engine for every index this server
 	// builds: repro.EngineCore (also the "" default — existing deployments
@@ -291,7 +291,7 @@ func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, 
 	if meta.Canonical != key.canonical || meta.GraphFingerprint != s.graphFP[key.graph] {
 		return reject("serve.snapshot.mismatch", "foreign graph or query")
 	}
-	ix, err := repro.ReadIndexSnapshotCtx(ctx, data, repro.IndexOptions{Parallelism: s.cfg.Parallelism, Metrics: s.reg})
+	ix, err := repro.ReadIndexSnapshotCtx(ctx, data, repro.WithParallelism(s.cfg.Parallelism), repro.WithMetrics(s.reg))
 	if err != nil {
 		return reject("serve.snapshot.corrupt", "restore: "+err.Error())
 	}
@@ -426,11 +426,8 @@ func (s *Server) buildIndex(ctx context.Context, key cacheKey) (*repro.Index, er
 
 	qid := queryID(key.graph, key.canonical)
 	start := time.Now()
-	ix, err := repro.BuildIndexCtx(ctx, gv.g, q, repro.IndexOptions{
-		Parallelism: s.cfg.Parallelism,
-		Metrics:     s.reg,
-		Engine:      s.cfg.Engine,
-	})
+	ix, err := repro.Build(ctx, gv.g, q,
+		repro.WithParallelism(s.cfg.Parallelism), repro.WithMetrics(s.reg), repro.WithEngine(s.cfg.Engine))
 	if err != nil {
 		s.logEvent(ctx, slog.LevelWarn, "index_build_failed",
 			slog.String("graph", key.graph),

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -70,7 +71,7 @@ func TestSnapshotTierColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := repro.BuildIndex(snapGraph(), q)
+	ix, err := repro.Build(context.Background(), snapGraph(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestSnapshotTierRejectsForeignAndCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		other := repro.Generate("path", 80, repro.GenOptions{Colors: 2, Seed: 12}) // different seed
-		ix, err := repro.BuildIndex(other, q)
+		ix, err := repro.Build(context.Background(), other, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func buildTracedIndex(t *testing.T) (*repro.Index, *obs.Trace, int) {
 	ctx := obs.ContextWithSpan(context.Background(), obs.SpanCtx{Trace: tr})
 	g := repro.Generate("grid", 2000, repro.GenOptions{Seed: 7, Colors: 1})
 	q := repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
-	ix, err := repro.BuildIndexCtx(ctx, g, q, repro.IndexOptions{Metrics: reg})
+	ix, err := repro.Build(ctx, g, q, repro.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package snap_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -36,7 +37,7 @@ func engineFile(t *testing.T) []byte {
 	t.Helper()
 	g := repro.Generate("grid", 64, repro.GenOptions{Seed: 3, Colors: 2})
 	q := repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
-	ix, err := repro.BuildIndex(g, q)
+	ix, err := repro.Build(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}

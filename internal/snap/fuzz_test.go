@@ -2,6 +2,7 @@ package snap_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro"
@@ -18,7 +19,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	// Seed with real snapshots and near-valid mutants so the fuzzer starts
 	// deep inside the decoder rather than bouncing off the magic check.
 	g := repro.Generate("grid", 36, repro.GenOptions{Seed: 5, Colors: 2})
-	ix, err := repro.BuildIndex(g, repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y"))
+	ix, err := repro.Build(context.Background(), g, repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		f.Add(mut)
 	}
 
-	ux, err := repro.BuildIndex(
+	ux, err := repro.Build(context.Background(),
 		repro.Generate("path", 20, repro.GenOptions{Seed: 2, Colors: 1}),
 		repro.MustParseQuery("~(exists z (dist(x,z) <= 1 & C0(z)))", "x"))
 	if err != nil {

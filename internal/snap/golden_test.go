@@ -2,6 +2,7 @@ package snap_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -27,7 +28,7 @@ const goldenAllRowsPath = "testdata/golden-grid64-allrows.fodsnap"
 //	go test ./internal/snap/ -run TestGolden -update
 func goldenIndex(t testing.TB) *repro.Index {
 	g := repro.Generate("grid", 64, repro.GenOptions{Seed: 3, Colors: 2})
-	ix, err := repro.BuildIndex(g, repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y"))
+	ix, err := repro.Build(context.Background(), g, repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package snap_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"runtime"
 	"testing"
@@ -30,7 +31,7 @@ func buildE15(t testing.TB) (*repro.Graph, *repro.Index, time.Duration) {
 	g := repro.Generate("grid", 2000, repro.GenOptions{Seed: 7, Colors: 1, ColorProb: 0.05})
 	q := repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
 	start := time.Now()
-	ix, err := repro.BuildIndex(g, q)
+	ix, err := repro.Build(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package snap_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -59,7 +60,7 @@ func buildAndReload(t *testing.T, tc rtCase, seed int64) (*repro.Graph, *repro.I
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	built, err := repro.BuildIndex(g, q)
+	built, err := repro.Build(context.Background(), g, q)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -236,7 +237,7 @@ func TestSnapshotWrongQueryIsCaught(t *testing.T) {
 	// a k=2 query and check a deliberate arity probe errors cleanly.
 	g := repro.Generate("grid", 64, repro.GenOptions{Seed: 1, Colors: 2})
 	q := repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
-	ix, err := repro.BuildIndex(g, q)
+	ix, err := repro.Build(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ func collectAll(ix *Index) [][]int {
 	return out
 }
 
-// TestBuildUnifiedEntry: Build with functional options matches the
-// deprecated wrappers exactly.
+// TestBuildUnifiedEntry: Build with functional options answers exactly
+// as the option-less default does.
 func TestBuildUnifiedEntry(t *testing.T) {
 	g := Generate("grid", 400, GenOptions{Colors: 1, Seed: 1})
 	q := MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
@@ -26,12 +26,12 @@ func TestBuildUnifiedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOld, err := BuildIndexOpt(g, q, IndexOptions{Parallelism: 1})
+	viaOld, err := Build(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(collectAll(viaBuild), collectAll(viaOld)) {
-		t.Fatal("Build and BuildIndexOpt enumerate differently")
+		t.Fatal("Build enumerates differently with and without WithParallelism(1)")
 	}
 	if viaBuild.Version() != 0 {
 		t.Fatalf("fresh build version = %d, want 0", viaBuild.Version())

@@ -23,7 +23,7 @@
 //
 //	g := repro.Generate("grid", 10_000, repro.GenOptions{Colors: 1})
 //	q, _ := repro.ParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
-//	ix, _ := repro.BuildIndex(g, q)
+//	ix, _ := repro.Build(context.Background(), g, q)
 //	ix.Enumerate(func(sol []int) bool { fmt.Println(sol); return true })
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -89,8 +89,8 @@ func GraphClasses() []string {
 
 // Query is a parsed FO⁺ query with an ordered tuple of free variables.
 // A *Query is safe for concurrent use: the lazily compiled normal form is
-// guarded by a sync.Once, so one Query may back many concurrent
-// BuildIndex calls.
+// guarded by a sync.Once, so one Query may back many concurrent Build
+// calls.
 type Query struct {
 	// Phi is the formula; Vars fixes the output-column order.
 	Phi  fo.Formula
@@ -158,7 +158,7 @@ func MustParseCountQuery(src string) *Query {
 func (q *Query) Arity() int { return len(q.Vars) }
 
 // compile caches the decomposed normal form. The sync.Once makes the lazy
-// write safe when one *Query is shared by concurrent BuildIndex calls.
+// write safe when one *Query is shared by concurrent Build calls.
 func (q *Query) compile() (*core.LocalQuery, error) {
 	q.compileOnce.Do(func() {
 		q.compiled, q.compileErr = core.Compile(q.Phi, q.Vars, core.CompileOptions{})
@@ -184,14 +184,17 @@ func (q *Query) Canonical() string {
 // Index is an immutable snapshot: ApplyEdits derives the index of an
 // edited graph as a new value and never modifies the receiver.
 //
-// Exactly one of the two engines backs an index: the general nowhere-dense
-// engine (the default) or the bounded-degree engine of
-// Durand–Schweikardt–Segoufin, selected per IndexOptions.Engine; both
-// satisfy the same Next/Test/Enumerate contract, so callers never branch.
+// An index holds exactly one engine value behind the unexported engine
+// contract (engine.go): the general nowhere-dense engine (the default) or
+// the bounded-degree engine of Durand–Schweikardt–Segoufin, selected per
+// WithEngine. Both meet the same NextGeq/Test/cursor contract, so neither
+// callers nor the methods below ever branch on the kind. A further engine
+// is one implementation of that contract plus one constructor case;
+// persistence (WriteSnapshot) is the one optional capability, and an
+// engine without it reports an error there.
 type Index struct {
-	e       *core.Engine   // general engine; nil when le backs the index
-	le      *lowdeg.Engine // low-degree engine; nil when e backs the index
-	sel     Selection      // how the engine was chosen
+	eng     engine
+	sel     Selection // how the engine was chosen
 	k       int
 	q       *Query // retained for snapshots; nil only for zero-value indexes
 	version int    // mutation generation; 0 for a fresh build
@@ -211,7 +214,7 @@ type Index struct {
 // and gauges, log-bucket latency histograms with p50/p90/p99/max
 // extraction, and phase-tracing spans, exportable as a JSON snapshot
 // (WriteJSON/Snapshot) and via expvar (Publish). Pass one to
-// IndexOptions.Metrics to instrument an index, or ServeDebug to expose it
+// WithMetrics to instrument an index, or ServeDebug to expose it
 // over HTTP together with net/http/pprof.
 type Metrics = obs.Registry
 
@@ -225,7 +228,8 @@ func ServeDebug(addr string, reg *Metrics) (net.Listener, error) {
 	return obs.ServeDebug(addr, reg)
 }
 
-// IndexOptions tunes BuildIndexOpt.
+// IndexOptions is the struct the Option funcs fill; see WithParallelism,
+// WithMetrics and WithEngine.
 type IndexOptions struct {
 	// Parallelism bounds the preprocessing worker count. 0 (the default)
 	// selects runtime.GOMAXPROCS(0); 1 forces the sequential build. The
@@ -246,98 +250,28 @@ type IndexOptions struct {
 	Engine EngineKind
 }
 
-// BuildIndex performs the pseudo-linear preprocessing of Theorem 2.3,
-// using all available CPUs.
-//
-// Deprecated: use Build(ctx, g, q), the unified v1 entry point.
-func BuildIndex(g *Graph, q *Query) (*Index, error) {
-	return BuildIndexOpt(g, q, IndexOptions{})
-}
-
-// BuildIndexOpt is BuildIndex with explicit options.
-//
-// Deprecated: use Build(ctx, g, q, opts...) with functional options
-// (WithParallelism, WithMetrics).
-func BuildIndexOpt(g *Graph, q *Query, opt IndexOptions) (*Index, error) {
-	return BuildIndexCtx(context.Background(), g, q, opt)
-}
-
-// BuildIndexCtx is BuildIndexOpt bounded by a context: the pseudo-linear
-// preprocessing checks ctx between its phases (dist → cover → kernel →
-// starter → skip) and aborts with an error wrapping ctx's error once it is
-// canceled or past its deadline. The serving layer uses this to enforce
-// per-request build deadlines.
-//
-// Deprecated: use Build(ctx, g, q, opts...); this remains the common
-// implementation behind Build and the deprecated wrappers.
-func BuildIndexCtx(ctx context.Context, g *Graph, q *Query, opt IndexOptions) (*Index, error) {
-	lq, err := q.compile()
-	if err != nil {
-		return nil, err
-	}
-	sel, err := selectEngine(g, opt.Engine)
-	if err != nil {
-		return nil, err
-	}
-	if sel.Chosen == EngineLowDeg {
-		le, err := lowdeg.Preprocess(g, lq, lowdeg.Options{Parallelism: opt.Parallelism, Obs: opt.Metrics, Ctx: ctx})
-		if err != nil {
-			return nil, err
-		}
-		return &Index{le: le, sel: sel, k: lq.K, q: q}, nil
-	}
-	e, err := core.Preprocess(g, lq, core.Options{Parallelism: opt.Parallelism, Obs: opt.Metrics, Ctx: ctx})
-	if err != nil {
-		return nil, err
-	}
-	return &Index{e: e, sel: sel, k: lq.K, q: q}, nil
-}
-
 // Next returns the lexicographically smallest solution ≥ tuple, in
 // constant time (Theorem 2.3), or ok=false if there is none.
-func (ix *Index) Next(tuple []int) ([]int, bool) {
-	if ix.le != nil {
-		return ix.le.NextGeq(tuple)
-	}
-	return ix.e.NextGeq(tuple)
-}
+func (ix *Index) Next(tuple []int) ([]int, bool) { return ix.eng.NextGeq(tuple) }
 
 // Test reports whether tuple is a solution, in constant time
 // (Corollary 2.4).
-func (ix *Index) Test(tuple []int) bool {
-	if ix.le != nil {
-		return ix.le.Test(tuple)
-	}
-	return ix.e.Test(tuple)
-}
+func (ix *Index) Test(tuple []int) bool { return ix.eng.Test(tuple) }
 
 // NextLast returns, for a fixed (k−1)-column prefix, the smallest value
 // b′ ≥ b completing it to a solution (Lemma 5.2) — "page through the
 // partners of a prefix" in constant time per step.
-func (ix *Index) NextLast(prefix []int, b int) (int, bool) {
-	if ix.le != nil {
-		return ix.le.NextLast(prefix, b)
-	}
-	return ix.e.NextLast(prefix, b)
-}
+func (ix *Index) NextLast(prefix []int, b int) (int, bool) { return ix.eng.NextLast(prefix, b) }
 
 // Enumerate yields all solutions in increasing lexicographic order with
 // constant delay (Corollary 2.5) until exhaustion or until yield returns
 // false. The slice passed to yield is reused across calls.
-func (ix *Index) Enumerate(yield func([]int) bool) {
-	if ix.le != nil {
-		ix.le.Enumerate(yield)
-		return
-	}
-	ix.e.Enumerate(yield)
-}
+func (ix *Index) Enumerate(yield func([]int) bool) { ix.eng.Enumerate(yield) }
 
 // Count returns the number of solutions by full enumeration.
 func (ix *Index) Count() int {
-	if ix.le != nil {
-		return ix.le.Count()
-	}
-	return ix.e.Count()
+	n, _ := ix.eng.CountCtx(context.Background())
+	return n
 }
 
 // FastCount returns the number of solutions without enumerating them when
@@ -355,23 +289,8 @@ func (ix *Index) FastCount() int {
 // cached — an Index is an immutable snapshot, so the count can never go
 // stale.
 func (ix *Index) SolutionCount() (n int, fast bool) {
-	ix.countOnce.Do(func() {
-		defer ix.countDone.Store(true)
-		if ix.le != nil {
-			if c, ok := ix.le.FastCount(); ok {
-				ix.countVal, ix.countFast = c, true
-				return
-			}
-			ix.countVal = ix.le.Count()
-			return
-		}
-		if c, ok := ix.e.FastCount(); ok {
-			ix.countVal, ix.countFast = c, true
-			return
-		}
-		ix.countVal = ix.e.Count()
-	})
-	return ix.countVal, ix.countFast
+	n, fast, _ = ix.SolutionCountCtx(context.Background())
+	return n, fast
 }
 
 // SolutionCountCtx is SolutionCount with cooperative cancellation: when
@@ -380,21 +299,15 @@ func (ix *Index) SolutionCount() (n int, fast bool) {
 // delay steps instead of running the solution set to exhaustion. The
 // sub-enumeration counting path is query-shape-bounded work and never
 // needs the context. A canceled call leaves the cache empty; a completed
-// call populates it exactly as SolutionCount does.
+// call populates it.
 func (ix *Index) SolutionCountCtx(ctx context.Context) (n int, fast bool, err error) {
 	if ix.countDone.Load() {
 		return ix.countVal, ix.countFast, nil
 	}
-	if ix.le != nil {
-		if c, ok := ix.le.FastCount(); ok {
-			n, fast = c, true
-		} else if n, err = ix.le.CountCtx(ctx); err != nil {
+	if n, fast = ix.eng.FastCount(); !fast {
+		if n, err = ix.eng.CountCtx(ctx); err != nil {
 			return 0, false, err
 		}
-	} else if c, ok := ix.e.FastCount(); ok {
-		n, fast = c, true
-	} else if n, err = ix.e.CountCtx(ctx); err != nil {
-		return 0, false, err
 	}
 	ix.countOnce.Do(func() {
 		ix.countVal, ix.countFast = n, fast
@@ -403,15 +316,9 @@ func (ix *Index) SolutionCountCtx(ctx context.Context) (n int, fast bool, err er
 	return n, fast, nil
 }
 
-// Iterator is the cursor implementation of the core engine.
-//
-// Deprecated: kept as an alias for source compatibility; Index.Iterator
-// and Index.IteratorFrom now return the engine-independent Cursor.
-type Iterator = core.Iterator
-
 // Cursor is a pull-style cursor over the solution set in lexicographic
 // order with constant-delay Next and constant-time Seek (Theorem 2.3),
-// implemented by both engines. Next reuses an internal buffer to stay
+// the same for every engine. Next reuses an internal buffer to stay
 // allocation-free: the returned slice is valid only until the next Next
 // or Seek call — copy it to retain it, exactly as with Enumerate.
 type Cursor interface {
@@ -425,20 +332,10 @@ type Cursor interface {
 }
 
 // Iterator returns a cursor positioned at the first solution.
-func (ix *Index) Iterator() Cursor {
-	if ix.le != nil {
-		return ix.le.Iterator()
-	}
-	return ix.e.Iterator()
-}
+func (ix *Index) Iterator() Cursor { return ix.eng.IteratorFrom(make([]int, ix.k)) }
 
 // IteratorFrom returns a cursor positioned at the smallest solution ≥ a.
-func (ix *Index) IteratorFrom(a []int) Cursor {
-	if ix.le != nil {
-		return ix.le.IteratorFrom(a)
-	}
-	return ix.e.IteratorFrom(a)
-}
+func (ix *Index) IteratorFrom(a []int) Cursor { return ix.eng.IteratorFrom(a) }
 
 // Arity returns the tuple width of the indexed query.
 func (ix *Index) Arity() int { return ix.k }
@@ -446,50 +343,27 @@ func (ix *Index) Arity() int { return ix.k }
 // Stats exposes preprocessing and answering statistics. For a
 // lowdeg-backed index the cover/kernel/skip fields are zero (that engine
 // builds none of them) and the shared fields — starter sizes, candidate
-// and local-evaluation counters, workers — carry the lowdeg numbers; see
-// LowDegStats for the engine-specific view.
-func (ix *Index) Stats() core.Stats {
-	if ix.le != nil {
-		ls := ix.le.Stats()
-		return core.Stats{
-			StarterSizes:  ls.StarterSizes,
-			Candidates:    ls.Candidates,
-			DeadEnds:      ls.DeadEnds,
-			LocalEvals:    ls.LocalEvals,
-			LocalEvalHits: ls.LocalEvalHits,
-			Workers:       ls.Workers,
-			StarterWall:   ls.StarterWall,
-		}
-	}
-	return ix.e.Stats()
-}
+// and local-evaluation counters, workers, mutation counts — carry the
+// lowdeg numbers; see LowDegStats for the engine-specific view.
+func (ix *Index) Stats() core.Stats { return ix.eng.Stats() }
 
 // LowDegStats returns the low-degree engine's statistics; ok is false for
-// a core-backed index.
+// an index backed by any other engine.
 func (ix *Index) LowDegStats() (s lowdeg.Stats, ok bool) {
-	if ix.le == nil {
+	l, ok := ix.eng.(lowdegEngine)
+	if !ok {
 		return lowdeg.Stats{}, false
 	}
-	return ix.le.Stats(), true
+	return l.Engine.Stats(), true
 }
 
 // Metrics returns the registry the index records into, or nil when the
-// index was built without IndexOptions.Metrics.
-func (ix *Index) Metrics() *Metrics {
-	if ix.le != nil {
-		return ix.le.Obs()
-	}
-	return ix.e.Obs()
-}
+// index was built without WithMetrics.
+func (ix *Index) Metrics() *Metrics { return ix.eng.Obs() }
 
 // Explain renders the index structure (clauses, starter lists, covers or
 // balls) — the EXPLAIN output for the preprocessed query.
-func (ix *Index) Explain() string {
-	if ix.le != nil {
-		return ix.le.Explain()
-	}
-	return ix.e.Explain()
-}
+func (ix *Index) Explain() string { return ix.eng.Explain() }
 
 // Plan renders the compiled decomposed normal form of the query without
 // building an index.
@@ -544,7 +418,7 @@ func BuildDatabaseIndex(db *Database, q *Query) (*DatabaseIndex, error) {
 		return nil, err
 	}
 	gq := &Query{Phi: psi, Vars: q.Vars}
-	ix, err := BuildIndex(enc.Graph, gq)
+	ix, err := Build(context.Background(), enc.Graph, gq)
 	if err != nil {
 		return nil, fmt.Errorf("repro: indexing translated query: %w", err)
 	}

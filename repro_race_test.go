@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 // TestQueryCompileConcurrent is the regression test for the Query.compile
-// data race: one *Query shared by many concurrent BuildIndex calls must
+// data race: one *Query shared by many concurrent Build calls must
 // compile exactly once and yield identical indexes. Run under `go test
 // -race` (tier 2) the old lazy unsynchronized write to q.compiled is a
 // reported race; with the sync.Once guard it is clean.
@@ -26,7 +27,7 @@ func TestQueryCompileConcurrent(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait() // line up so the first compile really races
-			ix, err := repro.BuildIndex(g, q)
+			ix, err := repro.Build(context.Background(), g, q)
 			if err != nil {
 				errs[i] = err
 				return
@@ -39,7 +40,7 @@ func TestQueryCompileConcurrent(t *testing.T) {
 
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("goroutine %d: BuildIndex: %v", i, err)
+			t.Fatalf("goroutine %d: Build: %v", i, err)
 		}
 	}
 	for i := 1; i < goroutines; i++ {
@@ -59,7 +60,7 @@ func TestQueryCompileConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, badErrs[i] = repro.BuildIndex(g, bad)
+			_, badErrs[i] = repro.Build(context.Background(), g, bad)
 		}(i)
 	}
 	wg.Wait()

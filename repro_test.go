@@ -1,13 +1,14 @@
 package repro
 
 import (
+	"context"
 	"testing"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
 	g := Generate("grid", 400, GenOptions{Colors: 1, Seed: 1})
 	q := MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
-	ix, err := BuildIndex(g, q)
+	ix, err := Build(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestFacadeStoringMap(t *testing.T) {
 func TestFacadeIterator(t *testing.T) {
 	g := Generate("btree", 300, GenOptions{Colors: 1, Seed: 4})
 	q := MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
-	ix, err := BuildIndex(g, q)
+	ix, err := Build(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestFacadeIterator(t *testing.T) {
 func TestFacadeFastCount(t *testing.T) {
 	g := Generate("grid", 196, GenOptions{Colors: 1, Seed: 5})
 	q := MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
-	ix, err := BuildIndex(g, q)
+	ix, err := Build(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestFacadeCompileError(t *testing.T) {
 	// Unanchored quantifier: not compilable; the error must be surfaced,
 	// not a wrong answer.
 	q := MustParseQuery("exists z (C0(z) | E(x,z))", "x")
-	if _, err := BuildIndex(g, q); err == nil {
+	if _, err := Build(context.Background(), g, q); err == nil {
 		t.Fatal("expected a compile error for a non-local query")
 	}
 }

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Verification tiers (see README "Testing"):
-#   tier 1 — build + full test suite (the CI gate; ROADMAP "Tier-1 verify")
+#   tier 1 — build + full test suite (the CI gate; ROADMAP "Tier-1 verify");
+#            includes the import-layering check of DESIGN.md §6 and the
+#            ungated 0 allocs/op pin on Index.Test / Index.NextLast /
+#            Cursor.Next for both engine kinds
 #   tier 2 — static analysis + race-detector pass: go vet (plus an
 #            explicit -copylocks -loopclosure run), the repo's own fodlint
 #            analyzers (see README "Static analysis"), and the
@@ -44,9 +47,9 @@
 #                (see README "Mutations")
 #            (g) lowdeg guards (LOWDEG_GUARD=1): on the degree-bounded
 #                E17 graph the lowdeg build must be ≥5× cheaper than the
-#                core build, and the lowdeg Iterator.Next / Test /
-#                NextLast hot paths must report 0 allocs/op (see README
-#                "Engine modes")
+#                core build, and Iterator.Next (the shared core.Iterator
+#                over the lowdeg engine) / Test / NextLast must report
+#                0 allocs/op (see README "Engine modes")
 #            (h) self-lint guards (LINT2_GUARD=1): all seven fodlint
 #                analyzers must come back clean over the whole module
 #                (internal/lint included) modulo the reviewed baseline,

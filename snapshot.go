@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/snap"
@@ -20,23 +21,23 @@ import (
 // The output is deterministic: the same graph and query always produce
 // the same bytes, so snapshots can be content-addressed and compared.
 func (ix *Index) WriteSnapshot(w io.Writer) error {
-	return ix.WriteSnapshotObs(context.Background(), w, nil)
+	return ix.writeSnapshot(context.Background(), w, nil)
 }
 
-// WriteSnapshotObs is WriteSnapshot with encode instrumentation: section
+// writeSnapshot is WriteSnapshot with encode instrumentation: section
 // timings become "snap.encode" spans in m — enrolled in the request trace
 // when ctx carries one (obs.ContextWithSpan) — so a serving layer can see
 // where a snapshot write-back spends its time.
-func (ix *Index) WriteSnapshotObs(ctx context.Context, w io.Writer, m *Metrics) error {
+func (ix *Index) writeSnapshot(ctx context.Context, w io.Writer, m *Metrics) error {
 	if ix.q == nil {
-		return fmt.Errorf("repro: index has no query attached; only indexes from BuildIndex can be snapshotted")
+		return fmt.Errorf("repro: index has no query attached; only indexes from Build or a snapshot loader can be snapshotted")
 	}
-	if ix.le != nil {
+	sp, ok := ix.eng.(snapshotParter)
+	if !ok {
 		// The snapshot format serializes the core engine's structures
-		// (cover, kernels, distance recursion, skip pointers); the lowdeg
-		// engine has none of them, and its linear build makes persisting
-		// pointless — rebuild instead.
-		return fmt.Errorf("repro: a lowdeg-backed index cannot be snapshotted; rebuild it (the low-degree preprocessing is linear)")
+		// (cover, kernels, distance recursion, skip pointers); an engine
+		// that has none of them does not offer SnapshotParts.
+		return fmt.Errorf("repro: a %s-backed index cannot be snapshotted (the engine has no snapshot form); rebuild it instead", ix.Engine())
 	}
 	lq, err := ix.q.compile()
 	if err != nil {
@@ -55,26 +56,28 @@ func (ix *Index) WriteSnapshotObs(ctx context.Context, w io.Writer, m *Metrics) 
 		LocalRadius: lq.LocalRadius,
 		Guarded:     lq.Guarded,
 	}
-	_, err = snap.WriteTraced(ctx, w, ix.e.Graph(), meta, ix.e.SnapshotParts(), m)
+	_, err = snap.WriteTraced(ctx, w, ix.Graph(), meta, sp.SnapshotParts(), m)
 	return err
 }
 
 // SaveIndexSnapshot writes the snapshot atomically to path: the bytes go
 // to a temporary file in the same directory first, which is renamed into
-// place only after a successful write.
-func SaveIndexSnapshot(ix *Index, path string) error {
-	return SaveIndexSnapshotObs(context.Background(), ix, path, nil)
+// place only after a successful write. Of the options only WithMetrics
+// matters here (encode spans).
+func SaveIndexSnapshot(ix *Index, path string, opts ...Option) error {
+	return SaveIndexSnapshotObs(context.Background(), ix, path, resolveOptions(opts).Metrics)
 }
 
-// SaveIndexSnapshotObs is SaveIndexSnapshot with encode instrumentation
-// (see WriteSnapshotObs).
+// SaveIndexSnapshotObs is SaveIndexSnapshot with a context: the encode
+// spans recorded into m are enrolled in the request trace when ctx carries
+// one (obs.ContextWithSpan).
 func SaveIndexSnapshotObs(ctx context.Context, ix *Index, path string, m *Metrics) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".snap-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := ix.WriteSnapshotObs(ctx, tmp, m); err != nil {
+	if err := ix.writeSnapshot(ctx, tmp, m); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -84,68 +87,38 @@ func SaveIndexSnapshotObs(ctx context.Context, ix *Index, path string, m *Metric
 	return os.Rename(tmp.Name(), path)
 }
 
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' || path[i] == os.PathSeparator {
-			return path[:i+1]
-		}
-	}
-	return "."
-}
-
-// ReadIndexSnapshotOpt is ReadIndexSnapshot with explicit options
-// (parallelism for the restore-side derivations, metrics registry).
-func ReadIndexSnapshotOpt(data []byte, opt IndexOptions) (*Index, error) {
-	return ReadIndexSnapshotCtx(context.Background(), data, opt)
-}
-
-// ReadIndexSnapshotCtx is ReadIndexSnapshotOpt with a context: decode and
-// restore record "snap.decode"/"restore" span trees into opt.Metrics, and
-// when ctx carries a request trace (obs.ContextWithSpan) they land in it —
-// this is how a serve-layer snapshot load shows up phase by phase in
-// /debug/traces.
-func ReadIndexSnapshotCtx(ctx context.Context, data []byte, opt IndexOptions) (*Index, error) {
-	s, err := snap.ReadTraced(ctx, data, opt.Metrics)
-	if err != nil {
-		return nil, err
-	}
-	return restoreSnapshotCtx(ctx, s, opt)
-}
-
 // ReadIndexSnapshot reconstructs an index from snapshot bytes. The query
 // is re-parsed and re-compiled from the embedded source (the compiler is
 // deterministic, so the serialized engine parts line up exactly), and
 // every structural invariant is revalidated — corrupted input yields an
 // error, never a panic. The returned index answers byte-identically to
-// the freshly built one the snapshot was taken from.
-func ReadIndexSnapshot(data []byte) (*Index, error) {
-	return restoreSnapshot(snap.Read(data))
+// the freshly built one the snapshot was taken from. WithParallelism
+// bounds the restore-side derivations; WithMetrics instruments the index.
+func ReadIndexSnapshot(data []byte, opts ...Option) (*Index, error) {
+	return ReadIndexSnapshotCtx(context.Background(), data, opts...)
+}
+
+// ReadIndexSnapshotCtx is ReadIndexSnapshot with a context: decode and
+// restore record "snap.decode"/"restore" span trees into the WithMetrics
+// registry, and when ctx carries a request trace (obs.ContextWithSpan)
+// they land in it — this is how a serve-layer snapshot load shows up phase
+// by phase in /debug/traces.
+func ReadIndexSnapshotCtx(ctx context.Context, data []byte, opts ...Option) (*Index, error) {
+	o := resolveOptions(opts)
+	s, err := snap.ReadTraced(ctx, data, o.Metrics)
+	if err != nil {
+		return nil, err
+	}
+	return restoreSnapshotCtx(ctx, s, o)
 }
 
 // LoadIndexSnapshot is ReadIndexSnapshot over the contents of path.
-func LoadIndexSnapshot(path string) (*Index, error) {
-	return restoreSnapshot(snap.ReadFile(path))
-}
-
-// LoadIndexSnapshotOpt is LoadIndexSnapshot with explicit options
-// (parallelism for the restore-side derivations, metrics registry).
-func LoadIndexSnapshotOpt(path string, opt IndexOptions) (*Index, error) {
+func LoadIndexSnapshot(path string, opts ...Option) (*Index, error) {
 	s, err := snap.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return restoreSnapshotOpt(s, opt)
-}
-
-func restoreSnapshot(s *snap.Snapshot, err error) (*Index, error) {
-	if err != nil {
-		return nil, err
-	}
-	return restoreSnapshotOpt(s, IndexOptions{})
-}
-
-func restoreSnapshotOpt(s *snap.Snapshot, opt IndexOptions) (*Index, error) {
-	return restoreSnapshotCtx(context.Background(), s, opt)
+	return restoreSnapshotCtx(context.Background(), s, resolveOptions(opts))
 }
 
 func restoreSnapshotCtx(ctx context.Context, s *snap.Snapshot, opt IndexOptions) (*Index, error) {
@@ -168,15 +141,15 @@ func restoreSnapshotCtx(ctx context.Context, s *snap.Snapshot, opt IndexOptions)
 	if err != nil {
 		return nil, err
 	}
-	// Snapshots always hold the core engine (WriteSnapshotObs rejects
-	// lowdeg-backed indexes), so the restored selection is a forced core
-	// choice with unexamined estimates.
+	// Snapshots always hold the core engine (it alone offers
+	// SnapshotParts), so the restored selection is a forced core choice
+	// with unexamined estimates.
 	sel := Selection{
 		Requested: EngineCore, Chosen: EngineCore,
 		MaxDegree: -1, Degeneracy: -1,
 		DegreeLimit: AutoMaxDegree, DegeneracyLimit: AutoMaxDegeneracy,
 	}
-	return &Index{e: e, sel: sel, k: lq.K, q: q}, nil
+	return &Index{eng: coreEngine{e}, sel: sel, k: lq.K, q: q}, nil
 }
 
 // SnapshotGraph returns the graph embedded in snapshot bytes without
