@@ -3,7 +3,9 @@ package repro
 import (
 	"context"
 
+	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/lowdeg"
 )
 
 // Option tunes Build and the snapshot loaders by filling an IndexOptions.
@@ -55,7 +57,11 @@ func Build(ctx context.Context, g *Graph, q *Query, opts ...Option) (*Index, err
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newEngine(ctx, g, lq, sel.Chosen, o)
+	preprocess := core.Preprocess
+	if sel.Chosen == EngineLowDeg {
+		preprocess = lowdeg.Preprocess
+	}
+	eng, err := preprocess(g, lq, core.Options{Parallelism: o.Parallelism, Obs: o.Metrics, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -118,11 +124,11 @@ func PatchGraph(g *Graph, edits []Edit) (*Graph, error) { return graph.Patch(g, 
 //
 // Edits that are not local (a clause guard flips, a layout refuses to
 // patch, the accumulated deltas outgrow their thresholds) transparently
-// fall back to a full rebuild; Stats().MutRebuilds counts those. An engine
-// without an incremental path (lowdeg) rebuilds on every effective batch
-// and counts each one.
+// fall back to a full rebuild; Stats().MutRebuilds counts those. A
+// lowdeg-backed index has nothing to patch: it rebuilds on every effective
+// batch and counts each one.
 func (ix *Index) ApplyEdits(ctx context.Context, edits []Edit) (*Index, error) {
-	eng, err := ix.eng.applyEdits(ctx, edits)
+	eng, err := ix.eng.ApplyEdits(ctx, edits)
 	if err != nil {
 		return nil, err
 	}

@@ -12,11 +12,12 @@ import (
 	"repro/internal/xbench"
 )
 
-// runE17 measures the low-degree engine (Durand–Schweikardt–Segoufin)
-// against the general nowhere-dense engine on degree-bounded graphs: the
-// regime where lowdeg's linear ball-based preprocessing should beat the
-// core build (no cover, kernels, distance recursion or skip pointers to
-// pay for) while matching its constant enumeration delay. Both engines
+// runE17 measures the low-degree engine (Durand–Schweikardt–Segoufin: the
+// one engine over its ball locality, built by lowdeg.Preprocess) against
+// the same engine over the paper's cover locality on degree-bounded
+// graphs: the regime where the linear ball-based preprocessing should beat
+// the core build (no cover, kernels, distance recursion or skip pointers
+// to pay for) while matching its constant enumeration delay. Both kinds
 // are forced through the facade (repro.WithEngine), cross-checked on
 // their counts before any timing is trusted, and the auto selector's
 // routing decision for each graph is recorded alongside.

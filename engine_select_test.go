@@ -215,8 +215,9 @@ func TestLowDegIndexMutation(t *testing.T) {
 	}
 }
 
-// TestLowDegIndexStats: the synthesized core.Stats view and the
-// engine-specific LowDegStats agree on the shared fields.
+// TestLowDegIndexStats: Index.Stats carries the shared fields and the ball
+// structure of a lowdeg index, and no cover/skip structure; a core index
+// is the other way round.
 func TestLowDegIndexStats(t *testing.T) {
 	g := Generate("bdeg", 150, GenOptions{Seed: 4, Colors: 2})
 	ix, err := Build(context.Background(), g, selTestQuery(), WithEngine(EngineLowDeg))
@@ -224,13 +225,12 @@ func TestLowDegIndexStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.Count()
-	ls, ok := ix.LowDegStats()
-	if !ok {
-		t.Fatal("LowDegStats not available on a lowdeg index")
-	}
 	st := ix.Stats()
-	if st.Candidates != ls.Candidates || st.LocalEvals != ls.LocalEvals || len(st.StarterSizes) != len(ls.StarterSizes) {
-		t.Fatalf("stats views disagree: %+v vs %+v", st, ls)
+	if st.BallEntries < g.N() || st.CompEntries != st.BallEntries || st.MaxDegree != g.MaxDegree() {
+		t.Fatalf("ball structure missing from the stats of a lowdeg index: %+v", st)
+	}
+	if st.Candidates == 0 || st.LocalEvals == 0 || len(st.StarterSizes) != 2 {
+		t.Fatalf("shared fields not filled: %+v", st)
 	}
 	if st.CoverBags != 0 || st.SkipPointers != 0 {
 		t.Fatalf("lowdeg index reports cover/skip structure: %+v", st)
@@ -239,8 +239,8 @@ func TestLowDegIndexStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := core.LowDegStats(); ok {
-		t.Fatal("LowDegStats available on a core index")
+	if cs := core.Stats(); cs.BallEntries != 0 || cs.CoverBags == 0 {
+		t.Fatalf("core index reports ball structure: %+v", cs)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/conform"
 	"repro/internal/core"
 	"repro/internal/fo"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lowdeg"
 )
@@ -148,5 +149,45 @@ func TestCrossEngineMutation(t *testing.T) {
 				t.Error("lowdeg ApplyEdits rebuilt for an identity batch")
 			}
 		})
+	}
+}
+
+// TestCrossEngineHandBuilt runs one hand-built, uncertified LocalQuery —
+// the literal G[N_ρ(ā_I)] semantics, which no compiled case reaches —
+// through both localities and the oracle. Its quantifiers are unguarded
+// ("some other C1 vertex is within ρ of the close pair", "no other C1
+// vertex is within ρ of y"), and the last conjunct measures a distance
+// inside the induced ball: on the 6-cycle the two vertices at distance 2
+// from y are 2 apart in G (through y's antipode) but 4 apart in G[N_2(y)],
+// so an engine that served that atom from the whole graph would lose every
+// far answer there.
+func TestCrossEngineHandBuilt(t *testing.T) {
+	closeT, farT := fo.NewDistType(2), fo.NewDistType(2)
+	closeT.SetClose(0, 1)
+	cl1, err := core.MakeClause(closeT, fo.MustParse("~(x0 = x1) & exists z (C1(z) & ~(z = x0) & ~(z = x1))"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl2, err := core.MakeClause(farT, fo.MustParse("C0(x0)"), fo.MustParse(
+		"forall z (z = x1 | ~C1(z)) & ~exists z exists w (~(z = w) & dist(x1,z) > 1 & dist(x1,w) > 1 & dist(z,w) <= 2)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &core.LocalQuery{K: 2, R: 1, LocalRadius: 2, Clauses: []core.Clause{cl1, cl2}}
+	for _, gc := range []struct {
+		class gen.Class
+		n     int
+	}{{gen.BoundedDegree, 36}, {gen.Grid, 36}, {gen.Cycle, 6}} {
+		g := gen.Generate(gc.class, gc.n, gen.Options{Seed: 4, Colors: 2, ColorProb: 0.3})
+		syss, ne := systems(t, g, q, "handbuilt-"+string(gc.class))
+		want := ne.Solutions()
+		if len(want) == 0 || len(want) == g.N()*g.N() {
+			t.Fatalf("%s: %d answers of %d tuples; the case exercises nothing", gc.class, len(want), g.N()*g.N())
+		}
+		for _, sys := range syss {
+			if err := conform.CheckAll(sys, want); err != nil {
+				t.Error(err)
+			}
+		}
 	}
 }

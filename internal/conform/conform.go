@@ -56,6 +56,14 @@ func Cases() []Case {
 			Query: "C0(x) & C1(y) & dist(x,y) > 1", Vars: []string{"x", "y"}},
 		{Name: "cycle-close", Class: gen.Cycle, N: 45, Seed: 1, Colors: 2,
 			Query: "dist(x,y) <= 2 & C0(x)", Vars: []string{"x", "y"}},
+		// Arity 3 with one connected component: the completion ball has
+		// radius 2R ≠ R, and FastCount takes its connected-type recursion.
+		{Name: "bdeg-path3", Class: gen.BoundedDegree, N: 40, Seed: 1, Colors: 2,
+			Query: "E(x,y) & E(y,z) & C0(x)", Vars: []string{"x", "y", "z"}},
+		// Case II (y joins x's component) followed by Case I with a
+		// two-element prefix (z opens a component far from both).
+		{Name: "bdeg-close-then-far", Class: gen.BoundedDegree, N: 40, Seed: 1, Colors: 2,
+			Query: "E(x,y) & dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", Vars: []string{"x", "y", "z"}},
 		// Empty answer sets: C1 can never hold on a 1-color graph
 		// (Bitset.Has is bounds-checked), so these are empty regardless of
 		// the generator's probabilistic coloring.

@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/skip"
 )
 
 // NextGeq is the main primitive of Theorem 2.3: it returns the
@@ -100,7 +98,7 @@ func (e *Engine) nextLast(prefix []graph.V, b graph.V) (graph.V, bool) {
 func (e *Engine) prefixMatches(rt *clauseRT, prefix []graph.V) bool {
 	for i := range prefix {
 		for j := i + 1; j < len(prefix); j++ {
-			if e.dix.Within(prefix[i], prefix[j], e.r) != rt.clause.Type.Close(i, j) {
+			if e.loc.within(prefix[i], prefix[j]) != rt.clause.Type.Close(i, j) {
 				return false
 			}
 		}
@@ -162,7 +160,7 @@ func (e *Engine) test(a []graph.V) bool {
 func (e *Engine) testClause(rt *clauseRT, a []graph.V) bool {
 	for i := 0; i < e.k; i++ {
 		for j := i + 1; j < e.k; j++ {
-			if e.dix.Within(a[i], a[j], e.r) != rt.clause.Type.Close(i, j) {
+			if e.loc.within(a[i], a[j]) != rt.clause.Type.Close(i, j) {
 				return false
 			}
 		}
@@ -187,33 +185,17 @@ func (e *Engine) testClause(rt *clauseRT, a []graph.V) bool {
 	return true
 }
 
-// Enumerate is the shared Corollary 2.5 loop (see Enumerate in
-// iterator.go) over this engine. On an instrumented engine every answer's
-// production time is recorded into the engine.delay_ns histogram.
-func (e *Engine) Enumerate(yield func([]graph.V) bool) { Enumerate(e, e.instr.delay, yield) }
-
 // Count returns |q(G)| by full enumeration.
 func (e *Engine) Count() int {
 	n, _ := e.CountCtx(context.Background())
 	return n
 }
 
-// CountCtx is Count with cooperative cancellation; see CountCtx in
-// iterator.go.
-func (e *Engine) CountCtx(ctx context.Context) (int, error) {
-	return CountCtx(ctx, e, e.instr.delay)
-}
-
 // Iterator returns a cursor positioned at the first solution.
 func (e *Engine) Iterator() *Iterator { return e.IteratorFrom(make([]graph.V, e.k)) }
 
-// IteratorFrom returns a cursor positioned at the smallest solution ≥ a.
-func (e *Engine) IteratorFrom(a []graph.V) *Iterator { return NewIterator(e, a) }
-
-// NumClauses, Arity and N complete the ClauseStepper contract.
-func (e *Engine) NumClauses() int { return len(e.clauses) }
-func (e *Engine) Arity() int      { return e.k }
-func (e *Engine) N() int          { return e.g.N() }
+// Arity returns the tuple width k.
+func (e *Engine) Arity() int { return e.k }
 
 // nextClause returns the smallest tuple ≥ a matching clause i, or nil.
 //
@@ -229,9 +211,9 @@ func (e *Engine) nextClause(i int, a []graph.V) []graph.V {
 // NextClauseInto writes the smallest tuple ≥ a matching clause i into
 // tuple (len(tuple) == k) and reports whether one exists. It is a
 // lexicographic backtracking search whose per-level candidate generators
-// are the paper's Case I (new component: skip pointers over the starter
-// list plus kernel scans) and Case II (ball scan around the component's
-// first element). The recursion is a method, not a closure, so a steady-
+// are the paper's Case I (new component: the locality's nextOpening over
+// the starter list) and Case II (ball scan around the component's first
+// element). The recursion is a method, not a closure, so a steady-
 // state caller that supplies the buffer (the Iterator) allocates nothing.
 //
 //fod:hotpath
@@ -276,81 +258,9 @@ func (e *Engine) nextCandidate(rt *clauseRT, j int, prefix []graph.V, lower grap
 	}
 	c := rt.comps[rt.compOf[j]]
 	if rt.firstOf[j] == j {
-		return e.nextOpening(rt, c, j, prefix, lower)
+		return e.loc.nextOpening(c, prefix, lower)
 	}
 	return e.nextWithinComponent(rt, c, j, prefix, lower)
-}
-
-// nextOpening handles a position that opens a new component: the candidate
-// must come from the component's starter list and be at distance > R from
-// every prefix element (all of which belong to other components). This is
-// the paper's Case I: the answer is the minimum of the skip-pointer
-// candidate (outside every kernel of the prefix's canonical bags, hence
-// automatically far) and one scan per canonical bag kernel.
-//
-//fod:hotpath
-func (e *Engine) nextOpening(rt *clauseRT, c *compRT, j int, prefix []graph.V, lower graph.V) graph.V {
-	if len(prefix) == 0 {
-		i := sort.SearchInts(c.starter, lower)
-		if i == len(c.starter) {
-			return -1
-		}
-		return c.starter[i]
-	}
-	// Canonical bags of the prefix elements, deduplicated. The prefix has
-	// ≤ k−1 ≤ skip.MaxSetSize elements (Preprocess enforces the arity
-	// bound), so a fixed-size stack array holds the set without
-	// allocating.
-	var bagArr [skip.MaxSetSize]int
-	bags := bagArr[:0]
-	for _, p := range prefix {
-		x := e.cov.Assign(p)
-		dup := false
-		for _, y := range bags {
-			if y == x {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			bags = append(bags, x)
-		}
-	}
-	best := graph.V(-1)
-	if c.skip != nil {
-		if v := c.skip.Query(lower, bags); v != skip.None {
-			best = v
-		}
-	}
-	// Scan starter ∩ K_R(X) for each canonical bag X, rejecting candidates
-	// within distance R of some prefix element. Rejections are confined to
-	// the R-balls of the ≤ k−1 prefix elements, hence pseudo-constant on
-	// nowhere dense inputs.
-	for _, x := range bags {
-		lst := c.byKernel[x]
-		i := sort.SearchInts(lst, lower)
-		for ; i < len(lst); i++ {
-			v := lst[i]
-			if best >= 0 && v >= best {
-				break
-			}
-			if e.farFromAll(v, prefix) {
-				best = v
-				break
-			}
-		}
-	}
-	return best
-}
-
-//fod:hotpath
-func (e *Engine) farFromAll(v graph.V, prefix []graph.V) bool {
-	for _, p := range prefix {
-		if e.dix.Within(v, p, e.r) {
-			return false
-		}
-	}
-	return true
 }
 
 // nextWithinComponent handles a position whose component already has a
@@ -361,11 +271,9 @@ func (e *Engine) farFromAll(v graph.V, prefix []graph.V) bool {
 //
 //fod:hotpath
 func (e *Engine) nextWithinComponent(rt *clauseRT, c *compRT, j int, prefix []graph.V, lower graph.V) graph.V {
-	anchor := prefix[rt.firstOf[j]]
-	ball := e.cachedBall(anchor)
-	i := sort.SearchInts(ball, lower)
-	for ; i < len(ball); i++ {
-		v := ball[i]
+	ball := e.loc.compBall(prefix[rt.firstOf[j]])
+	for i := searchInt32(ball, int32(lower)); i < len(ball); i++ {
+		v := graph.V(ball[i])
 		if !e.patternOK(rt, j, prefix, v) {
 			continue
 		}
@@ -383,7 +291,7 @@ func (e *Engine) nextWithinComponent(rt *clauseRT, c *compRT, j int, prefix []gr
 //fod:hotpath
 func (e *Engine) patternOK(rt *clauseRT, j int, prefix []graph.V, v graph.V) bool {
 	for i, p := range prefix {
-		if e.dix.Within(p, v, e.r) != rt.clause.Type.Close(i, j) {
+		if e.loc.within(p, v) != rt.clause.Type.Close(i, j) {
 			return false
 		}
 	}
@@ -405,16 +313,4 @@ func (e *Engine) componentHolds(c *compRT, prefix []graph.V, v graph.V) bool {
 	}
 	vals[len(vals)-1] = v
 	return e.localEval(c, vals)
-}
-
-// cachedBall memoizes componentBall per anchor vertex. Concurrent callers
-// may compute the same ball twice; both results are identical and the
-// losing store is harmless.
-func (e *Engine) cachedBall(anchor graph.V) []graph.V {
-	if b, ok := e.ballCache.Load(anchor); ok {
-		return b.([]graph.V)
-	}
-	b := e.componentBall(anchor)
-	e.ballCache.Store(anchor, b)
-	return b
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -126,10 +125,11 @@ func (e *Engine) countConnectedRec(group []*clauseRT, tuple []graph.V, j int) in
 		return 0
 	}
 	count := 0
-	for _, w := range e.cachedBall(tuple[0]) {
+	for _, w32 := range e.loc.compBall(tuple[0]) {
+		w := graph.V(w32)
 		ok := true
 		for i := 0; i < j; i++ {
-			if e.dix.Within(tuple[i], w, e.r) != typ.Close(i, j) {
+			if e.loc.within(tuple[i], w) != typ.Close(i, j) {
 				ok = false
 				break
 			}
@@ -149,8 +149,8 @@ func (e *Engine) countCloseGroup(group []*clauseRT) int {
 	count := 0
 	vals := make([]graph.V, 2)
 	for a := 0; a < e.g.N(); a++ {
-		for _, b := range e.cachedBall(a) {
-			vals[0], vals[1] = a, b
+		for _, b := range e.loc.rBall(a) {
+			vals[0], vals[1] = a, graph.V(b)
 			for _, rt := range group {
 				if e.localEval(rt.comps[0], vals) {
 					count++
@@ -201,50 +201,19 @@ func (e *Engine) closePairs(A, B []graph.V) int {
 	if len(A) == 0 || len(B) == 0 {
 		return 0
 	}
-	inB := make(map[graph.V]bool, len(B))
+	inB := make([]bool, e.g.N())
 	for _, b := range B {
 		inB[b] = true
 	}
 	count := 0
 	for _, a := range A {
-		for _, b := range e.ballR(a) {
+		for _, b := range e.loc.rBall(a) {
 			if inB[b] {
 				count++
 			}
 		}
 	}
 	return count
-}
-
-// ballR returns the exact N_R(a), memoized. (cachedBall uses radius
-// R·(k−1), which equals R only for k=2, so keep a dedicated cache.)
-func (e *Engine) ballR(a graph.V) []graph.V {
-	if b, ok := e.ballRCache.Load(a); ok {
-		return b.([]graph.V)
-	}
-	var out []graph.V
-	if e.q.Guarded {
-		bfs := e.gbfs.get()
-		ball := bfs.Ball(a, e.r)
-		out = make([]graph.V, len(ball))
-		for i, w := range ball {
-			out[i] = int(w)
-		}
-		e.gbfs.put(bfs)
-	} else {
-		bag := e.cov.Assign(a)
-		sub := e.bagSubs[bag]
-		bfs := e.bagBFS[bag].get()
-		ball := bfs.Ball(sub.Local(a), e.r)
-		out = make([]graph.V, len(ball))
-		for i, w := range ball {
-			out[i] = sub.Orig[int(w)]
-		}
-		e.bagBFS[bag].put(bfs)
-	}
-	sort.Ints(out)
-	e.ballRCache.Store(a, out)
-	return out
 }
 
 func intersectSorted(a, b []graph.V) []graph.V {

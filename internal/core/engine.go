@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/cover"
 	"repro/internal/dist"
 	"repro/internal/fo"
 	"repro/internal/graph"
@@ -19,7 +17,8 @@ import (
 
 // Options tunes engine preprocessing.
 type Options struct {
-	// Dist forwards to the distance index of Proposition 4.2.
+	// Dist forwards to the distance index of Proposition 4.2 (cover
+	// locality only; the ball locality builds none).
 	Dist dist.Options
 	// Parallelism bounds the preprocessing worker count. 0 selects
 	// runtime.GOMAXPROCS(0); 1 reproduces the sequential build bit for
@@ -27,35 +26,41 @@ type Options struct {
 	// wall time, never the structure or the answers.
 	Parallelism int
 	// Ctx, when non-nil, bounds the preprocessing: Preprocess checks it
-	// between phases (dist → cover → kernel → per-clause starter/skip) and
-	// returns the context error once it is canceled or past its deadline.
-	// The answering phase is unaffected — checkpoints exist only where the
-	// pseudo-linear build spends its time. Nil means no deadline.
+	// between phases (dist → cover → kernel, or balls; then per-clause
+	// starter/skip) and returns the context error once it is canceled or
+	// past its deadline. The answering phase is unaffected — checkpoints
+	// exist only where the pseudo-linear build spends its time. Nil means
+	// no deadline.
 	Ctx context.Context
 	// Obs, when non-nil, turns on full instrumentation: the preprocessing
 	// phases are traced as nested spans (preprocess.dist → .cover →
-	// .kernel → .starter → .skip), the answering counters are exported as
-	// engine.* counters, per-call latency histograms are recorded for
-	// NextGeq/Test/NextLast, and Enumerate records the per-answer delay
-	// distribution of Corollary 2.5 into engine.delay_ns. The registry is
-	// also threaded into the cover, distance-index, and worker-pool
-	// builds. Nil (the default) keeps the answering hot path free of any
-	// timing work — each instrument sits behind a single nil check.
+	// .kernel → .starter → .skip, or preprocess.balls → .starter), the
+	// answering counters are exported as engine.* counters, per-call
+	// latency histograms are recorded for NextGeq/Test/NextLast, and
+	// Enumerate records the per-answer delay distribution of Corollary 2.5
+	// into engine.delay_ns. The registry is also threaded into the cover,
+	// distance-index, and worker-pool builds. Nil (the default) keeps the
+	// answering hot path free of any timing work — each instrument sits
+	// behind a single nil check.
 	Obs *obs.Registry
 }
 
 // Stats reports preprocessing facts and running counters of the answering
-// phase.
+// phase. The cover, dist and skip fields are zero under the ball locality,
+// the ball fields under the cover locality.
 type Stats struct {
 	CoverRadius   int
 	CoverBags     int
 	CoverDegree   int
+	MaxDegree     int   // max vertex degree of the input graph (ball locality)
+	BallEntries   int   // Σ_v |N_R(v)| materialized by the ball locality
+	CompEntries   int   // Σ_v |N_{R(k−1)}(v)| (equals BallEntries for k ≤ 2)
 	StarterSizes  []int // per (clause, component) starter-list size
 	SkipTables    int   // distinct skip-pointer tables (components with equal starter lists share one)
 	SkipPointers  int   // total materialized skip pointers, a shared table counted once
 	Candidates    int   // candidates examined by NextGeq calls
 	DeadEnds      int   // candidates rejected after deeper levels failed
-	LocalEvals    int   // bag-local formula evaluations (memo misses)
+	LocalEvals    int   // local formula evaluations (memo misses)
 	LocalEvalHits int   // memo hits
 
 	Workers     int           // preprocessing parallelism used
@@ -98,6 +103,10 @@ type instruments struct {
 // answering methods (NextGeq, NextLast, Test, Enumerate, Count,
 // FastCount, Stats) are safe for concurrent use — query-time scratch is
 // pooled per goroutine and the lazy caches are concurrent maps.
+//
+// Everything the engine asks about distances goes through loc (see
+// locality): the paper's cover machinery or, on bounded-degree graphs,
+// precomputed balls.
 type Engine struct {
 	g   *graph.Graph
 	q   *LocalQuery
@@ -105,22 +114,18 @@ type Engine struct {
 	r   int // distance-type threshold R
 	rho int // local radius ρ
 
-	dix     *dist.Index
-	evPool  sync.Pool // *fo.Evaluator with dist atoms served by dix
-	envPool sync.Pool // fo.Env scratch for guarded local evaluations
-	cov     *cover.Cover
-	bagSubs []*graph.Sub   // only materialized for non-guarded queries
-	bagBFS  []*scratchPool // per-bag BFS scratch
-	gbfs    *scratchPool   // global scratch (guarded paths)
+	loc     locality
+	newLoc  locBuilder   // how loc was built; the ApplyEdits rebuild path builds the same kind
+	evPool  sync.Pool    // *fo.Evaluator with dist atoms served by loc.distTester
+	envPool sync.Pool    // fo.Env scratch for guarded local evaluations
+	gbfs    *scratchPool // BFS scratch on g
 
-	clauses    []*clauseRT
-	liveIdx    []int    // indices into q.Clauses of guard-surviving clauses
-	ballCache  sync.Map // graph.V -> []graph.V, radius R(k−1)
-	ballRCache sync.Map // graph.V -> []graph.V, radius R
-	stats      Stats
-	ctr        counters
-	instr      instruments
-	obsReg     *obs.Registry // nil when built without Options.Obs
+	clauses []*clauseRT
+	liveIdx []int // indices into q.Clauses of guard-surviving clauses
+	stats   Stats
+	ctr     counters
+	instr   instruments
+	obsReg  *obs.Registry // nil when built without Options.Obs
 }
 
 // scratchPool hands out per-goroutine BFS scratch bound to one graph.
@@ -151,28 +156,54 @@ type compRT struct {
 	vars      []fo.Var // PosVar of each position, aligned with positions
 	last      int      // max position (where ψ gets tested)
 
-	// Starter machinery for the component's first position (Case I of the
+	// Starter list for the component's first position (Case I of the
 	// paper, generalized to every level that opens a new component).
 	starter      []graph.V // sorted vertices that can open the component
 	inStart      []bool    // membership, indexed by vertex
-	starterReady bool      // inStart complete: O(1) unary evaluation
-	skip         *skip.Pointers
-	byKernel     [][]graph.V // per bag: starter ∩ K_R(bag), sorted
+	starterReady bool      // singleton component: inStart is the solution set, O(1) evaluation
 
-	memo sync.Map // tupleKey -> bool, bag-local evaluation memo
+	// What the cover locality derives from the starter list; nil under the
+	// ball locality, which scans the list itself.
+	skip     *skip.Pointers
+	byKernel [][]graph.V // per bag: starter ∩ K_R(bag), sorted
+
+	memo sync.Map // tupleKey -> bool, local evaluation memo (multi-position components only)
 }
 
-// Preprocess builds the Theorem 2.3 index: distance index, (kR+ρ, ·)
+// newEngine returns the shell Preprocess, RestoreEngine and ApplyEdits
+// fill in: the query constants and the pooled evaluation scratch.
+func newEngine(g *graph.Graph, q *LocalQuery, newLoc locBuilder, reg *obs.Registry) *Engine {
+	e := &Engine{g: g, q: q, k: q.K, r: q.R, rho: q.LocalRadius, newLoc: newLoc, obsReg: reg}
+	e.gbfs = newScratchPool(g)
+	e.evPool.New = func() any {
+		ev := fo.NewEvaluator(g)
+		ev.UseDistTester(e.loc.distTester())
+		return ev
+	}
+	e.envPool.New = func() any { return fo.Env{} }
+	return e
+}
+
+// Preprocess builds the Theorem 2.3 index: distance index, (2R, ·)
 // neighborhood cover with R-kernels, per-clause starter lists, and skip
 // pointers. Its cost is pseudo-linear on nowhere dense inputs. With
 // Options.Parallelism > 1 the phases run on a worker pool; the resulting
 // engine is identical to the sequential build.
 func Preprocess(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
+	return preprocess(g, q, opt, buildCoverLoc)
+}
+
+// PreprocessBalls builds the same engine over the ball locality: sorted
+// per-vertex balls instead of distance index, cover, kernels and skip
+// pointers. Cost O(n · d^{R(k−1)} · eval) on a graph of maximum degree d —
+// linear for constant degree. internal/lowdeg is its public name.
+func PreprocessBalls(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
+	return preprocess(g, q, opt, buildBallLoc)
+}
+
+func preprocess(g *graph.Graph, q *LocalQuery, opt Options, newLoc locBuilder) (*Engine, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
-	}
-	if q.K > skip.MaxSetSize+1 {
-		return nil, fmt.Errorf("core: arity %d exceeds supported maximum %d", q.K, skip.MaxSetSize+1)
 	}
 	ctx := opt.Ctx
 	if ctx == nil {
@@ -192,107 +223,29 @@ func Preprocess(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
 	if err := checkpoint(); err != nil {
 		return nil, err
 	}
-	e := &Engine{g: g, q: q, k: q.K, r: q.R, rho: q.LocalRadius, obsReg: opt.Obs}
+	e := newEngine(g, q, newLoc, opt.Obs)
 	workers := par.Resolve(opt.Parallelism)
 	pool := par.NewPool(workers).WithMetrics(par.NewMetrics(opt.Obs, "engine.pool"))
 	e.stats.Workers = workers
-	e.gbfs = newScratchPool(g)
 	// StartSpan instead of Span: when the context carries a request trace
 	// (serve's singleflight build), the whole phase tree below lands in
 	// that trace under its existing span names.
 	root := opt.Obs.StartSpan(ctx, "preprocess")
 
-	// Distance index (Proposition 4.2) for the type tests dist ≤ R and —
-	// on guarded queries — for the distance atoms inside the component
-	// formulas, whose constants may exceed R.
-	distR := e.r
-	for ci := range q.Clauses {
-		for li := range q.Clauses[ci].Locals {
-			if d := fo.MaxDistConstant(q.Clauses[ci].Locals[li].Psi); d > distR {
-				distR = d
-			}
-		}
-	}
-	distOpt := opt.Dist
-	if distOpt.Workers == 0 {
-		distOpt.Workers = workers
-	}
-	if distOpt.Obs == nil {
-		distOpt.Obs = opt.Obs
-	}
-	sp := root.Child("dist")
-	e.dix = dist.New(g, distR, distOpt)
-	e.stats.DistWall = sp.End()
-	if err := checkpoint(); err != nil {
+	var err error
+	if e.loc, err = newLoc(e, opt, pool, root, checkpoint); err != nil {
 		return nil, err
-	}
-	e.evPool.New = func() any {
-		ev := fo.NewEvaluator(g)
-		ev.UseDistTester(e.dix)
-		return ev
-	}
-	e.envPool.New = func() any { return fo.Env{} }
-
-	// Cover radius. The kernels make "outside every kernel ⇒ far from
-	// every previous element" sound, which needs bags ⊇ N_{2R}(center of
-	// coverage). Guarded queries evaluate their local formulas on global
-	// balls, so 2R suffices; hand-built queries additionally need the bag
-	// to contain N_ρ(ā_I) around the component's first element (ā_I spans
-	// ≤ R(k−1) from it), because their semantics is tied to G[N_ρ(ā_I)]
-	// computed inside the bag.
-	coverR := 2 * e.r
-	if !q.Guarded {
-		if alt := e.r*e.k + e.rho; alt > coverR {
-			coverR = alt
-		}
-	}
-	sp = root.Child("cover")
-	e.cov = cover.ComputeWith(g, coverR, cover.Options{Workers: workers, Obs: opt.Obs})
-	e.stats.CoverWall = sp.End()
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-	sp = root.Child("kernel")
-	e.cov.ComputeKernels(e.r)
-	e.stats.KernelWall = sp.End()
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-	e.stats.CoverRadius = coverR
-	e.stats.CoverBags = e.cov.NumBags()
-	e.stats.CoverDegree = e.cov.Degree()
-
-	if !q.Guarded {
-		e.bagSubs = par.Map(pool, e.cov.NumBags(), func(i int) *graph.Sub {
-			return graph.Induce(g, e.cov.Bag(i))
-		})
-		e.bagBFS = make([]*scratchPool, len(e.bagSubs))
-		for i := range e.bagBFS {
-			e.bagBFS[i] = newScratchPool(e.bagSubs[i].G)
-		}
 	}
 
 	// Evaluate guards once (the ξ^i_τ sentences of Theorem 5.4) and drop
 	// failing clauses. The surviving indices are recorded so a snapshot can
 	// restore the exact clause set without re-evaluating the guards.
-	var live []Clause
-	for ci := range q.Clauses {
-		if q.Guards != nil && q.Guards[ci] != nil {
-			gd := q.Guards[ci]
-			holds := fo.NewEvaluator(g).Eval(gd.Sentence, fo.Env{})
-			if holds == gd.Negated {
-				continue
-			}
-		}
-		e.liveIdx = append(e.liveIdx, ci)
-		live = append(live, q.Clauses[ci])
-	}
-
-	for ci := range live {
+	e.liveIdx = liveClauses(g, q)
+	for _, ci := range e.liveIdx {
 		if err := checkpoint(); err != nil {
 			return nil, err
 		}
-		rt, err := e.buildClause(&live[ci], pool, root, checkpoint)
+		rt, err := e.buildClause(&q.Clauses[ci], pool, root, checkpoint)
 		if err != nil {
 			return nil, err
 		}
@@ -302,6 +255,21 @@ func Preprocess(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
 	e.tallySkip()
 	e.exportInstruments(opt.Obs)
 	return e, nil
+}
+
+// liveClauses returns the indices of q's clauses whose guard holds in g.
+func liveClauses(g *graph.Graph, q *LocalQuery) []int {
+	var live []int
+	for ci := range q.Clauses {
+		if q.Guards != nil && q.Guards[ci] != nil {
+			gd := q.Guards[ci]
+			if fo.NewEvaluator(g).Eval(gd.Sentence, fo.Env{}) == gd.Negated {
+				continue
+			}
+		}
+		live = append(live, ci)
+	}
+	return live
 }
 
 // exportInstruments registers the engine's always-on counters in reg,
@@ -320,6 +288,7 @@ func (e *Engine) exportInstruments(reg *obs.Registry) {
 	reg.Gauge("engine.cover_bags").Set(int64(e.stats.CoverBags))
 	reg.Gauge("engine.cover_degree").Set(int64(e.stats.CoverDegree))
 	reg.Gauge("engine.cover_radius").Set(int64(e.stats.CoverRadius))
+	reg.Gauge("engine.ball_entries").Set(int64(e.stats.BallEntries))
 	reg.Gauge("engine.skip_tables").Set(int64(e.stats.SkipTables))
 	reg.Gauge("engine.skip_pointers").Set(int64(e.stats.SkipPointers))
 	reg.Gauge("engine.clauses").Set(int64(len(e.clauses)))
@@ -333,25 +302,35 @@ func (e *Engine) exportInstruments(reg *obs.Registry) {
 // without Options.Obs).
 func (e *Engine) Obs() *obs.Registry { return e.obsReg }
 
-func (e *Engine) buildClause(cl *Clause, pool *par.Pool, trace *obs.Span, checkpoint func() error) (*clauseRT, error) {
-	rt := &clauseRT{
-		clause:  cl,
-		compOf:  make([]int, e.k),
-		firstOf: make([]int, e.k),
+// newClauseRT returns the runtime frame of cl, its components still to
+// come (newComp).
+func (e *Engine) newClauseRT(cl *Clause) *clauseRT {
+	return &clauseRT{clause: cl, compOf: make([]int, e.k), firstOf: make([]int, e.k)}
+}
+
+// newComp returns the runtime form of rt's component li with its static
+// fields set. The caller appends it to rt.comps once its starter list is
+// finished, so sameStarter only ever sees finished components.
+func (rt *clauseRT) newComp(li int) *compRT {
+	lf := &rt.clause.Locals[li]
+	c := &compRT{
+		positions: lf.Positions,
+		typ:       rt.clause.Type,
+		psi:       lf.Psi,
+		last:      lf.Positions[len(lf.Positions)-1],
 	}
+	for _, p := range lf.Positions {
+		c.vars = append(c.vars, PosVar(p))
+		rt.compOf[p] = li
+		rt.firstOf[p] = lf.Positions[0]
+	}
+	return c
+}
+
+func (e *Engine) buildClause(cl *Clause, pool *par.Pool, trace *obs.Span, checkpoint func() error) (*clauseRT, error) {
+	rt := e.newClauseRT(cl)
 	for li := range cl.Locals {
-		lf := &cl.Locals[li]
-		c := &compRT{
-			positions: lf.Positions,
-			typ:       cl.Type,
-			psi:       lf.Psi,
-			last:      lf.Positions[len(lf.Positions)-1],
-		}
-		for _, p := range lf.Positions {
-			c.vars = append(c.vars, PosVar(p))
-			rt.compOf[p] = li
-			rt.firstOf[p] = lf.Positions[0]
-		}
+		c := rt.newComp(li)
 		sp := trace.Child("starter")
 		e.computeStarter(c, pool)
 		e.stats.StarterWall += sp.End()
@@ -362,12 +341,7 @@ func (e *Engine) buildClause(cl *Clause, pool *par.Pool, trace *obs.Span, checkp
 		if d := e.sameStarter(rt, c.starter); d != nil {
 			c.shareStarter(d)
 		} else {
-			if e.k >= 2 {
-				sp = trace.Child("skip")
-				c.skip = skip.New(e.g, e.cov, e.k-1, c.starter)
-				e.stats.SkipWall += sp.End()
-			}
-			e.buildKernelLists(c, pool)
+			e.stats.SkipWall += e.loc.indexStarter(c, pool, trace)
 		}
 		rt.comps = append(rt.comps, c)
 	}
@@ -424,69 +398,50 @@ func (e *Engine) tallySkip() {
 // from the bitmap afterwards, making the result worker-count-independent.
 func (e *Engine) computeStarter(c *compRT, pool *par.Pool) {
 	c.inStart = make([]bool, e.g.N())
-	pool.ForEach(e.g.N(), func(v int) {
-		if len(c.positions) == 1 {
-			c.inStart[v] = e.localEval(c, []graph.V{v})
-		} else {
-			c.inStart[v] = e.completesComponent(c, []graph.V{v})
-		}
-	})
+	pool.ForEach(e.g.N(), func(v int) { c.inStart[v] = e.opens(c, v) })
+	c.finishStarter()
+}
+
+// finishStarter assembles the sorted starter list from the inStart bitmap,
+// appending to c.starter (callers that know the size preallocate it). For
+// a singleton component the list IS the unary solution list; later
+// localEval calls answer from the bitmap in O(1).
+func (c *compRT) finishStarter() {
 	for v, in := range c.inStart {
 		if in {
 			c.starter = append(c.starter, v)
 		}
 	}
+	c.starterReady = len(c.positions) == 1
+}
+
+// opens reports whether v can take c's first position. A singleton
+// component is evaluated without the memo: each vertex is asked once per
+// build and inStart is the memo from then on, so an entry per vertex in
+// c.memo would never be read again.
+func (e *Engine) opens(c *compRT, v graph.V) bool {
 	if len(c.positions) == 1 {
-		// The starter list IS the unary solution list; later localEval
-		// calls answer from the bitmap in O(1).
-		c.starterReady = true
+		return e.evalLocal(c, []graph.V{v})
 	}
+	return e.completesComponent(c, []graph.V{v})
 }
 
 // completesComponent reports whether the partial component assignment
 // (values for c.positions[:len(vals)]) extends to a full local solution of
-// the component, searching candidates in the ball around the first value.
+// the component, searching candidates in the R(k−1)-ball of the first
+// value — which contains every completion, since component positions are
+// chained by close edges of length ≤ R.
 func (e *Engine) completesComponent(c *compRT, vals []graph.V) bool {
 	if len(vals) == len(c.positions) {
 		return e.checkComponentType(c, vals) && e.localEval(c, vals)
 	}
-	// Candidates for the next position: within R·(|I|−1) of the first.
-	for _, w := range e.cachedBall(vals[0]) {
+	for _, w32 := range e.loc.compBall(vals[0]) {
+		w := graph.V(w32)
 		if e.partialTypeOK(c, vals, w) && e.completesComponent(c, append(vals, w)) {
 			return true
 		}
 	}
 	return false
-}
-
-// componentBall returns the sorted ball of radius R·(k−1) around v, in
-// original vertex ids. Every component completion lives inside it. Guarded
-// queries compute it on the global graph; hand-built queries inside the
-// bag 𝒳(v) (the two agree on the ball itself, since the bag contains it).
-func (e *Engine) componentBall(v graph.V) []graph.V {
-	radius := e.r * (e.k - 1)
-	if e.q.Guarded {
-		bfs := e.gbfs.get()
-		ball := bfs.Ball(v, radius)
-		out := make([]graph.V, len(ball))
-		for i, w := range ball {
-			out[i] = int(w)
-		}
-		e.gbfs.put(bfs)
-		sort.Ints(out)
-		return out
-	}
-	bag := e.cov.Assign(v)
-	sub := e.bagSubs[bag]
-	bfs := e.bagBFS[bag].get()
-	ball := bfs.Ball(sub.Local(v), radius)
-	out := make([]graph.V, len(ball))
-	for i, w := range ball {
-		out[i] = sub.Orig[int(w)]
-	}
-	e.bagBFS[bag].put(bfs)
-	sort.Ints(out)
-	return out
 }
 
 // partialTypeOK checks the distance-type edges between the prospective
@@ -495,21 +450,18 @@ func (e *Engine) componentBall(v graph.V) []graph.V {
 func (e *Engine) partialTypeOK(c *compRT, vals []graph.V, w graph.V) bool {
 	pj := c.positions[len(vals)]
 	for i, v := range vals {
-		pi := c.positions[i]
-		if e.dix.Within(v, w, e.r) != c.typeClose(pi, pj) {
+		if e.loc.within(v, w) != c.typ.Close(c.positions[i], pj) {
 			return false
 		}
 	}
 	return true
 }
 
-func (c *compRT) typeClose(pi, pj int) bool { return c.typ.Close(pi, pj) }
-
 // checkComponentType re-verifies all internal type edges of the component.
 func (e *Engine) checkComponentType(c *compRT, vals []graph.V) bool {
 	for i := range vals {
 		for j := i + 1; j < len(vals); j++ {
-			if e.dix.Within(vals[i], vals[j], e.r) != c.typeClose(c.positions[i], c.positions[j]) {
+			if e.loc.within(vals[i], vals[j]) != c.typ.Close(c.positions[i], c.positions[j]) {
 				return false
 			}
 		}
@@ -517,44 +469,8 @@ func (e *Engine) checkComponentType(c *compRT, vals []graph.V) bool {
 	return true
 }
 
-// buildKernelLists fills c.byKernel[bag] = starter ∩ K_R(bag). Bags are
-// independent and each task writes only its own list.
-func (e *Engine) buildKernelLists(c *compRT, pool *par.Pool) {
-	// Two counting passes into one flat backing array: per-bag append
-	// allocations made this a hotspot on the snapshot-restore path.
-	nb := e.cov.NumBags()
-	c.byKernel = make([][]graph.V, nb)
-	cnt := make([]int32, nb+1)
-	pool.ForEach(nb, func(i int) {
-		m := int32(0)
-		for _, v := range e.cov.Kernel(i) {
-			if c.inStart[v] {
-				m++
-			}
-		}
-		cnt[i+1] = m
-	})
-	for i := 0; i < nb; i++ {
-		cnt[i+1] += cnt[i]
-	}
-	flat := make([]graph.V, cnt[nb])
-	pool.ForEach(nb, func(i int) {
-		row := flat[cnt[i]:cnt[i]:cnt[i+1]]
-		for _, v := range e.cov.Kernel(i) {
-			if c.inStart[v] {
-				row = append(row, v)
-			}
-		}
-		c.byKernel[i] = row
-	})
-}
-
 // localEval evaluates ψ_I(ā_I) locally, with memoization. vals is aligned
-// with c.positions. For guarded queries (compiler-certified witness
-// bounds) the formula is evaluated on the global graph with quantifiers
-// restricted to the ρ-ball and distance atoms served by the index — no
-// subgraph construction at all. Hand-built queries get the literal
-// G[N_ρ(ā_I)] semantics of EvalReference.
+// with c.positions.
 //
 // Safe for concurrent use: the memo is a concurrent map (duplicate
 // concurrent evaluations compute the same value, so racing stores are
@@ -569,69 +485,54 @@ func (e *Engine) localEval(c *compRT, vals []graph.V) bool {
 		e.ctr.localEvalHits.Add(1)
 		return r.(bool)
 	}
-	e.ctr.localEvals.Add(1)
-	var res bool
-	if e.q.Guarded {
-		// Global semantics: ball on the global graph, quantifiers over the
-		// ball, distance atoms via the index. No subgraph construction.
-		bfs := e.gbfs.get()
-		ball := bfs.BallMulti(vals, e.rho)
-		domain := make([]graph.V, len(ball))
-		for i, w := range ball {
-			domain[i] = int(w)
-		}
-		e.gbfs.put(bfs)
-		env := e.envPool.Get().(fo.Env)
-		clear(env)
-		for i, v := range vals {
-			env[c.vars[i]] = v
-		}
-		ev := e.evPool.Get().(*fo.Evaluator)
-		res = ev.EvalOver(c.psi, env, domain)
-		e.evPool.Put(ev)
-		e.envPool.Put(env)
-	} else {
-		// Hand-built (uncertified) queries only: the pinned 0-alloc delay
-		// guards all run compiler-certified queries, and the memo above
-		// makes this a once-per-tuple cost, not a per-answer one.
-		//fod:coldpath memoized fallback for uncertified queries
-		res = e.exactBallEval(c, vals)
-	}
+	res := e.evalLocal(c, vals)
 	c.memo.Store(key, res)
 	return res
 }
 
-// exactBallEval is the literal G[N_ρ(ā_I)] semantics for hand-built
-// (uncertified) queries, evaluated inside the bag of the first element.
-func (e *Engine) exactBallEval(c *compRT, vals []graph.V) bool {
-	bag := e.cov.Assign(vals[0])
-	sub := e.bagSubs[bag]
-	locals := make([]graph.V, len(vals))
-	for i, v := range vals {
-		lv := sub.Local(v)
-		if lv < 0 {
-			// The component values must all lie inside the bag of the
-			// first element (they are within R(k−1) ≤ coverR of it); a
-			// miss means the tuple violates the component's distance
-			// pattern, so it is no solution.
-			return false
-		}
-		locals[i] = lv
-	}
-	bfs := e.bagBFS[bag].get()
-	ball := bfs.BallMulti(locals, e.rho)
-	vs := make([]graph.V, len(ball))
+// evalLocal is localEval without the memo. For guarded queries
+// (compiler-certified witness bounds) the formula is evaluated on the
+// global graph with quantifiers restricted to the ρ-ball and distance
+// atoms served by the locality — no subgraph construction at all.
+// Hand-built queries get the literal G[N_ρ(ā_I)] semantics of
+// EvalReference.
+func (e *Engine) evalLocal(c *compRT, vals []graph.V) bool {
+	e.ctr.localEvals.Add(1)
+	bfs := e.gbfs.get()
+	ball := bfs.BallMulti(vals, e.rho)
+	domain := make([]graph.V, len(ball))
 	for i, w := range ball {
-		vs[i] = int(w)
+		domain[i] = int(w)
 	}
-	e.bagBFS[bag].put(bfs)
-	ballSub := graph.Induce(sub.G, vs)
-	ev := fo.NewCachedEvaluator(ballSub.G)
+	e.gbfs.put(bfs)
+	if !e.q.Guarded {
+		// Hand-built (uncertified) queries only: the pinned 0-alloc delay
+		// guards all run compiler-certified queries, and the memo makes
+		// this a once-per-tuple cost, not a per-answer one.
+		//fod:coldpath memoized fallback for uncertified queries
+		return exactBallEval(e.g, c, vals, domain)
+	}
+	env := e.envPool.Get().(fo.Env)
+	clear(env)
+	for i, v := range vals {
+		env[c.vars[i]] = v
+	}
+	ev := e.evPool.Get().(*fo.Evaluator)
+	res := ev.EvalOver(c.psi, env, domain)
+	e.evPool.Put(ev)
+	e.envPool.Put(env)
+	return res
+}
+
+// exactBallEval is the literal G[N_ρ(ā_I)] semantics for hand-built
+// (uncertified) queries: ψ_I over the subgraph induced by ball = N_ρ(vals).
+func exactBallEval(g *graph.Graph, c *compRT, vals, ball []graph.V) bool {
+	sub := graph.Induce(g, ball)
 	env := fo.Env{}
-	for i := range vals {
-		env[c.vars[i]] = ballSub.Local(locals[i])
+	for i, v := range vals {
+		env[c.vars[i]] = sub.Local(v)
 	}
-	return ev.Eval(c.psi, env)
+	return fo.NewCachedEvaluator(sub.G).Eval(c.psi, env)
 }
 
 func tupleKey(vals []graph.V) string {

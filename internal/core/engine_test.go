@@ -285,3 +285,42 @@ func safeIndex(xs [][]graph.V, i int) []graph.V {
 	}
 	return nil
 }
+
+// TestSingletonStartersBypassMemo: computeStarter asks every vertex once
+// per singleton component and inStart answers from then on, so the build
+// must leave no memo entry behind (one per vertex and component would be
+// most of the index, and starterReady makes them unreadable) — under
+// either locality.
+func TestSingletonStartersBypassMemo(t *testing.T) {
+	g := gen.Generate(gen.Grid, 400, gen.Options{Seed: 3, Colors: 2})
+	q, err := Compile(fo.MustParse("dist(x,y) > 2 & dist(y,z) > 2 & dist(x,z) > 2 & C0(x) & C1(z)"),
+		[]fo.Var{"x", "y", "z"}, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, preprocess := range map[string]func(*graph.Graph, *LocalQuery, Options) (*Engine, error){
+		"cover": Preprocess, "balls": PreprocessBalls,
+	} {
+		e, err := preprocess(g, q, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		comps := 0
+		for _, rt := range e.clauses {
+			for _, c := range rt.comps {
+				if len(c.positions) != 1 {
+					t.Fatalf("%s: fixture has a multi-position component %v", name, c.positions)
+				}
+				comps++
+				c.memo.Range(func(k, _ any) bool {
+					t.Errorf("%s: component %v memo holds %q after Preprocess", name, c.positions, k)
+					return false
+				})
+			}
+		}
+		if st := e.Stats(); comps == 0 || st.LocalEvals != g.N()*comps || st.LocalEvalHits != 0 {
+			t.Errorf("%s: %d components on %d vertices: LocalEvals=%d LocalEvalHits=%d, want %d and 0",
+				name, comps, g.N(), st.LocalEvals, st.LocalEvalHits, g.N()*comps)
+		}
+	}
+}

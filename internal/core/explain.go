@@ -30,15 +30,14 @@ func (q *LocalQuery) String() string {
 	return strings.TrimRight(sb.String(), "\n")
 }
 
-// Explain describes the preprocessed index: the surviving clauses, their
-// starter-list sizes, skip-pointer counts, and the cover shape. It is the
-// EXPLAIN output for a Theorem 2.3 index.
+// Explain describes the preprocessed index: the locality's structures
+// (cover and distance index, or balls), the surviving clauses, their
+// starter-list sizes and skip-pointer counts. It is the EXPLAIN output for
+// a Theorem 2.3 index.
 func (e *Engine) Explain() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "index over %s\n", e.g)
-	fmt.Fprintf(&sb, "  cover: radius %d, %d bags, degree %d\n",
-		e.stats.CoverRadius, e.stats.CoverBags, e.stats.CoverDegree)
-	fmt.Fprintf(&sb, "  distance index: radius %d, %v\n", e.dix.Radius(), e.dix.Stats())
+	e.loc.explain(&sb)
 	fmt.Fprintf(&sb, "  skip pointers: %d components, %d tables, %d pointers\n",
 		len(e.stats.StarterSizes), e.stats.SkipTables, e.stats.SkipPointers)
 	fmt.Fprintf(&sb, "  %d live clauses (after guard evaluation):\n", len(e.clauses))

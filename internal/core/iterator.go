@@ -5,25 +5,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
-
-// ClauseStepper is what an engine provides to be enumerated: the shared
-// Iterator — and through it Enumerate and CountCtx — is written once
-// against these four methods, and every engine (this package's, and
-// internal/lowdeg's) supplies only its own per-clause search.
-type ClauseStepper interface {
-	// NumClauses returns the number of live clauses (τ, i).
-	NumClauses() int
-	// NextClauseInto writes the smallest tuple ≥ a matching clause i into
-	// buf (len(buf) == Arity()) and reports whether one exists. It must
-	// not allocate and must be safe for concurrent use.
-	NextClauseInto(i int, a, buf []graph.V) bool
-	// Arity returns the tuple width k.
-	Arity() int
-	// N returns the number of vertices; tuples range over [0,N)^k.
-	N() int
-}
 
 // Iterator is the pull-style face of Corollary 2.5: a cursor over the
 // solution set in lexicographic order with constant-delay Next calls.
@@ -36,7 +18,7 @@ type ClauseStepper interface {
 //
 // The iterator owns every buffer it hands out, keeping steady-state Next
 // calls allocation-free (the AllocsPerRun guards pin Next at 0 allocs/op
-// over either engine): the slice returned by Next is valid only until the
+// over either locality): the slice returned by Next is valid only until the
 // following Next or Seek call — copy it to retain it, exactly as with
 // Enumerate.
 //
@@ -44,7 +26,7 @@ type ClauseStepper interface {
 // same engine concurrently with each other and with every other engine
 // call.
 type Iterator struct {
-	s     ClauseStepper
+	e     *Engine
 	n     int
 	nexts [][]graph.V // per clause: candidate ≥ cursor (aliases bufs), nil = drained
 	bufs  [][]graph.V // per-clause candidate buffers
@@ -54,13 +36,15 @@ type Iterator struct {
 	has   bool
 }
 
-// NewIterator returns a cursor over s positioned at the smallest solution
-// ≥ a. Every buffer is allocated here and reused by each later Seek and
-// Next.
-func NewIterator(s ClauseStepper, a []graph.V) *Iterator {
-	k, nc := s.Arity(), s.NumClauses()
+// IteratorFrom returns a cursor positioned at the smallest solution ≥ a.
+// Every buffer is allocated here and reused by each later Seek and Next.
+//
+//fod:ctxok the loop allocates one buffer per clause of the compiled
+// query, and Seek below is bounded by query size as well.
+func (e *Engine) IteratorFrom(a []graph.V) *Iterator {
+	k, nc := e.k, len(e.clauses)
 	it := &Iterator{
-		s: s, n: s.N(),
+		e: e, n: e.g.N(),
 		nexts: make([][]graph.V, nc),
 		bufs:  make([][]graph.V, nc),
 		cur:   make([]graph.V, k),
@@ -95,7 +79,7 @@ func (it *Iterator) Seek(a []graph.V) {
 //
 //fod:hotpath
 func (it *Iterator) advance(i int, a []graph.V) {
-	if it.s.NextClauseInto(i, a, it.bufs[i]) {
+	if it.e.NextClauseInto(i, a, it.bufs[i]) {
 		it.nexts[i] = it.bufs[i]
 	} else {
 		it.nexts[i] = nil
@@ -152,24 +136,24 @@ func (it *Iterator) Next() ([]graph.V, bool) {
 	return out, true
 }
 
-// Enumerate implements Corollary 2.5 over any engine: it yields every
-// solution exactly once, in increasing lexicographic order, until
-// exhaustion or until yield returns false. The tuple passed to yield is
-// reused; copy it to retain it. This is the one enumeration loop behind
-// every engine's Enumerate, Count and CountCtx.
+// Enumerate implements Corollary 2.5: it yields every solution exactly
+// once, in increasing lexicographic order, until exhaustion or until yield
+// returns false. The tuple passed to yield is reused; copy it to retain
+// it. This is the one enumeration loop behind Enumerate, Count and
+// CountCtx.
 //
-// With a non-nil delay histogram every answer's production time (the
-// cursor step — the paper's "delay", excluding the caller's yield body) is
-// recorded, which is what the fodbench delay profiler reports against the
-// constant-delay claim. The clock reads live here, outside the
-// //fod:hotpath Next.
+// On an instrumented engine every answer's production time (the cursor
+// step — the paper's "delay", excluding the caller's yield body) is
+// recorded into engine.delay_ns, which is what the fodbench delay profiler
+// reports against the constant-delay claim. The clock reads live here,
+// outside the //fod:hotpath Next.
 //
 //fod:ctxok the yield callback is the cancellation path: any caller that
 // must honor a deadline returns false from yield (CountCtx does exactly
 // that); a ctx parameter here would put a select on the constant-delay
 // loop of every caller, cancellable or not.
-func Enumerate(s ClauseStepper, delay *obs.Histogram, yield func([]graph.V) bool) {
-	it := NewIterator(s, make([]graph.V, s.Arity()))
+func (e *Engine) Enumerate(yield func([]graph.V) bool) {
+	it, delay := e.Iterator(), e.instr.delay
 	for it.has {
 		var sol []graph.V
 		if delay != nil {
@@ -195,10 +179,10 @@ const countCheckEvery = 4096
 // cancellation, polling ctx every countCheckEvery answers. It returns
 // ctx.Err() if the context was canceled before the solution set was
 // exhausted.
-func CountCtx(ctx context.Context, s ClauseStepper, delay *obs.Histogram) (int, error) {
+func (e *Engine) CountCtx(ctx context.Context) (int, error) {
 	n := 0
 	canceled := false
-	Enumerate(s, delay, func([]graph.V) bool {
+	e.Enumerate(func([]graph.V) bool {
 		n++
 		if n%countCheckEvery == 0 {
 			select {

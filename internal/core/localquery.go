@@ -11,6 +11,13 @@
 // component I of τ a local formula ψ_I evaluated in the neighborhood of
 // x̄_I (see LocalQuery). Compile converts a practical FO⁺ fragment into
 // this shape; DESIGN.md §3 documents the substitution.
+//
+// There is one Engine. What it asks about distances — dist ≤ R, the next
+// far starter (Case I), the balls of Case II — goes through the locality
+// interface (locality.go), which has two implementations: the paper's
+// distance index + cover + kernels + skip pointers (Preprocess), and
+// sorted per-vertex balls for bounded-degree graphs (PreprocessBalls,
+// published as internal/lowdeg).
 package core
 
 import (

@@ -26,20 +26,21 @@
 //
 // When an edit is not local — the cover or distance layouts refuse to
 // patch, a clause guard flips, the accumulated skip delta outgrows its
-// threshold, or the query is a hand-built non-guarded one — ApplyEdits
-// falls back to a full Preprocess. Correctness never depends on the patch
-// being taken; the differential and fuzz tests in this package compare
-// both paths against each other.
+// threshold, the query is a hand-built non-guarded one, or the engine runs
+// on the ball locality, which has nothing to patch — ApplyEdits falls back
+// to a full Preprocess of the same locality. Correctness never depends on
+// the patch being taken; the differential and fuzz tests in this package
+// compare both paths against each other.
 package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/cover"
 	"repro/internal/dist"
-	"repro/internal/fo"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/skip"
@@ -69,49 +70,34 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 		return e, nil
 	}
 
-	if !e.q.Guarded {
-		// Hand-built queries evaluate inside materialized bag subgraphs
-		// (bagSubs); patching those buys little over rebuilding. They are
-		// also outside the compiler's certification, so take the simple
-		// correct path.
+	// Only the cover locality of a guarded query patches. The ball
+	// locality's build is linear with a small constant, so its documented
+	// route is a rebuild on the patched graph; hand-built queries are
+	// outside the compiler's certification, so they take the simple
+	// correct path too.
+	old, ok := e.loc.(*coverLoc)
+	if !ok || !e.q.Guarded {
 		return e.rebuilt(ctx, gNew, start)
 	}
 
 	// Clause guards (the ξ^i_τ sentences of Theorem 5.4) are evaluated
 	// per version; if the edit flips any guard the clause set changes
 	// structurally and a patched engine has no frame to patch into.
-	if e.q.Guards != nil {
-		var live []int
-		for ci := range e.q.Clauses {
-			if gd := e.q.Guards[ci]; gd != nil {
-				holds := fo.NewEvaluator(gNew).Eval(gd.Sentence, fo.Env{})
-				if holds == gd.Negated {
-					continue
-				}
-			}
-			live = append(live, ci)
-		}
-		if !equalInts(live, e.liveIdx) {
-			return e.rebuilt(ctx, gNew, start)
-		}
+	if !slices.Equal(liveClauses(gNew, e.q), e.liveIdx) {
+		return e.rebuilt(ctx, gNew, start)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Distance index. distR is a function of the query alone, recomputed
-	// exactly as Preprocess derives it.
-	distR := e.r
-	for ci := range e.q.Clauses {
-		for li := range e.q.Clauses[ci].Locals {
-			if d := fo.MaxDistConstant(e.q.Clauses[ci].Locals[li].Psi); d > distR {
-				distR = d
-			}
-		}
-	}
-	dixNew, ok := dist.Patch(e.dix, gOld, gNew, edgeSrcs)
-	if !ok {
-		dixNew = dist.New(gNew, distR, dist.Options{Workers: e.stats.Workers})
+	e2 := newEngine(gNew, e.q, e.newLoc, e.obsReg)
+	loc := e2.newCoverLoc()
+	e2.loc = loc
+
+	// Distance index; its radius is a function of the query alone.
+	distR := distRadius(e.q)
+	if loc.dix, ok = dist.Patch(old.dix, gOld, gNew, edgeSrcs); !ok {
+		loc.dix = dist.New(gNew, distR, dist.Options{Workers: e.stats.Workers})
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -119,34 +105,21 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 
 	// Cover with exact kernels. A refusal (edit avalanche) means the edit
 	// is not local at cover scale; rebuilding everything is then honest.
-	covNew, info, ok := e.cov.Patch(gOld, gNew, edgeSrcs)
-	if !ok {
+	var info *cover.PatchInfo
+	if loc.cov, info, ok = old.cov.Patch(gOld, gNew, edgeSrcs); !ok {
 		return e.rebuilt(ctx, gNew, start)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	e2 := &Engine{
-		g: gNew, q: e.q, k: e.k, r: e.r, rho: e.rho,
-		dix: dixNew, cov: covNew, obsReg: e.obsReg,
-	}
-	e2.gbfs = newScratchPool(gNew)
-	e2.evPool.New = func() any {
-		ev := fo.NewEvaluator(gNew)
-		ev.UseDistTester(e2.dix)
-		return ev
-	}
-	e2.envPool.New = func() any { return fo.Env{} }
-	e2.liveIdx = append([]int(nil), e.liveIdx...)
+	e2.liveIdx = e.liveIdx
 	e2.stats = Stats{
-		CoverRadius: e.stats.CoverRadius,
-		CoverBags:   covNew.NumBags(),
-		CoverDegree: covNew.Degree(),
 		Workers:     e.stats.Workers,
 		Mutations:   e.stats.Mutations + 1,
 		MutRebuilds: e.stats.MutRebuilds,
 	}
+	e2.coverStats(loc.cov)
 
 	// Starter-affected region: D = Rk + ρ + distR around every effectively
 	// edited vertex, in the old and the new graph (R(k−1) + ρ + distR is
@@ -173,7 +146,7 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 	for _, rt := range e.clauses {
 		rt2 := &clauseRT{clause: rt.clause, compOf: rt.compOf, firstOf: rt.firstOf}
 		for _, c := range rt.comps {
-			c2, err := e2.patchComp(ctx, rt2, c, covNew, info, affected, pool)
+			c2, err := e2.patchComp(ctx, rt2, c, loc.cov, info, affected, pool)
 			if err != nil {
 				return nil, err
 			}
@@ -200,18 +173,10 @@ func (e2 *Engine) patchComp(ctx context.Context, rt2 *clauseRT, c *compRT, covNe
 		last:      c.last,
 	}
 	// Copy-on-write starter bitmap; only the affected slots are re-tested.
-	// starterReady stays false during the recompute so localEval cannot
-	// short-circuit through the half-updated bitmap.
-	c2.inStart = append([]bool(nil), c.inStart...)
-	singleton := len(c2.positions) == 1
-	pool.ForEach(len(affected), func(i int) {
-		v := affected[i]
-		if singleton {
-			c2.inStart[v] = e2.localEval(c2, []graph.V{v})
-		} else {
-			c2.inStart[v] = e2.completesComponent(c2, []graph.V{v})
-		}
-	})
+	// starterReady stays false until finishStarter, so nothing answers from
+	// the half-updated bitmap.
+	c2.inStart = slices.Clone(c.inStart)
+	pool.ForEach(len(affected), func(i int) { c2.inStart[affected[i]] = e2.opens(c2, affected[i]) })
 	var starterDiff []graph.V
 	for _, v := range affected {
 		if c.inStart[v] != c2.inStart[v] {
@@ -219,12 +184,7 @@ func (e2 *Engine) patchComp(ctx context.Context, rt2 *clauseRT, c *compRT, covNe
 		}
 	}
 	c2.starter = make([]graph.V, 0, len(c.starter)+len(starterDiff))
-	for v, in := range c2.inStart {
-		if in {
-			c2.starter = append(c2.starter, v)
-		}
-	}
-	c2.starterReady = singleton
+	c2.finishStarter()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -283,11 +243,11 @@ func (e2 *Engine) patchComp(ctx context.Context, rt2 *clauseRT, c *compRT, covNe
 // rebuilt is the full-Preprocess fallback, carrying the mutation counters
 // forward so Stats still reports the engine's history.
 func (e *Engine) rebuilt(ctx context.Context, gNew *graph.Graph, start time.Time) (*Engine, error) {
-	e2, err := Preprocess(gNew, e.q, Options{
+	e2, err := preprocess(gNew, e.q, Options{
 		Parallelism: e.stats.Workers,
 		Ctx:         ctx,
 		Obs:         e.obsReg,
-	})
+	}, e.newLoc)
 	if err != nil {
 		return nil, err
 	}
@@ -327,18 +287,6 @@ func effectiveTouch(gOld, gNew *graph.Graph, edits []graph.Edit) (edgeSrcs, colo
 	sort.Ints(edgeSrcs)
 	sort.Ints(colorChanged)
 	return edgeSrcs, colorChanged
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // mergeSortedV unions two sorted vertex lists.

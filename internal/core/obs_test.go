@@ -8,17 +8,25 @@ import (
 	"repro/internal/core"
 	"repro/internal/fo"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
 func buildObsEngine(t *testing.T, reg *obs.Registry) *core.Engine {
+	t.Helper()
+	return buildObsEngineWith(t, core.Preprocess, reg)
+}
+
+type preprocessFunc func(*graph.Graph, *core.LocalQuery, core.Options) (*core.Engine, error)
+
+func buildObsEngineWith(t *testing.T, preprocess preprocessFunc, reg *obs.Registry) *core.Engine {
 	t.Helper()
 	g := gen.Generate("grid", 900, gen.Options{Seed: 7, Colors: 1, ColorProb: 0.1})
 	lq, err := core.Compile(fo.MustParse("dist(x,y) > 2 & C0(y)"), []fo.Var{"x", "y"}, core.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := core.Preprocess(g, lq, core.Options{Parallelism: 1, Obs: reg})
+	e, err := preprocess(g, lq, core.Options{Parallelism: 1, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,63 +59,73 @@ func TestStatsSnapshotIsolation(t *testing.T) {
 }
 
 // TestEngineInstrumented checks the registry-backed instruments end to
-// end: phase spans, exported counters, and the answering histograms.
+// end, over both localities: phase spans, exported counters, and the
+// answering histograms — the same engine.* names whichever was built.
 func TestEngineInstrumented(t *testing.T) {
-	reg := obs.New()
-	e := buildObsEngine(t, reg)
-	if e.Obs() != reg {
-		t.Fatal("engine does not report its registry")
-	}
-
-	// Preprocessing spans must be recorded for every phase.
-	snap := reg.Snapshot()
-	for _, name := range []string{
-		"span.preprocess_ns",
-		"span.preprocess.dist_ns",
-		"span.preprocess.cover_ns",
-		"span.preprocess.kernel_ns",
-		"span.preprocess.starter_ns",
-		"span.preprocess.skip_ns",
+	for _, tc := range []struct {
+		name       string
+		preprocess preprocessFunc
+		spans      []string
+		gauge      string
+	}{
+		{"cover", core.Preprocess, []string{"dist", "cover", "kernel", "starter", "skip"}, "engine.cover_bags"},
+		{"balls", core.PreprocessBalls, []string{"balls", "starter"}, "engine.ball_entries"},
 	} {
-		if h, ok := snap.Histograms[name]; !ok || h.Count == 0 {
-			t.Errorf("missing phase span %q", name)
-		}
-	}
-	if snap.Gauges["engine.cover_bags"] == 0 {
-		t.Error("engine.cover_bags gauge not set")
-	}
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.New()
+			e := buildObsEngineWith(t, tc.preprocess, reg)
+			if e.Obs() != reg {
+				t.Fatal("engine does not report its registry")
+			}
 
-	// Answering-phase instruments: counters and histograms must advance
-	// together with Stats().
-	n := 0
-	e.Enumerate(func([]int) bool { n++; return n < 200 })
-	if n == 0 {
-		t.Fatal("no solutions enumerated")
-	}
-	for i := 0; i < 50; i++ {
-		e.NextGeq([]int{i, i})
-		e.Test([]int{i, i + 1})
-	}
-	snap = reg.Snapshot()
-	if got := snap.Histograms["engine.delay_ns"]; got.Count != int64(n) {
-		t.Errorf("delay histogram count %d, want %d", got.Count, n)
-	}
-	if got := snap.Histograms["engine.next_geq_ns"]; got.Count != 50 {
-		t.Errorf("next_geq histogram count %d, want 50", got.Count)
-	}
-	if got := snap.Histograms["engine.test_ns"]; got.Count != 50 {
-		t.Errorf("test histogram count %d, want 50", got.Count)
-	}
-	if snap.Counters["engine.candidates"] != int64(e.Stats().Candidates) {
-		t.Errorf("exported candidates %d != Stats %d",
-			snap.Counters["engine.candidates"], e.Stats().Candidates)
-	}
-	if snap.Counters["engine.candidates"] == 0 {
-		t.Error("candidates counter never bumped")
-	}
-	// The delay histogram carries real, positive timings.
-	if d := snap.Histograms["engine.delay_ns"]; d.Max <= 0 || d.P99 > d.Max {
-		t.Errorf("implausible delay stats: %+v", d)
+			// Preprocessing spans must be recorded for every phase.
+			snap := reg.Snapshot()
+			if h, ok := snap.Histograms["span.preprocess_ns"]; !ok || h.Count == 0 {
+				t.Error("missing root span span.preprocess_ns")
+			}
+			for _, phase := range tc.spans {
+				name := "span.preprocess." + phase + "_ns"
+				if h, ok := snap.Histograms[name]; !ok || h.Count == 0 {
+					t.Errorf("missing phase span %q", name)
+				}
+			}
+			if snap.Gauges[tc.gauge] == 0 {
+				t.Errorf("%s gauge not set", tc.gauge)
+			}
+
+			// Answering-phase instruments: counters and histograms must
+			// advance together with Stats().
+			n := 0
+			e.Enumerate(func([]int) bool { n++; return n < 200 })
+			if n == 0 {
+				t.Fatal("no solutions enumerated")
+			}
+			for i := 0; i < 50; i++ {
+				e.NextGeq([]int{i, i})
+				e.Test([]int{i, i + 1})
+				e.NextLast([]int{i}, 0)
+			}
+			snap = reg.Snapshot()
+			if got := snap.Histograms["engine.delay_ns"]; got.Count != int64(n) {
+				t.Errorf("delay histogram count %d, want %d", got.Count, n)
+			}
+			for _, name := range []string{"engine.next_geq_ns", "engine.test_ns", "engine.next_last_ns"} {
+				if got := snap.Histograms[name]; got.Count != 50 {
+					t.Errorf("%s histogram count %d, want 50", name, got.Count)
+				}
+			}
+			if snap.Counters["engine.candidates"] != int64(e.Stats().Candidates) {
+				t.Errorf("exported candidates %d != Stats %d",
+					snap.Counters["engine.candidates"], e.Stats().Candidates)
+			}
+			if snap.Counters["engine.candidates"] == 0 {
+				t.Error("candidates counter never bumped")
+			}
+			// The delay histogram carries real, positive timings.
+			if d := snap.Histograms["engine.delay_ns"]; d.Max <= 0 || d.P99 > d.Max {
+				t.Errorf("implausible delay stats: %+v", d)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cover"
 	"repro/internal/dist"
-	"repro/internal/fo"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/skip"
@@ -48,15 +47,19 @@ type CompParts struct {
 // lazily under the same sync.Once a fresh build uses, so behavior is
 // identical either way.
 //
+// Only an engine on the cover locality has a serialized form; callers ask
+// Snapshottable first.
+//
 //fod:ctxok the loops here are over the query's clauses and components
 // (query-size-bounded); the expensive part-extraction calls inside are
 // single passes over already-built structures, and the serve snapshot
 // tier checks its ctx between tiers, not inside the codec.
 func (e *Engine) SnapshotParts() EngineParts {
+	l := e.loc.(*coverLoc)
 	p := EngineParts{
 		LiveIdx: append([]int(nil), e.liveIdx...),
-		Cover:   e.cov.Parts(false),
-		Dist:    e.dix.Parts(),
+		Cover:   l.cov.Parts(false),
+		Dist:    l.dix.Parts(),
 	}
 	for _, rt := range e.clauses {
 		comps := make([]CompParts, len(rt.comps))
@@ -70,7 +73,7 @@ func (e *Engine) SnapshotParts() EngineParts {
 					// An overlay answers from the table of an older
 					// version plus a correction set the format has no
 					// section for; the file gets this version's table.
-					sk = skip.New(e.g, e.cov, e.k-1, c.starter)
+					sk = skip.New(e.g, l.cov, e.k-1, c.starter)
 				}
 				sp := sk.Parts()
 				cp.Skip = &sp
@@ -82,9 +85,18 @@ func (e *Engine) SnapshotParts() EngineParts {
 	return p
 }
 
+// Snapshottable reports whether SnapshotParts may be called. The format
+// serializes the cover locality's structures (cover, kernels, distance
+// recursion, skip pointers); the ball locality has none of them and a
+// build cheap enough that persisting it buys nothing.
+func (e *Engine) Snapshottable() bool {
+	_, ok := e.loc.(*coverLoc)
+	return ok
+}
+
 // RestoreEngine rebuilds a ready-to-answer engine for (g, q) from its
 // serialized parts. It reruns only the cheap deterministic derivations
-// (induced subgraphs, inverted lists, kernel intersections) and skips
+// (inverted lists, kernel intersections) and skips
 // every search phase of Preprocess — distance BFS, cover construction,
 // guard evaluation, starter evaluation, and the SC sweep — so restoring
 // is linear in the snapshot with small constants. All cross-structure
@@ -98,11 +110,12 @@ func RestoreEngine(g *graph.Graph, q *LocalQuery, p EngineParts, opt Options) (*
 	if q.K > skip.MaxSetSize+1 {
 		return nil, fmt.Errorf("core: arity %d exceeds supported maximum %d", q.K, skip.MaxSetSize+1)
 	}
-	e := &Engine{g: g, q: q, k: q.K, r: q.R, rho: q.LocalRadius, obsReg: opt.Obs}
+	e := newEngine(g, q, buildCoverLoc, opt.Obs)
+	l := e.newCoverLoc()
+	e.loc = l
 	workers := par.Resolve(opt.Parallelism)
 	pool := par.NewPool(workers).WithMetrics(par.NewMetrics(opt.Obs, "engine.pool"))
 	e.stats.Workers = workers
-	e.gbfs = newScratchPool(g)
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -112,63 +125,30 @@ func RestoreEngine(g *graph.Graph, q *LocalQuery, p EngineParts, opt Options) (*
 	// request paid for a disk load or a full build.
 	root := opt.Obs.StartSpan(ctx, "restore")
 
-	distR := e.r
-	for ci := range q.Clauses {
-		for li := range q.Clauses[ci].Locals {
-			if d := fo.MaxDistConstant(q.Clauses[ci].Locals[li].Psi); d > distR {
-				distR = d
-			}
-		}
-	}
+	var err error
 	sp := root.Child("dist")
-	dix, err := dist.FromParts(g, p.Dist)
+	l.dix, err = dist.FromParts(g, p.Dist)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	if dix.R != distR {
-		return nil, fmt.Errorf("core: snapshot distance index has radius %d, query needs %d", dix.R, distR)
+	if distR := distRadius(q); l.dix.R != distR {
+		return nil, fmt.Errorf("core: snapshot distance index has radius %d, query needs %d", l.dix.R, distR)
 	}
-	e.dix = dix
-	e.evPool.New = func() any {
-		ev := fo.NewEvaluator(g)
-		ev.UseDistTester(e.dix)
-		return ev
-	}
-	e.envPool.New = func() any { return fo.Env{} }
 
-	coverR := 2 * e.r
-	if !q.Guarded {
-		if alt := e.r*e.k + e.rho; alt > coverR {
-			coverR = alt
-		}
-	}
 	sp = root.Child("cover")
-	cov, err := cover.FromPartsObs(g, p.Cover, opt.Obs)
+	l.cov, err = cover.FromPartsObs(g, p.Cover, opt.Obs)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	if cov.R != coverR {
-		return nil, fmt.Errorf("core: snapshot cover has radius %d, query needs %d", cov.R, coverR)
+	if l.cov.R != 2*e.r {
+		return nil, fmt.Errorf("core: snapshot cover has radius %d, query needs %d", l.cov.R, 2*e.r)
 	}
-	if cov.KernelP() != e.r {
-		return nil, fmt.Errorf("core: snapshot kernels have radius %d, query needs %d", cov.KernelP(), e.r)
+	if l.cov.KernelP() != e.r {
+		return nil, fmt.Errorf("core: snapshot kernels have radius %d, query needs %d", l.cov.KernelP(), e.r)
 	}
-	e.cov = cov
-	e.stats.CoverRadius = coverR
-	e.stats.CoverBags = cov.NumBags()
-	e.stats.CoverDegree = cov.Degree()
-
-	if !q.Guarded {
-		e.bagSubs = par.Map(pool, cov.NumBags(), func(i int) *graph.Sub {
-			return graph.Induce(g, cov.Bag(i))
-		})
-		e.bagBFS = make([]*scratchPool, len(e.bagSubs))
-		for i := range e.bagBFS {
-			e.bagBFS[i] = newScratchPool(e.bagSubs[i].G)
-		}
-	}
+	e.coverStats(l.cov)
 
 	if len(p.LiveIdx) != len(p.Clauses) {
 		return nil, fmt.Errorf("core: snapshot has %d live indices for %d clause payloads", len(p.LiveIdx), len(p.Clauses))
@@ -202,25 +182,11 @@ func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool) (*
 	if len(parts) != len(cl.Locals) {
 		return nil, fmt.Errorf("%d component payloads for %d components", len(parts), len(cl.Locals))
 	}
-	rt := &clauseRT{
-		clause:  cl,
-		compOf:  make([]int, e.k),
-		firstOf: make([]int, e.k),
-	}
+	l := e.loc.(*coverLoc)
+	rt := e.newClauseRT(cl)
 	for li := range cl.Locals {
-		lf := &cl.Locals[li]
 		cp := &parts[li]
-		c := &compRT{
-			positions: lf.Positions,
-			typ:       cl.Type,
-			psi:       lf.Psi,
-			last:      lf.Positions[len(lf.Positions)-1],
-		}
-		for _, p := range lf.Positions {
-			c.vars = append(c.vars, PosVar(p))
-			rt.compOf[p] = li
-			rt.firstOf[p] = lf.Positions[0]
-		}
+		c := rt.newComp(li)
 		c.inStart = make([]bool, e.g.N())
 		c.starter = make([]graph.V, len(cp.Starter))
 		prev := int32(-1)
@@ -232,9 +198,7 @@ func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool) (*
 			c.starter[i] = int(v)
 			c.inStart[v] = true
 		}
-		if len(c.positions) == 1 {
-			c.starterReady = true
-		}
+		c.starterReady = len(c.positions) == 1
 		e.stats.StarterSizes = append(e.stats.StarterSizes, len(c.starter))
 		if e.k >= 2 {
 			if cp.Skip == nil {
@@ -251,13 +215,13 @@ func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool) (*
 			c.shareStarter(d)
 		} else {
 			if e.k >= 2 {
-				sk, err := skip.FromPartsObs(e.cov, c.starter, *cp.Skip, e.obsReg)
+				sk, err := skip.FromPartsObs(l.cov, c.starter, *cp.Skip, e.obsReg)
 				if err != nil {
 					return nil, err
 				}
 				c.skip = sk
 			}
-			e.buildKernelLists(c, pool)
+			l.buildKernelLists(c, pool)
 		}
 		rt.comps = append(rt.comps, c)
 	}

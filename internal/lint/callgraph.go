@@ -103,18 +103,6 @@ func (p *Program) NodeOf(obj *types.Func) *FuncNode {
 	return p.byObj[obj]
 }
 
-// LookupFunc finds a node by package-path fragment and function name
-// (method name matches regardless of receiver). It is the entry point of
-// the guard tests that pin closure membership.
-func (p *Program) LookupFunc(pkgFrag, name string) *FuncNode {
-	for _, n := range p.Nodes {
-		if strings.Contains(n.Pkg.PkgPath, pkgFrag) && n.Obj.Name() == name {
-			return n
-		}
-	}
-	return nil
-}
-
 // BuildProgram constructs the call graph over the loaded packages. All
 // packages must share one token.FileSet (Load guarantees this; LoadDir
 // packages are single-package programs).

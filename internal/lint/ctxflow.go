@@ -14,10 +14,10 @@ import (
 //
 //  1. context.Background() / context.TODO() must not appear in
 //     internal/serve at all, nor in any handler-reachable function of
-//     the engine layers (repro, internal/core, internal/lowdeg,
-//     internal/snap): a detached context silently severs the request
-//     deadline, so a client that gave up keeps burning a worker. The
-//     one idiomatic exception is nil-defaulting —
+//     the engine layers (repro, internal/core, internal/snap): a
+//     detached context silently severs the request deadline, so a client
+//     that gave up keeps burning a worker. The one idiomatic exception
+//     is nil-defaulting —
 //     `if ctx == nil { ctx = context.Background() }` — which only fires
 //     for callers that opted out; `//fod:ctxok` (with a justification)
 //     acknowledges a deliberate detachment such as a lifecycle context.
@@ -29,9 +29,9 @@ import (
 //     context was cancelled long ago.
 //
 //  3. An exported, handler-reachable function of the engine layers
-//     (repro, internal/core, internal/lowdeg) that drives the
-//     enumeration machinery (reaches a //fod:hotpath function) through a
-//     loop but accepts no context cannot be cancelled mid-enumeration —
+//     (repro, internal/core) that drives the enumeration machinery
+//     (reaches a //fod:hotpath function) through a loop but accepts no
+//     context cannot be cancelled mid-enumeration —
 //     on a large graph that is an unbounded amount of work per request.
 //     Thread a ctx with a periodic checkpoint, or annotate `//fod:ctxok`
 //     when the caller's own loop bounds the work (e.g. a yield that can
@@ -46,7 +46,7 @@ func CtxFlow() *Analyzer {
 
 // ctxEngineScope is where rule 1 applies beyond internal/serve, and rule
 // 3's report scope (minus snap, which has no enumeration loops).
-var ctxEngineScope = []string{"internal/core", "internal/lowdeg", "internal/snap"}
+var ctxEngineScope = []string{"internal/core", "internal/snap"}
 
 func runCtxFlow(pp *ProgramPass) {
 	prog := pp.Prog
@@ -69,7 +69,7 @@ func runCtxFlow(pp *ProgramPass) {
 			checkBlocking(pp, n)
 		}
 		if reachable[n] && hotReaching[n] &&
-			(isModuleRoot(n.Pkg.PkgPath) || inAnyScope(n.Pkg.PkgPath, []string{"internal/core", "internal/lowdeg"})) {
+			(isModuleRoot(n.Pkg.PkgPath) || inAnyScope(n.Pkg.PkgPath, []string{"internal/core"})) {
 			checkUncancellableLoop(pp, n)
 		}
 	}

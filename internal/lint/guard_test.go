@@ -58,7 +58,7 @@ func TestSelfLintClean(t *testing.T) {
 // TestHotClosureMatchesAllocGuards pins the agreement between the two
 // halves of the delay-bound check: every function a dynamic
 // AllocsPerRun guard pins at 0 allocs/op must be a member of the static
-// //fod:hotpath closure, in both engines. If one of these drops out of
+// //fod:hotpath closure, under both localities. If one of these drops out of
 // the closure, hotpath-transitive has silently stopped checking a
 // function the benchmarks still rely on.
 func TestHotClosureMatchesAllocGuards(t *testing.T) {
@@ -67,36 +67,40 @@ func TestHotClosureMatchesAllocGuards(t *testing.T) {
 	prog := BuildProgram(pkgs)
 	closure := HotClosure(prog)
 
-	pinned := []struct{ pkgFrag, name string }{
-		// internal/core LINT_GUARD suite: Iterator.Next (the one iterator,
-		// shared by both engines), Engine.Test, Engine.NextLast and the
-		// primitives under them.
-		{"internal/core", "Next"},
-		{"internal/core", "settle"},
-		{"internal/core", "NextClauseInto"},
-		{"internal/core", "nextGeq"},
-		{"internal/core", "nextLast"},
-		{"internal/core", "test"},
-		{"internal/core", "localEval"},
-		// The Claim 5.9 chase under nextGeq: one row lookup per hop.
-		{"internal/skip", "lookup"},
-		// internal/lowdeg LOWDEG_GUARD suite: same contract on the
-		// low-degree engine. Its enumeration step is the shared
-		// Iterator.Next dispatching to this NextClauseInto.
-		{"internal/lowdeg", "NextClauseInto"},
-		{"internal/lowdeg", "nextGeq"},
-		{"internal/lowdeg", "nextLast"},
-		{"internal/lowdeg", "test"},
-		{"internal/lowdeg", "localEval"},
+	pinned := []string{
+		// internal/core LINT_GUARD and internal/lowdeg LOWDEG_GUARD suites:
+		// Iterator.Next (the one iterator), Engine.Test, Engine.NextLast
+		// and the primitives under them — one engine, so one set.
+		"core.(Iterator).Next",
+		"core.(Iterator).settle",
+		"core.(Engine).NextClauseInto",
+		"core.(Engine).nextGeq",
+		"core.(Engine).nextLast",
+		"core.(Engine).test",
+		"core.(Engine).localEval",
+		// What the engine reaches only through the locality interface (the
+		// call graph follows the dispatch by CHA): both implementations of
+		// the distance test and of Case I.
+		"core.(coverLoc).within",
+		"core.(coverLoc).nextOpening",
+		"core.(ballLoc).within",
+		"core.(ballLoc).nextOpening",
+		// The Claim 5.9 chase under coverLoc.nextOpening: one row lookup
+		// per hop.
+		"skip.(table).lookup",
 	}
-	for _, p := range pinned {
-		n := prog.LookupFunc(p.pkgFrag, p.name)
+	byName := map[string]*FuncNode{}
+	for _, n := range prog.Nodes {
+		byName[n.Name()] = n
+	}
+	for _, name := range pinned {
+		n := byName[name]
 		if n == nil {
-			t.Errorf("%s: no function %q in the call graph (guard target renamed?)", p.pkgFrag, p.name)
+			t.Errorf("no function %s in the call graph (guard target renamed?)", name)
 			continue
 		}
 		if !closure[n] {
-			t.Errorf("%s is AllocsPerRun-pinned but outside the //fod:hotpath closure", n.Name())
+			t.Errorf("%s is AllocsPerRun-pinned but outside the //fod:hotpath closure", name)
 		}
 	}
 	t.Logf("hot closure: %d members across %d packages", len(closure), len(pkgs))

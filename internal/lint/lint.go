@@ -18,8 +18,8 @@
 //     constructs, protecting the constant-delay guarantee of Theorem 2.3 /
 //     Corollary 2.5 across calls, not just in the annotated frame.
 //   - maporder: no unordered `range` over a map in the deterministic
-//     packages (core, cover, dist, graph, lowdeg, serve, skip, snap,
-//     store) unless the statement carries `//fod:sorted`, protecting the
+//     packages (core, cover, dist, graph, serve, skip, snap, store)
+//     unless the statement carries `//fod:sorted`, protecting the
 //     byte-identical parallel-vs-sequential guarantee of the
 //     preprocessing pipeline and the deterministic response/snapshot
 //     promises of the serving layers.

@@ -14,10 +14,7 @@ import (
 // runs by the differential test harness. internal/graph joined the scope
 // with the mutation layer: Patch promises a patched graph byte-identical
 // to rebuilding the same edge and color sets, so its folds over edit
-// deltas are determinism-bearing too. internal/lowdeg joined with the
-// low-degree engine: its parallel ball build promises the same
-// worker-count independence as core's, and its counting groups clauses
-// through maps whose fold order must not leak into results.
+// deltas are determinism-bearing too.
 // internal/serve and internal/snap joined in v2: the serve layer
 // promises one deterministic response envelope per request (stats and
 // query listings must not shuffle between calls), and the snapshot codec
@@ -28,7 +25,6 @@ var mapOrderScope = []string{
 	"internal/cover",
 	"internal/dist",
 	"internal/graph",
-	"internal/lowdeg",
 	"internal/serve",
 	"internal/skip",
 	"internal/snap",

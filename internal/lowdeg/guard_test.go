@@ -108,7 +108,7 @@ func TestLowdegIteratorZeroAllocs(t *testing.T) {
 	if !it.HasNext() {
 		t.Fatal("E17 engine produced no solutions")
 	}
-	zero := make([]graph.V, e.k)
+	zero := make([]graph.V, e.Arity())
 	allocs := testing.AllocsPerRun(2000, func() {
 		if _, ok := it.Next(); !ok {
 			it.Seek(zero)
@@ -135,10 +135,10 @@ func TestLowdegTestZeroAllocs(t *testing.T) {
 	// Interleave guaranteed non-solutions (diagonal tuples are never far
 	// from themselves).
 	for i := 0; i < 64; i++ {
-		v := (i * 31) % e.g.N()
+		v := (i * 31) % e.Graph().N()
 		probes = append(probes, []graph.V{v, v})
 	}
-	a := make([]graph.V, e.k)
+	a := make([]graph.V, e.Arity())
 	i := 0
 	allocs := testing.AllocsPerRun(2000, func() {
 		p := probes[i%len(probes)]
@@ -156,10 +156,10 @@ func TestLowdegTestZeroAllocs(t *testing.T) {
 func TestLowdegNextLastZeroAllocs(t *testing.T) {
 	lowdegGuardGate(t)
 	e := buildGuardEngine(t)
-	prefix := make([]graph.V, e.k-1)
+	prefix := make([]graph.V, e.Arity()-1)
 	v := 0
 	allocs := testing.AllocsPerRun(2000, func() {
-		prefix[0] = v % e.g.N()
+		prefix[0] = v % e.Graph().N()
 		e.NextLast(prefix, 0)
 		v += 17
 	})

@@ -311,9 +311,10 @@ func (s *Server) writeSnapshot(ctx context.Context, key cacheKey, ix *repro.Inde
 	if key.version != 0 {
 		return false // disk tier is version-0 only; see loadSnapshot
 	}
-	if ix.Engine() == repro.EngineLowDeg {
-		// The snapshot format serializes core-engine structures; the lowdeg
-		// build is linear anyway, so persisting buys nothing.
+	if !ix.Snapshottable() {
+		// The snapshot format serializes core-engine structures, which a
+		// lowdeg-backed index says it lacks; its build is linear anyway, so
+		// persisting buys nothing.
 		s.reg.Counter("serve.snapshot.skip_lowdeg").Inc()
 		return false
 	}

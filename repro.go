@@ -43,7 +43,6 @@ import (
 	"repro/internal/fo"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/lowdeg"
 	"repro/internal/obs"
 	"repro/internal/rel"
 	"repro/internal/store"
@@ -184,16 +183,14 @@ func (q *Query) Canonical() string {
 // Index is an immutable snapshot: ApplyEdits derives the index of an
 // edited graph as a new value and never modifies the receiver.
 //
-// An index holds exactly one engine value behind the unexported engine
-// contract (engine.go): the general nowhere-dense engine (the default) or
-// the bounded-degree engine of Durand–Schweikardt–Segoufin, selected per
-// WithEngine. Both meet the same NextGeq/Test/cursor contract, so neither
-// callers nor the methods below ever branch on the kind. A further engine
-// is one implementation of that contract plus one constructor case;
-// persistence (WriteSnapshot) is the one optional capability, and an
-// engine without it reports an error there.
+// There is one engine type, core.Engine. What WithEngine selects is the
+// locality it is built over — the paper's cover machinery (the default) or
+// the sorted balls of Durand–Schweikardt–Segoufin's bounded-degree case —
+// so no method below branches on the kind; only Build (construction) and
+// WriteSnapshot (the ball locality has no snapshot form, and says so) know
+// there are two.
 type Index struct {
-	eng     engine
+	eng     *core.Engine
 	sel     Selection // how the engine was chosen
 	k       int
 	q       *Query // retained for snapshots; nil only for zero-value indexes
@@ -341,21 +338,11 @@ func (ix *Index) IteratorFrom(a []int) Cursor { return ix.eng.IteratorFrom(a) }
 func (ix *Index) Arity() int { return ix.k }
 
 // Stats exposes preprocessing and answering statistics. For a
-// lowdeg-backed index the cover/kernel/skip fields are zero (that engine
-// builds none of them) and the shared fields — starter sizes, candidate
-// and local-evaluation counters, workers, mutation counts — carry the
-// lowdeg numbers; see LowDegStats for the engine-specific view.
+// lowdeg-backed index the cover, dist and skip fields are zero (its
+// locality builds none of them) and MaxDegree, BallEntries and CompEntries
+// describe the ball structure; on a core-backed index it is the other way
+// round. Everything else means the same for both.
 func (ix *Index) Stats() core.Stats { return ix.eng.Stats() }
-
-// LowDegStats returns the low-degree engine's statistics; ok is false for
-// an index backed by any other engine.
-func (ix *Index) LowDegStats() (s lowdeg.Stats, ok bool) {
-	l, ok := ix.eng.(lowdegEngine)
-	if !ok {
-		return lowdeg.Stats{}, false
-	}
-	return l.Engine.Stats(), true
-}
 
 // Metrics returns the registry the index records into, or nil when the
 // index was built without WithMetrics.

@@ -16,10 +16,11 @@
 #            signature it calls is caught here; the snapshot decoder
 #            fuzzes for 30s (FuzzSnapshotLoad):
 #            hostile bytes must yield typed errors, never a panic or OOM;
-#            the cross-engine fuzzer (FuzzEngineEquivalence) drives the
-#            core engine, the lowdeg engine and the naive oracle through
-#            the shared conformance checks on random bounded-degree
-#            graphs for another 30s
+#            the cross-engine fuzzer (FuzzEngineEquivalence, kept with
+#            the lowdeg constructor in internal/lowdeg) drives the one
+#            engine over both localities and the naive oracle through the
+#            shared conformance checks on random bounded-degree graphs
+#            for another 30s
 #   tier 3 — performance guards:
 #            (a) metrics-overhead guard: NextGeq with metrics disabled must
 #                not be slower than with metrics enabled (the nil-sink fast
@@ -45,11 +46,11 @@
 #                (the §3 n^ε update regime), and the mutated index must
 #                keep the zero-alloc Iterator.Next/Index.Test hot paths
 #                (see README "Mutations")
-#            (g) lowdeg guards (LOWDEG_GUARD=1): on the degree-bounded
-#                E17 graph the lowdeg build must be ≥5× cheaper than the
-#                core build, and Iterator.Next (the shared core.Iterator
-#                over the lowdeg engine) / Test / NextLast must report
-#                0 allocs/op (see README "Engine modes")
+#            (g) lowdeg guards (LOWDEG_GUARD=1, tests in internal/lowdeg):
+#                on the degree-bounded E17 graph the ball-locality build
+#                must be ≥5× cheaper than the cover-locality build, and
+#                Iterator.Next / Test / NextLast over the ball locality
+#                must report 0 allocs/op (see README "Engine modes")
 #            (h) self-lint guards (LINT2_GUARD=1): all seven fodlint
 #                analyzers must come back clean over the whole module
 #                (internal/lint included) modulo the reviewed baseline,

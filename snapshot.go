@@ -20,9 +20,18 @@ import (
 //
 // The output is deterministic: the same graph and query always produce
 // the same bytes, so snapshots can be content-addressed and compared.
+//
+// A lowdeg-backed index cannot be snapshotted; see Snapshottable.
 func (ix *Index) WriteSnapshot(w io.Writer) error {
 	return ix.writeSnapshot(context.Background(), w, nil)
 }
+
+// Snapshottable reports whether WriteSnapshot can succeed: the format
+// serializes the structures of the core engine's locality (cover, kernels,
+// distance recursion, skip pointers), and the engine says whether it has
+// them. A lowdeg-backed index has not — its linear build makes persisting
+// pointless.
+func (ix *Index) Snapshottable() bool { return ix.eng.Snapshottable() }
 
 // writeSnapshot is WriteSnapshot with encode instrumentation: section
 // timings become "snap.encode" spans in m — enrolled in the request trace
@@ -32,11 +41,7 @@ func (ix *Index) writeSnapshot(ctx context.Context, w io.Writer, m *Metrics) err
 	if ix.q == nil {
 		return fmt.Errorf("repro: index has no query attached; only indexes from Build or a snapshot loader can be snapshotted")
 	}
-	sp, ok := ix.eng.(snapshotParter)
-	if !ok {
-		// The snapshot format serializes the core engine's structures
-		// (cover, kernels, distance recursion, skip pointers); an engine
-		// that has none of them does not offer SnapshotParts.
+	if !ix.Snapshottable() {
 		return fmt.Errorf("repro: a %s-backed index cannot be snapshotted (the engine has no snapshot form); rebuild it instead", ix.Engine())
 	}
 	lq, err := ix.q.compile()
@@ -56,7 +61,7 @@ func (ix *Index) writeSnapshot(ctx context.Context, w io.Writer, m *Metrics) err
 		LocalRadius: lq.LocalRadius,
 		Guarded:     lq.Guarded,
 	}
-	_, err = snap.WriteTraced(ctx, w, ix.Graph(), meta, sp.SnapshotParts(), m)
+	_, err = snap.WriteTraced(ctx, w, ix.Graph(), meta, ix.eng.SnapshotParts(), m)
 	return err
 }
 
@@ -141,15 +146,14 @@ func restoreSnapshotCtx(ctx context.Context, s *snap.Snapshot, opt IndexOptions)
 	if err != nil {
 		return nil, err
 	}
-	// Snapshots always hold the core engine (it alone offers
-	// SnapshotParts), so the restored selection is a forced core choice
-	// with unexamined estimates.
+	// Snapshots always hold the core engine (see Snapshottable), so the
+	// restored selection is a forced core choice with unexamined estimates.
 	sel := Selection{
 		Requested: EngineCore, Chosen: EngineCore,
 		MaxDegree: -1, Degeneracy: -1,
 		DegreeLimit: AutoMaxDegree, DegeneracyLimit: AutoMaxDegeneracy,
 	}
-	return &Index{eng: coreEngine{e}, sel: sel, k: lq.K, q: q}, nil
+	return &Index{eng: e, sel: sel, k: lq.K, q: q}, nil
 }
 
 // SnapshotGraph returns the graph embedded in snapshot bytes without
