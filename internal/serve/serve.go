@@ -51,16 +51,11 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/snap"
 )
@@ -245,95 +240,6 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// snapshotPath is the disk-tier file of one (graph, query) pair, keyed by
-// the same deterministic id the API exposes.
-func (s *Server) snapshotPath(key cacheKey) string {
-	return filepath.Join(s.cfg.SnapshotDir, queryID(key.graph, key.canonical)+".fodsnap")
-}
-
-// loadSnapshot is the disk tier of the index cache. It validates cheaply
-// first — metadata canonical text and graph fingerprint against the
-// served graph — and only then pays for the full restore. Any failure
-// (missing file, corruption, foreign graph) falls back to building; the
-// error classes are counted separately so operators can tell a cold
-// directory from a corrupted one.
-func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, bool) {
-	if key.version != 0 {
-		// The disk tier holds only version-0 indexes: snapshot files are
-		// fingerprinted against the graph as configured at startup, and
-		// mutated versions are cheaper to derive by edit-log replay than
-		// to persist (they change with every batch).
-		return nil, false
-	}
-	data, err := os.ReadFile(s.snapshotPath(key))
-	if err != nil {
-		return nil, false // cold tier: no snapshot yet
-	}
-	start := time.Now()
-	reject := func(counter, reason string) (*repro.Index, bool) {
-		s.reg.Counter(counter).Inc()
-		// Rejections pay real latency (read + parse + validate) that the
-		// success histogram must not absorb; they get their own.
-		s.reg.Histogram("serve.snapshot.reject_ns").Observe(time.Since(start))
-		s.logEvent(ctx, slog.LevelWarn, "snapshot_reject",
-			slog.String("query_id", queryID(key.graph, key.canonical)),
-			slog.String("reason", reason))
-		return nil, false
-	}
-	f, err := snap.Parse(data)
-	if err != nil {
-		return reject("serve.snapshot.corrupt", "corrupt: "+err.Error())
-	}
-	meta, err := snap.ReadMeta(f)
-	if err != nil {
-		return reject("serve.snapshot.corrupt", "corrupt: "+err.Error())
-	}
-	if meta.Canonical != key.canonical || meta.GraphFingerprint != s.graphFP[key.graph] {
-		return reject("serve.snapshot.mismatch", "foreign graph or query")
-	}
-	ix, err := repro.ReadIndexSnapshotCtx(ctx, data, repro.WithParallelism(s.cfg.Parallelism), repro.WithMetrics(s.reg))
-	if err != nil {
-		return reject("serve.snapshot.corrupt", "restore: "+err.Error())
-	}
-	d := time.Since(start)
-	s.reg.Histogram("serve.snapshot.load_ns").Observe(d)
-	s.logEvent(ctx, slog.LevelInfo, "snapshot_load",
-		slog.String("query_id", queryID(key.graph, key.canonical)),
-		slog.Int64("dur_us", d.Microseconds()),
-		slog.Int("bytes", len(data)))
-	return ix, true
-}
-
-// writeSnapshot persists a freshly built index for the next cold start.
-// Failures are counted and swallowed — the build already succeeded, so
-// the request must not fail because the disk tier is unhappy.
-func (s *Server) writeSnapshot(ctx context.Context, key cacheKey, ix *repro.Index) bool {
-	if key.version != 0 {
-		return false // disk tier is version-0 only; see loadSnapshot
-	}
-	if !ix.Snapshottable() {
-		// The snapshot format serializes core-engine structures, which a
-		// lowdeg-backed index says it lacks; its build is linear anyway, so
-		// persisting buys nothing.
-		s.reg.Counter("serve.snapshot.skip_lowdeg").Inc()
-		return false
-	}
-	start := time.Now()
-	if err := repro.SaveIndexSnapshotObs(ctx, ix, s.snapshotPath(key), s.reg); err != nil {
-		s.reg.Counter("serve.snapshot.write_errors").Inc()
-		s.logEvent(ctx, slog.LevelWarn, "snapshot_write_failed",
-			slog.String("query_id", queryID(key.graph, key.canonical)),
-			slog.String("error", err.Error()))
-		return false
-	}
-	d := time.Since(start)
-	s.reg.Histogram("serve.snapshot.write_ns").Observe(d)
-	s.logEvent(ctx, slog.LevelInfo, "snapshot_write",
-		slog.String("query_id", queryID(key.graph, key.canonical)),
-		slog.Int64("dur_us", d.Microseconds()))
-	return true
-}
-
 // logEvent emits one structured event record with the trace id of the
 // request (or build flight) the context belongs to. No-op without Logger.
 func (s *Server) logEvent(ctx context.Context, lvl slog.Level, msg string, attrs ...slog.Attr) {
@@ -346,104 +252,6 @@ func (s *Server) logEvent(ctx context.Context, lvl slog.Level, msg string, attrs
 	}
 	attrs = append(attrs, slog.String("trace_id", tid))
 	s.log.LogAttrs(ctx, lvl, msg, attrs...)
-}
-
-// migrateIndex is the cache's incremental tier: on a miss for
-// (graph, version, query) it looks for a resident index of an older
-// retained version of the same graph and advances it by replaying the
-// intervening edit batches through Index.ApplyEdits, which recomputes
-// only the structure the edits touched — the n^ε update route the
-// mutation layer exists for. ok=false (chain broken, replay failed, no
-// resident ancestor) falls back to a full build.
-func (s *Server) migrateIndex(ctx context.Context, key cacheKey) (*repro.Index, bool) {
-	gs, ok := s.graphs[key.graph]
-	if !ok || key.version == 0 {
-		return nil, false
-	}
-	qid := queryID(key.graph, key.canonical)
-	start := time.Now()
-	for v := key.version - 1; v >= 0; v-- {
-		old, ok := s.cache.Peek(cacheKey{graph: key.graph, version: v, canonical: key.canonical})
-		if !ok {
-			continue
-		}
-		batches, ok := gs.editsSince(v, key.version)
-		if !ok {
-			return nil, false // chain broken: a link left the retention window
-		}
-		ix, err := old, error(nil)
-		for _, batch := range batches {
-			if ix, err = ix.ApplyEdits(ctx, batch); err != nil {
-				break
-			}
-		}
-		if err != nil {
-			s.logEvent(ctx, slog.LevelWarn, "index_migrate_failed",
-				slog.String("graph", key.graph),
-				slog.String("query_id", qid),
-				slog.Int("from_version", v),
-				slog.Int("to_version", key.version),
-				slog.String("error", err.Error()))
-			return nil, false // fall back to a full build
-		}
-		s.logEvent(ctx, slog.LevelInfo, "index_migrate",
-			slog.String("graph", key.graph),
-			slog.String("query_id", qid),
-			slog.Int("from_version", v),
-			slog.Int("to_version", key.version),
-			slog.Int64("dur_us", time.Since(start).Microseconds()))
-		return ix, true
-	}
-	return nil, false
-}
-
-// buildIndex is the cache's build-from-scratch function: it resolves the
-// key back to the registered query and the pinned graph version and runs
-// the context-bounded parallel build.
-func (s *Server) buildIndex(ctx context.Context, key cacheKey) (*repro.Index, error) {
-	gs, ok := s.graphs[key.graph]
-	if !ok {
-		return nil, fmt.Errorf("serve: graph %q disappeared", key.graph)
-	}
-	gv, ok := gs.At(key.version)
-	if !ok {
-		// The version left the retention window between cursor decode and
-		// this flight.
-		return nil, &versionGoneError{graph: key.graph, version: key.version}
-	}
-	s.mu.Lock()
-	var q *repro.Query
-	//fod:sorted order-free: (graph, canonical) identifies at most one entry, so the scan's first hit is its only hit
-	for _, e := range s.queries {
-		if e.graph == key.graph && e.canonical == key.canonical {
-			q = e.q
-			break
-		}
-	}
-	s.mu.Unlock()
-	if q == nil {
-		return nil, fmt.Errorf("serve: query %q not registered", key.canonical)
-	}
-
-	qid := queryID(key.graph, key.canonical)
-	start := time.Now()
-	ix, err := repro.Build(ctx, gv.g, q,
-		repro.WithParallelism(s.cfg.Parallelism), repro.WithMetrics(s.reg), repro.WithEngine(s.cfg.Engine))
-	if err != nil {
-		s.logEvent(ctx, slog.LevelWarn, "index_build_failed",
-			slog.String("graph", key.graph),
-			slog.String("query_id", qid),
-			slog.Int("version", key.version),
-			slog.String("error", err.Error()))
-		return nil, err
-	}
-	s.logEvent(ctx, slog.LevelInfo, "index_build",
-		slog.String("graph", key.graph),
-		slog.String("query_id", qid),
-		slog.Int("version", key.version),
-		slog.String("engine", string(ix.Engine())),
-		slog.Int64("dur_us", time.Since(start).Microseconds()))
-	return ix, nil
 }
 
 // queryID derives the deterministic id of a (graph, canonical) pair.
@@ -662,339 +470,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
-	qs := r.URL.Query()
-	id := qs.Get("query")
-	cursor := qs.Get("cursor")
-
-	var start []int
-	version := cursorHead
-	skipFirst := false
-	if cursor != "" {
-		cid, cver, last, err := decodeCursor(cursor)
-		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, ErrInvalidCursor, err.Error())
-			return
-		}
-		if id != "" && id != cid {
-			writeErr(w, r, http.StatusBadRequest, ErrInvalidCursor, "cursor belongs to a different query")
-			return
-		}
-		id = cid
-		version = cver
-		start = last
-		skipFirst = true
-	}
-	if id == "" {
-		writeErr(w, r, http.StatusBadRequest, ErrBadRequest, "query or cursor is required")
-		return
-	}
-	entry, ok := s.lookupQuery(id)
-	if !ok {
-		writeErr(w, r, http.StatusNotFound, ErrUnknownQuery, fmt.Sprintf("query %q is not registered", id))
-		return
-	}
-	// A fresh enumeration (or a legacy v1 cursor) reads the current head;
-	// a v2 cursor stays pinned to the version its stream started on, for
-	// one consistent snapshot across pages — 410 once that version has
-	// been garbage-collected.
-	gs := s.graphs[entry.graph]
-	var gv *graphVersion
-	if version == cursorHead {
-		gv = gs.Head()
-	} else if gv, ok = gs.At(version); !ok {
-		writeErr(w, r, http.StatusGone, ErrVersionGone,
-			fmt.Sprintf("version %d of graph %q is no longer retained; restart the enumeration without a cursor", version, entry.graph))
-		return
-	}
-	if start == nil {
-		start = make([]int, entry.arity)
-	} else if err := validateTuple(start, entry.arity, gv.g.N()); err != nil {
-		writeErr(w, r, http.StatusBadRequest, ErrInvalidCursor, err.Error())
-		return
-	}
-
-	limit := s.cfg.DefaultLimit
-	if v := qs.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, ErrBadRequest, fmt.Sprintf("bad limit %q", v))
-			return
-		}
-		if n > 0 {
-			limit = n
-		}
-	}
-	if limit > s.cfg.MaxLimit {
-		limit = s.cfg.MaxLimit // cap, don't error: the cursor loses nothing
-	}
-
-	ix, _, err := s.cache.Get(r.Context(), cacheKey{graph: entry.graph, version: gv.version, canonical: entry.canonical})
-	if err != nil {
-		s.writeCacheErr(w, r, err)
-		return
-	}
-
-	// Two spans, matching the paper's split: the O(1) cursor resume (Seek
-	// Lemma / NextGeq positioning) and the constant-delay page scan.
-	ctx := r.Context()
-	sp := s.reg.StartSpan(ctx, "enumerate.resume")
-	it := ix.IteratorFrom(start)
-	sp.End()
-	sp = s.reg.StartSpan(ctx, "enumerate.scan")
-	sols := make([][]int, 0, min(limit, 1024))
-	for len(sols) < limit {
-		if len(sols)%64 == 0 && ctx.Err() != nil {
-			sp.End()
-			s.writeCacheErr(w, r, ctx.Err())
-			return
-		}
-		sol, ok := it.Next()
-		if !ok {
-			break
-		}
-		if skipFirst {
-			skipFirst = false
-			if tupleEqual(sol, start) {
-				continue // the cursor tuple itself was already served
-			}
-		}
-		// The iterator reuses its buffer across Next calls; copy.
-		cp := make([]int, len(sol))
-		copy(cp, sol)
-		sols = append(sols, cp)
-	}
-	sp.End()
-
-	resp := EnumerateResponse{
-		ID:        entry.id,
-		Version:   gv.version,
-		Solutions: sols,
-		Count:     len(sols),
-		Limit:     limit,
-		Done:      !it.HasNext(),
-	}
-	if !resp.Done && len(sols) > 0 {
-		resp.NextCursor = encodeCursor(entry.id, gv.version, sols[len(sols)-1])
-	}
-	writeData(w, r, http.StatusOK, resp)
-}
-
-func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) {
-	entry, tuple, ix, ver, ok := s.tupleEndpoint(w, r)
-	if !ok {
-		return
-	}
-	writeData(w, r, http.StatusOK, TestResponse{ID: entry.id, Version: ver, Tuple: tuple, Solution: ix.Test(tuple)})
-}
-
-func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
-	entry, tuple, ix, ver, ok := s.tupleEndpoint(w, r)
-	if !ok {
-		return
-	}
-	sol, found := ix.Next(tuple)
-	writeData(w, r, http.StatusOK, NextResponse{ID: entry.id, Version: ver, Solution: sol, Found: found})
-}
-
-// tupleEndpoint factors the shared decode/validate/index-fetch path of
-// /v1/test and /v1/next. Point lookups always answer at the current head
-// version (they carry no cursor to pin an older one); the version they
-// answered at is returned for the response.
-func (s *Server) tupleEndpoint(w http.ResponseWriter, r *http.Request) (*queryEntry, []int, *repro.Index, int, bool) {
-	var req TupleRequest
-	if !decodeBody(w, r, &req) {
-		return nil, nil, nil, 0, false
-	}
-	entry, ok := s.lookupQuery(req.ID)
-	if !ok {
-		writeErr(w, r, http.StatusNotFound, ErrUnknownQuery, fmt.Sprintf("query %q is not registered", req.ID))
-		return nil, nil, nil, 0, false
-	}
-	gv := s.graphs[entry.graph].Head()
-	if err := validateTuple(req.Tuple, entry.arity, gv.g.N()); err != nil {
-		writeErr(w, r, http.StatusBadRequest, ErrBadRequest, err.Error())
-		return nil, nil, nil, 0, false
-	}
-	ix, _, err := s.cache.Get(r.Context(), cacheKey{graph: entry.graph, version: gv.version, canonical: entry.canonical})
-	if err != nil {
-		s.writeCacheErr(w, r, err)
-		return nil, nil, nil, 0, false
-	}
-	return entry, req.Tuple, ix, gv.version, true
-}
-
-// handleCount evaluates a counting query `#x̄ φ` at the graph's head
-// version. The count itself is served from the index (cached per index
-// value — an index is an immutable snapshot of one graph version, so the
-// number can never go stale) through the engine's sub-enumeration
-// counting path when the query shape supports one, full enumeration
-// otherwise; Fast in the response tells the two apart.
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	var req CountRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	id := req.ID
-	if id == "" {
-		// Inline registration from the `#x,y: φ` counting form.
-		if req.Graph == "" || req.Query == "" {
-			writeErr(w, r, http.StatusBadRequest, ErrBadRequest, "id, or graph and a '#vars: formula' query, are required")
-			return
-		}
-		if _, ok := s.graphs[req.Graph]; !ok {
-			writeErr(w, r, http.StatusNotFound, ErrUnknownGraph, fmt.Sprintf("graph %q is not loaded", req.Graph))
-			return
-		}
-		q, err := repro.ParseCountQuery(req.Query)
-		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, ErrBadRequest, err.Error())
-			return
-		}
-		if _, err := q.Plan(); err != nil {
-			writeErr(w, r, http.StatusBadRequest, ErrBadRequest, err.Error())
-			return
-		}
-		canonical := q.Canonical()
-		id = queryID(req.Graph, canonical)
-		s.mu.Lock()
-		if _, ok := s.queries[id]; !ok {
-			s.queries[id] = &queryEntry{id: id, graph: req.Graph, canonical: canonical, q: q, arity: q.Arity()}
-		}
-		s.mu.Unlock()
-	}
-	entry, ok := s.lookupQuery(id)
-	if !ok {
-		writeErr(w, r, http.StatusNotFound, ErrUnknownQuery, fmt.Sprintf("query %q is not registered", id))
-		return
-	}
-	gv := s.graphs[entry.graph].Head()
-	ix, _, err := s.cache.Get(r.Context(), cacheKey{graph: entry.graph, version: gv.version, canonical: entry.canonical})
-	if err != nil {
-		s.writeCacheErr(w, r, err)
-		return
-	}
-	sp := s.reg.StartSpan(r.Context(), "count.eval")
-	n, fast, err := ix.SolutionCountCtx(r.Context())
-	sp.End()
-	if err != nil {
-		s.writeCacheErr(w, r, err)
-		return
-	}
-	writeData(w, r, http.StatusOK, CountResponse{
-		ID:      entry.id,
-		Version: gv.version,
-		Count:   n,
-		Fast:    fast,
-		Engine:  string(ix.Engine()),
-	})
-}
-
-// handleMutate applies one edit batch to a graph and publishes the
-// resulting version. The mutation itself is O(patched graph) — indexes
-// over the new version are derived lazily, on first request, from
-// resident older versions through the incremental ApplyEdits path (see
-// buildIndex), so a mutation's cost is never multiplied by the number of
-// registered queries up front.
-func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	var req MutateRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Graph == "" || len(req.Edits) == 0 {
-		writeErr(w, r, http.StatusBadRequest, ErrBadRequest, "graph and a non-empty edits batch are required")
-		return
-	}
-	gs, ok := s.graphs[req.Graph]
-	if !ok {
-		writeErr(w, r, http.StatusNotFound, ErrUnknownGraph, fmt.Sprintf("graph %q is not loaded", req.Graph))
-		return
-	}
-	edits := make([]repro.Edit, len(req.Edits))
-	for i, spec := range req.Edits {
-		op, err := graph.ParseEditOp(spec.Op)
-		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, ErrBadRequest,
-				fmt.Sprintf("edit %d: unknown op %q (want add_edge, remove_edge, add_color or remove_color)", i, spec.Op))
-			return
-		}
-		edits[i] = repro.Edit{Op: op, U: spec.U, V: spec.V, Color: spec.Color}
-	}
-	sp := s.reg.StartSpan(r.Context(), "mutate.publish")
-	gv, noop, err := gs.Mutate(edits)
-	sp.End()
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, ErrBadRequest, err.Error())
-		return
-	}
-	if !noop {
-		s.logEvent(r.Context(), slog.LevelInfo, "graph_mutate",
-			slog.String("graph", req.Graph),
-			slog.Int("version", gv.version),
-			slog.Int("edits", len(edits)))
-	}
-	writeData(w, r, http.StatusOK, MutateResponse{
-		Graph:   req.Graph,
-		Version: gv.version,
-		Applied: len(edits),
-		NoOp:    noop,
-		N:       gv.g.N(),
-		M:       gv.g.M(),
-	})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	engine := s.cfg.Engine
-	if engine == "" {
-		engine = repro.EngineCore
-	}
-	resp := StatsResponse{
-		Graphs: make(map[string]GraphStats, len(s.graphs)),
-		Cache:  s.cache.Stats(),
-		Engine: string(engine),
-	}
-	//fod:sorted order-free: key-addressed fill of the response map; the JSON encoder emits map keys sorted
-	for name, gs := range s.graphs {
-		gv := gs.Head()
-		resp.Graphs[name] = GraphStats{
-			N:        gv.g.N(),
-			M:        gv.g.M(),
-			Colors:   gv.g.NumColors(),
-			Version:  gv.version,
-			Retained: gs.Retained(),
-		}
-	}
-	s.mu.Lock()
-	//fod:sorted the collected slice is sorted by ID immediately after this fold (below)
-	for _, e := range s.queries {
-		qs := QueryStats{
-			ID: e.id, Graph: e.graph, Canonical: e.canonical, Arity: e.arity,
-		}
-		// Peek (never build) at the head index to report which engine backs
-		// it and the selection inputs that routed it there.
-		gv := s.graphs[e.graph].Head()
-		if ix, ok := s.cache.Peek(cacheKey{graph: e.graph, version: gv.version, canonical: e.canonical}); ok {
-			sel := ix.Selection()
-			qs.Engine = string(ix.Engine())
-			qs.Selection = &sel
-		}
-		resp.Queries = append(resp.Queries, qs)
-	}
-	s.mu.Unlock()
-	sort.Slice(resp.Queries, func(i, j int) bool { return resp.Queries[i].ID < resp.Queries[j].ID })
-	if s.reg != nil {
-		var b strings.Builder
-		if err := s.reg.WriteJSON(&b); err == nil {
-			resp.Metrics = json.RawMessage(b.String())
-		}
-	}
-	writeData(w, r, http.StatusOK, resp)
-}
-
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	writeData(w, r, http.StatusOK, FlushResponse{Flushed: s.cache.Flush()})
-}
-
 // --- helpers ----------------------------------------------------------
 
 func (s *Server) lookupQuery(id string) (*queryEntry, bool) {
@@ -1057,16 +532,4 @@ func validateTuple(tuple []int, arity, n int) error {
 		}
 	}
 	return nil
-}
-
-func tupleEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

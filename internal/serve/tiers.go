@@ -1,0 +1,200 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"log/slog"
+	"os"
+	"path/filepath"
+	"time"
+
+	"repro"
+	"repro/internal/snap"
+)
+
+// snapshotPath is the disk-tier file of one (graph, query) pair, keyed by
+// the same deterministic id the API exposes.
+func (s *Server) snapshotPath(key cacheKey) string {
+	return filepath.Join(s.cfg.SnapshotDir, queryID(key.graph, key.canonical)+".fodsnap")
+}
+
+// loadSnapshot is the disk tier of the index cache. It validates cheaply
+// first — metadata canonical text and graph fingerprint against the
+// served graph — and only then pays for the full restore. Any failure
+// (missing file, corruption, foreign graph) falls back to building; the
+// error classes are counted separately so operators can tell a cold
+// directory from a corrupted one.
+func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, bool) {
+	if key.version != 0 {
+		// The disk tier holds only version-0 indexes: snapshot files are
+		// fingerprinted against the graph as configured at startup, and
+		// mutated versions are cheaper to derive by edit-log replay than
+		// to persist (they change with every batch).
+		return nil, false
+	}
+	data, err := os.ReadFile(s.snapshotPath(key))
+	if err != nil {
+		return nil, false // cold tier: no snapshot yet
+	}
+	start := time.Now()
+	reject := func(counter, reason string) (*repro.Index, bool) {
+		s.reg.Counter(counter).Inc()
+		// Rejections pay real latency (read + parse + validate) that the
+		// success histogram must not absorb; they get their own.
+		s.reg.Histogram("serve.snapshot.reject_ns").Observe(time.Since(start))
+		s.logEvent(ctx, slog.LevelWarn, "snapshot_reject",
+			slog.String("query_id", queryID(key.graph, key.canonical)),
+			slog.String("reason", reason))
+		return nil, false
+	}
+	f, err := snap.Parse(data)
+	if err != nil {
+		return reject("serve.snapshot.corrupt", "corrupt: "+err.Error())
+	}
+	meta, err := snap.ReadMeta(f)
+	if err != nil {
+		return reject("serve.snapshot.corrupt", "corrupt: "+err.Error())
+	}
+	if meta.Canonical != key.canonical || meta.GraphFingerprint != s.graphFP[key.graph] {
+		return reject("serve.snapshot.mismatch", "foreign graph or query")
+	}
+	ix, err := repro.ReadIndexSnapshotCtx(ctx, data, repro.WithParallelism(s.cfg.Parallelism), repro.WithMetrics(s.reg))
+	if err != nil {
+		return reject("serve.snapshot.corrupt", "restore: "+err.Error())
+	}
+	d := time.Since(start)
+	s.reg.Histogram("serve.snapshot.load_ns").Observe(d)
+	s.logEvent(ctx, slog.LevelInfo, "snapshot_load",
+		slog.String("query_id", queryID(key.graph, key.canonical)),
+		slog.Int64("dur_us", d.Microseconds()),
+		slog.Int("bytes", len(data)))
+	return ix, true
+}
+
+// writeSnapshot persists a freshly built index for the next cold start.
+// Failures are counted and swallowed — the build already succeeded, so
+// the request must not fail because the disk tier is unhappy.
+func (s *Server) writeSnapshot(ctx context.Context, key cacheKey, ix *repro.Index) bool {
+	if key.version != 0 {
+		return false // disk tier is version-0 only; see loadSnapshot
+	}
+	if !ix.Snapshottable() {
+		// The snapshot format serializes core-engine structures, which a
+		// lowdeg-backed index says it lacks; its build is linear anyway, so
+		// persisting buys nothing.
+		s.reg.Counter("serve.snapshot.skip_lowdeg").Inc()
+		return false
+	}
+	start := time.Now()
+	if err := repro.SaveIndexSnapshotObs(ctx, ix, s.snapshotPath(key), s.reg); err != nil {
+		s.reg.Counter("serve.snapshot.write_errors").Inc()
+		s.logEvent(ctx, slog.LevelWarn, "snapshot_write_failed",
+			slog.String("query_id", queryID(key.graph, key.canonical)),
+			slog.String("error", err.Error()))
+		return false
+	}
+	d := time.Since(start)
+	s.reg.Histogram("serve.snapshot.write_ns").Observe(d)
+	s.logEvent(ctx, slog.LevelInfo, "snapshot_write",
+		slog.String("query_id", queryID(key.graph, key.canonical)),
+		slog.Int64("dur_us", d.Microseconds()))
+	return true
+}
+
+// migrateIndex is the cache's incremental tier: on a miss for
+// (graph, version, query) it looks for a resident index of an older
+// retained version of the same graph and advances it by replaying the
+// intervening edit batches through Index.ApplyEdits, which recomputes
+// only the structure the edits touched — the n^ε update route the
+// mutation layer exists for. ok=false (chain broken, replay failed, no
+// resident ancestor) falls back to a full build.
+func (s *Server) migrateIndex(ctx context.Context, key cacheKey) (*repro.Index, bool) {
+	gs, ok := s.graphs[key.graph]
+	if !ok || key.version == 0 {
+		return nil, false
+	}
+	qid := queryID(key.graph, key.canonical)
+	start := time.Now()
+	for v := key.version - 1; v >= 0; v-- {
+		old, ok := s.cache.Peek(cacheKey{graph: key.graph, version: v, canonical: key.canonical})
+		if !ok {
+			continue
+		}
+		batches, ok := gs.editsSince(v, key.version)
+		if !ok {
+			return nil, false // chain broken: a link left the retention window
+		}
+		ix, err := old, error(nil)
+		for _, batch := range batches {
+			if ix, err = ix.ApplyEdits(ctx, batch); err != nil {
+				break
+			}
+		}
+		if err != nil {
+			s.logEvent(ctx, slog.LevelWarn, "index_migrate_failed",
+				slog.String("graph", key.graph),
+				slog.String("query_id", qid),
+				slog.Int("from_version", v),
+				slog.Int("to_version", key.version),
+				slog.String("error", err.Error()))
+			return nil, false // fall back to a full build
+		}
+		s.logEvent(ctx, slog.LevelInfo, "index_migrate",
+			slog.String("graph", key.graph),
+			slog.String("query_id", qid),
+			slog.Int("from_version", v),
+			slog.Int("to_version", key.version),
+			slog.Int64("dur_us", time.Since(start).Microseconds()))
+		return ix, true
+	}
+	return nil, false
+}
+
+// buildIndex is the cache's build-from-scratch function: it resolves the
+// key back to the registered query and the pinned graph version and runs
+// the context-bounded parallel build.
+func (s *Server) buildIndex(ctx context.Context, key cacheKey) (*repro.Index, error) {
+	gs, ok := s.graphs[key.graph]
+	if !ok {
+		return nil, fmt.Errorf("serve: graph %q disappeared", key.graph)
+	}
+	gv, ok := gs.At(key.version)
+	if !ok {
+		// The version left the retention window between cursor decode and
+		// this flight.
+		return nil, &versionGoneError{graph: key.graph, version: key.version}
+	}
+	s.mu.Lock()
+	var q *repro.Query
+	//fod:sorted order-free: (graph, canonical) identifies at most one entry, so the scan's first hit is its only hit
+	for _, e := range s.queries {
+		if e.graph == key.graph && e.canonical == key.canonical {
+			q = e.q
+			break
+		}
+	}
+	s.mu.Unlock()
+	if q == nil {
+		return nil, fmt.Errorf("serve: query %q not registered", key.canonical)
+	}
+
+	qid := queryID(key.graph, key.canonical)
+	start := time.Now()
+	ix, err := repro.Build(ctx, gv.g, q,
+		repro.WithParallelism(s.cfg.Parallelism), repro.WithMetrics(s.reg), repro.WithEngine(s.cfg.Engine))
+	if err != nil {
+		s.logEvent(ctx, slog.LevelWarn, "index_build_failed",
+			slog.String("graph", key.graph),
+			slog.String("query_id", qid),
+			slog.Int("version", key.version),
+			slog.String("error", err.Error()))
+		return nil, err
+	}
+	s.logEvent(ctx, slog.LevelInfo, "index_build",
+		slog.String("graph", key.graph),
+		slog.String("query_id", qid),
+		slog.Int("version", key.version),
+		slog.String("engine", string(ix.Engine())),
+		slog.Int64("dur_us", time.Since(start).Microseconds()))
+	return ix, nil
+}
