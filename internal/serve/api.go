@@ -1,9 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
+	"sync"
+	"unicode/utf8"
 
 	"repro"
 	"repro/internal/obs"
@@ -234,20 +236,79 @@ func traceIDFrom(r *http.Request) string {
 	return ""
 }
 
-func writeEnvelope(w http.ResponseWriter, status int, env envelope) {
-	// Encode to a buffer first: a marshal failure discovered after
-	// WriteHeader would leave the client a truncated 200 body.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(env); err != nil {
-		http.Error(w, `{"error":{"code":"internal","message":"response encoding failed"}}`,
-			http.StatusInternalServerError)
+// respBuf is one response body under construction. Every /v1 response is
+// built whole in one of these — by encoding/json for the fixed-size
+// envelopes, by the page writer in enumerate.go for /v1/enumerate — and
+// sent with a single Write, so a failure found half-way (a marshal error,
+// a deadline in the middle of a page scan) can still be answered with a
+// typed error envelope instead of a torn 200.
+//
+// Ownership: the function that takes a respBuf from the pool returns it,
+// after its one writeBody call and before it returns itself.
+// ResponseWriter.Write copies what it is given, so once the handler is
+// done nothing refers to pooled bytes any more.
+type respBuf struct{ b []byte }
+
+func (p *respBuf) Write(q []byte) (int, error) {
+	p.b = append(p.b, q...)
+	return len(q), nil
+}
+
+// maxPooledBuf is the largest buffer the pool keeps. A MaxLimit page of a
+// binary query is about 0.4 MiB; a body that outgrew 1 MiB came from an
+// unusual request (a huge configured MaxLimit, a metrics-laden /v1/stats)
+// and pinning its buffer for the common ones would only hold memory.
+const maxPooledBuf = 1 << 20
+
+var bufPool = sync.Pool{New: func() any { return new(respBuf) }}
+
+func getBuf() *respBuf { return bufPool.Get().(*respBuf) }
+
+func putBuf(p *respBuf) {
+	if cap(p.b) > maxPooledBuf {
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	p.b = p.b[:0]
+	bufPool.Put(p)
+}
+
+// writeBody sends one complete JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	w.Write(buf.Bytes()) //fod:errok — the client hung up; there is no one left to tell
+	w.Write(body) //fod:errok — the client hung up; there is no one left to tell
+}
+
+func writeEnvelope(w http.ResponseWriter, status int, env envelope) {
+	buf := getBuf()
+	defer putBuf(buf)
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(env); err != nil {
+		writeBody(w, http.StatusInternalServerError,
+			[]byte(`{"error":{"code":"internal","message":"response encoding failed"}}`+"\n"))
+		return
+	}
+	writeBody(w, status, buf.b)
+}
+
+// appendJSONString appends s as the JSON string literal encoding/json
+// writes for it. The strings of the page writer — query ids, cursors,
+// trace ids — are hex or base64url and take the loop; anything that would
+// need an escape (quotes, backslash, the HTML set <>&, control bytes,
+// non-ASCII) is handed to encoding/json rather than escaped a second way.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) //fod:errok — a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // writeData answers a successful request with the enveloped payload.

@@ -40,24 +40,15 @@ type indexCache struct {
 	flights map[cacheKey]*flight
 
 	baseCtx context.Context // parent of every build; canceled on shutdown
-	build   func(ctx context.Context, key cacheKey) (*repro.Index, error)
-	reg     *obs.Registry // span source; nil means no tracing/metrics
+	reg     *obs.Registry   // span source; nil means no tracing/metrics
 
-	// Optional second cache tier (disk snapshots). loadSnap is consulted
-	// on every memory miss before building; storeSnap persists a freshly
-	// built index. Both run inside the singleflight flight, so concurrent
-	// misses share one disk probe and one build across BOTH tiers. The ctx
-	// is the flight's: it carries the trace of the request that opened the
-	// flight, and is canceled when the last waiter leaves.
-	loadSnap  func(ctx context.Context, key cacheKey) (*repro.Index, bool)
-	storeSnap func(ctx context.Context, key cacheKey, ix *repro.Index) bool
-
-	// migrate is the incremental tier, consulted after the disk tier and
-	// before a full build: derive the index from a resident index of an
-	// older version of the same graph by replaying the edit log
-	// (Index.ApplyEdits). Like the disk tier it runs inside the flight,
-	// so concurrent misses share one migration.
-	migrate func(ctx context.Context, key cacheKey) (*repro.Index, bool)
+	// tiers is every way of producing an index that is not resident, in
+	// the order a miss tries them: cheapest first, the full build last. All
+	// of them run inside the singleflight flight, so concurrent misses
+	// share one disk probe, one migration and one build. newIndexCache
+	// installs the build tier; the server puts its own in front of it
+	// (Server.installTiers).
+	tiers []cacheTier
 
 	// Owned instruments; registered in the obs registry when present so
 	// /v1/stats and /debug/metrics read the same numbers.
@@ -70,6 +61,20 @@ type indexCache struct {
 	snapWrites obs.Counter // snapshots written back after a build
 	migrations obs.Counter // misses served by ApplyEdits from an older version
 	size       obs.Gauge
+}
+
+// cacheTier is one way of producing a missing index.
+type cacheTier struct {
+	span    string       // span around load, in the flight's trace
+	counter *obs.Counter // flights that ended in this tier
+	// load returns (nil, nil) to pass the miss on to the next tier; an
+	// index or an error ends the flight. ctx is the flight's: it carries
+	// the trace of the request that opened the flight, and is canceled
+	// when the last waiter leaves.
+	load func(ctx context.Context, key cacheKey) (*repro.Index, error)
+	// store, if set, is handed every index this tier produces and reports
+	// whether it persisted it (the disk write-back of the build tier).
+	store func(ctx context.Context, key cacheKey, ix *repro.Index) bool
 }
 
 type cacheEntry struct {
@@ -96,9 +101,9 @@ func newIndexCache(baseCtx context.Context, capacity int, reg *obs.Registry,
 		lru:     list.New(),
 		flights: make(map[cacheKey]*flight),
 		baseCtx: baseCtx,
-		build:   build,
 		reg:     reg,
 	}
+	c.tiers = []cacheTier{{span: "cache.build", counter: &c.builds, load: build}}
 	if reg != nil {
 		reg.RegisterCounter("serve.cache.hits", &c.hits)
 		reg.RegisterCounter("serve.cache.misses", &c.misses)
@@ -193,39 +198,23 @@ func (c *indexCache) run(ctx context.Context, key cacheKey, f *flight) {
 	ctx = fl.Attach(ctx)
 	var ix *repro.Index
 	var err error
-	fromDisk := false
-	if c.loadSnap != nil {
-		sp := c.reg.StartSpan(ctx, "cache.snapshot_load")
-		loaded, ok := c.loadSnap(sp.Attach(ctx), key)
+	for _, t := range c.tiers {
+		sp := c.reg.StartSpan(ctx, t.span)
+		ix, err = t.load(sp.Attach(ctx), key)
 		sp.End()
-		if ok {
-			ix, fromDisk = loaded, true
-			c.snapHits.Inc()
+		if ix == nil && err == nil {
+			continue
 		}
-	}
-	migrated := false
-	if !fromDisk && c.migrate != nil {
-		sp := c.reg.StartSpan(ctx, "cache.migrate")
-		derived, ok := c.migrate(sp.Attach(ctx), key)
-		sp.End()
-		if ok {
-			ix, migrated = derived, true
-			c.migrations.Inc()
-		}
-	}
-	if !fromDisk && !migrated {
-		c.builds.Inc()
-		sp := c.reg.StartSpan(ctx, "cache.build")
-		ix, err = c.build(sp.Attach(ctx), key)
-		sp.End()
-		if err == nil && c.storeSnap != nil {
+		t.counter.Inc()
+		if ix != nil && t.store != nil {
 			sp = c.reg.StartSpan(ctx, "cache.snapshot_write")
-			ok := c.storeSnap(sp.Attach(ctx), key, ix)
+			ok := t.store(sp.Attach(ctx), key, ix)
 			sp.End()
 			if ok {
 				c.snapWrites.Inc()
 			}
 		}
+		break
 	}
 	fl.End()
 	f.cancel() // release the context's resources

@@ -39,18 +39,21 @@ const (
 // now", the pre-mutation behavior.
 const cursorHead = -1
 
-func encodeCursor(queryID string, version int, last []int) string {
-	var b strings.Builder
-	b.WriteString(cursorV2)
-	b.WriteByte(' ')
-	b.WriteString(queryID)
-	b.WriteByte(' ')
-	b.WriteString(strconv.Itoa(version))
+// appendCursor appends the v2 cursor for (queryID, version, last) to dst.
+// The raw text is staged in a stack array — a cursor is a 16-digit id, a
+// version and k vertex ids — and base64 lands in dst directly.
+func appendCursor(dst []byte, queryID string, version int, last []int) []byte {
+	var stage [128]byte
+	raw := append(stage[:0], cursorV2...)
+	raw = append(raw, ' ')
+	raw = append(raw, queryID...)
+	raw = append(raw, ' ')
+	raw = strconv.AppendInt(raw, int64(version), 10)
 	for _, v := range last {
-		b.WriteByte(' ')
-		b.WriteString(strconv.Itoa(v))
+		raw = append(raw, ' ')
+		raw = strconv.AppendInt(raw, int64(v), 10)
 	}
-	return base64.RawURLEncoding.EncodeToString([]byte(b.String()))
+	return base64.RawURLEncoding.AppendEncode(dst, raw)
 }
 
 // decodeCursor parses either cursor format. version is cursorHead for a

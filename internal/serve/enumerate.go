@@ -1,19 +1,21 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+
+	"repro"
 )
 
-func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
-	qs := r.URL.Query()
+func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request, qs url.Values) {
 	id := qs.Get("query")
 	cursor := qs.Get("cursor")
 
 	var start []int
 	version := cursorHead
-	skipFirst := false
 	if cursor != "" {
 		cid, cver, last, err := decodeCursor(cursor)
 		if err != nil {
@@ -27,7 +29,6 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		id = cid
 		version = cver
 		start = last
-		skipFirst = true
 	}
 	if id == "" {
 		writeErr(w, r, http.StatusBadRequest, ErrBadRequest, "query or cursor is required")
@@ -86,42 +87,120 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	it := ix.IteratorFrom(start)
 	sp.End()
 	sp = s.reg.StartSpan(ctx, "enumerate.scan")
-	sols := make([][]int, 0, min(limit, 1024))
-	for len(sols) < limit {
-		if len(sols)%64 == 0 && ctx.Err() != nil {
-			sp.End()
-			s.writeCacheErr(w, r, ctx.Err())
-			return
+	buf := getBuf()
+	defer putBuf(buf)
+	var skip []int
+	if cursor != "" {
+		skip = start // the page before ended with the cursor's tuple
+	}
+	buf.b, err = scanPage(ctx, buf.b, it, skip, pageHeader{
+		id: entry.id, version: gv.version, limit: limit, traceID: traceIDFrom(r),
+	})
+	sp.End()
+	if err != nil {
+		s.writeCacheErr(w, r, err)
+		return
+	}
+	writeBody(w, http.StatusOK, buf.b)
+}
+
+// The page writer. scanPage appends one /v1/enumerate response to b as the
+// tuples leave the iterator — no [][]int, no per-answer allocation, no
+// reflection — and the bytes are exactly what json.Encoder with
+// SetIndent("", "  ") writes for envelope{Data: EnumerateResponse{...}}
+// (TestCursorPagingDifferential compares every page it reads against that
+// encoder). The page is built whole before anything is sent: the deadline
+// is polled every 64 answers, and a page abandoned half-way must still be
+// answered with a typed error envelope, which a body already flushing in
+// chunks could not take back.
+
+// pageHeader is what a page says besides its rows.
+type pageHeader struct {
+	id      string
+	version int
+	limit   int
+	traceID string
+}
+
+// scanPage returns b on every path, so the caller keeps the capacity the
+// scan grew. A first answer equal to skip (nil: none) is dropped.
+func scanPage(ctx context.Context, b []byte, it repro.Cursor, skip []int, h pageHeader) ([]byte, error) {
+	b = append(b, "{\n  \"data\": {\n    \"id\": "...)
+	b = appendJSONString(b, h.id)
+	b = append(b, ",\n    \"version\": "...)
+	b = strconv.AppendInt(b, int64(h.version), 10)
+	b = append(b, ",\n    \"solutions\": ["...)
+
+	count := 0
+	var last []int
+	for count < h.limit {
+		if count%64 == 0 {
+			if err := ctx.Err(); err != nil {
+				return b, err
+			}
 		}
 		sol, ok := it.Next()
 		if !ok {
 			break
 		}
-		if skipFirst {
-			skipFirst = false
-			if tupleEqual(sol, start) {
+		if skip != nil {
+			dup := tupleEqual(sol, skip)
+			skip = nil
+			if dup {
 				continue // the cursor tuple itself was already served
 			}
 		}
-		// The iterator reuses its buffer across Next calls; copy.
-		cp := make([]int, len(sol))
-		copy(cp, sol)
-		sols = append(sols, cp)
+		b = appendRow(b, sol, count == 0)
+		last = sol
+		count++
 	}
-	sp.End()
+	if count > 0 {
+		b = append(b, "\n    "...)
+	}
+	b = append(b, "],\n    \"count\": "...)
+	b = strconv.AppendInt(b, int64(count), 10)
+	b = append(b, ",\n    \"limit\": "...)
+	b = strconv.AppendInt(b, int64(h.limit), 10)
+	// last is the iterator's buffer, good until the next Next or Seek;
+	// HasNext is neither.
+	done := !it.HasNext()
+	if !done && count > 0 {
+		b = append(b, ",\n    \"next_cursor\": \""...)
+		b = appendCursor(b, h.id, h.version, last) // base64url: no escapes
+		b = append(b, '"')
+	}
+	b = append(b, ",\n    \"done\": "...)
+	b = strconv.AppendBool(b, done)
+	b = append(b, "\n  }"...)
+	if h.traceID != "" {
+		b = append(b, ",\n  \"trace_id\": "...)
+		b = appendJSONString(b, h.traceID)
+	}
+	return append(b, "\n}\n"...), nil
+}
 
-	resp := EnumerateResponse{
-		ID:        entry.id,
-		Version:   gv.version,
-		Solutions: sols,
-		Count:     len(sols),
-		Limit:     limit,
-		Done:      !it.HasNext(),
+// appendRow appends one tuple as an element of the indented "solutions"
+// array. It runs once per answer, next to Iterator.Next, and is held to
+// the same rules.
+//
+//fod:hotpath
+func appendRow(b []byte, sol []int, first bool) []byte {
+	if !first {
+		b = append(b, ',')
 	}
-	if !resp.Done && len(sols) > 0 {
-		resp.NextCursor = encodeCursor(entry.id, gv.version, sols[len(sols)-1])
+	b = append(b, "\n      ["...)
+	for i, v := range sol {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n        "...)
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	writeData(w, r, http.StatusOK, resp)
+	if len(sol) > 0 {
+		b = append(b, "\n      "...)
+	}
+	b = append(b, ']')
+	return b
 }
 
 func tupleEqual(a, b []int) bool {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 
 	"repro"
 	"repro/internal/graph"
@@ -15,7 +16,7 @@ import (
 // resident older versions through the incremental ApplyEdits path (see
 // buildIndex), so a mutation's cost is never multiplied by the number of
 // registered queries up front.
-func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	var req MutateRequest
 	if !decodeBody(w, r, &req) {
 		return

@@ -3,11 +3,12 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 
 	"repro"
 )
 
-func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTest(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	entry, tuple, ix, ver, ok := s.tupleEndpoint(w, r)
 	if !ok {
 		return
@@ -15,7 +16,7 @@ func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) {
 	writeData(w, r, http.StatusOK, TestResponse{ID: entry.id, Version: ver, Tuple: tuple, Solution: ix.Test(tuple)})
 }
 
-func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleNext(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	entry, tuple, ix, ver, ok := s.tupleEndpoint(w, r)
 	if !ok {
 		return
@@ -57,7 +58,7 @@ func (s *Server) tupleEndpoint(w http.ResponseWriter, r *http.Request) (*queryEn
 // number can never go stale) through the engine's sub-enumeration
 // counting path when the query shape supports one, full enumeration
 // otherwise; Fast in the response tells the two apart.
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	var req CountRequest
 	if !decodeBody(w, r, &req) {
 		return

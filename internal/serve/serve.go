@@ -51,13 +51,13 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro"
 	"repro/internal/obs"
-	"repro/internal/snap"
 )
 
 // Config tunes a Server. The zero value of every field selects a sensible
@@ -219,21 +219,7 @@ func NewServer(cfg Config) *Server {
 	}
 	s.tracer.Register(cfg.Metrics)
 	s.cache = newIndexCache(ctx, cfg.CacheSize, cfg.Metrics, s.buildIndex)
-	s.cache.migrate = s.migrateIndex
-	if cfg.SnapshotDir != "" && cfg.Engine != repro.EngineLowDeg {
-		// The disk tier holds core-engine snapshots. Under the forced
-		// lowdeg mode nothing could ever be written or validly restored, so
-		// the tier is not installed at all; under auto the tier still works
-		// for core-routed graphs, and writeSnapshot skips lowdeg-backed
-		// indexes individually.
-		s.graphFP = make(map[string]string, len(cfg.Graphs))
-		//fod:sorted order-free: key-addressed map-to-map copy, no fold state
-		for name, g := range cfg.Graphs {
-			s.graphFP[name] = snap.FingerprintString(snap.Fingerprint(g))
-		}
-		s.cache.loadSnap = s.loadSnapshot
-		s.cache.storeSnap = s.writeSnapshot
-	}
+	s.installTiers()
 	if s.reg != nil {
 		s.reg.RegisterGauge("serve.http.in_flight", &s.inflightG)
 	}
@@ -304,6 +290,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// handlerFunc is an http.HandlerFunc that is also handed the request's
+// query string, parsed once by instrument for the deadline and the
+// handler both.
+type handlerFunc func(w http.ResponseWriter, r *http.Request, qs url.Values)
+
 // instrument wraps a handler with the serving middleware: shutdown
 // rejection, in-flight tracking (WaitGroup for draining, gauge for
 // scrapes), the per-request deadline, per-endpoint latency/error
@@ -311,7 +302,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // honored on the way in, emitted on the way out, span tree finished and
 // tail-sampled on completion, latency bucket stamped with the trace id)
 // and the structured access-log record.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+func (s *Server) instrument(name string, h handlerFunc) http.HandlerFunc {
 	hist := s.reg.Histogram("serve.http." + name + "_ns")
 	reqs := s.reg.Counter("serve.http." + name + "_requests")
 	errs := s.reg.Counter("serve.http." + name + "_errors")
@@ -328,7 +319,11 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		s.inflightG.Inc()
 		defer s.inflightG.Dec()
 
-		ctx, cancel := s.requestContext(r)
+		var qs url.Values // a nil Values reads as empty
+		if r.URL.RawQuery != "" {
+			qs = r.URL.Query()
+		}
+		ctx, cancel := s.requestContext(r, qs)
 		defer cancel()
 		var tr *obs.Trace
 		var root *obs.Span
@@ -349,7 +344,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
+		h(sw, r, qs)
 		d := time.Since(start)
 		if tr != nil {
 			root.End()
@@ -387,9 +382,9 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 
 // requestContext derives the per-request deadline: ?timeout_ms=… capped
 // at MaxTimeout, else DefaultTimeout.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
+func (s *Server) requestContext(r *http.Request, qs url.Values) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
-	if v := r.URL.Query().Get("timeout_ms"); v != "" {
+	if v := qs.Get("timeout_ms"); v != "" {
 		if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
 			d = time.Duration(ms) * time.Millisecond
 		}
@@ -412,7 +407,7 @@ func (w *statusWriter) WriteHeader(code int) {
 
 // --- handlers ---------------------------------------------------------
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	var req QueryRequest
 	if !decodeBody(w, r, &req) {
 		return

@@ -335,12 +335,13 @@ func TestDebugMetricsExposed(t *testing.T) {
 // here, so nothing depends on timing) builds afresh and succeeds.
 func TestDeadlineExceededDuringBuild(t *testing.T) {
 	s, ts := testServer(t, nil)
-	build := s.cache.build
+	bt := buildTier(s)
+	build := bt.load
 	var builds atomic.Int64
 	parked := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	s.cache.build = func(ctx context.Context, key cacheKey) (*repro.Index, error) {
+	bt.load = func(ctx context.Context, key cacheKey) (*repro.Index, error) {
 		if builds.Add(1) > 1 {
 			return build(ctx, key)
 		}
@@ -377,7 +378,7 @@ func TestDeadlineExceededDuringBuild(t *testing.T) {
 // not 503 shutting_down — a healthy server must not tell clients to leave.
 func TestCanceledBuildOnServingServer(t *testing.T) {
 	s, ts := testServer(t, nil)
-	s.cache.build = func(ctx context.Context, key cacheKey) (*repro.Index, error) {
+	buildTier(s).load = func(ctx context.Context, key cacheKey) (*repro.Index, error) {
 		return nil, fmt.Errorf("build: %w", context.Canceled)
 	}
 	body := QueryRequest{Graph: "big", Query: "dist(x,y) > 2 & C0(y)", Vars: []string{"x", "y"}}
@@ -520,3 +521,12 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+
+// buildTier is the last tier of the server's cache, the full build, for
+// tests that stand in for it.
+func buildTier(s *Server) *cacheTier { return &s.cache.tiers[len(s.cache.tiers)-1] }
+
+// encodeCursor is appendCursor as a string, for tests that forge cursors.
+func encodeCursor(queryID string, version int, last []int) string {
+	return string(appendCursor(nil, queryID, version, last))
+}

@@ -3,13 +3,14 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 
 	"repro"
 )
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	engine := s.cfg.Engine
 	if engine == "" {
 		engine = repro.EngineCore
@@ -57,6 +58,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeData(w, r, http.StatusOK, resp)
 }
 
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	writeData(w, r, http.StatusOK, FlushResponse{Flushed: s.cache.Flush()})
 }

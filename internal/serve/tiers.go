@@ -12,6 +12,31 @@ import (
 	"repro/internal/snap"
 )
 
+// installTiers defines the server's cache tiers, in the order a miss tries
+// them: disk snapshot (when configured), migration from an older resident
+// version, and last the full build the cache was created with — which
+// also writes the snapshot back.
+func (s *Server) installTiers() {
+	c := s.cache
+	var before []cacheTier
+	if s.cfg.SnapshotDir != "" && s.cfg.Engine != repro.EngineLowDeg {
+		// The disk tier holds core-engine snapshots. Under the forced
+		// lowdeg mode nothing could ever be written or validly restored, so
+		// the tier is not installed at all; under auto the tier still works
+		// for core-routed graphs, and writeSnapshot skips lowdeg-backed
+		// indexes individually.
+		s.graphFP = make(map[string]string, len(s.cfg.Graphs))
+		//fod:sorted order-free: key-addressed map-to-map copy, no fold state
+		for name, g := range s.cfg.Graphs {
+			s.graphFP[name] = snap.FingerprintString(snap.Fingerprint(g))
+		}
+		before = append(before, cacheTier{span: "cache.snapshot_load", counter: &c.snapHits, load: s.loadSnapshot})
+		c.tiers[len(c.tiers)-1].store = s.writeSnapshot
+	}
+	before = append(before, cacheTier{span: "cache.migrate", counter: &c.migrations, load: s.migrateIndex})
+	c.tiers = append(before, c.tiers...)
+}
+
 // snapshotPath is the disk-tier file of one (graph, query) pair, keyed by
 // the same deterministic id the API exposes.
 func (s *Server) snapshotPath(key cacheKey) string {
@@ -24,20 +49,20 @@ func (s *Server) snapshotPath(key cacheKey) string {
 // (missing file, corruption, foreign graph) falls back to building; the
 // error classes are counted separately so operators can tell a cold
 // directory from a corrupted one.
-func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, bool) {
+func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, error) {
 	if key.version != 0 {
 		// The disk tier holds only version-0 indexes: snapshot files are
 		// fingerprinted against the graph as configured at startup, and
 		// mutated versions are cheaper to derive by edit-log replay than
 		// to persist (they change with every batch).
-		return nil, false
+		return nil, nil
 	}
 	data, err := os.ReadFile(s.snapshotPath(key))
 	if err != nil {
-		return nil, false // cold tier: no snapshot yet
+		return nil, nil // cold tier: no snapshot yet
 	}
 	start := time.Now()
-	reject := func(counter, reason string) (*repro.Index, bool) {
+	reject := func(counter, reason string) (*repro.Index, error) {
 		s.reg.Counter(counter).Inc()
 		// Rejections pay real latency (read + parse + validate) that the
 		// success histogram must not absorb; they get their own.
@@ -45,7 +70,7 @@ func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, 
 		s.logEvent(ctx, slog.LevelWarn, "snapshot_reject",
 			slog.String("query_id", queryID(key.graph, key.canonical)),
 			slog.String("reason", reason))
-		return nil, false
+		return nil, nil
 	}
 	f, err := snap.Parse(data)
 	if err != nil {
@@ -68,7 +93,7 @@ func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, 
 		slog.String("query_id", queryID(key.graph, key.canonical)),
 		slog.Int64("dur_us", d.Microseconds()),
 		slog.Int("bytes", len(data)))
-	return ix, true
+	return ix, nil
 }
 
 // writeSnapshot persists a freshly built index for the next cold start.
@@ -106,12 +131,12 @@ func (s *Server) writeSnapshot(ctx context.Context, key cacheKey, ix *repro.Inde
 // retained version of the same graph and advances it by replaying the
 // intervening edit batches through Index.ApplyEdits, which recomputes
 // only the structure the edits touched — the n^ε update route the
-// mutation layer exists for. ok=false (chain broken, replay failed, no
+// mutation layer exists for. A miss (chain broken, replay failed, no
 // resident ancestor) falls back to a full build.
-func (s *Server) migrateIndex(ctx context.Context, key cacheKey) (*repro.Index, bool) {
+func (s *Server) migrateIndex(ctx context.Context, key cacheKey) (*repro.Index, error) {
 	gs, ok := s.graphs[key.graph]
 	if !ok || key.version == 0 {
-		return nil, false
+		return nil, nil
 	}
 	qid := queryID(key.graph, key.canonical)
 	start := time.Now()
@@ -122,7 +147,7 @@ func (s *Server) migrateIndex(ctx context.Context, key cacheKey) (*repro.Index, 
 		}
 		batches, ok := gs.editsSince(v, key.version)
 		if !ok {
-			return nil, false // chain broken: a link left the retention window
+			return nil, nil // chain broken: a link left the retention window
 		}
 		ix, err := old, error(nil)
 		for _, batch := range batches {
@@ -137,7 +162,7 @@ func (s *Server) migrateIndex(ctx context.Context, key cacheKey) (*repro.Index, 
 				slog.Int("from_version", v),
 				slog.Int("to_version", key.version),
 				slog.String("error", err.Error()))
-			return nil, false // fall back to a full build
+			return nil, nil // fall back to a full build
 		}
 		s.logEvent(ctx, slog.LevelInfo, "index_migrate",
 			slog.String("graph", key.graph),
@@ -145,9 +170,9 @@ func (s *Server) migrateIndex(ctx context.Context, key cacheKey) (*repro.Index, 
 			slog.Int("from_version", v),
 			slog.Int("to_version", key.version),
 			slog.Int64("dur_us", time.Since(start).Microseconds()))
-		return ix, true
+		return ix, nil
 	}
-	return nil, false
+	return nil, nil
 }
 
 // buildIndex is the cache's build-from-scratch function: it resolves the

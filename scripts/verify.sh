@@ -3,7 +3,9 @@
 #   tier 1 — build + full test suite (the CI gate; ROADMAP "Tier-1 verify");
 #            includes the import-layering check of DESIGN.md §6 and the
 #            ungated 0 allocs/op pin on Index.Test / Index.NextLast /
-#            Cursor.Next for both engine kinds
+#            Cursor.Next for both engine kinds, the byte-for-byte comparison
+#            of every /v1/enumerate page with encoding/json, and the pin that
+#            a 10000-answer page allocates what a 100-answer page does
 #   tier 2 — static analysis + race-detector pass: go vet (plus an
 #            explicit -copylocks -loopclosure run), the repo's own fodlint
 #            analyzers (see README "Static analysis"), and the
@@ -11,7 +13,10 @@
 #            serving layer (internal/serve) additionally runs its full
 #            suite under -race — it is the concurrency surface of the repo —
 #            and its flight-lifetime tests (Deadline|Singleflight|Abandon)
-#            twenty times over; the benchmark module bench/ (not part of
+#            twenty times over, and TestConcurrentPages ten times — response
+#            buffers are pooled across requests, so 36 clients paging six
+#            queries at six limits through one server must each read their
+#            own stream, byte for byte; the benchmark module bench/ (not part of
 #            ./...) is vetted and tested, so a break of an exported
 #            signature it calls is caught here; the snapshot decoder
 #            fuzzes for 30s (FuzzSnapshotLoad):
@@ -86,6 +91,8 @@ if [[ "$tier" == "2" || "$tier" == "all" ]]; then
     go test -race -count=1 ./internal/serve/
     echo "== tier 2: flight lifetime tests (deadline, singleflight, abandoned builds) x20 under -race =="
     go test -race -count=20 -run 'Deadline|Singleflight|Abandon' ./internal/serve/
+    echo "== tier 2: concurrent pages over pooled response buffers x10 under -race =="
+    go test -race -count=10 -run 'TestConcurrentPages' ./internal/serve/
     echo "== tier 2: bench/ compiles against the exported signatures and passes its own tests =="
     go vet -C bench ./...
     go test -C bench -count=1 ./...
