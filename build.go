@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/lowdeg"
 )
 
 // Option tunes Build and the snapshot loaders by filling an IndexOptions.
@@ -53,15 +52,11 @@ func Build(ctx context.Context, g *Graph, q *Query, opts ...Option) (*Index, err
 	if err != nil {
 		return nil, err
 	}
-	sel, err := selectEngine(g, o.Engine)
+	sel, err := SelectEngine(g, o.Engine)
 	if err != nil {
 		return nil, err
 	}
-	preprocess := core.Preprocess
-	if sel.Chosen == EngineLowDeg {
-		preprocess = lowdeg.Preprocess
-	}
-	eng, err := preprocess(g, lq, core.Options{Parallelism: o.Parallelism, Obs: o.Metrics, Ctx: ctx})
+	eng, err := engines[sel.Chosen].preprocess(g, lq, core.Options{Parallelism: o.Parallelism, Obs: o.Metrics, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -115,18 +110,21 @@ func PatchGraph(g *Graph, edits []Edit) (*Graph, error) { return graph.Patch(g, 
 
 // ApplyEdits returns a new index answering the query over the edited
 // graph, recomputing only the structure the edits can reach (the n^ε
-// update regime of the paper's §3): the affected distance-index rows,
-// cover bags and kernels, starter slots, and per-kernel lists are patched;
-// skip pointers are served through an exact delta overlay. The receiver is
+// update regime of the paper's §3). On a core index the affected
+// distance-index rows, cover bags and kernels, starter slots, and
+// per-kernel lists are patched, and skip pointers are served through an
+// exact delta overlay; on a lowdeg index the ball rows within reach of an
+// edited edge and the starter slots around them are. The receiver is
 // unchanged and keeps enumerating its own version with byte-identical
 // answers — in-flight iterators over it are undisturbed (MVCC snapshot
 // isolation; see LiveIndex for the version-managed wrapper).
 //
-// Edits that are not local (a clause guard flips, a layout refuses to
-// patch, the accumulated deltas outgrow their thresholds) transparently
-// fall back to a full rebuild; Stats().MutRebuilds counts those. A
-// lowdeg-backed index has nothing to patch: it rebuilds on every effective
-// batch and counts each one.
+// Edits that are not local (a clause guard flips, the cover refuses to
+// patch) transparently fall back to a full rebuild; Stats().MutRebuilds
+// counts those. An index built under EngineAuto has its selection made
+// again on the edited graph: the new version records the new estimates,
+// and when the graph has crossed a limit it is rebuilt on the other engine
+// — one more counted rebuild.
 func (ix *Index) ApplyEdits(ctx context.Context, edits []Edit) (*Index, error) {
 	eng, err := ix.eng.ApplyEdits(ctx, edits)
 	if err != nil {
@@ -137,7 +135,18 @@ func (ix *Index) ApplyEdits(ctx context.Context, edits []Edit) (*Index, error) {
 		// version.
 		return ix, nil
 	}
-	return &Index{eng: eng, sel: ix.sel, k: ix.k, q: ix.q, version: ix.version + 1}, nil
+	sel := ix.sel
+	if sel.Requested == EngineAuto {
+		if sel, err = SelectEngine(eng.Graph(), EngineAuto); err != nil {
+			return nil, err
+		}
+		if sel.Chosen != ix.sel.Chosen {
+			if eng, err = ix.eng.RebuiltOn(ctx, eng.Graph(), engines[sel.Chosen].preprocess); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return &Index{eng: eng, sel: sel, k: ix.k, q: ix.q, version: ix.version + 1}, nil
 }
 
 // Graph returns the graph this index version answers over.

@@ -1,7 +1,8 @@
 // Command fodsnap builds, inspects and verifies index snapshots — the
 // immutable on-disk form of a fully preprocessed Theorem 2.3 index
-// (graph, neighborhood cover, kernels, distance recursion, starter
-// lists, skip pointers).
+// (graph, starter lists and, for the core engine, neighborhood cover,
+// kernels, distance recursion and skip pointers, for the lowdeg engine the
+// sorted balls).
 //
 //	fodsnap build -gen grid:10000:1:42 -query "dist(x,y) > 2 & C0(y)" -vars x,y -out q.fodsnap
 //	fodsnap build -graph road.txt -query "C1(x) & C1(y) & dist(x,y) > 4" -vars x,y -out road.fodsnap
@@ -10,7 +11,9 @@
 //
 // build runs the pseudo-linear preprocessing once and persists the
 // result; a server started with fodserve -snapshot-dir (or any caller of
-// repro.LoadIndexSnapshot) then starts answering without rebuilding.
+// repro.LoadIndexSnapshot) then starts answering without rebuilding. The
+// server takes a file only if it holds the engine its own -engine mode
+// builds for the graph, so pass build the same -engine.
 // inspect prints the metadata record and the section table. verify
 // re-checks every checksum, restores the full index, and reports the
 // restored shape; it exits non-zero on any corruption.
@@ -47,7 +50,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  fodsnap build   -graph path | -gen class:n[:colors[:seed]]  -query "..." -vars x,y -out file [-parallel N]
+  fodsnap build   -graph path | -gen class:n[:colors[:seed]]  -query "..." -vars x,y -out file [-parallel N] [-engine core|lowdeg|auto]
   fodsnap inspect file
   fodsnap verify  file`)
 	os.Exit(2)
@@ -61,6 +64,7 @@ func cmdBuild(args []string) {
 	vars := fs.String("vars", "", "comma-separated output variables")
 	out := fs.String("out", "", "output snapshot path")
 	parallel := fs.Int("parallel", 0, "build workers (0 = all CPUs)")
+	engine := fs.String("engine", string(repro.EngineCore), "engine to build: core, lowdeg, or auto (what fodserve -engine will look for)")
 	fs.Parse(args) //fod:errok — ExitOnError flag sets terminate on bad input
 
 	if (*graphPath == "") == (*genSpec == "") {
@@ -91,7 +95,7 @@ func cmdBuild(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	ix, err := repro.Build(context.Background(), g, q, repro.WithParallelism(*parallel))
+	ix, err := repro.Build(context.Background(), g, q, repro.WithParallelism(*parallel), repro.WithEngine(repro.EngineKind(*engine)))
 	if err != nil {
 		fail(err)
 	}
@@ -102,8 +106,8 @@ func cmdBuild(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("fodsnap: wrote %s (%d bytes): graph n=%d m=%d, query %q\n",
-		*out, st.Size(), g.N(), g.M(), q.Canonical())
+	fmt.Printf("fodsnap: wrote %s (%d bytes): graph n=%d m=%d, query %q, %s engine\n",
+		*out, st.Size(), g.N(), g.M(), q.Canonical(), ix.Engine())
 }
 
 func cmdInspect(args []string) {
@@ -126,6 +130,7 @@ func cmdInspect(args []string) {
 	fmt.Printf("  query      %s\n", meta.Query)
 	fmt.Printf("  vars       %s\n", strings.Join(meta.Vars, ","))
 	fmt.Printf("  shape      k=%d r=%d rho=%d guarded=%v\n", meta.K, meta.R, meta.LocalRadius, meta.Guarded)
+	fmt.Printf("  locality   %q\n", meta.Locality)
 	fmt.Printf("  graph      n=%d m=%d colors=%d fingerprint=%s\n",
 		meta.GraphN, meta.GraphM, meta.GraphColors, meta.GraphFingerprint)
 	fmt.Printf("  sections   %d\n", len(f.Sections()))
@@ -145,8 +150,8 @@ func cmdVerify(args []string) {
 		fail(err)
 	}
 	st := ix.Stats()
-	fmt.Printf("fodsnap: %s OK: arity %d, %d cover bags (degree %d, radius %d), %d skip pointers in %d tables\n",
-		args[0], ix.Arity(), st.CoverBags, st.CoverDegree, st.CoverRadius, st.SkipPointers, st.SkipTables)
+	fmt.Printf("fodsnap: %s OK: arity %d, %s engine, %d cover bags (degree %d, radius %d), %d skip pointers in %d tables, %d+%d ball entries\n",
+		args[0], ix.Arity(), ix.Engine(), st.CoverBags, st.CoverDegree, st.CoverRadius, st.SkipPointers, st.SkipTables, st.BallEntries, st.CompEntries)
 }
 
 // parseGen parses class:n[:colors[:seed]] (fodserve's -gen without the name).

@@ -141,8 +141,13 @@ func TestCLISnapVerifyFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fodsnap verify %s: %v\n%s", name, err, out)
 		}
-		if !strings.Contains(string(out), " OK: arity 2") || !strings.Contains(string(out), "in 2 tables") {
+		if !strings.Contains(string(out), " OK: arity 2, core engine") || !strings.Contains(string(out), "in 2 tables") {
 			t.Fatalf("fodsnap verify %s: unexpected report %q", name, out)
 		}
+	}
+	// The ball form restores as the engine it was taken from.
+	out, err := exec.Command(fodsnap, "verify", filepath.Join("internal", "snap", "testdata", "golden-bdeg64.fodsnap")).CombinedOutput()
+	if err != nil || !strings.Contains(string(out), " OK: arity 3, lowdeg engine") {
+		t.Fatalf("fodsnap verify golden-bdeg64.fodsnap: %v, report %q", err, out)
 	}
 }

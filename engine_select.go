@@ -3,6 +3,8 @@ package repro
 import (
 	"fmt"
 
+	"repro/internal/core"
+	"repro/internal/lowdeg"
 	"repro/internal/wcol"
 )
 
@@ -40,25 +42,46 @@ const (
 	AutoMaxDegeneracy = 4
 )
 
+// engines lists the buildable kinds: the constructor of each and the core
+// locality its engine runs on, which is how a snapshot names it.
+var engines = map[EngineKind]struct {
+	locality   string
+	preprocess func(*Graph, *core.LocalQuery, core.Options) (*core.Engine, error)
+}{
+	EngineCore:   {core.LocCover, core.Preprocess},
+	EngineLowDeg: {core.LocBalls, lowdeg.Preprocess},
+}
+
+// kindOn returns the kind whose engine runs on the locality.
+func kindOn(locality string) EngineKind {
+	for kind, def := range engines {
+		if def.locality == locality {
+			return kind
+		}
+	}
+	panic(fmt.Sprintf("repro: no engine kind runs on locality %q", locality))
+}
+
 // Selection records an engine-routing decision: what was asked, what was
-// chosen, and the estimates the choice was based on (−1 when a forced
-// kind made measuring unnecessary). The serving layer surfaces it in
-// /v1/stats.
+// chosen, and the estimates the choice was based on (−1 when the decision
+// did not need one: a forced kind, or a maximum degree that settles it —
+// above DegreeLimit, or at most DegeneracyLimit, which bounds the
+// degeneracy too). The serving layer surfaces it in /v1/stats.
 type Selection struct {
 	Requested EngineKind `json:"requested"` // the configured kind ("" means the core default)
 	Chosen    EngineKind `json:"chosen"`    // the engine actually built
 
-	MaxDegree  int `json:"max_degree"`  // measured maximum degree, or −1
-	Degeneracy int `json:"degeneracy"`  // measured degeneracy, or −1
+	MaxDegree       int `json:"max_degree"`       // measured maximum degree, or −1
+	Degeneracy      int `json:"degeneracy"`       // measured degeneracy, or −1
 	DegreeLimit     int `json:"degree_limit"`     // AutoMaxDegree at decision time
 	DegeneracyLimit int `json:"degeneracy_limit"` // AutoMaxDegeneracy at decision time
 }
 
-// selectEngine resolves the requested kind against the graph. The empty
+// SelectEngine resolves the requested kind against the graph. The empty
 // kind keeps the library's historical default (the core engine) so that
 // existing callers — and every persisted snapshot — are unaffected;
 // routing is opt-in via EngineAuto.
-func selectEngine(g *Graph, req EngineKind) (Selection, error) {
+func SelectEngine(g *Graph, req EngineKind) (Selection, error) {
 	sel := Selection{
 		Requested:       req,
 		MaxDegree:       -1,
@@ -81,6 +104,13 @@ func selectEngine(g *Graph, req EngineKind) (Selection, error) {
 			sel.Chosen = EngineCore
 			return sel, nil
 		}
+		if sel.MaxDegree <= AutoMaxDegeneracy {
+			// Nor can it condemn this one: every subgraph has a vertex of
+			// degree ≤ MaxDegree. ApplyEdits re-selects on every version,
+			// and this is the case it meets on bounded-degree graphs.
+			sel.Chosen = EngineLowDeg
+			return sel, nil
+		}
 		sel.Degeneracy = wcol.DegeneracyFast(g)
 		if sel.Degeneracy > AutoMaxDegeneracy {
 			sel.Chosen = EngineCore
@@ -97,6 +127,7 @@ func selectEngine(g *Graph, req EngineKind) (Selection, error) {
 // Engine returns the kind of engine backing this index.
 func (ix *Index) Engine() EngineKind { return ix.sel.Chosen }
 
-// Selection returns the engine-routing decision recorded when the index
-// was built (a forced core choice for restored snapshots).
+// Selection returns the engine-routing decision recorded for this index
+// version: made by Build, made again by ApplyEdits under EngineAuto, and for
+// a restored snapshot whatever engine the file holds.
 func (ix *Index) Selection() Selection { return ix.sel }

@@ -1,8 +1,8 @@
 package repro
 
 import (
+	"bytes"
 	"context"
-	"strings"
 	"testing"
 )
 
@@ -38,12 +38,12 @@ func TestSelectEngineRouting(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			g := Generate(c.class, c.n, GenOptions{Seed: 11, Colors: 2})
-			sel, err := selectEngine(g, c.req)
+			sel, err := SelectEngine(g, c.req)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sel.Chosen != c.want {
-				t.Fatalf("selectEngine(%s, %q) chose %q, want %q (sel %+v)", c.class, c.req, sel.Chosen, c.want, sel)
+				t.Fatalf("SelectEngine(%s, %q) chose %q, want %q (sel %+v)", c.class, c.req, sel.Chosen, c.want, sel)
 			}
 			if sel.Requested != c.req {
 				t.Fatalf("Requested = %q, want %q", sel.Requested, c.req)
@@ -75,7 +75,7 @@ func TestSelectEngineHighDegreeNeverLowdeg(t *testing.T) {
 					// low-degree; the guard is about high-degree graphs.
 					continue
 				}
-				sel, err := selectEngine(g, EngineAuto)
+				sel, err := SelectEngine(g, EngineAuto)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,7 +91,7 @@ func TestSelectEngineHighDegreeNeverLowdeg(t *testing.T) {
 // silent fallback.
 func TestSelectEngineUnknownKind(t *testing.T) {
 	g := Generate("path", 20, GenOptions{})
-	if _, err := selectEngine(g, "turbo"); err == nil {
+	if _, err := SelectEngine(g, "turbo"); err == nil {
 		t.Fatal("expected an error for an unknown engine kind")
 	}
 	if _, err := Build(context.Background(), g, selTestQuery(), WithEngine("turbo")); err == nil {
@@ -129,8 +129,8 @@ func TestWithEngineForcedOverride(t *testing.T) {
 }
 
 // TestBuildAutoSelectionSurfaces: an auto build on a bounded-degree graph
-// lands on lowdeg, records its estimates, counts correctly, and refuses
-// to snapshot with a helpful error.
+// lands on lowdeg, records its estimates, counts correctly, and snapshots
+// to a file that restores as what it is.
 func TestBuildAutoSelectionSurfaces(t *testing.T) {
 	g := Generate("bdeg", 300, GenOptions{Seed: 7, Colors: 2})
 	q := selTestQuery()
@@ -142,8 +142,14 @@ func TestBuildAutoSelectionSurfaces(t *testing.T) {
 		t.Fatalf("auto build on bdeg is backed by %q", ix.Engine())
 	}
 	sel := ix.Selection()
-	if sel.MaxDegree < 1 || sel.MaxDegree > AutoMaxDegree || sel.Degeneracy < 1 || sel.Degeneracy > AutoMaxDegeneracy {
+	// A maximum degree within the degeneracy limit settles the choice; the
+	// degeneracy is measured only above it (the king grid).
+	if sel.MaxDegree < 1 || sel.MaxDegree > AutoMaxDegeneracy || sel.Degeneracy != -1 {
 		t.Fatalf("implausible estimates: %+v", sel)
+	}
+	king, err := SelectEngine(Generate("kinggrid", 100, GenOptions{}), EngineAuto)
+	if err != nil || king.Chosen != EngineLowDeg || king.MaxDegree != 8 || king.Degeneracy < 1 || king.Degeneracy > AutoMaxDegeneracy {
+		t.Fatalf("king grid: %+v, %v", king, err)
 	}
 	ref, err := Build(context.Background(), g, q)
 	if err != nil {
@@ -156,9 +162,19 @@ func TestBuildAutoSelectionSurfaces(t *testing.T) {
 	if n != ref.Count() || !fast {
 		t.Fatalf("SolutionCount = (%d, %v), want (%d, true)", n, fast, ref.Count())
 	}
-	err = ix.WriteSnapshot(discard{})
-	if err == nil || !strings.Contains(err.Error(), "lowdeg") {
-		t.Fatalf("lowdeg snapshot error = %v, want a lowdeg refusal", err)
+	var file bytes.Buffer
+	if err := ix.WriteSnapshot(&file); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := ReadIndexSnapshot(file.Bytes(), WithEngine(EngineAuto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := restored.Selection(); restored.Engine() != EngineLowDeg || rs.Requested != EngineAuto || rs.MaxDegree != -1 {
+		t.Fatalf("restored selection %+v", rs)
+	}
+	if got := restored.Count(); got != n {
+		t.Fatalf("restored index counts %d, built %d", got, n)
 	}
 	// The cursor contract holds across engines through the facade type.
 	it := ix.Iterator()
@@ -174,13 +190,9 @@ func TestBuildAutoSelectionSurfaces(t *testing.T) {
 	}
 }
 
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// TestLowDegIndexMutation: ApplyEdits on a lowdeg-backed index rebuilds
-// for real edits (bumping the version), returns the receiver for identity
-// batches, and answers for the patched graph.
+// TestLowDegIndexMutation: ApplyEdits on a lowdeg-backed index makes a new
+// version for real edits, returns the receiver for identity batches, and
+// answers for the patched graph.
 func TestLowDegIndexMutation(t *testing.T) {
 	g := Generate("path", 50, GenOptions{Seed: 2, Colors: 2})
 	q := selTestQuery()

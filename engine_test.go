@@ -1,7 +1,9 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/conform"
@@ -56,12 +58,38 @@ func TestEngineContractConformance(t *testing.T) {
 // TestFacadeHotPathsZeroAllocs pins, in tier 1, that routing through the
 // facade, the shared iterator and the locality costs no allocation: for
 // either kind, Index.Test, Index.NextLast and Cursor.Next are 0 allocs/op in
-// steady state. (Allocation counts are deterministic, so this needs no
-// env gate; the tier-3 guards repeat it on the large benchmark graphs.)
+// steady state — and stay so on a lowdeg index reached through ApplyEdits or
+// restored from a snapshot, which read the same two plain arrays a built one
+// does. (Allocation counts are deterministic, so this needs no env gate; the
+// tier-3 guards repeat it on the large benchmark graphs.)
 func TestFacadeHotPathsZeroAllocs(t *testing.T) {
 	g := Generate("grid", 900, GenOptions{Colors: 2, Seed: 16})
 	q := MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
+	indexes := map[string]*Index{}
 	for kind, ix := range bothKinds(t, g, q) {
+		indexes[string(kind)] = ix
+	}
+	patched, err := indexes[string(EngineLowDeg)].ApplyEdits(context.Background(), []Edit{RemoveEdge(0, 1), AddColor(500, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := patched.Stats(); st.Mutations != 1 || st.MutRebuilds != 0 {
+		t.Fatalf("premise: the lowdeg edit is patched, got %+v", st)
+	}
+	indexes["lowdeg, patched"] = patched
+	var buf bytes.Buffer
+	if err := patched.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := ReadIndexSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Engine() != EngineLowDeg {
+		t.Fatalf("a lowdeg snapshot restored as %s", restored.Engine())
+	}
+	indexes["lowdeg, restored"] = restored
+	for kind, ix := range indexes {
 		n := g.N()
 		tuple := make([]int, 2)
 		prefix := make([]int, 1)
@@ -93,9 +121,9 @@ func TestFacadeHotPathsZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestLowdegMutationStats: the low-degree engine has no incremental path,
-// so every effective batch is a full rebuild — and the unified Stats must
-// say so, across the rebuilds, instead of reporting zero forever.
+// TestLowdegMutationStats: a lowdeg index patches its balls, so effective
+// batches are mutations that are not rebuilds, each reports the region it
+// re-tested, and the ball statistics follow the graph.
 func TestLowdegMutationStats(t *testing.T) {
 	ctx := context.Background()
 	g := Generate("grid", 400, GenOptions{Colors: 1, Seed: 3})
@@ -104,6 +132,7 @@ func TestLowdegMutationStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	built := ix.Stats()
 	for i, batch := range [][]Edit{
 		{RemoveEdge(0, 1)},
 		{AddEdge(0, 1), AddColor(7, 0)},
@@ -116,6 +145,9 @@ func TestLowdegMutationStats(t *testing.T) {
 		if next == ix || next.Version() != i+1 {
 			t.Fatalf("batch %d: effective edit did not produce version %d", i, i+1)
 		}
+		if a := next.Stats().MutAffected; a == 0 || a > g.N()/4 {
+			t.Fatalf("batch %d: MutAffected = %d, want a small nonzero region of n=%d", i, a, g.N())
+		}
 		ix = next
 	}
 	same, err := ix.ApplyEdits(ctx, []Edit{AddEdge(5, 9), RemoveEdge(5, 9)})
@@ -126,10 +158,93 @@ func TestLowdegMutationStats(t *testing.T) {
 		t.Fatal("identity batch did not return the receiver")
 	}
 	st := ix.Stats()
-	if st.Mutations != 3 || st.MutRebuilds != 3 {
-		t.Fatalf("Stats after 3 effective + 1 identity batch: Mutations=%d MutRebuilds=%d, want 3 and 3", st.Mutations, st.MutRebuilds)
+	if st.Mutations != 3 || st.MutRebuilds != 0 {
+		t.Fatalf("Stats after 3 effective + 1 identity batch: Mutations=%d MutRebuilds=%d, want 3 and 0", st.Mutations, st.MutRebuilds)
 	}
-	if st.BallEntries == 0 || st.CoverBags != 0 {
-		t.Fatalf("rebuilt index is not on the ball locality: %+v", st)
+	// The one edge the batches leave behind joins two corners of the grid.
+	if st.BallEntries <= built.BallEntries || st.CoverBags != 0 {
+		t.Fatalf("patched index does not carry the balls of its graph: built %d entries, now %+v", built.BallEntries, st)
+	}
+	fresh, err := Build(ctx, ix.Graph(), q, WithEngine(EngineLowDeg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := fresh.Stats(); fs.BallEntries != st.BallEntries || fs.MaxDegree != st.MaxDegree {
+		t.Fatalf("patched index reports %d entries, degree %d; a build on its graph %d, %d", st.BallEntries, st.MaxDegree, fs.BallEntries, fs.MaxDegree)
+	}
+}
+
+// TestAutoSelectionFollowsTheGraph: an index built under EngineAuto makes
+// its selection again on every edited graph. A path starts on lowdeg; edges
+// added to one hub push its degree past AutoMaxDegree, and the version that
+// crosses the limit is built on the core engine — one counted rebuild — with
+// the estimates of its own graph. Every version answers like the naive
+// oracle, and the older ones keep answering as they did.
+func TestAutoSelectionFollowsTheGraph(t *testing.T) {
+	ctx := context.Background()
+	g := Generate("path", 60, GenOptions{Colors: 2, Seed: 4})
+	q := MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
+	lq, err := q.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(ctx, g, q, WithEngine(EngineAuto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Engine() != EngineLowDeg {
+		t.Fatalf("auto on a path built %s", ix.Engine())
+	}
+	answers := func(ix *Index) [][]int {
+		var out [][]int
+		ix.Enumerate(func(s []int) bool { out = append(out, append([]int(nil), s...)); return true })
+		return out
+	}
+	versions := []*Index{ix}
+	wants := [][][]int{conform.NewNaive(g, lq).Solutions()}
+	const hub = 30
+	for i := 0; versions[len(versions)-1].Graph().Degree(hub) <= AutoMaxDegree; i++ {
+		prev := versions[len(versions)-1]
+		next, err := prev.ApplyEdits(ctx, []Edit{AddEdge(hub, 3+5*i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, deg := next.Selection(), next.Graph().MaxDegree()
+		if sel.Requested != EngineAuto || sel.MaxDegree != deg {
+			t.Fatalf("version %d: selection %+v, graph has maximum degree %d", next.Version(), sel, deg)
+		}
+		wantKind, wantRebuilds := EngineLowDeg, 0
+		if deg > AutoMaxDegree {
+			wantKind, wantRebuilds = EngineCore, 1
+		}
+		if st := next.Stats(); next.Engine() != wantKind || st.MutRebuilds != wantRebuilds || st.Mutations != next.Version() {
+			t.Fatalf("version %d (degree %d): engine %s, %+v", next.Version(), deg, next.Engine(), st)
+		}
+		versions = append(versions, next)
+		wants = append(wants, conform.NewNaive(next.Graph(), lq).Solutions())
+	}
+	head := versions[len(versions)-1]
+	if head.Engine() != EngineCore || head.Stats().CoverBags == 0 || head.Stats().BallEntries != 0 {
+		t.Fatalf("the hub outgrew the limit but the head is %s: %+v", head.Engine(), head.Stats())
+	}
+	// And back: with the hub's extra edges gone the next version returns to lowdeg.
+	var undo []Edit
+	for _, w := range head.Graph().Neighbors(hub) {
+		if int(w) != hub-1 && int(w) != hub+1 {
+			undo = append(undo, RemoveEdge(hub, int(w)))
+		}
+	}
+	back, err := head.ApplyEdits(ctx, undo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := back.Stats(); back.Engine() != EngineLowDeg || st.MutRebuilds != 2 || back.Selection().MaxDegree != 2 {
+		t.Fatalf("back on a path: engine %s, selection %+v, %+v", back.Engine(), back.Selection(), st)
+	}
+	versions, wants = append(versions, back), append(wants, wants[0])
+	for i, v := range versions {
+		if got := answers(v); len(got) != len(wants[i]) || (len(got) > 0 && !reflect.DeepEqual(got, wants[i])) {
+			t.Fatalf("version %d (%s) answers %d tuples, the oracle %d", i, v.Engine(), len(got), len(wants[i]))
+		}
 	}
 }

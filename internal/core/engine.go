@@ -115,10 +115,8 @@ type Engine struct {
 	rho int // local radius ρ
 
 	loc     locality
-	newLoc  locBuilder   // how loc was built; the ApplyEdits rebuild path builds the same kind
-	evPool  sync.Pool    // *fo.Evaluator with dist atoms served by loc.distTester
-	envPool sync.Pool    // fo.Env scratch for guarded local evaluations
-	gbfs    *scratchPool // BFS scratch on g
+	kind    *locKind     // which locality loc is; the ApplyEdits rebuild path builds the same
+	scratch *scratchPool // query-time scratch, shared with the versions ApplyEdits derives
 
 	clauses []*clauseRT
 	liveIdx []int // indices into q.Clauses of guard-surviving clauses
@@ -128,17 +126,45 @@ type Engine struct {
 	obsReg  *obs.Registry // nil when built without Options.Obs
 }
 
-// scratchPool hands out per-goroutine BFS scratch bound to one graph.
-type scratchPool struct{ p sync.Pool }
+// scratchPool hands out per-goroutine query-time scratch: BFS state,
+// evaluators and environments for the guarded local evaluations. An engine
+// shares it with every version ApplyEdits derives from it — the versions of
+// a graph have one vertex set, so scratch sized for one serves any of them
+// once it is bound to the caller's graph, which bfs and evaluator do. A write
+// then allocates no scratch of its own; and no version outlives its last
+// reader, as it would with pools of its own: a sync.Pool that has been used
+// stays reachable from the runtime for two more collections, and with it
+// whatever it is a field of (at 500 writes a second that was 40 MB of dead
+// versions).
+type scratchPool struct{ bfsPool, evPool, envPool sync.Pool }
 
-func newScratchPool(g *graph.Graph) *scratchPool {
+func newScratchPool() *scratchPool {
 	sp := &scratchPool{}
-	sp.p.New = func() any { return graph.NewBFS(g) }
+	sp.envPool.New = func() any { return fo.Env{} }
 	return sp
 }
 
-func (sp *scratchPool) get() *graph.BFS  { return sp.p.Get().(*graph.BFS) }
-func (sp *scratchPool) put(b *graph.BFS) { sp.p.Put(b) }
+func (sp *scratchPool) bfs(g *graph.Graph) *graph.BFS {
+	if b, ok := sp.bfsPool.Get().(*graph.BFS); ok {
+		b.Rebind(g)
+		return b
+	}
+	return graph.NewBFS(g)
+}
+
+func (sp *scratchPool) put(b *graph.BFS) { sp.bfsPool.Put(b) }
+
+// evaluator returns an evaluator on e's graph with distance atoms served by
+// e's locality.
+func (sp *scratchPool) evaluator(e *Engine) *fo.Evaluator {
+	if ev, ok := sp.evPool.Get().(*fo.Evaluator); ok {
+		ev.Rebind(e.g, e.loc.distTester())
+		return ev
+	}
+	ev := fo.NewEvaluator(e.g)
+	ev.UseDistTester(e.loc.distTester())
+	return ev
+}
 
 // clauseRT is the runtime form of one clause.
 type clauseRT struct {
@@ -171,17 +197,14 @@ type compRT struct {
 }
 
 // newEngine returns the shell Preprocess, RestoreEngine and ApplyEdits
-// fill in: the query constants and the pooled evaluation scratch.
-func newEngine(g *graph.Graph, q *LocalQuery, newLoc locBuilder, reg *obs.Registry) *Engine {
-	e := &Engine{g: g, q: q, k: q.K, r: q.R, rho: q.LocalRadius, newLoc: newLoc, obsReg: reg}
-	e.gbfs = newScratchPool(g)
-	e.evPool.New = func() any {
-		ev := fo.NewEvaluator(g)
-		ev.UseDistTester(e.loc.distTester())
-		return ev
+// fill in: the query constants and the pooled evaluation scratch, which is
+// scratch when the engine is a version of the one that owns it and fresh
+// when it is nil.
+func newEngine(g *graph.Graph, q *LocalQuery, kind *locKind, reg *obs.Registry, scratch *scratchPool) *Engine {
+	if scratch == nil {
+		scratch = newScratchPool()
 	}
-	e.envPool.New = func() any { return fo.Env{} }
-	return e
+	return &Engine{g: g, q: q, k: q.K, r: q.R, rho: q.LocalRadius, kind: kind, obsReg: reg, scratch: scratch}
 }
 
 // Preprocess builds the Theorem 2.3 index: distance index, (2R, ·)
@@ -190,7 +213,7 @@ func newEngine(g *graph.Graph, q *LocalQuery, newLoc locBuilder, reg *obs.Regist
 // Options.Parallelism > 1 the phases run on a worker pool; the resulting
 // engine is identical to the sequential build.
 func Preprocess(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
-	return preprocess(g, q, opt, buildCoverLoc)
+	return preprocess(g, q, opt, coverKind)
 }
 
 // PreprocessBalls builds the same engine over the ball locality: sorted
@@ -198,10 +221,10 @@ func Preprocess(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
 // pointers. Cost O(n · d^{R(k−1)} · eval) on a graph of maximum degree d —
 // linear for constant degree. internal/lowdeg is its public name.
 func PreprocessBalls(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
-	return preprocess(g, q, opt, buildBallLoc)
+	return preprocess(g, q, opt, ballKind)
 }
 
-func preprocess(g *graph.Graph, q *LocalQuery, opt Options, newLoc locBuilder) (*Engine, error) {
+func preprocess(g *graph.Graph, q *LocalQuery, opt Options, kind *locKind) (*Engine, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -223,7 +246,7 @@ func preprocess(g *graph.Graph, q *LocalQuery, opt Options, newLoc locBuilder) (
 	if err := checkpoint(); err != nil {
 		return nil, err
 	}
-	e := newEngine(g, q, newLoc, opt.Obs)
+	e := newEngine(g, q, kind, opt.Obs, nil)
 	workers := par.Resolve(opt.Parallelism)
 	pool := par.NewPool(workers).WithMetrics(par.NewMetrics(opt.Obs, "engine.pool"))
 	e.stats.Workers = workers
@@ -233,7 +256,7 @@ func preprocess(g *graph.Graph, q *LocalQuery, opt Options, newLoc locBuilder) (
 	root := opt.Obs.StartSpan(ctx, "preprocess")
 
 	var err error
-	if e.loc, err = newLoc(e, opt, pool, root, checkpoint); err != nil {
+	if e.loc, err = kind.build(e, opt, pool, root, checkpoint); err != nil {
 		return nil, err
 	}
 
@@ -341,7 +364,11 @@ func (e *Engine) buildClause(cl *Clause, pool *par.Pool, trace *obs.Span, checkp
 		if d := e.sameStarter(rt, c.starter); d != nil {
 			c.shareStarter(d)
 		} else {
-			e.stats.SkipWall += e.loc.indexStarter(c, pool, trace)
+			wall, err := e.loc.indexStarter(c, nil, pool, trace)
+			if err != nil {
+				return nil, err
+			}
+			e.stats.SkipWall += wall
 		}
 		rt.comps = append(rt.comps, c)
 	}
@@ -498,13 +525,13 @@ func (e *Engine) localEval(c *compRT, vals []graph.V) bool {
 // EvalReference.
 func (e *Engine) evalLocal(c *compRT, vals []graph.V) bool {
 	e.ctr.localEvals.Add(1)
-	bfs := e.gbfs.get()
+	bfs := e.scratch.bfs(e.g)
 	ball := bfs.BallMulti(vals, e.rho)
 	domain := make([]graph.V, len(ball))
 	for i, w := range ball {
 		domain[i] = int(w)
 	}
-	e.gbfs.put(bfs)
+	e.scratch.put(bfs)
 	if !e.q.Guarded {
 		// Hand-built (uncertified) queries only: the pinned 0-alloc delay
 		// guards all run compiler-certified queries, and the memo makes
@@ -512,15 +539,15 @@ func (e *Engine) evalLocal(c *compRT, vals []graph.V) bool {
 		//fod:coldpath memoized fallback for uncertified queries
 		return exactBallEval(e.g, c, vals, domain)
 	}
-	env := e.envPool.Get().(fo.Env)
+	env := e.scratch.envPool.Get().(fo.Env)
 	clear(env)
 	for i, v := range vals {
 		env[c.vars[i]] = v
 	}
-	ev := e.evPool.Get().(*fo.Evaluator)
+	ev := e.scratch.evaluator(e)
 	res := ev.EvalOver(c.psi, env, domain)
-	e.evPool.Put(ev)
-	e.envPool.Put(env)
+	e.scratch.evPool.Put(ev)
+	e.scratch.envPool.Put(env)
 	return res
 }
 
@@ -566,3 +593,6 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // Query returns the query the engine was built for.
 func (e *Engine) Query() *LocalQuery { return e.q }
+
+// Locality names the locality the engine runs on: LocCover or LocBalls.
+func (e *Engine) Locality() string { return e.kind.name }

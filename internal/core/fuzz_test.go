@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fo"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // queryGen generates random FO⁺ queries inside the compilable fragment:
@@ -214,6 +215,71 @@ func TestFuzzArity3(t *testing.T) {
 		if i, ok := tuplesEqual(got, want); !ok {
 			t.Fatalf("trial %d: query %s: engine %d vs naive %d (diff near %v vs %v)",
 				trial, phi, len(got), len(want), safeIndex(got, i), safeIndex(want, i))
+		}
+	}
+}
+
+// TestFuzzMutateRandomQueries pins the region ApplyEdits re-tests
+// (starterReach) against queries nobody picked by hand: random formulas of
+// the compilable fragment — quantified witnesses, distance atoms inside
+// component formulas, close and far components — over random sparse
+// graphs, a few random edit batches each, patched engine against rebuilt
+// engine over both localities.
+func TestFuzzMutateRandomQueries(t *testing.T) {
+	trials := 150
+	if testing.Short() {
+		trials = 30
+	}
+	classes := []gen.Class{gen.Path, gen.Cycle, gen.RandomTree, gen.Grid, gen.BoundedDegree, gen.SparseRandom}
+	for trial := 0; trial < trials; trial++ {
+		rng := rand.New(rand.NewSource(int64(7000 + trial)))
+		arity := 1 + rng.Intn(2)
+		vars := []fo.Var{"x", "y"}[:arity]
+		qg := &queryGen{rng: rng, vars: vars, colors: 2}
+		phi := qg.formula(2 + rng.Intn(2))
+		q, err := Compile(phi, vars, CompileOptions{})
+		if err != nil {
+			continue // outside the fragment
+		}
+		g := gen.Generate(classes[rng.Intn(len(classes))], 30+rng.Intn(40), gen.Options{Seed: int64(trial), Colors: 2, ColorProb: 0.35})
+		for _, kind := range locKinds {
+			e, err := preprocess(g, q, Options{}, kind)
+			if err != nil {
+				t.Fatalf("trial %d (%s): preprocess: %v", trial, phi, err)
+			}
+			gCur := g
+			for step := 0; step < 4; step++ {
+				var edits []graph.Edit
+				for i := 1 + rng.Intn(2); i > 0; i-- {
+					u, v := rng.Intn(g.N()), rng.Intn(g.N())
+					switch {
+					case rng.Intn(3) == 0:
+						edits = append(edits, graph.Edit{Op: graph.AddColor + graph.EditOp(rng.Intn(2)), U: u, Color: rng.Intn(2)})
+					case gCur.Degree(u) > 0 && rng.Intn(2) == 0:
+						nb := gCur.Neighbors(u)
+						edits = append(edits, graph.Edit{Op: graph.RemoveEdge, U: u, V: int(nb[rng.Intn(len(nb))])})
+					case u != v:
+						edits = append(edits, graph.Edit{Op: graph.AddEdge, U: u, V: v})
+					}
+				}
+				e2, err := e.ApplyEdits(nil, edits)
+				if err != nil {
+					t.Fatalf("trial %d (%s): ApplyEdits: %v", trial, phi, err)
+				}
+				if gCur, err = graph.Patch(gCur, edits); err != nil {
+					t.Fatal(err)
+				}
+				ref, err := preprocess(gCur, q, Options{}, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := materializeEngine(e2), materializeEngine(ref)
+				if i, ok := tuplesEqual(got, want); !ok {
+					t.Fatalf("trial %d, locality %q, step %d: query %s after %v: patched %d vs rebuilt %d tuples (diff near %v vs %v)",
+						trial, kind.name, step, phi, edits, len(got), len(want), safeIndex(got, i), safeIndex(want, i))
+				}
+				e = e2
+			}
 		}
 	}
 }

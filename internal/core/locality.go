@@ -30,7 +30,8 @@ import (
 //     N_R(v) and N_{R(k−1)}(v) is small, so both are materialized sorted,
 //     a distance test is a binary search and Case I a forward scan.
 //
-// A third engine is a third implementation plus its locBuilder.
+// A third engine is a third implementation plus its locKind: the four
+// answering methods, indexStarter, patch and parts.
 type locality interface {
 	// within reports dist(a, b) ≤ R.
 	within(a, b graph.V) bool
@@ -44,19 +45,61 @@ type locality interface {
 	rBall(a graph.V) []int32
 
 	// indexStarter derives from c's finished starter list whatever
-	// nextOpening needs and returns the wall time of the skip sweep.
-	indexStarter(c *compRT, pool *par.Pool, trace *obs.Span) time.Duration
+	// nextOpening needs and returns the wall time of the skip sweep. With
+	// saved non-nil (RestoreEngine) it adopts the component's snapshot
+	// payload instead of searching, and refuses one that does not fit.
+	indexStarter(c *compRT, saved *CompParts, pool *par.Pool, trace *obs.Span) (time.Duration, error)
 	// distTester serves the distance atoms inside component formulas; nil
 	// leaves them to the evaluator's own BFS.
 	distTester() fo.DistTester
 	// explain writes the locality's lines of Engine.Explain.
 	explain(sb *strings.Builder)
+
+	// patch is the locality's part of ApplyEdits: the receiver belongs to
+	// old, and the result is the locality of e2, whose graph differs from
+	// old's in edges at edgeSrcs (sorted; colour changes concern no
+	// locality). Only structure within reach of edgeSrcs is recomputed, as
+	// children of trace; the receiver stays as it is. reindex is then called
+	// on every component of e2 once its starter list is re-tested. ok =
+	// false means the edit is not local at this locality's scale and
+	// ApplyEdits rebuilds.
+	patch(old, e2 *Engine, edgeSrcs []graph.V, pool *par.Pool, trace *obs.Span) (loc locality, reindex starterPatch, ok bool)
+	// parts adds the locality's serialized form to p, whose Clauses are
+	// laid out already: its own sections and, per component, what
+	// indexStarter derived. locKind.restore is the inverse.
+	parts(e *Engine, p *EngineParts)
 }
 
-// locBuilder builds e's locality inside Preprocess: its phases are children
-// of root, it calls checkpoint between them, and it records its share of
-// e.stats.
-type locBuilder func(e *Engine, opt Options, pool *par.Pool, root *obs.Span, checkpoint func() error) (locality, error)
+// starterPatch brings what indexStarter derived for c, a component of the
+// engine being patched, over to c2, its successor in clause rt2 whose
+// starter list differs from c's exactly at starterDiff (sorted).
+type starterPatch func(rt2 *clauseRT, c2, c *compRT, starterDiff []graph.V)
+
+// locKind is one implementation of locality: how Preprocess builds it and
+// how RestoreEngine gets it back from the parts it wrote under name.
+type locKind struct {
+	name string
+	// build's phases are children of root; it calls checkpoint between
+	// them and records its share of e.stats.
+	build func(e *Engine, opt Options, pool *par.Pool, root *obs.Span, checkpoint func() error) (locality, error)
+	// restore revalidates p's sections against e's graph and query; its
+	// phases are children of root.
+	restore func(e *Engine, p *EngineParts, opt Options, root *obs.Span) (locality, error)
+}
+
+// The locality names, as EngineParts.Locality and the snapshot metadata
+// carry them. The cover's is empty: files written before the ball form
+// existed name none.
+const (
+	LocCover = ""
+	LocBalls = "balls"
+)
+
+var (
+	coverKind = &locKind{name: LocCover, build: buildCoverLoc, restore: restoreCoverLoc}
+	ballKind  = &locKind{name: LocBalls, build: buildBallLoc, restore: restoreBallLoc}
+	locKinds  = []*locKind{coverKind, ballKind}
+)
 
 // coverLoc is the locality of the paper. It is immutable once built except
 // for the two lazily filled ball caches.
@@ -66,9 +109,10 @@ type coverLoc struct {
 	r, compR  int // R and R(k−1)
 	dix       *dist.Index
 	cov       *cover.Cover
-	bfs       *scratchPool // the engine's
-	compBalls sync.Map     // graph.V -> []int32, radius compR
-	rBalls    sync.Map     // graph.V -> []int32, radius r (unused when compR == r)
+	scratch   *scratchPool  // the engine's
+	reg       *obs.Registry // the engine's; nil records nothing
+	compBalls sync.Map      // graph.V -> []int32, radius compR
+	rBalls    sync.Map      // graph.V -> []int32, radius r (unused when compR == r)
 }
 
 // compRadius is R(k−1), the reach of a component from its first element
@@ -123,7 +167,7 @@ func buildCoverLoc(e *Engine, opt Options, pool *par.Pool, root *obs.Span, check
 
 // newCoverLoc returns e's cover locality with dix and cov still to be set.
 func (e *Engine) newCoverLoc() *coverLoc {
-	return &coverLoc{g: e.g, k: e.k, r: e.r, compR: compRadius(e.q), bfs: e.gbfs}
+	return &coverLoc{g: e.g, k: e.k, r: e.r, compR: compRadius(e.q), scratch: e.scratch, reg: e.obsReg}
 }
 
 func (e *Engine) coverStats(cov *cover.Cover) {
@@ -151,24 +195,34 @@ func (l *coverLoc) ball(cache *sync.Map, a graph.V, radius int) []int32 {
 	if b, ok := cache.Load(a); ok {
 		return b.([]int32)
 	}
-	bfs := l.bfs.get()
+	bfs := l.scratch.bfs(l.g)
 	out := slices.Clone(bfs.Ball(a, radius))
-	l.bfs.put(bfs)
+	l.scratch.put(bfs)
 	slices.Sort(out)
 	cache.Store(a, out)
 	return out
 }
 
-// indexStarter builds the Lemma 5.8 skip pointers over c.starter and the
-// per-kernel starter lists.
-func (l *coverLoc) indexStarter(c *compRT, pool *par.Pool, trace *obs.Span) (skipWall time.Duration) {
-	if l.k >= 2 {
+// indexStarter builds the Lemma 5.8 skip pointers over c.starter — or
+// adopts the saved table — and the per-kernel starter lists.
+func (l *coverLoc) indexStarter(c *compRT, saved *CompParts, pool *par.Pool, trace *obs.Span) (skipWall time.Duration, err error) {
+	switch {
+	case l.k < 2:
+	case saved == nil:
 		sp := trace.Child("skip")
 		c.skip = skip.New(l.g, l.cov, l.k-1, c.starter)
 		skipWall = sp.End()
+	case saved.Skip == nil:
+		return 0, fmt.Errorf("misses its skip table (arity %d)", l.k)
+	case saved.Skip.K != l.k-1:
+		return 0, fmt.Errorf("skip table has set size %d, arity needs %d", saved.Skip.K, l.k-1)
+	default:
+		if c.skip, err = skip.FromPartsObs(l.cov, c.starter, *saved.Skip, l.reg); err != nil {
+			return 0, err
+		}
 	}
 	l.buildKernelLists(c, pool)
-	return skipWall
+	return skipWall, nil
 }
 
 // buildKernelLists fills c.byKernel[bag] = starter ∩ K_R(bag). Bags are
@@ -201,6 +255,148 @@ func (l *coverLoc) buildKernelLists(c *compRT, pool *par.Pool) {
 		}
 		c.byKernel[i] = row
 	})
+}
+
+// patch is the paper's §3 layer by layer: ball rows of the distance index
+// within its radius of an endpoint (dist.Patch), then containment repairs
+// and exact kernels of the bags within reach (cover.Patch). A cover that
+// refuses — an edit avalanche — means the edit is not local at cover
+// scale.
+func (l *coverLoc) patch(old, e2 *Engine, edgeSrcs []graph.V, _ *par.Pool, trace *obs.Span) (locality, starterPatch, bool) {
+	l2 := e2.newCoverLoc()
+	sp := trace.Child("dist")
+	var ok bool
+	if l2.dix, ok = dist.Patch(l.dix, old.g, e2.g, edgeSrcs); !ok {
+		l2.dix = dist.New(e2.g, distRadius(e2.q), dist.Options{Workers: e2.stats.Workers})
+	}
+	sp.End()
+	sp = trace.Child("cover")
+	var info *cover.PatchInfo
+	l2.cov, info, ok = l.cov.Patch(old.g, e2.g, edgeSrcs)
+	sp.End()
+	if !ok {
+		return nil, nil, false
+	}
+	e2.coverStats(l2.cov)
+	return l2, func(rt2 *clauseRT, c2, c *compRT, starterDiff []graph.V) {
+		l2.patchStarter(e2, rt2, c2, c, starterDiff, info)
+	}, true
+}
+
+// patchStarter overlays (or rebuilds) c's skip pointers for c2 and
+// resplices the per-kernel starter lists.
+func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starterDiff []graph.V, info *cover.PatchInfo) {
+	// Skip pointers: overlay while the accumulated delta stays small — the
+	// overlay is this component's own, the base under it stays shared and
+	// unwritten — and rebuild past the threshold (the overlay's scan cost
+	// is O(|delta|)), once per distinct list as in Preprocess: pointers an
+	// earlier component of e2 holds for an equal list are exact for this
+	// one too.
+	if l.k >= 2 {
+		delta := mergeSortedV(starterDiff, info.KernelDelta)
+		if c.skip.DeltaLen()+len(delta) <= skip.RebuildThreshold(l.g.N()) {
+			c2.skip = c.skip.WithDelta(l.cov, c2.starter, delta)
+		} else if d := e2.sameStarter(rt2, c2.starter); d != nil {
+			c2.skip = d.skip
+		} else {
+			c2.skip = skip.New(l.g, l.cov, l.k-1, c2.starter)
+		}
+	}
+
+	// byKernel rows change only for bags whose kernel changed, bags the
+	// patch created, and bags whose kernel contains a starter-diff vertex.
+	nb := l.cov.NumBags()
+	c2.byKernel = make([][]graph.V, nb)
+	copy(c2.byKernel, c.byKernel)
+	redo := make(map[int]bool, len(info.KernelChanged)+len(info.NewBags))
+	for _, b := range info.KernelChanged {
+		redo[b] = true
+	}
+	for _, b := range info.NewBags {
+		redo[b] = true
+	}
+	for _, v := range starterDiff {
+		for _, b := range l.cov.KernelsOf(v) {
+			redo[int(b)] = true
+		}
+	}
+	redoList := make([]int, 0, len(redo))
+	for b := range redo { //fod:sorted — sorted immediately below
+		redoList = append(redoList, b)
+	}
+	sort.Ints(redoList)
+	for _, b := range redoList {
+		var row []graph.V
+		for _, v := range l.cov.Kernel(b) {
+			if c2.inStart[v] {
+				row = append(row, v)
+			}
+		}
+		c2.byKernel[b] = row
+	}
+}
+
+// parts serializes everything the build computes by search (distance
+// recursion, cover and kernels, SC-tables). The cover's lazy
+// Storing-Theorem membership structures are deliberately NOT included: the
+// answering hot path reads the memberOf/kernelOf inverted lists (rebuilt
+// from the bag CSRs at restore), the stores are only the paper-faithful
+// alternate access path, and their registers are 2–3× the size of
+// everything else combined. The restored cover rebuilds them lazily under
+// the same sync.Once a fresh build uses, so behavior is identical either
+// way.
+func (l *coverLoc) parts(e *Engine, p *EngineParts) {
+	p.Cover, p.Dist = l.cov.Parts(false), l.dix.Parts()
+	for i, rt := range e.clauses {
+		for j, c := range rt.comps {
+			sk := c.skip
+			if sk == nil {
+				continue
+			}
+			if sk.DeltaLen() > 0 {
+				// An overlay answers from the table of an older version
+				// plus a correction set the format has no section for; the
+				// file gets this version's table.
+				sk = skip.New(l.g, l.cov, l.k-1, c.starter)
+			}
+			sp := sk.Parts()
+			p.Clauses[i][j].Skip = &sp
+		}
+	}
+}
+
+// restoreCoverLoc reruns only the cheap deterministic derivations
+// (inverted lists, kernel intersections) over the saved distance recursion
+// and cover.
+func restoreCoverLoc(e *Engine, p *EngineParts, opt Options, root *obs.Span) (locality, error) {
+	if e.k > skip.MaxSetSize+1 {
+		return nil, fmt.Errorf("core: arity %d exceeds supported maximum %d", e.k, skip.MaxSetSize+1)
+	}
+	l := e.newCoverLoc()
+	var err error
+	sp := root.Child("dist")
+	l.dix, err = dist.FromParts(e.g, p.Dist)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	if distR := distRadius(e.q); l.dix.R != distR {
+		return nil, fmt.Errorf("core: snapshot distance index has radius %d, query needs %d", l.dix.R, distR)
+	}
+	sp = root.Child("cover")
+	l.cov, err = cover.FromPartsObs(e.g, p.Cover, opt.Obs)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	if l.cov.R != 2*e.r {
+		return nil, fmt.Errorf("core: snapshot cover has radius %d, query needs %d", l.cov.R, 2*e.r)
+	}
+	if l.cov.KernelP() != e.r {
+		return nil, fmt.Errorf("core: snapshot kernels have radius %d, query needs %d", l.cov.KernelP(), e.r)
+	}
+	e.coverStats(l.cov)
+	return l, nil
 }
 
 func (l *coverLoc) explain(sb *strings.Builder) {
@@ -280,42 +476,160 @@ type ballLoc struct {
 }
 
 func buildBallLoc(e *Engine, _ Options, pool *par.Pool, root *obs.Span, checkpoint func() error) (locality, error) {
-	l := &ballLoc{r: e.r, compR: compRadius(e.q)}
 	sp := root.Child("balls")
-	l.rOff, l.rAdj = ballCSR(e.g, l.r, pool)
-	l.cOff, l.cAdj = l.rOff, l.rAdj
-	if l.compR != l.r {
-		l.cOff, l.cAdj = ballCSR(e.g, l.compR, pool)
+	all := make([]graph.V, e.g.N())
+	for v := range all {
+		all[v] = v
 	}
+	none := make([]int32, e.g.N()+1)
+	empty := &ballLoc{r: e.r, compR: compRadius(e.q), rOff: none, cOff: none}
+	l := empty.respliced(e, pool, func(int) []graph.V { return all })
 	sp.End()
-	e.stats.MaxDegree = e.g.MaxDegree()
-	e.stats.BallEntries, e.stats.CompEntries = len(l.rAdj), len(l.cAdj)
+	e.ballStats(l)
 	return l, checkpoint()
 }
 
-// ballCSR materializes the sorted radius-r ball of every vertex as one
-// flat CSR array. Each vertex owns its row, so the per-vertex BFS fans
-// out across the pool and the result is worker-count-independent.
-func ballCSR(g *graph.Graph, r int, pool *par.Pool) (off, adj []int32) {
-	n := g.N()
-	rows := make([][]int32, n)
+// respliced returns the locality of e's graph that has l's rows except at
+// the vertices dirty lists (ascending) for a row radius, whose balls it
+// computes. The build is the case where l is empty and every row dirty.
+func (l *ballLoc) respliced(e *Engine, pool *par.Pool, dirty func(radius int) []graph.V) *ballLoc {
+	l2 := &ballLoc{r: l.r, compR: l.compR}
+	vs := dirty(l.r)
+	l2.rOff, l2.rAdj = spliceBalls(l.rOff, l.rAdj, vs, ballRows(e, l.r, vs, pool))
+	l2.cOff, l2.cAdj = l2.rOff, l2.rAdj
+	if l.compR != l.r {
+		vs = dirty(l.compR)
+		l2.cOff, l2.cAdj = spliceBalls(l.cOff, l.cAdj, vs, ballRows(e, l.compR, vs, pool))
+	}
+	return l2
+}
+
+func (e *Engine) ballStats(l *ballLoc) {
+	e.stats.MaxDegree = e.g.MaxDegree()
+	e.stats.BallEntries, e.stats.CompEntries = len(l.rAdj), len(l.cAdj)
+}
+
+// ballRows returns the sorted radius-r ball of each vertex of vs in e's
+// graph. Each vertex owns its row, so the per-vertex BFS fans out across
+// the pool and the result is worker-count-independent.
+func ballRows(e *Engine, r int, vs []graph.V, pool *par.Pool) [][]int32 {
+	rows := make([][]int32, len(vs))
 	scratch := make([]*graph.BFS, pool.Workers())
-	for w := range scratch {
-		scratch[w] = graph.NewBFS(g)
-	}
-	pool.ForEachWorker(n, func(wk, v int) {
-		rows[v] = slices.Clone(scratch[wk].Ball(v, r))
-		slices.Sort(rows[v])
+	pool.ForEachWorker(len(vs), func(wk, i int) {
+		if scratch[wk] == nil {
+			scratch[wk] = e.scratch.bfs(e.g)
+		}
+		rows[i] = slices.Clone(scratch[wk].Ball(vs[i], r))
+		slices.Sort(rows[i])
 	})
-	off = make([]int32, n+1)
-	for v, row := range rows {
-		off[v+1] = off[v] + int32(len(row))
+	for _, bfs := range scratch {
+		if bfs != nil {
+			e.scratch.put(bfs)
+		}
 	}
-	adj = make([]int32, off[n])
-	for v, row := range rows {
-		copy(adj[off[v]:], row)
+	return rows
+}
+
+// spliceBalls returns the flat CSR array whose row vs[i] is rows[i] and
+// whose other rows are those of (off, adj); vs ascends. The result shares
+// nothing with its input: a patched locality reads two plain arrays, like
+// a built one.
+func spliceBalls(off, adj []int32, vs []graph.V, rows [][]int32) (off2, adj2 []int32) {
+	total := len(adj)
+	for i, v := range vs {
+		total += len(rows[i]) - int(off[v+1]-off[v])
 	}
-	return off, adj
+	off2, adj2 = make([]int32, len(off)), make([]int32, total)
+	// keep moves the rows [from, to) over, displaced by what the rows
+	// replaced before them gained.
+	from, shift := 0, int32(0)
+	keep := func(to int) {
+		copy(adj2[off[from]+shift:], adj[off[from]:off[to]])
+		for u := from; u <= to; u++ {
+			off2[u] = off[u] + shift
+		}
+	}
+	for i, v := range vs {
+		keep(v)
+		copy(adj2[off2[v]:], rows[i])
+		shift += int32(len(rows[i])) - (off[v+1] - off[v])
+		from = v + 1
+	}
+	keep(len(off) - 1)
+	return off2, adj2
+}
+
+// patch recomputes the rows an edge change can alter — those of the
+// vertices within the row's radius of an endpoint, in the old or the new
+// graph — and splices them into fresh arrays. It never refuses: with every
+// row dirty it is the build.
+func (l *ballLoc) patch(old, e2 *Engine, edgeSrcs []graph.V, pool *par.Pool, trace *obs.Span) (locality, starterPatch, bool) {
+	l2 := l
+	if len(edgeSrcs) > 0 {
+		sp := trace.Child("balls")
+		l2 = l.respliced(e2, pool, func(radius int) []graph.V { return reachEither(old, e2, edgeSrcs, radius) })
+		sp.End()
+	}
+	e2.ballStats(l2)
+	return l2, func(*clauseRT, *compRT, *compRT, []graph.V) {}, true
+}
+
+func (l *ballLoc) parts(_ *Engine, p *EngineParts) {
+	p.Balls = BallParts{R: l.r, CompR: l.compR, ROff: l.rOff, RAdj: l.rAdj}
+	if l.compR != l.r {
+		p.Balls.COff, p.Balls.CAdj = l.cOff, l.cAdj
+	}
+}
+
+// restoreBallLoc adopts the saved arrays once every row is known to be a
+// sorted vertex list around its own vertex: what within, nextOpening and
+// the Case II scans rely on to stay inside the arrays.
+func restoreBallLoc(e *Engine, p *EngineParts, _ Options, root *obs.Span) (locality, error) {
+	defer root.Child("balls").End()
+	b := &p.Balls
+	l := &ballLoc{r: e.r, compR: compRadius(e.q), rOff: b.ROff, rAdj: b.RAdj, cOff: b.ROff, cAdj: b.RAdj}
+	if b.R != l.r || b.CompR != l.compR {
+		return nil, fmt.Errorf("core: snapshot balls have radii %d and %d, query needs %d and %d", b.R, b.CompR, l.r, l.compR)
+	}
+	if err := checkBallCSR(e.g.N(), b.ROff, b.RAdj); err != nil {
+		return nil, fmt.Errorf("core: snapshot radius-%d balls: %w", b.R, err)
+	}
+	if l.compR != l.r {
+		l.cOff, l.cAdj = b.COff, b.CAdj
+		if err := checkBallCSR(e.g.N(), b.COff, b.CAdj); err != nil {
+			return nil, fmt.Errorf("core: snapshot radius-%d balls: %w", b.CompR, err)
+		}
+	} else if len(b.COff)+len(b.CAdj) > 0 {
+		return nil, fmt.Errorf("core: snapshot carries completion balls beside equal radius-%d balls", b.R)
+	}
+	e.ballStats(l)
+	return l, nil
+}
+
+// checkBallCSR reports whether (off, adj) can be the ball rows of an
+// n-vertex graph: n+1 offsets rising from 0 to len(adj), every row
+// strictly ascending inside [0, n) and holding its own vertex.
+func checkBallCSR(n int, off, adj []int32) error {
+	if len(off) != n+1 || off[0] != 0 || int(off[n]) != len(adj) {
+		return fmt.Errorf("%d offsets over %d entries do not frame %d rows", len(off), len(adj), n)
+	}
+	for v := 0; v < n; v++ {
+		if off[v+1] < off[v] || int(off[v+1]) > len(adj) {
+			return fmt.Errorf("row %d has offsets [%d, %d)", v, off[v], off[v+1])
+		}
+		row := adj[off[v]:off[v+1]]
+		prev, own := int32(-1), false
+		for _, w := range row {
+			if w <= prev || int(w) >= n {
+				return fmt.Errorf("row %d is not a sorted vertex list", v)
+			}
+			prev, own = w, own || int(w) == v
+		}
+		if !own {
+			return fmt.Errorf("row %d misses its own vertex", v)
+		}
+	}
+	return nil
 }
 
 // within is one binary search in the sorted R-ball row of a.
@@ -355,7 +669,13 @@ func (l *ballLoc) compBall(anchor graph.V) []int32 { return l.cAdj[l.cOff[anchor
 
 func (l *ballLoc) rBall(a graph.V) []int32 { return l.rAdj[l.rOff[a]:l.rOff[a+1]] }
 
-func (l *ballLoc) indexStarter(*compRT, *par.Pool, *obs.Span) time.Duration { return 0 }
+// indexStarter has nothing to derive: nextOpening scans the list itself.
+func (l *ballLoc) indexStarter(_ *compRT, saved *CompParts, _ *par.Pool, _ *obs.Span) (time.Duration, error) {
+	if saved != nil && saved.Skip != nil {
+		return 0, fmt.Errorf("carries a skip table, which the ball locality has no use for")
+	}
+	return 0, nil
+}
 
 func (l *ballLoc) distTester() fo.DistTester { return nil }
 

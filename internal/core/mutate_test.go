@@ -1,6 +1,7 @@
 // Differential and fuzz tests of the mutation path: an engine evolved via
 // ApplyEdits must enumerate byte-identically to an engine preprocessed
-// from scratch on the edited graph, and both must match the naive oracle.
+// from scratch on the edited graph, and both must match the naive oracle —
+// over the cover locality and over the ball locality alike.
 package core_test
 
 import (
@@ -49,6 +50,15 @@ func randomEditBatch(rng *rand.Rand, g *graph.Graph, count int) []graph.Edit {
 	return edits
 }
 
+// bothLocalities are the two builds every mutation test runs over.
+var bothLocalities = []struct {
+	name       string
+	preprocess preprocessFunc
+}{
+	{"cover", core.Preprocess},
+	{"balls", core.PreprocessBalls},
+}
+
 type mutateCase struct {
 	class gen.Class
 	n     int
@@ -65,6 +75,10 @@ func mutateCases() []mutateCase {
 		{gen.Path, 300, "dist(x,y) > 1 & C0(x) & C1(y)", xy},
 		{gen.RandomTree, 250, "E(x,y) & C0(x)", xy},
 		{gen.BoundedDegree, 200, "dist(x,y) > 2 & C0(x)", xy},
+		// Components of two positions: the starter test walks the R(k−1)
+		// ball, so ball rows and starter bits move together.
+		{gen.Cycle, 120, "dist(x,y) <= 2 & C0(x) & C1(y)", xy},
+		{gen.BoundedDegree, 50, "E(x,y) & E(y,z) & C1(z)", []fo.Var{"x", "y", "z"}},
 		// Small graphs stress the fallback and repair paths.
 		{gen.Caterpillar, 50, "dist(x,y) > 2 & (exists z (E(x,z) & C0(z)))", xy},
 		{gen.Star, 40, "C0(x) & C1(y) & dist(x,y) > 1", xy},
@@ -72,8 +86,9 @@ func mutateCases() []mutateCase {
 }
 
 // TestMutateDifferential chains several edit generations and, after each,
-// compares the mutated engine against a from-scratch build and the naive
-// oracle — full enumeration, membership probes, and counts.
+// compares the mutated engine of each locality against a from-scratch
+// build and the naive oracle — full enumeration, membership probes, and
+// counts.
 func TestMutateDifferential(t *testing.T) {
 	for _, tc := range mutateCases() {
 		t.Run(fmt.Sprintf("%s/%s", tc.class, tc.query), func(t *testing.T) {
@@ -82,212 +97,353 @@ func TestMutateDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := core.Preprocess(g, lq, core.Options{Parallelism: 2})
-			if err != nil {
-				t.Fatal(err)
+			engs := make([]*core.Engine, len(bothLocalities))
+			for li, loc := range bothLocalities {
+				if engs[li], err = loc.preprocess(g, lq, core.Options{Parallelism: 2}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			rng := rand.New(rand.NewSource(int64(tc.n)))
 			for generation := 0; generation < 5; generation++ {
 				edits := randomEditBatch(rng, g, 1+rng.Intn(5))
-				mutated, err := eng.ApplyEdits(nil, edits)
-				if err != nil {
-					t.Fatalf("generation %d: ApplyEdits: %v", generation, err)
-				}
 				gNew, err := graph.Patch(g, edits)
 				if err != nil {
 					t.Fatal(err)
-				}
-				rebuiltEng, err := core.Preprocess(gNew, lq, core.Options{Parallelism: 2})
-				if err != nil {
-					t.Fatalf("generation %d: rebuild: %v", generation, err)
-				}
-				got := materialize(mutated)
-				want := materialize(rebuiltEng)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("generation %d: mutated enumeration diverged from rebuild (%d vs %d tuples)",
-						generation, len(got), len(want))
 				}
 				oracle := naive.SolutionsLocal(gNew, lq)
 				if len(oracle) == 0 {
 					oracle = nil
 				}
-				if !reflect.DeepEqual(got, oracle) {
-					t.Fatalf("generation %d: mutated enumeration diverged from naive oracle (%d vs %d tuples)",
-						generation, len(got), len(oracle))
-				}
-				// Membership probes on random tuples.
-				for q := 0; q < 200; q++ {
-					a := []graph.V{rng.Intn(gNew.N()), rng.Intn(gNew.N())}
-					if mutated.Test(a) != rebuiltEng.Test(a) {
-						t.Fatalf("generation %d: Test(%v) disagrees with rebuild", generation, a)
+				for li, loc := range bothLocalities {
+					mutated, err := engs[li].ApplyEdits(nil, edits)
+					if err != nil {
+						t.Fatalf("%s generation %d: ApplyEdits: %v", loc.name, generation, err)
 					}
+					rebuiltEng, err := loc.preprocess(gNew, lq, core.Options{Parallelism: 2})
+					if err != nil {
+						t.Fatalf("%s generation %d: rebuild: %v", loc.name, generation, err)
+					}
+					got := materialize(mutated)
+					want := materialize(rebuiltEng)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s generation %d: mutated enumeration diverged from rebuild (%d vs %d tuples)",
+							loc.name, generation, len(got), len(want))
+					}
+					if !reflect.DeepEqual(got, oracle) {
+						t.Fatalf("%s generation %d: mutated enumeration diverged from naive oracle (%d vs %d tuples)",
+							loc.name, generation, len(got), len(oracle))
+					}
+					// Membership probes on random tuples.
+					a := make([]graph.V, lq.K)
+					for q := 0; q < 200; q++ {
+						for i := range a {
+							a[i] = rng.Intn(gNew.N())
+						}
+						if mutated.Test(a) != rebuiltEng.Test(a) {
+							t.Fatalf("%s generation %d: Test(%v) disagrees with rebuild", loc.name, generation, a)
+						}
+					}
+					engs[li] = mutated
 				}
-				g, eng = gNew, mutated
+				g = gNew
 			}
 		})
 	}
 }
 
 // TestMutateSnapshotIsolation: the old engine keeps answering with its old
-// results after (and while) a mutation derives the next version.
+// results after (and while) a mutation derives the next version — readers
+// on the old version, one writer chaining new ones, over either locality.
+// verify.sh tier 2 runs it under -race.
 func TestMutateSnapshotIsolation(t *testing.T) {
-	g := gen.Generate(gen.Grid, 400, gen.Options{Seed: 8, Colors: 2})
-	lq, err := core.Compile(fo.MustParse("dist(x,y) > 2 & C0(y)"), []fo.Var{"x", "y"}, core.CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.Preprocess(g, lq, core.Options{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := materialize(eng)
-	rng := rand.New(rand.NewSource(3))
-
-	// Readers hammer the old engine while writers chain mutations off it.
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				a := []graph.V{r.Intn(g.N()), r.Intn(g.N())}
-				eng.Test(a)
-				eng.NextGeq(a)
+	for _, loc := range bothLocalities {
+		t.Run(loc.name, func(t *testing.T) {
+			g := gen.Generate(gen.Grid, 400, gen.Options{Seed: 8, Colors: 2})
+			lq, err := core.Compile(fo.MustParse("dist(x,y) > 2 & C0(y)"), []fo.Var{"x", "y"}, core.CompileOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(int64(w))
-	}
-	cur := eng
-	for i := 0; i < 3; i++ {
-		edits := randomEditBatch(rng, cur.Graph(), 3)
-		next, err := cur.ApplyEdits(nil, edits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur = next
-	}
-	close(stop)
-	wg.Wait()
-	after := materialize(eng)
-	if !reflect.DeepEqual(before, after) {
-		t.Fatal("old engine's enumeration changed after mutations")
+			eng, err := loc.preprocess(g, lq, core.Options{Parallelism: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := materialize(eng)
+			rng := rand.New(rand.NewSource(3))
+
+			// Readers hammer the old engine while writers chain mutations off it.
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(seed))
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						a := []graph.V{r.Intn(g.N()), r.Intn(g.N())}
+						eng.Test(a)
+						eng.NextGeq(a)
+					}
+				}(int64(w))
+			}
+			cur := eng
+			for i := 0; i < 3; i++ {
+				edits := randomEditBatch(rng, cur.Graph(), 3)
+				next, err := cur.ApplyEdits(nil, edits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cur = next
+			}
+			close(stop)
+			wg.Wait()
+			after := materialize(eng)
+			if !reflect.DeepEqual(before, after) {
+				t.Fatal("old engine's enumeration changed after mutations")
+			}
+		})
 	}
 }
 
 // TestMutatePatchedPathTaken guards against the patch silently degrading
 // into rebuild-always: on a large grid with a single-edge edit, the
-// incremental path (not the Preprocess fallback) must serve the mutation.
+// incremental path (not the Preprocess fallback) must serve the mutation,
+// whichever locality the engine runs on.
 func TestMutatePatchedPathTaken(t *testing.T) {
-	g := gen.Generate(gen.Grid, 900, gen.Options{Seed: 2, Colors: 1})
-	lq, err := core.Compile(fo.MustParse("dist(x,y) > 2 & C0(y)"), []fo.Var{"x", "y"}, core.CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.Preprocess(g, lq, core.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutated, err := eng.ApplyEdits(nil, []graph.Edit{{Op: graph.RemoveEdge, U: 0, V: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := mutated.Stats()
-	if st.Mutations != 1 {
-		t.Fatalf("Mutations = %d, want 1", st.Mutations)
-	}
-	if st.MutRebuilds != 0 {
-		t.Fatalf("single-edge edit fell back to a full rebuild (MutRebuilds = %d)", st.MutRebuilds)
-	}
-	if st.MutAffected == 0 || st.MutAffected > g.N()/2 {
-		t.Fatalf("MutAffected = %d, want a small nonzero region of n=%d", st.MutAffected, g.N())
-	}
-	// A no-op batch returns the engine itself.
-	same, err := mutated.ApplyEdits(nil, []graph.Edit{{Op: graph.AddEdge, U: 0, V: 500}, {Op: graph.RemoveEdge, U: 0, V: 500}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != mutated {
-		t.Fatal("identity edit batch should return the receiver engine")
+	for _, loc := range bothLocalities {
+		t.Run(loc.name, func(t *testing.T) {
+			g := gen.Generate(gen.Grid, 900, gen.Options{Seed: 2, Colors: 1})
+			lq, err := core.Compile(fo.MustParse("dist(x,y) > 2 & C0(y)"), []fo.Var{"x", "y"}, core.CompileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := loc.preprocess(g, lq, core.Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mutated, err := eng.ApplyEdits(nil, []graph.Edit{{Op: graph.RemoveEdge, U: 0, V: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := mutated.Stats()
+			if st.Mutations != 1 {
+				t.Fatalf("Mutations = %d, want 1", st.Mutations)
+			}
+			if st.MutRebuilds != 0 {
+				t.Fatalf("single-edge edit fell back to a full rebuild (MutRebuilds = %d)", st.MutRebuilds)
+			}
+			if st.MutAffected == 0 || st.MutAffected > g.N()/2 {
+				t.Fatalf("MutAffected = %d, want a small nonzero region of n=%d", st.MutAffected, g.N())
+			}
+			if mutated.Locality() != eng.Locality() {
+				t.Fatalf("patched engine runs on %q, its predecessor on %q", mutated.Locality(), eng.Locality())
+			}
+			// A no-op batch returns the engine itself.
+			same, err := mutated.ApplyEdits(nil, []graph.Edit{{Op: graph.AddEdge, U: 0, V: 500}, {Op: graph.RemoveEdge, U: 0, V: 500}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if same != mutated {
+				t.Fatal("identity edit batch should return the receiver engine")
+			}
+		})
 	}
 }
 
+// TestMutateGuardFlip: a clause guard (the sentence conjunct, true while
+// some edge joins two C1 vertices) is evaluated per version. Removing the
+// only witness empties the answer set through a counted rebuild, restoring
+// it brings the answers back, and the edit in between that leaves the guard
+// alone is patched.
+func TestMutateGuardFlip(t *testing.T) {
+	b := graph.NewBuilder(40, 2)
+	for v := 0; v+1 < 40; v++ {
+		b.AddEdge(v, v+1)
+	}
+	for v := 0; v < 40; v += 3 {
+		b.SetColor(v, 0)
+	}
+	b.SetColor(10, 1)
+	b.SetColor(11, 1)
+	g := b.Build()
+	lq, err := core.Compile(fo.MustParse("C0(x) & exists z w (E(z,w) & C1(z) & C1(w))"), []fo.Var{"x"}, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, loc := range bothLocalities {
+		t.Run(loc.name, func(t *testing.T) {
+			eng, err := loc.preprocess(g, lq, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(materialize(eng)) == 0 {
+				t.Fatal("premise: the guard holds on the base graph")
+			}
+			cur := g
+			for i, step := range []struct {
+				edit     graph.Edit
+				rebuilds int
+			}{
+				{graph.Edit{Op: graph.RemoveColor, U: 11, Color: 1}, 1}, // guard turns false
+				{graph.Edit{Op: graph.AddColor, U: 30, Color: 0}, 1},    // stays false: patched
+				{graph.Edit{Op: graph.AddColor, U: 9, Color: 1}, 2},     // true again
+			} {
+				if eng, err = eng.ApplyEdits(nil, []graph.Edit{step.edit}); err != nil {
+					t.Fatal(err)
+				}
+				if cur, err = graph.Patch(cur, []graph.Edit{step.edit}); err != nil {
+					t.Fatal(err)
+				}
+				if got := eng.Stats().MutRebuilds; got != step.rebuilds {
+					t.Fatalf("step %d: MutRebuilds = %d, want %d", i, got, step.rebuilds)
+				}
+				want := naive.SolutionsLocal(cur, lq)
+				if len(want) == 0 {
+					want = nil
+				}
+				if got := materialize(eng); !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: %d answers, oracle has %d", i, len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
+// fuzzMutateShapes are the graphs and queries FuzzMutateVsRebuild draws
+// from: sparse and bounded-degree classes, far and close components, a
+// quantified component and a guard.
+var fuzzMutateShapes = struct {
+	classes []gen.Class
+	queries []struct {
+		src  string
+		vars []fo.Var
+	}
+}{
+	classes: []gen.Class{gen.SparseRandom, gen.BoundedDegree, gen.Path, gen.Cycle},
+	queries: []struct {
+		src  string
+		vars []fo.Var
+	}{
+		{"dist(x,y) > 1 & C0(x)", []fo.Var{"x", "y"}},
+		{"dist(x,y) > 2 & C0(y)", []fo.Var{"x", "y"}},
+		{"dist(x,y) <= 2 & C0(x) & C1(y)", []fo.Var{"x", "y"}},
+		{"E(x,y) & C0(x)", []fo.Var{"x", "y"}},
+		{"C0(x) & dist(x,y) > 1 & exists z (E(y,z) & C1(z))", []fo.Var{"x", "y"}},
+		{"C0(x) & exists z w (E(z,w) & C1(z) & C1(w))", []fo.Var{"x"}},
+	},
+}
+
 // FuzzMutateVsRebuild drives random interleavings of edits and
-// enumerations from fuzz-provided bytes: every prefix of the edit stream
-// must enumerate byte-identically on the mutated engine, a from-scratch
-// rebuild, and the naive oracle.
+// enumerations from fuzz-provided bytes, over both localities: every
+// prefix of the edit stream must enumerate byte-identically on the mutated
+// engine, a from-scratch rebuild, and the naive oracle; and over the ball
+// locality the mutated engine must also serialize to the very parts the
+// rebuild does. shape picks the graph class (low two bits) and the query.
 func FuzzMutateVsRebuild(f *testing.F) {
-	f.Add(int64(1), []byte{0x01, 0x40, 0x80, 0x13})
-	f.Add(int64(7), []byte{0xff, 0x00, 0x31, 0x62, 0x05, 0x99})
-	f.Add(int64(42), []byte{0x10, 0x20, 0x30})
-	f.Fuzz(func(t *testing.T, seed int64, program []byte) {
+	f.Add(int64(1), uint8(0), []byte{0x01, 0x40, 0x80, 0x13})
+	f.Add(int64(7), uint8(0), []byte{0xff, 0x00, 0x31, 0x62, 0x05, 0x99})
+	f.Add(int64(42), uint8(0), []byte{0x10, 0x20, 0x30})
+	// bdeg, far2: an edge that joins two balls, then its removal.
+	f.Add(int64(3), uint8(1|1<<2), []byte{0x00, 0x02, 0x20, 0x01, 0x02, 0x20})
+	// path, close2: cut the path (op 7 removes a real edge), rejoin it elsewhere.
+	f.Add(int64(5), uint8(2|2<<2), []byte{0x07, 0x0a, 0x00, 0x00, 0x0a, 0x1e, 0x07, 0x14, 0x01})
+	// cycle, E(x,y): colour-only batch (op 6), identity batch (op 5), a cut.
+	f.Add(int64(9), uint8(3|3<<2), []byte{0x06, 0x03, 0x04, 0x05, 0x08, 0x11, 0x07, 0x00, 0x00})
+	// bdeg, quantified component: recolour a witness, remove its edge.
+	f.Add(int64(11), uint8(1|4<<2), []byte{0x03, 0x05, 0x01, 0x07, 0x05, 0x00, 0x02, 0x06, 0x01})
+	// path, guard: strip colour 1 around a vertex (flipping the guard if it
+	// held there), then put it back.
+	f.Add(int64(13), uint8(2|5<<2), []byte{0x03, 0x04, 0x01, 0x03, 0x05, 0x01, 0x02, 0x04, 0x01, 0x02, 0x05, 0x01})
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, program []byte) {
 		if len(program) == 0 || len(program) > 64 {
 			t.Skip()
 		}
-		g := gen.Generate(gen.SparseRandom, 60, gen.Options{Seed: seed, Colors: 2})
-		lq, err := core.Compile(fo.MustParse("dist(x,y) > 1 & C0(x)"), []fo.Var{"x", "y"}, core.CompileOptions{})
+		class := fuzzMutateShapes.classes[int(shape&3)]
+		qc := fuzzMutateShapes.queries[int(shape>>2)%len(fuzzMutateShapes.queries)]
+		g := gen.Generate(class, 60, gen.Options{Seed: seed, Colors: 2})
+		lq, err := core.Compile(fo.MustParse(qc.src), qc.vars, core.CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := core.Preprocess(g, lq, core.Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
+		engs := make([]*core.Engine, len(bothLocalities))
+		for li, loc := range bothLocalities {
+			if engs[li], err = loc.preprocess(g, lq, core.Options{Parallelism: 1}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		n := g.N()
 		for i := 0; i+2 < len(program); i += 3 {
-			op := program[i] % 5
 			u := int(program[i+1]) % n
 			v := int(program[i+2]) % n
-			var edit graph.Edit
-			switch op {
+			w := (v + 1) % n
+			var batch []graph.Edit
+			switch program[i] % 8 {
 			case 0:
-				edit = graph.Edit{Op: graph.AddEdge, U: u, V: (v + 1) % n}
-				if u == edit.V {
-					continue
-				}
+				batch = []graph.Edit{{Op: graph.AddEdge, U: u, V: w}}
 			case 1:
-				edit = graph.Edit{Op: graph.RemoveEdge, U: u, V: (v + 1) % n}
-				if u == edit.V {
+				batch = []graph.Edit{{Op: graph.RemoveEdge, U: u, V: w}}
+			case 2:
+				batch = []graph.Edit{{Op: graph.AddColor, U: u, Color: v % 2}}
+			case 3:
+				batch = []graph.Edit{{Op: graph.RemoveColor, U: u, Color: v % 2}}
+			case 4:
+				// Enumerate checkpoint without editing.
+				batch = []graph.Edit{{Op: graph.AddEdge, U: u, V: u}}
+			case 5:
+				// A batch that nets out to the identity.
+				batch = []graph.Edit{{Op: graph.AddEdge, U: u, V: w}, {Op: graph.RemoveEdge, U: u, V: w}}
+				if g.HasEdge(u, w) {
+					batch[0], batch[1] = batch[1], batch[0]
+				}
+			case 6:
+				// Colours only: no locality has anything to patch.
+				batch = []graph.Edit{{Op: graph.AddColor, U: u, Color: 0}, {Op: graph.RemoveColor, U: w, Color: 1}}
+			case 7:
+				// Remove an edge that exists: splits balls.
+				if g.Degree(u) == 0 {
 					continue
 				}
-			case 2:
-				edit = graph.Edit{Op: graph.AddColor, U: u, Color: v % 2}
-			case 3:
-				edit = graph.Edit{Op: graph.RemoveColor, U: u, Color: v % 2}
-			default:
-				// Enumerate checkpoint without editing.
-				edit = graph.Edit{Op: graph.AddEdge, U: u, V: u} // no-op
+				nb := g.Neighbors(u)
+				batch = []graph.Edit{{Op: graph.RemoveEdge, U: u, V: int(nb[v%len(nb)])}}
 			}
-			mutated, err := eng.ApplyEdits(nil, []graph.Edit{edit})
+			if batch[0].Op <= graph.RemoveEdge && batch[0].U == batch[0].V && program[i]%8 != 4 {
+				continue
+			}
+			gNew, err := graph.Patch(g, batch)
 			if err != nil {
 				t.Fatal(err)
-			}
-			gNew, err := graph.Patch(g, []graph.Edit{edit})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rebuiltEng, err := core.Preprocess(gNew, lq, core.Options{Parallelism: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := materialize(mutated)
-			want := materialize(rebuiltEng)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d (%v): mutated %d tuples, rebuild %d tuples", i/3, edit, len(got), len(want))
 			}
 			oracle := naive.SolutionsLocal(gNew, lq)
 			if len(oracle) == 0 {
 				oracle = nil
 			}
-			if !reflect.DeepEqual(got, oracle) {
-				t.Fatalf("step %d (%v): mutated diverged from naive oracle", i/3, edit)
+			for li, loc := range bothLocalities {
+				mutated, err := engs[li].ApplyEdits(nil, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rebuiltEng, err := loc.preprocess(gNew, lq, core.Options{Parallelism: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := materialize(mutated)
+				want := materialize(rebuiltEng)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s step %d (%v): mutated %d tuples, rebuild %d tuples", loc.name, i/3, batch, len(got), len(want))
+				}
+				if !reflect.DeepEqual(got, oracle) {
+					t.Fatalf("%s step %d (%v): mutated diverged from naive oracle", loc.name, i/3, batch)
+				}
+				if mutated.Locality() == core.LocBalls && !reflect.DeepEqual(mutated.SnapshotParts(), rebuiltEng.SnapshotParts()) {
+					t.Fatalf("%s step %d (%v): parts of the mutated engine differ from the rebuild's", loc.name, i/3, batch)
+				}
+				engs[li] = mutated
 			}
-			g, eng = gNew, mutated
+			g = gNew
 		}
 	})
 }

@@ -129,6 +129,64 @@ func TestEngineInstrumented(t *testing.T) {
 	}
 }
 
+// TestMutateAndRestoreInstrumented: a write and a restore show phase by
+// phase under "mutate" and "restore", children named for what they do, over
+// either locality — and the patched and the restored engine export the same
+// engine.* instruments a built one does.
+func TestMutateAndRestoreInstrumented(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		preprocess      preprocessFunc
+		mutate, restore []string
+		gauge           string
+	}{
+		{"cover", core.Preprocess, []string{"dist", "cover", "starter"}, []string{"dist", "cover", "clauses"}, "engine.cover_bags"},
+		{"balls", core.PreprocessBalls, []string{"balls", "starter"}, []string{"balls", "clauses"}, "engine.ball_entries"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.New()
+			e := buildObsEngineWith(t, tc.preprocess, reg)
+			e2, err := e.ApplyEdits(nil, []graph.Edit{{Op: graph.RemoveEdge, U: 0, V: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e2.Stats().MutRebuilds != 0 {
+				t.Fatal("premise: the edit is patched")
+			}
+			r, err := core.RestoreEngine(e2.Graph(), e2.Query(), e2.SnapshotParts(), core.Options{Obs: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := reg.Snapshot()
+			for root, phases := range map[string][]string{"mutate": tc.mutate, "restore": tc.restore} {
+				for _, name := range append([]string{"span." + root + "_ns"}, spanNames(root, phases)...) {
+					if h, ok := snap.Histograms[name]; !ok || h.Count == 0 {
+						t.Errorf("missing span %q", name)
+					}
+				}
+			}
+			if snap.Gauges[tc.gauge] == 0 {
+				t.Errorf("%s gauge not set", tc.gauge)
+			}
+			for _, en := range []*core.Engine{e2, r} {
+				before := reg.Snapshot().Histograms["engine.test_ns"].Count
+				en.Test([]int{3, 700})
+				if reg.Snapshot().Histograms["engine.test_ns"].Count != before+1 {
+					t.Error("a patched or restored engine does not record engine.test_ns")
+				}
+			}
+		})
+	}
+}
+
+func spanNames(root string, phases []string) []string {
+	out := make([]string, len(phases))
+	for i, p := range phases {
+		out[i] = "span." + root + "." + p + "_ns"
+	}
+	return out
+}
+
 // TestInstrumentedAnswersIdentical guards the instrumentation against
 // changing any answer: the same engine built with and without a registry
 // must enumerate byte-identical solutions.

@@ -255,3 +255,48 @@ func TestSnapshotOfPatchedEngine(t *testing.T) {
 		t.Fatal("engine restored from a patched engine's parts answers differently")
 	}
 }
+
+// TestSnapshotOfPatchedBallEngine is the same lesson for the ball locality,
+// where it can be pinned exactly: a patched engine holds two plain arrays
+// and no overlay, so its parts are those of a fresh build on the edited
+// graph, word for word (three positions, so the completion rows are arrays
+// of their own), and restoring them answers alike.
+func TestSnapshotOfPatchedBallEngine(t *testing.T) {
+	g := gen.Generate(gen.BoundedDegree, 300, gen.Options{Seed: 3, Colors: 2})
+	q := compileT(t, "dist(x,y) <= 1 & dist(y,z) > 1 & dist(x,z) > 1 & C0(x) & C1(z)", "x", "y", "z")
+	e, err := PreprocessBalls(g, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := 17
+	edits := []graph.Edit{
+		{Op: graph.RemoveEdge, U: u, V: int(g.Neighbors(u)[0])},
+		{Op: graph.AddEdge, U: 5, V: 250},
+		{Op: graph.AddColor, U: 40},
+	}
+	e2, err := e.ApplyEdits(context.Background(), edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e2.Stats(); st.MutRebuilds != 0 || st.CompEntries == st.BallEntries {
+		t.Fatalf("the batch was not patched, or the two radii coincide; the test exercises nothing: %+v", st)
+	}
+	fresh, err := PreprocessBalls(e2.g, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := e2.SnapshotParts()
+	if !reflect.DeepEqual(parts, fresh.SnapshotParts()) {
+		t.Fatal("parts of a patched ball engine differ from those of a build on the edited graph")
+	}
+	if fs, ps := fresh.Stats(), e2.Stats(); fs.BallEntries != ps.BallEntries || fs.CompEntries != ps.CompEntries || fs.MaxDegree != ps.MaxDegree {
+		t.Fatalf("patched stats %+v, built stats %+v", ps, fs)
+	}
+	r, err := RestoreEngine(e2.g, q, parts, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Locality() != LocBalls || !reflect.DeepEqual(enumerateAll(r), enumerateAll(e2)) {
+		t.Fatal("engine restored from a patched ball engine's parts answers differently")
+	}
+}

@@ -42,6 +42,19 @@ type Evaluator struct {
 // instead of running truncated BFS.
 func (e *Evaluator) UseDistTester(t DistTester) { e.distTester = t }
 
+// Rebind makes the evaluator one for g with distance atoms answered by t
+// (nil: by BFS), keeping its scratch; see graph.BFS.Rebind.
+func (e *Evaluator) Rebind(g *graph.Graph, t DistTester) {
+	e.g, e.distTester = g, t
+	e.bfs.Rebind(g)
+	if len(e.stamp) != g.N() {
+		e.stamp = nil
+	}
+	if e.distCache != nil {
+		clear(e.distCache)
+	}
+}
+
 // NewEvaluator returns an evaluator for g.
 func NewEvaluator(g *graph.Graph) *Evaluator {
 	return &Evaluator{g: g, bfs: graph.NewBFS(g)}

@@ -20,6 +20,17 @@ func NewBFS(g *Graph) *BFS {
 	}
 }
 
+// Rebind points the scratch at g. A graph on the vertex set the scratch was
+// made for — a later version of it under Patch — costs nothing; any other
+// size gets fresh arrays.
+func (b *BFS) Rebind(g *Graph) {
+	if g.N() != len(b.dist) {
+		*b = *NewBFS(g)
+		return
+	}
+	b.g = g
+}
+
 // Ball computes N_r(src): all vertices at distance ≤ r from src, in BFS
 // order (hence sorted by distance, ties by discovery). The returned slice is
 // valid until the next call on this BFS. Dist may be called on the returned

@@ -133,9 +133,10 @@ func TestStatsAndExplain(t *testing.T) {
 	}
 }
 
-// TestApplyEditsRebuild: edits that change the graph rebuild, a batch
-// netting out to the identity returns the same engine, and the rebuilt
-// engine answers for the patched graph.
+// TestApplyEditsRebuild: edits that change the graph make a new engine — by
+// patching the balls; the name is from when that was a rebuild —, a batch
+// netting out to the identity returns the same engine, and the new engine
+// answers for the patched graph.
 func TestApplyEditsRebuild(t *testing.T) {
 	g := gen.Generate(gen.Path, 40, gen.Options{Seed: 5, Colors: 2})
 	q := compile(t, "dist(x,y) > 2 & C0(y)", "x", "y")
@@ -149,14 +150,14 @@ func TestApplyEditsRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	if e2 == e {
-		t.Fatal("expected a rebuild for a real edit")
+		t.Fatal("expected a new engine for a real edit")
 	}
 	g2, err := graph.Patch(g, edits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := conform.NewNaive(g2, q).Solutions()
-	sys := conform.System{Name: "rebuilt", Engine: e2, K: q.K, N: g2.N()}
+	sys := conform.System{Name: "patched", Engine: e2, K: q.K, N: g2.N()}
 	if err := conform.CheckEnumeration(sys, want); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lowdeg
 
 import (
+	"context"
 	"os"
 	"testing"
 	"time"
@@ -11,11 +12,13 @@ import (
 	"repro/internal/graph"
 )
 
-// The LOWDEG_GUARD suite is the tier-3 enforcement of the engine's two
+// The LOWDEG_GUARD suite is the tier-3 enforcement of the engine's
 // selling points: preprocessing a bounded-degree graph must be at least
 // 5× cheaper than the general nowhere-dense build (no cover, kernels,
-// skip pointers or distance index to pay for), and the answering hot path
-// must stay allocation-free like the core engine's. Gated behind
+// skip pointers or distance index to pay for), a single-edge write must be
+// at least 10× cheaper than that build again (it patches the ball rows
+// around the edge, it does not rebuild), and the answering hot path must
+// stay allocation-free like the core engine's. Gated behind
 // LOWDEG_GUARD=1 and run with -count=1 so a regression cannot hide
 // behind the test cache.
 
@@ -85,6 +88,58 @@ func TestLowdegBuildSpeedGuard(t *testing.T) {
 	t.Logf("core build %v, lowdeg build %v (%.1fx)", coreWall, lowWall, float64(coreWall)/float64(lowWall))
 	if lowWall*5 > coreWall {
 		t.Errorf("lowdeg build %v is not ≥5x cheaper than core build %v", lowWall, coreWall)
+	}
+}
+
+// TestLowdegMutateSpeedGuard pins the point of patching the ball locality:
+// on the benchmark's bdeg-32k graph a single-edge ApplyEdits recomputes the
+// ball rows and starter bits around the edge and copies the rest, so it must
+// beat Preprocess by ≥ 10× (measured ~20×: the copy of the two flat arrays
+// and of the graph is what is left), never through the rebuild fallback.
+func TestLowdegMutateSpeedGuard(t *testing.T) {
+	lowdegGuardGate(t)
+	g := gen.Generate(gen.BoundedDegree, 32000, gen.Options{Seed: 16, Colors: 2})
+	lq := buildE17Query(t)
+	buildWall := time.Duration(1 << 62)
+	var e *Engine
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		var err error
+		if e, err = Preprocess(g, lq, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		buildWall = min(buildWall, time.Since(start))
+	}
+	u := 1000
+	w := int(g.Neighbors(u)[0])
+	updateWall := time.Duration(1 << 62)
+	for i := 0; i < 6; i++ {
+		edit := graph.Edit{Op: graph.RemoveEdge, U: u, V: w}
+		if i%2 == 1 {
+			edit.Op = graph.AddEdge
+		}
+		start := time.Now()
+		next, err := e.ApplyEdits(context.Background(), []graph.Edit{edit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		updateWall = min(updateWall, time.Since(start))
+		if next == e {
+			t.Fatal("toggle edit reported as a no-op")
+		}
+		e = next
+	}
+	st := e.Stats()
+	t.Logf("bdeg-32k: build %v, single-edge update %v (%.1fx), MutAffected %d of %d",
+		buildWall, updateWall, float64(buildWall)/float64(updateWall), st.MutAffected, g.N())
+	if st.Mutations != 6 || st.MutRebuilds != 0 {
+		t.Errorf("%d of %d single-edge edits fell back to a full rebuild", st.MutRebuilds, st.Mutations)
+	}
+	if st.MutAffected == 0 || st.MutAffected > g.N()/100 {
+		t.Errorf("MutAffected = %d, want a small nonzero region of n = %d", st.MutAffected, g.N())
+	}
+	if 10*updateWall > buildWall {
+		t.Errorf("single-edge update %v is not ≥10x faster than the build %v", updateWall, buildWall)
 	}
 }
 

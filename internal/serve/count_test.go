@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro"
@@ -197,29 +198,44 @@ func TestServeEngineModes(t *testing.T) {
 	}
 }
 
-// TestServeLowdegSkipsSnapshotTier: with a snapshot directory configured,
-// an auto server whose graph routes to lowdeg must serve correctly and
-// never write a snapshot file for it.
-func TestServeLowdegSkipsSnapshotTier(t *testing.T) {
+// TestServeLowdegUsesSnapshotTier: with a snapshot directory configured, an
+// auto server whose graph routes to lowdeg writes the index back like any
+// other, and a restart — a second server on the same directory — answers
+// from the file without building, and says in /v1/stats that what it serves
+// is a lowdeg index.
+func TestServeLowdegUsesSnapshotTier(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := testServer(t, func(c *Config) {
+	auto := func(c *Config) {
 		c.Engine = repro.EngineAuto
 		c.SnapshotDir = dir
-	})
+	}
+	s, ts := testServer(t, auto)
 	qr := registerQuery(t, ts.URL, "path", "dist(x,y) > 2 & C0(y)", "x", "y")
 	_, data := postJSON(t, ts.URL+"/v1/count", CountRequest{ID: qr.ID})
-	cr := mustDecode[CountResponse](t, data)
-	if cr.Engine != string(repro.EngineLowDeg) {
-		t.Fatalf("auto on a path graph served by %q", cr.Engine)
+	first := mustDecode[CountResponse](t, data)
+	if first.Engine != string(repro.EngineLowDeg) {
+		t.Fatalf("auto on a path graph served by %q", first.Engine)
 	}
-	if n := s.reg.Counter("serve.snapshot.skip_lowdeg").Load(); n == 0 {
-		t.Fatal("lowdeg snapshot write was not skipped (counter is zero)")
+	if st := s.cache.Stats(); st.Builds != 1 || st.SnapshotWrites != 1 {
+		t.Fatalf("first server: builds=%d snapWrites=%d, want 1/1", st.Builds, st.SnapshotWrites)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, qr.ID+".fodsnap")); err != nil {
+		t.Fatalf("no snapshot file for the lowdeg-backed index: %v", err)
 	}
-	if len(entries) != 0 {
-		t.Fatalf("a snapshot file appeared for a lowdeg-backed index: %v", entries)
+
+	s2, ts2 := testServer(t, auto)
+	registerQuery(t, ts2.URL, "path", "dist(x,y) > 2 & C0(y)", "x", "y")
+	_, data = postJSON(t, ts2.URL+"/v1/count", CountRequest{ID: qr.ID})
+	if again := mustDecode[CountResponse](t, data); again.Count != first.Count || again.Engine != first.Engine {
+		t.Fatalf("restarted server counts %d on %q, the first %d on %q", again.Count, again.Engine, first.Count, first.Engine)
+	}
+	if st := s2.cache.Stats(); st.Builds != 0 || st.SnapshotHits != 1 {
+		t.Fatalf("restarted server: builds=%d snapHits=%d, want 0/1", st.Builds, st.SnapshotHits)
+	}
+	_, data = getJSON(t, ts2.URL+"/v1/stats")
+	st := mustDecode[StatsResponse](t, data)
+	if len(st.Queries) != 1 || st.Queries[0].Engine != string(repro.EngineLowDeg) ||
+		st.Queries[0].Selection == nil || st.Queries[0].Selection.Requested != repro.EngineAuto {
+		t.Fatalf("stats of the restored query: %+v", st.Queries)
 	}
 }

@@ -173,9 +173,47 @@ func TestSnapshotTierFlushKeepsDisk(t *testing.T) {
 }
 
 // TestSnapshotTierRejectsForeignAndCorrupt: a snapshot from a different
-// graph and a corrupted file are both refused and fall back to building —
-// never served, and counted under distinct metrics.
+// graph, one of another engine than the server builds, and a corrupted
+// file are all refused and fall back to building — never served, and
+// counted under distinct metrics.
 func TestSnapshotTierRejectsForeignAndCorrupt(t *testing.T) {
+	t.Run("other engine", func(t *testing.T) {
+		// The directory was written under -engine lowdeg; this server runs
+		// the default mode, which builds core indexes. The file is a miss:
+		// counted, rebuilt, overwritten.
+		dir := t.TempDir()
+		q, err := repro.ParseQuery(snapTestQuery, "x", "y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := repro.Build(context.Background(), snapGraph(), q, repro.WithEngine(repro.EngineLowDeg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, queryID("path", q.Canonical())+".fodsnap")
+		if err := repro.SaveIndexSnapshot(ix, path); err != nil {
+			t.Fatal(err)
+		}
+
+		s, ts := snapTestServer(t, dir)
+		qr := registerQuery(t, ts, "path", snapTestQuery, "x", "y")
+		st := s.cache.Stats()
+		if st.Builds != 1 || st.SnapshotHits != 0 || st.SnapshotWrites != 1 {
+			t.Fatalf("lowdeg snapshot under a core server: builds=%d snapHits=%d snapWrites=%d, want 1/0/1", st.Builds, st.SnapshotHits, st.SnapshotWrites)
+		}
+		if got := s.reg.Counter("serve.snapshot.mismatch").Load(); got != 1 {
+			t.Fatalf("mismatch counter = %d, want 1", got)
+		}
+		_, data := postJSON(t, ts+"/v1/count", CountRequest{ID: qr.ID})
+		if cr := mustDecode[CountResponse](t, data); cr.Engine != string(repro.EngineCore) || cr.Count != ix.Count() {
+			t.Fatalf("served %d answers by %q, want %d by core", cr.Count, cr.Engine, ix.Count())
+		}
+		repaired, err := repro.LoadIndexSnapshot(path)
+		if err != nil || repaired.Engine() != repro.EngineCore {
+			t.Fatalf("write-back left a %v index (%v), want a core one", repaired.Engine(), err)
+		}
+	})
+
 	t.Run("foreign graph", func(t *testing.T) {
 		dir := t.TempDir()
 		q, err := repro.ParseQuery(snapTestQuery, "x", "y")

@@ -19,12 +19,7 @@ import (
 func (s *Server) installTiers() {
 	c := s.cache
 	var before []cacheTier
-	if s.cfg.SnapshotDir != "" && s.cfg.Engine != repro.EngineLowDeg {
-		// The disk tier holds core-engine snapshots. Under the forced
-		// lowdeg mode nothing could ever be written or validly restored, so
-		// the tier is not installed at all; under auto the tier still works
-		// for core-routed graphs, and writeSnapshot skips lowdeg-backed
-		// indexes individually.
+	if s.cfg.SnapshotDir != "" {
 		s.graphFP = make(map[string]string, len(s.cfg.Graphs))
 		//fod:sorted order-free: key-addressed map-to-map copy, no fold state
 		for name, g := range s.cfg.Graphs {
@@ -45,10 +40,13 @@ func (s *Server) snapshotPath(key cacheKey) string {
 
 // loadSnapshot is the disk tier of the index cache. It validates cheaply
 // first — metadata canonical text and graph fingerprint against the
-// served graph — and only then pays for the full restore. Any failure
-// (missing file, corruption, foreign graph) falls back to building; the
-// error classes are counted separately so operators can tell a cold
-// directory from a corrupted one.
+// served graph — and only then pays for the full restore. A file of either
+// engine restores; one that holds another engine than this server would
+// build for the graph (the -engine mode changed between runs) is a
+// mismatch like a foreign graph. Any failure (missing file, corruption,
+// mismatch) falls back to building, which overwrites the file; the error
+// classes are counted separately so operators can tell a cold directory
+// from a corrupted one.
 func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, error) {
 	if key.version != 0 {
 		// The disk tier holds only version-0 indexes: snapshot files are
@@ -83,9 +81,13 @@ func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, 
 	if meta.Canonical != key.canonical || meta.GraphFingerprint != s.graphFP[key.graph] {
 		return reject("serve.snapshot.mismatch", "foreign graph or query")
 	}
-	ix, err := repro.ReadIndexSnapshotCtx(ctx, data, repro.WithParallelism(s.cfg.Parallelism), repro.WithMetrics(s.reg))
+	ix, err := repro.ReadIndexSnapshotCtx(ctx, data,
+		repro.WithParallelism(s.cfg.Parallelism), repro.WithMetrics(s.reg), repro.WithEngine(s.cfg.Engine))
 	if err != nil {
 		return reject("serve.snapshot.corrupt", "restore: "+err.Error())
+	}
+	if want, err := repro.SelectEngine(ix.Graph(), s.cfg.Engine); err != nil || want.Chosen != ix.Engine() {
+		return reject("serve.snapshot.mismatch", fmt.Sprintf("holds a %s index, engine mode %q builds %s", ix.Engine(), s.cfg.Engine, want.Chosen))
 	}
 	d := time.Since(start)
 	s.reg.Histogram("serve.snapshot.load_ns").Observe(d)
@@ -102,13 +104,6 @@ func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, 
 func (s *Server) writeSnapshot(ctx context.Context, key cacheKey, ix *repro.Index) bool {
 	if key.version != 0 {
 		return false // disk tier is version-0 only; see loadSnapshot
-	}
-	if !ix.Snapshottable() {
-		// The snapshot format serializes core-engine structures, which a
-		// lowdeg-backed index says it lacks; its build is linear anyway, so
-		// persisting buys nothing.
-		s.reg.Counter("serve.snapshot.skip_lowdeg").Inc()
-		return false
 	}
 	start := time.Now()
 	if err := repro.SaveIndexSnapshotObs(ctx, ix, s.snapshotPath(key), s.reg); err != nil {

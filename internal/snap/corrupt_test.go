@@ -9,9 +9,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/skip"
 	"repro/internal/snap"
 )
 
@@ -33,11 +36,19 @@ func syntheticFile(t *testing.T) []byte {
 }
 
 // engineFile builds a real index snapshot (all thirteen-odd sections).
-func engineFile(t *testing.T) []byte {
+func engineFile(t *testing.T) []byte { return engineFileOf(t, repro.EngineCore) }
+
+// engineFiles are the snapshots of both kinds of index, the core one under
+// the empty prefix the subtest names have always had.
+func engineFiles(t *testing.T) map[string][]byte {
+	return map[string][]byte{"": engineFileOf(t, repro.EngineCore), "lowdeg/": engineFileOf(t, repro.EngineLowDeg)}
+}
+
+func engineFileOf(t *testing.T, kind repro.EngineKind) []byte {
 	t.Helper()
 	g := repro.Generate("grid", 64, repro.GenOptions{Seed: 3, Colors: 2})
 	q := repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
-	ix, err := repro.Build(context.Background(), g, q)
+	ix, err := repro.Build(context.Background(), g, q, repro.WithEngine(kind))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +190,12 @@ func TestCorruptContainer(t *testing.T) {
 // real engine snapshot; the eager per-section checksum must catch all of
 // them at Parse time.
 func TestCorruptEverySection(t *testing.T) {
-	data := engineFile(t)
+	for prefix, data := range engineFiles(t) {
+		corruptEverySection(t, prefix, data)
+	}
+}
+
+func corruptEverySection(t *testing.T, prefix string, data []byte) {
 	f, err := snap.Parse(data)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +204,7 @@ func TestCorruptEverySection(t *testing.T) {
 		if s.Len == 0 {
 			continue
 		}
-		t.Run(s.Name, func(t *testing.T) {
+		t.Run(prefix+s.Name, func(t *testing.T) {
 			mutated := append([]byte(nil), data...)
 			mutated[s.Off+s.Len/2] ^= 0x10
 			if _, err := snap.Parse(mutated); !errors.Is(err, snap.ErrCorrupt) {
@@ -205,57 +221,176 @@ func TestCorruptEverySection(t *testing.T) {
 // container without it): decoding must report corruption, not panic on a
 // nil slice.
 func TestCorruptMissingSections(t *testing.T) {
-	data := engineFile(t)
+	for prefix, data := range engineFiles(t) {
+		f, err := snap.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, drop := range f.Sections() {
+			t.Run(prefix+drop.Name, func(t *testing.T) {
+				without := rewriteSections(t, data, func(name string, payload []byte) ([]byte, bool) {
+					return payload, name != drop.Name
+				})
+				if _, err := snap.Read(without); !errors.Is(err, snap.ErrCorrupt) {
+					t.Fatalf("Read of a snapshot missing section %q: %v, want ErrCorrupt", drop.Name, err)
+				}
+			})
+		}
+	}
+}
+
+// rewriteSections rebuilds the container of data section by section; edit
+// returns the payload to write under the same name and kind, or false to
+// leave the section out.
+func rewriteSections(t *testing.T, data []byte, edit func(name string, payload []byte) ([]byte, bool)) []byte {
+	t.Helper()
 	f, err := snap.Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs := f.Sections()
-	for drop := range secs {
-		t.Run(secs[drop].Name, func(t *testing.T) {
-			w := snap.NewWriter()
-			for i, s := range secs {
-				if i == drop {
-					continue
-				}
-				payload := data[s.Off : s.Off+s.Len]
-				switch s.Kind {
-				case snap.KindBytes:
-					w.Bytes(s.Name, payload)
-				case snap.KindI8:
-					v := make([]int8, len(payload))
-					for j, b := range payload {
-						v[j] = int8(b)
-					}
-					w.I8(s.Name, v)
-				case snap.KindI32:
-					v := make([]int32, len(payload)/4)
-					for j := range v {
-						v[j] = int32(binary.LittleEndian.Uint32(payload[4*j:]))
-					}
-					w.I32(s.Name, v)
-				case snap.KindI64:
-					v := make([]int64, len(payload)/8)
-					for j := range v {
-						v[j] = int64(binary.LittleEndian.Uint64(payload[8*j:]))
-					}
-					w.I64(s.Name, v)
-				case snap.KindU64:
-					v := make([]uint64, len(payload)/8)
-					for j := range v {
-						v[j] = binary.LittleEndian.Uint64(payload[8*j:])
-					}
-					w.U64(s.Name, v)
-				}
+	w := snap.NewWriter()
+	for _, s := range f.Sections() {
+		payload, keep := edit(s.Name, data[s.Off:s.Off+s.Len])
+		if !keep {
+			continue
+		}
+		switch s.Kind {
+		case snap.KindBytes:
+			w.Bytes(s.Name, payload)
+		case snap.KindI8:
+			v := make([]int8, len(payload))
+			for j, b := range payload {
+				v[j] = int8(b)
 			}
-			var buf bytes.Buffer
-			if _, err := w.WriteTo(&buf); err != nil {
-				t.Fatal(err)
+			w.I8(s.Name, v)
+		case snap.KindI32:
+			v := make([]int32, len(payload)/4)
+			for j := range v {
+				v[j] = int32(binary.LittleEndian.Uint32(payload[4*j:]))
 			}
-			if _, err := snap.Read(buf.Bytes()); err == nil {
-				t.Fatalf("Read accepted a snapshot missing section %q", secs[drop].Name)
+			w.I32(s.Name, v)
+		case snap.KindI64:
+			v := make([]int64, len(payload)/8)
+			for j := range v {
+				v[j] = int64(binary.LittleEndian.Uint64(payload[8*j:]))
+			}
+			w.I64(s.Name, v)
+		case snap.KindU64:
+			v := make([]uint64, len(payload)/8)
+			for j := range v {
+				v[j] = binary.LittleEndian.Uint64(payload[8*j:])
+			}
+			w.U64(s.Name, v)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCorruptLocalityMismatch: the metadata names the locality whose
+// sections the reader looks for, so a file whose record and sections
+// disagree — ball sections under a record that names none (the cover's),
+// cover sections under one that says balls, a name nobody knows — is
+// corrupt, never a panic and never half an index.
+func TestCorruptLocalityMismatch(t *testing.T) {
+	files := engineFiles(t)
+	retag := func(data []byte, from, to string) []byte {
+		return rewriteSections(t, data, func(name string, payload []byte) ([]byte, bool) {
+			if name == "meta" {
+				if !bytes.Contains(payload, []byte(from)) {
+					t.Fatalf("metadata %s lacks %s", payload, from)
+				}
+				payload = bytes.Replace(payload, []byte(from), []byte(to), 1)
+			}
+			return payload, true
+		})
+	}
+	for name, data := range map[string][]byte{
+		"balls-under-cover-meta": retag(files["lowdeg/"], `,"locality":"balls"`, ``),
+		"cover-under-balls-meta": retag(files[""], `"guarded":true`, `"guarded":true,"locality":"balls"`),
+		"unknown-locality":       retag(files["lowdeg/"], `"locality":"balls"`, `"locality":"bowls"`),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := snap.Read(data); !errors.Is(err, snap.ErrCorrupt) {
+				t.Fatalf("Read: %v, want ErrCorrupt", err)
+			}
+			if _, err := repro.ReadIndexSnapshot(data); !errors.Is(err, snap.ErrCorrupt) {
+				t.Fatalf("ReadIndexSnapshot: %v, want ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// TestCorruptBallRows damages the ball arrays of a decoded lowdeg snapshot
+// one way at a time and writes the file again, checksums intact: the
+// restore must find every one of them — the answering phase indexes these
+// arrays without looking — and say ErrCorrupt.
+func TestCorruptBallRows(t *testing.T) {
+	valid, err := snap.Read(engineFileOf(t, repro.EngineLowDeg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int32(valid.Graph.N())
+	row := func(b *core.BallParts, v int) []int32 { return b.RAdj[b.ROff[v]:b.ROff[v+1]] }
+	// twin is a vertex other than 9 whose ball has as many vertices.
+	twin := 10
+	for len(row(&valid.Parts.Balls, twin)) != len(row(&valid.Parts.Balls, 9)) {
+		twin++
+	}
+	cases := map[string]func(p *core.EngineParts){
+		"truncated-rows":    func(p *core.EngineParts) { p.Balls.RAdj = p.Balls.RAdj[:len(p.Balls.RAdj)-1] },
+		"truncated-offsets": func(p *core.EngineParts) { p.Balls.ROff = p.Balls.ROff[:len(p.Balls.ROff)-1] },
+		"no-offsets":        func(p *core.EngineParts) { p.Balls.ROff = nil },
+		"offsets-decrease":  func(p *core.EngineParts) { p.Balls.ROff[9], p.Balls.ROff[10] = p.Balls.ROff[10], p.Balls.ROff[9] },
+		"offset-past-end":   func(p *core.EngineParts) { p.Balls.ROff[10] = int32(len(p.Balls.RAdj)) + 5 },
+		"unsorted-row":      func(p *core.EngineParts) { r := row(&p.Balls, 9); r[0], r[1] = r[1], r[0] },
+		"repeated-entry":    func(p *core.EngineParts) { r := row(&p.Balls, 9); r[1] = r[0] },
+		"row-out-of-range":  func(p *core.EngineParts) { r := row(&p.Balls, 9); r[len(r)-1] = n },
+		"negative-entry":    func(p *core.EngineParts) { row(&p.Balls, 9)[0] = -1 },
+		"permuted-rows": func(p *core.EngineParts) {
+			// Each row stays a sorted vertex list, around the wrong vertex.
+			a, b := row(&p.Balls, 9), row(&p.Balls, twin)
+			for i := range a {
+				a[i], b[i] = b[i], a[i]
+			}
+		},
+		"radius-not-the-querys":     func(p *core.EngineParts) { p.Balls.R, p.Balls.CompR = 3, 3 },
+		"completion-radius-differs": func(p *core.EngineParts) { p.Balls.CompR = 4 },
+		"completion-rows-beside-equal-radii": func(p *core.EngineParts) {
+			p.Balls.COff, p.Balls.CAdj = p.Balls.ROff, p.Balls.RAdj
+		},
+		"skip-table": func(p *core.EngineParts) {
+			p.Clauses[0][0].Skip = &skip.Parts{K: 1, TableOff: make([]int32, n+1)}
+		},
+		"starter-unsorted": func(p *core.EngineParts) { s := p.Clauses[0][1].Starter; s[0], s[1] = s[1], s[0] },
+	}
+	for name, damage := range cases {
+		t.Run(name, func(t *testing.T) {
+			p := valid.Parts
+			p.Balls.ROff, p.Balls.RAdj = slices.Clone(p.Balls.ROff), slices.Clone(p.Balls.RAdj)
+			p.Clauses = [][]core.CompParts{slices.Clone(p.Clauses[0])}
+			p.Clauses[0][1].Starter = slices.Clone(p.Clauses[0][1].Starter)
+			damage(&p)
+			var buf bytes.Buffer
+			if _, err := snap.Write(&buf, valid.Graph, valid.Meta, p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := repro.ReadIndexSnapshot(buf.Bytes()); !errors.Is(err, snap.ErrCorrupt) {
+				t.Fatalf("ReadIndexSnapshot: %v, want ErrCorrupt", err)
+			}
+		})
+	}
+	// The undamaged parts written the same way do load: the cases above fail
+	// for the damage, not for the detour.
+	var buf bytes.Buffer
+	if _, err := snap.Write(&buf, valid.Graph, valid.Meta, valid.Parts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repro.ReadIndexSnapshot(buf.Bytes()); err != nil {
+		t.Fatalf("rewritten valid snapshot: %v", err)
 	}
 }
 

@@ -52,7 +52,7 @@ func Read(data []byte) (*Snapshot, error) {
 
 // ReadTraced is Read with decode instrumentation through reg (nil reg is
 // plain Read): a "snap.decode" span with one child per section group
-// (parse, graph, cover, dist, clauses) — enrolled in the request trace
+// (parse, graph, cover and dist or balls, clauses) — enrolled in the request trace
 // when ctx carries one — plus the counters "snap.decode.bytes" and
 // "snap.decode.errors". This is the latency breakdown of the serve disk
 // tier's load path.
@@ -93,22 +93,14 @@ func readSections(data []byte, root *obs.Span) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: graph fingerprint %s does not match metadata %s", ErrCorrupt, fp, meta.GraphFingerprint)
 	}
 	s := &Snapshot{Graph: g, Meta: meta}
-
-	sp = root.Child("cover")
-	cp, err := readCover(f)
-	sp.End()
-	if err != nil {
+	s.Parts.Locality = meta.Locality
+	codec, ok := localities[meta.Locality]
+	if !ok {
+		return nil, fmt.Errorf("%w: metadata names unknown locality %q", ErrCorrupt, meta.Locality)
+	}
+	if err := codec.read(f, &s.Parts, root); err != nil {
 		return nil, err
 	}
-	s.Parts.Cover = cp
-
-	sp = root.Child("dist")
-	dp, err := readDist(f)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	s.Parts.Dist = dp
 
 	sp = root.Child("clauses")
 	err = readClauses(f, &s.Parts)
@@ -117,6 +109,46 @@ func readSections(data []byte, root *obs.Span) (*Snapshot, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+func readCoverLoc(f *File, p *core.EngineParts, root *obs.Span) error {
+	sp := root.Child("cover")
+	cp, err := readCover(f)
+	sp.End()
+	if err != nil {
+		return err
+	}
+	p.Cover = cp
+
+	sp = root.Child("dist")
+	dp, err := readDist(f)
+	sp.End()
+	p.Dist = dp
+	return err
+}
+
+// readBalls is the inverse of writeBalls. The rows alias the file; whether
+// they are balls of the graph is core.RestoreEngine's to check.
+func readBalls(f *File, p *core.EngineParts, root *obs.Span) error {
+	defer root.Child("balls").End()
+	s, err := f.I32Section("balls")
+	if err != nil {
+		return err
+	}
+	r := &i32r{name: "balls", s: s}
+	b := &p.Balls
+	if b.R, err = r.getInt(); err != nil {
+		return err
+	}
+	if b.CompR, err = r.getInt(); err != nil {
+		return err
+	}
+	for _, dst := range []*[]int32{&b.ROff, &b.RAdj, &b.COff, &b.CAdj} {
+		if *dst, err = r.getSlice(); err != nil {
+			return err
+		}
+	}
+	return r.finish()
 }
 
 // ReadFile is Read over the contents of path.

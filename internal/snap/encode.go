@@ -33,6 +33,11 @@ type Meta struct {
 	R           int  `json:"r"`
 	LocalRadius int  `json:"rho"`
 	Guarded     bool `json:"guarded"`
+	// Locality names the locality whose sections the file holds
+	// (core.LocCover, core.LocBalls). The cover's name is empty and absent
+	// from the record: files written before the ball form existed read as
+	// what they are, and a cover index still writes them byte for byte.
+	Locality string `json:"locality,omitempty"`
 
 	GraphN      int `json:"graph_n"`
 	GraphM      int `json:"graph_m"`
@@ -83,7 +88,7 @@ func FingerprintString(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 
 // Write serializes the graph, metadata and engine parts as one snapshot.
 // The graph facts of meta (GraphN, GraphM, GraphColors, GraphFingerprint)
-// are filled in by Write; callers provide the query fields. The output is
+// and its Locality are filled in by Write; callers provide the query fields. The output is
 // deterministic — identical inputs give byte-identical files.
 func Write(out io.Writer, g *graph.Graph, meta Meta, parts core.EngineParts) (int64, error) {
 	return WriteTraced(context.Background(), out, g, meta, parts, nil)
@@ -110,6 +115,11 @@ func writeSections(out io.Writer, g *graph.Graph, meta Meta, parts core.EnginePa
 	meta.GraphM = g.M()
 	meta.GraphColors = g.NumColors()
 	meta.GraphFingerprint = FingerprintString(Fingerprint(g))
+	meta.Locality = parts.Locality
+	codec, ok := localities[parts.Locality]
+	if !ok {
+		return 0, fmt.Errorf("snap: no section layout for locality %q", parts.Locality)
+	}
 	mb, err := json.Marshal(meta)
 	if err != nil {
 		return 0, fmt.Errorf("snap: encoding metadata: %w", err)
@@ -126,7 +136,36 @@ func writeSections(out io.Writer, g *graph.Graph, meta Meta, parts core.EnginePa
 	w.U64("graph.colors", gp.ColorWords)
 	sp.End()
 
-	sp = root.Child("cover")
+	codec.write(w, &parts, root)
+
+	sp = root.Child("clauses")
+	qw := &i32w{}
+	encodeClauses(qw, parts)
+	w.I32("clauses", qw.s)
+	sp.End()
+
+	sp = root.Child("flush")
+	n, err := w.WriteTo(out)
+	sp.End()
+	return n, err
+}
+
+// locCodec lays one locality's payload out in sections of its own, spans
+// under root; the graph before them and the clauses after are common to
+// all. The reader picks the codec by Meta.Locality, the writer by
+// EngineParts.Locality, which it records there.
+type locCodec struct {
+	write func(w *Writer, p *core.EngineParts, root *obs.Span)
+	read  func(f *File, p *core.EngineParts, root *obs.Span) error
+}
+
+var localities = map[string]locCodec{
+	core.LocCover: {writeCoverLoc, readCoverLoc},
+	core.LocBalls: {writeBalls, readBalls},
+}
+
+func writeCoverLoc(w *Writer, parts *core.EngineParts, root *obs.Span) {
+	sp := root.Child("cover")
 	cw := &i32w{}
 	encodeCover(cw, parts.Cover)
 	w.I32("cover", cw.s)
@@ -145,17 +184,22 @@ func writeSections(out io.Writer, g *graph.Graph, meta Meta, parts core.EnginePa
 	w.I32("dist", dw.s)
 	w.I8("dist.d8", d8)
 	sp.End()
+}
 
-	sp = root.Child("clauses")
-	qw := &i32w{}
-	encodeClauses(qw, parts)
-	w.I32("clauses", qw.s)
+// writeBalls writes the ball arrays as one stream: both radii, then the
+// offsets and rows of each (the completion pair empty when it aliases the
+// R pair).
+func writeBalls(w *Writer, parts *core.EngineParts, root *obs.Span) {
+	sp := root.Child("balls")
+	b := &parts.Balls
+	bw := &i32w{}
+	bw.putInt(b.R)
+	bw.putInt(b.CompR)
+	for _, v := range [][]int32{b.ROff, b.RAdj, b.COff, b.CAdj} {
+		bw.putSlice(v)
+	}
+	w.I32("balls", bw.s)
 	sp.End()
-
-	sp = root.Child("flush")
-	n, err := w.WriteTo(out)
-	sp.End()
-	return n, err
 }
 
 func encodeGraph(w *i32w, p graph.Parts) {

@@ -49,6 +49,28 @@ func FuzzSnapshotLoad(f *testing.F) {
 	}
 	f.Add(append([]byte(nil), buf.Bytes()...))
 
+	// The ball form: a lowdeg snapshot whole, cut inside its rows, and with
+	// bytes flipped in the section table and in the rows.
+	lx, err := repro.Build(context.Background(),
+		repro.Generate("bdeg", 40, repro.GenOptions{Seed: 4, Colors: 2}),
+		repro.MustParseQuery("dist(x,y) <= 1 & dist(y,z) > 1 & dist(x,z) > 1 & C0(x)", "x", "y", "z"),
+		repro.WithEngine(repro.EngineLowDeg))
+	if err != nil {
+		f.Fatal(err)
+	}
+	buf.Reset()
+	if err := lx.WriteSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	balls := append([]byte(nil), buf.Bytes()...)
+	f.Add(balls)
+	f.Add(balls[:len(balls)*3/4])
+	for _, off := range []int{40, len(balls) / 2, len(balls) * 3 / 4} {
+		mut := append([]byte(nil), balls...)
+		mut[off] ^= 0x55
+		f.Add(mut)
+	}
+
 	f.Add([]byte{})
 	f.Add([]byte("FODSNAP1"))
 	f.Add([]byte("FODSNAP2 not really a snapshot"))

@@ -22,6 +22,21 @@ const goldenPath = "testdata/golden-grid64.fodsnap"
 // files of that era keep loading. It is never regenerated.
 const goldenAllRowsPath = "testdata/golden-grid64-allrows.fodsnap"
 
+// goldenBallsPath pins the ball form the same way: a lowdeg index over a
+// degree-bounded graph, three positions so that the file carries both row
+// arrays.
+const goldenBallsPath = "testdata/golden-bdeg64.fodsnap"
+
+func goldenBallsIndex(t testing.TB) *repro.Index {
+	g := repro.Generate("bdeg", 64, repro.GenOptions{Seed: 3, Colors: 2})
+	q := repro.MustParseQuery("E(x,y) & dist(y,z) > 1 & dist(x,z) > 1 & C0(z)", "x", "y", "z")
+	ix, err := repro.Build(context.Background(), g, q, repro.WithEngine(repro.EngineLowDeg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 // goldenIndex is the fixed graph/query pair the golden fixture pins. Keep
 // it in sync with the committed file: regenerate with
 //
@@ -40,7 +55,11 @@ func goldenIndex(t testing.TB) *repro.Index {
 // serialized structures shows up as a diff against the committed fixture
 // and forces a deliberate format-version decision.
 func TestGoldenFormat(t *testing.T) {
-	ix := goldenIndex(t)
+	goldenFormat(t, goldenIndex(t), goldenPath)
+	goldenFormat(t, goldenBallsIndex(t), goldenBallsPath)
+}
+
+func goldenFormat(t *testing.T, ix *repro.Index, goldenPath string) {
 	var buf bytes.Buffer
 	if err := ix.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -105,6 +124,22 @@ func TestGoldenLoads(t *testing.T) {
 		if st := loaded.Stats(); st.SkipTables != 2 {
 			t.Fatalf("%s restored to %d skip tables, want 2", path, st.SkipTables)
 		}
+	}
+	// The ball fixture restores to a lowdeg index that says so.
+	data, err := os.ReadFile(goldenBallsPath)
+	if err != nil {
+		t.Fatalf("missing golden fixture (regenerate %s with -update): %v", goldenBallsPath, err)
+	}
+	loaded, err := repro.ReadIndexSnapshot(data)
+	if err != nil {
+		t.Fatalf("%s does not restore: %v", goldenBallsPath, err)
+	}
+	balls := goldenBallsIndex(t)
+	if got, want := enumerate(loaded), enumerate(balls); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s answers differently: %d solutions vs %d fresh", goldenBallsPath, len(got), len(want))
+	}
+	if st := loaded.Stats(); loaded.Engine() != repro.EngineLowDeg || st.CompEntries <= st.BallEntries || st.SkipTables != 0 {
+		t.Fatalf("%s restored as %s with %+v", goldenBallsPath, loaded.Engine(), st)
 	}
 	// The two fixtures differ in their skip sections and in nothing the
 	// answers depend on: the old one carries the rows nobody reads.

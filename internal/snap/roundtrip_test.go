@@ -53,14 +53,17 @@ func rtCases() []rtCase {
 	}
 }
 
-func buildAndReload(t *testing.T, tc rtCase, seed int64) (*repro.Graph, *repro.Index, *repro.Index, []byte) {
+// bothEngines are the two kinds of index a snapshot can hold.
+var bothEngines = []repro.EngineKind{repro.EngineCore, repro.EngineLowDeg}
+
+func buildAndReload(t *testing.T, tc rtCase, seed int64, opts ...repro.Option) (*repro.Graph, *repro.Index, *repro.Index, []byte) {
 	t.Helper()
 	g := repro.Generate(tc.class, tc.n, repro.GenOptions{Seed: seed, Colors: 2})
 	q, err := repro.ParseQuery(tc.query, tc.vars...)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	built, err := repro.Build(context.Background(), g, q)
+	built, err := repro.Build(context.Background(), g, q, opts...)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -126,59 +129,66 @@ func TestRoundTripDifferential(t *testing.T) {
 	for _, tc := range rtCases() {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
-				g, built, loaded, _ := buildAndReload(t, tc, seed)
+				for _, kind := range bothEngines {
+					t.Run(string(kind), func(t *testing.T) {
+						g, built, loaded, _ := buildAndReload(t, tc, seed, repro.WithEngine(kind))
+						if loaded.Engine() != kind {
+							t.Fatalf("a %s index restored as %s", kind, loaded.Engine())
+						}
 
-				// Ground truth from the naive oracle of the PR-2 harness.
-				vars := make([]fo.Var, len(tc.vars))
-				for i, v := range tc.vars {
-					vars[i] = fo.Var(v)
-				}
-				lq, err := core.Compile(fo.MustParse(tc.query), vars, core.CompileOptions{})
-				if err != nil {
-					t.Fatalf("compile: %v", err)
-				}
-				want := naive.SolutionsLocal(g, lq)
+						// Ground truth from the naive oracle of the PR-2 harness.
+						vars := make([]fo.Var, len(tc.vars))
+						for i, v := range tc.vars {
+							vars[i] = fo.Var(v)
+						}
+						lq, err := core.Compile(fo.MustParse(tc.query), vars, core.CompileOptions{})
+						if err != nil {
+							t.Fatalf("compile: %v", err)
+						}
+						want := naive.SolutionsLocal(g, lq)
 
-				gotBuilt := enumerate(built)
-				gotLoaded := enumerate(loaded)
-				if !reflect.DeepEqual(gotBuilt, gotLoaded) {
-					t.Fatalf("loaded index enumerates %d solutions, built %d (or different order)",
-						len(gotLoaded), len(gotBuilt))
-				}
-				if len(want) != len(gotLoaded) || (len(want) > 0 && !reflect.DeepEqual(want, gotLoaded)) {
-					t.Fatalf("loaded index enumerates %d solutions, naive oracle %d", len(gotLoaded), len(want))
-				}
+						gotBuilt := enumerate(built)
+						gotLoaded := enumerate(loaded)
+						if !reflect.DeepEqual(gotBuilt, gotLoaded) {
+							t.Fatalf("loaded index enumerates %d solutions, built %d (or different order)",
+								len(gotLoaded), len(gotBuilt))
+						}
+						if len(want) != len(gotLoaded) || (len(want) > 0 && !reflect.DeepEqual(want, gotLoaded)) {
+							t.Fatalf("loaded index enumerates %d solutions, naive oracle %d", len(gotLoaded), len(want))
+						}
 
-				// Membership: every solution tests true on both; random
-				// probes agree tuple-for-tuple.
-				rng := rand.New(rand.NewSource(seed))
-				for _, sol := range gotBuilt {
-					if !loaded.Test(sol) {
-						t.Fatalf("loaded.Test(%v) = false for an enumerated solution", sol)
-					}
-				}
-				k := len(tc.vars)
-				for probe := 0; probe < 200; probe++ {
-					tup := make([]int, k)
-					for i := range tup {
-						tup[i] = rng.Intn(g.N())
-					}
-					if got, want := loaded.Test(tup), built.Test(tup); got != want {
-						t.Fatalf("Test(%v): loaded %v, built %v", tup, got, want)
-					}
-				}
+						// Membership: every solution tests true on both; random
+						// probes agree tuple-for-tuple.
+						rng := rand.New(rand.NewSource(seed))
+						for _, sol := range gotBuilt {
+							if !loaded.Test(sol) {
+								t.Fatalf("loaded.Test(%v) = false for an enumerated solution", sol)
+							}
+						}
+						k := len(tc.vars)
+						for probe := 0; probe < 200; probe++ {
+							tup := make([]int, k)
+							for i := range tup {
+								tup[i] = rng.Intn(g.N())
+							}
+							if got, want := loaded.Test(tup), built.Test(tup); got != want {
+								t.Fatalf("Test(%v): loaded %v, built %v", tup, got, want)
+							}
+						}
 
-				// NextGeq from random seeds: identical successor tuples.
-				for probe := 0; probe < 100; probe++ {
-					tup := make([]int, k)
-					for i := range tup {
-						tup[i] = rng.Intn(g.N())
-					}
-					bs, bok := built.Next(tup)
-					ls, lok := loaded.Next(tup)
-					if bok != lok || !reflect.DeepEqual(bs, ls) {
-						t.Fatalf("Next(%v): loaded (%v,%v), built (%v,%v)", tup, ls, lok, bs, bok)
-					}
+						// NextGeq from random seeds: identical successor tuples.
+						for probe := 0; probe < 100; probe++ {
+							tup := make([]int, k)
+							for i := range tup {
+								tup[i] = rng.Intn(g.N())
+							}
+							bs, bok := built.Next(tup)
+							ls, lok := loaded.Next(tup)
+							if bok != lok || !reflect.DeepEqual(bs, ls) {
+								t.Fatalf("Next(%v): loaded (%v,%v), built (%v,%v)", tup, ls, lok, bs, bok)
+							}
+						}
+					})
 				}
 			})
 		}
@@ -189,8 +199,14 @@ func TestRoundTripDifferential(t *testing.T) {
 // serializes to identical bytes, and the loaded index re-serializes to
 // the exact file it was loaded from.
 func TestSnapshotDeterministic(t *testing.T) {
+	for _, kind := range bothEngines {
+		snapshotDeterministic(t, kind)
+	}
+}
+
+func snapshotDeterministic(t *testing.T, kind repro.EngineKind) {
 	tc := rtCases()[0]
-	_, built, loaded, first := buildAndReload(t, tc, 1)
+	_, built, loaded, first := buildAndReload(t, tc, 1, repro.WithEngine(kind))
 
 	var again bytes.Buffer
 	if err := built.WriteSnapshot(&again); err != nil {
@@ -209,12 +225,71 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
+// TestSnapshotOfPatchedLowdegIndex pins the PR 12 lesson for the ball
+// locality at the level of the file: the snapshot of an index reached
+// through ApplyEdits is, byte for byte, the snapshot of an index built on
+// the edited graph — a patched ball locality is two plain arrays, not an
+// older version plus corrections.
+func TestSnapshotOfPatchedLowdegIndex(t *testing.T) {
+	ctx := context.Background()
+	g := repro.Generate("bdeg", 400, repro.GenOptions{Seed: 9, Colors: 2})
+	for _, src := range []struct {
+		query string
+		vars  []string
+	}{
+		{"dist(x,y) > 2 & C0(y)", []string{"x", "y"}},
+		{"E(x,y) & dist(y,z) > 1 & dist(x,z) > 1 & C1(z)", []string{"x", "y", "z"}},
+	} {
+		q := repro.MustParseQuery(src.query, src.vars...)
+		ix, err := repro.Build(ctx, g, q, repro.WithEngine(repro.EngineLowDeg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range [][]repro.Edit{
+			{repro.RemoveEdge(7, int(g.Neighbors(7)[0])), repro.AddColor(100, 0)},
+			{repro.AddEdge(3, 390), repro.AddEdge(3, 200)},
+			{repro.RemoveColor(100, 0)},
+		} {
+			if ix, err = ix.ApplyEdits(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := ix.Stats(); st.Mutations != 3 || st.MutRebuilds != 0 {
+			t.Fatalf("premise: three patched batches, got %+v", st)
+		}
+		fresh, err := repro.Build(ctx, ix.Graph(), q, repro.WithEngine(repro.EngineLowDeg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var patched, built bytes.Buffer
+		if err := ix.WriteSnapshot(&patched); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.WriteSnapshot(&built); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(patched.Bytes(), built.Bytes()) {
+			t.Fatalf("%s: snapshot of the patched index (%d bytes) differs from the built one (%d bytes)",
+				src.query, patched.Len(), built.Len())
+		}
+	}
+}
+
 // TestSnapshotStatsSurvive checks that the structural statistics of the
 // preprocessing survive the round trip — Explain and /v1/stats on a
 // restored server must not silently report a hollow index.
 func TestSnapshotStatsSurvive(t *testing.T) {
-	_, built, loaded, _ := buildAndReload(t, rtCases()[0], 1)
+	_, built, loaded, _ := buildAndReload(t, rtCases()[0], 1, repro.WithEngine(repro.EngineLowDeg))
 	bs, ls := built.Stats(), loaded.Stats()
+	if bs.BallEntries == 0 || bs.BallEntries != ls.BallEntries || bs.CompEntries != ls.CompEntries || bs.MaxDegree != ls.MaxDegree {
+		t.Errorf("ball stats changed: built (%d,%d,%d), loaded (%d,%d,%d)",
+			bs.BallEntries, bs.CompEntries, bs.MaxDegree, ls.BallEntries, ls.CompEntries, ls.MaxDegree)
+	}
+	if !reflect.DeepEqual(bs.StarterSizes, ls.StarterSizes) {
+		t.Errorf("starter sizes changed: %v → %v", bs.StarterSizes, ls.StarterSizes)
+	}
+	_, built, loaded, _ = buildAndReload(t, rtCases()[0], 1)
+	bs, ls = built.Stats(), loaded.Stats()
 	if bs.CoverBags != ls.CoverBags || bs.CoverDegree != ls.CoverDegree || bs.CoverRadius != ls.CoverRadius {
 		t.Errorf("cover stats changed: built (%d,%d,%d), loaded (%d,%d,%d)",
 			bs.CoverBags, bs.CoverDegree, bs.CoverRadius, ls.CoverBags, ls.CoverDegree, ls.CoverRadius)

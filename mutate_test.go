@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 )
@@ -199,4 +201,54 @@ func TestLiveIndexConcurrentReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestDeadVersionsAreCollected: an index version nobody holds is garbage at
+// the next collection, however fast the writes come. Query-time scratch is
+// pooled per lineage, not per version: when every version owned its pools, a
+// used sync.Pool — reachable from the runtime for two more collections —
+// kept its whole version alive with it, and a burst of writes between two
+// collections stayed in the heap past both.
+func TestDeadVersionsAreCollected(t *testing.T) {
+	ctx := context.Background()
+	g := Generate("bdeg", 3000, GenOptions{Colors: 2, Seed: 1})
+	q := MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
+	for _, kind := range []EngineKind{EngineCore, EngineLowDeg} {
+		ix, err := Build(ctx, g, q, WithEngine(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := func() uint64 {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return ms.HeapAlloc
+		}
+		live() // what earlier tests left in pools of their own goes here
+		before := live()
+		// No collection during the burst, as when writes outrun the
+		// collector: every version it makes is dead at the one that follows.
+		gcPercent := debug.SetGCPercent(-1)
+		for i := 0; i < 60; i++ {
+			v := (i * 61) % g.N()
+			edit := AddColor(v, 0)
+			if ix.Graph().HasColor(v, 0) {
+				edit = RemoveColor(v, 0)
+			}
+			w := int(g.Neighbors(v)[0])
+			toggle := AddEdge(v, w)
+			if ix.Graph().HasEdge(v, w) {
+				toggle = RemoveEdge(v, w)
+			}
+			if ix, err = ix.ApplyEdits(ctx, []Edit{edit, toggle}); err != nil {
+				t.Fatal(err)
+			}
+			ix.Test([]int{v, w})
+		}
+		debug.SetGCPercent(gcPercent)
+		if after := live(); after > 2*before {
+			t.Errorf("%s: %d KB live before 60 writes, %d KB after one collection", kind, before>>10, after>>10)
+		}
+		runtime.KeepAlive(ix)
+	}
 }

@@ -186,9 +186,9 @@ func (q *Query) Canonical() string {
 // There is one engine type, core.Engine. What WithEngine selects is the
 // locality it is built over — the paper's cover machinery (the default) or
 // the sorted balls of Durand–Schweikardt–Segoufin's bounded-degree case —
-// so no method below branches on the kind; only Build (construction) and
-// WriteSnapshot (the ball locality has no snapshot form, and says so) know
-// there are two.
+// so no method below branches on the kind: either is built, patched by
+// ApplyEdits, snapshotted and restored through the same calls, and only the
+// table in engine_select.go knows there are two.
 type Index struct {
 	eng     *core.Engine
 	sel     Selection // how the engine was chosen

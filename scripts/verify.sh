@@ -3,7 +3,8 @@
 #   tier 1 — build + full test suite (the CI gate; ROADMAP "Tier-1 verify");
 #            includes the import-layering check of DESIGN.md §6 and the
 #            ungated 0 allocs/op pin on Index.Test / Index.NextLast /
-#            Cursor.Next for both engine kinds, the byte-for-byte comparison
+#            Cursor.Next for both engine kinds and for a patched and a
+#            restored lowdeg index, the byte-for-byte comparison
 #            of every /v1/enumerate page with encoding/json, and the pin that
 #            a 10000-answer page allocates what a 100-answer page does
 #   tier 2 — static analysis + race-detector pass: go vet (plus an
@@ -19,8 +20,13 @@
 #            own stream, byte for byte; the benchmark module bench/ (not part of
 #            ./...) is vetted and tested, so a break of an exported
 #            signature it calls is caught here; the snapshot decoder
-#            fuzzes for 30s (FuzzSnapshotLoad):
-#            hostile bytes must yield typed errors, never a panic or OOM;
+#            fuzzes for 30s (FuzzSnapshotLoad, seeded with files of both
+#            localities): hostile bytes must yield typed errors, never a
+#            panic or OOM; the mutation path runs its seed corpus and the
+#            readers-on-the-old-version / writer test over both localities
+#            five times under -race, then fuzzes for 30s
+#            (FuzzMutateVsRebuild: patched vs rebuilt vs naive, cover and
+#            balls, and the ball parts word for word);
 #            the cross-engine fuzzer (FuzzEngineEquivalence, kept with
 #            the lowdeg constructor in internal/lowdeg) drives the one
 #            engine over both localities and the naive oracle through the
@@ -53,9 +59,11 @@
 #                (see README "Mutations")
 #            (g) lowdeg guards (LOWDEG_GUARD=1, tests in internal/lowdeg):
 #                on the degree-bounded E17 graph the ball-locality build
-#                must be ≥5× cheaper than the cover-locality build, and
-#                Iterator.Next / Test / NextLast over the ball locality
-#                must report 0 allocs/op (see README "Engine modes")
+#                must be ≥5× cheaper than the cover-locality build, a
+#                single-edge ApplyEdits at n = 32k ≥10× cheaper than that
+#                build with no rebuild fallback, and Iterator.Next / Test /
+#                NextLast over the ball locality must report 0 allocs/op
+#                (see README "Engine modes")
 #            (h) self-lint guards (LINT2_GUARD=1): all seven fodlint
 #                analyzers must come back clean over the whole module
 #                (internal/lint included) modulo the reviewed baseline,
@@ -100,7 +108,9 @@ if [[ "$tier" == "2" || "$tier" == "all" ]]; then
     go test -race -count=1 -run 'TestRing|TestTailSampling|TestTraceSpanTree' ./internal/obs/
     echo "== tier 2: snapshot decoder fuzz (30s) =="
     go test -run FuzzSnapshotLoad -fuzz FuzzSnapshotLoad -fuzztime 30s ./internal/snap/
-    echo "== tier 2: mutation-vs-rebuild fuzz (30s) =="
+    echo "== tier 2: MVCC under -race, both localities: readers on the old version, one writer; mutate fuzz seeds x5 =="
+    go test -race -count=5 -run 'TestMutateSnapshotIsolation|FuzzMutateVsRebuild' ./internal/core/
+    echo "== tier 2: mutation-vs-rebuild fuzz, both localities (30s) =="
     go test -run FuzzMutateVsRebuild -fuzz FuzzMutateVsRebuild -fuzztime 30s ./internal/core/
     echo "== tier 2: cross-engine equivalence fuzz (30s) =="
     go test -run FuzzEngineEquivalence -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/lowdeg/

@@ -12,26 +12,20 @@ import (
 )
 
 // WriteSnapshot serializes the fully built index — graph, query metadata,
-// and every preprocessed structure (neighborhood cover, kernels, distance
-// recursion, starter lists, skip pointers, Storing-Theorem registers) —
-// into the immutable snapshot format of internal/snap. Loading the result
-// with LoadIndexSnapshot skips all of the pseudo-linear preprocessing and
-// yields an index that answers byte-identically.
+// and every preprocessed structure: the starter lists and, for a core
+// index, neighborhood cover, kernels, distance recursion and skip
+// pointers, for a lowdeg index the two arrays of sorted balls — into the
+// immutable snapshot format of internal/snap. The file names which of the
+// two it holds. Loading the result with LoadIndexSnapshot skips all of the
+// preprocessing and yields an index of the same engine that answers
+// byte-identically.
 //
-// The output is deterministic: the same graph and query always produce
-// the same bytes, so snapshots can be content-addressed and compared.
-//
-// A lowdeg-backed index cannot be snapshotted; see Snapshottable.
+// The output is deterministic: the same graph, query and engine always
+// produce the same bytes — whether the index was built or reached through
+// ApplyEdits — so snapshots can be content-addressed and compared.
 func (ix *Index) WriteSnapshot(w io.Writer) error {
 	return ix.writeSnapshot(context.Background(), w, nil)
 }
-
-// Snapshottable reports whether WriteSnapshot can succeed: the format
-// serializes the structures of the core engine's locality (cover, kernels,
-// distance recursion, skip pointers), and the engine says whether it has
-// them. A lowdeg-backed index has not — its linear build makes persisting
-// pointless.
-func (ix *Index) Snapshottable() bool { return ix.eng.Snapshottable() }
 
 // writeSnapshot is WriteSnapshot with encode instrumentation: section
 // timings become "snap.encode" spans in m — enrolled in the request trace
@@ -40,9 +34,6 @@ func (ix *Index) Snapshottable() bool { return ix.eng.Snapshottable() }
 func (ix *Index) writeSnapshot(ctx context.Context, w io.Writer, m *Metrics) error {
 	if ix.q == nil {
 		return fmt.Errorf("repro: index has no query attached; only indexes from Build or a snapshot loader can be snapshotted")
-	}
-	if !ix.Snapshottable() {
-		return fmt.Errorf("repro: a %s-backed index cannot be snapshotted (the engine has no snapshot form); rebuild it instead", ix.Engine())
 	}
 	lq, err := ix.q.compile()
 	if err != nil {
@@ -96,9 +87,12 @@ func SaveIndexSnapshotObs(ctx context.Context, ix *Index, path string, m *Metric
 // is re-parsed and re-compiled from the embedded source (the compiler is
 // deterministic, so the serialized engine parts line up exactly), and
 // every structural invariant is revalidated — corrupted input yields an
-// error, never a panic. The returned index answers byte-identically to
-// the freshly built one the snapshot was taken from. WithParallelism
-// bounds the restore-side derivations; WithMetrics instruments the index.
+// error wrapping one of internal/snap's typed ones, never a panic. The
+// returned index answers byte-identically to the freshly built one the
+// snapshot was taken from, on the engine the file names. WithParallelism
+// bounds the restore-side derivations; WithMetrics instruments the index;
+// WithEngine is recorded as what was requested (Index.Selection), so an
+// auto index keeps re-examining its graph when it is edited.
 func ReadIndexSnapshot(data []byte, opts ...Option) (*Index, error) {
 	return ReadIndexSnapshotCtx(context.Background(), data, opts...)
 }
@@ -144,12 +138,11 @@ func restoreSnapshotCtx(ctx context.Context, s *snap.Snapshot, opt IndexOptions)
 	}
 	e, err := core.RestoreEngine(s.Graph, lq, s.Parts, core.Options{Parallelism: opt.Parallelism, Obs: opt.Metrics, Ctx: ctx})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 	}
-	// Snapshots always hold the core engine (see Snapshottable), so the
-	// restored selection is a forced core choice with unexamined estimates.
+	// The file decides the engine; nothing was measured to get it.
 	sel := Selection{
-		Requested: EngineCore, Chosen: EngineCore,
+		Requested: opt.Engine, Chosen: kindOn(e.Locality()),
 		MaxDegree: -1, Degeneracy: -1,
 		DegreeLimit: AutoMaxDegree, DegeneracyLimit: AutoMaxDegeneracy,
 	}
