@@ -12,7 +12,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/naive"
-	"repro/internal/obs"
 	"repro/internal/xbench"
 )
 
@@ -20,15 +19,10 @@ import (
 // the running example of Section 5.1.5.
 const benchQuery = "dist(x,y) > 2 & C0(y)"
 
+// buildEngine builds the engine of one experiment row. Every engine
+// records into benchReg, so -debug-addr shows live aggregate metrics while
+// the experiments run.
 func buildEngine(class string, n int, query string, vars ...string) (*graph.Graph, *core.Engine, *core.LocalQuery, time.Duration) {
-	// Every experiment engine records into benchReg so that -debug-addr
-	// exposes live aggregate metrics while the experiments run.
-	return buildEngineObs(class, n, query, benchReg, vars...)
-}
-
-// buildEngineObs is buildEngine with an explicit metrics registry (E15
-// uses a fresh registry per run so histograms don't mix across sizes).
-func buildEngineObs(class string, n int, query string, reg *obs.Registry, vars ...string) (*graph.Graph, *core.Engine, *core.LocalQuery, time.Duration) {
 	g := gen.Generate(gen.Class(class), n, gen.Options{Seed: 7, Colors: 1, ColorProb: 0.05})
 	phi := fo.MustParse(query)
 	vs := make([]fo.Var, len(vars))
@@ -41,7 +35,7 @@ func buildEngineObs(class string, n int, query string, reg *obs.Registry, vars .
 	}
 	var e *core.Engine
 	pre := xbench.Time(func() {
-		e, err = core.Preprocess(g, lq, core.Options{Parallelism: parallelism, Obs: reg})
+		e, err = core.Preprocess(g, lq, core.Options{Parallelism: parallelism, Obs: benchReg})
 		if err != nil {
 			panic(err)
 		}

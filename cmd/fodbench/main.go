@@ -42,27 +42,17 @@ var experiments = []experiment{
 	{"E11", "Lemma 5.8: skip pointers — O(1) SKIP queries", runE11},
 	{"E12", "Counting ([18]): pseudo-linear FastCount vs counting by enumeration", runE12},
 	{"E13", "§2 characterization: weak r-accessibility small on nowhere dense classes", runE13},
-	{"E15", "Corollary 2.5 profiled: per-answer delay histograms → BENCH_delay.json", runE15},
-	{"E16", "§3 incremental update: single-edge ApplyEdits vs rebuild → BENCH_update.json", runE16},
-	{"E17", "Low-degree engine ([13]): linear build vs core preprocessing, same delay → BENCH_lowdeg.json", runE17},
 }
 
 // parallelism is the preprocessing worker count shared by all experiments
 // (0 = GOMAXPROCS); set by the -parallel flag.
 var parallelism int
 
-// outDir is where the machine-readable BENCH_*.json artifacts land; set
-// by the -out flag.
-var outDir string
-
 func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast pass")
 	flag.IntVar(&parallelism, "parallel", 0,
 		"preprocessing workers (0 = all CPUs, 1 = sequential); results are identical for every setting")
-	flag.StringVar(&outDir, "out", ".", "directory for the BENCH_*.json artifacts")
-	delayProfile := flag.Bool("delay-profile", false,
-		"run the enumeration-delay profiler (experiment E15) and emit BENCH_delay.json + BENCH_preproc.json")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars (expvar), /debug/metrics (JSON) and /debug/pprof on this address while the experiments run")
 	trace := flag.Bool("trace", false,
 		"build one index, enumerate one page, and print the request-scoped span tree (the offline view of /debug/traces)")
@@ -79,10 +69,6 @@ func main() {
 	}
 	if *trace {
 		runTrace(*quick)
-		return
-	}
-	if *delayProfile {
-		runE15(*quick)
 		return
 	}
 

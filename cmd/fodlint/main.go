@@ -17,8 +17,9 @@
 //
 // Findings matching an entry of the baseline file (lint.baseline.json at
 // the module root by default; see internal/lint/baseline.go) are
-// suppressed as reviewed exceptions; stale baseline entries are reported
-// on stderr so the file cannot rot. fodlint lints its own implementation
+// suppressed as reviewed exceptions; a stale baseline entry (one that
+// matches no finding) is reported on stderr and fails the run like a
+// finding does, so the file cannot rot. fodlint lints its own implementation
 // too — internal/lint and cmd/fodlint are inside every `./...` run and
 // in scope for the errdrop analyzer.
 //
@@ -118,6 +119,8 @@ func main() {
 	}
 	if len(kept) > 0 {
 		fmt.Fprintf(os.Stderr, "fodlint: %d invariant violation(s) in %d package(s)\n", len(kept), len(pkgs))
+	}
+	if len(kept) > 0 || len(unused) > 0 {
 		os.Exit(1)
 	}
 	if !*jsonOut {

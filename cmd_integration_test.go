@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -149,5 +150,40 @@ func TestCLISnapVerifyFixtures(t *testing.T) {
 	out, err := exec.Command(fodsnap, "verify", filepath.Join("internal", "snap", "testdata", "golden-bdeg64.fodsnap")).CombinedOutput()
 	if err != nil || !strings.Contains(string(out), " OK: arity 3, lowdeg engine") {
 		t.Fatalf("fodsnap verify golden-bdeg64.fodsnap: %v, report %q", err, out)
+	}
+}
+
+// TestCLILintStaleBaseline: a baseline entry that matches no finding fails
+// the run (exit 1, named on stderr) — the reviewed-exceptions file cannot
+// rot behind a green tier 2. The module linted is a scratch one, clean by
+// construction, so the entry is the only thing wrong.
+func TestCLILintStaleBaseline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	fodlint := buildTool(t, "fodlint")
+	mod := t.TempDir()
+	for name, body := range map[string]string{
+		"go.mod": "module scratch\n\ngo 1.22\n",
+		"a.go":   "package scratch\n\nfunc Twice(x int) int { return 2 * x }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(mod, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out, err := exec.Command(fodlint, "-C", mod, "./...").CombinedOutput(); err != nil {
+		t.Fatalf("fodlint on a clean module without a baseline: %v\n%s", err, out)
+	}
+	stale := `{"findings":[{"analyzer":"errdrop","file":"a.go","message":"no such finding","reason":"left behind"}]}`
+	if err := os.WriteFile(filepath.Join(mod, "lint.baseline.json"), []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(fodlint, "-C", mod, "./...").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("fodlint with a stale baseline entry: err = %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "stale baseline entry") || !strings.Contains(string(out), "no such finding") {
+		t.Fatalf("the stale entry is not named:\n%s", out)
 	}
 }

@@ -58,37 +58,38 @@ func TestEngineContractConformance(t *testing.T) {
 // TestFacadeHotPathsZeroAllocs pins, in tier 1, that routing through the
 // facade, the shared iterator and the locality costs no allocation: for
 // either kind, Index.Test, Index.NextLast and Cursor.Next are 0 allocs/op in
-// steady state — and stay so on a lowdeg index reached through ApplyEdits or
-// restored from a snapshot, which read the same two plain arrays a built one
-// does. (Allocation counts are deterministic, so this needs no env gate; the
-// tier-3 guards repeat it on the large benchmark graphs.)
+// steady state — and stay so on an index reached through ApplyEdits (patched
+// layouts and the skip-delta overlay of the cover locality, spliced ball rows
+// of the other) or restored from a snapshot, which read the same arrays a
+// built one does. (Allocation counts are deterministic, so this needs no env
+// gate.)
 func TestFacadeHotPathsZeroAllocs(t *testing.T) {
 	g := Generate("grid", 900, GenOptions{Colors: 2, Seed: 16})
 	q := MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
 	indexes := map[string]*Index{}
 	for kind, ix := range bothKinds(t, g, q) {
 		indexes[string(kind)] = ix
+		patched, err := ix.ApplyEdits(context.Background(), []Edit{RemoveEdge(0, 1), AddColor(500, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := patched.Stats(); st.Mutations != 1 || st.MutRebuilds != 0 {
+			t.Fatalf("premise: the %s edit is patched, got %+v", kind, st)
+		}
+		indexes[string(kind)+", patched"] = patched
+		var buf bytes.Buffer
+		if err := patched.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := ReadIndexSnapshot(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored.Engine() != kind {
+			t.Fatalf("a %s snapshot restored as %s", kind, restored.Engine())
+		}
+		indexes[string(kind)+", restored"] = restored
 	}
-	patched, err := indexes[string(EngineLowDeg)].ApplyEdits(context.Background(), []Edit{RemoveEdge(0, 1), AddColor(500, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := patched.Stats(); st.Mutations != 1 || st.MutRebuilds != 0 {
-		t.Fatalf("premise: the lowdeg edit is patched, got %+v", st)
-	}
-	indexes["lowdeg, patched"] = patched
-	var buf bytes.Buffer
-	if err := patched.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadIndexSnapshot(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Engine() != EngineLowDeg {
-		t.Fatalf("a lowdeg snapshot restored as %s", restored.Engine())
-	}
-	indexes["lowdeg, restored"] = restored
 	for kind, ix := range indexes {
 		n := g.N()
 		tuple := make([]int, 2)

@@ -142,9 +142,9 @@ func (e *Engine) Test(a []graph.V) bool {
 	return e.test(a)
 }
 
-// test is the Corollary 2.4 membership check proper; the LINT_GUARD
-// AllocsPerRun suite pins it at 0 allocs/op on singleton-component
-// queries.
+// test is the Corollary 2.4 membership check proper; the AllocsPerRun
+// suite (alloc_guard_test.go) pins it at 0 allocs/op on
+// singleton-component queries.
 //
 //fod:hotpath
 func (e *Engine) test(a []graph.V) bool {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/fo"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -17,9 +16,6 @@ import (
 
 // Options tunes engine preprocessing.
 type Options struct {
-	// Dist forwards to the distance index of Proposition 4.2 (cover
-	// locality only; the ball locality builds none).
-	Dist dist.Options
 	// Parallelism bounds the preprocessing worker count. 0 selects
 	// runtime.GOMAXPROCS(0); 1 reproduces the sequential build bit for
 	// bit. Any value yields an identical engine — parallelism changes

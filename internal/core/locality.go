@@ -137,15 +137,8 @@ func buildCoverLoc(e *Engine, opt Options, pool *par.Pool, root *obs.Span, check
 		return nil, fmt.Errorf("core: arity %d exceeds supported maximum %d", e.k, skip.MaxSetSize+1)
 	}
 	l := e.newCoverLoc()
-	distOpt := opt.Dist
-	if distOpt.Workers == 0 {
-		distOpt.Workers = e.stats.Workers
-	}
-	if distOpt.Obs == nil {
-		distOpt.Obs = opt.Obs
-	}
 	sp := root.Child("dist")
-	l.dix = dist.New(e.g, distRadius(e.q), distOpt)
+	l.dix = dist.New(e.g, distRadius(e.q), dist.Options{Workers: e.stats.Workers, Obs: opt.Obs})
 	e.stats.DistWall = sp.End()
 	if err := checkpoint(); err != nil {
 		return nil, err
@@ -346,7 +339,7 @@ func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starte
 // the same sync.Once a fresh build uses, so behavior is identical either
 // way.
 func (l *coverLoc) parts(e *Engine, p *EngineParts) {
-	p.Cover, p.Dist = l.cov.Parts(false), l.dix.Parts()
+	p.Cover, p.Dist = l.cov.Parts(), l.dix.Parts()
 	for i, rt := range e.clauses {
 		for j, c := range rt.comps {
 			sk := c.skip
@@ -384,7 +377,7 @@ func restoreCoverLoc(e *Engine, p *EngineParts, opt Options, root *obs.Span) (lo
 		return nil, fmt.Errorf("core: snapshot distance index has radius %d, query needs %d", l.dix.R, distR)
 	}
 	sp = root.Child("cover")
-	l.cov, err = cover.FromPartsObs(e.g, p.Cover, opt.Obs)
+	l.cov, err = cover.FromParts(e.g, p.Cover)
 	sp.End()
 	if err != nil {
 		return nil, err

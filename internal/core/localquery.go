@@ -22,7 +22,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/fo"
 	"repro/internal/graph"
@@ -237,11 +236,4 @@ func equalIntSlices(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// SortPositions is a helper for constructing ComponentFormulas.
-func SortPositions(ps []int) []int {
-	out := append([]int(nil), ps...)
-	sort.Ints(out)
-	return out
 }

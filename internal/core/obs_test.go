@@ -215,11 +215,11 @@ func TestInstrumentedAnswersIdentical(t *testing.T) {
 // path's (with generous headroom for scheduler noise), and must stay in
 // the sub-microsecond regime the README reports for this query class.
 //
-// Enabled only when OBS_GUARD=1 (timing asserts are too flaky for the
+// Enabled only when GUARD=1 (timing asserts are too flaky for the
 // default test run).
 func TestMetricsOverheadGuard(t *testing.T) {
-	if os.Getenv("OBS_GUARD") != "1" {
-		t.Skip("set OBS_GUARD=1 to run the metrics-overhead guard")
+	if os.Getenv("GUARD") == "" {
+		t.Skip("set GUARD=1 to run the timing guards (scripts/verify.sh 3)")
 	}
 	plain := buildObsEngine(t, nil)
 	inst := buildObsEngine(t, obs.New())

@@ -10,9 +10,11 @@
 // degree is measured rather than proven (Theorem 4.4's constructive bound
 // relies on non-constructive class parameters — see DESIGN.md §3).
 //
-// Bag and kernel membership (including ordered successor queries inside a
-// bag) are served by Storing-Theorem structures keyed by (bag, vertex), as
-// in the paper's use of Theorem 3.1 after Theorem 4.4.
+// Bag and kernel membership are served by per-vertex inverted lists
+// (memberOf, kernelOf: the sorted ids of the bags / kernels containing the
+// vertex), each of length at most the cover degree. The paper answers the
+// same question through the Storing Theorem (Theorem 3.1), which
+// internal/store reproduces on its own.
 //
 // # Parallel construction
 //
@@ -34,14 +36,11 @@ package cover
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/store"
 )
 
 // Options tunes cover construction.
@@ -79,27 +78,14 @@ type Cover struct {
 	assign   []int32     // 𝒳(a): index of the canonical bag covering N_R(a)
 	memberOf [][]int32   // sorted bag indices containing each vertex
 
-	// members is the lazily built Storing-Theorem structure
-	// (bag, vertex) ↦ 1, the paper's f_𝒳. Atomic pointer + mutex instead
-	// of a sync.Once so the mutation path can *peek* (Load) without racing
-	// a concurrent reader's first build, and Patch can install a cloned,
-	// delta-updated store in the copied cover.
-	members   atomic.Pointer[store.Store]
-	membersMu sync.Mutex
-
-	kernelP       int                         // radius of the computed kernels (-1 = none)
-	kernels       [][]graph.V                 // p-kernel per bag, sorted
-	kernelStore   atomic.Pointer[store.Store] // (bag, vertex) ↦ 1 for kernel membership
-	kernelStoreMu sync.Mutex
-	kernelOf      [][]int32 // sorted bag indices whose kernel contains v
+	kernelP  int         // radius of the computed kernels (-1 = none)
+	kernels  [][]graph.V // p-kernel per bag, sorted
+	kernelOf [][]int32   // sorted bag indices whose kernel contains v
 
 	pool   *par.Pool
 	stats  Stats
 	obsReg *obs.Registry // nil when unobserved
 }
-
-// Epsilon is the trie parameter handed to the Storing-Theorem structures.
-const Epsilon = 0.25
 
 // Compute builds an (r, 2r)-neighborhood cover of g sequentially. It is
 // ComputeWith with Options{Workers: 1}.
@@ -346,40 +332,7 @@ func (c *Cover) buildMembership() {
 		}
 	}
 	// Bags are created in increasing center order and each bag list is
-	// appended once, so memberOf lists are already sorted. The
-	// Storing-Theorem structure behind Contains/NextInBag is built lazily
-	// on first use (many consumers only need Assign/Bag/kernels).
-}
-
-// memberStore lazily builds the Storing-Theorem membership structure.
-// Double-checked locking makes the lazy initialization safe for concurrent
-// readers (Contains/NextInBag may be called from parallel query threads).
-// A store installed by FromParts or Patch before first use short-circuits
-// the build.
-func (c *Cover) memberStore() *store.Store {
-	if m := c.members.Load(); m != nil {
-		return m
-	}
-	c.membersMu.Lock()
-	defer c.membersMu.Unlock()
-	if m := c.members.Load(); m != nil {
-		return m
-	}
-	u := c.g.N()
-	if len(c.bags) > u {
-		u = len(c.bags)
-	}
-	if u < 2 {
-		u = 2
-	}
-	m := store.New(u, 2, Epsilon)
-	for i, bag := range c.bags {
-		for _, v := range bag {
-			m.Set([]int{i, v}, 1)
-		}
-	}
-	c.members.Store(m)
-	return m
+	// appended once, so memberOf lists are already sorted.
 }
 
 // Stats returns construction statistics.
@@ -398,9 +351,6 @@ func (c *Cover) Center(i int) graph.V { return c.centers[i] }
 //
 //fod:hotpath
 func (c *Cover) Assign(a graph.V) int { return int(c.assign[a]) }
-
-// BagsOf returns the sorted indices of all bags containing v.
-func (c *Cover) BagsOf(v graph.V) []int32 { return c.memberOf[v] }
 
 // Degree returns δ(𝒳) = max_a |{X : a ∈ X}|.
 func (c *Cover) Degree() int {
@@ -422,27 +372,10 @@ func (c *Cover) SumBagSizes() int {
 	return s
 }
 
-// Contains reports whether vertex v belongs to bag i, via the
-// Storing-Theorem structure (constant time). Safe for concurrent use.
-func (c *Cover) Contains(i int, v graph.V) bool {
-	_, ok := c.memberStore().Get([]int{i, v})
-	return ok
-}
-
-// NextInBag returns the smallest member b′ ≥ b of bag i, using the
-// successor lookup of the Storing Theorem. Safe for concurrent use.
-func (c *Cover) NextInBag(i int, b graph.V) (graph.V, bool) {
-	key, _, ok := c.memberStore().NextGeq([]int{i, b})
-	if !ok || key[0] != i {
-		return 0, false
-	}
-	return key[1], true
-}
-
 // ComputeKernels computes the p-kernels K_p(X) = {a ∈ X : N_p(a) ⊆ X} of
 // every bag (Lemma 5.7: a multi-source BFS from the bag boundary inside
-// G[X]) and indexes them for constant-time membership and successor
-// queries. p must be ≤ R. With a parallel cover the per-bag BFS runs
+// G[X]) and indexes them for constant-time membership queries. p must be
+// ≤ R. With a parallel cover the per-bag BFS runs
 // concurrently (each bag's kernel depends only on the bag and the graph);
 // the fan-in is ordered, so the kernels are identical to the sequential
 // ones.
@@ -540,8 +473,7 @@ func (c *Cover) KernelP() int { return c.kernelP }
 func (c *Cover) Kernel(i int) []graph.V { return c.kernels[i] }
 
 // InKernel reports whether v ∈ K_p(X_i), in constant time (a scan of the
-// ≤ δ(𝒳) sorted kernel ids of v; the equivalent Storing-Theorem lookup
-// backs KernelContains and is exercised by the tests).
+// ≤ δ(𝒳) sorted kernel ids of v).
 //
 //fod:hotpath
 func (c *Cover) InKernel(i int, v graph.V) bool {
@@ -554,59 +486,6 @@ func (c *Cover) InKernel(i int, v graph.V) bool {
 		}
 	}
 	return false
-}
-
-// KernelContains is InKernel served by the Storing-Theorem structure
-// (built lazily under a sync.Once, so concurrent readers are safe), kept
-// as the paper-faithful access path.
-func (c *Cover) KernelContains(i int, v graph.V) bool {
-	if c.kernelOf == nil {
-		panic("cover: ComputeKernels has not been called")
-	}
-	_, ok := c.kernelMemberStore().Get([]int{i, v})
-	return ok
-}
-
-// kernelMemberStore lazily builds the Storing-Theorem kernel-membership
-// structure; like memberStore it defers to a store installed by a
-// snapshot restore or by Patch.
-func (c *Cover) kernelMemberStore() *store.Store {
-	if ks := c.kernelStore.Load(); ks != nil {
-		return ks
-	}
-	c.kernelStoreMu.Lock()
-	defer c.kernelStoreMu.Unlock()
-	if ks := c.kernelStore.Load(); ks != nil {
-		return ks
-	}
-	u := c.g.N()
-	if len(c.bags) > u {
-		u = len(c.bags)
-	}
-	if u < 2 {
-		u = 2
-	}
-	ks := store.New(u, 2, Epsilon)
-	for i, kern := range c.kernels {
-		for _, v := range kern {
-			ks.Set([]int{i, v}, 1)
-		}
-	}
-	c.kernelStore.Store(ks)
-	return ks
-}
-
-// MemberStore returns the Storing-Theorem bag-membership structure,
-// building it if needed. The snapshot writer uses it to persist the trie.
-func (c *Cover) MemberStore() *store.Store { return c.memberStore() }
-
-// KernelStore returns the Storing-Theorem kernel-membership structure,
-// building it if needed; ComputeKernels must have run.
-func (c *Cover) KernelStore() *store.Store {
-	if c.kernelOf == nil {
-		panic("cover: ComputeKernels has not been called")
-	}
-	return c.kernelMemberStore()
 }
 
 // KernelsOf returns the sorted indices of bags whose kernel contains v.

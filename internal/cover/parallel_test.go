@@ -84,31 +84,3 @@ func TestParallelCoverStats(t *testing.T) {
 		t.Fatalf("sequential path wasted %d balls", w)
 	}
 }
-
-// TestConcurrentLazyStores hammers the lazily-built Storing-Theorem
-// structures from many goroutines; run with -race to catch unguarded
-// initialization.
-func TestConcurrentLazyStores(t *testing.T) {
-	g := gen.Generate(gen.Grid, 400, gen.Options{Seed: 5})
-	c := ComputeWith(g, 2, Options{Workers: 2})
-	c.ComputeKernels(2)
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			for v := 0; v < g.N(); v += 7 {
-				bag := c.Assign(v)
-				if !c.Contains(bag, v) {
-					t.Errorf("vertex %d not in its assigned bag %d", v, bag)
-					return
-				}
-				c.KernelContains(bag, v)
-				c.NextInBag(bag, v)
-				c.InKernel(bag, v)
-			}
-		}(w)
-	}
-	for w := 0; w < 8; w++ {
-		<-done
-	}
-}

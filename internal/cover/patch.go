@@ -79,7 +79,6 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 	info := &PatchInfo{}
 	if len(sources) == 0 {
 		// Color-only batch: the cover is a pure metric object; share it all.
-		c.cloneStoresInto(out, nil, nil)
 		return out, info, true
 	}
 
@@ -243,59 +242,7 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 	}
 	sort.Ints(info.KernelDelta)
 
-	c.cloneStoresInto(out, info, violated)
 	return out, info, true
-}
-
-// cloneStoresInto wires the Storing-Theorem structures into the patched
-// cover. A structure that was never materialized on c stays lazy on out
-// (it will be rebuilt on first use, as always); a materialized one is
-// cloned and delta-updated with the O(n^ε) Set/Delete of Theorem 3.1 —
-// the live path the paper's update bound is about.
-func (c *Cover) cloneStoresInto(out *Cover, info *PatchInfo, violated []graph.V) {
-	if ms := c.members.Load(); ms != nil {
-		newBags := 0
-		if info != nil {
-			newBags = len(info.NewBags)
-		}
-		if newBags > 0 && len(out.bags) > ms.N() {
-			// The (bag, vertex) universe outgrew the store; let it rebuild
-			// lazily over the larger universe.
-			newBags = -1
-		}
-		if newBags >= 0 {
-			clone := ms.Clone()
-			if info != nil {
-				for _, b := range info.NewBags {
-					for _, v := range out.bags[b] {
-						clone.Set([]int{b, v}, 1)
-					}
-				}
-			}
-			out.members.Store(clone)
-		}
-	}
-	if ks := c.kernelStore.Load(); ks != nil && len(out.bags) <= ks.N() {
-		clone := ks.Clone()
-		if info != nil {
-			for _, b := range info.NewBags {
-				for _, v := range out.kernels[b] {
-					clone.Set([]int{b, v}, 1)
-				}
-			}
-			for _, b := range info.KernelChanged {
-				added, removed := diffSorted(c.kernels[b], out.kernels[b])
-				for _, v := range added {
-					clone.Set([]int{b, v}, 1)
-				}
-				for _, v := range removed {
-					clone.Delete([]int{b, v})
-				}
-			}
-		}
-		out.kernelStore.Store(clone)
-	}
-	_ = violated
 }
 
 // bagKernelOn is bagKernel against an explicit graph (the patch target),

@@ -168,54 +168,6 @@ func TestPatchDifferential(t *testing.T) {
 	}
 }
 
-// TestPatchStores: materialized Storing-Theorem structures are cloned and
-// delta-updated (Theorem 3.1 Set/Delete), and answer membership queries
-// for the patched cover exactly.
-func TestPatchStores(t *testing.T) {
-	g := gen.Generate(gen.Grid, 225, gen.Options{Seed: 4})
-	cov := Compute(g, 2)
-	cov.ComputeKernels(2)
-	// Materialize both stores pre-patch so Patch exercises Clone+delta.
-	cov.MemberStore()
-	cov.KernelStore()
-	rng := rand.New(rand.NewSource(9))
-	edits, srcs := edgeEditBatch(rng, g, 3)
-	gNew, err := graph.Patch(g, edits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, ok := cov.Patch(g, gNew, srcs)
-	if !ok {
-		t.Skip("patch refused (avalanche)")
-	}
-	for i := 0; i < out.NumBags(); i++ {
-		inBag := map[graph.V]bool{}
-		for _, v := range out.Bag(i) {
-			inBag[v] = true
-		}
-		inKern := map[graph.V]bool{}
-		for _, v := range out.Kernel(i) {
-			inKern[v] = true
-		}
-		for v := 0; v < gNew.N(); v++ {
-			if out.Contains(i, v) != inBag[v] {
-				t.Fatalf("store Contains(%d,%d) = %v, want %v", i, v, !inBag[v], inBag[v])
-			}
-			if out.KernelContains(i, v) != inKern[v] {
-				t.Fatalf("store KernelContains(%d,%d) = %v, want %v", i, v, !inKern[v], inKern[v])
-			}
-		}
-	}
-	// And the old cover's stores still answer for the old structure.
-	for i := 0; i < cov.NumBags(); i++ {
-		for _, v := range cov.Bag(i) {
-			if !cov.Contains(i, v) {
-				t.Fatalf("old store lost member (%d,%d)", i, v)
-			}
-		}
-	}
-}
-
 // TestPatchColorOnly: empty source list shares everything.
 func TestPatchColorOnly(t *testing.T) {
 	g := gen.Generate(gen.Path, 100, gen.Options{Seed: 1, Colors: 1})

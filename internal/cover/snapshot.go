@@ -4,19 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/store"
 )
 
 // Parts is the flat serialized form of a Cover: the bag lists and kernels
 // in CSR layout plus the canonical assignment, i.e. exactly the arrays
 // the answering phase indexes into. The derived inverted lists (memberOf,
 // kernelOf) are rebuilt on restore — they are pure functions of the bags
-// and kernels. The optional Storing-Theorem structures (the paper's f_𝒳
-// after Theorem 4.4) are included when the snapshot writer forced them,
-// so a restored cover answers its first Contains/NextInBag in O(1)
-// without a lazy build.
+// and kernels.
 type Parts struct {
 	R       int
 	KernelP int // -1 when ComputeKernels was never called
@@ -28,16 +23,10 @@ type Parts struct {
 
 	KernOff  []int32 // len NumBags+1 when KernelP >= 0, else nil
 	KernData []int32
-
-	MemberStore *store.Parts // nil unless forced at snapshot time
-	KernelStore *store.Parts
 }
 
-// Parts returns the serialized form of the cover. When forceStores is
-// set, the lazy Storing-Theorem membership structures are built first and
-// included, trading snapshot bytes for O(1) first-use on the restored
-// side.
-func (c *Cover) Parts(forceStores bool) Parts {
+// Parts returns the serialized form of the cover.
+func (c *Cover) Parts() Parts {
 	p := Parts{R: c.R, KernelP: c.kernelP, Centers: make([]int32, len(c.centers)), Assign: c.assign}
 	for i, ctr := range c.centers {
 		p.Centers[i] = int32(ctr)
@@ -45,14 +34,6 @@ func (c *Cover) Parts(forceStores bool) Parts {
 	p.BagOff, p.BagData = csrOf(c.bags)
 	if c.kernelP >= 0 {
 		p.KernOff, p.KernData = csrOf(c.kernels)
-	}
-	if forceStores {
-		mp := c.MemberStore().Parts()
-		p.MemberStore = &mp
-		if c.kernelP >= 0 {
-			kp := c.KernelStore().Parts()
-			p.KernelStore = &kp
-		}
 	}
 	return p
 }
@@ -139,14 +120,6 @@ func invertLists(rows [][]graph.V, n int) [][]int32 {
 // answering phase indexes with (bag ids, vertex ranges, sortedness) so a
 // corrupted snapshot errors instead of panicking at query time.
 func FromParts(g *graph.Graph, p Parts) (*Cover, error) {
-	return FromPartsObs(g, p, nil)
-}
-
-// FromPartsObs is FromParts with the optional Storing-Theorem structures
-// restored through the instrumented store path (store.FromPartsObs), so a
-// registry sees their restore latency and register counts. A nil reg is
-// the plain FromParts.
-func FromPartsObs(g *graph.Graph, p Parts, reg *obs.Registry) (*Cover, error) {
 	if p.R < 1 {
 		return nil, fmt.Errorf("cover: snapshot radius %d < 1", p.R)
 	}
@@ -192,24 +165,6 @@ func FromPartsObs(g *graph.Graph, p Parts, reg *obs.Registry) (*Cover, error) {
 		c.kernelP = p.KernelP
 		c.kernels = kerns
 		c.kernelOf = invertLists(kerns, n)
-	}
-
-	if p.MemberStore != nil {
-		ms, err := store.FromPartsObs(*p.MemberStore, reg)
-		if err != nil {
-			return nil, fmt.Errorf("cover: member store: %w", err)
-		}
-		c.members.Store(ms)
-	}
-	if p.KernelStore != nil {
-		if c.kernelOf == nil {
-			return nil, fmt.Errorf("cover: kernel store present without kernels")
-		}
-		ks, err := store.FromPartsObs(*p.KernelStore, reg)
-		if err != nil {
-			return nil, fmt.Errorf("cover: kernel store: %w", err)
-		}
-		c.kernelStore.Store(ks)
 	}
 	return c, nil
 }

@@ -76,7 +76,7 @@ func nodeParts(ix *Index) *NodeParts {
 	case ix.fallback != nil:
 		return &NodeParts{Kind: NodeFallback}
 	}
-	np := &NodeParts{Kind: NodeRecursive, Cover: ix.cov.Parts(false), Bags: make([]BagParts, len(ix.bags))}
+	np := &NodeParts{Kind: NodeRecursive, Cover: ix.cov.Parts(), Bags: make([]BagParts, len(ix.bags))}
 	for i, b := range ix.bags {
 		np.Bags[i] = BagParts{SX: int32(b.sX), DistS: b.distS, Inner: nodeParts(b.inner)}
 	}

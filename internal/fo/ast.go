@@ -166,9 +166,6 @@ func NotOf(f Formula) Formula {
 	return Not{f}
 }
 
-// DistGreater returns the formula dist(x,y) > d, i.e. ¬(dist(x,y) ≤ d).
-func DistGreater(x, y Var, d int) Formula { return Not{DistLeq{x, y, d}} }
-
 // DistQuery returns the pure-FO definition of dist(x,y) ≤ r from
 // Definition 4.1: dist≤0 is x=y, dist≤(r+1)(x,y) = ∃z (E(x,z) ∧ dist≤r(z,y)) ∨ dist≤r(x,y).
 // It is used to cross-check the FO⁺ distance atom against plain FO.

@@ -23,9 +23,7 @@ type Evaluator struct {
 	// O(sources·n) integers.
 	distCache map[graph.V][]int32
 
-	// domain, when non-nil, restricts quantifier ranges (EvalRestricted);
-	// domainList, when non-nil, replaces the range entirely (EvalOver).
-	domain     func(graph.V) bool
+	// domainList, when non-nil, is the quantifier range (EvalOver).
 	domainList []graph.V
 
 	// stamp/epoch provide O(1) domainList membership for the witness
@@ -97,19 +95,6 @@ func (e *Evaluator) Graph() *graph.Graph { return e.g }
 
 // Env is a partial assignment of variables to vertices.
 type Env map[Var]graph.V
-
-// EvalRestricted is Eval with quantifiers ranging only over the vertices
-// accepted by allowed. For formulas whose quantifiers are guarded within
-// the allowed region (certified by the compiler's witness-reach analysis),
-// this agrees with Eval over the whole graph while touching far fewer
-// vertices.
-func (e *Evaluator) EvalRestricted(f Formula, env Env, allowed func(graph.V) bool) bool {
-	old := e.domain
-	e.domain = allowed
-	res := e.Eval(f, env)
-	e.domain = old
-	return res
-}
 
 // EvalOver is Eval with quantifiers iterating only the listed vertices —
 // the engine's hot path: the list is a precomputed neighborhood, so a
@@ -229,9 +214,6 @@ func (e *Evaluator) eachWitness(v Var, body Formula, env Env, yield func(graph.V
 		conjuncts = and.Fs
 	}
 	inRange := func(x graph.V) bool {
-		if e.domain != nil && !e.domain(x) {
-			return false
-		}
 		return e.domainList == nil || e.inDomainList(x)
 	}
 	for _, c := range conjuncts {
@@ -279,13 +261,10 @@ func (e *Evaluator) eachWitness(v Var, body Formula, env Env, yield func(graph.V
 }
 
 // eachDomainVertex iterates the quantifier range (domainList, or all
-// vertices filtered by domain); yield returning false stops the iteration.
+// vertices); yield returning false stops the iteration.
 func (e *Evaluator) eachDomainVertex(yield func(graph.V) bool) {
 	if e.domainList != nil {
 		for _, v := range e.domainList {
-			if e.domain != nil && !e.domain(v) {
-				continue
-			}
 			if !yield(v) {
 				return
 			}
@@ -293,9 +272,6 @@ func (e *Evaluator) eachDomainVertex(yield func(graph.V) bool) {
 		return
 	}
 	for v := 0; v < e.g.N(); v++ {
-		if e.domain != nil && !e.domain(v) {
-			continue
-		}
 		if !yield(v) {
 			return
 		}

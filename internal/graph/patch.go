@@ -82,15 +82,6 @@ func (e Edit) Validate(g *Graph) error {
 	return nil
 }
 
-// Touched returns the vertices whose incident structure the edit changes
-// (both endpoints for edges, the vertex for colors).
-func (e Edit) Touched() []V {
-	if e.Op == AddEdge || e.Op == RemoveEdge {
-		return []V{e.U, e.V}
-	}
-	return []V{e.U}
-}
-
 // Patch applies edits to g and returns the resulting graph, leaving g
 // untouched (copy-on-write: adjacency rows of unaffected vertices are
 // copied verbatim, so the cost is O(‖G‖ + Σ deg(touched))). The result is

@@ -1,74 +1,32 @@
 package lint
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 )
-
-// The LINT2_GUARD suite is verify.sh tier 3's self-lint gate: it loads
-// the whole module the way cmd/fodlint does, demands that all seven
-// analyzers come back clean modulo the reviewed baseline, and
-// cross-checks the static hot closure against the functions the
-// AllocsPerRun guards (LINT_GUARD / LOWDEG_GUARD suites) pin at
-// 0 allocs/op. Loading and type-checking the full module from source
-// takes several seconds, so the suite is opt-in via LINT2_GUARD=1.
-
-func lint2Gate(t *testing.T) {
-	t.Helper()
-	if os.Getenv("LINT2_GUARD") == "" {
-		t.Skip("set LINT2_GUARD=1 to run the self-lint guard suite")
-	}
-}
-
-func loadModule(t *testing.T) (string, []*Package) {
-	t.Helper()
-	moduleDir, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(moduleDir, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return moduleDir, pkgs
-}
-
-// TestSelfLintClean runs every analyzer over every module package
-// (internal/lint included) and requires zero findings outside the
-// baseline, and zero stale baseline entries.
-func TestSelfLintClean(t *testing.T) {
-	lint2Gate(t)
-	moduleDir, pkgs := loadModule(t)
-	diags := RunAnalyzers(pkgs, All())
-	b, err := LoadBaseline(filepath.Join(moduleDir, "lint.baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, suppressed, unused := b.Filter(moduleDir, diags)
-	for _, d := range kept {
-		t.Errorf("unbaselined finding: %s", d)
-	}
-	for _, e := range unused {
-		t.Errorf("stale baseline entry (matches nothing): %s %s %q", e.Analyzer, e.File, e.Message)
-	}
-	t.Logf("self-lint: %d packages, %d finding(s) suppressed by baseline", len(pkgs), suppressed)
-}
 
 // TestHotClosureMatchesAllocGuards pins the agreement between the two
 // halves of the delay-bound check: every function a dynamic
 // AllocsPerRun guard pins at 0 allocs/op must be a member of the static
 // //fod:hotpath closure, under both localities. If one of these drops out of
 // the closure, hotpath-transitive has silently stopped checking a
-// function the benchmarks still rely on.
+// function the benchmarks still rely on. It loads and type-checks the whole
+// module from source the way cmd/fodlint does (a few seconds); that the
+// module lints clean modulo the baseline, with no stale entry, is fodlint's
+// own exit status in verify.sh tier 2.
 func TestHotClosureMatchesAllocGuards(t *testing.T) {
-	lint2Gate(t)
-	_, pkgs := loadModule(t)
+	if testing.Short() {
+		t.Skip("type-checks the whole module from source")
+	}
+	pkgs, err := Load(filepath.Join("..", ".."), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
 	prog := BuildProgram(pkgs)
 	closure := HotClosure(prog)
 
 	pinned := []string{
-		// internal/core LINT_GUARD and internal/lowdeg LOWDEG_GUARD suites:
+		// internal/core and internal/lowdeg ZeroAllocs tests:
 		// Iterator.Next (the one iterator), Engine.Test, Engine.NextLast
 		// and the primitives under them — one engine, so one set.
 		"core.(Iterator).Next",

@@ -31,8 +31,8 @@ import (
 // (PR 5); they are now the body-check half of `hotpath-transitive`
 // (hotpathtrans.go), which runs them over every function in the call
 // closure of a `//fod:hotpath` root, not just the annotated roots. The
-// dynamic twin is the LINT_GUARD AllocsPerRun suite in internal/core,
-// which pins Iterator.Next and Engine.Test at 0 allocs/op (see DESIGN.md
+// dynamic twin is the tier-1 AllocsPerRun suite in internal/core, which
+// pins Iterator.Next and Engine.Test at 0 allocs/op (see DESIGN.md
 // "Static analysis").
 
 // timeDependent are the clock-reading functions of package time.

@@ -85,9 +85,9 @@ func runHotPathTrans(pp *ProgramPass) {
 
 // HotClosure computes the //fod:hotpath call closure without reporting
 // anything: same roots, same edges, same coldpath/panic-argument pruning
-// as the analyzer traversal above. The LINT2_GUARD suite uses it to
-// cross-check closure membership against the functions the AllocsPerRun
-// guards pin at 0 allocs/op — the static and dynamic halves of the
+// as the analyzer traversal above. TestHotClosureMatchesAllocGuards uses
+// it to cross-check closure membership against the functions the
+// AllocsPerRun tests pin at 0 allocs/op — the static and dynamic halves of the
 // Theorem 2.3 delay bound must agree on what "the hot path" is.
 func HotClosure(prog *Program) map[*FuncNode]bool {
 	passes := map[*Package]*Pass{}

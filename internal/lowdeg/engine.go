@@ -26,8 +26,7 @@ type (
 )
 
 // Preprocess builds the engine over the ball locality: cost
-// O(n · d^{R(k−1)} · eval), linear for constant degree. Options.Dist is
-// ignored (there is no distance index to tune).
+// O(n · d^{R(k−1)} · eval), linear for constant degree.
 func Preprocess(g *graph.Graph, q *core.LocalQuery, opt Options) (*Engine, error) {
 	return core.PreprocessBalls(g, q, opt)
 }

@@ -9,8 +9,8 @@
 // *evidences* them at runtime: the engine records per-answer delay and
 // per-call NextGeq/Test latency into histograms, the preprocessing phases
 // (dist → cover → kernel → starter → skip) are traced as nested spans,
-// and cmd/fodbench turns the histograms into tracked BENCH_*.json
-// artifacts.
+// and the repository's benchmark (bench/) reads the histograms from
+// outside.
 //
 // Design constraints, in order of importance:
 //

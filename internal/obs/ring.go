@@ -30,14 +30,6 @@ func (r *Ring) Push(tr *Trace) {
 	r.slots[i%uint64(len(r.slots))].Store(tr)
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.slots)
-}
-
 // Len returns the number of retained traces.
 func (r *Ring) Len() int {
 	if r == nil {

@@ -26,11 +26,11 @@ import (
 //     (rebuild + seek) — the rebuild dominates both identically, and
 //     the deep seek adds only O(1) on top.
 //
-// Gated behind SERVE_GUARD=1 (scripts/verify.sh tier 3) so ordinary test
+// Gated behind GUARD=1 (scripts/verify.sh tier 3) so ordinary test
 // runs are not timing-sensitive.
 func TestColdResumeGuard(t *testing.T) {
-	if os.Getenv("SERVE_GUARD") == "" {
-		t.Skip("set SERVE_GUARD=1 to run the cold-resume latency guard (scripts/verify.sh 3)")
+	if os.Getenv("GUARD") == "" {
+		t.Skip("set GUARD=1 to run the timing guards (scripts/verify.sh 3)")
 	}
 	const (
 		factor   = 25.0

@@ -14,6 +14,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/skip"
 	"repro/internal/snap"
 )
@@ -242,7 +243,7 @@ func TestCorruptMissingSections(t *testing.T) {
 // rewriteSections rebuilds the container of data section by section; edit
 // returns the payload to write under the same name and kind, or false to
 // leave the section out.
-func rewriteSections(t *testing.T, data []byte, edit func(name string, payload []byte) ([]byte, bool)) []byte {
+func rewriteSections(t testing.TB, data []byte, edit func(name string, payload []byte) ([]byte, bool)) []byte {
 	t.Helper()
 	f, err := snap.Parse(data)
 	if err != nil {
@@ -288,6 +289,79 @@ func rewriteSections(t *testing.T, data []byte, edit func(name string, payload [
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// setCoverFlag sets to 1 one of the two reserved flag words (which = 0, 1)
+// that end the cover stream starting at word start of the named i32
+// section, following the layout encodeCover writes: R, KernelP, four
+// length-prefixed arrays and two more when there are kernels, the flags.
+func setCoverFlag(t testing.TB, data []byte, section string, start, which int) []byte {
+	return rewriteSections(t, data, func(name string, payload []byte) ([]byte, bool) {
+		if name != section {
+			return payload, true
+		}
+		word := func(i int) int { return int(int32(binary.LittleEndian.Uint32(payload[4*i:]))) }
+		arrays := 4
+		if word(start+1) >= 0 {
+			arrays = 6
+		}
+		pos := start + 2
+		for i := 0; i < arrays; i++ {
+			pos += 1 + word(pos)
+		}
+		if word(pos) != 0 || word(pos+1) != 0 {
+			t.Fatalf("section %q words %d,%d are not the zero flag words", section, pos, pos+1)
+		}
+		payload = slices.Clone(payload)
+		binary.LittleEndian.PutUint32(payload[4*(pos+which):], 1)
+		return payload, true
+	})
+}
+
+// TestCorruptCoverStoreFlags: the two words that end a cover are reserved
+// (a set one would announce store sections no reader knows), so a set flag
+// is corruption, in the engine's cover and in the cover of a recursive
+// distance-index node alike. A star is the graph whose distance index
+// recurses (its ball table is quadratic).
+func TestCorruptCoverStoreFlags(t *testing.T) {
+	g := repro.Generate("star", 300, repro.GenOptions{Seed: 3, Colors: 2})
+	ix, err := repro.Build(context.Background(), g, repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := snap.Read(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if valid.Parts.Dist.Root.Kind != dist.NodeRecursive {
+		t.Fatalf("distance index root has kind %d, the test needs a recursive one", valid.Parts.Dist.Root.Kind)
+	}
+	// The dist stream opens with seven statistics words and the root's
+	// kind; the root's cover follows.
+	const distRootCover = 8
+	for _, tc := range []struct {
+		name, section string
+		start, which  int
+	}{
+		{"top-level/member", "cover", 0, 0},
+		{"top-level/kernel", "cover", 0, 1},
+		{"dist-node/member", "dist", distRootCover, 0},
+		{"dist-node/kernel", "dist", distRootCover, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := setCoverFlag(t, buf.Bytes(), tc.section, tc.start, tc.which)
+			if _, err := snap.Read(data); !errors.Is(err, snap.ErrCorrupt) {
+				t.Fatalf("Read: %v, want ErrCorrupt", err)
+			}
+			if _, err := repro.ReadIndexSnapshot(data); !errors.Is(err, snap.ErrCorrupt) {
+				t.Fatalf("ReadIndexSnapshot: %v, want ErrCorrupt", err)
+			}
+		})
+	}
 }
 
 // TestCorruptLocalityMismatch: the metadata names the locality whose

@@ -12,7 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/skip"
-	"repro/internal/store"
 )
 
 // maxDistDepth bounds the decoder recursion over the dist tree; it
@@ -206,9 +205,9 @@ func readGraph(f *File) (*graph.Graph, error) {
 	return g, nil
 }
 
-// decodeCover is the inverse of encodeCover; store payloads are resolved
-// from their own sections by the caller using the returned flags.
-func decodeCover(r *i32r) (p cover.Parts, hasMember, hasKernel bool, err error) {
+// decodeCover is the inverse of encodeCover; a non-zero reserved flag word
+// is corruption.
+func decodeCover(r *i32r) (p cover.Parts, err error) {
 	if p.R, err = r.getInt(); err != nil {
 		return
 	}
@@ -235,14 +234,16 @@ func decodeCover(r *i32r) (p cover.Parts, hasMember, hasKernel bool, err error) 
 			return
 		}
 	}
-	var fm, fk int32
-	if fm, err = r.get(); err != nil {
-		return
+	for i := 0; i < 2; i++ {
+		var flag int32
+		if flag, err = r.get(); err != nil {
+			return
+		}
+		if flag != 0 {
+			return p, fmt.Errorf("%w: cover carries store payloads", ErrCorrupt)
+		}
 	}
-	if fk, err = r.get(); err != nil {
-		return
-	}
-	return p, fm != 0, fk != 0, nil
+	return p, nil
 }
 
 func readCover(f *File) (cover.Parts, error) {
@@ -251,66 +252,14 @@ func readCover(f *File) (cover.Parts, error) {
 		return cover.Parts{}, err
 	}
 	r := &i32r{name: "cover", s: s}
-	p, hasMember, hasKernel, err := decodeCover(r)
+	p, err := decodeCover(r)
 	if err != nil {
 		return cover.Parts{}, err
 	}
 	if err := r.finish(); err != nil {
 		return cover.Parts{}, err
-	}
-	if hasMember {
-		if p.MemberStore, err = readStore(f, "cover.member"); err != nil {
-			return cover.Parts{}, err
-		}
-	}
-	if hasKernel {
-		if p.KernelStore, err = readStore(f, "cover.kernel"); err != nil {
-			return cover.Parts{}, err
-		}
 	}
 	return p, nil
-}
-
-func readStore(f *File, prefix string) (*store.Parts, error) {
-	s, err := f.I32Section(prefix + ".meta")
-	if err != nil {
-		return nil, err
-	}
-	r := &i32r{name: prefix + ".meta", s: s}
-	var p store.Parts
-	if p.N, err = r.getInt(); err != nil {
-		return nil, err
-	}
-	if p.K, err = r.getInt(); err != nil {
-		return nil, err
-	}
-	if p.D, err = r.getInt(); err != nil {
-		return nil, err
-	}
-	if p.H, err = r.getInt(); err != nil {
-		return nil, err
-	}
-	if p.Size, err = r.getInt(); err != nil {
-		return nil, err
-	}
-	nreg, err := r.getInt()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	if p.Delta, err = f.I8Section(prefix + ".delta"); err != nil {
-		return nil, err
-	}
-	if p.R, err = f.I64Section(prefix + ".r"); err != nil {
-		return nil, err
-	}
-	if len(p.Delta) != nreg || len(p.R) != nreg {
-		return nil, fmt.Errorf("%w: store %q columns have %d/%d registers, meta claims %d",
-			ErrCorrupt, prefix, len(p.Delta), len(p.R), nreg)
-	}
-	return &p, nil
 }
 
 func readDist(f *File) (dist.Parts, error) {
@@ -364,14 +313,9 @@ func decodeDistNode(r *i32r, d8 *i8r, depth int) (*dist.NodeParts, error) {
 			return nil, err
 		}
 	case dist.NodeRecursive:
-		cp, hasMember, hasKernel, err := decodeCover(r)
-		if err != nil {
+		if np.Cover, err = decodeCover(r); err != nil {
 			return nil, err
 		}
-		if hasMember || hasKernel {
-			return nil, fmt.Errorf("%w: dist-level cover carries store payloads", ErrCorrupt)
-		}
-		np.Cover = cp
 		nbags, err := r.getInt()
 		if err != nil {
 			return nil, err

@@ -13,7 +13,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // Meta is the JSON metadata record of a snapshot ("meta" section). It
@@ -169,12 +168,6 @@ func writeCoverLoc(w *Writer, parts *core.EngineParts, root *obs.Span) {
 	cw := &i32w{}
 	encodeCover(cw, parts.Cover)
 	w.I32("cover", cw.s)
-	if parts.Cover.MemberStore != nil {
-		encodeStore(w, "cover.member", parts.Cover.MemberStore)
-	}
-	if parts.Cover.KernelStore != nil {
-		encodeStore(w, "cover.kernel", parts.Cover.KernelStore)
-	}
 	sp.End()
 
 	sp = root.Child("dist")
@@ -211,8 +204,8 @@ func encodeGraph(w *i32w, p graph.Parts) {
 	w.putInt(len(p.ColorWords)) // cross-checked against the u64 section
 }
 
-// encodeCover writes the cover arrays; the optional Storing-Theorem
-// structures go to their own sections, flagged here.
+// encodeCover writes the cover arrays, then the format's two reserved flag
+// words, always 0 (decodeCover rejects anything else).
 func encodeCover(w *i32w, p cover.Parts) {
 	w.putInt(p.R)
 	w.putInt(p.KernelP)
@@ -224,27 +217,8 @@ func encodeCover(w *i32w, p cover.Parts) {
 		w.putSlice(p.KernOff)
 		w.putSlice(p.KernData)
 	}
-	flag := func(b bool) int32 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	w.put(flag(p.MemberStore != nil))
-	w.put(flag(p.KernelStore != nil))
-}
-
-func encodeStore(w *Writer, prefix string, p *store.Parts) {
-	mw := &i32w{}
-	mw.putInt(p.N)
-	mw.putInt(p.K)
-	mw.putInt(p.D)
-	mw.putInt(p.H)
-	mw.putInt(p.Size)
-	mw.putInt(len(p.Delta)) // cross-checked against the columns
-	w.I32(prefix+".meta", mw.s)
-	w.I8(prefix+".delta", p.Delta)
-	w.I64(prefix+".r", p.R)
+	w.put(0)
+	w.put(0)
 }
 
 func encodeDist(w *i32w, d8 *[]int8, p dist.Parts) {

@@ -36,6 +36,8 @@ func FuzzSnapshotLoad(f *testing.F) {
 		mut[off] ^= 0x55
 		f.Add(mut)
 	}
+	// Checksums intact, one reserved cover flag set: refused in decodeCover.
+	f.Add(setCoverFlag(f, valid, "cover", 0, 0))
 
 	ux, err := repro.Build(context.Background(),
 		repro.Generate("path", 20, repro.GenOptions{Seed: 2, Colors: 1}),

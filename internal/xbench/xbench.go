@@ -20,18 +20,6 @@ func Time(f func()) time.Duration {
 	return time.Since(start)
 }
 
-// TimeN runs f repeatedly until at least minDur has elapsed and returns
-// the mean duration per run.
-func TimeN(minDur time.Duration, f func()) time.Duration {
-	var total time.Duration
-	runs := 0
-	for total < minDur {
-		total += Time(f)
-		runs++
-	}
-	return total / time.Duration(runs)
-}
-
 // FitExponent fits t ≈ c·n^α by least squares on (log n, log t) and
 // returns α. It is the scaling verdict of the experiments: α ≈ 1 means
 // (pseudo-)linear, α ≈ 0 means constant.
@@ -72,22 +60,6 @@ type DelayStats struct {
 	P50   time.Duration
 	P99   time.Duration
 	Mean  time.Duration
-}
-
-// MeasureDelays runs next() repeatedly (returning false at exhaustion or
-// when limit results were produced) and records per-call latencies.
-func MeasureDelays(limit int, next func() bool) DelayStats {
-	var delays []time.Duration
-	for len(delays) < limit {
-		start := time.Now()
-		ok := next()
-		d := time.Since(start)
-		if !ok {
-			break
-		}
-		delays = append(delays, d)
-	}
-	return SummarizeDelays(delays)
 }
 
 // SummarizeDelays computes the summary of a delay series.

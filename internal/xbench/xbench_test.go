@@ -68,17 +68,6 @@ func TestSummarizeDelays(t *testing.T) {
 	}
 }
 
-func TestMeasureDelays(t *testing.T) {
-	calls := 0
-	st := MeasureDelays(10, func() bool {
-		calls++
-		return calls < 5
-	})
-	if st.Count != 4 {
-		t.Fatalf("count = %d, want 4 (the failing call is excluded)", st.Count)
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := NewTable("name", "value", "time")
 	tb.Add("foo", 3.14159, 2500*time.Nanosecond)
@@ -98,12 +87,5 @@ func TestTableRender(t *testing.T) {
 	}
 	if !strings.Contains(lines[3], "1.50s") {
 		t.Fatalf("seconds not formatted: %q", lines[3])
-	}
-}
-
-func TestTimeN(t *testing.T) {
-	d := TimeN(time.Millisecond, func() { time.Sleep(100 * time.Microsecond) })
-	if d < 50*time.Microsecond {
-		t.Fatalf("TimeN returned implausible %v", d)
 	}
 }

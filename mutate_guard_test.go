@@ -8,49 +8,36 @@ import (
 	"time"
 )
 
-// The mutation guards run in verify.sh tier 3 under MUT_GUARD=1, next to
-// the snapshot and allocation guards they extend: a single-edge
-// ApplyEdits must beat rebuilding the index by at least 10× on the
-// fodbench E15/E16 grid configuration (the n^ε update regime of the
-// paper's §3 against the n^{1+ε} rebuild), and the mutated snapshot must
-// keep the //fod:hotpath contract — zero allocations per enumeration
-// step and per membership test.
-
-func mutGuardGate(t *testing.T) {
-	t.Helper()
-	if os.Getenv("MUT_GUARD") == "" {
-		t.Skip("set MUT_GUARD=1 to run the mutation performance guards")
+// TestMutateSpeedGuard pins the point of the mutation layer: a one-edge
+// edit recomputes only what the edge can reach, so on grid-4000 it must be
+// at least an order of magnitude faster than the rebuild it replaces (the
+// n^ε update regime of the paper's §3 against the n^{1+ε} rebuild). A timing
+// ratio, so it runs in verify.sh tier 3 under GUARD=1; that the patched index
+// keeps the 0 allocs/op hot paths is a tier-1 row of
+// TestFacadeHotPathsZeroAllocs.
+func TestMutateSpeedGuard(t *testing.T) {
+	if os.Getenv("GUARD") == "" {
+		t.Skip("set GUARD=1 to run the timing guards (scripts/verify.sh 3)")
 	}
-}
-
-// buildMutGuard reproduces the E16 setup: Example 2 of the paper on an
-// E15-sized grid, plus the edge the guard toggles — an edge of the
-// densest vertex, so the edit touches a nontrivial neighborhood.
-func buildMutGuard(t testing.TB) (*Index, *Query, int, int, time.Duration) {
-	t.Helper()
+	ctx := context.Background()
+	// Example 2 of the paper on the 2-coloured grid-4000; the edge toggled
+	// is one of the densest vertex, so the edit touches a nontrivial
+	// neighborhood.
 	g := Generate("grid", 4000, GenOptions{Colors: 2, Seed: 16})
 	q := MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
 	start := time.Now()
-	ix, err := Build(context.Background(), g, q)
+	ix, err := Build(ctx, g, q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	buildTime := time.Since(start)
 	u := 0
 	for v := 0; v < g.N(); v++ {
 		if g.Degree(v) > g.Degree(u) {
 			u = v
 		}
 	}
-	return ix, q, u, int(g.Neighbors(u)[0]), time.Since(start)
-}
-
-// TestMutateSpeedGuard pins the point of the mutation layer: a one-edge
-// edit recomputes only what the edge can reach, so it must be at least
-// an order of magnitude faster than the rebuild it replaces.
-func TestMutateSpeedGuard(t *testing.T) {
-	mutGuardGate(t)
-	ctx := context.Background()
-	ix, q, u, w, buildTime := buildMutGuard(t)
+	w := int(g.Neighbors(u)[0])
 
 	// Best of five alternating remove/add edits, so a stray scheduler
 	// hiccup on a loaded machine does not fail the guard; every batch is
@@ -80,48 +67,14 @@ func TestMutateSpeedGuard(t *testing.T) {
 		t.Errorf("%d of 5 single-edge edits fell back to a full rebuild", n)
 	}
 
-	start := time.Now()
+	start = time.Now()
 	if _, err := Build(ctx, ix.Graph(), q); err != nil {
 		t.Fatal(err)
 	}
 	rebuildTime := time.Since(start)
-	t.Logf("E16 grid: build %v, single-edge update %v, rebuild %v (%.1fx)",
+	t.Logf("grid-4000: build %v, single-edge update %v, rebuild %v (%.1fx)",
 		buildTime, updateTime, rebuildTime, float64(rebuildTime)/float64(updateTime))
 	if 10*updateTime > rebuildTime {
 		t.Errorf("single-edge update %v is not ≥10x faster than rebuild %v", updateTime, rebuildTime)
-	}
-}
-
-// TestMutateZeroAllocsGuard pins the mutated snapshot to the same
-// zero-allocation hot paths as a freshly built index — patched layouts
-// and the skip-delta overlay must not reintroduce per-answer
-// allocations.
-func TestMutateZeroAllocsGuard(t *testing.T) {
-	mutGuardGate(t)
-	built, _, u, w, _ := buildMutGuard(t)
-	ix, err := built.ApplyEdits(context.Background(), []Edit{RemoveEdge(u, w)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := ix.Iterator()
-	if !it.HasNext() {
-		t.Fatal("mutated E16 index produced no solutions")
-	}
-	zero := make([]int, ix.Arity())
-	allocs := testing.AllocsPerRun(2000, func() {
-		if _, ok := it.Next(); !ok {
-			it.Seek(zero)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("mutated Iterator.Next = %.2f allocs/op, want 0 (//fod:hotpath contract)", allocs)
-	}
-
-	probe := make([]int, ix.Arity())
-	allocs = testing.AllocsPerRun(2000, func() {
-		ix.Test(probe)
-	})
-	if allocs != 0 {
-		t.Errorf("mutated Index.Test = %.2f allocs/op, want 0 (//fod:hotpath contract)", allocs)
 	}
 }

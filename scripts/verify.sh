@@ -2,14 +2,21 @@
 # Verification tiers (see README "Testing"):
 #   tier 1 — build + full test suite (the CI gate; ROADMAP "Tier-1 verify");
 #            includes the import-layering check of DESIGN.md §6 and the
-#            ungated 0 allocs/op pin on Index.Test / Index.NextLast /
-#            Cursor.Next for both engine kinds and for a patched and a
-#            restored lowdeg index, the byte-for-byte comparison
-#            of every /v1/enumerate page with encoding/json, and the pin that
-#            a 10000-answer page allocates what a 100-answer page does
+#            0 allocs/op pins — Index.Test / Index.NextLast / Cursor.Next
+#            for both engine kinds, built, patched and restored
+#            (TestFacadeHotPathsZeroAllocs), the engine on grid-2000 and
+#            bdeg-4000 and under a live request trace (the ZeroAllocs tests
+#            of internal/core, internal/lowdeg, internal/serve) — and
+#            TestHotClosureMatchesAllocGuards, which holds the static
+#            //fod:hotpath closure to the functions those tests pin; the
+#            byte-for-byte comparison of every /v1/enumerate page with
+#            encoding/json, and the pin that a 10000-answer page allocates
+#            what a 100-answer page does
 #   tier 2 — static analysis + race-detector pass: go vet (plus an
 #            explicit -copylocks -loopclosure run), the repo's own fodlint
-#            analyzers (see README "Static analysis"), and the
+#            analyzers over the whole module, internal/lint included (see
+#            README "Static analysis"; a finding outside lint.baseline.json
+#            or a baseline entry that matches nothing fails it), and the
 #            concurrency-sensitive suite under -race in -short mode; the
 #            serving layer (internal/serve) additionally runs its full
 #            suite under -race — it is the concurrency surface of the repo —
@@ -32,44 +39,23 @@
 #            engine over both localities and the naive oracle through the
 #            shared conformance checks on random bounded-degree graphs
 #            for another 30s
-#   tier 3 — performance guards:
-#            (a) metrics-overhead guard: NextGeq with metrics disabled must
-#                not be slower than with metrics enabled (the nil-sink fast
-#                path of internal/obs; see README "Observability")
-#            (b) cold-resume guard: a cold /v1/enumerate page after cache
-#                eviction stays within a constant factor of a warm page —
-#                cursor resume really is O(1) (see README "Serving")
-#            (c) allocation guards (LINT_GUARD=1): Iterator.Next and
-#                Engine.Test must report 0 allocs/op in steady state on
-#                the E15 benchmark graph — the dynamic twin of the
-#                fodlint hotpath analyzer
-#            (d) snapshot guards (SNAP_GUARD=1): loading the E15 index
-#                from a snapshot must be ≥10× faster than rebuilding it,
-#                and the restored index must keep the zero-alloc
-#                enumeration hot path (see README "Snapshots")
-#            (e) trace guards (TRACE_GUARD=1): a server with tracing
-#                disabled serves pages no slower than a traced one (the
-#                one-branch disabled path), and Iterator.Next/Index.Test
-#                stay at 0 allocs/op with a live request trace — spans
-#                wrap pages and phases, never answers (README "Tracing")
-#            (f) mutation guards (MUT_GUARD=1): a single-edge ApplyEdits
-#                on the E16 grid must beat rebuilding the index by ≥10×
-#                (the §3 n^ε update regime), and the mutated index must
-#                keep the zero-alloc Iterator.Next/Index.Test hot paths
-#                (see README "Mutations")
-#            (g) lowdeg guards (LOWDEG_GUARD=1, tests in internal/lowdeg):
-#                on the degree-bounded E17 graph the ball-locality build
-#                must be ≥5× cheaper than the cover-locality build, a
-#                single-edge ApplyEdits at n = 32k ≥10× cheaper than that
-#                build with no rebuild fallback, and Iterator.Next / Test /
-#                NextLast over the ball locality must report 0 allocs/op
-#                (see README "Engine modes")
-#            (h) self-lint guards (LINT2_GUARD=1): all seven fodlint
-#                analyzers must come back clean over the whole module
-#                (internal/lint included) modulo the reviewed baseline,
-#                and the static //fod:hotpath closure must contain every
-#                function the AllocsPerRun guards pin at 0 allocs/op —
-#                the static and dynamic delay-bound checks must agree
+#   tier 3 — the timing-ratio guards, every one a test named Test…Guard
+#            behind the one GUARD=1 gate, run with -count=1 so a regression
+#            cannot hide behind the test cache and one package at a time so
+#            they do not time each other: NextGeq with metrics
+#            disabled is not slower than with metrics enabled
+#            (TestMetricsOverheadGuard), nor a page from a server without a
+#            tracer than from one with (TestTraceDisabledOverheadGuard); a
+#            cold /v1/enumerate page deep in the stream stays within a
+#            constant factor of a first page (TestColdResumeGuard); loading
+#            the grid-2000 index from a snapshot is ≥10× faster than
+#            building it (TestSnapshotLoadSpeedGuard); a single-edge
+#            ApplyEdits is ≥10× faster than the rebuild on grid-4000 over
+#            the cover locality and on bdeg-32k over the ball locality,
+#            never through the rebuild fallback (TestMutateSpeedGuard,
+#            TestLowdegMutateSpeedGuard); and on bdeg-4000 the ball-locality
+#            build is ≥5× cheaper than the cover-locality build
+#            (TestLowdegBuildSpeedGuard)
 #
 #   scripts/verify.sh          # all tiers
 #   scripts/verify.sh 1        # tier 1 only
@@ -90,8 +76,7 @@ if [[ "$tier" == "2" || "$tier" == "all" ]]; then
     echo "== tier 2: go vet ./... (+ explicit -copylocks -loopclosure) =="
     go vet ./...
     go vet -copylocks -loopclosure ./...
-    echo "== tier 2: fodlint (7 whole-program analyzers, all packages, -json) =="
-    go run ./cmd/fodlint -json ./... > /dev/null
+    echo "== tier 2: fodlint (7 whole-program analyzers, all packages) =="
     go run ./cmd/fodlint ./...
     echo "== tier 2: go test -race -short ./... =="
     go test -race -short ./...
@@ -117,22 +102,8 @@ if [[ "$tier" == "2" || "$tier" == "all" ]]; then
 fi
 
 if [[ "$tier" == "3" || "$tier" == "all" ]]; then
-    echo "== tier 3: metrics-overhead guard (OBS_GUARD=1) =="
-    OBS_GUARD=1 go test -run TestMetricsOverheadGuard -count=1 -v ./internal/core/
-    echo "== tier 3: cold-resume guard (SERVE_GUARD=1) =="
-    SERVE_GUARD=1 go test -run TestColdResumeGuard -count=1 -v ./internal/serve/
-    echo "== tier 3: allocation guards (LINT_GUARD=1) =="
-    LINT_GUARD=1 go test -run ZeroAllocs -count=1 -v ./internal/core/
-    echo "== tier 3: snapshot guards (SNAP_GUARD=1) =="
-    SNAP_GUARD=1 go test -run 'TestSnapshotLoad' -count=1 -v ./internal/snap/
-    echo "== tier 3: trace guards (TRACE_GUARD=1) =="
-    TRACE_GUARD=1 go test -run 'TestTraced|TestTraceDisabledOverheadGuard' -count=1 -v ./internal/serve/
-    echo "== tier 3: mutation guards (MUT_GUARD=1) =="
-    MUT_GUARD=1 go test -run 'TestMutateSpeedGuard|TestMutateZeroAllocsGuard' -count=1 -v .
-    echo "== tier 3: lowdeg guards (LOWDEG_GUARD=1) =="
-    LOWDEG_GUARD=1 go test -run 'TestLowdeg' -count=1 -v ./internal/lowdeg/
-    echo "== tier 3: self-lint + hot-closure guards (LINT2_GUARD=1) =="
-    LINT2_GUARD=1 go test -run 'TestSelfLintClean|TestHotClosureMatchesAllocGuards' -count=1 -v ./internal/lint/
+    echo "== tier 3: timing-ratio guards (GUARD=1) =="
+    GUARD=1 go test -count=1 -p 1 -run 'Guard$' ./...
 fi
 
 echo "verify: OK (tier $tier)"
