@@ -122,6 +122,34 @@ func TestFacadeHotPathsZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestCursorAllocCounts pins what opening a cursor and one NextGeq allocate,
+// for k = 2 and for k = 3 with two clauses, on both kinds: IteratorFrom is
+// four objects whatever the query (the iterator, its clause cursors, one
+// array of tuples, one of frames — before the clause cursor it was 6 + one
+// per clause), and Index.Next is the result tuple alone. The lib workloads
+// of bench/ allocate a cursor a page, so a fifth object here is a regression
+// of their allocs_per_op.
+func TestCursorAllocCounts(t *testing.T) {
+	g := Generate("grid", 900, GenOptions{Colors: 2, Seed: 16})
+	for _, q := range []*Query{
+		MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y"),
+		// Two clauses, every component a singleton: a component of two
+		// positions evaluates its formula through the memo, which allocates.
+		MustParseQuery("dist(x,y) > 2 & dist(x,z) > 2 & dist(y,z) > 2 & (C0(z) | C1(x))", "x", "y", "z"),
+	} {
+		for kind, ix := range bothKinds(t, g, q) {
+			from := make([]int, ix.Arity())
+			from[0] = g.N() / 2
+			if a := testing.AllocsPerRun(200, func() { ix.IteratorFrom(from) }); a > 4 {
+				t.Errorf("%s, k=%d: IteratorFrom = %.0f allocs, want ≤ 4", kind, ix.Arity(), a)
+			}
+			if a := testing.AllocsPerRun(200, func() { ix.Next(from) }); a != 1 {
+				t.Errorf("%s, k=%d: Index.Next = %.0f allocs, want 1 (the result tuple)", kind, ix.Arity(), a)
+			}
+		}
+	}
+}
+
 // TestLowdegMutationStats: a lowdeg index patches its balls, so effective
 // batches are mutations that are not rebuilds, each reports the region it
 // re-tested, and the ball statistics follow the graph.

@@ -6,13 +6,15 @@
 // The checks cover the full answering contract: enumeration order and
 // completeness, NextGeq resume points (zero tuple, every solution, every
 // successor, past-end), Test membership on a deterministic tuple grid,
-// Count/FastCount agreement, cursor paging with mid-stream re-Seek, and
-// NextLast partner stepping. All helpers return errors instead of taking
+// Count/FastCount agreement, cursor paging with mid-stream re-Seek, Seek
+// interleaved with runs of Next on one reused cursor, and NextLast partner
+// stepping. All helpers return errors instead of taking
 // a *testing.T so the fuzz harness can reuse them verbatim.
 package conform
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 
@@ -146,6 +148,9 @@ func CheckAll(sys System, want [][]graph.V) error {
 		return err
 	}
 	if err := CheckCursor(sys, want); err != nil {
+		return err
+	}
+	if err := CheckSeekStep(sys, 1); err != nil {
 		return err
 	}
 	return CheckNextLast(sys, want)
@@ -297,6 +302,63 @@ func CheckCursor(sys System, want [][]graph.V) error {
 		}
 		if it.HasNext() {
 			return fmt.Errorf("%s: re-seek cursor did not drain", sys.Name)
+		}
+	}
+	return nil
+}
+
+// CheckSeekStep pins Next to its definition. A cursor's Next continues the
+// search from the tuple it holds; Corollary 2.5 defines the same answer as
+// NextGeq of the successor tuple, a search from scratch. On one reused
+// cursor it interleaves Seeks — to random tuples, forward and backward, to
+// solutions, to their successors (mostly non-answers), to the maximum tuple
+// and to tuples whose last coordinate is n−1 — with runs of Next, and
+// requires every run to be the sequence iterated NextGeq(successor) gives.
+// NextGeq itself is held to the oracle by CheckNextGeq; this check needs no
+// solution list, so it also runs where there are too many to materialize.
+func CheckSeekStep(sys System, seed int64) error {
+	if sys.NewCursor == nil || sys.N == 0 {
+		return nil
+	}
+	rng := rand.New(rand.NewSource(seed))
+	it := sys.NewCursor(make([]graph.V, sys.K))
+	a := make([]graph.V, sys.K)
+	for round := 0; round < 200; round++ {
+		for i := range a {
+			a[i] = rng.Intn(sys.N)
+		}
+		switch rng.Intn(6) {
+		case 0, 1: // a solution, or the tuple after one
+			if sol, ok := sys.Engine.NextGeq(a); ok {
+				copy(a, sol)
+				if succ, ok := incTuple(sol, sys.N); ok && rng.Intn(2) == 0 {
+					copy(a, succ)
+				}
+			}
+		case 2:
+			for i := range a {
+				a[i] = sys.N - 1
+			}
+		case 3:
+			a[sys.K-1] = sys.N - 1
+		}
+		it.Seek(a)
+		exp, ok := sys.Engine.NextGeq(a)
+		for run := rng.Intn(2 * sys.N); ; run-- {
+			if it.HasNext() != ok {
+				return fmt.Errorf("%s: after Seek(%v): HasNext = %v where NextGeq finds %v,%v", sys.Name, a, !ok, exp, ok)
+			}
+			if !ok || run == 0 {
+				break
+			}
+			got, _ := it.Next()
+			if !slices.Equal(got, exp) {
+				return fmt.Errorf("%s: after Seek(%v): Next = %v, iterated NextGeq = %v", sys.Name, a, got, exp)
+			}
+			succ, more := incTuple(exp, sys.N)
+			if exp, ok = nil, false; more {
+				exp, ok = sys.Engine.NextGeq(succ)
+			}
 		}
 	}
 	return nil

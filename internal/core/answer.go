@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/skip"
 )
 
 // NextGeq is the main primitive of Theorem 2.3: it returns the
@@ -30,21 +31,26 @@ func (e *Engine) NextGeq(a []graph.V) ([]graph.V, bool) {
 	return e.nextGeq(a)
 }
 
-// nextGeq computes NextGeq for a correctly-sized tuple.
+// nextGeq computes NextGeq for a correctly-sized tuple: one seek per clause
+// on a cursor without frames (a single call has nothing to resume), the
+// minimum so far kept in one half of the call's only allocation while the
+// next clause seeks into the other.
 //
 //fod:hotpath
 func (e *Engine) nextGeq(a []graph.V) ([]graph.V, bool) {
 	if e.g.N() == 0 {
 		return nil, false
 	}
-	var best []graph.V
-	for i := range e.clauses {
-		cand := e.nextClause(i, a)
-		if cand != nil && (best == nil || lexLess(cand, best)) {
-			best = cand
+	k := e.k
+	buf := make([]graph.V, 2*k)
+	best, cand, found := buf[:k:k], buf[k:], false
+	for _, rt := range e.clauses {
+		cur := clauseCursor{rt: rt, t: cand}
+		if e.seek(&cur, a) && (!found || lexLess(cand, best)) {
+			best, cand, found = cand, best, true
 		}
 	}
-	if best == nil {
+	if !found {
 		return nil, false
 	}
 	return best, true
@@ -80,7 +86,7 @@ func (e *Engine) nextLast(prefix []graph.V, b graph.V) (graph.V, bool) {
 		if !e.prefixMatches(rt, prefix) {
 			continue
 		}
-		if v := e.nextCandidate(rt, e.k-1, prefix, b); v >= 0 && (best < 0 || v < best) {
+		if v := e.nextCandidate(rt, e.k-1, prefix, b, nil); v >= 0 && (best < 0 || v < best) {
 			best = v
 		}
 	}
@@ -197,68 +203,114 @@ func (e *Engine) Iterator() *Iterator { return e.IteratorFrom(make([]graph.V, e.
 // Arity returns the tuple width k.
 func (e *Engine) Arity() int { return e.k }
 
-// nextClause returns the smallest tuple ≥ a matching clause i, or nil.
+// clauseCursor is the resumable lexicographic search of one clause: a
+// backtracking search whose per-level candidate generators are the paper's
+// Case I (new component: the locality's nextOpening over the starter list)
+// and Case II (ball scan around the component's first element), with the
+// recursion's stack written out so that it can be left and re-entered. It
+// seeks — the smallest match ≥ a, Theorem 2.3 — and it steps — the match
+// after the one it holds, which is the seek's own continuation: advance the
+// last position, on exhaustion pop a level, then fill forward unbounded. A
+// step therefore answers what a seek to the successor tuple would, without
+// placing the prefix again (Lemma 5.2 nested in Theorem 5.1).
 //
-//fod:hotpath
-func (e *Engine) nextClause(i int, a []graph.V) []graph.V {
-	tuple := make([]graph.V, e.k)
-	if e.NextClauseInto(i, a, tuple) {
-		return tuple
-	}
-	return nil
+// The two slices belong to whoever made the cursor: an Iterator, or one
+// NextGeq call.
+type clauseCursor struct {
+	rt *clauseRT
+	t  []graph.V // len k: the match held, when ok
+	// frames[j] is what the locality remembers between candidates of
+	// position j under the prefix t[:j]. nil — a one-shot seek — remembers
+	// nothing.
+	frames []frame
+	ok     bool
 }
 
-// NextClauseInto writes the smallest tuple ≥ a matching clause i into
-// tuple (len(tuple) == k) and reports whether one exists. It is a
-// lexicographic backtracking search whose per-level candidate generators
-// are the paper's Case I (new component: the locality's nextOpening over
-// the starter list) and Case II (ball scan around the component's first
-// element). The recursion is a method, not a closure, so a steady-
-// state caller that supplies the buffer (the Iterator) allocates nothing.
-//
-//fod:hotpath
-func (e *Engine) NextClauseInto(i int, a, tuple []graph.V) bool {
-	return e.nextClauseRec(e.clauses[i], a, tuple, 0, true)
+// frame is the locality's memory for one position of a clauseCursor. Every
+// field but the bags is a position in a sorted list and is used only after
+// lowerBound has verified it, so a frame left over from another lower bound
+// costs a binary search, never an answer. The zero frame remembers nothing.
+type frame struct {
+	at int32 // index into the component's starter list where the next opening is expected
+	// coverLoc, once per placed prefix: its canonical bags, deduplicated
+	// (nb = 0: not computed yet — a placed prefix has at least one), and
+	// per bag where in c.byKernel[bag] the walk beside the starter list
+	// stands.
+	nb   int32
+	bags [skip.MaxSetSize]int32
+	kat  [skip.MaxSetSize]int32
 }
 
-// nextClauseRec places position j of tuple; tight means the prefix equals
-// a's, so position j is still bounded below by a[j].
+// seek moves cur to the smallest match ≥ a of its clause.
 //
 //fod:hotpath
-func (e *Engine) nextClauseRec(rt *clauseRT, a, tuple []graph.V, j int, tight bool) bool {
-	if j == e.k {
-		return true
-	}
-	var lower graph.V
-	if tight {
-		lower = a[j]
-	}
-	for v := e.nextCandidate(rt, j, tuple[:j], lower); v >= 0; {
-		tuple[j] = v
+func (e *Engine) seek(cur *clauseCursor, a []graph.V) bool {
+	cur.ok = e.search(cur, a, 0, a[0])
+	return cur.ok
+}
+
+// step moves cur from the match it holds to the next one.
+//
+//fod:hotpath
+func (e *Engine) step(cur *clauseCursor) bool {
+	cur.ok = e.search(cur, nil, e.k-1, cur.t[e.k-1]+1)
+	return cur.ok
+}
+
+// search runs the clause search from the state "positions below j hold
+// cur.t[:j], position j wants a value ≥ lower" to the next match. a non-nil
+// means the placed prefix equals a's, so each position filled is still
+// bounded below by a's; the first value that exceeds a's, and every pop,
+// lifts the bound for good.
+//
+//fod:hotpath
+func (e *Engine) search(cur *clauseCursor, a []graph.V, j int, lower graph.V) bool {
+	t := cur.t
+	for {
+		var fr *frame
+		if cur.frames != nil {
+			fr = &cur.frames[j]
+		}
+		v := e.nextCandidate(cur.rt, j, t[:j], lower, fr)
+		if v < 0 {
+			if j == 0 {
+				return false
+			}
+			e.ctr.deadEnds.Add(1)
+			j--
+			lower, a = t[j]+1, nil
+			continue
+		}
+		t[j] = v
 		e.ctr.candidates.Add(1)
-		if e.nextClauseRec(rt, a, tuple, j+1, tight && v == a[j]) {
+		if j++; j == e.k {
 			return true
 		}
-		e.ctr.deadEnds.Add(1)
-		if v+1 >= e.g.N() {
-			break
+		if cur.frames != nil {
+			cur.frames[j] = frame{} // position j has a new prefix
 		}
-		v = e.nextCandidate(rt, j, tuple[:j], v+1)
+		if a != nil && v != a[j-1] {
+			a = nil
+		}
+		lower = 0
+		if a != nil {
+			lower = a[j]
+		}
 	}
-	return false
 }
 
 // nextCandidate returns the smallest v ≥ lower that is admissible for
-// position j given the placed prefix, or -1.
+// position j given the placed prefix, or -1. fr is the position's frame, or
+// nil.
 //
 //fod:hotpath
-func (e *Engine) nextCandidate(rt *clauseRT, j int, prefix []graph.V, lower graph.V) graph.V {
+func (e *Engine) nextCandidate(rt *clauseRT, j int, prefix []graph.V, lower graph.V, fr *frame) graph.V {
 	if lower >= e.g.N() {
 		return -1
 	}
 	c := rt.comps[rt.compOf[j]]
 	if rt.firstOf[j] == j {
-		return e.loc.nextOpening(c, prefix, lower)
+		return e.loc.nextOpening(c, prefix, lower, fr)
 	}
 	return e.nextWithinComponent(rt, c, j, prefix, lower)
 }

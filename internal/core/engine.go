@@ -54,8 +54,8 @@ type Stats struct {
 	StarterSizes  []int // per (clause, component) starter-list size
 	SkipTables    int   // distinct skip-pointer tables (components with equal starter lists share one)
 	SkipPointers  int   // total materialized skip pointers, a shared table counted once
-	Candidates    int   // candidates examined by NextGeq calls
-	DeadEnds      int   // candidates rejected after deeper levels failed
+	Candidates    int   // values the clause search placed at a position (NextGeq, Seek: k a match; Next: about one)
+	DeadEnds      int   // placed values rejected after deeper positions failed
 	LocalEvals    int   // local formula evaluations (memo misses)
 	LocalEvalHits int   // memo hits
 

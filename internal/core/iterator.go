@@ -10,11 +10,13 @@ import (
 // Iterator is the pull-style face of Corollary 2.5: a cursor over the
 // solution set in lexicographic order with constant-delay Next calls.
 //
-// Internally it keeps one cursor per clause (τ, i) and advances them as a
-// k-way merge: each Next pops the minimal per-clause candidate and only
-// re-advances the clauses that produced it, so a query compiled into many
-// disjuncts does not pay for all of them on every step (NextGeq, by
-// contrast, is a one-shot primitive and probes every clause).
+// Internally it keeps one clauseCursor per clause (τ, i) and advances them
+// as a k-way merge: each Next hands out the minimal per-clause match and
+// steps only the clauses that produced it, so a query compiled into many
+// disjuncts does not pay for all of them on every answer, and a clause that
+// is stepped continues from the tuple it holds instead of searching for the
+// successor tuple from position 0 (NextGeq, by contrast, is a one-shot
+// primitive: it seeks every clause).
 //
 // The iterator owns every buffer it hands out, keeping steady-state Next
 // calls allocation-free (the AllocsPerRun guards pin Next at 0 allocs/op
@@ -26,83 +28,57 @@ import (
 // same engine concurrently with each other and with every other engine
 // call.
 type Iterator struct {
-	e     *Engine
-	n     int
-	nexts [][]graph.V // per clause: candidate ≥ cursor (aliases bufs), nil = drained
-	bufs  [][]graph.V // per-clause candidate buffers
-	cur   []graph.V   // the next solution to hand out
-	prev  []graph.V   // the previously handed-out solution (swap partner of cur)
-	succ  []graph.V   // successor scratch
-	has   bool
+	e    *Engine
+	curs []clauseCursor
+	// buf is two tuples: the next solution to hand out at buf[at:at+k], the
+	// one handed out last in the other half.
+	buf []graph.V
+	at  int
+	has bool
 }
 
 // IteratorFrom returns a cursor positioned at the smallest solution ≥ a.
-// Every buffer is allocated here and reused by each later Seek and Next.
+// Every buffer is allocated here — the tuples in one array, the frames in
+// another — and reused by each later Seek and Next.
 //
-//fod:ctxok the loop allocates one buffer per clause of the compiled
-// query, and Seek below is bounded by query size as well.
+//fod:ctxok the loop hands each clause of the compiled query its buffers
 func (e *Engine) IteratorFrom(a []graph.V) *Iterator {
 	k, nc := e.k, len(e.clauses)
-	it := &Iterator{
-		e: e, n: e.g.N(),
-		nexts: make([][]graph.V, nc),
-		bufs:  make([][]graph.V, nc),
-		cur:   make([]graph.V, k),
-		prev:  make([]graph.V, k),
-		succ:  make([]graph.V, k),
-	}
-	for i := range it.bufs {
-		it.bufs[i] = make([]graph.V, k)
+	tuples, frames := make([]graph.V, (nc+2)*k), make([]frame, nc*k)
+	it := &Iterator{e: e, curs: make([]clauseCursor, nc), buf: tuples[nc*k:]}
+	for i, rt := range e.clauses {
+		it.curs[i] = clauseCursor{rt: rt, t: tuples[i*k : (i+1)*k], frames: frames[i*k : (i+1)*k]}
 	}
 	it.Seek(a)
 	return it
 }
 
 // Seek repositions the cursor at the smallest solution ≥ a (Theorem 2.3:
-// constant time per clause).
+// constant time per clause). The loop is over the compiled query's clauses
+// — work bounded by query size, not by the graph or the solution set, so
+// there is nothing to cancel mid-way.
 //
-//fod:ctxok the loop is over the compiled query's clauses — work bounded
-// by query size, not by the graph or the solution set, so there is
-// nothing to cancel mid-way.
+//fod:ctxok bounded by query size
 func (it *Iterator) Seek(a []graph.V) {
-	it.has = false
-	if it.n == 0 {
-		return // no tuples at all; every clause cursor stays drained
-	}
-	for i := range it.nexts {
-		it.advance(i, a)
+	for i := range it.curs {
+		it.e.seek(&it.curs[i], a)
 	}
 	it.settle()
 }
 
-// advance moves clause i's cursor to its smallest match ≥ a.
-//
-//fod:hotpath
-func (it *Iterator) advance(i int, a []graph.V) {
-	if it.e.NextClauseInto(i, a, it.bufs[i]) {
-		it.nexts[i] = it.bufs[i]
-	} else {
-		it.nexts[i] = nil
-	}
-}
-
-// settle copies the overall minimum of the per-clause candidates into
-// it.cur.
+// settle copies the overall minimum of the per-clause matches into the
+// current half of it.buf.
 //
 //fod:hotpath
 func (it *Iterator) settle() {
 	var best []graph.V
-	for _, cand := range it.nexts {
-		if cand != nil && (best == nil || lexLess(cand, best)) {
-			best = cand
+	for i := range it.curs {
+		if c := &it.curs[i]; c.ok && (best == nil || lexLess(c.t, best)) {
+			best = c.t
 		}
 	}
-	if best == nil {
-		it.has = false
-		return
-	}
-	copy(it.cur, best)
-	it.has = true
+	it.has = best != nil
+	copy(it.buf[it.at:], best)
 }
 
 // HasNext reports whether another solution is available.
@@ -117,19 +93,16 @@ func (it *Iterator) Next() ([]graph.V, bool) {
 	if !it.has {
 		return nil, false
 	}
-	// Hand out cur and flip the buffer pair, so settle below writes the
+	// Hand out the current half and flip, so settle below writes the
 	// upcoming solution without clobbering the slice being returned.
-	out := it.cur
-	it.cur, it.prev = it.prev, it.cur
-	if !incrementTupleInto(it.succ, out, it.n) {
-		it.has = false
-		return out, true
-	}
-	// Advance exactly the clauses whose candidate was consumed (several
-	// clauses may share a solution tuple).
-	for i, cand := range it.nexts {
-		if cand != nil && !lexLess(out, cand) { // cand ≤ out, i.e. cand == out
-			it.advance(i, it.succ)
+	k := it.e.k
+	out := it.buf[it.at : it.at+k : it.at+k]
+	it.at = k - it.at
+	// Step exactly the clauses whose match was consumed (several clauses
+	// may share a solution tuple).
+	for i := range it.curs {
+		if c := &it.curs[i]; c.ok && !lexLess(out, c.t) { // c.t ≤ out, i.e. c.t == out
+			it.e.step(c)
 		}
 	}
 	it.settle()
@@ -148,10 +121,12 @@ func (it *Iterator) Next() ([]graph.V, bool) {
 // reports against the constant-delay claim. The clock reads live here,
 // outside the //fod:hotpath Next.
 //
-//fod:ctxok the yield callback is the cancellation path: any caller that
-// must honor a deadline returns false from yield (CountCtx does exactly
-// that); a ctx parameter here would put a select on the constant-delay
-// loop of every caller, cancellable or not.
+// The yield callback is the cancellation path: any caller that must honor
+// a deadline returns false from yield (CountCtx does exactly that); a ctx
+// parameter here would put a select on the constant-delay loop of every
+// caller, cancellable or not.
+//
+//fod:ctxok yield returning false is the cancellation path
 func (e *Engine) Enumerate(yield func([]graph.V) bool) {
 	it, delay := e.Iterator(), e.instr.delay
 	for it.has {
@@ -208,22 +183,6 @@ func lexLess(a, b []graph.V) bool {
 		if a[i] != b[i] {
 			return a[i] < b[i]
 		}
-	}
-	return false
-}
-
-// incrementTupleInto writes the successor of a in the lexicographic order
-// on [0,n)^k into dst (len(dst) == len(a)); ok=false at the maximum.
-//
-//fod:hotpath
-func incrementTupleInto(dst, a []graph.V, n int) bool {
-	copy(dst, a)
-	for i := len(dst) - 1; i >= 0; i-- {
-		if dst[i]+1 < n {
-			dst[i]++
-			return true
-		}
-		dst[i] = 0
 	}
 	return false
 }

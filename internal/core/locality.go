@@ -36,8 +36,13 @@ type locality interface {
 	// within reports dist(a, b) ≤ R.
 	within(a, b graph.V) bool
 	// nextOpening is Case I: the smallest v ≥ lower in c.starter at
-	// distance > R from every prefix element, or −1.
-	nextOpening(c *compRT, prefix []graph.V, lower graph.V) graph.V
+	// distance > R from every prefix element, or −1. fr, when non-nil, is
+	// the caller's frame for this position and prefix: where the last call
+	// stood, so that the next one resumes there instead of searching. A
+	// caller with nothing to resume passes nil and the implementation works
+	// on a zero frame of its own — on its stack, where one made by the
+	// caller would escape through this interface.
+	nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *frame) graph.V
 	// compBall returns the sorted ball of radius R(k−1) around anchor: the
 	// candidates of Case II and of the starter search.
 	compBall(anchor graph.V) []int32
@@ -397,50 +402,75 @@ func (l *coverLoc) explain(sb *strings.Builder) {
 	fmt.Fprintf(sb, "  distance index: radius %d, %v\n", l.dix.Radius(), l.dix.Stats())
 }
 
-// nextOpening is the paper's Case I: the answer is the minimum of the
-// skip-pointer candidate (outside every kernel of the prefix's canonical
-// bags, hence automatically far) and one scan per canonical bag kernel.
+// nextOpening is the paper's Case I. The first starter v ≥ lower is the
+// answer when it is far from the prefix, and it is whenever it lies outside
+// K_R(X) for every canonical bag X of a prefix element (X ⊇ N_2R of that
+// element): that is read off by walking byKernel[X] beside the starter
+// list. Otherwise the answer is the minimum of the skip-pointer candidate
+// (outside every such kernel, Lemma 5.8) and one scan per kernel.
 //
 //fod:hotpath
-func (l *coverLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V) graph.V {
-	if len(prefix) == 0 {
-		i := sort.SearchInts(c.starter, lower)
-		if i == len(c.starter) {
-			return -1
-		}
-		return c.starter[i]
+func (l *coverLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *frame) graph.V {
+	if fr == nil {
+		fr = new(frame)
 	}
-	// Canonical bags of the prefix elements, deduplicated. The prefix has
-	// ≤ k−1 ≤ skip.MaxSetSize elements (buildCoverLoc enforces the arity
-	// bound), so a fixed-size stack array holds the set without
-	// allocating.
-	var bagArr [skip.MaxSetSize]int
-	bags := bagArr[:0]
-	for _, p := range prefix {
-		if x := l.cov.Assign(p); !slices.Contains(bags, x) {
-			bags = append(bags, x)
+	i := lowerBound(c.starter, lower, int(fr.at))
+	fr.at = int32(i + 1)
+	if i == len(c.starter) {
+		return -1
+	}
+	v := c.starter[i]
+	if len(prefix) == 0 {
+		return v
+	}
+	if fr.nb == 0 {
+		// The prefix has ≤ k−1 ≤ skip.MaxSetSize elements (buildCoverLoc
+		// enforces the arity bound).
+		for _, p := range prefix {
+			if x := int32(l.cov.Assign(p)); !slices.Contains(fr.bags[:fr.nb], x) {
+				fr.bags[fr.nb], fr.kat[fr.nb] = x, 0
+				fr.nb++
+			}
 		}
+	}
+	inKernel := false
+	for b, x := range fr.bags[:fr.nb] {
+		lst := c.byKernel[x]
+		at := lowerBound(lst, v, int(fr.kat[b]))
+		if at < len(lst) && lst[at] == v {
+			inKernel = true
+			at++
+		}
+		fr.kat[b] = int32(at)
+	}
+	if !inKernel || l.farFromAll(v, prefix) {
+		return v
+	}
+	// v is the only starter in [lower, v], so the search goes on behind it.
+	var bagArr [skip.MaxSetSize]int
+	bags := bagArr[:fr.nb]
+	for b := range bags {
+		bags[b] = int(fr.bags[b])
 	}
 	best := graph.V(-1)
 	if c.skip != nil {
-		if v := c.skip.Query(lower, bags); v != skip.None {
-			best = v
+		if w := c.skip.Query(v+1, bags); w != skip.None {
+			best = w
 		}
 	}
 	// Scan starter ∩ K_R(X) for each canonical bag X, rejecting candidates
 	// within distance R of some prefix element. Rejections are confined to
 	// the R-balls of the ≤ k−1 prefix elements, hence pseudo-constant on
 	// nowhere dense inputs.
-	for _, x := range bags {
+	for b, x := range bags {
 		lst := c.byKernel[x]
-		i := sort.SearchInts(lst, lower)
-		for ; i < len(lst); i++ {
-			v := lst[i]
-			if best >= 0 && v >= best {
+		for at := int(fr.kat[b]); at < len(lst); at++ {
+			w := lst[at]
+			if best >= 0 && w >= best {
 				break
 			}
-			if l.farFromAll(v, prefix) {
-				best = v
+			if l.farFromAll(w, prefix) {
+				best = w
 				break
 			}
 		}
@@ -643,17 +673,22 @@ func (l *ballLoc) within(a, b graph.V) bool {
 // clearing the obstruction — constant delay for constant d.
 //
 //fod:hotpath
-func (l *ballLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V) graph.V {
+func (l *ballLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *frame) graph.V {
+	if fr == nil {
+		fr = new(frame)
+	}
 scan:
-	for i := sort.SearchInts(c.starter, lower); i < len(c.starter); i++ {
+	for i := lowerBound(c.starter, lower, int(fr.at)); i < len(c.starter); i++ {
 		v := c.starter[i]
 		for _, p := range prefix {
 			if l.within(v, p) {
 				continue scan
 			}
 		}
+		fr.at = int32(i + 1)
 		return v
 	}
+	fr.at = int32(len(c.starter))
 	return -1
 }
 
@@ -686,6 +721,28 @@ func searchInt32(row []int32, x int32) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if row[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// lowerBound returns the smallest index i with s[i] ≥ x. at is where the
+// caller expects it — the position after the one it last read — and is
+// taken only when s[at−1] < x ≤ s[at] shows it to be the answer; any other
+// at, stale or out of range, costs the binary search and nothing else.
+//
+//fod:hotpath
+func lowerBound(s []graph.V, x graph.V, at int) int {
+	if uint(at) <= uint(len(s)) && (at == 0 || s[at-1] < x) && (at == len(s) || x <= s[at]) {
+		return at
+	}
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < x {
 			lo = mid + 1
 		} else {
 			hi = mid

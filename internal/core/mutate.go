@@ -183,14 +183,23 @@ func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *com
 		vars:      c.vars,
 		last:      c.last,
 	}
-	// Copy-on-write starter bitmap. starterReady stays false until
-	// finishStarter, so nothing answers from the half-updated bitmap.
-	c2.inStart = slices.Clone(c.inStart)
-	pool.ForEach(len(affected), func(i int) { c2.inStart[affected[i]] = e2.opens(c2, affected[i]) })
-	for _, v := range affected {
-		if c.inStart[v] != c2.inStart[v] {
+	// Re-test the affected vertices; the bitmap and the list are copied only
+	// if one of them changed side (starterReady stays false until
+	// finishStarter, so nothing answers from a half-updated bitmap).
+	now := make([]bool, len(affected))
+	pool.ForEach(len(affected), func(i int) { now[i] = e2.opens(c2, affected[i]) })
+	for i, v := range affected {
+		if c.inStart[v] != now[i] {
 			starterDiff = append(starterDiff, v)
 		}
+	}
+	if len(starterDiff) == 0 {
+		c2.inStart, c2.starter, c2.starterReady = c.inStart, c.starter, c.starterReady
+		return c2, nil
+	}
+	c2.inStart = slices.Clone(c.inStart)
+	for i, v := range affected {
+		c2.inStart[v] = now[i]
 	}
 	c2.starter = make([]graph.V, 0, len(c.starter)+len(starterDiff))
 	c2.finishStarter()

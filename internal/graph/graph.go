@@ -22,12 +22,16 @@ type Color = int
 
 // Graph is an immutable colored graph. Build one with a Builder.
 type Graph struct {
-	n      int
-	m      int // number of undirected edges
-	off    []int32
-	adj    []int32 // concatenated sorted adjacency lists
-	ncol   int
-	colors []Bitset // colors[v] = set of colors of vertex v (nil if none)
+	n    int
+	m    int // number of undirected edges
+	off  []int32
+	adj  []int32 // concatenated sorted adjacency lists
+	ncol int
+	// colors holds the color sets as one matrix of wpc = ⌈ncol/64⌉ words a
+	// vertex, row v at colors[v*wpc:(v+1)*wpc]: one allocation, and one
+	// copy when Patch derives the next version.
+	colors []uint64
+	wpc    int
 }
 
 // Builder accumulates vertices, edges and colors and produces a Graph.
@@ -96,7 +100,7 @@ func (b *Builder) Build() *Graph {
 		pos[v]++
 	}
 	// Sort and deduplicate each list in place, compacting the storage.
-	g := &Graph{n: b.n, ncol: b.ncol}
+	g := newGraph(b.n, b.ncol)
 	g.off = make([]int32, b.n+1)
 	out := adj[:0]
 	for v := 0; v < b.n; v++ {
@@ -115,17 +119,18 @@ func (b *Builder) Build() *Graph {
 	}
 	g.adj = out
 	g.m = len(out) / 2
-	g.colors = make([]Bitset, b.n)
-	//fod:sorted — each key fills its own g.colors slot; order-free
+	g.colors = make([]uint64, b.n*g.wpc)
+	//fod:sorted — each key fills its own row of g.colors; order-free
 	for v, cs := range b.cols {
-		bs := NewBitset(b.ncol)
 		for _, c := range cs {
-			bs.Set(c)
+			g.Colors(v).Set(c)
 		}
-		g.colors[v] = bs
 	}
 	return g
 }
+
+// newGraph returns the shell of a graph on n vertices and ncol colors.
+func newGraph(n, ncol int) *Graph { return &Graph{n: n, ncol: ncol, wpc: (ncol + 63) / 64} }
 
 // N returns the number of vertices |G|.
 func (g *Graph) N() int { return g.n }
@@ -161,14 +166,15 @@ func (g *Graph) HasEdge(u, v V) bool {
 
 // HasColor reports whether v ∈ C_c(G).
 func (g *Graph) HasColor(v V, c Color) bool {
-	if v < 0 || v >= g.n || g.colors[v] == nil {
+	if v < 0 || v >= g.n {
 		return false
 	}
-	return g.colors[v].Has(c)
+	return g.Colors(v).Has(c)
 }
 
-// Colors returns the color set of v (may be nil).
-func (g *Graph) Colors(v V) Bitset { return g.colors[v] }
+// Colors returns the color set of v: a row of the graph's storage, not to
+// be modified.
+func (g *Graph) Colors(v V) Bitset { return g.colors[v*g.wpc : (v+1)*g.wpc] }
 
 // MaxDegree returns the maximum vertex degree.
 func (g *Graph) MaxDegree() int {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -102,7 +103,6 @@ func Patch(g *Graph, edits []Edit) (*Graph, error) {
 	// Net edge delta per ordered pair: +1 present, -1 absent, keyed u<v.
 	type pair struct{ u, v int32 }
 	edgeDelta := make(map[pair]bool) // value: present after the edits
-	colorTouched := make(map[V]bool)
 	for _, e := range edits {
 		switch e.Op {
 		case AddEdge, RemoveEdge:
@@ -114,8 +114,6 @@ func Patch(g *Graph, edits []Edit) (*Graph, error) {
 				u, v = v, u
 			}
 			edgeDelta[pair{u, v}] = e.Op == AddEdge
-		case AddColor, RemoveColor:
-			colorTouched[e.U] = true
 		}
 	}
 	// Per-vertex sorted add/remove lists; entries that match the current
@@ -139,7 +137,7 @@ func Patch(g *Graph, edits []Edit) (*Graph, error) {
 		touched[int(p.v)] = true
 	}
 
-	out := &Graph{n: g.n, ncol: g.ncol}
+	out := newGraph(g.n, g.ncol)
 	out.off = make([]int32, g.n+1)
 	grow := 0
 	for v := range adds { //fod:sorted — accumulates a commutative sum
@@ -174,29 +172,13 @@ func Patch(g *Graph, edits []Edit) (*Graph, error) {
 	out.off[g.n] = int32(len(out.adj))
 	out.m = len(out.adj) / 2
 
-	// Colors: share the slice-of-bitsets spine only when untouched;
-	// touched vertices get cloned bitsets so g's sets stay intact.
-	out.colors = make([]Bitset, g.n)
-	copy(out.colors, g.colors)
-	for v := range colorTouched { //fod:sorted — per-vertex writes to disjoint slots
-		out.colors[v] = g.colors[v].Clone()
-		if out.colors[v] == nil {
-			out.colors[v] = NewBitset(g.ncol)
-		}
-	}
+	out.colors = slices.Clone(g.colors)
 	for _, e := range edits {
 		switch e.Op {
 		case AddColor:
-			out.colors[e.U].Set(e.Color)
+			out.Colors(e.U).Set(e.Color)
 		case RemoveColor:
-			out.colors[e.U].Clear(e.Color)
-		}
-	}
-	// Normalize: a bitset emptied by removals serializes differently from
-	// the nil a Builder would produce; collapse it so fingerprints agree.
-	for v := range colorTouched { //fod:sorted — per-vertex writes to disjoint slots
-		if out.colors[v] != nil && out.colors[v].Empty() {
-			out.colors[v] = nil
+			out.Colors(e.U).Clear(e.Color)
 		}
 	}
 	return out, nil

@@ -19,14 +19,18 @@ type Parts struct {
 // Parts returns the serialized form of the graph.
 func (g *Graph) Parts() Parts {
 	p := Parts{N: g.n, NColors: g.ncol, Off: g.off, Adj: g.adj, ColorOff: make([]int32, g.n+1)}
-	total := 0
+	// A vertex without colors has no row in the file.
 	for v := 0; v < g.n; v++ {
-		total += len(g.colors[v])
-		p.ColorOff[v+1] = int32(total)
+		p.ColorOff[v+1] = p.ColorOff[v]
+		if !g.Colors(v).Empty() {
+			p.ColorOff[v+1] += int32(g.wpc)
+		}
 	}
-	p.ColorWords = make([]uint64, 0, total)
+	p.ColorWords = make([]uint64, 0, p.ColorOff[g.n])
 	for v := 0; v < g.n; v++ {
-		p.ColorWords = append(p.ColorWords, g.colors[v]...)
+		if p.ColorOff[v+1] > p.ColorOff[v] {
+			p.ColorWords = append(p.ColorWords, g.Colors(v)...)
+		}
 	}
 	return p
 }
@@ -59,7 +63,8 @@ func FromParts(p Parts) (*Graph, error) {
 	if len(p.Adj)%2 != 0 {
 		return nil, fmt.Errorf("graph: odd arc count %d cannot be symmetric", len(p.Adj))
 	}
-	g := &Graph{n: n, m: len(p.Adj) / 2, ncol: p.NColors, off: p.Off, adj: p.Adj}
+	g := newGraph(n, p.NColors)
+	g.m, g.off, g.adj = len(p.Adj)/2, p.Off, p.Adj
 	// Symmetry in O(n+m): lists are sorted, so for a fixed w the forward
 	// arcs (v,w) with v<w arrive in increasing v — exactly the order of
 	// the sub-w prefix of w's list. A cursor per vertex matches them up.
@@ -85,7 +90,7 @@ func FromParts(p Parts) (*Graph, error) {
 	if len(p.ColorOff) != n+1 || p.ColorOff[0] != 0 || int(p.ColorOff[n]) != len(p.ColorWords) {
 		return nil, fmt.Errorf("graph: snapshot color offsets malformed")
 	}
-	g.colors = make([]Bitset, n)
+	g.colors = make([]uint64, n*wpc)
 	for v := 0; v < n; v++ {
 		lo, hi := p.ColorOff[v], p.ColorOff[v+1]
 		if lo > hi || int(hi) > len(p.ColorWords) {
@@ -94,9 +99,7 @@ func FromParts(p Parts) (*Graph, error) {
 		switch int(hi - lo) {
 		case 0:
 		case wpc:
-			if wpc > 0 {
-				g.colors[v] = Bitset(p.ColorWords[lo:hi])
-			}
+			copy(g.Colors(v), p.ColorWords[lo:hi])
 		default:
 			return nil, fmt.Errorf("graph: color row of vertex %d has %d words, want 0 or %d", v, hi-lo, wpc)
 		}

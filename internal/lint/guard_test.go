@@ -31,7 +31,10 @@ func TestHotClosureMatchesAllocGuards(t *testing.T) {
 		// and the primitives under them — one engine, so one set.
 		"core.(Iterator).Next",
 		"core.(Iterator).settle",
-		"core.(Engine).NextClauseInto",
+		"core.(Engine).seek",
+		"core.(Engine).step",
+		"core.(Engine).search",
+		"core.lowerBound",
 		"core.(Engine).nextGeq",
 		"core.(Engine).nextLast",
 		"core.(Engine).test",

@@ -18,7 +18,7 @@ var fuzzClasses = []gen.Class{
 
 // fuzzQueries is a fixed query menu spanning the answering shapes: unary,
 // binary close, binary far, mixed disjunction, ternary far, ternary
-// connected.
+// connected, ternary mixed.
 var fuzzQueries = []struct {
 	query string
 	vars  []string
@@ -30,6 +30,9 @@ var fuzzQueries = []struct {
 	{"dist(x,y) <= 1 | dist(x,y) > 2 & C0(x)", []string{"x", "y"}},
 	{"dist(x,y) > 1 & dist(y,z) > 1 & dist(x,z) > 1 & C0(x)", []string{"x", "y", "z"}},
 	{"E(x,y) & E(y,z) & C1(z)", []string{"x", "y", "z"}},
+	// Clauses that mix a close pair with a far position: a step that pops
+	// from z re-enters Case II for y.
+	{"dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", []string{"x", "y", "z"}},
 }
 
 // FuzzEngineEquivalence generates random bounded-degree graphs and checks
@@ -41,6 +44,13 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(7), uint8(4), uint8(5), uint8(40))
 	f.Add(int64(42), uint8(2), uint8(0), uint8(3))
 	f.Add(int64(9), uint8(1), uint8(6), uint8(25))
+	// conform.CheckAll interleaves Seek with runs of Next on one cursor
+	// (CheckSeekStep); these seeds put far2, far3 and the mixed ternary
+	// query through it on a grid and a bounded-degree graph.
+	f.Add(int64(3), uint8(4), uint8(2), uint8(28))
+	f.Add(int64(5), uint8(0), uint8(5), uint8(16))
+	f.Add(int64(11), uint8(4), uint8(7), uint8(17))
+	f.Add(int64(13), uint8(0), uint8(7), uint8(20))
 	f.Fuzz(func(t *testing.T, seed int64, classIdx, queryIdx, n uint8) {
 		class := fuzzClasses[int(classIdx)%len(fuzzClasses)]
 		qc := fuzzQueries[int(queryIdx)%len(fuzzQueries)]

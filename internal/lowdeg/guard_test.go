@@ -153,7 +153,7 @@ func buildGuardEngine(t testing.TB) *Engine {
 }
 
 // TestLowdegIteratorZeroAllocs pins the constant-delay enumeration step —
-// the shared core.Iterator driven through this engine's NextClauseInto —
+// the shared core.Iterator stepping this engine's clause cursors —
 // at zero allocations per answer in steady state.
 func TestLowdegIteratorZeroAllocs(t *testing.T) {
 	e := buildGuardEngine(t)

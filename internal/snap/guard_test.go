@@ -12,10 +12,15 @@ import (
 )
 
 // TestSnapshotLoadSpeedGuard pins the point of the snapshot tier: a load
-// skips the whole pseudo-linear preprocessing, so it must be at least an
-// order of magnitude faster than the build it replaces. A timing ratio, so
-// it runs in verify.sh tier 3 under GUARD=1; that the restored index keeps
-// the 0 allocs/op hot paths is a tier-1 row of TestFacadeHotPathsZeroAllocs.
+// skips the whole pseudo-linear preprocessing, so it must be several times
+// faster than the build it replaces. The threshold is what a load provably
+// buys, not what it bought once: the ratio was above 10× until PRs 12–15 made
+// the build 2–4× cheaper, and has been about 8× on grid-2000 since (2.7× at
+// n = 32k, where bench reads first_answer_ms 52 against
+// first_answer_restore_ms 19 — a load is linear in the file, the build is
+// no longer far from it). A timing ratio, so it runs in verify.sh tier 3
+// under GUARD=1; that the restored index keeps the 0 allocs/op hot paths is
+// a tier-1 row of TestFacadeHotPathsZeroAllocs.
 func TestSnapshotLoadSpeedGuard(t *testing.T) {
 	if os.Getenv("GUARD") == "" {
 		t.Skip("set GUARD=1 to run the timing guards (scripts/verify.sh 3)")
@@ -23,36 +28,37 @@ func TestSnapshotLoadSpeedGuard(t *testing.T) {
 	// Example 2 of the paper on grid-2000, through the public API.
 	g := repro.Generate("grid", 2000, repro.GenOptions{Seed: 7, Colors: 1, ColorProb: 0.05})
 	q := repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
-	start := time.Now()
 	ix, err := repro.Build(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buildTime := time.Since(start)
 	var buf bytes.Buffer
 	if err := ix.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 
-	// Best of three, so a stray scheduler hiccup on a loaded machine does
-	// not fail the guard; the build is measured once, cold, as a server
-	// would pay it. The explicit GC keeps the build's garbage from being
-	// collected inside the timed loads.
-	runtime.GC()
-	loadTime := time.Duration(1<<63 - 1)
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		if _, err := repro.ReadIndexSnapshot(data); err != nil {
-			t.Fatal(err)
+	// Best of three on both sides, each from a collected heap: one run is
+	// at the mercy of a scheduler hiccup or of a collection that starts
+	// inside it, and a guard that compares one cold build (which may be the
+	// slow one) with the best of three loads passes or fails by that luck.
+	best := func(op func() error) time.Duration {
+		fastest := time.Duration(1<<63 - 1)
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+			start := time.Now()
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+			fastest = min(fastest, time.Since(start))
 		}
-		if d := time.Since(start); d < loadTime {
-			loadTime = d
-		}
+		return fastest
 	}
+	buildTime := best(func() error { _, err := repro.Build(context.Background(), g, q); return err })
+	loadTime := best(func() error { _, err := repro.ReadIndexSnapshot(data); return err })
 	t.Logf("grid-2000: build %v, snapshot load %v (%.1fx), %d snapshot bytes",
 		buildTime, loadTime, float64(buildTime)/float64(loadTime), len(data))
-	if 10*loadTime > buildTime {
-		t.Errorf("snapshot load %v is not ≥10x faster than build %v", loadTime, buildTime)
+	if 3*loadTime > buildTime {
+		t.Errorf("snapshot load %v is not ≥3x faster than build %v", loadTime, buildTime)
 	}
 }
