@@ -19,7 +19,6 @@ import (
 	"repro/internal/skip"
 	"repro/internal/splitter"
 	"repro/internal/store"
-	"repro/internal/wcol"
 )
 
 const benchQuerySrc = "dist(x,y) > 2 & C0(y)" // the paper's Example 2
@@ -442,20 +441,6 @@ func BenchmarkEnginePreprocessParallel(b *testing.B) {
 					if _, err := core.Preprocess(g, lq, core.Options{Parallelism: workers}); err != nil {
 						b.Fatal(err)
 					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkWReachCountsParallel(b *testing.B) {
-	for _, n := range []int{16000, 64000} {
-		g := benchGraph(gen.Grid, n)
-		order := wcol.DegeneracyOrder(g)
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("grid/n=%d/workers=%d", n, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					wcol.WReachCountsWorkers(g, order, 2, workers)
 				}
 			})
 		}

@@ -19,8 +19,8 @@ import (
 // the running example of Section 5.1.5.
 const benchQuery = "dist(x,y) > 2 & C0(y)"
 
-// buildEngine builds the engine of one experiment row. Every engine
-// records into benchReg, so -debug-addr shows live aggregate metrics while
+// buildEngine builds the engine of one experiment row. Every build's
+// phase spans go to benchReg, so -debug-addr shows them aggregated while
 // the experiments run.
 func buildEngine(class string, n int, query string, vars ...string) (*graph.Graph, *core.Engine, *core.LocalQuery, time.Duration) {
 	g := gen.Generate(gen.Class(class), n, gen.Options{Seed: 7, Colors: 1, ColorProb: 0.05})

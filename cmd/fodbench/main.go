@@ -17,8 +17,8 @@ import (
 	"repro/internal/par"
 )
 
-// benchReg aggregates the metrics of every engine the experiments build;
-// -debug-addr exposes it live.
+// benchReg aggregates the phase spans of every engine the experiments
+// build; -debug-addr exposes it live.
 var benchReg = obs.New()
 
 type experiment struct {

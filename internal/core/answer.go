@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/skip"
@@ -12,21 +11,13 @@ import (
 // NextGeq is the main primitive of Theorem 2.3: it returns the
 // lexicographically smallest solution ā′ ≥ ā, or ok=false if none exists.
 // Per the paper's answering phase, the smallest matching tuple is computed
-// for every clause (τ, i) and the minimum is returned. When the engine is
-// instrumented, every call's latency lands in the engine.next_geq_ns
-// histogram; uninstrumented engines pay one nil check.
+// for every clause (τ, i) and the minimum is returned.
 //
-// The arity check and the clock reads live here, in the un-annotated
-// wrapper; the inner nextGeq is the //fod:hotpath part.
+// The arity check lives here, in the un-annotated wrapper; the inner
+// nextGeq is the //fod:hotpath part.
 func (e *Engine) NextGeq(a []graph.V) ([]graph.V, bool) {
 	if len(a) != e.k {
 		panic(fmt.Sprintf("core: tuple arity %d, want %d", len(a), e.k))
-	}
-	if h := e.instr.nextGeq; h != nil {
-		start := time.Now()
-		sol, ok := e.nextGeq(a)
-		h.Observe(time.Since(start))
-		return sol, ok
 	}
 	return e.nextGeq(a)
 }
@@ -56,17 +47,10 @@ func (e *Engine) nextGeq(a []graph.V) ([]graph.V, bool) {
 	return best, true
 }
 
-// NextLast implements Lemma 5.2; see nextLast. Instrumented engines
-// record per-call latency into engine.next_last_ns.
+// NextLast implements Lemma 5.2; see nextLast.
 func (e *Engine) NextLast(prefix []graph.V, b graph.V) (graph.V, bool) {
 	if len(prefix) != e.k-1 {
 		panic(fmt.Sprintf("core: prefix arity %d, want %d", len(prefix), e.k-1))
-	}
-	if h := e.instr.nextLast; h != nil {
-		start := time.Now()
-		v, ok := e.nextLast(prefix, b)
-		h.Observe(time.Since(start))
-		return v, ok
 	}
 	return e.nextLast(prefix, b)
 }
@@ -132,18 +116,10 @@ func (e *Engine) prefixMatches(rt *clauseRT, prefix []graph.V) bool {
 }
 
 // Test implements Corollary 2.4: constant-time membership of ā in the
-// query result. Instrumented engines record per-call latency into
-// engine.test_ns. The arity check and the clock reads live in this
-// un-annotated wrapper.
+// query result. The arity check lives in this un-annotated wrapper.
 func (e *Engine) Test(a []graph.V) bool {
 	if len(a) != e.k {
 		panic(fmt.Sprintf("core: tuple arity %d, want %d", len(a), e.k))
-	}
-	if h := e.instr.test; h != nil {
-		start := time.Now()
-		ok := e.test(a)
-		h.Observe(time.Since(start))
-		return ok
 	}
 	return e.test(a)
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/fo"
 	"repro/internal/graph"
@@ -28,16 +28,13 @@ type Options struct {
 	// exist only where the pseudo-linear build spends its time. Nil means
 	// no deadline.
 	Ctx context.Context
-	// Obs, when non-nil, turns on full instrumentation: the preprocessing
-	// phases are traced as nested spans (preprocess.dist → .cover →
-	// .kernel → .starter → .skip, or preprocess.balls → .starter), the
-	// answering counters are exported as engine.* counters, per-call
-	// latency histograms are recorded for NextGeq/Test/NextLast, and
-	// Enumerate records the per-answer delay distribution of Corollary 2.5
-	// into engine.delay_ns. The registry is also threaded into the cover,
-	// distance-index, and worker-pool builds. Nil (the default) keeps the
-	// answering hot path free of any timing work — each instrument sits
-	// behind a single nil check.
+	// Obs, when non-nil, receives the phase spans — one clock read per
+	// phase, as span.<path>_ns / _count and, when Ctx carries a request
+	// trace, in that trace: preprocess.dist → .cover → .kernel → .starter →
+	// .skip (or preprocess.balls → .starter), the restore.* tree of
+	// RestoreEngine and the mutate.* tree of ApplyEdits. Nothing else goes
+	// through it: structure and answering work are per index, in Stats and
+	// Explain.
 	Obs *obs.Registry
 }
 
@@ -59,39 +56,21 @@ type Stats struct {
 	LocalEvals    int   // local formula evaluations (memo misses)
 	LocalEvalHits int   // memo hits
 
-	Workers     int           // preprocessing parallelism used
-	DistWall    time.Duration // wall time of the distance-index build
-	CoverWall   time.Duration // wall time of the cover computation
-	KernelWall  time.Duration // wall time of kernel extraction
-	StarterWall time.Duration // wall time of starter-list computation
-	SkipWall    time.Duration // wall time of skip-pointer construction
+	Workers int // preprocessing parallelism used
 
-	Mutations   int           // ApplyEdits generations since the from-scratch build
-	MutAffected int           // starter slots recomputed by the last ApplyEdits
-	MutRebuilds int           // ApplyEdits calls that fell back to a full Preprocess
-	MutWall     time.Duration // wall time of the last ApplyEdits
+	Mutations   int // ApplyEdits generations since the from-scratch build
+	MutAffected int // starter slots recomputed by the last ApplyEdits
+	MutRebuilds int // ApplyEdits calls that fell back to a full Preprocess
 }
 
-// counters holds the answering-phase statistics as registry-compatible
-// atomic instruments, so concurrent queries can bump them without a lock;
-// Stats() folds them into the snapshot it returns, and Preprocess
-// registers them in Options.Obs (when provided) so live scrapes see the
-// same numbers with no double counting.
+// counters holds the answering-phase statistics of this engine as atomics,
+// so concurrent queries can bump them without a lock; Stats() folds them
+// into the snapshot it returns.
 type counters struct {
-	candidates    obs.Counter
-	deadEnds      obs.Counter
-	localEvals    obs.Counter
-	localEvalHits obs.Counter
-}
-
-// instruments are the optional answering-phase latency histograms. All
-// fields are nil unless Options.Obs was provided — the nil check is the
-// disabled fast path.
-type instruments struct {
-	nextGeq  *obs.Histogram // NextGeq call latency
-	nextLast *obs.Histogram // NextLast call latency
-	test     *obs.Histogram // Test call latency
-	delay    *obs.Histogram // per-answer delay inside Enumerate (Cor. 2.5)
+	candidates    atomic.Int64
+	deadEnds      atomic.Int64
+	localEvals    atomic.Int64
+	localEvalHits atomic.Int64
 }
 
 // Engine is the preprocessed structure of Theorem 2.3 for one graph and one
@@ -118,8 +97,7 @@ type Engine struct {
 	liveIdx []int // indices into q.Clauses of guard-surviving clauses
 	stats   Stats
 	ctr     counters
-	instr   instruments
-	obsReg  *obs.Registry // nil when built without Options.Obs
+	obsReg  *obs.Registry // where ApplyEdits opens its spans; nil when built without Options.Obs
 }
 
 // scratchPool hands out per-goroutine query-time scratch: BFS state,
@@ -244,7 +222,7 @@ func preprocess(g *graph.Graph, q *LocalQuery, opt Options, kind *locKind) (*Eng
 	}
 	e := newEngine(g, q, kind, opt.Obs, nil)
 	workers := par.Resolve(opt.Parallelism)
-	pool := par.NewPool(workers).WithMetrics(par.NewMetrics(opt.Obs, "engine.pool"))
+	pool := par.NewPool(workers)
 	e.stats.Workers = workers
 	// StartSpan instead of Span: when the context carries a request trace
 	// (serve's singleflight build), the whole phase tree below lands in
@@ -252,7 +230,7 @@ func preprocess(g *graph.Graph, q *LocalQuery, opt Options, kind *locKind) (*Eng
 	root := opt.Obs.StartSpan(ctx, "preprocess")
 
 	var err error
-	if e.loc, err = kind.build(e, opt, pool, root, checkpoint); err != nil {
+	if e.loc, err = kind.build(e, pool, root, checkpoint); err != nil {
 		return nil, err
 	}
 
@@ -272,7 +250,6 @@ func preprocess(g *graph.Graph, q *LocalQuery, opt Options, kind *locKind) (*Eng
 	}
 	root.End()
 	e.tallySkip()
-	e.exportInstruments(opt.Obs)
 	return e, nil
 }
 
@@ -291,33 +268,7 @@ func liveClauses(g *graph.Graph, q *LocalQuery) []int {
 	return live
 }
 
-// exportInstruments registers the engine's always-on counters in reg,
-// publishes structural gauges, and creates the answering-phase latency
-// histograms. A nil registry leaves the engine uninstrumented (every
-// histogram pointer stays nil, so the hot path pays one branch per call).
-func (e *Engine) exportInstruments(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.RegisterCounter("engine.candidates", &e.ctr.candidates)
-	reg.RegisterCounter("engine.dead_ends", &e.ctr.deadEnds)
-	reg.RegisterCounter("engine.local_evals", &e.ctr.localEvals)
-	reg.RegisterCounter("engine.local_eval_hits", &e.ctr.localEvalHits)
-	reg.Gauge("engine.workers").Set(int64(e.stats.Workers))
-	reg.Gauge("engine.cover_bags").Set(int64(e.stats.CoverBags))
-	reg.Gauge("engine.cover_degree").Set(int64(e.stats.CoverDegree))
-	reg.Gauge("engine.cover_radius").Set(int64(e.stats.CoverRadius))
-	reg.Gauge("engine.ball_entries").Set(int64(e.stats.BallEntries))
-	reg.Gauge("engine.skip_tables").Set(int64(e.stats.SkipTables))
-	reg.Gauge("engine.skip_pointers").Set(int64(e.stats.SkipPointers))
-	reg.Gauge("engine.clauses").Set(int64(len(e.clauses)))
-	e.instr.nextGeq = reg.Histogram("engine.next_geq_ns")
-	e.instr.nextLast = reg.Histogram("engine.next_last_ns")
-	e.instr.test = reg.Histogram("engine.test_ns")
-	e.instr.delay = reg.Histogram("engine.delay_ns")
-}
-
-// Obs returns the registry the engine records into (nil when built
+// Obs returns the registry the engine opens its spans in (nil when built
 // without Options.Obs).
 func (e *Engine) Obs() *obs.Registry { return e.obsReg }
 
@@ -352,19 +303,15 @@ func (e *Engine) buildClause(cl *Clause, pool *par.Pool, trace *obs.Span, checkp
 		c := rt.newComp(li)
 		sp := trace.Child("starter")
 		e.computeStarter(c, pool)
-		e.stats.StarterWall += sp.End()
+		sp.End()
 		e.stats.StarterSizes = append(e.stats.StarterSizes, len(c.starter))
 		if err := checkpoint(); err != nil {
 			return nil, err
 		}
 		if d := e.sameStarter(rt, c.starter); d != nil {
 			c.shareStarter(d)
-		} else {
-			wall, err := e.loc.indexStarter(c, nil, pool, trace)
-			if err != nil {
-				return nil, err
-			}
-			e.stats.SkipWall += wall
+		} else if err := e.loc.indexStarter(c, nil, pool, trace); err != nil {
+			return nil, err
 		}
 		rt.comps = append(rt.comps, c)
 	}

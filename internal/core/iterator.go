@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -115,12 +114,6 @@ func (it *Iterator) Next() ([]graph.V, bool) {
 // it. This is the one enumeration loop behind Enumerate, Count and
 // CountCtx.
 //
-// On an instrumented engine every answer's production time (the cursor
-// step — the paper's "delay", excluding the caller's yield body) is
-// recorded into engine.delay_ns, which is what the fodbench delay profiler
-// reports against the constant-delay claim. The clock reads live here,
-// outside the //fod:hotpath Next.
-//
 // The yield callback is the cancellation path: any caller that must honor
 // a deadline returns false from yield (CountCtx does exactly that); a ctx
 // parameter here would put a select on the constant-delay loop of every
@@ -128,17 +121,9 @@ func (it *Iterator) Next() ([]graph.V, bool) {
 //
 //fod:ctxok yield returning false is the cancellation path
 func (e *Engine) Enumerate(yield func([]graph.V) bool) {
-	it, delay := e.Iterator(), e.instr.delay
+	it := e.Iterator()
 	for it.has {
-		var sol []graph.V
-		if delay != nil {
-			start := time.Now()
-			sol, _ = it.Next()
-			delay.Observe(time.Since(start))
-		} else {
-			sol, _ = it.Next()
-		}
-		if !yield(sol) {
+		if sol, _ := it.Next(); !yield(sol) {
 			return
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/cover"
 	"repro/internal/dist"
@@ -50,10 +49,10 @@ type locality interface {
 	rBall(a graph.V) []int32
 
 	// indexStarter derives from c's finished starter list whatever
-	// nextOpening needs and returns the wall time of the skip sweep. With
-	// saved non-nil (RestoreEngine) it adopts the component's snapshot
-	// payload instead of searching, and refuses one that does not fit.
-	indexStarter(c *compRT, saved *CompParts, pool *par.Pool, trace *obs.Span) (time.Duration, error)
+	// nextOpening needs, as children of trace. With saved non-nil
+	// (RestoreEngine) it adopts the component's snapshot payload instead of
+	// searching, and refuses one that does not fit.
+	indexStarter(c *compRT, saved *CompParts, pool *par.Pool, trace *obs.Span) error
 	// distTester serves the distance atoms inside component formulas; nil
 	// leaves them to the evaluator's own BFS.
 	distTester() fo.DistTester
@@ -86,10 +85,10 @@ type locKind struct {
 	name string
 	// build's phases are children of root; it calls checkpoint between
 	// them and records its share of e.stats.
-	build func(e *Engine, opt Options, pool *par.Pool, root *obs.Span, checkpoint func() error) (locality, error)
+	build func(e *Engine, pool *par.Pool, root *obs.Span, checkpoint func() error) (locality, error)
 	// restore revalidates p's sections against e's graph and query; its
 	// phases are children of root.
-	restore func(e *Engine, p *EngineParts, opt Options, root *obs.Span) (locality, error)
+	restore func(e *Engine, p *EngineParts, root *obs.Span) (locality, error)
 }
 
 // The locality names, as EngineParts.Locality and the snapshot metadata
@@ -114,10 +113,9 @@ type coverLoc struct {
 	r, compR  int // R and R(k−1)
 	dix       *dist.Index
 	cov       *cover.Cover
-	scratch   *scratchPool  // the engine's
-	reg       *obs.Registry // the engine's; nil records nothing
-	compBalls sync.Map      // graph.V -> []int32, radius compR
-	rBalls    sync.Map      // graph.V -> []int32, radius r (unused when compR == r)
+	scratch   *scratchPool // the engine's
+	compBalls sync.Map     // graph.V -> []int32, radius compR
+	rBalls    sync.Map     // graph.V -> []int32, radius r (unused when compR == r)
 }
 
 // compRadius is R(k−1), the reach of a component from its first element
@@ -137,35 +135,35 @@ func distRadius(q *LocalQuery) int {
 	return r
 }
 
-func buildCoverLoc(e *Engine, opt Options, pool *par.Pool, root *obs.Span, checkpoint func() error) (locality, error) {
+func buildCoverLoc(e *Engine, pool *par.Pool, root *obs.Span, checkpoint func() error) (locality, error) {
 	if e.k > skip.MaxSetSize+1 {
 		return nil, fmt.Errorf("core: arity %d exceeds supported maximum %d", e.k, skip.MaxSetSize+1)
 	}
 	l := e.newCoverLoc()
 	sp := root.Child("dist")
-	l.dix = dist.New(e.g, distRadius(e.q), dist.Options{Workers: e.stats.Workers, Obs: opt.Obs})
-	e.stats.DistWall = sp.End()
+	l.dix = dist.New(e.g, distRadius(e.q), dist.Options{Workers: e.stats.Workers})
+	sp.End()
 	if err := checkpoint(); err != nil {
 		return nil, err
 	}
 	// The kernels make "outside every kernel ⇒ far from every previous
 	// element" sound, which needs bags ⊇ N_{2R}(center of coverage).
 	sp = root.Child("cover")
-	l.cov = cover.ComputeWith(e.g, 2*e.r, cover.Options{Workers: e.stats.Workers, Obs: opt.Obs})
-	e.stats.CoverWall = sp.End()
+	l.cov = cover.ComputeWith(e.g, 2*e.r, cover.Options{Workers: e.stats.Workers})
+	sp.End()
 	if err := checkpoint(); err != nil {
 		return nil, err
 	}
 	sp = root.Child("kernel")
 	l.cov.ComputeKernels(e.r)
-	e.stats.KernelWall = sp.End()
+	sp.End()
 	e.coverStats(l.cov)
 	return l, checkpoint()
 }
 
 // newCoverLoc returns e's cover locality with dix and cov still to be set.
 func (e *Engine) newCoverLoc() *coverLoc {
-	return &coverLoc{g: e.g, k: e.k, r: e.r, compR: compRadius(e.q), scratch: e.scratch, reg: e.obsReg}
+	return &coverLoc{g: e.g, k: e.k, r: e.r, compR: compRadius(e.q), scratch: e.scratch}
 }
 
 func (e *Engine) coverStats(cov *cover.Cover) {
@@ -203,24 +201,24 @@ func (l *coverLoc) ball(cache *sync.Map, a graph.V, radius int) []int32 {
 
 // indexStarter builds the Lemma 5.8 skip pointers over c.starter — or
 // adopts the saved table — and the per-kernel starter lists.
-func (l *coverLoc) indexStarter(c *compRT, saved *CompParts, pool *par.Pool, trace *obs.Span) (skipWall time.Duration, err error) {
+func (l *coverLoc) indexStarter(c *compRT, saved *CompParts, pool *par.Pool, trace *obs.Span) (err error) {
 	switch {
 	case l.k < 2:
 	case saved == nil:
 		sp := trace.Child("skip")
 		c.skip = skip.New(l.g, l.cov, l.k-1, c.starter)
-		skipWall = sp.End()
+		sp.End()
 	case saved.Skip == nil:
-		return 0, fmt.Errorf("misses its skip table (arity %d)", l.k)
+		return fmt.Errorf("misses its skip table (arity %d)", l.k)
 	case saved.Skip.K != l.k-1:
-		return 0, fmt.Errorf("skip table has set size %d, arity needs %d", saved.Skip.K, l.k-1)
+		return fmt.Errorf("skip table has set size %d, arity needs %d", saved.Skip.K, l.k-1)
 	default:
-		if c.skip, err = skip.FromPartsObs(l.cov, c.starter, *saved.Skip, l.reg); err != nil {
-			return 0, err
+		if c.skip, err = skip.FromParts(l.cov, c.starter, *saved.Skip); err != nil {
+			return err
 		}
 	}
 	l.buildKernelLists(c, pool)
-	return skipWall, nil
+	return nil
 }
 
 // buildKernelLists fills c.byKernel[bag] = starter ∩ K_R(bag). Bags are
@@ -335,14 +333,9 @@ func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starte
 }
 
 // parts serializes everything the build computes by search (distance
-// recursion, cover and kernels, SC-tables). The cover's lazy
-// Storing-Theorem membership structures are deliberately NOT included: the
-// answering hot path reads the memberOf/kernelOf inverted lists (rebuilt
-// from the bag CSRs at restore), the stores are only the paper-faithful
-// alternate access path, and their registers are 2–3× the size of
-// everything else combined. The restored cover rebuilds them lazily under
-// the same sync.Once a fresh build uses, so behavior is identical either
-// way.
+// recursion, cover and kernels, SC-tables). What is derived from those is
+// not written: the cover's memberOf/kernelOf inverted lists and the
+// per-kernel starter lists are rebuilt from the bag CSRs at restore.
 func (l *coverLoc) parts(e *Engine, p *EngineParts) {
 	p.Cover, p.Dist = l.cov.Parts(), l.dix.Parts()
 	for i, rt := range e.clauses {
@@ -366,7 +359,7 @@ func (l *coverLoc) parts(e *Engine, p *EngineParts) {
 // restoreCoverLoc reruns only the cheap deterministic derivations
 // (inverted lists, kernel intersections) over the saved distance recursion
 // and cover.
-func restoreCoverLoc(e *Engine, p *EngineParts, opt Options, root *obs.Span) (locality, error) {
+func restoreCoverLoc(e *Engine, p *EngineParts, root *obs.Span) (locality, error) {
 	if e.k > skip.MaxSetSize+1 {
 		return nil, fmt.Errorf("core: arity %d exceeds supported maximum %d", e.k, skip.MaxSetSize+1)
 	}
@@ -498,7 +491,7 @@ type ballLoc struct {
 	cOff, cAdj []int32 // row v lists N_{R(k−1)}(v); aliases the R rows when the radii coincide
 }
 
-func buildBallLoc(e *Engine, _ Options, pool *par.Pool, root *obs.Span, checkpoint func() error) (locality, error) {
+func buildBallLoc(e *Engine, pool *par.Pool, root *obs.Span, checkpoint func() error) (locality, error) {
 	sp := root.Child("balls")
 	all := make([]graph.V, e.g.N())
 	for v := range all {
@@ -607,7 +600,7 @@ func (l *ballLoc) parts(_ *Engine, p *EngineParts) {
 // restoreBallLoc adopts the saved arrays once every row is known to be a
 // sorted vertex list around its own vertex: what within, nextOpening and
 // the Case II scans rely on to stay inside the arrays.
-func restoreBallLoc(e *Engine, p *EngineParts, _ Options, root *obs.Span) (locality, error) {
+func restoreBallLoc(e *Engine, p *EngineParts, root *obs.Span) (locality, error) {
 	defer root.Child("balls").End()
 	b := &p.Balls
 	l := &ballLoc{r: e.r, compR: compRadius(e.q), rOff: b.ROff, rAdj: b.RAdj, cOff: b.ROff, cAdj: b.RAdj}
@@ -698,11 +691,11 @@ func (l *ballLoc) compBall(anchor graph.V) []int32 { return l.cAdj[l.cOff[anchor
 func (l *ballLoc) rBall(a graph.V) []int32 { return l.rAdj[l.rOff[a]:l.rOff[a+1]] }
 
 // indexStarter has nothing to derive: nextOpening scans the list itself.
-func (l *ballLoc) indexStarter(_ *compRT, saved *CompParts, _ *par.Pool, _ *obs.Span) (time.Duration, error) {
+func (l *ballLoc) indexStarter(_ *compRT, saved *CompParts, _ *par.Pool, _ *obs.Span) error {
 	if saved != nil && saved.Skip != nil {
-		return 0, fmt.Errorf("carries a skip table, which the ball locality has no use for")
+		return fmt.Errorf("carries a skip table, which the ball locality has no use for")
 	}
-	return 0, nil
+	return nil
 }
 
 func (l *ballLoc) distTester() fo.DistTester { return nil }

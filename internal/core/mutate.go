@@ -10,10 +10,11 @@
 //   - locality (locality.patch). Cover: ball rows of the distance index
 //     within distR of an endpoint (dist.Patch), then containment repairs
 //     and exact kernel recomputation for bags within reach of an endpoint
-//     (cover.Patch), with materialized Storing-Theorem structures cloned
-//     and delta-updated via the O(n^ε) Set/Delete of Theorem 3.1. Balls:
-//     the sorted R- and R(k−1)-rows of the vertices within that radius of
-//     an endpoint, spliced into fresh flat arrays.
+//     (cover.Patch), which shares every untouched slice with the old cover
+//     and rewrites the memberOf/kernelOf inverted lists only at the
+//     vertices of a new or re-kerneled bag. Balls: the sorted R- and
+//     R(k−1)-rows of the vertices within that radius of an endpoint,
+//     spliced into fresh flat arrays.
 //   - starters: inStart[v] depends only on structure within starterReach
 //     of v — local evaluation sees the ρ-ball and its distance atoms look a
 //     constant further; a multi-position component first searches the
@@ -41,7 +42,6 @@ import (
 	"context"
 	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/fo"
 	"repro/internal/graph"
@@ -55,7 +55,6 @@ import (
 // over a Preprocess of Patch(g, edits) with the same locality, and so is
 // its snapshot.
 func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, error) {
-	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -78,7 +77,7 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 	// the clause set changes structurally and a patched engine has no frame
 	// to patch into.
 	if !e.q.Guarded || !slices.Equal(liveClauses(gNew, e.q), e.liveIdx) {
-		return e.rebuilt(ctx, gNew, start)
+		return e.rebuilt(ctx, gNew)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -98,7 +97,7 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 	pool := par.NewPool(e.stats.Workers)
 	loc, reindex, ok := e.loc.patch(e, e2, edgeSrcs, pool, root)
 	if !ok {
-		return e.rebuilt(ctx, gNew, start)
+		return e.rebuilt(ctx, gNew)
 	}
 	e2.loc = loc
 	if err := ctx.Err(); err != nil {
@@ -127,8 +126,6 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 		e2.clauses = append(e2.clauses, rt2)
 	}
 	e2.tallySkip()
-	e2.stats.MutWall = time.Since(start)
-	e2.exportInstruments(e.obsReg)
 	return e2, nil
 }
 
@@ -207,8 +204,8 @@ func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *com
 }
 
 // rebuilt is the full-Preprocess fallback on the same locality.
-func (e *Engine) rebuilt(ctx context.Context, gNew *graph.Graph, start time.Time) (*Engine, error) {
-	return e.rebuiltBy(ctx, gNew, start, func(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
+func (e *Engine) rebuilt(ctx context.Context, gNew *graph.Graph) (*Engine, error) {
+	return e.RebuiltOn(ctx, gNew, func(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
 		return preprocess(g, q, opt, e.kind)
 	})
 }
@@ -219,13 +216,7 @@ func (e *Engine) rebuilt(ctx context.Context, gNew *graph.Graph, start time.Time
 // to the other one: e's mutation history carried forward, one more
 // mutation and one more rebuild counted.
 func (e *Engine) RebuiltOn(ctx context.Context, g *graph.Graph, build func(*graph.Graph, *LocalQuery, Options) (*Engine, error)) (*Engine, error) {
-	return e.rebuiltBy(ctx, g, time.Now(), build)
-}
-
-// rebuiltBy carries the mutation counters forward so Stats still reports
-// the engine's history.
-func (e *Engine) rebuiltBy(ctx context.Context, gNew *graph.Graph, start time.Time, build func(*graph.Graph, *LocalQuery, Options) (*Engine, error)) (*Engine, error) {
-	e2, err := build(gNew, e.q, Options{
+	e2, err := build(g, e.q, Options{
 		Parallelism: e.stats.Workers,
 		Ctx:         ctx,
 		Obs:         e.obsReg,
@@ -235,7 +226,6 @@ func (e *Engine) rebuiltBy(ctx context.Context, gNew *graph.Graph, start time.Ti
 	}
 	e2.stats.Mutations = e.stats.Mutations + 1
 	e2.stats.MutRebuilds = e.stats.MutRebuilds + 1
-	e2.stats.MutWall = time.Since(start)
 	return e2, nil
 }
 

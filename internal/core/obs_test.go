@@ -1,9 +1,8 @@
 package core_test
 
 import (
-	"os"
+	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fo"
@@ -58,18 +57,16 @@ func TestStatsSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestEngineInstrumented checks the registry-backed instruments end to
-// end, over both localities: phase spans, exported counters, and the
-// answering histograms — the same engine.* names whichever was built.
+// TestEngineInstrumented checks the phase spans of a build, over both
+// localities, and that what the engine then does shows in its own Stats.
 func TestEngineInstrumented(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		preprocess preprocessFunc
 		spans      []string
-		gauge      string
 	}{
-		{"cover", core.Preprocess, []string{"dist", "cover", "kernel", "starter", "skip"}, "engine.cover_bags"},
-		{"balls", core.PreprocessBalls, []string{"balls", "starter"}, "engine.ball_entries"},
+		{"cover", core.Preprocess, []string{"dist", "cover", "kernel", "starter", "skip"}},
+		{"balls", core.PreprocessBalls, []string{"balls", "starter"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.New()
@@ -89,12 +86,7 @@ func TestEngineInstrumented(t *testing.T) {
 					t.Errorf("missing phase span %q", name)
 				}
 			}
-			if snap.Gauges[tc.gauge] == 0 {
-				t.Errorf("%s gauge not set", tc.gauge)
-			}
 
-			// Answering-phase instruments: counters and histograms must
-			// advance together with Stats().
 			n := 0
 			e.Enumerate(func([]int) bool { n++; return n < 200 })
 			if n == 0 {
@@ -105,25 +97,8 @@ func TestEngineInstrumented(t *testing.T) {
 				e.Test([]int{i, i + 1})
 				e.NextLast([]int{i}, 0)
 			}
-			snap = reg.Snapshot()
-			if got := snap.Histograms["engine.delay_ns"]; got.Count != int64(n) {
-				t.Errorf("delay histogram count %d, want %d", got.Count, n)
-			}
-			for _, name := range []string{"engine.next_geq_ns", "engine.test_ns", "engine.next_last_ns"} {
-				if got := snap.Histograms[name]; got.Count != 50 {
-					t.Errorf("%s histogram count %d, want 50", name, got.Count)
-				}
-			}
-			if snap.Counters["engine.candidates"] != int64(e.Stats().Candidates) {
-				t.Errorf("exported candidates %d != Stats %d",
-					snap.Counters["engine.candidates"], e.Stats().Candidates)
-			}
-			if snap.Counters["engine.candidates"] == 0 {
+			if e.Stats().Candidates == 0 {
 				t.Error("candidates counter never bumped")
-			}
-			// The delay histogram carries real, positive timings.
-			if d := snap.Histograms["engine.delay_ns"]; d.Max <= 0 || d.P99 > d.Max {
-				t.Errorf("implausible delay stats: %+v", d)
 			}
 		})
 	}
@@ -131,30 +106,21 @@ func TestEngineInstrumented(t *testing.T) {
 
 // TestMutateAndRestoreInstrumented: a write and a restore show phase by
 // phase under "mutate" and "restore", children named for what they do, over
-// either locality — and the patched and the restored engine export the same
-// engine.* instruments a built one does.
+// either locality.
 func TestMutateAndRestoreInstrumented(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
 		preprocess      preprocessFunc
 		mutate, restore []string
-		gauge           string
 	}{
-		{"cover", core.Preprocess, []string{"dist", "cover", "starter"}, []string{"dist", "cover", "clauses"}, "engine.cover_bags"},
-		{"balls", core.PreprocessBalls, []string{"balls", "starter"}, []string{"balls", "clauses"}, "engine.ball_entries"},
+		{"cover", core.Preprocess, []string{"dist", "cover", "starter"}, []string{"dist", "cover", "clauses"}},
+		{"balls", core.PreprocessBalls, []string{"balls", "starter"}, []string{"balls", "clauses"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.New()
 			e := buildObsEngineWith(t, tc.preprocess, reg)
-			e2, err := e.ApplyEdits(nil, []graph.Edit{{Op: graph.RemoveEdge, U: 0, V: 1}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e2.Stats().MutRebuilds != 0 {
-				t.Fatal("premise: the edit is patched")
-			}
-			r, err := core.RestoreEngine(e2.Graph(), e2.Query(), e2.SnapshotParts(), core.Options{Obs: reg})
-			if err != nil {
+			e2 := patchedEngine(t, e)
+			if _, err := core.RestoreEngine(e2.Graph(), e2.Query(), e2.SnapshotParts(), core.Options{Obs: reg}); err != nil {
 				t.Fatal(err)
 			}
 			snap := reg.Snapshot()
@@ -165,17 +131,70 @@ func TestMutateAndRestoreInstrumented(t *testing.T) {
 					}
 				}
 			}
-			if snap.Gauges[tc.gauge] == 0 {
-				t.Errorf("%s gauge not set", tc.gauge)
-			}
-			for _, en := range []*core.Engine{e2, r} {
-				before := reg.Snapshot().Histograms["engine.test_ns"].Count
-				en.Test([]int{3, 700})
-				if reg.Snapshot().Histograms["engine.test_ns"].Count != before+1 {
-					t.Error("a patched or restored engine does not record engine.test_ns")
-				}
-			}
 		})
+	}
+}
+
+// patchedEngine applies one edit to e that its locality patches.
+func patchedEngine(t *testing.T, e *core.Engine) *core.Engine {
+	t.Helper()
+	e2, err := e.ApplyEdits(nil, []graph.Edit{{Op: graph.RemoveEdge, U: 0, V: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e2.Stats().MutRebuilds != 0 {
+		t.Fatal("premise: the edit is patched")
+	}
+	return e2
+}
+
+// TestRegistryNames is the audit of ROADMAP item 6 as a test: one registry
+// shared by builds, writes and restores over both localities, then answers
+// drawn from the first engine only. The registry holds the span tree and
+// nothing else — in particular no name that would have to say which of the
+// six engines it describes — and the answering work shows in the Stats of
+// the engine that did it.
+func TestRegistryNames(t *testing.T) {
+	reg := obs.New()
+	var engines []*core.Engine
+	for _, preprocess := range []preprocessFunc{core.Preprocess, core.PreprocessBalls} {
+		e := buildObsEngineWith(t, preprocess, reg)
+		e2 := patchedEngine(t, e)
+		r, err := core.RestoreEngine(e2.Graph(), e2.Query(), e2.SnapshotParts(), core.Options{Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, e, e2, r)
+	}
+	first := engines[0]
+	n := 0
+	first.Enumerate(func([]int) bool { n++; return n < 200 })
+	for i := 0; i < 50; i++ {
+		first.NextGeq([]int{i, i})
+		first.Test([]int{i, i + 1})
+		first.NextLast([]int{i}, 0)
+	}
+
+	var want []string
+	for _, path := range []string{
+		"mutate", "mutate.balls", "mutate.cover", "mutate.dist", "mutate.starter",
+		"preprocess", "preprocess.balls", "preprocess.cover", "preprocess.dist",
+		"preprocess.kernel", "preprocess.skip", "preprocess.starter",
+		"restore", "restore.balls", "restore.clauses", "restore.cover", "restore.dist",
+	} {
+		want = append(want, "span."+path+"_count", "span."+path+"_ns")
+	}
+	slices.Sort(want)
+	if got := reg.Names(); !slices.Equal(got, want) {
+		t.Errorf("registry names:\n got %v\nwant %v", got, want)
+	}
+	if first.Stats().Candidates == 0 {
+		t.Error("the engine that answered counted no candidates")
+	}
+	for i, e := range engines[1:] {
+		if c := e.Stats().Candidates; c != 0 {
+			t.Errorf("engine %d answered nothing and counts %d candidates", i+1, c)
+		}
 	}
 }
 
@@ -203,54 +222,5 @@ func TestInstrumentedAnswersIdentical(t *testing.T) {
 		if a[i][0] != b[i][0] || a[i][1] != b[i][1] {
 			t.Fatalf("solution %d differs: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-// TestMetricsOverheadGuard is the CI guard of scripts/verify.sh tier 3:
-// the uninstrumented NextGeq path must not pay for the observability
-// layer. Because a pre-PR wall-clock baseline is not available inside CI,
-// the guard checks the property that implies "within noise of the
-// baseline": the disabled path does at most what the enabled path does
-// minus the timing work, so its per-op cost must not exceed the enabled
-// path's (with generous headroom for scheduler noise), and must stay in
-// the sub-microsecond regime the README reports for this query class.
-//
-// Enabled only when GUARD=1 (timing asserts are too flaky for the
-// default test run).
-func TestMetricsOverheadGuard(t *testing.T) {
-	if os.Getenv("GUARD") == "" {
-		t.Skip("set GUARD=1 to run the timing guards (scripts/verify.sh 3)")
-	}
-	plain := buildObsEngine(t, nil)
-	inst := buildObsEngine(t, obs.New())
-	tuples := make([][]int, 512)
-	for i := range tuples {
-		tuples[i] = []int{(i * 37) % 900, (i * 101) % 900}
-	}
-	measure := func(e *core.Engine) time.Duration {
-		// Warm up caches, then take the best of 5 rounds to shed noise.
-		for _, a := range tuples {
-			e.NextGeq(a)
-		}
-		best := time.Duration(1<<63 - 1)
-		for round := 0; round < 5; round++ {
-			start := time.Now()
-			for _, a := range tuples {
-				e.NextGeq(a)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best / time.Duration(len(tuples))
-	}
-	disabled := measure(plain)
-	enabled := measure(inst)
-	t.Logf("NextGeq per op: disabled %v, enabled %v", disabled, enabled)
-	if disabled > enabled*3/2+2*time.Microsecond {
-		t.Fatalf("disabled-metrics NextGeq (%v/op) is slower than instrumented (%v/op) beyond noise — the nil-sink fast path regressed", disabled, enabled)
-	}
-	if disabled > 20*time.Microsecond {
-		t.Fatalf("disabled-metrics NextGeq %v/op exceeds the 20µs sanity cap", disabled)
 	}
 }

@@ -94,7 +94,7 @@ func RestoreEngine(g *graph.Graph, q *LocalQuery, p EngineParts, opt Options) (*
 	}
 	e := newEngine(g, q, locKinds[i], opt.Obs, nil)
 	workers := par.Resolve(opt.Parallelism)
-	pool := par.NewPool(workers).WithMetrics(par.NewMetrics(opt.Obs, "engine.pool"))
+	pool := par.NewPool(workers)
 	e.stats.Workers = workers
 	ctx := opt.Ctx
 	if ctx == nil {
@@ -106,7 +106,7 @@ func RestoreEngine(g *graph.Graph, q *LocalQuery, p EngineParts, opt Options) (*
 	root := opt.Obs.StartSpan(ctx, "restore")
 
 	var err error
-	if e.loc, err = e.kind.restore(e, &p, opt, root); err != nil {
+	if e.loc, err = e.kind.restore(e, &p, root); err != nil {
 		return nil, err
 	}
 
@@ -132,7 +132,6 @@ func RestoreEngine(g *graph.Graph, q *LocalQuery, p EngineParts, opt Options) (*
 	sp.End()
 	root.End()
 	e.tallySkip()
-	e.exportInstruments(opt.Obs)
 	return e, nil
 }
 
@@ -164,7 +163,7 @@ func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool) (*
 		// file written by Preprocess guarantees and a crafted one need not.
 		if d := e.sameStarter(rt, c.starter); d != nil && sameSkip(d.skip, cp.Skip) {
 			c.shareStarter(d)
-		} else if _, err := e.loc.indexStarter(c, cp, pool, nil); err != nil {
+		} else if err := e.loc.indexStarter(c, cp, pool, nil); err != nil {
 			return nil, fmt.Errorf("component %d %w", li, err)
 		}
 		rt.comps = append(rt.comps, c)

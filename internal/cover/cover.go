@@ -36,10 +36,8 @@ package cover
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -49,22 +47,14 @@ type Options struct {
 	// sequential path; the parallel path (≥ 2) produces byte-identical
 	// covers.
 	Workers int
-	// Obs, when non-nil, receives construction metrics: counters
-	// cover.balls_computed / cover.balls_wasted, gauges cover.bags /
-	// cover.degree, wall-time histograms cover.compute_ns /
-	// cover.kernels_ns, and pool metrics under cover.pool.*. Nil disables
-	// all recording at zero cost.
-	Obs *obs.Registry
 }
 
-// Stats reports construction facts: parallelism used, speculation
-// efficiency, and per-phase wall time.
+// Stats reports construction facts: parallelism used and speculation
+// efficiency.
 type Stats struct {
-	Workers       int           // workers used for Compute/ComputeKernels
-	BallsComputed int           // ball+interior computations (incl. speculative)
-	BallsWasted   int           // speculative computations discarded
-	ComputeWall   time.Duration // wall time of ComputeWith
-	KernelWall    time.Duration // wall time of ComputeKernels
+	Workers       int // workers used for Compute/ComputeKernels
+	BallsComputed int // ball+interior computations (incl. speculative)
+	BallsWasted   int // speculative computations discarded
 }
 
 // Cover is an (R, 2R)-neighborhood cover of a colored graph.
@@ -82,9 +72,8 @@ type Cover struct {
 	kernels  [][]graph.V // p-kernel per bag, sorted
 	kernelOf [][]int32   // sorted bag indices whose kernel contains v
 
-	pool   *par.Pool
-	stats  Stats
-	obsReg *obs.Registry // nil when unobserved
+	pool  *par.Pool
+	stats Stats
 }
 
 // Compute builds an (r, 2r)-neighborhood cover of g sequentially. It is
@@ -103,9 +92,7 @@ func ComputeWith(g *graph.Graph, r int, opt Options) *Cover {
 	if workers <= 0 {
 		workers = 1
 	}
-	start := time.Now()
-	c := &Cover{g: g, R: r, S: 2 * r, kernelP: -1, pool: par.NewPool(workers), obsReg: opt.Obs}
-	c.pool = c.pool.WithMetrics(par.NewMetrics(opt.Obs, "cover.pool"))
+	c := &Cover{g: g, R: r, S: 2 * r, kernelP: -1, pool: par.NewPool(workers)}
 	c.stats.Workers = c.pool.Workers()
 	c.assign = make([]int32, g.N())
 	for i := range c.assign {
@@ -118,14 +105,6 @@ func ComputeWith(g *graph.Graph, r int, opt Options) *Cover {
 	}
 	c.stats.BallsWasted = c.stats.BallsComputed - len(c.bags)
 	c.buildMembership()
-	c.stats.ComputeWall = time.Since(start)
-	if reg := c.obsReg; reg != nil {
-		reg.Counter("cover.balls_computed").Add(int64(c.stats.BallsComputed))
-		reg.Counter("cover.balls_wasted").Add(int64(c.stats.BallsWasted))
-		reg.Gauge("cover.bags").Set(int64(len(c.bags)))
-		reg.Gauge("cover.degree").Set(int64(c.Degree()))
-		reg.Histogram("cover.compute_ns").Observe(c.stats.ComputeWall)
-	}
 	return c
 }
 
@@ -383,7 +362,6 @@ func (c *Cover) ComputeKernels(p int) {
 	if p < 0 || p > c.R {
 		panic(fmt.Sprintf("cover: kernel radius %d outside [0, %d]", p, c.R))
 	}
-	start := time.Now()
 	c.kernelP = p
 	c.kernels = make([][]graph.V, len(c.bags))
 	c.kernelOf = make([][]int32, c.g.N())
@@ -399,10 +377,6 @@ func (c *Cover) ComputeKernels(p int) {
 		for _, v := range kern {
 			c.kernelOf[v] = append(c.kernelOf[v], int32(i))
 		}
-	}
-	c.stats.KernelWall = time.Since(start)
-	if reg := c.obsReg; reg != nil {
-		reg.Histogram("cover.kernels_ns").Observe(c.stats.KernelWall)
 	}
 }
 

@@ -2,7 +2,7 @@
 // existing one, recomputing only the bags an edit can reach.
 //
 // The enumeration machinery needs exactly two properties from a cover
-// (see DESIGN.md §3.9):
+// (see DESIGN.md §3.3):
 //
 //  1. containment — ∀a: N_R(a) ⊆ bag(𝒳(a)). Edge removals only shrink
 //     balls, so they preserve it; an added edge can grow N_R(a) past the
@@ -74,7 +74,6 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 		kernelOf: c.kernelOf,
 		pool:     c.pool,
 		stats:    c.stats,
-		obsReg:   c.obsReg,
 	}
 	info := &PatchInfo{}
 	if len(sources) == 0 {

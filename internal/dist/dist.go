@@ -39,11 +39,9 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cover"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/splitter"
 )
@@ -72,13 +70,6 @@ type Options struct {
 	// Workers bounds the construction parallelism. 0 and 1 select the
 	// sequential path; any value produces a byte-identical index.
 	Workers int
-	// Obs, when non-nil, receives the aggregate build metrics: counters
-	// dist.bags / dist.fallbacks / dist.small_leaves / dist.table_cells /
-	// dist.work, the histogram dist.build_ns, and pool metrics under
-	// dist.pool.*. The recursive sub-builds are folded into these
-	// aggregates (they share the Stats), not reported per level. Nil
-	// disables all recording at zero cost.
-	Obs *obs.Registry
 }
 
 func (o Options) withDefaults(r int, g *graph.Graph) Options {
@@ -105,14 +96,13 @@ func (o Options) withDefaults(r int, g *graph.Graph) Options {
 
 // Stats reports structural facts about a built index.
 type Stats struct {
-	Bags        int           // total bags over all recursion levels
-	MaxDepth    int           // deepest recursion level used
-	SmallLeaves int           // arenas solved by truncated distance tables
-	Fallbacks   int           // arenas that exhausted MaxDepth or the work budget
-	TableCells  int           // total entries of all truncated distance tables
-	Work        int           // vertices+edges processed across all levels
-	Workers     int           // construction parallelism used
-	BuildWall   time.Duration // wall time of New
+	Bags        int // total bags over all recursion levels
+	MaxDepth    int // deepest recursion level used
+	SmallLeaves int // arenas solved by truncated distance tables
+	Fallbacks   int // arenas that exhausted MaxDepth or the work budget
+	TableCells  int // total entries of all truncated distance tables
+	Work        int // vertices+edges processed across all levels
+	Workers     int // construction parallelism used
 }
 
 // merge folds a sub-build's counters into s (ordered fan-in: callers merge
@@ -313,24 +303,10 @@ func New(g *graph.Graph, r int, opt Options) *Index {
 	if r < 1 {
 		panic(fmt.Sprintf("dist: radius %d < 1", r))
 	}
-	start := time.Now()
 	opt = opt.withDefaults(r, g)
-	pool := par.NewPool(opt.Workers).WithMetrics(par.NewMetrics(opt.Obs, "dist.pool"))
-	stats := &Stats{}
-	ix := build(g, r, opt, 0, stats, opt.WorkBudget, pool)
-	ix.stats = stats
-	stats.Workers = pool.Workers()
-	stats.BuildWall = time.Since(start)
-	if reg := opt.Obs; reg != nil {
-		reg.Counter("dist.bags").Add(int64(stats.Bags))
-		reg.Counter("dist.fallbacks").Add(int64(stats.Fallbacks))
-		reg.Counter("dist.small_leaves").Add(int64(stats.SmallLeaves))
-		reg.Counter("dist.table_cells").Add(int64(stats.TableCells))
-		reg.Counter("dist.work").Add(int64(stats.Work))
-		reg.Gauge("dist.max_depth").Max(int64(stats.MaxDepth))
-		reg.Histogram("dist.build_ns").Observe(stats.BuildWall)
-	}
-	return ix
+	pool := par.NewPool(opt.Workers)
+	stats := &Stats{Workers: pool.Workers()}
+	return build(g, r, opt, 0, stats, opt.WorkBudget, pool)
 }
 
 // build constructs the index for one arena with the given work budget.

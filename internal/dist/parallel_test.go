@@ -97,7 +97,6 @@ func TestParallelIndexByteIdentical(t *testing.T) {
 				equalIndexes(t, label, seq, p)
 				ss, ps := seq.Stats(), p.Stats()
 				ss.Workers, ps.Workers = 0, 0
-				ss.BuildWall, ps.BuildWall = 0, 0
 				if !reflect.DeepEqual(ss, ps) {
 					t.Fatalf("%s: stats differ: %+v vs %+v", label, ss, ps)
 				}

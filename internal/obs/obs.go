@@ -3,14 +3,14 @@
 // API for phase tracing, and a Registry that exports everything as a JSON
 // snapshot and via expvar.
 //
-// The paper's headline results are complexity claims — pseudo-linear
-// preprocessing (Theorem 2.3) and constant delay between consecutive
-// answers (Corollary 2.5) — and this package is how the reproduction
-// *evidences* them at runtime: the engine records per-answer delay and
-// per-call NextGeq/Test latency into histograms, the preprocessing phases
-// (dist → cover → kernel → starter → skip) are traced as nested spans,
-// and the repository's benchmark (bench/) reads the histograms from
-// outside.
+// Two kinds of number go through a Registry (README "Observability"):
+// time, as the span tree core opens under preprocess / restore / mutate
+// and snap under snap.encode / snap.decode — histograms aggregate by name,
+// so one registry is correct under any number of indexes — and the
+// server's own serve.* and trace.* instruments. What describes one index
+// (structure, work per answer) is not here but in Engine.Stats and
+// Explain. The algorithm packages (par, cover, dist, skip, wcol) do not
+// import this package; TestLayering pins that.
 //
 // Design constraints, in order of importance:
 //
@@ -62,8 +62,8 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic instantaneous value (queue depth, utilization, bag
-// count). Zero value ready; nil receiver is a sink.
+// Gauge is an atomic instantaneous value (requests in flight, cache
+// size). Zero value ready; nil receiver is a sink.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -90,19 +90,6 @@ func (g *Gauge) Inc() { g.Add(1) }
 // Dec decrements the gauge by one (e.g. a request leaving flight).
 func (g *Gauge) Dec() { g.Add(-1) }
 
-// Max raises the gauge to n if n is larger (atomic CAS loop).
-func (g *Gauge) Max(n int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Load returns the current value (0 on a nil receiver).
 func (g *Gauge) Load() int64 {
 	if g == nil {
@@ -111,10 +98,10 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
-// Registry is a named collection of instruments. Instruments are created
-// on first use (Counter/Gauge/Histogram are get-or-create) or attached
+// Registry is a named collection of instruments. Counters and histograms
+// are created on first use (get-or-create) or, like every gauge, attached
 // with the Register* methods when a caller owns the instrument itself
-// (e.g. the engine's always-on answering counters).
+// (e.g. the serve cache's counters).
 //
 // A nil *Registry is valid everywhere and hands out nil instruments — the
 // disabled fast path.
@@ -150,21 +137,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
@@ -181,8 +153,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // RegisterCounter attaches a caller-owned counter under name (replacing
-// any previous registration), so always-on counters (engine answering
-// statistics) can be exported without double counting.
+// any previous registration), so a counter its owner bumps anyway (the
+// serve cache's) is exported without double counting.
 func (r *Registry) RegisterCounter(name string, c *Counter) {
 	if r == nil || c == nil {
 		return

@@ -37,23 +37,25 @@ func TestCounterConcurrent(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	r := New()
-	g := r.Gauge("depth")
+	var g Gauge
+	r.RegisterGauge("depth", &g)
 	g.Set(7)
 	g.Add(-3)
-	if g.Load() != 4 {
-		t.Fatalf("gauge %d, want 4", g.Load())
+	g.Inc()
+	g.Inc()
+	g.Dec()
+	if g.Load() != 5 {
+		t.Fatalf("gauge %d, want 5", g.Load())
 	}
-	g.Max(10)
-	g.Max(2)
-	if g.Load() != 10 {
-		t.Fatalf("gauge after Max %d, want 10", g.Load())
+	if got := r.Snapshot().Gauges["depth"]; got != 5 {
+		t.Fatalf("registered gauge exported %d, want 5", got)
 	}
 }
 
 func TestNilRegistryIsSink(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Add(5)
-	r.Gauge("y").Set(5)
+	r.RegisterGauge("y", &Gauge{})
 	r.Histogram("z").Observe(time.Second)
 	sp := r.Span("phase")
 	if d := sp.End(); d < 0 {
@@ -116,12 +118,12 @@ func TestRegisterCounterExports(t *testing.T) {
 	r := New()
 	var own Counter
 	own.Add(42)
-	r.RegisterCounter("engine.candidates", &own)
-	if got := r.Snapshot().Counters["engine.candidates"]; got != 42 {
+	r.RegisterCounter("serve.cache.hits", &own)
+	if got := r.Snapshot().Counters["serve.cache.hits"]; got != 42 {
 		t.Fatalf("registered counter exported %d, want 42", got)
 	}
 	own.Add(1)
-	if got := r.Snapshot().Counters["engine.candidates"]; got != 43 {
+	if got := r.Snapshot().Counters["serve.cache.hits"]; got != 43 {
 		t.Fatalf("registered counter is not live: %d", got)
 	}
 }
@@ -129,7 +131,9 @@ func TestRegisterCounterExports(t *testing.T) {
 func TestWriteJSONRoundTrip(t *testing.T) {
 	r := New()
 	r.Counter("a").Add(3)
-	r.Gauge("b").Set(-7)
+	var b Gauge
+	b.Set(-7)
+	r.RegisterGauge("b", &b)
 	r.Histogram("c_ns").ObserveNS(100)
 	var sb strings.Builder
 	if err := r.WriteJSON(&sb); err != nil {

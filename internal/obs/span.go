@@ -25,11 +25,9 @@ import (
 // call sites feed both the aggregate histograms and the per-request span
 // tree, with the untraced case costing one nil check.
 //
-// Spans always measure time — End returns the duration even without a
-// registry — so callers can both trace and fill their own Stats structs
-// from one clock read. A span created from a nil *Registry (or a nil
-// *Span) records nowhere but still times correctly; a nil *Span's End
-// returns 0.
+// Spans always measure time: End returns the duration even without a
+// registry. A span created from a nil *Registry (or a nil *Span) records
+// nowhere but still times correctly; a nil *Span's End returns 0.
 type Span struct {
 	reg   *Registry
 	path  string

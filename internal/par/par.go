@@ -1,6 +1,6 @@
 // Package par provides the bounded worker pool behind the parallel
-// preprocessing pipeline (neighborhood covers, distance indexes, weak
-// reachability scans, engine starter lists).
+// preprocessing pipeline (neighborhood covers, distance indexes, engine
+// starter lists).
 //
 // Design constraints, in order of importance:
 //
@@ -26,9 +26,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // Pool is a bounded worker pool. It is stateless between calls and may be
@@ -36,49 +33,6 @@ import (
 // multiple goroutines.
 type Pool struct {
 	workers int
-	m       *Metrics // nil = uninstrumented (the default fast path)
-}
-
-// Metrics instruments a Pool. All fields come from one obs.Registry; a
-// batch is one ForEach/Map invocation. Utilization is the fraction of the
-// worker-seconds of the last parallel batch actually spent in tasks — the
-// rest is ramp-up/tail idle time — reported in per mille so it fits an
-// integer gauge.
-type Metrics struct {
-	Tasks       *obs.Counter // tasks executed across all batches
-	Batches     *obs.Counter // ForEach/Map invocations
-	QueueDepth  *obs.Gauge   // unclaimed tasks of the batch in flight
-	BusyNS      *obs.Counter // summed per-worker busy time
-	WallNS      *obs.Counter // summed batch wall time
-	Utilization *obs.Gauge   // busy/(wall·workers) of the last batch, ‰
-}
-
-// NewMetrics creates pool instruments named <prefix>.tasks,
-// <prefix>.batches, <prefix>.queue_depth, <prefix>.busy_ns,
-// <prefix>.wall_ns, and <prefix>.utilization_permille in reg. A nil
-// registry yields a Metrics of sinks, which WithMetrics treats as "off".
-func NewMetrics(reg *obs.Registry, prefix string) *Metrics {
-	if reg == nil {
-		return nil
-	}
-	return &Metrics{
-		Tasks:       reg.Counter(prefix + ".tasks"),
-		Batches:     reg.Counter(prefix + ".batches"),
-		QueueDepth:  reg.Gauge(prefix + ".queue_depth"),
-		BusyNS:      reg.Counter(prefix + ".busy_ns"),
-		WallNS:      reg.Counter(prefix + ".wall_ns"),
-		Utilization: reg.Gauge(prefix + ".utilization_permille"),
-	}
-}
-
-// WithMetrics returns a copy of the pool that records into m (nil m
-// returns the pool unchanged). The uninstrumented pool pays a single nil
-// check per batch, not per task.
-func (p *Pool) WithMetrics(m *Metrics) *Pool {
-	if m == nil {
-		return p
-	}
-	return &Pool{workers: p.workers, m: m}
 }
 
 // Resolve normalizes a parallelism knob: values ≤ 0 mean "use all
@@ -134,29 +88,10 @@ func (p *Pool) ForEachWorker(n int, fn func(worker, i int)) {
 	if w > n {
 		w = n
 	}
-	m := p.m
-	if m != nil {
-		m.Batches.Inc()
-		m.Tasks.Add(int64(n))
-	}
 	if w <= 1 {
-		if m == nil {
-			for i := 0; i < n; i++ {
-				fn(0, i)
-			}
-			return
-		}
-		// Inline batch: one worker is busy for the whole wall time.
-		start := time.Now()
 		for i := 0; i < n; i++ {
-			m.QueueDepth.Set(int64(n - i))
 			fn(0, i)
 		}
-		m.QueueDepth.Set(0)
-		busy := time.Since(start).Nanoseconds()
-		m.BusyNS.Add(busy)
-		m.WallNS.Add(busy)
-		m.Utilization.Set(1000)
 		return
 	}
 	var (
@@ -165,17 +100,11 @@ func (p *Pool) ForEachWorker(n int, fn func(worker, i int)) {
 		once    sync.Once
 		wp      *WorkerPanic
 		wg      sync.WaitGroup
-		busyNS  atomic.Int64
 	)
-	batchStart := time.Now()
 	for wk := 0; wk < w; wk++ {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			if m != nil {
-				workerStart := time.Now()
-				defer func() { busyNS.Add(time.Since(workerStart).Nanoseconds()) }()
-			}
 			defer func() {
 				if r := recover(); r != nil {
 					aborted.Store(true)
@@ -189,23 +118,11 @@ func (p *Pool) ForEachWorker(n int, fn func(worker, i int)) {
 				if i >= n {
 					return
 				}
-				if m != nil {
-					m.QueueDepth.Set(int64(n - 1 - i))
-				}
 				fn(wk, i)
 			}
 		}(wk)
 	}
 	wg.Wait()
-	if m != nil {
-		wall := time.Since(batchStart).Nanoseconds()
-		m.QueueDepth.Set(0)
-		m.BusyNS.Add(busyNS.Load())
-		m.WallNS.Add(wall)
-		if denom := wall * int64(w); denom > 0 {
-			m.Utilization.Set(1000 * busyNS.Load() / denom)
-		}
-	}
 	if wp != nil {
 		panic(wp)
 	}

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func TestResolve(t *testing.T) {
@@ -177,66 +175,5 @@ func TestZeroAndTinyN(t *testing.T) {
 	p.ForEach(1, func(i int) { ran = i == 0 })
 	if !ran {
 		t.Fatal("fn not called for n=1")
-	}
-}
-
-// TestPoolMetrics checks the instrumented paths: task/batch counters,
-// busy/wall accounting, and that results are unchanged by instrumentation.
-func TestPoolMetrics(t *testing.T) {
-	reg := obs.New()
-	m := NewMetrics(reg, "pool")
-
-	// Parallel batch.
-	p := NewPool(4).WithMetrics(m)
-	var sum atomic.Int64
-	p.ForEach(100, func(i int) { sum.Add(int64(i)) })
-	if sum.Load() != 100*99/2 {
-		t.Fatalf("instrumented ForEach sum %d", sum.Load())
-	}
-	if got := m.Tasks.Load(); got != 100 {
-		t.Fatalf("tasks %d, want 100", got)
-	}
-	if got := m.Batches.Load(); got != 1 {
-		t.Fatalf("batches %d, want 1", got)
-	}
-	if m.WallNS.Load() <= 0 || m.BusyNS.Load() <= 0 {
-		t.Fatalf("wall %d / busy %d not recorded", m.WallNS.Load(), m.BusyNS.Load())
-	}
-	if m.QueueDepth.Load() != 0 {
-		t.Fatalf("queue depth %d after batch, want 0", m.QueueDepth.Load())
-	}
-	u := m.Utilization.Load()
-	if u < 0 || u > 1000 {
-		t.Fatalf("utilization %d‰ out of range", u)
-	}
-
-	// Inline (sequential) batch accumulates into the same instruments.
-	s := Sequential().WithMetrics(m)
-	s.ForEach(10, func(int) {})
-	if got := m.Tasks.Load(); got != 110 {
-		t.Fatalf("tasks %d, want 110", got)
-	}
-	if got := m.Batches.Load(); got != 2 {
-		t.Fatalf("batches %d, want 2", got)
-	}
-	if got := m.Utilization.Load(); got != 1000 {
-		t.Fatalf("inline utilization %d‰, want 1000", got)
-	}
-
-	// The registry export sees the same numbers.
-	snap := reg.Snapshot()
-	if snap.Counters["pool.tasks"] != 110 {
-		t.Fatalf("registry export %v", snap.Counters)
-	}
-}
-
-// TestWithMetricsNil keeps the uninstrumented pool untouched.
-func TestWithMetricsNil(t *testing.T) {
-	p := NewPool(4)
-	if p.WithMetrics(nil) != p {
-		t.Fatal("WithMetrics(nil) must return the receiver")
-	}
-	if NewMetrics(nil, "x") != nil {
-		t.Fatal("NewMetrics(nil reg) must be nil")
 	}
 }

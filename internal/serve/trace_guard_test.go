@@ -127,9 +127,9 @@ func TestTraceDisabledOverheadGuard(t *testing.T) {
 	enabled := measure(traced)
 	disabled := measure(plain)
 	t.Logf("enumerate page per request: disabled %v, enabled %v", disabled, enabled)
-	// Mirrors TestMetricsOverheadGuard: the disabled path does a strict
-	// subset of the enabled path's work, so beyond scheduler noise it must
-	// not be slower. The absolute term absorbs JSON-encoding jitter.
+	// The disabled path does a strict subset of the enabled path's work,
+	// so beyond scheduler noise it must not be slower. The absolute term
+	// absorbs JSON-encoding jitter.
 	if disabled > enabled*3/2+20*time.Microsecond {
 		t.Fatalf("trace-disabled request (%v) slower than traced (%v) beyond noise — the one-branch disabled path regressed", disabled, enabled)
 	}

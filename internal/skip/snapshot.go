@@ -2,10 +2,8 @@ package skip
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cover"
-	"repro/internal/obs"
 )
 
 // Parts is the flat serialized form of the skip pointers: the Lemma 5.8
@@ -36,26 +34,6 @@ func (p *Pointers) Parts() Parts {
 // L (files written before the build stopped making them) are checked like
 // the others and never read.
 func FromParts(cov *cover.Cover, L []int, parts Parts) (*Pointers, error) {
-	return FromPartsObs(cov, L, parts, nil)
-}
-
-// FromPartsObs is FromParts with restore instrumentation through reg (nil
-// reg records nothing): wall time into the "skip.restore_ns" histogram,
-// restored entry counts into "skip.restore_pointers", and rejected
-// snapshots into "skip.restore_errors".
-func FromPartsObs(cov *cover.Cover, L []int, parts Parts, reg *obs.Registry) (*Pointers, error) {
-	start := time.Now()
-	p, err := fromParts(cov, L, parts)
-	reg.Histogram("skip.restore_ns").Observe(time.Since(start))
-	if err != nil {
-		reg.Counter("skip.restore_errors").Inc()
-		return nil, err
-	}
-	reg.Counter("skip.restore_pointers").Add(int64(p.Size()))
-	return p, nil
-}
-
-func fromParts(cov *cover.Cover, L []int, parts Parts) (*Pointers, error) {
 	k := parts.K
 	if k < 1 || k > MaxSetSize {
 		return nil, fmt.Errorf("skip: snapshot set size %d outside [1, %d]", k, MaxSetSize)

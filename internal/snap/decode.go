@@ -51,20 +51,13 @@ func Read(data []byte) (*Snapshot, error) {
 
 // ReadTraced is Read with decode instrumentation through reg (nil reg is
 // plain Read): a "snap.decode" span with one child per section group
-// (parse, graph, cover and dist or balls, clauses) — enrolled in the request trace
-// when ctx carries one — plus the counters "snap.decode.bytes" and
-// "snap.decode.errors". This is the latency breakdown of the serve disk
-// tier's load path.
+// (parse, graph, cover and dist or balls, clauses), enrolled in the request
+// trace when ctx carries one. This is the latency breakdown of the serve
+// disk tier's load path.
 func ReadTraced(ctx context.Context, data []byte, reg *obs.Registry) (*Snapshot, error) {
 	root := reg.StartSpan(ctx, "snap.decode")
-	s, err := readSections(data, root)
-	root.End()
-	reg.Counter("snap.decode.bytes").Add(int64(len(data)))
-	if err != nil {
-		reg.Counter("snap.decode.errors").Inc()
-		return nil, err
-	}
-	return s, nil
+	defer root.End()
+	return readSections(data, root)
 }
 
 func readSections(data []byte, root *obs.Span) (*Snapshot, error) {

@@ -94,19 +94,13 @@ func Write(out io.Writer, g *graph.Graph, meta Meta, parts core.EngineParts) (in
 }
 
 // WriteTraced is Write with encode instrumentation through reg (nil reg is
-// plain Write): a "snap.encode" span with per-section children — enrolled
-// in the request trace when ctx carries one — plus the counters
-// "snap.encode.bytes" and "snap.encode.errors". This is the latency
-// breakdown of the serve disk tier's write-back path.
+// plain Write): a "snap.encode" span with per-section children, enrolled
+// in the request trace when ctx carries one. This is the latency breakdown
+// of the serve disk tier's write-back path.
 func WriteTraced(ctx context.Context, out io.Writer, g *graph.Graph, meta Meta, parts core.EngineParts, reg *obs.Registry) (int64, error) {
 	root := reg.StartSpan(ctx, "snap.encode")
-	n, err := writeSections(out, g, meta, parts, root)
-	root.End()
-	reg.Counter("snap.encode.bytes").Add(n)
-	if err != nil {
-		reg.Counter("snap.encode.errors").Inc()
-	}
-	return n, err
+	defer root.End()
+	return writeSections(out, g, meta, parts, root)
 }
 
 func writeSections(out io.Writer, g *graph.Graph, meta Meta, parts core.EngineParts, root *obs.Span) (int64, error) {

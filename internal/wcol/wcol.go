@@ -16,18 +16,9 @@ package wcol
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
-	"repro/internal/par"
 )
-
-// Stats reports how a WReachCounts computation ran.
-type Stats struct {
-	Workers int           // parallelism used for the per-source scans
-	Wall    time.Duration // wall time of the scan
-}
 
 // DegeneracyOrder returns a smallest-last ordering: repeatedly remove a
 // minimum-degree vertex; the removal sequence reversed is the order. The
@@ -176,33 +167,6 @@ func Degeneracy(g *graph.Graph) int {
 // to vertices of larger rank up to depth r; every reached vertex a has
 // b ∈ WReach_r[a]. Total cost Σ_b ‖restricted ball‖.
 func WReachCounts(g *graph.Graph, order []graph.V, r int) []int {
-	counts, _ := WReachCountsWorkers(g, order, r, 1)
-	return counts
-}
-
-// wreachScratch holds one worker's restricted-BFS state plus its private
-// counts accumulator; workers never share scratch, and the accumulators
-// are summed afterwards (integer addition commutes, so the totals are
-// independent of how sources were interleaved across workers).
-type wreachScratch struct {
-	counts []int
-	depth  []int32
-	epoch  []int32
-	queue  []graph.V
-}
-
-// WReachCountsWorkers is WReachCounts with the per-source scans sharded
-// across the given number of workers (≤ 0 selects GOMAXPROCS). The result
-// is identical to the sequential computation for any worker count.
-func WReachCountsWorkers(g *graph.Graph, order []graph.V, r, workers int) ([]int, Stats) {
-	return WReachCountsObs(g, order, r, workers, nil)
-}
-
-// WReachCountsObs is WReachCountsWorkers with scan metrics recorded into
-// reg (histogram wcol.wreach_ns, counter wcol.sources, gauge
-// wcol.workers); a nil registry records nothing.
-func WReachCountsObs(g *graph.Graph, order []graph.V, r, workers int, reg *obs.Registry) ([]int, Stats) {
-	start := time.Now()
 	n := g.N()
 	if len(order) != n {
 		panic(fmt.Sprintf("wcol: order has %d entries for %d vertices", len(order), n))
@@ -211,63 +175,37 @@ func WReachCountsObs(g *graph.Graph, order []graph.V, r, workers int, reg *obs.R
 	for i, v := range order {
 		rank[v] = i
 	}
-	pool := par.NewPool(par.Resolve(workers))
-	nw := pool.Workers()
-	if nw > 1 && n < 256 {
-		// Too little work to amortize per-worker scratch allocation.
-		pool, nw = par.Sequential(), 1
+	counts := make([]int, n)
+	depth := make([]int32, n)
+	epoch := make([]int32, n)
+	for i := range epoch {
+		epoch[i] = -1
 	}
-	scratch := make([]*wreachScratch, nw)
-	for w := range scratch {
-		sc := &wreachScratch{
-			counts: make([]int, n),
-			depth:  make([]int32, n),
-			epoch:  make([]int32, n),
-		}
-		for i := range sc.epoch {
-			sc.epoch[i] = -1
-		}
-		scratch[w] = sc
-	}
-	pool.ForEachWorker(n, func(wk, i int) {
-		sc := scratch[wk]
-		b := order[i]
+	var queue []graph.V
+	for i, b := range order {
 		// BFS from b through vertices of rank > rank[b].
-		sc.queue = sc.queue[:0]
-		sc.queue = append(sc.queue, b)
-		sc.epoch[b] = int32(i)
-		sc.depth[b] = 0
-		for head := 0; head < len(sc.queue); head++ {
-			v := sc.queue[head]
-			if int(sc.depth[v]) >= r {
+		queue = append(queue[:0], b)
+		epoch[b] = int32(i)
+		depth[b] = 0
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			if int(depth[v]) >= r {
 				continue
 			}
 			for _, w := range g.Neighbors(v) {
-				if sc.epoch[w] == int32(i) || rank[w] <= i {
+				if epoch[w] == int32(i) || rank[w] <= i {
 					continue
 				}
-				sc.epoch[w] = int32(i)
-				sc.depth[w] = sc.depth[v] + 1
-				sc.queue = append(sc.queue, int(w))
+				epoch[w] = int32(i)
+				depth[w] = depth[v] + 1
+				queue = append(queue, int(w))
 			}
 		}
-		for _, v := range sc.queue[1:] {
-			sc.counts[v]++
-		}
-	})
-	counts := scratch[0].counts
-	for w := 1; w < nw; w++ {
-		for v, c := range scratch[w].counts {
-			counts[v] += c
+		for _, v := range queue[1:] {
+			counts[v]++
 		}
 	}
-	st := Stats{Workers: nw, Wall: time.Since(start)}
-	if reg != nil {
-		reg.Histogram("wcol.wreach_ns").Observe(st.Wall)
-		reg.Counter("wcol.sources").Add(int64(n))
-		reg.Gauge("wcol.workers").Set(int64(nw))
-	}
-	return counts, st
+	return counts
 }
 
 // WCol returns wcol_r(G, order) = max_a |WReach_r[a] \ {a}|.

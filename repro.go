@@ -211,7 +211,7 @@ type Index struct {
 // and gauges, log-bucket latency histograms with p50/p90/p99/max
 // extraction, and phase-tracing spans, exportable as a JSON snapshot
 // (WriteJSON/Snapshot) and via expvar (Publish). Pass one to
-// WithMetrics to instrument an index, or ServeDebug to expose it
+// WithMetrics to time an index's build phases, or ServeDebug to expose it
 // over HTTP together with net/http/pprof.
 type Metrics = obs.Registry
 
@@ -233,13 +233,11 @@ type IndexOptions struct {
 	// resulting index is identical for every setting — parallelism only
 	// changes build wall time.
 	Parallelism int
-	// Metrics, when non-nil, instruments the index: preprocessing phases
-	// are traced as spans (span.preprocess.* histograms), the engine's
-	// answering counters are exported live (engine.candidates, …), and
-	// NextGeq/Test latency plus the Corollary 2.5 per-answer enumeration
-	// delay are recorded as histograms (engine.next_geq_ns,
-	// engine.test_ns, engine.delay_ns). Nil (the default) keeps the
-	// answering hot path free of timing work.
+	// Metrics, when non-nil, receives the phase spans of the index's
+	// builds, restores and writes (span.preprocess.*, span.restore.*,
+	// span.mutate.* histograms and counts). Answering never touches it:
+	// what one index is made of and the work it does per answer are in
+	// its own Stats and Explain.
 	Metrics *Metrics
 	// Engine selects the enumeration engine: EngineCore (also the ""
 	// default), EngineLowDeg, or EngineAuto, which routes on the graph's

@@ -39,13 +39,12 @@
 #            engine over both localities and the naive oracle through the
 #            shared conformance checks on random bounded-degree graphs
 #            for another 30s
-#   tier 3 — the timing-ratio guards, every one a test named Test…Guard
+#   tier 3 — the six timing-ratio guards, every one a test named Test…Guard
 #            behind the one GUARD=1 gate, run with -count=1 so a regression
 #            cannot hide behind the test cache and one package at a time so
-#            they do not time each other: NextGeq with metrics
-#            disabled is not slower than with metrics enabled
-#            (TestMetricsOverheadGuard), nor a page from a server without a
-#            tracer than from one with (TestTraceDisabledOverheadGuard); a
+#            they do not time each other: a page from a server without a
+#            tracer is not slower than from one with
+#            (TestTraceDisabledOverheadGuard); a
 #            cold /v1/enumerate page deep in the stream stays within a
 #            constant factor of a first page (TestColdResumeGuard); loading
 #            the grid-2000 index from a snapshot is ≥3× faster than
@@ -104,7 +103,7 @@ if [[ "$tier" == "2" || "$tier" == "all" ]]; then
 fi
 
 if [[ "$tier" == "3" || "$tier" == "all" ]]; then
-    echo "== tier 3: timing-ratio guards (GUARD=1) =="
+    echo "== tier 3: six timing-ratio guards (GUARD=1) =="
     GUARD=1 go test -count=1 -p 1 -run 'Guard$' ./...
 fi
 
