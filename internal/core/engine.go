@@ -100,33 +100,23 @@ type Engine struct {
 	obsReg  *obs.Registry // where ApplyEdits opens its spans; nil when built without Options.Obs
 }
 
-// scratchPool hands out per-goroutine query-time scratch: BFS state,
-// evaluators and environments for the guarded local evaluations. An engine
-// shares it with every version ApplyEdits derives from it — the versions of
-// a graph have one vertex set, so scratch sized for one serves any of them
-// once it is bound to the caller's graph, which bfs and evaluator do. A write
-// then allocates no scratch of its own; and no version outlives its last
-// reader, as it would with pools of its own: a sync.Pool that has been used
-// stays reachable from the runtime for two more collections, and with it
-// whatever it is a field of (at 500 writes a second that was 40 MB of dead
-// versions).
-type scratchPool struct{ bfsPool, evPool, envPool sync.Pool }
+// scratchPool hands out per-goroutine query-time scratch: evaluators and
+// environments for the guarded local evaluations (BFS state is borrowed from
+// package graph's pool). An engine shares it with every version ApplyEdits
+// derives from it — the versions of a graph have one vertex set, so scratch
+// sized for one serves any of them once it is bound to the caller's graph,
+// which evaluator does. A write then allocates no scratch of its own; and no
+// version outlives its last reader, as it would with pools of its own: a
+// sync.Pool that has been used stays reachable from the runtime for two more
+// collections, and with it whatever it is a field of (at 500 writes a second
+// that was 40 MB of dead versions).
+type scratchPool struct{ evPool, envPool sync.Pool }
 
 func newScratchPool() *scratchPool {
 	sp := &scratchPool{}
 	sp.envPool.New = func() any { return fo.Env{} }
 	return sp
 }
-
-func (sp *scratchPool) bfs(g *graph.Graph) *graph.BFS {
-	if b, ok := sp.bfsPool.Get().(*graph.BFS); ok {
-		b.Rebind(g)
-		return b
-	}
-	return graph.NewBFS(g)
-}
-
-func (sp *scratchPool) put(b *graph.BFS) { sp.bfsPool.Put(b) }
 
 // evaluator returns an evaluator on e's graph with distance atoms served by
 // e's locality.
@@ -468,13 +458,13 @@ func (e *Engine) localEval(c *compRT, vals []graph.V) bool {
 // EvalReference.
 func (e *Engine) evalLocal(c *compRT, vals []graph.V) bool {
 	e.ctr.localEvals.Add(1)
-	bfs := e.scratch.bfs(e.g)
+	bfs := graph.BorrowBFS(e.g)
 	ball := bfs.BallMulti(vals, e.rho)
 	domain := make([]graph.V, len(ball))
 	for i, w := range ball {
 		domain[i] = int(w)
 	}
-	e.scratch.put(bfs)
+	bfs.Release()
 	if !e.q.Guarded {
 		// Hand-built (uncertified) queries only: the pinned 0-alloc delay
 		// guards all run compiler-certified queries, and the memo makes

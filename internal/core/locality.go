@@ -113,9 +113,8 @@ type coverLoc struct {
 	r, compR  int // R and R(k−1)
 	dix       *dist.Index
 	cov       *cover.Cover
-	scratch   *scratchPool // the engine's
-	compBalls sync.Map     // graph.V -> []int32, radius compR
-	rBalls    sync.Map     // graph.V -> []int32, radius r (unused when compR == r)
+	compBalls sync.Map // graph.V -> []int32, radius compR
+	rBalls    sync.Map // graph.V -> []int32, radius r (unused when compR == r)
 }
 
 // compRadius is R(k−1), the reach of a component from its first element
@@ -163,7 +162,7 @@ func buildCoverLoc(e *Engine, pool *par.Pool, root *obs.Span, checkpoint func() 
 
 // newCoverLoc returns e's cover locality with dix and cov still to be set.
 func (e *Engine) newCoverLoc() *coverLoc {
-	return &coverLoc{g: e.g, k: e.k, r: e.r, compR: compRadius(e.q), scratch: e.scratch}
+	return &coverLoc{g: e.g, k: e.k, r: e.r, compR: compRadius(e.q)}
 }
 
 func (e *Engine) coverStats(cov *cover.Cover) {
@@ -191,9 +190,9 @@ func (l *coverLoc) ball(cache *sync.Map, a graph.V, radius int) []int32 {
 	if b, ok := cache.Load(a); ok {
 		return b.([]int32)
 	}
-	bfs := l.scratch.bfs(l.g)
+	bfs := graph.BorrowBFS(l.g)
 	out := slices.Clone(bfs.Ball(a, radius))
-	l.scratch.put(bfs)
+	bfs.Release()
 	slices.Sort(out)
 	cache.Store(a, out)
 	return out
@@ -481,14 +480,14 @@ func (l *coverLoc) farFromAll(v graph.V, prefix []graph.V) bool {
 	return true
 }
 
-// ballLoc is the bounded-degree locality: two CSR arrays of sorted balls.
+// ballLoc is the bounded-degree locality: two row stores of sorted balls.
 // Rows are plain vertex ids with no distance attached (dist's small-graph
 // table is the same layout plus a byte per cell, which this does not need:
 // the only radius ever asked is the one the row was built for).
 type ballLoc struct {
-	r, compR   int
-	rOff, rAdj []int32 // row v lists N_R(v) ascending, v included
-	cOff, cAdj []int32 // row v lists N_{R(k−1)}(v); aliases the R rows when the radii coincide
+	r, compR int
+	rows     graph.Rows[int32] // row v lists N_R(v) ascending, v included
+	comp     graph.Rows[int32] // row v lists N_{R(k−1)}(v); the R rows themselves when the radii coincide
 }
 
 func buildBallLoc(e *Engine, pool *par.Pool, root *obs.Span, checkpoint func() error) (locality, error) {
@@ -497,32 +496,34 @@ func buildBallLoc(e *Engine, pool *par.Pool, root *obs.Span, checkpoint func() e
 	for v := range all {
 		all[v] = v
 	}
-	none := make([]int32, e.g.N()+1)
-	empty := &ballLoc{r: e.r, compR: compRadius(e.q), rOff: none, cOff: none}
-	l := empty.respliced(e, pool, func(int) []graph.V { return all })
+	// flat lays the rows of a radius out as one CSR pair, which the store
+	// views: a built locality is two plain arrays, like a restored one.
+	flat := func(radius int) graph.Rows[int32] {
+		rows := ballRows(e, radius, all, pool)
+		off := make([]int32, len(rows)+1)
+		for v, row := range rows {
+			off[v+1] = off[v] + int32(len(row))
+		}
+		adj := make([]int32, 0, off[len(rows)])
+		for _, row := range rows {
+			adj = append(adj, row...)
+		}
+		return graph.FromFlat(off, adj)
+	}
+	l := &ballLoc{r: e.r, compR: compRadius(e.q)}
+	l.rows = flat(l.r)
+	l.comp = l.rows
+	if l.compR != l.r {
+		l.comp = flat(l.compR)
+	}
 	sp.End()
 	e.ballStats(l)
 	return l, checkpoint()
 }
 
-// respliced returns the locality of e's graph that has l's rows except at
-// the vertices dirty lists (ascending) for a row radius, whose balls it
-// computes. The build is the case where l is empty and every row dirty.
-func (l *ballLoc) respliced(e *Engine, pool *par.Pool, dirty func(radius int) []graph.V) *ballLoc {
-	l2 := &ballLoc{r: l.r, compR: l.compR}
-	vs := dirty(l.r)
-	l2.rOff, l2.rAdj = spliceBalls(l.rOff, l.rAdj, vs, ballRows(e, l.r, vs, pool))
-	l2.cOff, l2.cAdj = l2.rOff, l2.rAdj
-	if l.compR != l.r {
-		vs = dirty(l.compR)
-		l2.cOff, l2.cAdj = spliceBalls(l.cOff, l.cAdj, vs, ballRows(e, l.compR, vs, pool))
-	}
-	return l2
-}
-
 func (e *Engine) ballStats(l *ballLoc) {
 	e.stats.MaxDegree = e.g.MaxDegree()
-	e.stats.BallEntries, e.stats.CompEntries = len(l.rAdj), len(l.cAdj)
+	e.stats.BallEntries, e.stats.CompEntries = l.rows.Cells(), l.comp.Cells()
 }
 
 // ballRows returns the sorted radius-r ball of each vertex of vs in e's
@@ -533,57 +534,36 @@ func ballRows(e *Engine, r int, vs []graph.V, pool *par.Pool) [][]int32 {
 	scratch := make([]*graph.BFS, pool.Workers())
 	pool.ForEachWorker(len(vs), func(wk, i int) {
 		if scratch[wk] == nil {
-			scratch[wk] = e.scratch.bfs(e.g)
+			scratch[wk] = graph.BorrowBFS(e.g)
 		}
 		rows[i] = slices.Clone(scratch[wk].Ball(vs[i], r))
 		slices.Sort(rows[i])
 	})
 	for _, bfs := range scratch {
 		if bfs != nil {
-			e.scratch.put(bfs)
+			bfs.Release()
 		}
 	}
 	return rows
 }
 
-// spliceBalls returns the flat CSR array whose row vs[i] is rows[i] and
-// whose other rows are those of (off, adj); vs ascends. The result shares
-// nothing with its input: a patched locality reads two plain arrays, like
-// a built one.
-func spliceBalls(off, adj []int32, vs []graph.V, rows [][]int32) (off2, adj2 []int32) {
-	total := len(adj)
-	for i, v := range vs {
-		total += len(rows[i]) - int(off[v+1]-off[v])
-	}
-	off2, adj2 = make([]int32, len(off)), make([]int32, total)
-	// keep moves the rows [from, to) over, displaced by what the rows
-	// replaced before them gained.
-	from, shift := 0, int32(0)
-	keep := func(to int) {
-		copy(adj2[off[from]+shift:], adj[off[from]:off[to]])
-		for u := from; u <= to; u++ {
-			off2[u] = off[u] + shift
-		}
-	}
-	for i, v := range vs {
-		keep(v)
-		copy(adj2[off2[v]:], rows[i])
-		shift += int32(len(rows[i])) - (off[v+1] - off[v])
-		from = v + 1
-	}
-	keep(len(off) - 1)
-	return off2, adj2
-}
-
 // patch recomputes the rows an edge change can alter — those of the
 // vertices within the row's radius of an endpoint, in the old or the new
-// graph — and splices them into fresh arrays. It never refuses: with every
-// row dirty it is the build.
+// graph — and patches them into the stores, which share every other block
+// with l's. It never refuses.
 func (l *ballLoc) patch(old, e2 *Engine, edgeSrcs []graph.V, pool *par.Pool, trace *obs.Span) (locality, starterPatch, bool) {
 	l2 := l
 	if len(edgeSrcs) > 0 {
 		sp := trace.Child("balls")
-		l2 = l.respliced(e2, pool, func(radius int) []graph.V { return reachEither(old, e2, edgeSrcs, radius) })
+		repatched := func(rows *graph.Rows[int32], radius int) graph.Rows[int32] {
+			vs := graph.ReachEither(old.g, e2.g, edgeSrcs, radius)
+			return rows.Patch(vs, ballRows(e2, radius, vs, pool))
+		}
+		l2 = &ballLoc{r: l.r, compR: l.compR, rows: repatched(&l.rows, l.r)}
+		l2.comp = l2.rows
+		if l.compR != l.r {
+			l2.comp = repatched(&l.comp, l.compR)
+		}
 		sp.End()
 	}
 	e2.ballStats(l2)
@@ -591,9 +571,10 @@ func (l *ballLoc) patch(old, e2 *Engine, edgeSrcs []graph.V, pool *par.Pool, tra
 }
 
 func (l *ballLoc) parts(_ *Engine, p *EngineParts) {
-	p.Balls = BallParts{R: l.r, CompR: l.compR, ROff: l.rOff, RAdj: l.rAdj}
+	p.Balls = BallParts{R: l.r, CompR: l.compR}
+	p.Balls.ROff, p.Balls.RAdj = l.rows.Flat()
 	if l.compR != l.r {
-		p.Balls.COff, p.Balls.CAdj = l.cOff, l.cAdj
+		p.Balls.COff, p.Balls.CAdj = l.comp.Flat()
 	}
 }
 
@@ -603,18 +584,20 @@ func (l *ballLoc) parts(_ *Engine, p *EngineParts) {
 func restoreBallLoc(e *Engine, p *EngineParts, root *obs.Span) (locality, error) {
 	defer root.Child("balls").End()
 	b := &p.Balls
-	l := &ballLoc{r: e.r, compR: compRadius(e.q), rOff: b.ROff, rAdj: b.RAdj, cOff: b.ROff, cAdj: b.RAdj}
+	l := &ballLoc{r: e.r, compR: compRadius(e.q)}
 	if b.R != l.r || b.CompR != l.compR {
 		return nil, fmt.Errorf("core: snapshot balls have radii %d and %d, query needs %d and %d", b.R, b.CompR, l.r, l.compR)
 	}
 	if err := checkBallCSR(e.g.N(), b.ROff, b.RAdj); err != nil {
 		return nil, fmt.Errorf("core: snapshot radius-%d balls: %w", b.R, err)
 	}
+	l.rows = graph.FromFlat(b.ROff, b.RAdj)
+	l.comp = l.rows
 	if l.compR != l.r {
-		l.cOff, l.cAdj = b.COff, b.CAdj
 		if err := checkBallCSR(e.g.N(), b.COff, b.CAdj); err != nil {
 			return nil, fmt.Errorf("core: snapshot radius-%d balls: %w", b.CompR, err)
 		}
+		l.comp = graph.FromFlat(b.COff, b.CAdj)
 	} else if len(b.COff)+len(b.CAdj) > 0 {
 		return nil, fmt.Errorf("core: snapshot carries completion balls beside equal radius-%d balls", b.R)
 	}
@@ -655,7 +638,7 @@ func (l *ballLoc) within(a, b graph.V) bool {
 	if a == b {
 		return true
 	}
-	row := l.rAdj[l.rOff[a]:l.rOff[a+1]]
+	row := l.rows.Row(a)
 	i := searchInt32(row, int32(b))
 	return i < len(row) && row[i] == int32(b)
 }
@@ -686,9 +669,9 @@ scan:
 }
 
 //fod:hotpath
-func (l *ballLoc) compBall(anchor graph.V) []int32 { return l.cAdj[l.cOff[anchor]:l.cOff[anchor+1]] }
+func (l *ballLoc) compBall(anchor graph.V) []int32 { return l.comp.Row(anchor) }
 
-func (l *ballLoc) rBall(a graph.V) []int32 { return l.rAdj[l.rOff[a]:l.rOff[a+1]] }
+func (l *ballLoc) rBall(a graph.V) []int32 { return l.rows.Row(a) }
 
 // indexStarter has nothing to derive: nextOpening scans the list itself.
 func (l *ballLoc) indexStarter(_ *compRT, saved *CompParts, _ *par.Pool, _ *obs.Span) error {
@@ -702,7 +685,7 @@ func (l *ballLoc) distTester() fo.DistTester { return nil }
 
 func (l *ballLoc) explain(sb *strings.Builder) {
 	fmt.Fprintf(sb, "  balls: radius %d (%d entries), completion radius %d (%d entries)\n",
-		l.r, len(l.rAdj), l.compR, len(l.cAdj))
+		l.r, l.rows.Cells(), l.compR, l.comp.Cells())
 }
 
 // searchInt32 returns the smallest index i with row[i] >= x (lower-bound

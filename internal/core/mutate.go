@@ -6,15 +6,16 @@
 // a bounded radius of its endpoints. ApplyEdits realizes that layer by
 // layer, the same way over either locality:
 //
-//   - graph: CSR rows of the endpoints are respliced (graph.Patch).
+//   - graph: adjacency rows of the endpoints are rewritten (graph.Patch).
 //   - locality (locality.patch). Cover: ball rows of the distance index
 //     within distR of an endpoint (dist.Patch), then containment repairs
 //     and exact kernel recomputation for bags within reach of an endpoint
 //     (cover.Patch), which shares every untouched slice with the old cover
 //     and rewrites the memberOf/kernelOf inverted lists only at the
 //     vertices of a new or re-kerneled bag. Balls: the sorted R- and
-//     R(k−1)-rows of the vertices within that radius of an endpoint,
-//     spliced into fresh flat arrays.
+//     R(k−1)-rows of the vertices within that radius of an endpoint.
+//     All of these rows live in graph.Rows stores: a patch rebuilds the
+//     64-row blocks holding a rewritten row and shares the others.
 //   - starters: inStart[v] depends only on structure within starterReach
 //     of v — local evaluation sees the ρ-ball and its distance atoms look a
 //     constant further; a multi-position component first searches the
@@ -107,7 +108,7 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 	// Starter-affected region: around every effectively edited vertex, in
 	// the old and the new graph.
 	touched := append(slices.Clone(edgeSrcs), colorChanged...)
-	affected := reachEither(e, e2, touched, e.starterReach())
+	affected := graph.ReachEither(e.g, gNew, touched, e.starterReach())
 	e2.stats.MutAffected = len(affected)
 
 	for _, rt := range e.clauses {
@@ -150,28 +151,10 @@ func (e *Engine) starterReach() int {
 	return reach
 }
 
-// reachEither lists, ascending, the vertices within radius of srcs in e's graph
-// or in e2's: where a change at srcs can show at that range.
-func reachEither(e, e2 *Engine, srcs []graph.V, radius int) []graph.V {
-	in := make([]bool, e2.g.N())
-	var out []graph.V
-	for _, en := range []*Engine{e, e2} {
-		bfs := en.scratch.bfs(en.g)
-		for _, w := range bfs.BallMulti(srcs, radius) {
-			if !in[w] {
-				in[w] = true
-				out = append(out, int(w))
-			}
-		}
-		en.scratch.put(bfs)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // retest derives the successor of component c in the mutated engine e2:
 // its starter bitmap copied and re-tested on the affected vertices only.
-// starterDiff lists, ascending, where the two bitmaps differ.
+// starterDiff lists, ascending, where the two bitmaps differ; the starter
+// list is c's with those vertices merged in or left out.
 func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *compRT, starterDiff []graph.V) {
 	c2 = &compRT{
 		positions: c.positions,
@@ -181,8 +164,8 @@ func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *com
 		last:      c.last,
 	}
 	// Re-test the affected vertices; the bitmap and the list are copied only
-	// if one of them changed side (starterReady stays false until
-	// finishStarter, so nothing answers from a half-updated bitmap).
+	// if one of them changed side (starterReady stays false until both are
+	// whole, so nothing answers from a half-updated bitmap).
 	now := make([]bool, len(affected))
 	pool.ForEach(len(affected), func(i int) { now[i] = e2.opens(c2, affected[i]) })
 	for i, v := range affected {
@@ -199,7 +182,19 @@ func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *com
 		c2.inStart[v] = now[i]
 	}
 	c2.starter = make([]graph.V, 0, len(c.starter)+len(starterDiff))
-	c2.finishStarter()
+	from := 0
+	for _, v := range starterDiff {
+		at := lowerBound(c.starter, v, from)
+		c2.starter = append(c2.starter, c.starter[from:at]...)
+		from = at
+		if c2.inStart[v] {
+			c2.starter = append(c2.starter, v)
+		} else {
+			from++ // v leaves: it is c.starter[at]
+		}
+	}
+	c2.starter = append(c2.starter, c.starter[from:]...)
+	c2.starterReady = c.starterReady
 	return c2, starterDiff
 }
 

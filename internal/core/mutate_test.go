@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -151,10 +153,13 @@ func TestMutateDifferential(t *testing.T) {
 	}
 }
 
-// TestMutateSnapshotIsolation: the old engine keeps answering with its old
-// results after (and while) a mutation derives the next version — readers
-// on the old version, one writer chaining new ones, over either locality.
-// verify.sh tier 2 runs it under -race.
+// TestMutateSnapshotIsolation: every engine keeps answering with its own
+// results after (and while) mutations derive the next versions — readers on
+// the first version and on a window of the four newest, one writer chaining
+// new ones, over either locality. The versions of the window share most
+// blocks of their row stores (graph, distance table or ball rows, inverted
+// lists) with each other and with the first. verify.sh tier 2 runs it under
+// -race.
 func TestMutateSnapshotIsolation(t *testing.T) {
 	for _, loc := range bothLocalities {
 		t.Run(loc.name, func(t *testing.T) {
@@ -170,7 +175,14 @@ func TestMutateSnapshotIsolation(t *testing.T) {
 			before := materialize(eng)
 			rng := rand.New(rand.NewSource(3))
 
-			// Readers hammer the old engine while writers chain mutations off it.
+			var window [4]atomic.Pointer[core.Engine]
+			var answers [len(window)][][]graph.V // of the window's engines, as first read
+			for i := range window {
+				window[i].Store(eng)
+				answers[i] = before
+			}
+			// Readers hammer the first engine and the window while the writer
+			// chains mutations off the head.
 			var wg sync.WaitGroup
 			stop := make(chan struct{})
 			for w := 0; w < 4; w++ {
@@ -187,23 +199,157 @@ func TestMutateSnapshotIsolation(t *testing.T) {
 						a := []graph.V{r.Intn(g.N()), r.Intn(g.N())}
 						eng.Test(a)
 						eng.NextGeq(a)
+						old := window[r.Intn(len(window))].Load()
+						old.Test(a)
+						old.NextGeq(a)
 					}
 				}(int64(w))
 			}
 			cur := eng
-			for i := 0; i < 3; i++ {
+			for i := 0; i < 2*len(window); i++ {
 				edits := randomEditBatch(rng, cur.Graph(), 3)
 				next, err := cur.ApplyEdits(nil, edits)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cur = next
+				answers[i%len(window)] = materialize(cur)
+				window[i%len(window)].Store(cur)
 			}
 			close(stop)
 			wg.Wait()
-			after := materialize(eng)
-			if !reflect.DeepEqual(before, after) {
+			if !reflect.DeepEqual(before, materialize(eng)) {
 				t.Fatal("old engine's enumeration changed after mutations")
+			}
+			for i := range window {
+				if !reflect.DeepEqual(answers[i], materialize(window[i].Load())) {
+					t.Fatalf("a retained version's enumeration changed under later mutations (slot %d)", i)
+				}
+			}
+		})
+	}
+}
+
+// localWrite draws a write that recolours one vertex and toggles one edge of
+// base, the graph as generated, in head: rows grow and shrink, and the graph
+// stays one a cover patches however long the chain.
+func localWrite(rng *rand.Rand, base, head *graph.Graph) []graph.Edit {
+	v, u := rng.Intn(base.N()), rng.Intn(base.N())
+	w := int(base.Neighbors(u)[rng.Intn(base.Degree(u))])
+	edits := []graph.Edit{{Op: graph.AddColor, U: v}, {Op: graph.AddEdge, U: u, V: w}}
+	if head.HasColor(v, 0) {
+		edits[0].Op = graph.RemoveColor
+	}
+	if head.HasEdge(u, w) {
+		edits[1].Op = graph.RemoveEdge
+	}
+	return edits
+}
+
+// TestMutateReceiverAfter200Successors is the MVCC contract of DESIGN.md
+// §3.3 over a long chain: the first engine, whose row stores view the flat
+// arrays of its build, and the hundredth, all patched blocks, enumerate
+// byte-identically once 200 successors have been derived — every one of
+// which shares blocks with them.
+func TestMutateReceiverAfter200Successors(t *testing.T) {
+	for _, loc := range bothLocalities {
+		t.Run(loc.name, func(t *testing.T) {
+			g := gen.Generate(gen.Grid, 225, gen.Options{Seed: 4, Colors: 2})
+			lq, err := core.Compile(fo.MustParse("dist(x,y) > 2 & C0(y)"), []fo.Var{"x", "y"}, core.CompileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := loc.preprocess(g, lq, core.Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			firstAnswers := materialize(first)
+			var mid *core.Engine
+			var midAnswers [][]graph.V
+			rng := rand.New(rand.NewSource(7))
+			cur := first
+			for i := 0; i < 200; i++ {
+				if cur, err = cur.ApplyEdits(nil, localWrite(rng, g, cur.Graph())); err != nil {
+					t.Fatal(err)
+				}
+				if i == 99 {
+					mid, midAnswers = cur, materialize(cur)
+				}
+			}
+			if !reflect.DeepEqual(materialize(first), firstAnswers) {
+				t.Error("the first engine answers differently after 200 successors")
+			}
+			if !reflect.DeepEqual(materialize(mid), midAnswers) {
+				t.Error("version 100 answers differently after 100 successors")
+			}
+			rebuilt, err := loc.preprocess(cur.Graph(), lq, core.Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(materialize(cur), materialize(rebuilt)) {
+				t.Error("version 200 answers differently from a rebuild")
+			}
+		})
+	}
+}
+
+// TestMutateCarriedCounts: the counts Stats and Explain report off the row
+// stores — edges and maximum degree of the graph, ball and completion
+// entries, cells and work of the distance table — are carried from version
+// to version by the patches, never recounted. After 50 chained writes they
+// are what a fresh build reports on the same graph rebuilt from its parts.
+func TestMutateCarriedCounts(t *testing.T) {
+	for _, loc := range bothLocalities {
+		t.Run(loc.name, func(t *testing.T) {
+			g := gen.Generate(gen.Grid, 900, gen.Options{Seed: 5, Colors: 2})
+			lq, err := core.Compile(fo.MustParse("dist(x,y) > 2 & C0(y)"), []fo.Var{"x", "y"}, core.CompileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur, err := loc.preprocess(g, lq, core.Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(6))
+			for i := 0; i < 50; i++ {
+				if cur, err = cur.ApplyEdits(nil, localWrite(rng, g, cur.Graph())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r := cur.Stats().MutRebuilds; r != 0 {
+				t.Fatalf("%d of 50 writes were rebuilds: the chain must be patches", r)
+			}
+			rebuilt, err := graph.FromParts(cur.Graph().Parts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := loc.preprocess(rebuilt, lq, core.Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := cur.Stats(), fresh.Stats()
+			if got.MaxDegree != want.MaxDegree || got.BallEntries != want.BallEntries || got.CompEntries != want.CompEntries ||
+				!reflect.DeepEqual(got.StarterSizes, want.StarterSizes) {
+				t.Errorf("patched chain reports %+v, a fresh build %+v", got, want)
+			}
+			// The graph line and the locality's table line of Explain; the
+			// cover line is left out, a patched cover being valid without
+			// being the one a build would choose.
+			counted := func(e *core.Engine) (lines []string) {
+				for _, line := range strings.Split(e.Explain(), "\n") {
+					for _, prefix := range []string{"index over", "  balls:", "  distance index:"} {
+						if strings.HasPrefix(line, prefix) {
+							lines = append(lines, line)
+						}
+					}
+				}
+				return lines
+			}
+			if got, want := counted(cur), counted(fresh); len(got) != 2 || !reflect.DeepEqual(got, want) {
+				t.Errorf("patched chain explains itself as %q, a fresh build as %q", got, want)
+			}
+			if cur.Graph().MaxDegree() != rebuilt.MaxDegree() {
+				t.Errorf("carried maximum degree %d, counted %d", cur.Graph().MaxDegree(), rebuilt.MaxDegree())
 			}
 		})
 	}

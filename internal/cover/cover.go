@@ -35,7 +35,9 @@ package cover
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -63,14 +65,15 @@ type Cover struct {
 	// R is the cover radius r; S = 2R bounds the bag radius.
 	R, S int
 
-	bags     [][]graph.V // sorted vertex lists
-	centers  []graph.V   // c_X with X ⊆ N_S(c_X)
-	assign   []int32     // 𝒳(a): index of the canonical bag covering N_R(a)
-	memberOf [][]int32   // sorted bag indices containing each vertex
+	bags     [][]graph.V       // sorted vertex lists
+	centers  []graph.V         // c_X with X ⊆ N_S(c_X)
+	assign   []int32           // 𝒳(a): index of the canonical bag covering N_R(a)
+	memberOf graph.Rows[int32] // sorted bag indices containing each vertex
+	degree   int               // δ(𝒳): the longest memberOf row
 
-	kernelP  int         // radius of the computed kernels (-1 = none)
-	kernels  [][]graph.V // p-kernel per bag, sorted
-	kernelOf [][]int32   // sorted bag indices whose kernel contains v
+	kernelP  int               // radius of the computed kernels (-1 = none)
+	kernels  [][]graph.V       // p-kernel per bag, sorted
+	kernelOf graph.Rows[int32] // sorted bag indices whose kernel contains v
 
 	pool  *par.Pool
 	stats Stats
@@ -303,15 +306,14 @@ func (c *Cover) computeSpeculative() {
 	}
 }
 
+// buildMembership inverts the bag lists into memberOf and measures the
+// cover degree on it.
 func (c *Cover) buildMembership() {
-	c.memberOf = make([][]int32, c.g.N())
-	for i, bag := range c.bags {
-		for _, v := range bag {
-			c.memberOf[v] = append(c.memberOf[v], int32(i))
-		}
+	c.memberOf = invertLists(c.bags, c.g.N())
+	c.degree = 0
+	for v := 0; v < c.g.N(); v++ {
+		c.degree = max(c.degree, c.memberOf.Len(v))
 	}
-	// Bags are created in increasing center order and each bag list is
-	// appended once, so memberOf lists are already sorted.
 }
 
 // Stats returns construction statistics.
@@ -332,15 +334,7 @@ func (c *Cover) Center(i int) graph.V { return c.centers[i] }
 func (c *Cover) Assign(a graph.V) int { return int(c.assign[a]) }
 
 // Degree returns δ(𝒳) = max_a |{X : a ∈ X}|.
-func (c *Cover) Degree() int {
-	d := 0
-	for _, bs := range c.memberOf {
-		if len(bs) > d {
-			d = len(bs)
-		}
-	}
-	return d
-}
+func (c *Cover) Degree() int { return c.degree }
 
 // SumBagSizes returns Σ_X |X| (≤ δ(𝒳)·|V|).
 func (c *Cover) SumBagSizes() int {
@@ -364,20 +358,20 @@ func (c *Cover) ComputeKernels(p int) {
 	}
 	c.kernelP = p
 	c.kernels = make([][]graph.V, len(c.bags))
-	c.kernelOf = make([][]int32, c.g.N())
 
 	scratches := make([]*kernelScratch, c.pool.Workers())
 	c.pool.ForEachWorker(len(c.bags), func(wk, i int) {
 		if scratches[wk] == nil {
-			scratches[wk] = newKernelScratch(c.g.N())
+			scratches[wk] = borrowKernelScratch(c.g.N())
 		}
-		c.kernels[i] = c.bagKernel(scratches[wk], c.bags[i], p)
+		c.kernels[i] = bagKernel(c.g, scratches[wk], c.bags[i], p)
 	})
-	for i, kern := range c.kernels {
-		for _, v := range kern {
-			c.kernelOf[v] = append(c.kernelOf[v], int32(i))
+	for _, sc := range scratches {
+		if sc != nil {
+			kernelScratchPool.Put(sc)
 		}
 	}
+	c.kernelOf = invertLists(c.kernels, c.g.N())
 }
 
 // kernelScratch is the per-worker state of bagKernel: epoch-marked bag
@@ -389,13 +383,27 @@ type kernelScratch struct {
 	ep    int32
 }
 
-func newKernelScratch(n int) *kernelScratch {
+// kernelScratchPool keeps idle kernel scratch, which holds no graph, for
+// the next ComputeKernels or Patch: a write allocates none of its own.
+var kernelScratchPool sync.Pool
+
+// borrowKernelScratch returns scratch for graphs of up to n vertices; put
+// it back into kernelScratchPool.
+func borrowKernelScratch(n int) *kernelScratch {
+	if sc, ok := kernelScratchPool.Get().(*kernelScratch); ok && len(sc.mark) >= n {
+		return sc
+	}
 	return &kernelScratch{mark: make([]int32, n), depth: make([]int32, n)}
 }
 
-// bagKernel runs the Lemma 5.7 boundary BFS inside G[bag] and returns the
-// sorted p-kernel.
-func (c *Cover) bagKernel(sc *kernelScratch, bag []graph.V, p int) []graph.V {
+// bagKernel runs the Lemma 5.7 boundary BFS inside G[bag] — g is the graph
+// of the cover, or of the one a Patch is deriving — and returns the sorted
+// p-kernel.
+func bagKernel(g *graph.Graph, sc *kernelScratch, bag []graph.V, p int) []graph.V {
+	if sc.ep == math.MaxInt32 {
+		clear(sc.mark)
+		sc.ep = 0
+	}
 	sc.ep++
 	ep := sc.ep
 	for _, v := range bag {
@@ -405,7 +413,7 @@ func (c *Cover) bagKernel(sc *kernelScratch, bag []graph.V, p int) []graph.V {
 	// distance 1 from the complement.
 	sc.queue = sc.queue[:0]
 	for _, v := range bag {
-		for _, w := range c.g.Neighbors(v) {
+		for _, w := range g.Neighbors(v) {
 			if sc.mark[w] != ep && sc.mark[w] != -ep {
 				sc.queue = append(sc.queue, v)
 				sc.depth[v] = 1
@@ -423,7 +431,7 @@ func (c *Cover) bagKernel(sc *kernelScratch, bag []graph.V, p int) []graph.V {
 		if int(sc.depth[v]) >= p {
 			continue
 		}
-		for _, w := range c.g.Neighbors(v) {
+		for _, w := range g.Neighbors(v) {
 			if sc.mark[w] == ep {
 				sc.mark[w] = -ep
 				sc.depth[w] = sc.depth[v] + 1
@@ -451,10 +459,10 @@ func (c *Cover) Kernel(i int) []graph.V { return c.kernels[i] }
 //
 //fod:hotpath
 func (c *Cover) InKernel(i int, v graph.V) bool {
-	if c.kernelOf == nil {
+	if c.kernelP < 0 {
 		panic("cover: ComputeKernels has not been called")
 	}
-	for _, x := range c.kernelOf[v] {
+	for _, x := range c.kernelOf.Row(v) {
 		if x >= int32(i) {
 			return x == int32(i)
 		}
@@ -466,10 +474,10 @@ func (c *Cover) InKernel(i int, v graph.V) bool {
 //
 //fod:hotpath
 func (c *Cover) KernelsOf(v graph.V) []int32 {
-	if c.kernelOf == nil {
+	if c.kernelP < 0 {
 		panic("cover: ComputeKernels has not been called")
 	}
-	return c.kernelOf[v]
+	return c.kernelOf.Row(v)
 }
 
 // Validate checks the cover axioms by brute force (test helper): every

@@ -23,6 +23,7 @@
 package cover
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -54,90 +55,70 @@ const maxPatchFraction = 8
 // not influence a cover and must not be passed. ok=false means the edit
 // batch is not local enough to patch and the caller should rebuild.
 //
-// The returned cover shares every untouched slice with c (copy-on-write:
-// O(n) for the array spines plus work proportional to the affected
-// region), so c remains fully usable — in-flight readers of the old
+// The returned cover shares with c every bag and kernel list it did not
+// replace and every block of the inverted lists without a vertex of a new
+// or re-kerneled bag (graph.Rows.Patch), so the work is proportional to the
+// affected region and c remains fully usable — in-flight readers of the old
 // version keep their exact structure.
 func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *PatchInfo, bool) {
 	if gNew.N() != c.g.N() || c.kernelP < 0 {
 		return nil, nil, false
 	}
 	n := gNew.N()
-	out := &Cover{
-		g: gNew, R: c.R, S: c.S,
-		bags:     c.bags,
-		centers:  c.centers,
-		assign:   c.assign,
-		memberOf: c.memberOf,
-		kernelP:  c.kernelP,
-		kernels:  c.kernels,
-		kernelOf: c.kernelOf,
-		pool:     c.pool,
-		stats:    c.stats,
-	}
+	out := *c
+	out.g = gNew
 	info := &PatchInfo{}
 	if len(sources) == 0 {
 		// Color-only batch: the cover is a pure metric object; share it all.
-		return out, info, true
+		return &out, info, true
 	}
 
 	// Vertices whose p-ball (p = kernelP) may have changed: within p of a
 	// source in the old or the new graph.
-	affected := make([]bool, n)
-	var affList []graph.V
-	markBalls := func(g *graph.Graph, r int, dst []bool, lst *[]graph.V) {
-		bfs := graph.NewBFS(g)
-		for _, w := range bfs.BallMulti(sources, r) {
-			if !dst[w] {
-				dst[w] = true
-				if lst != nil {
-					*lst = append(*lst, int(w))
-				}
-			}
-		}
-	}
-	markBalls(gOld, c.kernelP, affected, &affList)
-	markBalls(gNew, c.kernelP, affected, &affList)
-	if len(affList) > n/maxPatchFraction {
+	affected := graph.ReachEither(gOld, gNew, sources, c.kernelP)
+	if len(affected) > n/maxPatchFraction {
 		return nil, nil, false
 	}
-	sort.Ints(affList)
 
 	// --- containment repair (edge additions can violate it) -------------
 	// Candidates: vertices within R of a source in gNew (only their R-ball
-	// can have grown).
-	candidate := make([]bool, n)
-	var candList []graph.V
-	markBalls(gNew, c.R, candidate, &candList)
-	if len(candList) > n/maxPatchFraction {
+	// can have grown) — none when the batch only removed edges.
+	bfs := graph.BorrowBFS(gNew)
+	defer bfs.Release()
+	var candidates []int32
+	if gainedEdge(gOld, gNew, sources) {
+		candidates = slices.Clone(bfs.BallMulti(sources, c.R))
+	}
+	if len(candidates) > n/maxPatchFraction {
 		return nil, nil, false
 	}
-	sort.Ints(candList)
-	bfsNew := graph.NewBFS(gNew)
-	var violated []graph.V
-	for _, a := range candList {
-		bag := c.bags[c.assign[a]]
-		ok := true
-		for _, w := range bfsNew.Ball(a, c.R) {
+	slices.Sort(candidates)
+	// inside reports N_R(a) ⊆ bag in gNew.
+	inside := func(a graph.V, bag []graph.V) bool {
+		for _, w := range bfs.Ball(a, c.R) {
 			if !containsSorted(bag, int(w)) {
-				ok = false
-				break
+				return false
 			}
 		}
-		if !ok {
-			violated = append(violated, a)
+		return true
+	}
+	var violated []graph.V
+	for _, a := range candidates {
+		if !inside(int(a), c.bags[c.assign[a]]) {
+			violated = append(violated, int(a))
 		}
 	}
 
-	kernelDelta := make(map[graph.V]bool)
+	sc := borrowKernelScratch(n)
+	defer kernelScratchPool.Put(sc)
+	// What changes in the inverted lists, as (vertex, bag) cells to toggle:
+	// a bag joins memberOf, and joins or leaves kernelOf.
+	var memberDelta, kernelDelta []graph.Cell
 	if len(violated) > 0 {
-		out.bags = c.bags[:len(c.bags):len(c.bags)] // full-cap: appends below reallocate
-		out.centers = c.centers[:len(c.centers):len(c.centers)]
-		out.assign = append([]int32(nil), c.assign...)
-		out.memberOf = cloneSpine(c.memberOf)
-		out.kernels = c.kernels[:len(c.kernels):len(c.kernels)]
-		out.kernelOf = cloneSpine(c.kernelOf)
-		sc := newKernelScratch(n)
+		out.bags = slices.Clip(c.bags) // appends below reallocate
+		out.centers = slices.Clip(c.centers)
+		out.kernels = slices.Clip(c.kernels)
+		out.assign = slices.Clone(c.assign)
 		repaired := make([]bool, len(violated))
 		for i, a := range violated {
 			if repaired[i] {
@@ -146,7 +127,7 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 			// New bag N_{2R}(a): contains N_R(a), so assigning a (and any
 			// other violated vertex whose R-ball it swallows) restores
 			// containment.
-			ball := bfsNew.Ball(a, c.S)
+			ball := bfs.Ball(a, c.S)
 			bag := make([]graph.V, len(ball))
 			for j, w := range ball {
 				bag[j] = int(w)
@@ -158,28 +139,16 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 			out.assign[a] = id
 			info.NewBags = append(info.NewBags, int(id))
 			for _, v := range bag {
-				out.memberOf[v] = appendSortedID(out.memberOf[v], id)
+				memberDelta = append(memberDelta, graph.Cell{Row: v, Val: id})
 			}
-			kern := bagKernelOn(gNew, sc, bag, c.kernelP)
+			kern := bagKernel(gNew, sc, bag, c.kernelP)
 			out.kernels = append(out.kernels, kern)
 			for _, v := range kern {
-				out.kernelOf[v] = appendSortedID(out.kernelOf[v], id)
-				kernelDelta[v] = true
+				kernelDelta = append(kernelDelta, graph.Cell{Row: v, Val: id})
 			}
 			for j := i + 1; j < len(violated); j++ {
-				if repaired[j] {
-					continue
-				}
-				b := violated[j]
-				inside := true
-				for _, w := range bfsNew.Ball(b, c.R) {
-					if !containsSorted(bag, int(w)) {
-						inside = false
-						break
-					}
-				}
-				if inside {
-					out.assign[b] = id
+				if !repaired[j] && inside(violated[j], bag) {
+					out.assign[violated[j]] = id
 					repaired[j] = true
 				}
 			}
@@ -189,143 +158,55 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 	// --- exact kernel recomputation for touched preexisting bags ---------
 	// A bag's kernel can change only through vertices whose p-ball changed;
 	// collect the bags containing any of them.
-	redo := make(map[int]bool)
-	for _, v := range affList {
-		for _, b := range c.memberOf[v] {
-			redo[int(b)] = true
-		}
+	var redo []int32
+	for _, v := range affected {
+		redo = append(redo, c.memberOf.Row(v)...)
 	}
-	redoList := make([]int, 0, len(redo))
-	for b := range redo { //fod:sorted — sorted immediately below
-		redoList = append(redoList, b)
-	}
-	sort.Ints(redoList)
-	if len(redoList) > 0 {
-		sc := newKernelScratch(n)
-		var kernCow, kernOfCow bool
-		for _, b := range redoList {
-			oldKern := c.kernels[b]
-			newKern := bagKernelOn(gNew, sc, c.bags[b], c.kernelP)
-			added, removed := diffSorted(oldKern, newKern)
-			if len(added) == 0 && len(removed) == 0 {
-				continue
-			}
-			if !kernCow {
-				if sameSpineV(out.kernels, c.kernels) { // not already copied by the repair above
-					out.kernels = append([][]graph.V(nil), c.kernels...)
-				}
-				kernCow = true
-			}
-			out.kernels[b] = newKern
-			if !kernOfCow {
-				if sameSpine(out.kernelOf, c.kernelOf) {
-					out.kernelOf = cloneSpine(c.kernelOf)
-				}
-				kernOfCow = true
-			}
-			for _, v := range added {
-				out.kernelOf[v] = appendSortedID(out.kernelOf[v], int32(b))
-				kernelDelta[v] = true
-			}
-			for _, v := range removed {
-				out.kernelOf[v] = removeSortedID(out.kernelOf[v], int32(b))
-				kernelDelta[v] = true
-			}
-			info.KernelChanged = append(info.KernelChanged, b)
-		}
-	}
-
-	info.KernelDelta = make([]graph.V, 0, len(kernelDelta))
-	for v := range kernelDelta { //fod:sorted — sorted immediately below
-		info.KernelDelta = append(info.KernelDelta, v)
-	}
-	sort.Ints(info.KernelDelta)
-
-	return out, info, true
-}
-
-// bagKernelOn is bagKernel against an explicit graph (the patch target),
-// mirroring the Lemma 5.7 boundary BFS of the builder.
-func bagKernelOn(g *graph.Graph, sc *kernelScratch, bag []graph.V, p int) []graph.V {
-	sc.ep++
-	ep := sc.ep
-	for _, v := range bag {
-		sc.mark[v] = ep
-	}
-	sc.queue = sc.queue[:0]
-	for _, v := range bag {
-		for _, w := range g.Neighbors(v) {
-			if sc.mark[w] != ep && sc.mark[w] != -ep {
-				sc.queue = append(sc.queue, v)
-				sc.depth[v] = 1
-				break
-			}
-		}
-	}
-	for _, v := range sc.queue {
-		sc.mark[v] = -ep
-	}
-	for head := 0; head < len(sc.queue); head++ {
-		v := sc.queue[head]
-		if int(sc.depth[v]) >= p {
+	slices.Sort(redo)
+	kernelsCopied := len(violated) > 0
+	for _, b := range slices.Compact(redo) {
+		newKern := bagKernel(gNew, sc, c.bags[b], c.kernelP)
+		added, removed := diffSorted(c.kernels[b], newKern)
+		if len(added) == 0 && len(removed) == 0 {
 			continue
 		}
-		for _, w := range g.Neighbors(v) {
-			if sc.mark[w] == ep {
-				sc.mark[w] = -ep
-				sc.depth[w] = sc.depth[v] + 1
-				sc.queue = append(sc.queue, int(w))
+		if !kernelsCopied {
+			out.kernels, kernelsCopied = slices.Clone(c.kernels), true
+		}
+		out.kernels[b] = newKern
+		for _, v := range added {
+			kernelDelta = append(kernelDelta, graph.Cell{Row: v, Val: b})
+		}
+		for _, v := range removed {
+			kernelDelta = append(kernelDelta, graph.Cell{Row: v, Val: b})
+		}
+		info.KernelChanged = append(info.KernelChanged, int(b))
+	}
+
+	var vs []graph.V
+	out.memberOf, vs = graph.Toggle(&c.memberOf, memberDelta)
+	for _, v := range vs {
+		out.degree = max(out.degree, out.memberOf.Len(v))
+	}
+	out.kernelOf, info.KernelDelta = graph.Toggle(&c.kernelOf, kernelDelta)
+	return &out, info, true
+}
+
+// gainedEdge reports whether some source has a neighbor in gNew that it
+// lacks in gOld: whether the batch added an edge at all.
+func gainedEdge(gOld, gNew *graph.Graph, sources []graph.V) bool {
+	for _, s := range sources {
+		old := gOld.Neighbors(s)
+		for _, w := range gNew.Neighbors(s) {
+			for len(old) > 0 && old[0] < w {
+				old = old[1:]
+			}
+			if len(old) == 0 || old[0] != w {
+				return true
 			}
 		}
 	}
-	var kern []graph.V
-	for _, v := range bag {
-		if sc.mark[v] == ep {
-			kern = append(kern, v)
-		}
-	}
-	return kern
-}
-
-// cloneSpine copies the outer slice of a list-of-lists; the rows stay
-// shared until individually replaced.
-func cloneSpine(xs [][]int32) [][]int32 {
-	out := make([][]int32, len(xs))
-	copy(out, xs)
-	return out
-}
-
-func sameSpine(a, b [][]int32) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-func sameSpineV(a, b [][]graph.V) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// appendSortedID inserts id into a fresh copy of the sorted list.
-func appendSortedID(xs []int32, id int32) []int32 {
-	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= id })
-	if i < len(xs) && xs[i] == id {
-		return xs
-	}
-	out := make([]int32, 0, len(xs)+1)
-	out = append(out, xs[:i]...)
-	out = append(out, id)
-	out = append(out, xs[i:]...)
-	return out
-}
-
-// removeSortedID removes id from a fresh copy of the sorted list.
-func removeSortedID(xs []int32, id int32) []int32 {
-	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= id })
-	if i == len(xs) || xs[i] != id {
-		return xs
-	}
-	out := make([]int32, 0, len(xs)-1)
-	out = append(out, xs[:i]...)
-	out = append(out, xs[i+1:]...)
-	return out
+	return false
 }
 
 // diffSorted returns the elements only in b (added) and only in a

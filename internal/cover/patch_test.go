@@ -135,13 +135,24 @@ func TestPatchDifferential(t *testing.T) {
 							class, r, trial, i, got, want)
 					}
 				}
-				// kernelOf inverse stays consistent.
-				for v := 0; v < gNew.N(); v++ {
-					for _, b := range out.KernelsOf(v) {
-						if !containsSorted(out.Kernel(int(b)), v) {
-							t.Fatalf("kernelOf[%d] lists bag %d but kernel misses it", v, b)
-						}
+				// The inverted lists stay the exact inverses, cell for cell, and
+				// the carried degree is the measured one.
+				for _, inv := range []struct {
+					name  string
+					got   graph.Rows[int32]
+					lists [][]graph.V
+				}{{"memberOf", out.memberOf, out.bags}, {"kernelOf", out.kernelOf, out.kernels}} {
+					want := invertLists(inv.lists, gNew.N())
+					gotOff, gotFlat := inv.got.Flat()
+					wantOff, wantFlat := want.Flat()
+					if !reflect.DeepEqual(gotOff, wantOff) || !reflect.DeepEqual(gotFlat, wantFlat) {
+						t.Fatalf("%s r=%d trial %d: patched %s is not the inverse of its lists", class, r, trial, inv.name)
 					}
+				}
+				fresh := *out
+				fresh.buildMembership()
+				if out.Degree() != fresh.Degree() {
+					t.Fatalf("%s r=%d trial %d: carried degree %d, measured %d", class, r, trial, out.Degree(), fresh.Degree())
 				}
 				// KernelDelta completeness: vertices outside it keep their
 				// kernel lists verbatim (restricted to preexisting bags they

@@ -84,35 +84,30 @@ func csrSlice(off, data []int32, n int, what string) ([][]graph.V, error) {
 	return rows, nil
 }
 
-// invertLists builds the inverted CSR of rows over [0,n): out[v] lists,
-// in increasing order, the row indices whose list contains v. Built with
-// two counting passes over one flat backing array — the restore-side
-// replacement for the append-per-vertex pattern.
-func invertLists(rows [][]graph.V, n int) [][]int32 {
-	cnt := make([]int32, n+1)
+// invertLists returns the inverted lists of rows over [0,n): row v of the
+// result lists, in increasing order, the indices of the rows containing v.
+// Two counting passes into one flat CSR pair, which the store views.
+func invertLists(rows [][]graph.V, n int) graph.Rows[int32] {
+	off := make([]int32, n+1)
 	total := 0
 	for _, row := range rows {
 		total += len(row)
 		for _, v := range row {
-			cnt[v+1]++
+			off[v+1]++
 		}
 	}
 	for v := 0; v < n; v++ {
-		cnt[v+1] += cnt[v]
+		off[v+1] += off[v]
 	}
 	flat := make([]int32, total)
-	pos := append([]int32(nil), cnt[:n]...)
+	pos := append([]int32(nil), off[:n]...)
 	for i, row := range rows {
 		for _, v := range row {
 			flat[pos[v]] = int32(i)
 			pos[v]++
 		}
 	}
-	out := make([][]int32, n)
-	for v := 0; v < n; v++ {
-		out[v] = flat[cnt[v]:cnt[v+1]:cnt[v+1]]
-	}
-	return out
+	return graph.FromFlat(off, flat)
 }
 
 // FromParts reconstructs a Cover over g from its serialized form,
@@ -149,7 +144,7 @@ func FromParts(g *graph.Graph, p Parts) (*Cover, error) {
 		}
 	}
 	c.assign = p.Assign
-	c.memberOf = invertLists(bags, n)
+	c.buildMembership()
 
 	if p.KernelP >= 0 {
 		if p.KernelP > p.R {

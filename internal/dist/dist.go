@@ -36,6 +36,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -163,12 +164,23 @@ func (bp *bfsPool) distance(a, b graph.V, max int) int {
 }
 
 // smallTable stores, per vertex of a small arena, the sorted list of
-// (vertex, distance) pairs of its r-ball — CSR layout, so the space is the
-// sum of ball sizes rather than n².
+// (vertex, distance) pairs of its r-ball, so the space is the sum of ball
+// sizes rather than n². The two columns are row stores over the same
+// offsets, patched in lockstep; the distance is read only on a hit.
 type smallTable struct {
+	ball graph.Rows[int32] // neighbor ids, sorted per source
+	d    graph.Rows[int8]  // distances, aligned with ball
+}
+
+// tableCSR is a smallTable under construction: plain CSR arrays.
+type tableCSR struct {
 	off  []int32
-	ball []int32 // neighbor ids, sorted per source
-	d    []int8  // distances, aligned with ball
+	ball []int32
+	d    []int8
+}
+
+func (c *tableCSR) table() *smallTable {
+	return &smallTable{ball: graph.FromFlat(c.off, c.ball), d: graph.FromFlat(c.off, c.d)}
 }
 
 func newSmallTable(g *graph.Graph, r int, pool *par.Pool) *smallTable {
@@ -185,7 +197,11 @@ func newSmallTable(g *graph.Graph, r int, pool *par.Pool) *smallTable {
 // the result is independent of the worker count.
 func newSmallTableCapped(g *graph.Graph, r, maxCells int, pool *par.Pool) (*smallTable, bool) {
 	if pool == nil || pool.Workers() <= 1 || g.N() < 1024 {
-		return smallTableRange(g, r, maxCells, 0, g.N(), nil)
+		c, ok := smallTableRange(g, r, maxCells, 0, g.N(), nil)
+		if !ok {
+			return nil, false
+		}
+		return c.table(), true
 	}
 	nchunks := pool.Workers() * 4
 	if nchunks > g.N() {
@@ -193,7 +209,7 @@ func newSmallTableCapped(g *graph.Graph, r, maxCells int, pool *par.Pool) (*smal
 	}
 	chunkLen := (g.N() + nchunks - 1) / nchunks
 	type shard struct {
-		t  *smallTable
+		t  *tableCSR
 		ok bool
 	}
 	shards := make([]shard, nchunks)
@@ -225,7 +241,7 @@ func newSmallTableCapped(g *graph.Graph, r, maxCells int, pool *par.Pool) (*smal
 	if total > maxCells {
 		return nil, false
 	}
-	out := &smallTable{
+	out := &tableCSR{
 		off:  make([]int32, g.N()+1),
 		ball: make([]int32, 0, total),
 		d:    make([]int8, 0, total),
@@ -240,7 +256,7 @@ func newSmallTableCapped(g *graph.Graph, r, maxCells int, pool *par.Pool) (*smal
 			out.off[v] = base + sh.t.off[i]
 		}
 	}
-	return out, true
+	return out.table(), true
 }
 
 // abortFlag lets shards cut each other's losses once any shard overflows
@@ -260,42 +276,41 @@ func (a *abortFlag) get() bool {
 
 // smallTableRange builds the ball lists for vertices [lo, hi); off is
 // local (off[0] = 0 at vertex lo).
-func smallTableRange(g *graph.Graph, r, maxCells, lo, hi int, abort *abortFlag) (*smallTable, bool) {
-	t := &smallTable{off: make([]int32, hi-lo+1)}
-	bfs := graph.NewBFS(g)
-	type pair struct {
-		v int32
-		d int8
-	}
-	var scratch []pair
+func smallTableRange(g *graph.Graph, r, maxCells, lo, hi int, abort *abortFlag) (*tableCSR, bool) {
+	t := &tableCSR{off: make([]int32, hi-lo+1)}
+	bfs := graph.BorrowBFS(g)
+	defer bfs.Release()
 	for v := lo; v < hi; v++ {
 		if abort != nil && abort.get() {
 			return nil, false
 		}
-		scratch = scratch[:0]
-		for _, w := range bfs.Ball(v, r) {
-			scratch = append(scratch, pair{w, int8(bfs.Dist(int(w)))})
-		}
-		if len(t.ball)+len(scratch) > maxCells {
+		if t.ball, t.d = appendBallRow(t.ball, t.d, bfs, v, r); len(t.ball) > maxCells {
 			return nil, false
-		}
-		sort.Slice(scratch, func(i, j int) bool { return scratch[i].v < scratch[j].v })
-		for _, p := range scratch {
-			t.ball = append(t.ball, p.v)
-			t.d = append(t.d, p.d)
 		}
 		t.off[v-lo+1] = int32(len(t.ball))
 	}
 	return t, true
 }
 
-func (t *smallTable) cells() int { return len(t.ball) }
+// appendBallRow appends the r-ball of v, ascending by vertex, to ball and
+// the distances from v beside it to d.
+func appendBallRow(ball []int32, d []int8, bfs *graph.BFS, v graph.V, r int) ([]int32, []int8) {
+	start := len(ball)
+	ball = append(ball, bfs.Ball(v, r)...)
+	row := ball[start:]
+	slices.Sort(row)
+	for _, w := range row {
+		d = append(d, int8(bfs.Dist(int(w))))
+	}
+	return ball, d
+}
+
+func (t *smallTable) cells() int { return t.ball.Cells() }
 
 func (t *smallTable) within(a, b graph.V, rr int) bool {
-	lo, hi := t.off[a], t.off[a+1]
-	seg := t.ball[lo:hi]
+	seg := t.ball.Row(a)
 	i := sort.Search(len(seg), func(i int) bool { return seg[i] >= int32(b) })
-	return i < len(seg) && seg[i] == int32(b) && int(t.d[lo+int32(i)]) <= rr
+	return i < len(seg) && seg[i] == int32(b) && int(t.d.Row(a)[i]) <= rr
 }
 
 // New builds the distance index for radius r.

@@ -1,10 +1,6 @@
 package dist
 
-import (
-	"sort"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Patch derives the distance index of the edited graph gNew from ix,
 // recomputing only what the edits can reach. sources are the vertices
@@ -18,10 +14,11 @@ import (
 //
 //   - smallTable (the bounded-ball fast path — the whole index on grids
 //     and bounded-degree graphs): dist_G(x, ·) truncated at R changes only
-//     for x within R of a source in the old or new graph, so those CSR
-//     rows are recomputed on gNew and spliced between the untouched rows.
-//     Cost O(n + Σ_{x∈A} ‖N_R(x)‖) for the affected set A — the paper's
-//     n^ε update regime when balls are bounded.
+//     for x within R of a source in the old or new graph, so those rows
+//     are recomputed on gNew and the blocks holding them rebuilt
+//     (graph.Rows.Patch); every other block is shared. Cost
+//     O(Σ_{x∈A} ‖N_R(x)‖) for the affected set A, plus one block header a
+//     64 vertices — the paper's n^ε update regime when balls are bounded.
 //   - fallback (on-demand BFS): nothing is precomputed; the patched index
 //     is a fresh BFS pool over gNew.
 //
@@ -47,7 +44,12 @@ func Patch(ix *Index, gOld, gNew *graph.Graph, sources []graph.V) (*Index, bool)
 		if !ok {
 			return nil, false
 		}
-		return &Index{g: gNew, R: ix.R, small: tbl, stats: ix.stats}, true
+		// The counters a build of gNew would report: the table is the
+		// whole index.
+		stats := *ix.stats
+		stats.TableCells = tbl.cells()
+		stats.Work = gNew.Size() + tbl.cells()
+		return &Index{g: gNew, R: ix.R, small: tbl, stats: &stats}, true
 	case ix.edgeless:
 		if gNew.M() == 0 {
 			out := &Index{g: gNew, R: ix.R, edgeless: true, stats: ix.stats}
@@ -60,72 +62,31 @@ func Patch(ix *Index, gOld, gNew *graph.Graph, sources []graph.V) (*Index, bool)
 }
 
 // patchSmallTable recomputes the ball rows of every vertex within R of a
-// source (in the old or the new graph) and splices them into a new CSR
-// table; rows of unaffected vertices are copied verbatim, so the result is
-// byte-identical to newSmallTable(gNew, R).
+// source (in the old or the new graph) and patches them into the table's
+// row stores, which share every block without such a vertex with t's;
+// through Flat the result is byte-identical to newSmallTable(gNew, R).
 func patchSmallTable(t *smallTable, gOld, gNew *graph.Graph, r int, sources []graph.V) (*smallTable, bool) {
-	n := gNew.N()
-	affected := make([]bool, n)
-	count := 0
-	mark := func(bfs *graph.BFS) {
-		for _, w := range bfs.BallMulti(sources, r) {
-			if !affected[w] {
-				affected[w] = true
-				count++
-			}
-		}
-	}
-	mark(graph.NewBFS(gOld))
-	mark(graph.NewBFS(gNew))
+	affected := graph.ReachEither(gOld, gNew, sources, r)
 	// An edit avalanche touching most rows is no cheaper than a rebuild;
 	// bail out and let the caller take the builder path (which also keeps
 	// the 24·‖G‖ cell-cap decision of the fast path authoritative).
-	if count > n/2 {
+	if len(affected) > gNew.N()/2 {
 		return nil, false
 	}
-
-	// Fresh rows for the affected vertices, in gNew.
-	bfs := graph.NewBFS(gNew)
-	type pair struct {
-		v int32
-		d int8
+	bfs := graph.BorrowBFS(gNew)
+	defer bfs.Release()
+	var ball []int32
+	var d []int8
+	ends := make([]int, len(affected))
+	for i, v := range affected {
+		ball, d = appendBallRow(ball, d, bfs, v, r)
+		ends[i] = len(ball)
 	}
-	rows := make(map[graph.V][]pair, count)
-	var scratch []pair
-	for v := 0; v < n; v++ {
-		if !affected[v] {
-			continue
-		}
-		scratch = scratch[:0]
-		for _, w := range bfs.Ball(v, r) {
-			scratch = append(scratch, pair{w, int8(bfs.Dist(int(w)))})
-		}
-		sort.Slice(scratch, func(i, j int) bool { return scratch[i].v < scratch[j].v })
-		rows[v] = append([]pair(nil), scratch...)
+	balls, ds := make([][]int32, len(affected)), make([][]int8, len(affected))
+	start := 0
+	for i, end := range ends {
+		balls[i], ds[i] = ball[start:end], d[start:end]
+		start = end
 	}
-
-	out := &smallTable{off: make([]int32, n+1)}
-	total := len(t.ball)
-	for v := 0; v < n; v++ { //fod:sorted — reads rows by ascending vertex id, not map order
-		if affected[v] {
-			total += len(rows[v]) - int(t.off[v+1]-t.off[v])
-		}
-	}
-	out.ball = make([]int32, 0, total)
-	out.d = make([]int8, 0, total)
-	for v := 0; v < n; v++ { //fod:sorted — reads rows by ascending vertex id, not map order
-		out.off[v] = int32(len(out.ball))
-		if !affected[v] {
-			lo, hi := t.off[v], t.off[v+1]
-			out.ball = append(out.ball, t.ball[lo:hi]...)
-			out.d = append(out.d, t.d[lo:hi]...)
-			continue
-		}
-		for _, p := range rows[v] {
-			out.ball = append(out.ball, p.v)
-			out.d = append(out.d, p.d)
-		}
-	}
-	out.off[n] = int32(len(out.ball))
-	return out, true
+	return &smallTable{ball: t.ball.Patch(affected, balls), d: t.d.Patch(affected, ds)}, true
 }

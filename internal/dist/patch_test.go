@@ -90,10 +90,11 @@ func TestPatchSmallTableByteIdentical(t *testing.T) {
 			t.Fatalf("trial %d: small-table patch refused", trial)
 		}
 		want := newSmallTable(gNew, r, par.Sequential())
-		if !reflect.DeepEqual(patched.small.off, want.off) ||
-			!reflect.DeepEqual(patched.small.ball, want.ball) ||
-			!reflect.DeepEqual(patched.small.d, want.d) {
+		if !reflect.DeepEqual(nodeParts(patched), nodeParts(&Index{small: want})) {
 			t.Fatalf("trial %d: patched table differs from rebuilt table", trial)
+		}
+		if got, fresh := patched.Stats(), New(gNew, r, Options{}).Stats(); got != fresh {
+			t.Fatalf("trial %d: patched index reports %+v, a build of the same graph %+v", trial, got, fresh)
 		}
 	}
 }

@@ -72,7 +72,10 @@ func nodeParts(ix *Index) *NodeParts {
 	case ix.edgeless:
 		return &NodeParts{Kind: NodeEdgeless}
 	case ix.small != nil:
-		return &NodeParts{Kind: NodeSmall, SmallOff: ix.small.off, SmallBall: ix.small.ball, SmallD: ix.small.d}
+		np := &NodeParts{Kind: NodeSmall}
+		np.SmallOff, np.SmallBall = ix.small.ball.Flat()
+		_, np.SmallD = ix.small.d.Flat()
+		return np
 	case ix.fallback != nil:
 		return &NodeParts{Kind: NodeFallback}
 	}
@@ -161,7 +164,7 @@ func fromNode(g *graph.Graph, r int, np *NodeParts, stats *Stats, depth int) (*I
 }
 
 func smallFromParts(np *NodeParts, n int) (*smallTable, error) {
-	t := &smallTable{off: np.SmallOff, ball: np.SmallBall, d: np.SmallD}
+	t := &tableCSR{off: np.SmallOff, ball: np.SmallBall, d: np.SmallD}
 	if len(t.off) != n+1 || (n >= 0 && (len(t.off) == 0 || t.off[0] != 0)) {
 		return nil, fmt.Errorf("dist: ball table has %d offsets for %d vertices", len(t.off), n)
 	}
@@ -170,7 +173,7 @@ func smallFromParts(np *NodeParts, n int) (*smallTable, error) {
 			t.off[n], len(t.ball), len(t.d))
 	}
 	for i := 0; i < n; i++ {
-		if t.off[i] > t.off[i+1] {
+		if t.off[i] > t.off[i+1] || int(t.off[i+1]) > len(t.ball) {
 			return nil, fmt.Errorf("dist: ball table offsets of vertex %d out of order", i)
 		}
 		prev := int32(-1)
@@ -181,5 +184,5 @@ func smallFromParts(np *NodeParts, n int) (*smallTable, error) {
 			prev = w
 		}
 	}
-	return t, nil
+	return t.table(), nil
 }

@@ -1,5 +1,11 @@
 package graph
 
+import (
+	"math"
+	"slices"
+	"sync"
+)
+
 // BFS holds reusable scratch space for truncated breadth-first searches on a
 // single graph. It is not safe for concurrent use; create one per goroutine.
 type BFS struct {
@@ -20,15 +26,55 @@ func NewBFS(g *Graph) *BFS {
 	}
 }
 
-// Rebind points the scratch at g. A graph on the vertex set the scratch was
-// made for — a later version of it under Patch — costs nothing; any other
-// size gets fresh arrays.
+// Rebind points the scratch at g. A graph the arrays are long enough for —
+// a later version, under Patch, of the one the scratch was made for — costs
+// nothing (the epoch stamps stay valid); a larger one gets fresh arrays.
 func (b *BFS) Rebind(g *Graph) {
-	if g.N() != len(b.dist) {
+	if g.N() > len(b.dist) {
 		*b = *NewBFS(g)
 		return
 	}
 	b.g = g
+}
+
+// bfsPool is where BorrowBFS and Release keep idle scratch. It is the
+// package's and not a field of anything that has a version: a pool that has
+// been used stays reachable from the runtime for two collections, and what
+// it is a field of with it. The scratch in it holds no graph.
+var bfsPool sync.Pool
+
+// BorrowBFS returns pooled scratch bound to g, for the span of one
+// operation: a write allocates no search state of its own. Release it.
+func BorrowBFS(g *Graph) *BFS {
+	if b, ok := bfsPool.Get().(*BFS); ok {
+		b.Rebind(g)
+		return b
+	}
+	return NewBFS(g)
+}
+
+// Release returns borrowed scratch to the pool, without its graph: idle
+// scratch must not keep an index version alive.
+func (b *BFS) Release() {
+	b.g = nil
+	bfsPool.Put(b)
+}
+
+// ReachEither lists, ascending, the vertices within radius of srcs in gOld
+// or in gNew, two versions of one graph: where a change at srcs can show at
+// that range. The cost is that of the two balls, not of n.
+func ReachEither(gOld, gNew *Graph, srcs []V, radius int) []V {
+	var out []V
+	bfs := BorrowBFS(gOld)
+	for _, g := range []*Graph{gOld, gNew} {
+		bfs.Rebind(g)
+		for _, w := range bfs.BallMulti(srcs, radius) {
+			out = append(out, int(w))
+		}
+	}
+	bfs.Release()
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Ball computes N_r(src): all vertices at distance ≤ r from src, in BFS
@@ -41,6 +87,11 @@ func (b *BFS) Ball(src V, r int) []int32 {
 
 // BallMulti computes N_r(ā) = ∪_i N_r(a_i) for a tuple of sources.
 func (b *BFS) BallMulti(srcs []V, r int) []int32 {
+	if b.cur == math.MaxInt32 {
+		// Pooled scratch lives as long as the process: start the stamps over.
+		clear(b.epoch)
+		b.cur = 0
+	}
 	b.cur++
 	// Work on a local slice and write it back once: appends to a plain
 	// local stay on the stack-friendly growth path, and the scratch is

@@ -23,13 +23,15 @@ type Color = int
 // Graph is an immutable colored graph. Build one with a Builder.
 type Graph struct {
 	n    int
-	m    int // number of undirected edges
-	off  []int32
-	adj  []int32 // concatenated sorted adjacency lists
-	ncol int
+	m    int         // number of undirected edges
+	rows Rows[int32] // sorted adjacency lists
+	// maxDeg is the maximum degree and maxDegAt how many vertices have it:
+	// Patch carries both over the rows it touches instead of scanning n.
+	maxDeg, maxDegAt int
+	ncol             int
 	// colors holds the color sets as one matrix of wpc = ⌈ncol/64⌉ words a
 	// vertex, row v at colors[v*wpc:(v+1)*wpc]: one allocation, and one
-	// copy when Patch derives the next version.
+	// copy when Patch derives a version with a color changed.
 	colors []uint64
 	wpc    int
 }
@@ -101,7 +103,7 @@ func (b *Builder) Build() *Graph {
 	}
 	// Sort and deduplicate each list in place, compacting the storage.
 	g := newGraph(b.n, b.ncol)
-	g.off = make([]int32, b.n+1)
+	off := make([]int32, b.n+1)
 	out := adj[:0]
 	for v := 0; v < b.n; v++ {
 		lo, hi := deg[v], deg[v+1]
@@ -114,11 +116,10 @@ func (b *Builder) Build() *Graph {
 			}
 			out = append(out, w)
 		}
-		g.off[v] = int32(start)
-		g.off[v+1] = int32(len(out))
+		off[v] = int32(start)
+		off[v+1] = int32(len(out))
 	}
-	g.adj = out
-	g.m = len(out) / 2
+	g.setRows(FromFlat(off, out))
 	g.colors = make([]uint64, b.n*g.wpc)
 	//fod:sorted — each key fills its own row of g.colors; order-free
 	for v, cs := range b.cols {
@@ -131,6 +132,31 @@ func (b *Builder) Build() *Graph {
 
 // newGraph returns the shell of a graph on n vertices and ncol colors.
 func newGraph(n, ncol int) *Graph { return &Graph{n: n, ncol: ncol, wpc: (ncol + 63) / 64} }
+
+// setRows installs the adjacency rows and what is counted from them.
+func (g *Graph) setRows(rows Rows[int32]) {
+	g.rows, g.m = rows, rows.Cells()/2
+	g.scanMaxDegree()
+}
+
+func (g *Graph) scanMaxDegree() {
+	g.maxDeg, g.maxDegAt = 0, 0
+	for v := 0; v < g.n; v++ {
+		g.countDegree(g.rows.Len(v), 1)
+	}
+}
+
+// countDegree records that by more vertices (fewer, when negative) have
+// degree d. A count that falls to zero leaves maxDeg stale; Patch, the only
+// caller that takes vertices away, rescans then.
+func (g *Graph) countDegree(d, by int) {
+	switch {
+	case d > g.maxDeg:
+		g.maxDeg, g.maxDegAt = d, by
+	case d == g.maxDeg:
+		g.maxDegAt += by
+	}
+}
 
 // N returns the number of vertices |G|.
 func (g *Graph) N() int { return g.n }
@@ -145,11 +171,11 @@ func (g *Graph) Size() int { return g.n + g.m }
 func (g *Graph) NumColors() int { return g.ncol }
 
 // Degree returns the degree of v.
-func (g *Graph) Degree(v V) int { return int(g.off[v+1] - g.off[v]) }
+func (g *Graph) Degree(v V) int { return g.rows.Len(v) }
 
 // Neighbors returns the sorted adjacency list of v. The returned slice is
 // shared with the graph and must not be modified.
-func (g *Graph) Neighbors(v V) []int32 { return g.adj[g.off[v]:g.off[v+1]] }
+func (g *Graph) Neighbors(v V) []int32 { return g.rows.Row(v) }
 
 // HasEdge reports whether {u, v} ∈ E(G).
 func (g *Graph) HasEdge(u, v V) bool {
@@ -176,16 +202,9 @@ func (g *Graph) HasColor(v V, c Color) bool {
 // be modified.
 func (g *Graph) Colors(v V) Bitset { return g.colors[v*g.wpc : (v+1)*g.wpc] }
 
-// MaxDegree returns the maximum vertex degree.
-func (g *Graph) MaxDegree() int {
-	d := 0
-	for v := 0; v < g.n; v++ {
-		if dv := g.Degree(v); dv > d {
-			d = dv
-		}
-	}
-	return d
-}
+// MaxDegree returns the maximum vertex degree. It is kept, not scanned for:
+// every version of a graph knows it.
+func (g *Graph) MaxDegree() int { return g.maxDeg }
 
 // String returns a short description, e.g. "graph(n=10, m=9, c=2)".
 func (g *Graph) String() string {

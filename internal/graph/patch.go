@@ -1,9 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // EditOp is one kind of graph mutation.
@@ -84,12 +84,14 @@ func (e Edit) Validate(g *Graph) error {
 }
 
 // Patch applies edits to g and returns the resulting graph, leaving g
-// untouched (copy-on-write: adjacency rows of unaffected vertices are
-// copied verbatim, so the cost is O(‖G‖ + Σ deg(touched))). The result is
-// byte-identical to rebuilding the same edge/color sets through a Builder:
-// adjacency lists stay sorted and deduplicated, so graph fingerprints and
-// every downstream structure built on the patched graph agree with a
-// from-scratch construction.
+// untouched. The cost is that of the rows an edit touches: the adjacency
+// rows are a Rows, so the result shares every block of them without an
+// edited endpoint, carries the edge count and the maximum degree over from
+// g, and copies the color matrix only when a color edit is present. Through
+// Parts the result is byte-identical to rebuilding the same edge/color sets
+// through a Builder: adjacency lists stay sorted and deduplicated, so graph
+// fingerprints and every downstream structure built on the patched graph
+// agree with a from-scratch construction.
 //
 // Later edits win: an AddEdge followed by a RemoveEdge of the same pair
 // nets to removal. Edits that do not change the graph (adding a present
@@ -100,86 +102,68 @@ func Patch(g *Graph, edits []Edit) (*Graph, error) {
 			return nil, err
 		}
 	}
-	// Net edge delta per ordered pair: +1 present, -1 absent, keyed u<v.
-	type pair struct{ u, v int32 }
-	edgeDelta := make(map[pair]bool) // value: present after the edits
-	for _, e := range edits {
-		switch e.Op {
-		case AddEdge, RemoveEdge:
-			if e.U == e.V {
-				continue
-			}
-			u, v := int32(e.U), int32(e.V)
-			if u > v {
-				u, v = v, u
-			}
-			edgeDelta[pair{u, v}] = e.Op == AddEdge
+	out := *g
+	if arcs := netArcs(g, edits); len(arcs) > 0 {
+		// One row per distinct tail: the old row with the tail's arcs merged
+		// in or taken out.
+		var vs []V
+		out.rows, vs = Toggle(&g.rows, arcs)
+		out.m = out.rows.Cells() / 2
+		for _, v := range vs {
+			out.countDegree(g.Degree(v), -1)
+		}
+		for _, v := range vs {
+			out.countDegree(out.Degree(v), 1)
+		}
+		if out.maxDegAt == 0 {
+			out.scanMaxDegree()
 		}
 	}
-	// Per-vertex sorted add/remove lists; entries that match the current
-	// state (adding a present edge, removing an absent one) are dropped so
-	// the row splice below stays exact.
-	adds := make(map[V][]int32)
-	dels := make(map[V][]int32)
-	touched := make(map[V]bool)
-	for p, present := range edgeDelta { //fod:sorted — fills per-vertex lists that are sorted below
-		if present == g.HasEdge(int(p.u), int(p.v)) {
+	cloned := false
+	for _, e := range edits {
+		if e.Op != AddColor && e.Op != RemoveColor {
 			continue
 		}
-		if present {
-			adds[int(p.u)] = append(adds[int(p.u)], p.v)
-			adds[int(p.v)] = append(adds[int(p.v)], p.u)
-		} else {
-			dels[int(p.u)] = append(dels[int(p.u)], p.v)
-			dels[int(p.v)] = append(dels[int(p.v)], p.u)
+		if !cloned {
+			out.colors, cloned = slices.Clone(g.colors), true
 		}
-		touched[int(p.u)] = true
-		touched[int(p.v)] = true
-	}
-
-	out := newGraph(g.n, g.ncol)
-	out.off = make([]int32, g.n+1)
-	grow := 0
-	for v := range adds { //fod:sorted — accumulates a commutative sum
-		grow += len(adds[v])
-	}
-	out.adj = make([]int32, 0, len(g.adj)+grow)
-	for v := 0; v < g.n; v++ {
-		out.off[v] = int32(len(out.adj))
-		row := g.Neighbors(v)
-		if !touched[v] {
-			out.adj = append(out.adj, row...)
-			continue
-		}
-		av, dv := adds[v], dels[v]
-		sort.Slice(av, func(i, j int) bool { return av[i] < av[j] })
-		sort.Slice(dv, func(i, j int) bool { return dv[i] < dv[j] })
-		// Merge: keep row entries not in dv, interleave av in order.
-		ai, di := 0, 0
-		for _, w := range row {
-			for ai < len(av) && av[ai] < w {
-				out.adj = append(out.adj, av[ai])
-				ai++
-			}
-			if di < len(dv) && dv[di] == w {
-				di++
-				continue
-			}
-			out.adj = append(out.adj, w)
-		}
-		out.adj = append(out.adj, av[ai:]...)
-	}
-	out.off[g.n] = int32(len(out.adj))
-	out.m = len(out.adj) / 2
-
-	out.colors = slices.Clone(g.colors)
-	for _, e := range edits {
-		switch e.Op {
-		case AddColor:
+		if e.Op == AddColor {
 			out.Colors(e.U).Set(e.Color)
-		case RemoveColor:
+		} else {
 			out.Colors(e.U).Clear(e.Color)
 		}
 	}
-	return out, nil
+	return &out, nil
+}
+
+// netArcs returns both directions of every edge whose presence the edits
+// change, as cells of the adjacency rows: the last edit of a pair decides,
+// and one that asks for the state g is in already changes nothing.
+func netArcs(g *Graph, edits []Edit) []Cell {
+	type change struct {
+		u, v V // u < v
+		add  bool
+	}
+	var cs []change
+	for _, e := range edits {
+		if (e.Op == AddEdge || e.Op == RemoveEdge) && e.U != e.V {
+			cs = append(cs, change{min(e.U, e.V), max(e.U, e.V), e.Op == AddEdge})
+		}
+	}
+	slices.SortStableFunc(cs, func(a, b change) int {
+		if a.u != b.u {
+			return cmp.Compare(a.u, b.u)
+		}
+		return cmp.Compare(a.v, b.v)
+	})
+	var arcs []Cell
+	for i, c := range cs {
+		if i+1 < len(cs) && cs[i+1].u == c.u && cs[i+1].v == c.v {
+			continue // a later edit of the same pair wins
+		}
+		if c.add != g.HasEdge(c.u, c.v) {
+			arcs = append(arcs, Cell{c.u, int32(c.v)}, Cell{c.v, int32(c.u)})
+		}
+	}
+	return arcs
 }

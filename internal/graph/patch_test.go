@@ -85,10 +85,15 @@ func graphsIdentical(t *testing.T, got, want *Graph) {
 	if got.N() != want.N() || got.M() != want.M() {
 		t.Fatalf("dims: got n=%d m=%d, want n=%d m=%d", got.N(), got.M(), want.N(), want.M())
 	}
-	if !reflect.DeepEqual(got.off, want.off) {
+	if got.MaxDegree() != want.MaxDegree() {
+		t.Fatalf("max degree: got %d, want %d", got.MaxDegree(), want.MaxDegree())
+	}
+	gotOff, gotAdj := got.rows.Flat()
+	wantOff, wantAdj := want.rows.Flat()
+	if !reflect.DeepEqual(gotOff, wantOff) {
 		t.Fatalf("offset arrays differ")
 	}
-	if !reflect.DeepEqual(got.adj, want.adj) {
+	if !reflect.DeepEqual(gotAdj, wantAdj) {
 		t.Fatalf("adjacency arrays differ")
 	}
 	if !reflect.DeepEqual(got.colors, want.colors) {
@@ -132,7 +137,8 @@ func TestPatchLeavesOriginal(t *testing.T) {
 	b.AddEdge(1, 2)
 	b.SetColor(2, 0)
 	g := b.Build()
-	snapAdj := append([]int32(nil), g.adj...)
+	_, adj := g.rows.Flat()
+	snapAdj := append([]int32(nil), adj...)
 	_, err := Patch(g, []Edit{
 		{Op: RemoveEdge, U: 0, V: 1},
 		{Op: AddEdge, U: 2, V: 3},
@@ -142,7 +148,7 @@ func TestPatchLeavesOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(g.adj, snapAdj) {
+	if _, adj := g.rows.Flat(); !reflect.DeepEqual(adj, snapAdj) {
 		t.Fatal("patch mutated the source adjacency")
 	}
 	if g.HasColor(0, 0) || !g.HasColor(2, 0) {

@@ -18,7 +18,8 @@ type Parts struct {
 
 // Parts returns the serialized form of the graph.
 func (g *Graph) Parts() Parts {
-	p := Parts{N: g.n, NColors: g.ncol, Off: g.off, Adj: g.adj, ColorOff: make([]int32, g.n+1)}
+	p := Parts{N: g.n, NColors: g.ncol, ColorOff: make([]int32, g.n+1)}
+	p.Off, p.Adj = g.rows.Flat()
 	// A vertex without colors has no row in the file.
 	for v := 0; v < g.n; v++ {
 		p.ColorOff[v+1] = p.ColorOff[v]
@@ -64,7 +65,7 @@ func FromParts(p Parts) (*Graph, error) {
 		return nil, fmt.Errorf("graph: odd arc count %d cannot be symmetric", len(p.Adj))
 	}
 	g := newGraph(n, p.NColors)
-	g.m, g.off, g.adj = len(p.Adj)/2, p.Off, p.Adj
+	g.setRows(FromFlat(p.Off, p.Adj))
 	// Symmetry in O(n+m): lists are sorted, so for a fixed w the forward
 	// arcs (v,w) with v<w arrive in increasing v — exactly the order of
 	// the sub-w prefix of w's list. A cursor per vertex matches them up.

@@ -46,6 +46,9 @@ func TestHotClosureMatchesAllocGuards(t *testing.T) {
 		"core.(coverLoc).nextOpening",
 		"core.(ballLoc).within",
 		"core.(ballLoc).nextOpening",
+		// The one read path under all of them: adjacency, ball and inverted
+		// rows are graph.Rows, built, patched or restored.
+		"graph.(Rows[T]).Row",
 		// The Claim 5.9 chase under coverLoc.nextOpening: one row lookup
 		// per hop.
 		"skip.(table).lookup",

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -250,5 +251,82 @@ func TestDeadVersionsAreCollected(t *testing.T) {
 			t.Errorf("%s: %d KB live before 60 writes, %d KB after one collection", kind, before>>10, after>>10)
 		}
 		runtime.KeepAlive(ix)
+	}
+}
+
+// TestApplyEditsAllocBytes pins what a write copies: the bytes one
+// ApplyEdits of a colour edit and an edge toggle allocates (TotalAlloc
+// delta, median of eight chained writes, far2) on a grid under the cover
+// locality and on a degree-4 graph under the ball locality. The graph, the
+// distance table, the ball rows and the cover's inverted lists are row
+// stores in 64-row blocks that a write rebuilds only where it changed them,
+// so the number at n = 32 000 is gated at a fifth (grid) and a quarter
+// (bdeg) of what the flat arrays cost. What keeps the large/small ratio
+// above 1 is what is still flat — colour matrix, starter bitmap and list,
+// byKernel spine, block headers (ROADMAP item 7): the ratio is logged, not
+// gated, as the baseline of whoever takes those on.
+func TestApplyEditsAllocBytes(t *testing.T) {
+	if testing.Short() {
+		// verify.sh runs -short under the race detector, where sync.Pool
+		// drops a quarter of what is put back and every borrow that misses
+		// allocates n-sized scratch.
+		t.Skip("allocation bytes rely on warm scratch pools")
+	}
+	ctx := context.Background()
+	q := MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
+	for _, tc := range []struct {
+		class string
+		kind  EngineKind
+		limit uint64 // bytes a write, n = 32 000
+	}{
+		{"grid", EngineCore, 1200 << 10},
+		{"bdeg", EngineAuto, 800 << 10},
+	} {
+		perWrite := func(n int) uint64 {
+			g := Generate(tc.class, n, GenOptions{Colors: 2, Seed: 1})
+			ix, err := Build(ctx, g, q, WithEngine(tc.kind), WithParallelism(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(9))
+			samples := make([]uint64, 0, 8)
+			for i := 0; i < 9; i++ {
+				v, u := rng.Intn(g.N()), rng.Intn(g.N())
+				for g.Degree(u) == 0 {
+					u = rng.Intn(g.N())
+				}
+				colour := AddColor(v, 0)
+				if ix.Graph().HasColor(v, 0) {
+					colour = RemoveColor(v, 0)
+				}
+				w := int(g.Neighbors(u)[0])
+				edge := AddEdge(u, w)
+				if ix.Graph().HasEdge(u, w) {
+					edge = RemoveEdge(u, w)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				next, err := ix.ApplyEdits(ctx, []Edit{colour, edge})
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i > 0 { // the first write fills the scratch pools
+					samples = append(samples, after.TotalAlloc-before.TotalAlloc)
+				}
+				ix = next
+			}
+			if r := ix.Stats().MutRebuilds; r != 0 {
+				t.Fatalf("%s-%d: %d of 9 writes were rebuilds", tc.class, n, r)
+			}
+			slices.Sort(samples)
+			return samples[len(samples)/2]
+		}
+		small, large := perWrite(8000), perWrite(32000)
+		t.Logf("%s: %d KB a write at n=8000, %d KB at n=32000, ratio %.2f",
+			tc.class, small>>10, large>>10, float64(large)/float64(small))
+		if large > tc.limit {
+			t.Errorf("%s-32000: a write allocates %d KB, limit %d KB", tc.class, large>>10, tc.limit>>10)
+		}
 	}
 }
