@@ -21,7 +21,10 @@ import (
 	"repro/internal/store"
 )
 
-const benchQuerySrc = "dist(x,y) > 2 & C0(y)" // the paper's Example 2
+const (
+	benchQuerySrc = "dist(x,y) > 2 & C0(y)"                 // the paper's Example 2
+	far3Src       = "dist(x,z) > 2 & dist(y,z) > 2 & C0(z)" // bench's ternary-lib query
+)
 
 func benchGraph(class gen.Class, n int) *graph.Graph {
 	return gen.Generate(class, n, gen.Options{Seed: 7, Colors: 1, ColorProb: 0.05})
@@ -186,16 +189,34 @@ func BenchmarkSplitterGame(b *testing.B) {
 // --- E5: engine preprocessing and next-solution -----------------------------
 
 func BenchmarkEnginePreprocess(b *testing.B) {
-	for _, n := range []int{2000, 8000, 32000} {
-		b.Run(fmt.Sprintf("grid/n=%d", n), func(b *testing.B) {
-			g := benchGraph(gen.Grid, n)
-			lq, err := core.Compile(fo.MustParse(benchQuerySrc), []fo.Var{"x", "y"}, core.CompileOptions{})
+	// gated generates what bench/run.go does at --seed 1: with the grid/n=32000
+	// row, the last two rows are the three builds the gated workloads time.
+	gated := func(class gen.Class, n int) *graph.Graph {
+		return gen.Generate(class, n, gen.Options{Seed: 1, Colors: 2, Degree: 4})
+	}
+	for _, row := range []struct {
+		name  string
+		src   string
+		vars  []fo.Var
+		g     func() *graph.Graph
+		build func(*graph.Graph, *core.LocalQuery, core.Options) (*core.Engine, error)
+	}{
+		{"grid/n=2000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return benchGraph(gen.Grid, 2000) }, core.Preprocess},
+		{"grid/n=8000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return benchGraph(gen.Grid, 8000) }, core.Preprocess},
+		{"grid/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return benchGraph(gen.Grid, 32000) }, core.Preprocess},
+		{"balls/bdeg/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return gated(gen.BoundedDegree, 32000) }, core.PreprocessBalls},
+		{"far3/grid/n=4000", far3Src, []fo.Var{"x", "y", "z"}, func() *graph.Graph { return gated(gen.Grid, 4000) }, core.Preprocess},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			g := row.g()
+			lq, err := core.Compile(fo.MustParse(row.src), row.vars, core.CompileOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Preprocess(g, lq, core.Options{}); err != nil {
+				if _, err := row.build(g, lq, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -223,7 +244,6 @@ func BenchmarkNextSolution(b *testing.B) {
 // --- E6: enumeration delay ---------------------------------------------------
 
 func BenchmarkEnumerationDelay(b *testing.B) {
-	const far3Src = "dist(x,z) > 2 & dist(y,z) > 2 & C0(z)" // bench's ternary-lib query
 	for _, row := range []struct {
 		name  string
 		src   string

@@ -126,7 +126,20 @@ func PatchGraph(g *Graph, edits []Edit) (*Graph, error) { return graph.Patch(g, 
 // and when the graph has crossed a limit it is rebuilt on the other engine
 // — one more counted rebuild.
 func (ix *Index) ApplyEdits(ctx context.Context, edits []Edit) (*Index, error) {
-	eng, err := ix.eng.ApplyEdits(ctx, edits)
+	g, err := graph.Patch(ix.eng.Graph(), edits)
+	if err != nil {
+		return nil, err
+	}
+	return ix.ApplyEditsTo(ctx, g, edits)
+}
+
+// ApplyEditsTo is ApplyEdits for a caller that keeps the versions of the
+// graph itself and holds the edited one already: patched must be
+// PatchGraph of the index's graph (or of an equal graph) under edits. The
+// graph is then patched once a write, and the new index answers over
+// patched itself — Graph() returns that pointer.
+func (ix *Index) ApplyEditsTo(ctx context.Context, patched *Graph, edits []Edit) (*Index, error) {
+	eng, err := ix.eng.ApplyEditsTo(ctx, patched, edits)
 	if err != nil {
 		return nil, err
 	}

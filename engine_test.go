@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/conform"
@@ -146,6 +147,67 @@ func TestCursorAllocCounts(t *testing.T) {
 			if a := testing.AllocsPerRun(200, func() { ix.Next(from) }); a != 1 {
 				t.Errorf("%s, k=%d: Index.Next = %.0f allocs, want 1 (the result tuple)", kind, ix.Arity(), a)
 			}
+		}
+	}
+}
+
+// TestBuildAllocs pins what a build allocates — objects and bytes of one
+// Build at Parallelism 1 (Mallocs and TotalAlloc deltas, scratch pools
+// warm), far2 at n = 32 000 — on a degree-4 graph under the ball locality
+// and on a grid under the cover locality. Every sorted ball is written once
+// into the arena of its table and a quantifier-free singleton component
+// reads the colours of its vertex, so the ball build is a few dozen
+// objects (65, and 4.8 MB, where a row and an evaluation scratch per vertex
+// cost 96 000 and 14 MB); what the grid build allocates (21 700 objects,
+// 26 MB) is the cover's bags and the skip pointers. The ratio of the bytes allocated to
+// the bytes the index keeps is logged, not gated.
+func TestBuildAllocs(t *testing.T) {
+	if testing.Short() {
+		// As TestApplyEditsAllocBytes: under the race detector sync.Pool
+		// drops scratch and every borrow that misses allocates n-sized arrays.
+		t.Skip("allocation counts rely on warm scratch pools")
+	}
+	ctx := context.Background()
+	q := MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
+	for _, tc := range []struct {
+		class     string
+		kind      EngineKind
+		maxAllocs uint64
+		maxBytes  uint64
+	}{
+		{"bdeg", EngineLowDeg, 500, 9 << 20},
+		{"grid", EngineCore, 30000, 36 << 20},
+	} {
+		g := Generate(tc.class, 32000, GenOptions{Colors: 2, Seed: 1})
+		build := func() *Index {
+			ix, err := Build(ctx, g, q, WithEngine(tc.kind), WithParallelism(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ix
+		}
+		// Two collections empty the scratch pools, victim caches included, so
+		// the live heap on either side of the build differs by the index.
+		collect := func(m *runtime.MemStats) {
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(m)
+		}
+		var empty, before, after, kept runtime.MemStats
+		collect(&empty)
+		build() // fills the scratch pools
+		runtime.ReadMemStats(&before)
+		ix := build()
+		runtime.ReadMemStats(&after)
+		collect(&kept)
+		runtime.KeepAlive(ix)
+		allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		heap := kept.HeapAlloc - empty.HeapAlloc
+		t.Logf("%s-32k on %s: %d allocs, %.1f MB allocated for %.1f MB of index (%.2f×)",
+			tc.class, ix.Engine(), allocs, float64(bytes)/(1<<20), float64(heap)/(1<<20), float64(bytes)/float64(heap))
+		if allocs > tc.maxAllocs || bytes > tc.maxBytes {
+			t.Errorf("%s-32k: a build allocates %d objects and %d bytes, limits %d and %d",
+				tc.class, allocs, bytes, tc.maxAllocs, tc.maxBytes)
 		}
 	}
 }

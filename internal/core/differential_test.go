@@ -163,3 +163,67 @@ func TestDifferentialDistances(t *testing.T) {
 		}
 	}
 }
+
+// TestStartersMatchBallEvaluation: the starter phase evaluates what each
+// component formula reads — a quantifier-free singleton straight off the
+// colours, a quantifier-free larger component with no ball, a quantified
+// one over N_ρ — and the lists must be the ones obtained by treating every
+// component alike (EvalOver over N_ρ, Engine.StartersByBall): for every
+// conformance query, a few whose components mix the three kinds, and a
+// hand-built certified one whose singletons hold the atoms the compiler
+// folds away (x = x, E(x,x), dist(x,x) ≤ d), over both localities.
+func TestStartersMatchBallEvaluation(t *testing.T) {
+	type fixture struct {
+		name string
+		g    *graph.Graph
+		lq   *core.LocalQuery
+	}
+	cases := conform.Cases()
+	for _, extra := range []struct {
+		query string
+		vars  []string
+	}{
+		{"dist(x,y) <= 2 & C0(x) & ~(C1(y)) & dist(x,z) > 2 & dist(y,z) > 2 & (exists w (E(z,w) & C1(w)))", []string{"x", "y", "z"}},
+		{"dist(x,y) > 2 & (C0(y) | C1(y)) & ~(C1(x))", []string{"x", "y"}},
+		{"E(x,y) & (forall w (~(E(x,w)) | C0(w) | w = y))", []string{"x", "y"}},
+	} {
+		cases = append(cases, conform.Case{Name: "mixed: " + extra.query, Class: gen.BoundedDegree, N: 60, Seed: 5, Colors: 2,
+			Query: extra.query, Vars: extra.vars})
+	}
+	var fixtures []fixture
+	for _, tc := range cases {
+		vars := make([]fo.Var, len(tc.Vars))
+		for i, v := range tc.Vars {
+			vars[i] = fo.Var(v)
+		}
+		lq, err := core.Compile(fo.MustParse(tc.Query), vars, core.CompileOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.Name, err)
+		}
+		fixtures = append(fixtures, fixture{tc.Name, tc.Graph(), lq})
+	}
+	x0, x1 := core.PosVar(0), core.PosVar(1)
+	cl, err := core.MakeClause(fo.NewDistType(2),
+		fo.AndOf(fo.Eq{X: x0, Y: x0}, fo.Not{F: fo.Edge{X: x0, Y: x0}}, fo.DistLeq{X: x0, Y: x0, D: 1}, fo.HasColor{C: 0, X: x0}),
+		fo.OrOf(fo.Not{F: fo.Eq{X: x1, Y: x1}}, fo.Edge{X: x1, Y: x1}, fo.Not{F: fo.DistLeq{X: x1, Y: x1, D: 0}}, fo.HasColor{C: 1, X: x1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures = append(fixtures, fixture{"hand-built diagonal atoms", gen.Generate(gen.Grid, 64, gen.Options{Seed: 6, Colors: 2}),
+		&core.LocalQuery{K: 2, R: 2, LocalRadius: 2, Clauses: []core.Clause{cl}, Guarded: true}})
+
+	for _, fx := range fixtures {
+		for _, loc := range bothLocalities {
+			e, err := loc.preprocess(fx.g, fx.lq, core.Options{Parallelism: 2})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", fx.name, loc.name, err)
+			}
+			got, want := e.Starters(), e.StartersByBall()
+			for i := range want {
+				if !reflect.DeepEqual(got[i].InStart, want[i].InStart) || !reflect.DeepEqual(got[i].Starter, append([]graph.V{}, want[i].Starter...)) {
+					t.Errorf("%s/%s: component %d: starter list %v, by ball evaluation %v", fx.name, loc.name, i, got[i].Starter, want[i].Starter)
+				}
+			}
+		}
+	}
+}

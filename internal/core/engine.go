@@ -59,7 +59,7 @@ type Stats struct {
 	Workers int // preprocessing parallelism used
 
 	Mutations   int // ApplyEdits generations since the from-scratch build
-	MutAffected int // starter slots recomputed by the last ApplyEdits
+	MutAffected int // vertices the last ApplyEdits came back to: the edited ones, or the largest region of starter slots a component re-tested
 	MutRebuilds int // ApplyEdits calls that fell back to a full Preprocess
 }
 
@@ -145,6 +145,7 @@ type compRT struct {
 	psi       fo.Formula
 	vars      []fo.Var // PosVar of each position, aligned with positions
 	last      int      // max position (where ψ gets tested)
+	quantFree bool     // ψ has no quantifier: it reads its values and nothing around them
 
 	// Starter list for the component's first position (Case I of the
 	// paper, generalized to every level that opens a new component).
@@ -278,6 +279,7 @@ func (rt *clauseRT) newComp(li int) *compRT {
 		typ:       rt.clause.Type,
 		psi:       lf.Psi,
 		last:      lf.Positions[len(lf.Positions)-1],
+		quantFree: fo.QuantifierRank(lf.Psi) == 0,
 	}
 	for _, p := range lf.Positions {
 		c.vars = append(c.vars, PosVar(p))
@@ -356,17 +358,28 @@ func (e *Engine) tallySkip() {
 // caches and pooled scratch — so they fan out across the pool; each vertex
 // writes its own inStart slot and the sorted starter list is assembled
 // from the bitmap afterwards, making the result worker-count-independent.
+// A component that reads the colours of v alone is one pass on the caller's
+// goroutine: a test costs less than handing the vertex to a worker.
 func (e *Engine) computeStarter(c *compRT, pool *par.Pool) {
 	c.inStart = make([]bool, e.g.N())
+	if e.readsOwnColours(c) {
+		pool = par.Sequential()
+	}
 	pool.ForEach(e.g.N(), func(v int) { c.inStart[v] = e.opens(c, v) })
 	c.finishStarter()
 }
 
-// finishStarter assembles the sorted starter list from the inStart bitmap,
-// appending to c.starter (callers that know the size preallocate it). For
-// a singleton component the list IS the unary solution list; later
-// localEval calls answer from the bitmap in O(1).
+// finishStarter assembles the sorted starter list, at its exact size, from
+// the inStart bitmap. For a singleton component the list IS the unary
+// solution list; later localEval calls answer from the bitmap in O(1).
 func (c *compRT) finishStarter() {
+	size := 0
+	for _, in := range c.inStart {
+		if in {
+			size++
+		}
+	}
+	c.starter = make([]graph.V, 0, size)
 	for v, in := range c.inStart {
 		if in {
 			c.starter = append(c.starter, v)
@@ -375,11 +388,26 @@ func (c *compRT) finishStarter() {
 	c.starterReady = len(c.positions) == 1
 }
 
+// readsOwnColours reports whether inStart[v] of c is a function of the
+// colour row of v alone: a singleton component whose formula the compiler
+// certified and which has no quantifier. Every variable then denotes v, so
+// the formula is read straight off the graph (fo.EvalAt) — one pass over
+// the vertices is the Case I list of §5.2, with no evaluator, environment,
+// pool or ball — and a write re-tests it where a colour changed and nowhere
+// else (ApplyEditsTo).
+func (e *Engine) readsOwnColours(c *compRT) bool {
+	return e.q.Guarded && c.quantFree && len(c.positions) == 1
+}
+
 // opens reports whether v can take c's first position. A singleton
 // component is evaluated without the memo: each vertex is asked once per
 // build and inStart is the memo from then on, so an entry per vertex in
 // c.memo would never be read again.
 func (e *Engine) opens(c *compRT, v graph.V) bool {
+	if e.readsOwnColours(c) {
+		e.ctr.localEvals.Add(1)
+		return fo.EvalAt(e.g, c.psi, v)
+	}
 	if len(c.positions) == 1 {
 		return e.evalLocal(c, []graph.V{v})
 	}
@@ -452,25 +480,26 @@ func (e *Engine) localEval(c *compRT, vals []graph.V) bool {
 
 // evalLocal is localEval without the memo. For guarded queries
 // (compiler-certified witness bounds) the formula is evaluated on the
-// global graph with quantifiers restricted to the ρ-ball and distance
-// atoms served by the locality — no subgraph construction at all.
-// Hand-built queries get the literal G[N_ρ(ā_I)] semantics of
-// EvalReference.
+// global graph with distance atoms served by the locality — no subgraph
+// construction at all — and it reads what it needs: a quantifier-free ψ its
+// values, a quantified one N_ρ of them as well, which its quantifiers range
+// over as the BFS returns it. Hand-built queries get the literal
+// G[N_ρ(ā_I)] semantics of EvalReference.
 func (e *Engine) evalLocal(c *compRT, vals []graph.V) bool {
 	e.ctr.localEvals.Add(1)
-	bfs := graph.BorrowBFS(e.g)
-	ball := bfs.BallMulti(vals, e.rho)
-	domain := make([]graph.V, len(ball))
-	for i, w := range ball {
-		domain[i] = int(w)
-	}
-	bfs.Release()
 	if !e.q.Guarded {
+		bfs := graph.BorrowBFS(e.g)
+		ball := bfs.BallMulti(vals, e.rho)
+		vs := make([]graph.V, len(ball))
+		for i, w := range ball {
+			vs[i] = int(w)
+		}
+		bfs.Release()
 		// Hand-built (uncertified) queries only: the pinned 0-alloc delay
 		// guards all run compiler-certified queries, and the memo makes
 		// this a once-per-tuple cost, not a per-answer one.
 		//fod:coldpath memoized fallback for uncertified queries
-		return exactBallEval(e.g, c, vals, domain)
+		return exactBallEval(e.g, c, vals, vs)
 	}
 	env := e.scratch.envPool.Get().(fo.Env)
 	clear(env)
@@ -478,7 +507,14 @@ func (e *Engine) evalLocal(c *compRT, vals []graph.V) bool {
 		env[c.vars[i]] = v
 	}
 	ev := e.scratch.evaluator(e)
-	res := ev.EvalOver(c.psi, env, domain)
+	var res bool
+	if c.quantFree {
+		res = ev.Eval(c.psi, env)
+	} else {
+		bfs := graph.BorrowBFS(e.g)
+		res = ev.EvalOver(c.psi, env, bfs.BallMulti(vals, e.rho))
+		bfs.Release()
+	}
 	e.scratch.evPool.Put(ev)
 	e.scratch.envPool.Put(env)
 	return res

@@ -1,5 +1,10 @@
 package core
 
+import (
+	"repro/internal/fo"
+	"repro/internal/graph"
+)
+
 // MaxSkipDelta is the largest correction set among the skip overlays of e's
 // components: above 0, Case I of some component answers through the overlay
 // an ApplyEdits left (skip.WithDelta) instead of a table of its own.
@@ -13,4 +18,66 @@ func (e *Engine) MaxSkipDelta() int {
 		}
 	}
 	return d
+}
+
+// StarterList is the starter list of one live component and the bitmap it
+// was assembled from.
+type StarterList struct {
+	Starter []graph.V
+	InStart []bool
+}
+
+// Starters returns what the build left for every live component, in clause
+// order.
+func (e *Engine) Starters() []StarterList {
+	var out []StarterList
+	for _, rt := range e.clauses {
+		for _, c := range rt.comps {
+			out = append(out, StarterList{c.starter, c.inStart})
+		}
+	}
+	return out
+}
+
+// StartersByBall computes the same lists the way that looks at no formula's
+// shape: every component formula, quantifier-free or not, singleton or not,
+// is evaluated by EvalOver with its quantifiers ranging over N_ρ of its
+// values, unmemoized, over e's locality. It is the reference the
+// formula-directed paths of opens and evalLocal are held to.
+func (e *Engine) StartersByBall() []StarterList {
+	ev := fo.NewEvaluator(e.g)
+	ev.UseDistTester(e.loc.distTester())
+	bfs := graph.NewBFS(e.g)
+	var out []StarterList
+	for _, rt := range e.clauses {
+		for _, c := range rt.comps {
+			var completes func(vals []graph.V) bool
+			completes = func(vals []graph.V) bool {
+				if len(vals) == len(c.positions) {
+					if !e.checkComponentType(c, vals) {
+						return false
+					}
+					env := fo.Env{}
+					for i, v := range vals {
+						env[c.vars[i]] = v
+					}
+					return ev.EvalOver(c.psi, env, bfs.BallMulti(vals, e.rho))
+				}
+				for _, w := range e.loc.compBall(vals[0]) {
+					if e.partialTypeOK(c, vals, graph.V(w)) && completes(append(vals, graph.V(w))) {
+						return true
+					}
+				}
+				return false
+			}
+			sl := StarterList{InStart: make([]bool, e.g.N())}
+			for v := range sl.InStart {
+				if sl.InStart[v] = completes([]graph.V{v}); sl.InStart[v] {
+					sl.Starter = append(sl.Starter, v)
+				}
+			}
+			out = append(out, sl)
+		}
+	}
+	return out
 }

@@ -191,9 +191,8 @@ func (l *coverLoc) ball(cache *sync.Map, a graph.V, radius int) []int32 {
 		return b.([]int32)
 	}
 	bfs := graph.BorrowBFS(l.g)
-	out := slices.Clone(bfs.Ball(a, radius))
+	out := bfs.AppendSortedBall(nil, a, radius)
 	bfs.Release()
-	slices.Sort(out)
 	cache.Store(a, out)
 	return out
 }
@@ -491,34 +490,37 @@ type ballLoc struct {
 }
 
 func buildBallLoc(e *Engine, pool *par.Pool, root *obs.Span, checkpoint func() error) (locality, error) {
-	sp := root.Child("balls")
-	all := make([]graph.V, e.g.N())
-	for v := range all {
-		all[v] = v
-	}
-	// flat lays the rows of a radius out as one CSR pair, which the store
-	// views: a built locality is two plain arrays, like a restored one.
-	flat := func(radius int) graph.Rows[int32] {
-		rows := ballRows(e, radius, all, pool)
-		off := make([]int32, len(rows)+1)
-		for v, row := range rows {
-			off[v+1] = off[v] + int32(len(row))
-		}
-		adj := make([]int32, 0, off[len(rows)])
-		for _, row := range rows {
-			adj = append(adj, row...)
-		}
-		return graph.FromFlat(off, adj)
-	}
 	l := &ballLoc{r: e.r, compR: compRadius(e.q)}
-	l.rows = flat(l.r)
-	l.comp = l.rows
-	if l.compR != l.r {
-		l.comp = flat(l.compR)
-	}
+	sp := root.Child("balls")
+	err := l.fill(e.g, pool)
 	sp.End()
+	if err != nil {
+		return nil, err
+	}
 	e.ballStats(l)
 	return l, checkpoint()
+}
+
+// fill builds the rows in one linear pass a radius: every N_r(v) is
+// searched once and written once, sorted, into the CSR pair the store
+// views — a built locality is two plain arrays, like a restored one.
+func (l *ballLoc) fill(g *graph.Graph, pool *par.Pool) error {
+	table := func(radius int) (graph.Rows[int32], error) {
+		t, ok := graph.SortedBalls(g, radius, graph.BallOptions{Pool: pool})
+		if !ok {
+			return graph.Rows[int32]{}, fmt.Errorf("core: the radius-%d balls of %v do not fit 2³¹ entries", radius, g)
+		}
+		return graph.FromFlat(t.Off, t.Ball), nil
+	}
+	var err error
+	if l.rows, err = table(l.r); err != nil {
+		return err
+	}
+	l.comp = l.rows
+	if l.compR != l.r {
+		l.comp, err = table(l.compR)
+	}
+	return err
 }
 
 func (e *Engine) ballStats(l *ballLoc) {
@@ -526,38 +528,18 @@ func (e *Engine) ballStats(l *ballLoc) {
 	e.stats.BallEntries, e.stats.CompEntries = l.rows.Cells(), l.comp.Cells()
 }
 
-// ballRows returns the sorted radius-r ball of each vertex of vs in e's
-// graph. Each vertex owns its row, so the per-vertex BFS fans out across
-// the pool and the result is worker-count-independent.
-func ballRows(e *Engine, r int, vs []graph.V, pool *par.Pool) [][]int32 {
-	rows := make([][]int32, len(vs))
-	scratch := make([]*graph.BFS, pool.Workers())
-	pool.ForEachWorker(len(vs), func(wk, i int) {
-		if scratch[wk] == nil {
-			scratch[wk] = graph.BorrowBFS(e.g)
-		}
-		rows[i] = slices.Clone(scratch[wk].Ball(vs[i], r))
-		slices.Sort(rows[i])
-	})
-	for _, bfs := range scratch {
-		if bfs != nil {
-			bfs.Release()
-		}
-	}
-	return rows
-}
-
 // patch recomputes the rows an edge change can alter — those of the
 // vertices within the row's radius of an endpoint, in the old or the new
 // graph — and patches them into the stores, which share every other block
 // with l's. It never refuses.
-func (l *ballLoc) patch(old, e2 *Engine, edgeSrcs []graph.V, pool *par.Pool, trace *obs.Span) (locality, starterPatch, bool) {
+func (l *ballLoc) patch(old, e2 *Engine, edgeSrcs []graph.V, _ *par.Pool, trace *obs.Span) (locality, starterPatch, bool) {
 	l2 := l
 	if len(edgeSrcs) > 0 {
 		sp := trace.Child("balls")
 		repatched := func(rows *graph.Rows[int32], radius int) graph.Rows[int32] {
 			vs := graph.ReachEither(old.g, e2.g, edgeSrcs, radius)
-			return rows.Patch(vs, ballRows(e2, radius, vs, pool))
+			balls, _ := graph.SortedBallsOf(e2.g, radius, vs, false)
+			return rows.Patch(vs, balls)
 		}
 		l2 = &ballLoc{r: l.r, compR: l.compR, rows: repatched(&l.rows, l.r)}
 		l2.comp = l2.rows

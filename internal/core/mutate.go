@@ -16,11 +16,13 @@
 //     R(k−1)-rows of the vertices within that radius of an endpoint.
 //     All of these rows live in graph.Rows stores: a patch rebuilds the
 //     64-row blocks holding a rewritten row and shares the others.
-//   - starters: inStart[v] depends only on structure within starterReach
-//     of v — local evaluation sees the ρ-ball and its distance atoms look a
-//     constant further; a multi-position component first searches the
-//     R(k−1)-ball for completions — so only vertices that close to an
-//     edited vertex are re-tested.
+//   - starters, component by component: a quantifier-free singleton reads
+//     the colours of v and is re-tested where a colour changed (nowhere,
+//     for a batch of edges); for any other, inStart[v] depends only on
+//     structure within starterReach of v — a quantified formula sees the
+//     ρ-ball, distance atoms look a constant further, a multi-position
+//     component first searches the R(k−1)-ball for completions — so only
+//     vertices that close to an edited vertex are.
 //   - what the locality derives from a starter list (starterPatch). Cover:
 //     skip pointers served through the delta overlay of internal/skip — the
 //     old SC tables stay the base; the eligibility delta is the starter
@@ -41,6 +43,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -54,14 +57,25 @@ import (
 // isolation); the two engines share every structure the edits did not
 // reach. Enumeration over the result is byte-identical to enumeration
 // over a Preprocess of Patch(g, edits) with the same locality, and so is
-// its snapshot.
+// its snapshot. It is "patch the graph, then ApplyEditsTo".
 func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	gNew, err := graph.Patch(e.g, edits)
 	if err != nil {
 		return nil, err
+	}
+	return e.ApplyEditsTo(ctx, gNew, edits)
+}
+
+// ApplyEditsTo is ApplyEdits for a caller that holds the edited graph
+// already: gNew must be graph.Patch of the engine's graph, or of an equal
+// one, under edits. The result answers over gNew itself, so a server that
+// versions its graphs patches each once and shares it with its indexes.
+func (e *Engine) ApplyEditsTo(ctx context.Context, gNew *graph.Graph, edits []graph.Edit) (*Engine, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if gNew.N() != e.g.N() || gNew.NumColors() != e.g.NumColors() {
+		return nil, fmt.Errorf("core: ApplyEditsTo: %v is no edit of %v", gNew, e.g)
 	}
 
 	// Effective touch sets: edits that net to no-ops reach nothing.
@@ -105,16 +119,38 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 		return nil, err
 	}
 
-	// Starter-affected region: around every effectively edited vertex, in
-	// the old and the new graph.
-	touched := append(slices.Clone(edgeSrcs), colorChanged...)
-	affected := graph.ReachEither(e.g, gNew, touched, e.starterReach())
-	e2.stats.MutAffected = len(affected)
+	// What a component re-tests: the vertices whose colours changed when it
+	// reads nothing else, and otherwise the region within its reach of an
+	// effectively edited vertex, in the old or the new graph — searched once
+	// per distinct reach.
+	touched := mergeSortedV(edgeSrcs, colorChanged)
+	type region struct {
+		reach int
+		vs    []graph.V
+	}
+	var regions []region
+	affectedOf := func(c *compRT) []graph.V {
+		if e.readsOwnColours(c) {
+			return colorChanged
+		}
+		reach := e.starterReach(c)
+		for _, r := range regions {
+			if r.reach == reach {
+				return r.vs
+			}
+		}
+		vs := graph.ReachEither(e.g, gNew, touched, reach)
+		regions = append(regions, region{reach, vs})
+		return vs
+	}
+	e2.stats.MutAffected = len(touched)
 
 	for _, rt := range e.clauses {
 		rt2 := &clauseRT{clause: rt.clause, compOf: rt.compOf, firstOf: rt.firstOf}
 		for _, c := range rt.comps {
 			sp := root.Child("starter")
+			affected := affectedOf(c)
+			e2.stats.MutAffected = max(e2.stats.MutAffected, len(affected))
 			c2, starterDiff := e2.retest(c, affected, pool)
 			reindex(rt2, c2, c, starterDiff)
 			sp.End()
@@ -130,25 +166,24 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 	return e2, nil
 }
 
-// starterReach bounds, over the live components, the distance from v to
-// anything inStart[v] is computed from. evalLocal reads the ρ-ball of its
-// values and the distance atoms of ψ look their constant further; a
-// singleton component evaluates v alone, a larger one the candidates in
-// the R(k−1)-ball of v, type-checked by distance tests of radius R. No
-// margin is added: on an expanding graph every unit multiplies the region
-// (bdeg-32k, far2: 13 410 vertices at Rk + ρ + distR, about 50 here).
-func (e *Engine) starterReach() int {
-	reach := 0
-	for _, rt := range e.clauses {
-		for _, c := range rt.comps {
-			d := e.rho + fo.MaxDistConstant(c.psi)
-			if len(c.positions) > 1 {
-				d = compRadius(e.q) + max(e.r, d)
-			}
-			reach = max(reach, d)
-		}
+// starterReach bounds the distance from v to anything inStart[v] of c is
+// computed from, for a component that reads more than the colours of v
+// (readsOwnColours). A quantifier-free ψ reads its values, a quantified one
+// ranges over their ρ-ball, and the distance atoms of either look their
+// constant further; a singleton component has v for its value, a larger one
+// the candidates in the R(k−1)-ball of v, type-checked by distance tests of
+// radius R. No margin is added: on an expanding graph every unit multiplies
+// the region (bdeg-32k, far2: 13 410 vertices at Rk + ρ + distR, about 50
+// at ρ).
+func (e *Engine) starterReach(c *compRT) int {
+	d := fo.MaxDistConstant(c.psi)
+	if !c.quantFree {
+		d += e.rho
 	}
-	return reach
+	if len(c.positions) > 1 {
+		d = compRadius(e.q) + max(e.r, d)
+	}
+	return d
 }
 
 // retest derives the successor of component c in the mutated engine e2:
@@ -162,6 +197,7 @@ func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *com
 		psi:       c.psi,
 		vars:      c.vars,
 		last:      c.last,
+		quantFree: c.quantFree,
 	}
 	// Re-test the affected vertices; the bitmap and the list are copied only
 	// if one of them changed side (starterReady stays false until both are
@@ -226,7 +262,8 @@ func (e *Engine) RebuiltOn(ctx context.Context, g *graph.Graph, build func(*grap
 
 // effectiveTouch compares old and new graphs at the edited positions and
 // returns the endpoints of edges that actually changed and the vertices
-// whose color set actually changed, each sorted and deduplicated.
+// whose color set actually changed (an endpoint may be among them), each
+// sorted and deduplicated.
 func effectiveTouch(gOld, gNew *graph.Graph, edits []graph.Edit) (edgeSrcs, colorChanged []graph.V) {
 	es := map[graph.V]bool{}
 	cs := map[graph.V]bool{}
@@ -247,9 +284,7 @@ func effectiveTouch(gOld, gNew *graph.Graph, edits []graph.Edit) (edgeSrcs, colo
 		edgeSrcs = append(edgeSrcs, v)
 	}
 	for v := range cs { //fod:sorted — sorted immediately below
-		if !es[v] {
-			colorChanged = append(colorChanged, v)
-		}
+		colorChanged = append(colorChanged, v)
 	}
 	sort.Ints(edgeSrcs)
 	sort.Ints(colorChanged)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -351,6 +352,102 @@ func TestMutateCarriedCounts(t *testing.T) {
 			if cur.Graph().MaxDegree() != rebuilt.MaxDegree() {
 				t.Errorf("carried maximum degree %d, counted %d", cur.Graph().MaxDegree(), rebuilt.MaxDegree())
 			}
+		})
+	}
+}
+
+// TestMutateRetestsWhatTheFormulaReads: under far2 both components are
+// quantifier-free singletons, which read the colours of their vertex. A
+// colour edit flips that vertex's starter slot and is the only slot
+// re-tested; an edge edit next to it re-tests nothing and hands the lists
+// on as they are; and a vertex that is recoloured and loses an edge in one
+// batch is still re-tested. A quantified component beside them keeps its
+// region. Every version is held to a fresh build.
+func TestMutateRetestsWhatTheFormulaReads(t *testing.T) {
+	for _, loc := range bothLocalities {
+		t.Run(loc.name, func(t *testing.T) {
+			g := gen.Generate(gen.Grid, 400, gen.Options{Seed: 8, Colors: 1})
+			v := 210 // an inner vertex
+			for g.HasColor(v, 0) {
+				v++
+			}
+			w := int(g.Neighbors(v)[0])
+			sameAsFresh := func(what string, e *core.Engine, lq *core.LocalQuery) {
+				t.Helper()
+				fresh, err := loc.preprocess(e.Graph(), lq, core.Options{Parallelism: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := e.Starters(), fresh.Starters(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: patched starters differ from a fresh build's", what)
+				}
+			}
+
+			far2, err := core.Compile(fo.MustParse("dist(x,y) > 2 & C0(y)"), []fo.Var{"x", "y"}, core.CompileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e0, err := loc.preprocess(g, far2, core.Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			comps := len(e0.Starters())
+
+			coloured, err := e0.ApplyEdits(nil, []graph.Edit{{Op: graph.AddColor, U: v}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := coloured.Stats(); st.LocalEvals != comps || st.MutAffected != 1 || st.MutRebuilds != 0 {
+				t.Fatalf("colour edit: %d evaluations over a region of %d (%d rebuilds), want %d over 1", st.LocalEvals, st.MutAffected, st.MutRebuilds, comps)
+			}
+			flipped := false
+			for i, sl := range coloured.Starters() {
+				flipped = flipped || sl.InStart[v] != e0.Starters()[i].InStart[v]
+			}
+			if !flipped {
+				t.Fatalf("colour edit at %d flipped no starter slot", v)
+			}
+			sameAsFresh("colour edit", coloured, far2)
+
+			cut, err := coloured.ApplyEdits(nil, []graph.Edit{{Op: graph.RemoveEdge, U: v, V: w}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := cut.Stats(); st.LocalEvals != 0 || st.MutRebuilds != 0 {
+				t.Fatalf("edge edit: %d evaluations (%d rebuilds), want none", st.LocalEvals, st.MutRebuilds)
+			}
+			for i, sl := range cut.Starters() {
+				if before := coloured.Starters()[i]; &sl.InStart[0] != &before.InStart[0] || !slices.Equal(sl.Starter, before.Starter) {
+					t.Fatalf("edge edit next to %d: component %d did not take its starters over", v, i)
+				}
+			}
+			sameAsFresh("edge edit", cut, far2)
+
+			both, err := cut.ApplyEdits(nil, []graph.Edit{{Op: graph.AddEdge, U: v, V: w}, {Op: graph.RemoveColor, U: v}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := both.Stats(); st.LocalEvals != comps {
+				t.Fatalf("edge and colour edit at one vertex: %d evaluations, want %d", st.LocalEvals, comps)
+			}
+			sameAsFresh("edge and colour edit at one vertex", both, far2)
+
+			witness, err := core.Compile(fo.MustParse("dist(x,y) > 2 & C0(y) & (exists z (E(x,z) & C0(z)))"), []fo.Var{"x", "y"}, core.CompileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q0, err := loc.preprocess(g, witness, core.Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q1, err := q0.ApplyEdits(nil, []graph.Edit{{Op: graph.RemoveEdge, U: v, V: w}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := q1.Stats(); st.LocalEvals == 0 || st.MutAffected <= 2 || st.MutRebuilds != 0 {
+				t.Fatalf("edge edit under a quantified component: %d evaluations over a region of %d (%d rebuilds)", st.LocalEvals, st.MutAffected, st.MutRebuilds)
+			}
+			sameAsFresh("edge edit under a quantified component", q1, witness)
 		})
 	}
 }

@@ -36,10 +36,8 @@ package dist
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cover"
 	"repro/internal/graph"
@@ -184,125 +182,22 @@ func (c *tableCSR) table() *smallTable {
 }
 
 func newSmallTable(g *graph.Graph, r int, pool *par.Pool) *smallTable {
-	t, _ := newSmallTableCapped(g, r, 1<<62, pool)
+	t, _ := newSmallTableCapped(g, r, 0, pool)
 	return t
 }
 
-// newSmallTableCapped builds the ball-list table but aborts (returning
-// ok=false) once more than maxCells cells would be stored. Sequentially
-// the abort costs at most O(maxCells) wasted work; in parallel each shard
-// aborts against the same cap, so waste stays O(workers·maxCells). The
-// abort decision — "the total cell count exceeds maxCells" — is a property
-// of g and r alone, and the CSR arrays are stitched in vertex order, so
+// newSmallTableCapped builds the ball-list table (graph.SortedBalls with
+// the distance column) but gives up, returning ok=false, once more than
+// maxCells cells would be stored: sequentially after O(maxCells) wasted
+// work, in parallel after that much a shard. Whether it gives up is a
+// property of g and r alone, and the shards are joined in vertex order, so
 // the result is independent of the worker count.
 func newSmallTableCapped(g *graph.Graph, r, maxCells int, pool *par.Pool) (*smallTable, bool) {
-	if pool == nil || pool.Workers() <= 1 || g.N() < 1024 {
-		c, ok := smallTableRange(g, r, maxCells, 0, g.N(), nil)
-		if !ok {
-			return nil, false
-		}
-		return c.table(), true
-	}
-	nchunks := pool.Workers() * 4
-	if nchunks > g.N() {
-		nchunks = g.N()
-	}
-	chunkLen := (g.N() + nchunks - 1) / nchunks
-	type shard struct {
-		t  *tableCSR
-		ok bool
-	}
-	shards := make([]shard, nchunks)
-	var abort abortFlag
-	pool.ForEach(nchunks, func(ci int) {
-		lo := ci * chunkLen
-		hi := lo + chunkLen
-		// ceil division can overshoot n when nchunks² > n; clamp both ends
-		// so trailing chunks degenerate to empty shards instead of lo > hi.
-		if lo > g.N() {
-			lo = g.N()
-		}
-		if hi > g.N() {
-			hi = g.N()
-		}
-		t, ok := smallTableRange(g, r, maxCells, lo, hi, &abort)
-		shards[ci] = shard{t, ok}
-		if !ok {
-			abort.set()
-		}
-	})
-	total := 0
-	for _, sh := range shards {
-		if !sh.ok {
-			return nil, false
-		}
-		total += len(sh.t.ball)
-	}
-	if total > maxCells {
+	t, ok := graph.SortedBalls(g, r, graph.BallOptions{Dist: true, MaxCells: maxCells, Pool: pool})
+	if !ok {
 		return nil, false
 	}
-	out := &tableCSR{
-		off:  make([]int32, g.N()+1),
-		ball: make([]int32, 0, total),
-		d:    make([]int8, 0, total),
-	}
-	v := 0
-	for _, sh := range shards {
-		base := int32(len(out.ball))
-		out.ball = append(out.ball, sh.t.ball...)
-		out.d = append(out.d, sh.t.d...)
-		for i := 1; i < len(sh.t.off); i++ {
-			v++
-			out.off[v] = base + sh.t.off[i]
-		}
-	}
-	return out.table(), true
-}
-
-// abortFlag lets shards cut each other's losses once any shard overflows
-// the cell cap; it only ever turns an already-doomed computation short, so
-// checking it cannot change the (deterministic) outcome.
-type abortFlag struct {
-	flag atomic.Bool
-}
-
-func (a *abortFlag) set() {
-	a.flag.Store(true)
-}
-
-func (a *abortFlag) get() bool {
-	return a.flag.Load()
-}
-
-// smallTableRange builds the ball lists for vertices [lo, hi); off is
-// local (off[0] = 0 at vertex lo).
-func smallTableRange(g *graph.Graph, r, maxCells, lo, hi int, abort *abortFlag) (*tableCSR, bool) {
-	t := &tableCSR{off: make([]int32, hi-lo+1)}
-	bfs := graph.BorrowBFS(g)
-	defer bfs.Release()
-	for v := lo; v < hi; v++ {
-		if abort != nil && abort.get() {
-			return nil, false
-		}
-		if t.ball, t.d = appendBallRow(t.ball, t.d, bfs, v, r); len(t.ball) > maxCells {
-			return nil, false
-		}
-		t.off[v-lo+1] = int32(len(t.ball))
-	}
-	return t, true
-}
-
-// appendBallRow appends the r-ball of v, ascending by vertex, to ball and
-// the distances from v beside it to d.
-func appendBallRow(ball []int32, d []int8, bfs *graph.BFS, v graph.V, r int) ([]int32, []int8) {
-	start := len(ball)
-	ball = append(ball, bfs.Ball(v, r)...)
-	row := ball[start:]
-	slices.Sort(row)
-	for _, w := range row {
-		d = append(d, int8(bfs.Dist(int(w))))
-	}
-	return ball, d
+	return (&tableCSR{off: t.Off, ball: t.Ball, d: t.D}).table(), true
 }
 
 func (t *smallTable) cells() int { return t.ball.Cells() }

@@ -73,20 +73,6 @@ func patchSmallTable(t *smallTable, gOld, gNew *graph.Graph, r int, sources []gr
 	if len(affected) > gNew.N()/2 {
 		return nil, false
 	}
-	bfs := graph.BorrowBFS(gNew)
-	defer bfs.Release()
-	var ball []int32
-	var d []int8
-	ends := make([]int, len(affected))
-	for i, v := range affected {
-		ball, d = appendBallRow(ball, d, bfs, v, r)
-		ends[i] = len(ball)
-	}
-	balls, ds := make([][]int32, len(affected)), make([][]int8, len(affected))
-	start := 0
-	for i, end := range ends {
-		balls[i], ds[i] = ball[start:end], d[start:end]
-		start = end
-	}
+	balls, ds := graph.SortedBallsOf(gNew, r, affected, true)
 	return &smallTable{ball: t.ball.Patch(affected, balls), d: t.d.Patch(affected, ds)}, true
 }

@@ -24,7 +24,7 @@ type Evaluator struct {
 	distCache map[graph.V][]int32
 
 	// domainList, when non-nil, is the quantifier range (EvalOver).
-	domainList []graph.V
+	domainList []int32
 
 	// stamp/epoch provide O(1) domainList membership for the witness
 	// guards (allocated lazily on first EvalOver).
@@ -97,9 +97,10 @@ func (e *Evaluator) Graph() *graph.Graph { return e.g }
 type Env map[Var]graph.V
 
 // EvalOver is Eval with quantifiers iterating only the listed vertices —
-// the engine's hot path: the list is a precomputed neighborhood, so a
-// quantifier costs O(|domain|) instead of O(n).
-func (e *Evaluator) EvalOver(f Formula, env Env, domain []graph.V) bool {
+// the engine's path for a quantified component formula: the list is a ball
+// as the BFS returns it (read, not kept), so a quantifier costs O(|domain|)
+// instead of O(n).
+func (e *Evaluator) EvalOver(f Formula, env Env, domain []int32) bool {
 	if e.domainList != nil {
 		panic("fo: nested EvalOver is not supported")
 	}
@@ -179,6 +180,43 @@ func (e *Evaluator) Eval(f Formula, env Env) bool {
 		return res
 	}
 	panic(fmt.Sprintf("fo: unknown formula type %T", f))
+}
+
+// EvalAt reports whether G ⊨ f with every variable of f denoting v, for a
+// quantifier-free f: a formula in one free variable read straight off the
+// colours of v, with no environment and no search (x = x and dist(x,x) ≤ d
+// hold, E(x,x) is a loop). It agrees with Eval under the assignment of v to
+// that variable.
+func EvalAt(g *graph.Graph, f Formula, v graph.V) bool {
+	switch f := f.(type) {
+	case Truth:
+		return f.Value
+	case Edge:
+		return g.HasEdge(v, v)
+	case HasColor:
+		return g.HasColor(v, f.C)
+	case Eq:
+		return true
+	case DistLeq:
+		return f.D >= 0
+	case Not:
+		return !EvalAt(g, f.F, v)
+	case And:
+		for _, h := range f.Fs {
+			if !EvalAt(g, h, v) {
+				return false
+			}
+		}
+		return true
+	case Or:
+		for _, h := range f.Fs {
+			if EvalAt(g, h, v) {
+				return true
+			}
+		}
+		return false
+	}
+	panic(fmt.Sprintf("fo: EvalAt on %T, which is not quantifier-free", f))
 }
 
 // EvalTuple evaluates f with the free variables vars bound to the tuple a
@@ -265,7 +303,7 @@ func (e *Evaluator) eachWitness(v Var, body Formula, env Env, yield func(graph.V
 func (e *Evaluator) eachDomainVertex(yield func(graph.V) bool) {
 	if e.domainList != nil {
 		for _, v := range e.domainList {
-			if !yield(v) {
+			if !yield(int(v)) {
 				return
 			}
 		}

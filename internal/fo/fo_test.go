@@ -146,6 +146,39 @@ func TestEvaluatorBasics(t *testing.T) {
 	}
 }
 
+// TestEvalAtAgreesWithEval: on quantifier-free formulas, reading the formula
+// off one vertex is Eval with every variable bound to it — with distance
+// atoms answered by search and by a tester alike — and a quantifier is
+// refused.
+func TestEvalAtAgreesWithEval(t *testing.T) {
+	g := randomColored(25, 4)
+	ev, tested := NewEvaluator(g), NewEvaluator(g)
+	tested.UseDistTester(NewBFSDistTester(g))
+	tried := 0
+	for seed := uint64(1); seed <= 300; seed++ {
+		f := genf(&randSource{seed * 977}, 3)
+		if QuantifierRank(f) > 0 {
+			continue
+		}
+		tried++
+		for v := 0; v < g.N(); v++ {
+			env := Env{"x": v, "y": v, "z": v}
+			if got, want := EvalAt(g, f, v), ev.Eval(f, env); got != want || tested.Eval(f, env) != want {
+				t.Fatalf("%s at %d: EvalAt = %v, Eval = %v, Eval over a tester = %v", f, v, got, want, tested.Eval(f, env))
+			}
+		}
+	}
+	if tried < 20 {
+		t.Fatalf("only %d of 300 generated formulas were quantifier-free", tried)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("EvalAt evaluated a quantified formula")
+		}
+	}()
+	EvalAt(g, MustParse("exists z (E(x,z))"), 0)
+}
+
 func TestCachedEvaluatorAgrees(t *testing.T) {
 	g := pathGraph(30)
 	plain := NewEvaluator(g)

@@ -124,6 +124,39 @@ func (b *BFS) BallMulti(srcs []V, r int) []int32 {
 	return q
 }
 
+// AppendSortedBall appends N_r(src), ascending by vertex, to dst and returns
+// the extended slice: the one way a sorted ball is made. The ball is sorted
+// where it lands, so a caller that lays rows out in one arena copies each
+// once; a dst without room for it is reallocated at twice its capacity or
+// the size needed, whichever is more. Dist may be called on the appended
+// vertices afterwards (before the next search).
+func (b *BFS) AppendSortedBall(dst []int32, src V, r int) []int32 {
+	ball := b.Ball(src, r)
+	if need := len(dst) + len(ball); need > cap(dst) {
+		dst = append(make([]int32, 0, max(need, 2*cap(dst))), dst...)
+	}
+	start := len(dst)
+	dst = append(dst, ball...)
+	sortInt32(dst[start:])
+	return dst
+}
+
+// sortInt32 sorts s ascending. A ball of bounded radius on a sparse graph
+// is a few dozen vertices, where insertion beats the partitioning sort.
+func sortInt32(s []int32) {
+	if len(s) > 128 {
+		slices.Sort(s)
+		return
+	}
+	for i := 1; i < len(s); i++ {
+		x, j := s[i], i
+		for ; j > 0 && s[j-1] > x; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = x
+	}
+}
+
 // Dist returns the distance from the sources of the last search to v, or -1
 // if v was not reached within the radius.
 func (b *BFS) Dist(v V) int {

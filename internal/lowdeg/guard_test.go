@@ -13,7 +13,7 @@ import (
 )
 
 // The ball locality's selling points, enforced: preprocessing a
-// bounded-degree graph must be at least 5× cheaper than the general
+// bounded-degree graph must be at least 25× cheaper than the general
 // nowhere-dense build (no cover, kernels, skip pointers or distance index
 // to pay for), and a single-edge write at least 10× cheaper than that build
 // again (it patches the ball rows around the edge, it does not rebuild) —
@@ -41,10 +41,11 @@ func buildGuardQuery(t testing.TB) *core.LocalQuery {
 }
 
 // TestLowdegBuildSpeedGuard pins the headline preprocessing advantage:
-// on the degree-bounded bdeg-4000 graph the lowdeg build must be ≥ 5× cheaper
-// than the core build (measured ~18× on the reference machine; 5× leaves
-// headroom for noisy CI). Both engines are cross-checked on FastCount
-// before any timing is trusted.
+// on the degree-bounded bdeg-4000 graph the lowdeg build must be ≥ 25× cheaper
+// than the core build. It is one pass that writes every sorted ball once
+// and two passes over the colours (51–58× over five runs); the gate is half
+// of what is measured. Both engines are cross-checked on FastCount before any
+// timing is trusted.
 func TestLowdegBuildSpeedGuard(t *testing.T) {
 	timingGuard(t)
 	g := gen.Generate(gen.BoundedDegree, 4000, gen.Options{Seed: 16, Colors: 2})
@@ -85,8 +86,8 @@ func TestLowdegBuildSpeedGuard(t *testing.T) {
 		}
 	}
 	t.Logf("core build %v, lowdeg build %v (%.1fx)", coreWall, lowWall, float64(coreWall)/float64(lowWall))
-	if lowWall*5 > coreWall {
-		t.Errorf("lowdeg build %v is not ≥5x cheaper than core build %v", lowWall, coreWall)
+	if lowWall*25 > coreWall {
+		t.Errorf("lowdeg build %v is not ≥25x cheaper than core build %v", lowWall, coreWall)
 	}
 }
 

@@ -108,6 +108,16 @@ func TestMutateEndpoint(t *testing.T) {
 	if cs.Builds != 1 {
 		t.Fatalf("builds = %d, want 1 — the mutated version should migrate, not rebuild", cs.Builds)
 	}
+	// The migration applied the batch to the graph Mutate had patched: the
+	// head index answers over the server's head graph itself, not over a
+	// second patch of its predecessor's.
+	head, ok := s.cache.Peek(cacheKey{graph: "path", version: 1, canonical: s.queries[qr.ID].canonical})
+	if !ok {
+		t.Fatal("no index of version 1 resident after the stream was served")
+	}
+	if head.Graph() != s.graphs["path"].Head().g {
+		t.Fatal("the head index holds a graph of its own: a write patched the graph twice")
+	}
 
 	// /v1/test and /v1/next answer at the new head.
 	_, data := postJSON(t, ts.URL+"/v1/test", TupleRequest{ID: qr.ID, Tuple: []int{3, 4}})

@@ -124,7 +124,8 @@ func (s *Server) writeSnapshot(ctx context.Context, key cacheKey, ix *repro.Inde
 // migrateIndex is the cache's incremental tier: on a miss for
 // (graph, version, query) it looks for a resident index of an older
 // retained version of the same graph and advances it by replaying the
-// intervening edit batches through Index.ApplyEdits, which recomputes
+// intervening edit batches through Index.ApplyEditsTo — onto the graphs
+// Mutate patched, which the index versions then share — which recomputes
 // only the structure the edits touched — the n^ε update route the
 // mutation layer exists for. A miss (chain broken, replay failed, no
 // resident ancestor) falls back to a full build.
@@ -140,13 +141,13 @@ func (s *Server) migrateIndex(ctx context.Context, key cacheKey) (*repro.Index, 
 		if !ok {
 			continue
 		}
-		batches, ok := gs.editsSince(v, key.version)
+		chain, ok := gs.versionsSince(v, key.version)
 		if !ok {
 			return nil, nil // chain broken: a link left the retention window
 		}
 		ix, err := old, error(nil)
-		for _, batch := range batches {
-			if ix, err = ix.ApplyEdits(ctx, batch); err != nil {
+		for _, gv := range chain {
+			if ix, err = ix.ApplyEditsTo(ctx, gv.g, gv.edits); err != nil {
 				break
 			}
 		}

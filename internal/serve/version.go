@@ -32,8 +32,9 @@ type graphState struct {
 
 // graphVersion is one immutable point in a graph's edit history. edits is
 // the batch that produced this version from its predecessor (nil for
-// version 0): the index cache replays it to migrate a resident index
-// forward instead of rebuilding.
+// version 0): the index cache replays it, onto g, to migrate a resident
+// index forward instead of rebuilding — the graph is patched here and
+// nowhere else, and an index of this version answers over g itself.
 type graphVersion struct {
 	g       *repro.Graph
 	version int
@@ -70,22 +71,23 @@ func (gs *graphState) At(version int) (*graphVersion, bool) {
 	return nil, false
 }
 
-// editsSince returns the edit batches leading from version `from`
-// (exclusive) to version `to` (inclusive), in application order. ok=false
-// when any link of the chain has left the retention window.
-func (gs *graphState) editsSince(from, to int) ([][]repro.Edit, bool) {
+// versionsSince returns the versions leading from version `from`
+// (exclusive) to version `to` (inclusive), in order: each holds the batch
+// that produced it and the graph it produced. ok=false when any link of
+// the chain has left the retention window.
+func (gs *graphState) versionsSince(from, to int) ([]*graphVersion, bool) {
 	if from >= to {
 		return nil, false
 	}
-	batches := make([][]repro.Edit, 0, to-from)
+	chain := make([]*graphVersion, 0, to-from)
 	for v := from + 1; v <= to; v++ {
 		gv, ok := gs.At(v)
 		if !ok {
 			return nil, false
 		}
-		batches = append(batches, gv.edits)
+		chain = append(chain, gv)
 	}
-	return batches, true
+	return chain, true
 }
 
 // Mutate validates and applies the edit batch, publishing a new head

@@ -15,10 +15,11 @@ import (
 // skips the whole pseudo-linear preprocessing, so it must be several times
 // faster than the build it replaces. The threshold is what a load provably
 // buys, not what it bought once: the ratio was above 10× until PRs 12–15 made
-// the build 2–4× cheaper, and has been about 8× on grid-2000 since (2.7× at
-// n = 32k, where bench reads first_answer_ms 52 against
-// first_answer_restore_ms 19 — a load is linear in the file, the build is
-// no longer far from it). A timing ratio, so it runs in verify.sh tier 3
+// the build 2–4× cheaper, was about 8× on grid-2000 after them, and is about
+// 5.5× (3.9–6.6× over fifteen runs) since PR 23 took the starter phase out
+// of the build (1.8× at n = 32k, where bench reads first_answer_ms 30
+// against first_answer_restore_ms 17 — a load is linear in the file, the
+// build is no longer far from it). A timing ratio, so it runs in verify.sh tier 3
 // under GUARD=1; that the restored index keeps the 0 allocs/op hot paths is
 // a tier-1 row of TestFacadeHotPathsZeroAllocs.
 func TestSnapshotLoadSpeedGuard(t *testing.T) {

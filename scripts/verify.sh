@@ -49,13 +49,13 @@
 #            constant factor of a first page (TestColdResumeGuard); loading
 #            the grid-2000 index from a snapshot is ≥3× faster than
 #            building it, best of three on both sides — the measured ratio
-#            is about 8× there and 2.7× at 32k since the build got cheaper
+#            is about 5.5× there and 1.8× at 32k since the build got cheaper
 #            (TestSnapshotLoadSpeedGuard); a single-edge
 #            ApplyEdits is ≥10× faster than the rebuild on grid-4000 over
 #            the cover locality and on bdeg-32k over the ball locality,
 #            never through the rebuild fallback (TestMutateSpeedGuard,
 #            TestLowdegMutateSpeedGuard); and on bdeg-4000 the ball-locality
-#            build is ≥5× cheaper than the cover-locality build
+#            build is ≥25× cheaper than the cover-locality build
 #            (TestLowdegBuildSpeedGuard)
 #
 #   scripts/verify.sh          # all tiers
