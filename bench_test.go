@@ -416,22 +416,7 @@ func BenchmarkAdjacencyEncoding(b *testing.B) {
 //
 // The workers=1 and workers=4 sub-runs build identical structures (see the
 // differential tests); the ratio of their wall times is the pipeline
-// speedup. On a single-CPU host the two coincide up to speculation
-// overhead.
-
-func BenchmarkCoverConstructionParallel(b *testing.B) {
-	for _, n := range []int{16000, 64000} {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("grid/n=%d/workers=%d", n, workers), func(b *testing.B) {
-				g := benchGraph(gen.Grid, n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cover.ComputeWith(g, 2, cover.Options{Workers: workers})
-				}
-			})
-		}
-	}
-}
+// speedup. The cover has no parallel path (EXPERIMENTS.md E14).
 
 func BenchmarkDistIndexBuildParallel(b *testing.B) {
 	for _, n := range []int{16000, 64000} {

@@ -151,16 +151,19 @@ func TestCursorAllocCounts(t *testing.T) {
 	}
 }
 
-// TestBuildAllocs pins what a build allocates — objects and bytes of one
-// Build at Parallelism 1 (Mallocs and TotalAlloc deltas, scratch pools
-// warm), far2 at n = 32 000 — on a degree-4 graph under the ball locality
-// and on a grid under the cover locality. Every sorted ball is written once
-// into the arena of its table and a quantifier-free singleton component
-// reads the colours of its vertex, so the ball build is a few dozen
-// objects (65, and 4.8 MB, where a row and an evaluation scratch per vertex
-// cost 96 000 and 14 MB); what the grid build allocates (21 700 objects,
-// 26 MB) is the cover's bags and the skip pointers. The ratio of the bytes allocated to
-// the bytes the index keeps is logged, not gated.
+// TestBuildAllocs pins what a build allocates and what the index keeps —
+// objects and bytes of one Build at Parallelism 1 (Mallocs and TotalAlloc
+// deltas, scratch pools warm) and the live heap it leaves, far2 at n =
+// 32 000 — on a degree-4 graph under the ball locality and on a grid under
+// the cover locality. Every sorted ball is written once into the arena of
+// its table and a quantifier-free singleton component reads the colours of
+// its vertex, so the ball build is a few dozen objects (74, and 5.1 MB,
+// where a row and an evaluation scratch per vertex cost 96 000 and 14 MB).
+// The cover is one arena of int32 rows with its kernels filtered out of a
+// depth column and x's per-kernel lists are those rows, so the grid build
+// is 209 objects and 22 MB for 9.5 MB kept (21 700, 26 MB and 13.5 MB with
+// a slice a bag, a BFS a kernel and a copy a list). The kept bytes are what
+// bench reports as index_heap_mb.
 func TestBuildAllocs(t *testing.T) {
 	if testing.Short() {
 		// As TestApplyEditsAllocBytes: under the race detector sync.Pool
@@ -174,9 +177,10 @@ func TestBuildAllocs(t *testing.T) {
 		kind      EngineKind
 		maxAllocs uint64
 		maxBytes  uint64
+		maxKept   uint64
 	}{
-		{"bdeg", EngineLowDeg, 500, 9 << 20},
-		{"grid", EngineCore, 30000, 36 << 20},
+		{"bdeg", EngineLowDeg, 500, 9 << 20, 3 << 20},
+		{"grid", EngineCore, 500, 24 << 20, 11<<20 + 1<<19},
 	} {
 		g := Generate(tc.class, 32000, GenOptions{Colors: 2, Seed: 1})
 		build := func() *Index {
@@ -205,9 +209,9 @@ func TestBuildAllocs(t *testing.T) {
 		heap := kept.HeapAlloc - empty.HeapAlloc
 		t.Logf("%s-32k on %s: %d allocs, %.1f MB allocated for %.1f MB of index (%.2f×)",
 			tc.class, ix.Engine(), allocs, float64(bytes)/(1<<20), float64(heap)/(1<<20), float64(bytes)/float64(heap))
-		if allocs > tc.maxAllocs || bytes > tc.maxBytes {
-			t.Errorf("%s-32k: a build allocates %d objects and %d bytes, limits %d and %d",
-				tc.class, allocs, bytes, tc.maxAllocs, tc.maxBytes)
+		if allocs > tc.maxAllocs || bytes > tc.maxBytes || heap > tc.maxKept {
+			t.Errorf("%s-32k: a build allocates %d objects and %d bytes and keeps %d, limits %d, %d and %d",
+				tc.class, allocs, bytes, heap, tc.maxAllocs, tc.maxBytes, tc.maxKept)
 		}
 	}
 }

@@ -4,8 +4,9 @@
 // engine-contract assertions live in internal/conform (shared with the
 // cross-engine battery and the lowdeg fuzz harness); this file adds the
 // core-specific checks: the two builds must agree on their preprocessing
-// shape (cover validity, bag count, starter sizes), and the cover and
-// distance-index layers are validated against brute force.
+// shape (bag count, starter sizes), and the distance-index layer is
+// validated against brute force. The cover has one construction, held to
+// the definitions in internal/cover.
 package core_test
 
 import (
@@ -15,7 +16,6 @@ import (
 
 	"repro/internal/conform"
 	"repro/internal/core"
-	"repro/internal/cover"
 	"repro/internal/dist"
 	"repro/internal/fo"
 	"repro/internal/gen"
@@ -109,32 +109,6 @@ func TestDifferentialMembership(t *testing.T) {
 			}
 			if err := conform.CheckNextGeq(sys, want); err != nil {
 				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// TestDifferentialCover checks that the cover underlying both engines is
-// valid and identical — Validate() runs the cover axioms brute-force.
-func TestDifferentialCover(t *testing.T) {
-	for _, class := range []gen.Class{gen.Grid, gen.RandomTree, gen.SparseRandom} {
-		g := gen.Generate(class, 300, gen.Options{Seed: 4})
-		for _, r := range []int{1, 2} {
-			seq := cover.ComputeWith(g, r, cover.Options{Workers: 1})
-			par := cover.ComputeWith(g, r, cover.Options{Workers: 4})
-			if err := seq.Validate(); err != nil {
-				t.Fatalf("%s r=%d: sequential cover invalid: %v", class, r, err)
-			}
-			if err := par.Validate(); err != nil {
-				t.Fatalf("%s r=%d: parallel cover invalid: %v", class, r, err)
-			}
-			if seq.NumBags() != par.NumBags() {
-				t.Fatalf("%s r=%d: bag counts differ: %d vs %d", class, r, seq.NumBags(), par.NumBags())
-			}
-			for i := 0; i < seq.NumBags(); i++ {
-				if !reflect.DeepEqual(seq.Bag(i), par.Bag(i)) || seq.Center(i) != par.Center(i) {
-					t.Fatalf("%s r=%d: bag %d differs", class, r, i)
-				}
 			}
 		}
 	}

@@ -156,7 +156,7 @@ type compRT struct {
 	// What the cover locality derives from the starter list; nil under the
 	// ball locality, which scans the list itself.
 	skip     *skip.Pointers
-	byKernel [][]graph.V // per bag: starter ∩ K_R(bag), sorted
+	byKernel [][]int32 // per bag: starter ∩ K_R(bag), sorted; the cover's kernel rows when every vertex starts
 
 	memo sync.Map // tupleKey -> bool, local evaluation memo (multi-position components only)
 }

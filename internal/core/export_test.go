@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/fo"
 	"repro/internal/graph"
 )
@@ -80,4 +82,50 @@ func (e *Engine) StartersByBall() []StarterList {
 		}
 	}
 	return out
+}
+
+// rowAt is where a row lives: its first cell, nil for an empty one.
+func rowAt(row []int32) *int32 {
+	if len(row) == 0 {
+		return nil
+	}
+	return &row[0]
+}
+
+// KernelRow is one row as a version holds it: what it reads and where it is.
+type KernelRow struct {
+	Data []int32 // a copy
+	At   *int32  // the row's first cell, nil for an empty row
+}
+
+// KernelRows lists every kernel row of e's cover and then, component by
+// component, every per-kernel starter list; nil under the ball locality. A
+// version whose KernelRows come out the same later (SameKernelRows) has had
+// none of them written or moved by the writes that derived its successors.
+func (e *Engine) KernelRows() []KernelRow {
+	l, ok := e.loc.(*coverLoc)
+	if !ok {
+		return nil
+	}
+	lists := [][][]int32{l.cov.Kernels()}
+	for _, rt := range e.clauses {
+		for _, c := range rt.comps {
+			lists = append(lists, c.byKernel)
+		}
+	}
+	var out []KernelRow
+	for _, rows := range lists {
+		for _, row := range rows {
+			out = append(out, KernelRow{Data: slices.Clone(row), At: rowAt(row)})
+		}
+	}
+	return out
+}
+
+// SameKernelRows reports whether a and b hold the same cells at the same
+// addresses.
+func SameKernelRows(a, b []KernelRow) bool {
+	return slices.EqualFunc(a, b, func(x, y KernelRow) bool {
+		return x.At == y.At && slices.Equal(x.Data, y.Data)
+	})
 }

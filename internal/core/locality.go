@@ -148,7 +148,7 @@ func buildCoverLoc(e *Engine, pool *par.Pool, root *obs.Span, checkpoint func() 
 	// The kernels make "outside every kernel ⇒ far from every previous
 	// element" sound, which needs bags ⊇ N_{2R}(center of coverage).
 	sp = root.Child("cover")
-	l.cov = cover.ComputeWith(e.g, 2*e.r, cover.Options{Workers: e.stats.Workers})
+	l.cov = cover.Compute(e.g, 2*e.r)
 	sp.End()
 	if err := checkpoint(); err != nil {
 		return nil, err
@@ -219,13 +219,18 @@ func (l *coverLoc) indexStarter(c *compRT, saved *CompParts, pool *par.Pool, tra
 	return nil
 }
 
-// buildKernelLists fills c.byKernel[bag] = starter ∩ K_R(bag). Bags are
-// independent and each task writes only its own list.
+// buildKernelLists fills c.byKernel[bag] = starter ∩ K_R(bag). A component
+// every vertex starts takes the cover's kernel rows as they are; otherwise
+// bags are independent and each task writes only its own list.
 func (l *coverLoc) buildKernelLists(c *compRT, pool *par.Pool) {
+	if len(c.starter) == l.g.N() {
+		c.byKernel = l.cov.Kernels()
+		return
+	}
 	// Two counting passes into one flat backing array: per-bag append
 	// allocations made this a hotspot on the snapshot-restore path.
 	nb := l.cov.NumBags()
-	c.byKernel = make([][]graph.V, nb)
+	c.byKernel = make([][]int32, nb)
 	cnt := make([]int32, nb+1)
 	pool.ForEach(nb, func(i int) {
 		m := int32(0)
@@ -239,7 +244,7 @@ func (l *coverLoc) buildKernelLists(c *compRT, pool *par.Pool) {
 	for i := 0; i < nb; i++ {
 		cnt[i+1] += cnt[i]
 	}
-	flat := make([]graph.V, cnt[nb])
+	flat := make([]int32, cnt[nb])
 	pool.ForEach(nb, func(i int) {
 		row := flat[cnt[i]:cnt[i]:cnt[i+1]]
 		for _, v := range l.cov.Kernel(i) {
@@ -299,8 +304,10 @@ func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starte
 
 	// byKernel rows change only for bags whose kernel changed, bags the
 	// patch created, and bags whose kernel contains a starter-diff vertex.
+	// Those get rows of c2's own; the others stay c's, which may be the old
+	// cover's kernel rows.
 	nb := l.cov.NumBags()
-	c2.byKernel = make([][]graph.V, nb)
+	c2.byKernel = make([][]int32, nb)
 	copy(c2.byKernel, c.byKernel)
 	redo := make(map[int]bool, len(info.KernelChanged)+len(info.NewBags))
 	for _, b := range info.KernelChanged {
@@ -320,7 +327,7 @@ func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starte
 	}
 	sort.Ints(redoList)
 	for _, b := range redoList {
-		var row []graph.V
+		var row []int32
 		for _, v := range l.cov.Kernel(b) {
 			if c2.inStart[v] {
 				row = append(row, v)
@@ -427,8 +434,8 @@ func (l *coverLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *f
 	inKernel := false
 	for b, x := range fr.bags[:fr.nb] {
 		lst := c.byKernel[x]
-		at := lowerBound(lst, v, int(fr.kat[b]))
-		if at < len(lst) && lst[at] == v {
+		at := lowerBound32(lst, int32(v), int(fr.kat[b]))
+		if at < len(lst) && lst[at] == int32(v) {
 			inKernel = true
 			at++
 		}
@@ -456,7 +463,7 @@ func (l *coverLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *f
 	for b, x := range bags {
 		lst := c.byKernel[x]
 		for at := int(fr.kat[b]); at < len(lst); at++ {
-			w := lst[at]
+			w := graph.V(lst[at])
 			if best >= 0 && w >= best {
 				break
 			}
@@ -707,4 +714,15 @@ func lowerBound(s []graph.V, x graph.V, at int) int {
 		}
 	}
 	return lo
+}
+
+// lowerBound32 is lowerBound over an int32 list: the per-kernel starter
+// lists, which are the cover's rows or cut from them.
+//
+//fod:hotpath
+func lowerBound32(s []int32, x int32, at int) int {
+	if uint(at) <= uint(len(s)) && (at == 0 || s[at-1] < x) && (at == len(s) || x <= s[at]) {
+		return at
+	}
+	return searchInt32(s, x)
 }

@@ -159,8 +159,10 @@ func TestMutateDifferential(t *testing.T) {
 // the first version and on a window of the four newest, one writer chaining
 // new ones, over either locality. The versions of the window share most
 // blocks of their row stores (graph, distance table or ball rows, inverted
-// lists) with each other and with the first. verify.sh tier 2 runs it under
-// -race.
+// lists) with each other and with the first, and under the cover locality
+// kernel rows and per-kernel starter lists, which are the same rows where
+// every vertex starts: none of those is written or moved by a later write
+// (KernelRows). verify.sh tier 2 runs it under -race.
 func TestMutateSnapshotIsolation(t *testing.T) {
 	for _, loc := range bothLocalities {
 		t.Run(loc.name, func(t *testing.T) {
@@ -178,9 +180,11 @@ func TestMutateSnapshotIsolation(t *testing.T) {
 
 			var window [4]atomic.Pointer[core.Engine]
 			var answers [len(window)][][]graph.V // of the window's engines, as first read
+			var rows [len(window)][]core.KernelRow
+			firstRows := eng.KernelRows()
 			for i := range window {
 				window[i].Store(eng)
-				answers[i] = before
+				answers[i], rows[i] = before, firstRows
 			}
 			// Readers hammer the first engine and the window while the writer
 			// chains mutations off the head.
@@ -214,17 +218,18 @@ func TestMutateSnapshotIsolation(t *testing.T) {
 					t.Fatal(err)
 				}
 				cur = next
-				answers[i%len(window)] = materialize(cur)
+				answers[i%len(window)], rows[i%len(window)] = materialize(cur), cur.KernelRows()
 				window[i%len(window)].Store(cur)
 			}
 			close(stop)
 			wg.Wait()
-			if !reflect.DeepEqual(before, materialize(eng)) {
-				t.Fatal("old engine's enumeration changed after mutations")
+			if !reflect.DeepEqual(before, materialize(eng)) || !core.SameKernelRows(firstRows, eng.KernelRows()) {
+				t.Fatal("old engine's enumeration or kernel rows changed after mutations")
 			}
 			for i := range window {
-				if !reflect.DeepEqual(answers[i], materialize(window[i].Load())) {
-					t.Fatalf("a retained version's enumeration changed under later mutations (slot %d)", i)
+				old := window[i].Load()
+				if !reflect.DeepEqual(answers[i], materialize(old)) || !core.SameKernelRows(rows[i], old.KernelRows()) {
+					t.Fatalf("a retained version's enumeration or kernel rows changed under later mutations (slot %d)", i)
 				}
 			}
 		})

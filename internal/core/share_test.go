@@ -90,6 +90,93 @@ func TestSkipTablesShared(t *testing.T) {
 	}
 }
 
+// TestKernelListsAreCoverRows: a component every vertex starts (far2's x)
+// reads the cover's kernel rows as its per-kernel lists — built or restored,
+// not a cell is copied — and a component with a proper starter list (C0(y))
+// has lists of its own. A write gives x rows of its own for exactly the bags
+// it redoes — those whose kernel changed and those the patch made — and
+// leaves every other list where the parent has it; the parent's rows and
+// lists stay bit for bit.
+func TestKernelListsAreCoverRows(t *testing.T) {
+	g := gen.Generate(gen.Grid, 900, gen.Options{Seed: 3, Colors: 2})
+	q := compileT(t, "dist(x,y) > 2 & C0(y)", "x", "y")
+	built, err := Preprocess(g, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreEngine(g, q, built.SnapshotParts(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]*Engine{"built": built, "restored": restored} {
+		cov := e.loc.(*coverLoc).cov
+		x, y := e.clauses[0].comps[0], e.clauses[0].comps[1]
+		if len(x.starter) != g.N() || len(y.starter) == g.N() {
+			t.Fatalf("%s: far2 no longer has a component every vertex starts and one not: %s", name, e.Explain())
+		}
+		shared, own := 0, 0
+		for b := 0; b < cov.NumBags(); b++ {
+			if rowAt(x.byKernel[b]) != rowAt(cov.Kernel(b)) {
+				t.Fatalf("%s: x's list for bag %d is not the cover's kernel row", name, b)
+			}
+			if len(y.byKernel[b]) > 0 {
+				if rowAt(y.byKernel[b]) == rowAt(cov.Kernel(b)) {
+					t.Fatalf("%s: y's list for bag %d is the cover's kernel row", name, b)
+				}
+				own++
+			}
+			if len(cov.Kernel(b)) > 0 {
+				shared++
+			}
+		}
+		if shared == 0 || own == 0 {
+			t.Fatalf("%s: every kernel or every list of y is empty; the test exercises nothing", name)
+		}
+	}
+
+	// A removed edge grows kernels, a chord across the grid breaks containment
+	// around its ends: both kinds of redone bag.
+	e := built
+	changedSeen, newSeen := false, false
+	for _, edits := range [][]graph.Edit{
+		{{Op: graph.RemoveEdge, U: 30*12 + 12, V: 30*12 + 13}},
+		{{Op: graph.AddEdge, U: 30*5 + 5, V: 30*20 + 20}},
+	} {
+		before := e.KernelRows()
+		e2, err := e.ApplyEdits(context.Background(), edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e2.Stats().MutRebuilds != e.Stats().MutRebuilds {
+			t.Fatalf("%v was rebuilt, not patched; the test exercises nothing", edits)
+		}
+		cov, cov2 := e.loc.(*coverLoc).cov, e2.loc.(*coverLoc).cov
+		x, x2 := e.clauses[0].comps[0], e2.clauses[0].comps[0]
+		for b := 0; b < cov2.NumBags(); b++ {
+			if !slices.Equal(x2.byKernel[b], cov2.Kernel(b)) {
+				t.Fatalf("%v: x's list for bag %d is not the kernel", edits, b)
+			}
+			redone := b >= cov.NumBags() || !slices.Equal(cov.Kernel(b), cov2.Kernel(b))
+			switch {
+			case !redone && rowAt(x2.byKernel[b]) != rowAt(x.byKernel[b]):
+				t.Fatalf("%v: x's list for bag %d, which the write did not redo, moved", edits, b)
+			case redone && len(x2.byKernel[b]) > 0 && rowAt(x2.byKernel[b]) == rowAt(cov2.Kernel(b)):
+				t.Fatalf("%v: x's list for redone bag %d is the new cover's row, not one of its own", edits, b)
+			}
+			if redone {
+				changedSeen, newSeen = changedSeen || b < cov.NumBags(), newSeen || b >= cov.NumBags()
+			}
+		}
+		if !SameKernelRows(before, e.KernelRows()) {
+			t.Fatalf("%v: the write changed a kernel row or a per-kernel list of the version it started from", edits)
+		}
+		e = e2
+	}
+	if !changedSeen || !newSeen {
+		t.Fatalf("the writes changed a kernel: %v, made a bag: %v; the test needs both", changedSeen, newSeen)
+	}
+}
+
 // TestApplyEditsOverSharedTables: a patch gives every component its own
 // overlay over the shared base (two tables still), the base engine keeps
 // its answers, and once the accumulated delta outgrows the threshold the

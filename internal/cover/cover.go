@@ -16,47 +16,79 @@
 // same question through the Storing Theorem (Theorem 3.1), which
 // internal/store reproduces on its own.
 //
-// # Parallel construction
+// # Construction
 //
-// The expensive per-bag work — the 2r-ball BFS and the Lemma 5.7 boundary
-// BFS that identifies the bag's r-interior — depends only on the graph and
-// the chosen center, never on earlier bags. Only the *choice* of centers
-// (the ascending scan over still-uncovered vertices) is sequential. With
-// Options.Workers > 1, ComputeWith therefore speculates: it picks the next
-// few plausible centers, computes their balls and interiors concurrently,
-// and then commits results in ascending center order, discarding any
-// speculation invalidated by an earlier commit. The committed center
-// sequence is provably the greedy sequence, so the resulting cover is
-// byte-identical to the sequential one (bags, centers, assignment, and
-// kernels); the differential tests in this package and internal/core
-// enforce that. ComputeKernels parallelizes trivially (one independent
-// boundary BFS per bag, ordered fan-in).
+// The cover is built in one pass over the greedy centers and kept as the
+// arrays a snapshot writes. A center costs one BFS to depth 2r and one
+// Lemma 5.7 boundary BFS to depth r, seeded from the last BFS layer (a
+// vertex nearer the center has every neighbor inside the ball). That
+// second search yields, for every cell of the bag, its distance to the
+// bag's complement capped at r+1: one byte a cell, the depth column. Cells
+// of depth > r are the vertices the bag covers, and K_p(X) for any p ≤ r
+// is the cells of depth > p — ComputeKernels is a filter of the column, no
+// search. Bags are laid out in BFS order in one int32 arena and sorted by
+// transposing twice: counting into memberOf gives rows ascending in bag
+// id, counting back gives every bag ascending in vertex with its depths
+// aligned.
+//
+// Bags and kernels are int32 rows, views of one CSR pair after a build or
+// a restore (Parts hands the pair out, FromParts adopts it); a Patch
+// replaces or appends single rows and never writes one in place, so the
+// versions of an index share every row a write did not redo. A restored or
+// patched cover has no depth column and computes kernels bag by bag
+// (bagKernel).
 package cover
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 )
 
-// Options tunes cover construction.
+// Options is kept for callers that still pass it; the construction is one
+// sequential pass and reads nothing from it.
 type Options struct {
-	// Workers bounds the construction parallelism. 0 and 1 select the
-	// sequential path; the parallel path (≥ 2) produces byte-identical
-	// covers.
+	// Workers is ignored. A speculative parallel construction it used to
+	// select was 3–4× slower than the sequential one at one and at two
+	// CPUs (EXPERIMENTS.md E14) and is gone.
 	Workers int
 }
 
-// Stats reports construction facts: parallelism used and speculation
-// efficiency.
-type Stats struct {
-	Workers       int // workers used for Compute/ComputeKernels
-	BallsComputed int // ball+interior computations (incl. speculative)
-	BallsWasted   int // speculative computations discarded
+// rowList is a family of ascending int32 rows: bags, or kernels.
+type rowList struct {
+	rows [][]int32
+	// The CSR pair every row views; nil once a Patch has replaced or
+	// appended a row.
+	off, data []int32
+}
+
+// viewRows returns the rows data[off[i]:off[i+1]], viewing both arrays.
+func viewRows(off, data []int32) rowList {
+	l := rowList{rows: make([][]int32, len(off)-1), off: off, data: data}
+	for i := range l.rows {
+		l.rows[i] = data[off[i]:off[i+1]:off[i+1]]
+	}
+	return l
+}
+
+// flat returns the rows as one CSR pair (read-only): the arrays they view,
+// or a fresh assembly once a row was replaced.
+func (l *rowList) flat() (off, data []int32) {
+	if l.off != nil {
+		return l.off, l.data
+	}
+	off = make([]int32, len(l.rows)+1)
+	for i, row := range l.rows {
+		off[i+1] = off[i] + int32(len(row))
+	}
+	data = make([]int32, 0, off[len(l.rows)])
+	for _, row := range l.rows {
+		data = append(data, row...)
+	}
+	return off, data
 }
 
 // Cover is an (R, 2R)-neighborhood cover of a colored graph.
@@ -65,268 +97,172 @@ type Cover struct {
 	// R is the cover radius r; S = 2R bounds the bag radius.
 	R, S int
 
-	bags     [][]graph.V       // sorted vertex lists
-	centers  []graph.V         // c_X with X ⊆ N_S(c_X)
+	bags     rowList           // sorted vertex lists
+	centers  []int32           // c_X with X ⊆ N_S(c_X)
 	assign   []int32           // 𝒳(a): index of the canonical bag covering N_R(a)
 	memberOf graph.Rows[int32] // sorted bag indices containing each vertex
 	degree   int               // δ(𝒳): the longest memberOf row
+	// depth[j] is the distance from cell bags.data[j] to the complement of
+	// its bag, capped at R+1. nil on a restored or patched cover, and for
+	// R ≥ 255, where the cap does not fit a byte.
+	depth []uint8
 
 	kernelP  int               // radius of the computed kernels (-1 = none)
-	kernels  [][]graph.V       // p-kernel per bag, sorted
+	kernels  rowList           // p-kernel per bag, sorted
 	kernelOf graph.Rows[int32] // sorted bag indices whose kernel contains v
-
-	pool  *par.Pool
-	stats Stats
 }
 
-// Compute builds an (r, 2r)-neighborhood cover of g sequentially. It is
-// ComputeWith with Options{Workers: 1}.
+// Compute builds an (r, 2r)-neighborhood cover of g.
 func Compute(g *graph.Graph, r int) *Cover {
-	return ComputeWith(g, r, Options{Workers: 1})
-}
-
-// ComputeWith builds an (r, 2r)-neighborhood cover of g with the given
-// options. The result is independent of Workers.
-func ComputeWith(g *graph.Graph, r int, opt Options) *Cover {
 	if r < 1 {
 		panic(fmt.Sprintf("cover: radius %d < 1", r))
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	c := &Cover{g: g, R: r, S: 2 * r, kernelP: -1, pool: par.NewPool(workers)}
-	c.stats.Workers = c.pool.Workers()
-	c.assign = make([]int32, g.N())
+	n := g.N()
+	c := &Cover{g: g, R: r, S: 2 * r, kernelP: -1}
+	c.assign = make([]int32, n)
 	for i := range c.assign {
 		c.assign[i] = -1
 	}
-	if c.pool.Workers() > 1 && g.N() > 1 {
-		c.computeSpeculative()
-	} else {
-		c.computeSequential()
-	}
-	c.stats.BallsWasted = c.stats.BallsComputed - len(c.bags)
-	c.buildMembership()
-	return c
-}
+	bfs := graph.BorrowBFS(g)
+	defer bfs.Release()
+	sc := borrowKernelScratch(n)
+	defer kernelScratchPool.Put(sc)
 
-// ballScratch is the per-worker state of one ball+interior computation:
-// reusable BFS scratch plus epoch-marked membership arrays. mark[v] == ep
-// means "in the current ball's interior", mark[v] == -ep "in the ball but
-// within r of its boundary" (the excluded set of Lemma 5.7).
-type ballScratch struct {
-	bfs   *graph.BFS
-	mark  []int32
-	depth []int32
-	queue []graph.V
-	ep    int32
-}
-
-func newBallScratch(g *graph.Graph) *ballScratch {
-	return &ballScratch{
-		bfs:   graph.NewBFS(g),
-		mark:  make([]int32, g.N()),
-		depth: make([]int32, g.N()),
-	}
-}
-
-// specResult is one speculative bag: the sorted 2r-ball of center and the
-// subset of it whose r-ball stays inside (the vertices the bag covers).
-type specResult struct {
-	center   graph.V
-	bag      []graph.V // sorted
-	interior []graph.V
-}
-
-// ballAndInterior computes N_S(center) and its r-interior, exactly as one
-// iteration of the sequential greedy loop does, using only sc-local state.
-func (c *Cover) ballAndInterior(sc *ballScratch, center graph.V) specResult {
-	sc.ep++
-	ep := sc.ep
-	ball := sc.bfs.Ball(center, c.S)
-	vs := make([]graph.V, len(ball))
-	for i, v := range ball {
-		vs[i] = int(v)
-		sc.mark[v] = ep
-	}
-	// Boundary: ball vertices with a neighbor outside the ball, at
-	// distance 1 from the complement (Lemma 5.7).
-	sc.queue = sc.queue[:0]
-	for _, v := range vs {
-		for _, w := range c.g.Neighbors(v) {
-			if sc.mark[w] != ep {
-				sc.queue = append(sc.queue, v)
-				sc.depth[v] = 1
-				break
-			}
-		}
-	}
-	for _, v := range sc.queue {
-		sc.mark[v] = -ep
-	}
-	// BFS inside the ball: depth t ⇒ distance t to the complement; the
-	// interior is {distance > r}.
-	for head := 0; head < len(sc.queue); head++ {
-		v := sc.queue[head]
-		if int(sc.depth[v]) >= c.R {
-			continue
-		}
-		for _, w := range c.g.Neighbors(v) {
-			if sc.mark[w] == ep {
-				sc.mark[w] = -ep
-				sc.depth[w] = sc.depth[v] + 1
-				sc.queue = append(sc.queue, int(w))
-			}
-		}
-	}
-	interior := make([]graph.V, 0, len(vs))
-	for _, v := range vs {
-		if sc.mark[v] == ep {
-			interior = append(interior, v)
-		}
-	}
-	sort.Ints(vs)
-	return specResult{center: center, bag: vs, interior: interior}
-}
-
-// commit appends the bag and assigns its still-unassigned interior
-// vertices, mirroring one sequential greedy iteration.
-func (c *Cover) commit(res specResult) {
-	bag := int32(len(c.bags))
-	for _, v := range res.interior {
-		if c.assign[v] < 0 {
-			c.assign[v] = bag
-		}
-	}
-	if c.assign[res.center] < 0 {
-		// Degenerate: the center sits within r of its own bag boundary
-		// (possible when the ball is shallow); it is still covered by its
-		// own N_r ⊆ N_S(center) = the bag. Keep the direct assignment as
-		// a safety net.
-		c.assign[res.center] = bag
-	}
-	c.bags = append(c.bags, res.bag)
-	c.centers = append(c.centers, res.center)
-}
-
-func (c *Cover) computeSequential() {
-	sc := newBallScratch(c.g)
-	for a := 0; a < c.g.N(); a++ {
+	// One pass over the greedy centers: the smallest vertex no bag covers
+	// yet contributes the bag N_2r(a), laid out in BFS order.
+	var cells []int32 // the bags, concatenated
+	off := []int32{0}
+	// Per cell, the distance to the bag's complement capped at r+1, kept
+	// while the cap fits a byte.
+	var depth []uint8
+	keepDepth := r < math.MaxUint8
+	covered := 0
+	for a := 0; a < n; a++ {
 		if c.assign[a] >= 0 {
 			continue
 		}
-		c.stats.BallsComputed++
-		c.commit(c.ballAndInterior(sc, a))
+		bag := int32(len(c.centers))
+		ball := bfs.Ball(a, c.S)
+		if need := len(cells) + len(ball); need > cap(cells) {
+			// Grow to where the cells a covered vertex has cost so far put
+			// the end, not by doubling: the arena is the largest array of
+			// the build, and on a homogeneous graph this is its last move.
+			est := 0
+			if covered > 0 {
+				est = int(float64(len(cells)) / float64(covered) * float64(n) * 1.05)
+			}
+			grown := max(need, 2*cap(cells), min(est, 8*need))
+			cells = append(make([]int32, 0, grown), cells...)
+			if keepDepth {
+				depth = append(make([]uint8, 0, grown), depth...)
+			}
+		}
+		ep := sc.ballDepths(g, bfs, ball, c.S, r)
+		// The bag covers its r-interior: N_r(v) ⊆ X exactly for the cells
+		// of depth > r. The center is one of them, 2r+1 from the complement.
+		base := len(cells)
+		cells = append(cells, ball...)
+		if keepDepth {
+			depth = depth[:len(cells)]
+		}
+		for i, v := range ball {
+			d := r + 1
+			if sc.mark[v] == ep {
+				d = int(sc.depth[v])
+			}
+			if d > r && c.assign[v] < 0 {
+				c.assign[v] = bag
+				covered++
+			}
+			if keepDepth {
+				depth[base+i] = uint8(d)
+			}
+		}
+		if len(cells) > math.MaxInt32 {
+			panic(fmt.Sprintf("cover: the radius-%d bags of %v do not fit 2³¹ cells", c.S, g))
+		}
+		off = append(off, int32(len(cells)))
+		c.centers = append(c.centers, int32(a))
 	}
+	c.sortBags(off, cells, depth)
+	return c
 }
 
-// computeSpeculative is the parallel greedy cover. Invariant: every vertex
-// below frontier is assigned. Each round speculates a batch of candidate
-// centers — the current frontier plus further unassigned vertices spaced
-// by an adaptive gap estimate — and computes their balls concurrently.
-//
-// The key to a useful hit rate is that ballAndInterior is a pure function
-// of (graph, center): a speculated result is never stale, merely
-// premature. Results are therefore kept in a cache keyed by center, and
-// the frontier walk commits a cached result the moment its center becomes
-// the smallest unassigned vertex — the exact greedy selection rule, which
-// is what makes the parallel cover byte-identical to the sequential one.
-// A cached result is wasted only if its center gets covered by an earlier
-// bag first (it is evicted when the frontier passes it). The frontier
-// itself is always speculated, so every round makes progress.
-func (c *Cover) computeSpeculative() {
-	n := c.g.N()
-	scratches := make([]*ballScratch, c.pool.Workers())
-	batch := c.pool.Workers()
-	cache := make(map[graph.V]specResult, 2*batch)
-	frontier := 0
-	gap := 1
-	prevCenter := -1
-	cands := make([]graph.V, 0, batch)
-	for {
-		// Drain: commit cached results as their centers become greedy
-		// centers; evict entries whose center got covered.
-		for frontier < n {
-			if c.assign[frontier] >= 0 {
-				delete(cache, frontier)
-				frontier++
-				continue
+// ComputeWith is Compute; see Options.
+func ComputeWith(g *graph.Graph, r int, _ Options) *Cover { return Compute(g, r) }
+
+// sortBags turns the bags cells[off[i]:off[i+1]], in any order, with the
+// aligned depth column (or nil), into c's sorted bags, depth column,
+// memberOf and degree, by transposing twice. Counting the cells into
+// per-vertex rows bag by bag makes memberOf, its rows ascending in bag id;
+// counting those back vertex by vertex makes every bag ascending in vertex.
+func (c *Cover) sortBags(off, cells []int32, depth []uint8) {
+	n, nb := c.g.N(), len(off)-1
+	memOff := make([]int32, n+1)
+	for _, v := range cells {
+		memOff[v+1]++
+	}
+	for v := 0; v < n; v++ {
+		memOff[v+1] += memOff[v]
+		c.degree = max(c.degree, int(memOff[v+1]-memOff[v]))
+	}
+	memFlat := make([]int32, len(cells))
+	var memDepth []uint8
+	if depth != nil {
+		memDepth = make([]uint8, len(cells))
+	}
+	pos := append([]int32(nil), memOff[:n]...)
+	for i := 0; i < nb; i++ {
+		for j := off[i]; j < off[i+1]; j++ {
+			v := cells[j]
+			memFlat[pos[v]] = int32(i)
+			if depth != nil {
+				memDepth[pos[v]] = depth[j]
 			}
-			res, ok := cache[frontier]
-			if !ok {
-				break
-			}
-			delete(cache, frontier)
-			c.commit(res)
-			// Track the observed center spacing so candidate gaps follow
-			// the bag-size structure of the graph.
-			if prevCenter >= 0 {
-				gap = (gap + (frontier - prevCenter) + 1) / 2
-			}
-			prevCenter = frontier
-		}
-		if frontier == n {
-			return
-		}
-		// The frontier is an uncached greedy center: speculate it plus
-		// gap-spaced unassigned, uncached vertices after it.
-		cands = append(cands[:0], frontier)
-		pos := frontier
-		for len(cands) < batch {
-			next := pos + gap
-			if next <= pos {
-				next = pos + 1
-			}
-			for next < n {
-				_, cached := cache[next]
-				if c.assign[next] < 0 && !cached {
-					break
-				}
-				next++
-			}
-			if next >= n {
-				break
-			}
-			cands = append(cands, next)
-			pos = next
-		}
-		results := make([]specResult, len(cands))
-		local := cands
-		c.pool.ForEachWorker(len(local), func(wk, i int) {
-			if scratches[wk] == nil {
-				scratches[wk] = newBallScratch(c.g)
-			}
-			results[i] = c.ballAndInterior(scratches[wk], local[i])
-		})
-		c.stats.BallsComputed += len(cands)
-		for _, res := range results {
-			cache[res.center] = res
+			pos[v]++
 		}
 	}
+	c.memberOf = graph.FromFlat(memOff, memFlat)
+
+	// The arrays that stay are made at their exact size; cells and depth
+	// grew with room to spare and are dropped.
+	off = append(make([]int32, 0, nb+1), off...)
+	data := make([]int32, len(cells))
+	if depth != nil {
+		c.depth = make([]uint8, len(cells))
+	}
+	pos = append(pos[:0], off[:nb]...)
+	for v := 0; v < n; v++ {
+		for j := memOff[v]; j < memOff[v+1]; j++ {
+			i := memFlat[j]
+			data[pos[i]] = int32(v)
+			if depth != nil {
+				c.depth[pos[i]] = memDepth[j]
+			}
+			pos[i]++
+		}
+	}
+	c.bags = viewRows(off, data)
 }
 
 // buildMembership inverts the bag lists into memberOf and measures the
 // cover degree on it.
 func (c *Cover) buildMembership() {
-	c.memberOf = invertLists(c.bags, c.g.N())
+	c.memberOf = invertLists(c.bags.rows, c.g.N())
 	c.degree = 0
 	for v := 0; v < c.g.N(); v++ {
 		c.degree = max(c.degree, c.memberOf.Len(v))
 	}
 }
 
-// Stats returns construction statistics.
-func (c *Cover) Stats() Stats { return c.stats }
-
 // NumBags returns |𝒳|.
-func (c *Cover) NumBags() int { return len(c.bags) }
+func (c *Cover) NumBags() int { return len(c.bags.rows) }
 
 // Bag returns the sorted vertex list of bag i (shared; do not modify).
-func (c *Cover) Bag(i int) []graph.V { return c.bags[i] }
+func (c *Cover) Bag(i int) []int32 { return c.bags.rows[i] }
 
 // Center returns c_X for bag i, a vertex with X ⊆ N_{2R}(c_X).
-func (c *Cover) Center(i int) graph.V { return c.centers[i] }
+func (c *Cover) Center(i int) graph.V { return int(c.centers[i]) }
 
 // Assign returns 𝒳(a), the index of the canonical bag containing N_R(a).
 //
@@ -337,54 +273,63 @@ func (c *Cover) Assign(a graph.V) int { return int(c.assign[a]) }
 func (c *Cover) Degree() int { return c.degree }
 
 // SumBagSizes returns Σ_X |X| (≤ δ(𝒳)·|V|).
-func (c *Cover) SumBagSizes() int {
-	s := 0
-	for _, bag := range c.bags {
-		s += len(bag)
-	}
-	return s
-}
+func (c *Cover) SumBagSizes() int { return c.memberOf.Cells() }
 
 // ComputeKernels computes the p-kernels K_p(X) = {a ∈ X : N_p(a) ⊆ X} of
-// every bag (Lemma 5.7: a multi-source BFS from the bag boundary inside
-// G[X]) and indexes them for constant-time membership queries. p must be
-// ≤ R. With a parallel cover the per-bag BFS runs
-// concurrently (each bag's kernel depends only on the bag and the graph);
-// the fan-in is ordered, so the kernels are identical to the sequential
-// ones.
+// every bag and indexes them for constant-time membership queries. p must
+// be ≤ R, and the call may be repeated with another p. On a built cover
+// K_p(X) is read off the depth column; a cover without one runs the Lemma
+// 5.7 boundary BFS inside every bag.
 func (c *Cover) ComputeKernels(p int) {
 	if p < 0 || p > c.R {
 		panic(fmt.Sprintf("cover: kernel radius %d outside [0, %d]", p, c.R))
 	}
 	c.kernelP = p
-	c.kernels = make([][]graph.V, len(c.bags))
-
-	scratches := make([]*kernelScratch, c.pool.Workers())
-	c.pool.ForEachWorker(len(c.bags), func(wk, i int) {
-		if scratches[wk] == nil {
-			scratches[wk] = borrowKernelScratch(c.g.N())
+	nb := c.NumBags()
+	off := make([]int32, nb+1)
+	var data []int32
+	if c.depth != nil {
+		bagOff := c.bags.off
+		for i := 0; i < nb; i++ {
+			m := int32(0)
+			for _, d := range c.depth[bagOff[i]:bagOff[i+1]] {
+				if int(d) > p {
+					m++
+				}
+			}
+			off[i+1] = off[i] + m
 		}
-		c.kernels[i] = bagKernel(c.g, scratches[wk], c.bags[i], p)
-	})
-	for _, sc := range scratches {
-		if sc != nil {
-			kernelScratchPool.Put(sc)
+		data = make([]int32, 0, off[nb])
+		for j, d := range c.depth {
+			if int(d) > p {
+				data = append(data, c.bags.data[j])
+			}
 		}
+	} else {
+		sc := borrowKernelScratch(c.g.N())
+		for i, bag := range c.bags.rows {
+			data = bagKernel(data, c.g, sc, bag, p)
+			off[i+1] = int32(len(data))
+		}
+		kernelScratchPool.Put(sc)
 	}
-	c.kernelOf = invertLists(c.kernels, c.g.N())
+	c.kernels = viewRows(off, data)
+	c.kernelOf = invertLists(c.kernels.rows, c.g.N())
 }
 
-// kernelScratch is the per-worker state of bagKernel: epoch-marked bag
-// membership (mark[v] == ep in bag, -ep excluded) plus the BFS queue.
+// kernelScratch is the state of one boundary BFS: epoch-marked vertices
+// (what mark[v] == ep means is the caller's) with a depth each, and the
+// queue.
 type kernelScratch struct {
 	mark  []int32
 	depth []int32
-	queue []graph.V
+	queue []int32
 	ep    int32
 }
 
 // kernelScratchPool keeps idle kernel scratch, which holds no graph, for
-// the next ComputeKernels or Patch: a write allocates none of its own.
+// the next Compute, ComputeKernels or Patch: a write allocates none of its
+// own.
 var kernelScratchPool sync.Pool
 
 // borrowKernelScratch returns scratch for graphs of up to n vertices; put
@@ -396,16 +341,67 @@ func borrowKernelScratch(n int) *kernelScratch {
 	return &kernelScratch{mark: make([]int32, n), depth: make([]int32, n)}
 }
 
-// bagKernel runs the Lemma 5.7 boundary BFS inside G[bag] — g is the graph
-// of the cover, or of the one a Patch is deriving — and returns the sorted
-// p-kernel.
-func bagKernel(g *graph.Graph, sc *kernelScratch, bag []graph.V, p int) []graph.V {
+// next starts a search: it returns an epoch no mark holds, or its negation.
+func (sc *kernelScratch) next() int32 {
 	if sc.ep == math.MaxInt32 {
 		clear(sc.mark)
 		sc.ep = 0
 	}
 	sc.ep++
-	ep := sc.ep
+	return sc.ep
+}
+
+// ballDepths runs the Lemma 5.7 boundary BFS inside ball, the N_s(a) that
+// bfs has just searched, to depth r: afterwards mark[v] == ep, the epoch it
+// returns, means v is within r of the ball's complement, at distance
+// depth[v]; a ball vertex without the mark is farther than r.
+func (sc *kernelScratch) ballDepths(g *graph.Graph, bfs *graph.BFS, ball []int32, s, r int) (ep int32) {
+	ep = sc.next()
+	// Boundary: the ball vertices with a neighbor outside the ball, at
+	// distance 1 from the complement. Only the last BFS layer can hold one.
+	last := len(ball)
+	for last > 0 && bfs.Dist(int(ball[last-1])) == s {
+		last--
+	}
+	q := sc.queue[:0]
+	for _, v := range ball[last:] {
+		for _, w := range g.Neighbors(int(v)) {
+			if bfs.Dist(int(w)) < 0 {
+				sc.mark[v], sc.depth[v] = ep, 1
+				q = append(q, v)
+				break
+			}
+		}
+	}
+	// BFS inside the ball: depth t ⇒ distance t to the complement.
+	for head := 0; head < len(q); head++ {
+		v := q[head]
+		d := sc.depth[v]
+		if int(d) >= r {
+			continue
+		}
+		inner := bfs.Dist(int(v)) < s // no neighbor of v is outside the ball
+		for _, w := range g.Neighbors(int(v)) {
+			if sc.mark[w] != ep && (inner || bfs.Dist(int(w)) >= 0) {
+				sc.mark[w], sc.depth[w] = ep, d+1
+				q = append(q, w)
+			}
+		}
+	}
+	sc.queue = q
+	return ep
+}
+
+// bagKernel runs the Lemma 5.7 boundary BFS inside G[bag] — g is the graph
+// of the cover, or of the one a Patch is deriving — and appends the sorted
+// p-kernel to dst.
+func bagKernel(dst []int32, g *graph.Graph, sc *kernelScratch, bag []int32, p int) []int32 {
+	if p == 0 {
+		return append(dst, bag...) // N_0(a) = {a}
+	}
+	// mark[v] == ep: in the bag; -ep: in the bag and within p of its
+	// complement.
+	ep := sc.next()
 	for _, v := range bag {
 		sc.mark[v] = ep
 	}
@@ -413,7 +409,7 @@ func bagKernel(g *graph.Graph, sc *kernelScratch, bag []graph.V, p int) []graph.
 	// distance 1 from the complement.
 	sc.queue = sc.queue[:0]
 	for _, v := range bag {
-		for _, w := range g.Neighbors(v) {
+		for _, w := range g.Neighbors(int(v)) {
 			if sc.mark[w] != ep && sc.mark[w] != -ep {
 				sc.queue = append(sc.queue, v)
 				sc.depth[v] = 1
@@ -431,28 +427,31 @@ func bagKernel(g *graph.Graph, sc *kernelScratch, bag []graph.V, p int) []graph.
 		if int(sc.depth[v]) >= p {
 			continue
 		}
-		for _, w := range g.Neighbors(v) {
+		for _, w := range g.Neighbors(int(v)) {
 			if sc.mark[w] == ep {
 				sc.mark[w] = -ep
 				sc.depth[w] = sc.depth[v] + 1
-				sc.queue = append(sc.queue, int(w))
+				sc.queue = append(sc.queue, w)
 			}
 		}
 	}
-	var kern []graph.V
 	for _, v := range bag {
 		if sc.mark[v] == ep {
-			kern = append(kern, v)
+			dst = append(dst, v) // bag is sorted, so the kernel is
 		}
 	}
-	return kern // bag is sorted, so kern is sorted
+	return dst
 }
 
 // KernelP returns the kernel radius handed to ComputeKernels, or -1.
 func (c *Cover) KernelP() int { return c.kernelP }
 
-// Kernel returns the sorted p-kernel of bag i.
-func (c *Cover) Kernel(i int) []graph.V { return c.kernels[i] }
+// Kernel returns the sorted p-kernel of bag i (shared; do not modify).
+func (c *Cover) Kernel(i int) []int32 { return c.kernels.rows[i] }
+
+// Kernels returns the p-kernels of all bags, Kernels()[i] == Kernel(i): the
+// spine and the rows are shared and not to be modified.
+func (c *Cover) Kernels() [][]int32 { return c.kernels.rows }
 
 // InKernel reports whether v ∈ K_p(X_i), in constant time (a scan of the
 // ≤ δ(𝒳) sorted kernel ids of v).
@@ -487,23 +486,19 @@ func (c *Cover) Validate() error {
 	bfs := graph.NewBFS(c.g)
 	for a := 0; a < c.g.N(); a++ {
 		x := c.Assign(a)
-		if x < 0 || x >= len(c.bags) {
+		if x < 0 || x >= c.NumBags() {
 			return fmt.Errorf("vertex %d has no assigned bag", a)
 		}
 		for _, v := range bfs.Ball(a, c.R) {
-			if !containsSorted(c.bags[x], int(v)) {
+			if !containsSorted(c.Bag(x), v) {
 				return fmt.Errorf("N_%d(%d) ⊄ bag %d: vertex %d missing", c.R, a, x, v)
 			}
 		}
 	}
-	for i, bag := range c.bags {
-		ball := bfs.Ball(c.centers[i], c.S)
-		inBall := map[graph.V]bool{}
-		for _, v := range ball {
-			inBall[int(v)] = true
-		}
+	for i, bag := range c.bags.rows {
+		bfs.Ball(c.Center(i), c.S)
 		for _, v := range bag {
-			if !inBall[v] {
+			if bfs.Dist(int(v)) < 0 {
 				return fmt.Errorf("bag %d ⊄ N_%d(center %d)", i, c.S, c.centers[i])
 			}
 		}
@@ -511,7 +506,7 @@ func (c *Cover) Validate() error {
 	return nil
 }
 
-func containsSorted(xs []int, v int) bool {
-	i := sort.SearchInts(xs, v)
-	return i < len(xs) && xs[i] == v
+func containsSorted(xs []int32, v int32) bool {
+	_, found := slices.BinarySearch(xs, v)
+	return found
 }

@@ -32,7 +32,7 @@ func TestCoverAssignCoversBall(t *testing.T) {
 	for a := 0; a < g.N(); a++ {
 		x := c.Assign(a)
 		for _, v := range bfs.Ball(a, 2) {
-			if !containsSorted(c.Bag(x), int(v)) {
+			if !containsSorted(c.Bag(x), v) {
 				t.Fatalf("vertex %d of N_2(%d) not in bag %d", v, a, x)
 			}
 		}
@@ -48,20 +48,20 @@ func TestKernels(t *testing.T) {
 		c.ComputeKernels(p)
 		bfs := graph.NewBFS(g)
 		for i := 0; i < c.NumBags(); i++ {
-			inBag := map[int]bool{}
+			inBag := map[int32]bool{}
 			for _, v := range c.Bag(i) {
 				inBag[v] = true
 			}
 			for _, v := range c.Bag(i) {
 				// Reference: v ∈ K_p(X) iff N_p(v) ⊆ X.
 				want := true
-				for _, w := range bfs.Ball(v, p) {
-					if !inBag[int(w)] {
+				for _, w := range bfs.Ball(int(v), p) {
+					if !inBag[w] {
 						want = false
 						break
 					}
 				}
-				if got := c.InKernel(i, v); got != want {
+				if got := c.InKernel(i, int(v)); got != want {
 					t.Fatalf("%s: bag %d vertex %d: InKernel=%v want %v", class, i, v, got, want)
 				}
 			}

@@ -24,7 +24,6 @@ package cover
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -55,11 +54,13 @@ const maxPatchFraction = 8
 // not influence a cover and must not be passed. ok=false means the edit
 // batch is not local enough to patch and the caller should rebuild.
 //
-// The returned cover shares with c every bag and kernel list it did not
-// replace and every block of the inverted lists without a vertex of a new
-// or re-kerneled bag (graph.Rows.Patch), so the work is proportional to the
-// affected region and c remains fully usable — in-flight readers of the old
-// version keep their exact structure.
+// The returned cover shares with c every bag and kernel row it did not
+// replace — a row is replaced or appended, never written in place — and
+// every block of the inverted lists without a vertex of a new or re-kerneled
+// bag (graph.Rows.Patch), so the work is proportional to the affected
+// region and c remains fully usable — in-flight readers of the old version
+// keep their exact structure. After an edge edit it has no depth column:
+// a later ComputeKernels on it searches bag by bag.
 func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *PatchInfo, bool) {
 	if gNew.N() != c.g.N() || c.kernelP < 0 {
 		return nil, nil, false
@@ -72,6 +73,7 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 		// Color-only batch: the cover is a pure metric object; share it all.
 		return &out, info, true
 	}
+	out.depth = nil // measured in gOld
 
 	// Vertices whose p-ball (p = kernelP) may have changed: within p of a
 	// source in the old or the new graph.
@@ -94,9 +96,9 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 	}
 	slices.Sort(candidates)
 	// inside reports N_R(a) ⊆ bag in gNew.
-	inside := func(a graph.V, bag []graph.V) bool {
+	inside := func(a graph.V, bag []int32) bool {
 		for _, w := range bfs.Ball(a, c.R) {
-			if !containsSorted(bag, int(w)) {
+			if !containsSorted(bag, w) {
 				return false
 			}
 		}
@@ -104,7 +106,7 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 	}
 	var violated []graph.V
 	for _, a := range candidates {
-		if !inside(int(a), c.bags[c.assign[a]]) {
+		if !inside(int(a), c.Bag(c.Assign(int(a)))) {
 			violated = append(violated, int(a))
 		}
 	}
@@ -115,9 +117,10 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 	// a bag joins memberOf, and joins or leaves kernelOf.
 	var memberDelta, kernelDelta []graph.Cell
 	if len(violated) > 0 {
-		out.bags = slices.Clip(c.bags) // appends below reallocate
+		// Appends below reallocate.
+		out.bags = rowList{rows: slices.Clip(c.bags.rows)}
+		out.kernels = rowList{rows: slices.Clip(c.kernels.rows)}
 		out.centers = slices.Clip(c.centers)
-		out.kernels = slices.Clip(c.kernels)
 		out.assign = slices.Clone(c.assign)
 		repaired := make([]bool, len(violated))
 		for i, a := range violated {
@@ -127,24 +130,19 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 			// New bag N_{2R}(a): contains N_R(a), so assigning a (and any
 			// other violated vertex whose R-ball it swallows) restores
 			// containment.
-			ball := bfs.Ball(a, c.S)
-			bag := make([]graph.V, len(ball))
-			for j, w := range ball {
-				bag[j] = int(w)
-			}
-			sort.Ints(bag)
-			id := int32(len(out.bags))
-			out.bags = append(out.bags, bag)
-			out.centers = append(out.centers, a)
+			bag := bfs.AppendSortedBall(nil, a, c.S)
+			id := int32(len(out.bags.rows))
+			out.bags.rows = append(out.bags.rows, bag)
+			out.centers = append(out.centers, int32(a))
 			out.assign[a] = id
 			info.NewBags = append(info.NewBags, int(id))
 			for _, v := range bag {
-				memberDelta = append(memberDelta, graph.Cell{Row: v, Val: id})
+				memberDelta = append(memberDelta, graph.Cell{Row: int(v), Val: id})
 			}
-			kern := bagKernel(gNew, sc, bag, c.kernelP)
-			out.kernels = append(out.kernels, kern)
+			kern := bagKernel(nil, gNew, sc, bag, c.kernelP)
+			out.kernels.rows = append(out.kernels.rows, kern)
 			for _, v := range kern {
-				kernelDelta = append(kernelDelta, graph.Cell{Row: v, Val: id})
+				kernelDelta = append(kernelDelta, graph.Cell{Row: int(v), Val: id})
 			}
 			for j := i + 1; j < len(violated); j++ {
 				if !repaired[j] && inside(violated[j], bag) {
@@ -165,20 +163,17 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 	slices.Sort(redo)
 	kernelsCopied := len(violated) > 0
 	for _, b := range slices.Compact(redo) {
-		newKern := bagKernel(gNew, sc, c.bags[b], c.kernelP)
-		added, removed := diffSorted(c.kernels[b], newKern)
-		if len(added) == 0 && len(removed) == 0 {
+		newKern := bagKernel(nil, gNew, sc, c.Bag(int(b)), c.kernelP)
+		changed := symDiffSorted(c.Kernel(int(b)), newKern)
+		if len(changed) == 0 {
 			continue
 		}
 		if !kernelsCopied {
-			out.kernels, kernelsCopied = slices.Clone(c.kernels), true
+			out.kernels, kernelsCopied = rowList{rows: slices.Clone(c.kernels.rows)}, true
 		}
-		out.kernels[b] = newKern
-		for _, v := range added {
-			kernelDelta = append(kernelDelta, graph.Cell{Row: v, Val: b})
-		}
-		for _, v := range removed {
-			kernelDelta = append(kernelDelta, graph.Cell{Row: v, Val: b})
+		out.kernels.rows[b] = newKern
+		for _, v := range changed {
+			kernelDelta = append(kernelDelta, graph.Cell{Row: int(v), Val: b})
 		}
 		info.KernelChanged = append(info.KernelChanged, int(b))
 	}
@@ -209,9 +204,10 @@ func gainedEdge(gOld, gNew *graph.Graph, sources []graph.V) bool {
 	return false
 }
 
-// diffSorted returns the elements only in b (added) and only in a
-// (removed), for sorted inputs.
-func diffSorted(a, b []graph.V) (added, removed []graph.V) {
+// symDiffSorted returns the elements in exactly one of a and b, which are
+// sorted.
+func symDiffSorted(a, b []int32) []int32 {
+	var out []int32
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -219,14 +215,13 @@ func diffSorted(a, b []graph.V) (added, removed []graph.V) {
 			i++
 			j++
 		case a[i] < b[j]:
-			removed = append(removed, a[i])
+			out = append(out, a[i])
 			i++
 		default:
-			added = append(added, b[j])
+			out = append(out, b[j])
 			j++
 		}
 	}
-	removed = append(removed, a[i:]...)
-	added = append(added, b[j:]...)
-	return added, removed
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }

@@ -15,10 +15,12 @@ import (
 // inside G[X] to the bag boundary exceeds p (equivalently, every vertex
 // within p of a inside G[X] is interior). This mirrors bagKernel but goes
 // through an independent per-vertex BFS, so a patch bug cannot cancel out.
-func bruteKernel(g *graph.Graph, bag []graph.V, p int) []graph.V {
+func bruteKernel(g *graph.Graph, bag32 []int32, p int) []int32 {
 	inBag := map[graph.V]bool{}
-	for _, v := range bag {
-		inBag[v] = true
+	bag := make([]graph.V, len(bag32))
+	for i, v := range bag32 {
+		bag[i] = int(v)
+		inBag[int(v)] = true
 	}
 	boundary := map[graph.V]bool{}
 	for _, v := range bag {
@@ -29,7 +31,7 @@ func bruteKernel(g *graph.Graph, bag []graph.V, p int) []graph.V {
 			}
 		}
 	}
-	var kern []graph.V
+	var kern []int32
 	for _, a := range bag {
 		// BFS inside G[X] from a, truncated at p; a is kernel iff no
 		// boundary vertex within p-1... boundary depth convention: boundary
@@ -68,9 +70,9 @@ func bruteKernel(g *graph.Graph, bag []graph.V, p int) []graph.V {
 	return kern
 }
 
-func kernAppendIfOK(kern *[]graph.V, a graph.V, ok bool) {
+func kernAppendIfOK(kern *[]int32, a graph.V, ok bool) {
 	if ok {
-		*kern = append(*kern, a)
+		*kern = append(*kern, int32(a))
 	}
 }
 
@@ -140,8 +142,8 @@ func TestPatchDifferential(t *testing.T) {
 				for _, inv := range []struct {
 					name  string
 					got   graph.Rows[int32]
-					lists [][]graph.V
-				}{{"memberOf", out.memberOf, out.bags}, {"kernelOf", out.kernelOf, out.kernels}} {
+					lists [][]int32
+				}{{"memberOf", out.memberOf, out.bags.rows}, {"kernelOf", out.kernelOf, out.kernels.rows}} {
 					want := invertLists(inv.lists, gNew.N())
 					gotOff, gotFlat := inv.got.Flat()
 					wantOff, wantFlat := want.Flat()

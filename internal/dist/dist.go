@@ -261,11 +261,7 @@ func build(g *graph.Graph, r int, opt Options, depth int, stats *Stats, budget i
 		stats.Work += 24 * g.Size() // cost of the aborted attempt
 		budget -= 24 * g.Size()
 	}
-	coverWorkers := 1
-	if depth == 0 {
-		coverWorkers = pool.Workers()
-	}
-	ix.cov = cover.ComputeWith(g, r, cover.Options{Workers: coverWorkers})
+	ix.cov = cover.Compute(g, r)
 	stats.Work += ix.cov.SumBagSizes()
 	budget -= ix.cov.SumBagSizes()
 	if budget < 0 {
@@ -311,8 +307,18 @@ func build(g *graph.Graph, r int, opt Options, depth int, stats *Stats, budget i
 	return ix
 }
 
+// induceBag returns G[bag] for a bag of the level cover, whose rows are
+// int32.
+func induceBag(g *graph.Graph, bag []int32) *graph.Sub {
+	vs := make([]graph.V, len(bag))
+	for i, v := range bag {
+		vs[i] = int(v)
+	}
+	return graph.Induce(g, vs)
+}
+
 func buildBag(g *graph.Graph, cov *cover.Cover, i, r int, opt Options, depth int, stats *Stats, budget int, pool *par.Pool) *bagIndex {
-	sub := graph.Induce(g, cov.Bag(i))
+	sub := induceBag(g, cov.Bag(i))
 	stats.Work += sub.G.Size()
 	budget -= sub.G.Size()
 	// Splitter's answer when Connector plays the bag center in the

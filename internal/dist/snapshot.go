@@ -135,7 +135,7 @@ func fromNode(g *graph.Graph, r int, np *NodeParts, stats *Stats, depth int) (*I
 		ix.bags = make([]*bagIndex, len(np.Bags))
 		for i := range np.Bags {
 			bp := &np.Bags[i]
-			sub := graph.Induce(g, cov.Bag(i))
+			sub := induceBag(g, cov.Bag(i))
 			if int(bp.SX) < 0 || int(bp.SX) >= sub.G.N() {
 				return nil, fmt.Errorf("dist: splitter %d of bag %d outside its %d-vertex arena", bp.SX, i, sub.G.N())
 			}

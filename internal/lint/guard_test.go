@@ -35,6 +35,7 @@ func TestHotClosureMatchesAllocGuards(t *testing.T) {
 		"core.(Engine).step",
 		"core.(Engine).search",
 		"core.lowerBound",
+		"core.lowerBound32", // over the per-kernel lists, which are int32
 		"core.(Engine).nextGeq",
 		"core.(Engine).nextLast",
 		"core.(Engine).test",

@@ -16,10 +16,16 @@ import (
 // faster than the build it replaces. The threshold is what a load provably
 // buys, not what it bought once: the ratio was above 10× until PRs 12–15 made
 // the build 2–4× cheaper, was about 8× on grid-2000 after them, and is about
-// 5.5× (3.9–6.6× over fifteen runs) since PR 23 took the starter phase out
-// of the build (1.8× at n = 32k, where bench reads first_answer_ms 30
-// against first_answer_restore_ms 17 — a load is linear in the file, the
-// build is no longer far from it). A timing ratio, so it runs in verify.sh tier 3
+// 5.5× (3.9–6.6× over fifteen runs) after PR 23 took the starter phase out
+// of the build, and is 2.3× (1.9–3.1× over fifteen runs: build 1.4–2.0 ms,
+// load 0.58–0.83 ms) since PR 24 halved the cover's share of it; at n = 32k
+// bench reads first_answer_ms 21.6 against first_answer_restore_ms 16.0. A
+// load is linear in the file — 42 % of it is the CRC-64 of the sections, a
+// quarter revalidating the cover and rebuilding its inverted lists — and
+// the build is no longer far from that (1.7× is the lowest ratio seen, next
+// to the other guards), so the guard asks for 1.25×: below it the snapshot
+// tier costs a file and buys next to nothing. A timing ratio, so it runs in
+// verify.sh tier 3
 // under GUARD=1; that the restored index keeps the 0 allocs/op hot paths is
 // a tier-1 row of TestFacadeHotPathsZeroAllocs.
 func TestSnapshotLoadSpeedGuard(t *testing.T) {
@@ -59,7 +65,7 @@ func TestSnapshotLoadSpeedGuard(t *testing.T) {
 	loadTime := best(func() error { _, err := repro.ReadIndexSnapshot(data); return err })
 	t.Logf("grid-2000: build %v, snapshot load %v (%.1fx), %d snapshot bytes",
 		buildTime, loadTime, float64(buildTime)/float64(loadTime), len(data))
-	if 3*loadTime > buildTime {
-		t.Errorf("snapshot load %v is not ≥3x faster than build %v", loadTime, buildTime)
+	if 5*loadTime > 4*buildTime {
+		t.Errorf("snapshot load %v is not ≥1.25x faster than build %v", loadTime, buildTime)
 	}
 }

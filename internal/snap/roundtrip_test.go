@@ -197,15 +197,20 @@ func TestRoundTripDifferential(t *testing.T) {
 
 // TestSnapshotDeterministic pins the writer's determinism: the same index
 // serializes to identical bytes, and the loaded index re-serializes to
-// the exact file it was loaded from.
+// the exact file it was loaded from — so the arrays a restored cover adopts
+// are, section for section, the ones the built cover handed out. The second
+// case is large enough for bags away from the border.
 func TestSnapshotDeterministic(t *testing.T) {
-	for _, kind := range bothEngines {
-		snapshotDeterministic(t, kind)
+	far2at900 := rtCases()[0]
+	far2at900.n = 900
+	for _, tc := range []rtCase{rtCases()[0], far2at900} {
+		for _, kind := range bothEngines {
+			snapshotDeterministic(t, tc, kind)
+		}
 	}
 }
 
-func snapshotDeterministic(t *testing.T, kind repro.EngineKind) {
-	tc := rtCases()[0]
+func snapshotDeterministic(t *testing.T, tc rtCase, kind repro.EngineKind) {
 	_, built, loaded, first := buildAndReload(t, tc, 1, repro.WithEngine(kind))
 
 	var again bytes.Buffer

@@ -36,7 +36,7 @@ var leafImports = map[string][]string{
 	"internal/par":      nil,
 	"internal/splitter": {"internal/graph"},
 	"internal/wcol":     {"internal/graph"},
-	"internal/cover":    {"internal/graph", "internal/par"},
+	"internal/cover":    {"internal/graph"},
 	"internal/skip":     {"internal/cover", "internal/graph"},
 	"internal/dist":     {"internal/cover", "internal/graph", "internal/par", "internal/splitter"},
 }

@@ -47,9 +47,9 @@
 #            (TestTraceDisabledOverheadGuard); a
 #            cold /v1/enumerate page deep in the stream stays within a
 #            constant factor of a first page (TestColdResumeGuard); loading
-#            the grid-2000 index from a snapshot is ≥3× faster than
+#            the grid-2000 index from a snapshot is ≥1.25× faster than
 #            building it, best of three on both sides — the measured ratio
-#            is about 5.5× there and 1.8× at 32k since the build got cheaper
+#            is about 2.3× there and 1.35× at 32k since the build got cheaper
 #            (TestSnapshotLoadSpeedGuard); a single-edge
 #            ApplyEdits is ≥10× faster than the rebuild on grid-4000 over
 #            the cover locality and on bdeg-32k over the ball locality,
