@@ -4,6 +4,8 @@
 package repro_test
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -188,12 +190,14 @@ func BenchmarkSplitterGame(b *testing.B) {
 
 // --- E5: engine preprocessing and next-solution -----------------------------
 
+// gated generates what bench/run.go does at --seed 1.
+func gated(class gen.Class, n int) *graph.Graph {
+	return gen.Generate(class, n, gen.Options{Seed: 1, Colors: 2, Degree: 4})
+}
+
 func BenchmarkEnginePreprocess(b *testing.B) {
-	// gated generates what bench/run.go does at --seed 1: with the grid/n=32000
-	// row, the last two rows are the three builds the gated workloads time.
-	gated := func(class gen.Class, n int) *graph.Graph {
-		return gen.Generate(class, n, gen.Options{Seed: 1, Colors: 2, Degree: 4})
-	}
+	// With the grid/n=32000 row, the last two rows are the three builds the
+	// gated workloads time.
 	for _, row := range []struct {
 		name  string
 		src   string
@@ -222,6 +226,69 @@ func BenchmarkEnginePreprocess(b *testing.B) {
 			}
 		})
 	}
+}
+
+// --- E21: the snapshot tier, in process --------------------------------------
+
+// snapshotRows are the three indexes the gated workloads restore
+// (first_answer_restore_ms of scan-served and mutate-mix, ternary-lib,
+// lowdeg-lib), built on the graphs bench generates at seed 1, each with its
+// snapshot.
+func snapshotRows(b *testing.B, run func(b *testing.B, ix *repro.Index, file []byte)) {
+	for _, row := range []struct {
+		name  string
+		class gen.Class
+		n     int
+		src   string
+		vars  []string
+		kind  repro.EngineKind
+	}{
+		{"far2/grid/n=32000", gen.Grid, 32000, benchQuerySrc, []string{"x", "y"}, repro.EngineCore},
+		{"far3/grid/n=4000", gen.Grid, 4000, far3Src, []string{"x", "y", "z"}, repro.EngineCore},
+		{"balls/bdeg/n=32000", gen.BoundedDegree, 32000, benchQuerySrc, []string{"x", "y"}, repro.EngineLowDeg},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			ix, err := repro.Build(context.Background(), gated(row.class, row.n),
+				repro.MustParseQuery(row.src, row.vars...), repro.WithEngine(row.kind))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var file bytes.Buffer
+			if err := ix.WriteSnapshot(&file); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(file.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b, ix, file.Bytes())
+		})
+	}
+}
+
+// BenchmarkSnapshotRestore is one ReadIndexSnapshot of the file: checksum,
+// decode, revalidation and the derivations the format does not store.
+func BenchmarkSnapshotRestore(b *testing.B) {
+	snapshotRows(b, func(b *testing.B, _ *repro.Index, file []byte) {
+		for i := 0; i < b.N; i++ {
+			if _, err := repro.ReadIndexSnapshot(file); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSnapshotWrite is one WriteSnapshot into a buffer that is already
+// as large as the file.
+func BenchmarkSnapshotWrite(b *testing.B) {
+	snapshotRows(b, func(b *testing.B, ix *repro.Index, file []byte) {
+		out := bytes.NewBuffer(make([]byte, 0, len(file)))
+		for i := 0; i < b.N; i++ {
+			out.Reset()
+			if err := ix.WriteSnapshot(out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkNextSolution(b *testing.B) {

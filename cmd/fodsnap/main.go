@@ -14,9 +14,11 @@
 // repro.LoadIndexSnapshot) then starts answering without rebuilding. The
 // server takes a file only if it holds the engine its own -engine mode
 // builds for the graph, so pass build the same -engine.
-// inspect prints the metadata record and the section table. verify
-// re-checks every checksum, restores the full index, and reports the
-// restored shape; it exits non-zero on any corruption.
+// inspect prints the file's format version, the metadata record and the
+// section table. verify re-checks every checksum, restores the full index,
+// and reports the restored shape; it exits non-zero on any corruption.
+// Both read files of format version 1 (CRC-64/ECMA) and 2 (CRC-32C); build
+// writes version 2.
 package main
 
 import (
@@ -126,7 +128,7 @@ func cmdInspect(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("snapshot %s (%d bytes, format v%d)\n", args[0], len(data), snap.Version)
+	fmt.Printf("snapshot %s (%d bytes, format v%d, %s checksums)\n", args[0], len(data), f.Version(), f.Checksum())
 	fmt.Printf("  query      %s\n", meta.Query)
 	fmt.Printf("  vars       %s\n", strings.Join(meta.Vars, ","))
 	fmt.Printf("  shape      k=%d r=%d rho=%d guarded=%v\n", meta.K, meta.R, meta.LocalRadius, meta.Guarded)

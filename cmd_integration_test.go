@@ -129,27 +129,35 @@ func TestCLIBenchSingleExperiment(t *testing.T) {
 }
 
 // TestCLISnapVerifyFixtures: fodsnap verify accepts the committed snapshot
-// fixtures — the current one and the one written before the skip build
-// stopped materialising rows for vertices outside the starter list — and
-// restores each to one table per distinct list.
+// fixtures of both format versions — the current index, the one written
+// before the skip build stopped materialising rows for vertices outside the
+// starter list, and the ball form — restores each to what it was taken from,
+// and inspect reports the version the file names, not the reader's.
 func TestCLISnapVerifyFixtures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	fodsnap := buildTool(t, "fodsnap")
-	for _, name := range []string{"golden-grid64.fodsnap", "golden-grid64-allrows.fodsnap"} {
-		out, err := exec.Command(fodsnap, "verify", filepath.Join("internal", "snap", "testdata", name)).CombinedOutput()
-		if err != nil {
-			t.Fatalf("fodsnap verify %s: %v\n%s", name, err, out)
+	fixture := func(name string) string { return filepath.Join("internal", "snap", "testdata", name+".fodsnap") }
+	for suffix, header := range map[string]string{"": "format v1, CRC-64/ECMA checksums", ".v2": "format v2, CRC-32C checksums"} {
+		for _, name := range []string{"golden-grid64", "golden-grid64-allrows"} {
+			out, err := exec.Command(fodsnap, "verify", fixture(name+suffix)).CombinedOutput()
+			if err != nil {
+				t.Fatalf("fodsnap verify %s: %v\n%s", name+suffix, err, out)
+			}
+			if !strings.Contains(string(out), " OK: arity 2, core engine") || !strings.Contains(string(out), "in 2 tables") {
+				t.Fatalf("fodsnap verify %s: unexpected report %q", name+suffix, out)
+			}
 		}
-		if !strings.Contains(string(out), " OK: arity 2, core engine") || !strings.Contains(string(out), "in 2 tables") {
-			t.Fatalf("fodsnap verify %s: unexpected report %q", name, out)
+		// The ball form restores as the engine it was taken from.
+		out, err := exec.Command(fodsnap, "verify", fixture("golden-bdeg64"+suffix)).CombinedOutput()
+		if err != nil || !strings.Contains(string(out), " OK: arity 3, lowdeg engine") {
+			t.Fatalf("fodsnap verify golden-bdeg64%s: %v, report %q", suffix, err, out)
 		}
-	}
-	// The ball form restores as the engine it was taken from.
-	out, err := exec.Command(fodsnap, "verify", filepath.Join("internal", "snap", "testdata", "golden-bdeg64.fodsnap")).CombinedOutput()
-	if err != nil || !strings.Contains(string(out), " OK: arity 3, lowdeg engine") {
-		t.Fatalf("fodsnap verify golden-bdeg64.fodsnap: %v, report %q", err, out)
+		out, err = exec.Command(fodsnap, "inspect", fixture("golden-bdeg64"+suffix)).CombinedOutput()
+		if err != nil || !strings.Contains(string(out), header) {
+			t.Fatalf("fodsnap inspect golden-bdeg64%s: %v, want %q in\n%s", suffix, err, header, out)
+		}
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro"
 	"repro/internal/obs"
+	"repro/internal/snap"
 )
 
 // The disk-tier tests drive the full HTTP surface against a server with
@@ -265,4 +267,178 @@ func TestSnapshotTierRejectsForeignAndCorrupt(t *testing.T) {
 			t.Fatalf("write-back did not repair the corrupt file: %v", err)
 		}
 	})
+}
+
+// TestSnapshotTierVerifiesOnce: one disk-tier load checksums the file once.
+// The request trace of a snapshot hit holds exactly one parse span — the
+// tier's own snap.Parse, a child of cache.snapshot_load — and the
+// snap.decode tree beside it, which works from that parsed file, has none.
+func TestSnapshotTierVerifiesOnce(t *testing.T) {
+	tracer := obs.NewTracer(obs.TracerConfig{Buffer: 16, Slow: -1})
+	s, ts := testServer(t, func(c *Config) {
+		c.SnapshotDir = t.TempDir()
+		c.Tracer = tracer
+	})
+	qr := registerQuery(t, ts.URL, "path", snapTestQuery, "x", "y")
+	if resp, data := postJSON(t, ts.URL+"/v1/cache/flush", struct{}{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("flush: %d: %s", resp.StatusCode, data)
+	}
+	resp, _ := getJSON(t, ts.URL+"/v1/enumerate?query="+qr.ID+"&limit=3")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("enumerate: %d", resp.StatusCode)
+	}
+	if st := s.cache.Stats(); st.SnapshotHits != 1 || st.Builds != 1 {
+		t.Fatalf("snapHits=%d builds=%d, want the enumerate served from disk after one build", st.SnapshotHits, st.Builds)
+	}
+	id, ok := obs.ParseTraceID(traceIDOf(t, resp))
+	if !ok {
+		t.Fatal("unparsable trace id")
+	}
+	tr := tracer.Get(id)
+	if tr == nil {
+		t.Fatal("the snapshot hit's trace was not retained")
+	}
+
+	var load *obs.SpanNode
+	var find func(ns []*obs.SpanNode)
+	find = func(ns []*obs.SpanNode) {
+		for _, n := range ns {
+			if n.Name == "cache.snapshot_load" {
+				load = n
+			}
+			find(n.Children)
+		}
+	}
+	find(tr.Detail().Tree)
+	if load == nil {
+		t.Fatal("no cache.snapshot_load span in the trace")
+	}
+	var parses, decodes []string
+	var walk func(n *obs.SpanNode, underDecode bool)
+	walk = func(n *obs.SpanNode, underDecode bool) {
+		if n.Name == "parse" || strings.HasSuffix(n.Name, ".parse") {
+			parses = append(parses, n.Name)
+			if underDecode {
+				t.Errorf("span %s: the decode verifies the file again", n.Name)
+			}
+		}
+		if n.Name == "snap.decode" {
+			decodes = append(decodes, n.Name)
+			underDecode = true
+		}
+		for _, c := range n.Children {
+			walk(c, underDecode)
+		}
+	}
+	walk(load, false)
+	if len(parses) != 1 || len(decodes) != 1 {
+		t.Fatalf("one snapshot load recorded parse spans %v and %d decodes, want one of each", parses, len(decodes))
+	}
+	direct := false
+	for _, c := range load.Children {
+		direct = direct || c.Name == parses[0]
+	}
+	if !direct {
+		t.Fatalf("span %s is not a child of cache.snapshot_load", parses[0])
+	}
+}
+
+// TestSnapshotTierReadError: a snapshot path the disk will not read — here
+// a directory sits where the file belongs — is not a cold tier. The request
+// is answered by a build, the failure is counted on its own, and the
+// write-back, which cannot rename a file over a directory, leaves what it
+// found.
+func TestSnapshotTierReadError(t *testing.T) {
+	dir := t.TempDir()
+	q, err := repro.ParseQuery(snapTestQuery, "x", "y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, queryID("path", q.Canonical())+".fodsnap")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	keep := filepath.Join(path, "keep")
+	if err := os.WriteFile(keep, []byte("not ours"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := snapTestServer(t, dir)
+	qr := registerQuery(t, ts, "path", snapTestQuery, "x", "y")
+	st := s.cache.Stats()
+	if st.Builds != 1 || st.SnapshotHits != 0 || st.SnapshotWrites != 0 {
+		t.Fatalf("unreadable snapshot: builds=%d snapHits=%d snapWrites=%d, want 1/0/0", st.Builds, st.SnapshotHits, st.SnapshotWrites)
+	}
+	if got := s.reg.Counter("serve.snapshot.read_errors").Load(); got != 1 {
+		t.Fatalf("read_errors counter = %d, want 1", got)
+	}
+	for _, other := range []string{"serve.snapshot.corrupt", "serve.snapshot.mismatch"} {
+		if got := s.reg.Counter(other).Load(); got != 0 {
+			t.Fatalf("%s = %d for a file that was never read", other, got)
+		}
+	}
+	if got := s.reg.Counter("serve.snapshot.write_errors").Load(); got != 1 {
+		t.Fatalf("write_errors counter = %d, want 1 (a rename over a directory)", got)
+	}
+	if resp, data := getJSON(t, ts+"/v1/enumerate?query="+qr.ID+"&limit=3"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("enumerate after the failed read: %d: %s", resp.StatusCode, data)
+	}
+	if b, err := os.ReadFile(keep); err != nil || string(b) != "not ours" {
+		t.Fatalf("the directory's content was touched: %q, %v", b, err)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil || len(left) != 1 {
+		t.Fatalf("the snapshot directory holds %d entries (%v), want the one it had", len(left), err)
+	}
+}
+
+// TestSnapshotTierVersion1IsAMiss: a file of format version 1 in the
+// snapshot directory — left by a server from before the checksum changed —
+// records the version-1 fingerprint of its graph, which is not the one this
+// server computes: a mismatch, rebuilt and overwritten by a version-2 file
+// that the next cold start takes. The fixture is the snap package's
+// version-1 golden, served under the graph it was built on.
+func TestSnapshotTierVersion1IsAMiss(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("..", "snap", "testdata", "golden-grid64.fodsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := snap.Parse(old)
+	if err != nil || f.Version() != 1 {
+		t.Fatalf("the fixture is not a version-1 file: %v", err)
+	}
+	meta, err := snap.ReadMeta(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := repro.SnapshotGraph(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, queryID("grid", meta.Canonical)+".fodsnap")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for start, want := range []CacheStats{{Builds: 1, SnapshotWrites: 1}, {SnapshotHits: 1}} {
+		s := NewServer(Config{Graphs: map[string]*repro.Graph{"grid": g}, SnapshotDir: dir, Metrics: obs.New()})
+		ts := httptest.NewServer(s.Handler())
+		registerQuery(t, ts.URL, "grid", meta.Query, meta.Vars...)
+		ts.Close()
+		st := s.cache.Stats()
+		if st.Builds != want.Builds || st.SnapshotHits != want.SnapshotHits || st.SnapshotWrites != want.SnapshotWrites {
+			t.Fatalf("start %d: builds=%d snapHits=%d snapWrites=%d, want %d/%d/%d", start,
+				st.Builds, st.SnapshotHits, st.SnapshotWrites, want.Builds, want.SnapshotHits, want.SnapshotWrites)
+		}
+		if got := s.reg.Counter("serve.snapshot.mismatch").Load(); got != int64(1-start) {
+			t.Fatalf("start %d: mismatch counter = %d", start, got)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := snap.Parse(data); err != nil || f.Version() != snap.Version {
+		t.Fatalf("the write-back left a version-%d file (%v), want %d", f.Version(), err, snap.Version)
+	}
 }

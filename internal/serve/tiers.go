@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -38,15 +40,18 @@ func (s *Server) snapshotPath(key cacheKey) string {
 	return filepath.Join(s.cfg.SnapshotDir, queryID(key.graph, key.canonical)+".fodsnap")
 }
 
-// loadSnapshot is the disk tier of the index cache. It validates cheaply
-// first — metadata canonical text and graph fingerprint against the
-// served graph — and only then pays for the full restore. A file of either
-// engine restores; one that holds another engine than this server would
-// build for the graph (the -engine mode changed between runs) is a
-// mismatch like a foreign graph. Any failure (missing file, corruption,
-// mismatch) falls back to building, which overwrites the file; the error
-// classes are counted separately so operators can tell a cold directory
-// from a corrupted one.
+// loadSnapshot is the disk tier of the index cache: one read, one
+// snap.Parse — which checksums every byte of the file, once — and then,
+// from that parsed file, first the cheap validation (metadata canonical
+// text and graph fingerprint against the served graph) and only then the
+// decode and restore. A file of either engine restores; one that holds
+// another engine than this server would build for the graph (the -engine
+// mode changed between runs) is a mismatch like a foreign graph, and so is
+// a file of format version 1, whose fingerprint is another function of the
+// graph. Any failure (unreadable file, corruption, mismatch) falls back to
+// building, which overwrites the file; the error classes are counted
+// separately so operators can tell a cold directory from a failing disk
+// from a corrupted file.
 func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, error) {
 	if key.version != 0 {
 		// The disk tier holds only version-0 indexes: snapshot files are
@@ -54,10 +59,6 @@ func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, 
 		// mutated versions are cheaper to derive by edit-log replay than
 		// to persist (they change with every batch).
 		return nil, nil
-	}
-	data, err := os.ReadFile(s.snapshotPath(key))
-	if err != nil {
-		return nil, nil // cold tier: no snapshot yet
 	}
 	start := time.Now()
 	reject := func(counter, reason string) (*repro.Index, error) {
@@ -70,7 +71,18 @@ func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, 
 			slog.String("reason", reason))
 		return nil, nil
 	}
+	data, err := os.ReadFile(s.snapshotPath(key))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil // cold tier: no snapshot yet
+	}
+	if err != nil {
+		// The file is there and the disk will not give it up (permissions,
+		// a directory in its place, an I/O error): not a cold tier.
+		return reject("serve.snapshot.read_errors", "read: "+err.Error())
+	}
+	sp := s.reg.StartSpan(ctx, "cache.snapshot_load.parse")
 	f, err := snap.Parse(data)
+	sp.End()
 	if err != nil {
 		return reject("serve.snapshot.corrupt", "corrupt: "+err.Error())
 	}
@@ -81,7 +93,7 @@ func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, 
 	if meta.Canonical != key.canonical || meta.GraphFingerprint != s.graphFP[key.graph] {
 		return reject("serve.snapshot.mismatch", "foreign graph or query")
 	}
-	ix, err := repro.ReadIndexSnapshotCtx(ctx, data,
+	ix, err := repro.RestoreIndexSnapshotCtx(ctx, f,
 		repro.WithParallelism(s.cfg.Parallelism), repro.WithMetrics(s.reg), repro.WithEngine(s.cfg.Engine))
 	if err != nil {
 		return reject("serve.snapshot.corrupt", "restore: "+err.Error())

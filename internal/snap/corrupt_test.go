@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"os"
 	"slices"
 	"testing"
 
@@ -60,14 +61,36 @@ func engineFileOf(t *testing.T, kind repro.EngineKind) []byte {
 	return buf.Bytes()
 }
 
+// v1File reads a committed version-1 fixture: the corruption battery runs
+// over files of both format versions, and no writer makes version 1 any
+// more.
+func v1File(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[8:]); v != 1 {
+		t.Fatalf("%s is a version-%d file", path, v)
+	}
+	return data
+}
+
 // The fixed header layout Parse documents: magic(8) + version u32 +
 // nsec u32 + tableLen u64 + tableCRC u64, then the section table whose
 // entries are nameLen u32, name, kind u32, off u64, len u64, crc u64.
 const headerSize = 32
 
-// patchSectionLen rewrites the table entry for name with a new Len and
-// re-seals the table checksum, so only the now-lying length is wrong.
-func patchSectionLen(t *testing.T, data []byte, name string, newLen uint64) []byte {
+// Offsets of the fields of a table entry, from the end of its name.
+const (
+	entryLen = 4 + 8
+	entryCRC = 4 + 8 + 8
+)
+
+// patchEntry hands edit the fixed-width part (kind, off, len, crc) of the
+// table entry for name and re-seals the table checksum, so only the edited
+// field is wrong.
+func patchEntry(t *testing.T, data []byte, name string, edit func(fields []byte)) []byte {
 	t.Helper()
 	out := append([]byte(nil), data...)
 	tblLen := binary.LittleEndian.Uint64(out[16:])
@@ -77,8 +100,8 @@ func patchSectionLen(t *testing.T, data []byte, name string, newLen uint64) []by
 		nameLen := uint64(binary.LittleEndian.Uint32(tbl[pos:]))
 		entryName := string(tbl[pos+4 : pos+4+nameLen])
 		if entryName == name {
-			binary.LittleEndian.PutUint64(tbl[pos+4+nameLen+4+8:], newLen)
-			resealTable(out)
+			edit(tbl[pos+4+nameLen : pos+4+nameLen+4+8+8+8])
+			resealTable(t, out)
 			return out
 		}
 		pos += 4 + nameLen + 4 + 8 + 8 + 8
@@ -87,18 +110,38 @@ func patchSectionLen(t *testing.T, data []byte, name string, newLen uint64) []by
 	return nil
 }
 
-// resealTable recomputes the header's table checksum after a table edit,
-// using the same CRC-64/ECMA polynomial as the writer.
-func resealTable(data []byte) {
-	tblLen := binary.LittleEndian.Uint64(data[16:])
-	binary.LittleEndian.PutUint64(data[24:], crc64ECMA(data[headerSize:headerSize+tblLen]))
+// patchSectionLen rewrites the table entry for name with a new Len.
+func patchSectionLen(t *testing.T, data []byte, name string, newLen uint64) []byte {
+	return patchEntry(t, data, name, func(f []byte) { binary.LittleEndian.PutUint64(f[entryLen:], newLen) })
 }
 
-func crc64ECMA(b []byte) uint64 {
-	// hash/crc64 with the ECMA polynomial, bit-reflected — spelled out
-	// here so the test does not share code with the implementation.
-	const poly = 0xC96C5795D7870F42
-	crc := ^uint64(0)
+// resealTable recomputes the header's table checksum after a table edit,
+// with the checksum of the file's own version.
+func resealTable(t *testing.T, data []byte) {
+	tblLen := binary.LittleEndian.Uint64(data[16:])
+	binary.LittleEndian.PutUint64(data[24:], fileChecksum(t, data, data[headerSize:headerSize+tblLen]))
+}
+
+// fileChecksum is the checksum a file with data's header carries over b:
+// CRC-64/ECMA in version 1, CRC-32C in version 2 — both spelled out bit by
+// bit here so the test does not share code with the implementation.
+func fileChecksum(t *testing.T, data, b []byte) uint64 {
+	switch v := binary.LittleEndian.Uint32(data[8:]); v {
+	case 1:
+		return reflectedCRC(b, 0xC96C5795D7870F42, ^uint64(0))
+	case 2:
+		return reflectedCRC(b, 0x82F63B78, 0xFFFFFFFF)
+	default:
+		t.Fatalf("no checksum for a version-%d file", v)
+		return 0
+	}
+}
+
+// reflectedCRC is the bit-reflected CRC with the given (reflected)
+// polynomial; ones is the all-ones word of its width, the initial value and
+// the final xor.
+func reflectedCRC(b []byte, poly, ones uint64) uint64 {
+	crc := ones
 	for _, x := range b {
 		crc ^= uint64(x)
 		for i := 0; i < 8; i++ {
@@ -109,12 +152,35 @@ func crc64ECMA(b []byte) uint64 {
 			}
 		}
 	}
-	return ^crc
+	return crc ^ ones
 }
 
-func TestCorruptContainer(t *testing.T) {
-	valid := syntheticFile(t)
+// typed reports whether err is one of the four failure classes.
+func typed(err error) bool {
+	return errors.Is(err, snap.ErrTruncated) || errors.Is(err, snap.ErrBadMagic) ||
+		errors.Is(err, snap.ErrVersion) || errors.Is(err, snap.ErrCorrupt)
+}
 
+// TestCorruptContainer damages the container — header, section table,
+// lengths — of a file of each format version: a fresh synthetic one under
+// the bare subtest names, the version-1 grid fixture under "v1/".
+func TestCorruptContainer(t *testing.T) {
+	corruptContainer(t, "", syntheticFile(t), "words", "ints")
+	corruptContainer(t, "v1/", v1File(t, goldenPath), "clauses", "graph")
+}
+
+// corruptContainer runs the battery over valid; big and shrunk name two of
+// its sections, shrunk one of more than four bytes.
+func corruptContainer(t *testing.T, prefix string, valid []byte, big, shrunk string) {
+	version := binary.LittleEndian.Uint32(valid[8:])
+	f, err := snap.Parse(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last payload byte; what follows is padding, which nothing covers
+	// and no reader needs.
+	last := f.Sections()[len(f.Sections())-1]
+	end := int(last.Off + last.Len)
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -127,13 +193,19 @@ func TestCorruptContainer(t *testing.T) {
 			return d
 		}, snap.ErrBadMagic},
 		{"future-version", func(d []byte) []byte {
-			binary.LittleEndian.PutUint32(d[8:], 2)
+			binary.LittleEndian.PutUint32(d[8:], 3)
 			return d
 		}, snap.ErrVersion},
 		{"version-zero", func(d []byte) []byte {
 			binary.LittleEndian.PutUint32(d[8:], 0)
 			return d
 		}, snap.ErrVersion},
+		{"other-versions-checksum", func(d []byte) []byte {
+			// A header that names the other known version names the other
+			// checksum: nothing in the file matches it.
+			binary.LittleEndian.PutUint32(d[8:], 3-version)
+			return d
+		}, snap.ErrCorrupt},
 		{"absurd-section-count", func(d []byte) []byte {
 			binary.LittleEndian.PutUint32(d[12:], 1<<20)
 			return d
@@ -146,30 +218,39 @@ func TestCorruptContainer(t *testing.T) {
 			d[24] ^= 0xFF
 			return d
 		}, snap.ErrCorrupt},
+		{"table-checksum-high-word", func(d []byte) []byte {
+			d[28] ^= 0x01 // version 2 keeps this word zero
+			return d
+		}, snap.ErrCorrupt},
 		{"table-byte-flip", func(d []byte) []byte {
 			d[headerSize+2] ^= 0x01 // inside the first entry's name length
 			return d
 		}, snap.ErrCorrupt},
 		{"payload-byte-flip", func(d []byte) []byte {
-			d[len(d)-3] ^= 0x40 // inside the last section's payload
+			d[end-3] ^= 0x40 // inside the last section's payload
 			return d
 		}, snap.ErrCorrupt},
 		{"truncated-half", func(d []byte) []byte { return d[:len(d)/2] }, snap.ErrTruncated},
-		{"truncated-last-byte", func(d []byte) []byte { return d[:len(d)-1] }, snap.ErrTruncated},
+		{"truncated-last-byte", func(d []byte) []byte { return d[:end-1] }, snap.ErrTruncated},
 		{"oversized-section-len", func(d []byte) []byte {
 			// The table lies: the section claims vastly more bytes than the
 			// file holds. A naive reader would allocate or slice past the
 			// end; ours must refuse before touching the payload.
-			return patchSectionLen(t, d, "words", 1<<40)
+			return patchSectionLen(t, d, big, 1<<40)
 		}, snap.ErrTruncated},
 		{"shrunk-section-len", func(d []byte) []byte {
 			// Shrinking changes the payload the checksum covers.
-			return patchSectionLen(t, d, "ints", 4)
+			return patchSectionLen(t, d, shrunk, 4)
+		}, snap.ErrCorrupt},
+		{"section-checksum-high-word", func(d []byte) []byte {
+			// The low word still matches the payload; in version 2, where
+			// the checksum is 32 bits in a 64-bit field, that must not do.
+			return patchEntry(t, d, big, func(f []byte) { f[entryCRC+4] ^= 0x01 })
 		}, snap.ErrCorrupt},
 	}
 
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(prefix+tc.name, func(t *testing.T) {
 			data := tc.mutate(append([]byte(nil), valid...))
 			_, err := snap.Parse(data)
 			if err == nil {
@@ -185,15 +266,49 @@ func TestCorruptContainer(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run(prefix+"every-header-and-table-byte", func(t *testing.T) {
+		tblEnd := headerSize + int(binary.LittleEndian.Uint64(valid[16:]))
+		mutated := append([]byte(nil), valid...)
+		for i := 0; i < tblEnd; i++ {
+			for _, mask := range []byte{0x01, 0x80, 0xFF} {
+				mutated[i] ^= mask
+				if _, err := snap.Parse(mutated); !typed(err) {
+					t.Fatalf("byte %d ^ %#02x: Parse error = %v, want a typed one", i, mask, err)
+				}
+				mutated[i] ^= mask
+			}
+		}
+	})
+	t.Run(prefix+"truncated-at-section-boundaries", func(t *testing.T) {
+		for _, s := range f.Sections() {
+			// At the section's first byte, one byte into it, one byte short
+			// of its end, at its end — which loses nothing after the last one.
+			for _, cut := range []uint64{s.Off, s.Off + 1, s.Off + s.Len - 1, s.Off + s.Len} {
+				if cut >= uint64(end) {
+					continue
+				}
+				if _, err := snap.Parse(valid[:cut]); !errors.Is(err, snap.ErrTruncated) && !errors.Is(err, snap.ErrCorrupt) {
+					t.Fatalf("cut at byte %d (section %q): Parse error = %v, want ErrTruncated or ErrCorrupt", cut, s.Name, err)
+				}
+				if _, err := snap.Read(valid[:cut]); err == nil {
+					t.Fatalf("cut at byte %d (section %q): Read accepted it", cut, s.Name)
+				}
+			}
+		}
+	})
 }
 
-// TestCorruptEverySection flips one payload byte inside each section of a
-// real engine snapshot; the eager per-section checksum must catch all of
-// them at Parse time.
+// TestCorruptEverySection flips every byte of each section of a real engine
+// snapshot — fresh files of both localities, and the version-1 fixtures of
+// both under "v1/" — one at a time; the eager per-section checksum must
+// catch all of them at Parse time.
 func TestCorruptEverySection(t *testing.T) {
 	for prefix, data := range engineFiles(t) {
 		corruptEverySection(t, prefix, data)
 	}
+	corruptEverySection(t, "v1/", v1File(t, goldenPath))
+	corruptEverySection(t, "v1/lowdeg/", v1File(t, goldenBallsPath))
 }
 
 func corruptEverySection(t *testing.T, prefix string, data []byte) {
@@ -207,10 +322,14 @@ func corruptEverySection(t *testing.T, prefix string, data []byte) {
 		}
 		t.Run(prefix+s.Name, func(t *testing.T) {
 			mutated := append([]byte(nil), data...)
-			mutated[s.Off+s.Len/2] ^= 0x10
-			if _, err := snap.Parse(mutated); !errors.Is(err, snap.ErrCorrupt) {
-				t.Fatalf("flip in section %q: Parse error = %v, want ErrCorrupt", s.Name, err)
+			for i := s.Off; i < s.Off+s.Len; i++ {
+				mutated[i] ^= 0x10
+				if _, err := snap.Parse(mutated); !errors.Is(err, snap.ErrCorrupt) {
+					t.Fatalf("flip of byte %d of section %q: Parse error = %v, want ErrCorrupt", i-s.Off, s.Name, err)
+				}
+				mutated[i] ^= 0x10
 			}
+			mutated[s.Off+s.Len/2] ^= 0x10
 			if _, err := repro.ReadIndexSnapshot(mutated); err == nil {
 				t.Fatalf("flip in section %q: ReadIndexSnapshot accepted it", s.Name)
 			}

@@ -52,36 +52,47 @@ func Read(data []byte) (*Snapshot, error) {
 // ReadTraced is Read with decode instrumentation through reg (nil reg is
 // plain Read): a "snap.decode" span with one child per section group
 // (parse, graph, cover and dist or balls, clauses), enrolled in the request
-// trace when ctx carries one. This is the latency breakdown of the serve
-// disk tier's load path.
+// trace when ctx carries one.
 func ReadTraced(ctx context.Context, data []byte, reg *obs.Registry) (*Snapshot, error) {
 	root := reg.StartSpan(ctx, "snap.decode")
 	defer root.End()
-	return readSections(data, root)
-}
-
-func readSections(data []byte, root *obs.Span) (*Snapshot, error) {
 	sp := root.Child("parse")
 	f, err := Parse(data)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
+	return readSections(f, root)
+}
+
+// DecodeTraced is the half of ReadTraced after Parse, for a caller that has
+// parsed the file itself (the serve disk tier looks at the metadata before
+// it pays for the decode): the same "snap.decode" span without the parse
+// child. Parse verified every checksum of f; nothing here reads a byte
+// twice.
+func DecodeTraced(ctx context.Context, f *File, reg *obs.Registry) (*Snapshot, error) {
+	root := reg.StartSpan(ctx, "snap.decode")
+	defer root.End()
+	return readSections(f, root)
+}
+
+func readSections(f *File, root *obs.Span) (*Snapshot, error) {
 	meta, err := ReadMeta(f)
 	if err != nil {
 		return nil, err
 	}
-	sp = root.Child("graph")
+	sp := root.Child("graph")
 	g, err := readGraph(f)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	// The fingerprint is defined over the section payload checksums, which
-	// Parse has already computed and verified — no re-encoding needed.
+	// Parse has already computed and verified — no re-encoding needed — and
+	// so with the checksum of the file's own version.
 	gcrc, _ := f.SectionCRC("graph")
 	ccrc, _ := f.SectionCRC("graph.colors")
-	if fp := FingerprintString(fingerprintOf(gcrc, ccrc)); fp != meta.GraphFingerprint {
+	if fp := FingerprintString(fingerprintOf(f.sum, gcrc, ccrc)); fp != meta.GraphFingerprint {
 		return nil, fmt.Errorf("%w: graph fingerprint %s does not match metadata %s", ErrCorrupt, fp, meta.GraphFingerprint)
 	}
 	s := &Snapshot{Graph: g, Meta: meta}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc64"
 	"io"
 
 	"repro/internal/core"
@@ -46,40 +45,35 @@ type Meta struct {
 	GraphFingerprint string `json:"graph_fingerprint"`
 }
 
-// Fingerprint returns a CRC-64/ECMA fingerprint of the graph structure
-// (vertex count, colors, adjacency, color sets). Two graphs with equal
-// fingerprints are byte-identical under the snapshot encoding.
+// Fingerprint returns the fingerprint of the graph structure (vertex
+// count, colors, adjacency, color sets) a snapshot written by this package
+// records: two graphs with equal fingerprints are byte-identical under the
+// snapshot encoding, up to a checksum collision.
 //
 // The fingerprint is defined over the payload checksums of the "graph"
-// and "graph.colors" sections rather than the raw encoding, so a loader
-// can verify it from the checksums Parse has already computed without
-// re-encoding the graph (see fingerprintOf).
+// and "graph.colors" sections rather than the raw encoding, so the writer
+// has it from the two sections it just made and a loader verifies it from
+// the checksums Parse has already computed (see fingerprintOf). It is
+// therefore a value per format version: this is the version-2 one, and a
+// version-1 file of the same graph records another.
 func Fingerprint(g *graph.Graph) uint64 {
-	gp := g.Parts()
-	w := &i32w{}
-	encodeGraph(w, gp)
-	gh := crc64.New(crcTable)
-	var buf [4]byte
-	for _, x := range w.s {
-		binary.LittleEndian.PutUint32(buf[:], uint32(x))
-		gh.Write(buf[:]) //fod:errok hash.Hash.Write never returns an error
-	}
-	ch := crc64.New(crcTable)
-	var wbuf [8]byte
-	for _, x := range gp.ColorWords {
-		binary.LittleEndian.PutUint64(wbuf[:], x)
-		ch.Write(wbuf[:]) //fod:errok hash.Hash.Write never returns an error
-	}
-	return fingerprintOf(gh.Sum64(), ch.Sum64())
+	gs, cs := graphPayloads(g.Parts())
+	return fingerprintOf(writeSum, gs.crc, cs.crc)
+}
+
+// graphPayloads encodes the graph as its two sections.
+func graphPayloads(gp graph.Parts) (graphSec, colorSec payload) {
+	return seal(KindI32, bytesOf(newStream(func(w *i32w) { encodeGraph(w, gp) }).s)), seal(KindU64, bytesOf(gp.ColorWords))
 }
 
 // fingerprintOf combines the payload checksums of the "graph" and
-// "graph.colors" sections into the graph fingerprint.
-func fingerprintOf(graphCRC, colorCRC uint64) uint64 {
+// "graph.colors" sections into the graph fingerprint, with the checksum of
+// the file they are from.
+func fingerprintOf(sum func([]byte) uint64, graphCRC, colorCRC uint64) uint64 {
 	var b [16]byte
 	binary.LittleEndian.PutUint64(b[:8], graphCRC)
 	binary.LittleEndian.PutUint64(b[8:], colorCRC)
-	return crc64.Checksum(b[:], crcTable)
+	return sum(b[:])
 }
 
 // FingerprintString renders a fingerprint the way Meta stores it.
@@ -104,15 +98,22 @@ func WriteTraced(ctx context.Context, out io.Writer, g *graph.Graph, meta Meta, 
 }
 
 func writeSections(out io.Writer, g *graph.Graph, meta Meta, parts core.EngineParts, root *obs.Span) (int64, error) {
-	meta.GraphN = g.N()
-	meta.GraphM = g.M()
-	meta.GraphColors = g.NumColors()
-	meta.GraphFingerprint = FingerprintString(Fingerprint(g))
-	meta.Locality = parts.Locality
 	codec, ok := localities[parts.Locality]
 	if !ok {
 		return 0, fmt.Errorf("snap: no section layout for locality %q", parts.Locality)
 	}
+	// The graph is encoded before the metadata that opens the file: the
+	// record carries the fingerprint, which is made of the checksums of the
+	// graph's two sections.
+	sp := root.Child("graph")
+	graphSec, colorSec := graphPayloads(g.Parts())
+	sp.End()
+
+	meta.GraphN = g.N()
+	meta.GraphM = g.M()
+	meta.GraphColors = g.NumColors()
+	meta.GraphFingerprint = FingerprintString(fingerprintOf(writeSum, graphSec.crc, colorSec.crc))
+	meta.Locality = parts.Locality
 	mb, err := json.Marshal(meta)
 	if err != nil {
 		return 0, fmt.Errorf("snap: encoding metadata: %w", err)
@@ -120,21 +121,13 @@ func writeSections(out io.Writer, g *graph.Graph, meta Meta, parts core.EnginePa
 
 	w := NewWriter()
 	w.Bytes("meta", mb)
-
-	sp := root.Child("graph")
-	gp := g.Parts()
-	gw := &i32w{}
-	encodeGraph(gw, gp)
-	w.I32("graph", gw.s)
-	w.U64("graph.colors", gp.ColorWords)
-	sp.End()
+	w.add("graph", graphSec)
+	w.add("graph.colors", colorSec)
 
 	codec.write(w, &parts, root)
 
 	sp = root.Child("clauses")
-	qw := &i32w{}
-	encodeClauses(qw, parts)
-	w.I32("clauses", qw.s)
+	w.I32("clauses", newStream(func(qw *i32w) { encodeClauses(qw, parts) }).s)
 	sp.End()
 
 	sp = root.Child("flush")
@@ -159,17 +152,13 @@ var localities = map[string]locCodec{
 
 func writeCoverLoc(w *Writer, parts *core.EngineParts, root *obs.Span) {
 	sp := root.Child("cover")
-	cw := &i32w{}
-	encodeCover(cw, parts.Cover)
-	w.I32("cover", cw.s)
+	w.I32("cover", newStream(func(cw *i32w) { encodeCover(cw, parts.Cover) }).s)
 	sp.End()
 
 	sp = root.Child("dist")
-	dw := &i32w{}
-	var d8 []int8
-	encodeDist(dw, &d8, parts.Dist)
+	dw := newStream(func(dw *i32w) { encodeDist(dw, parts.Dist) })
 	w.I32("dist", dw.s)
-	w.I8("dist.d8", d8)
+	w.I8("dist.d8", dw.d8)
 	sp.End()
 }
 
@@ -179,13 +168,13 @@ func writeCoverLoc(w *Writer, parts *core.EngineParts, root *obs.Span) {
 func writeBalls(w *Writer, parts *core.EngineParts, root *obs.Span) {
 	sp := root.Child("balls")
 	b := &parts.Balls
-	bw := &i32w{}
-	bw.putInt(b.R)
-	bw.putInt(b.CompR)
-	for _, v := range [][]int32{b.ROff, b.RAdj, b.COff, b.CAdj} {
-		bw.putSlice(v)
-	}
-	w.I32("balls", bw.s)
+	w.I32("balls", newStream(func(bw *i32w) {
+		bw.putInt(b.R)
+		bw.putInt(b.CompR)
+		for _, v := range [][]int32{b.ROff, b.RAdj, b.COff, b.CAdj} {
+			bw.putSlice(v)
+		}
+	}).s)
 	sp.End()
 }
 
@@ -215,7 +204,7 @@ func encodeCover(w *i32w, p cover.Parts) {
 	w.put(0)
 }
 
-func encodeDist(w *i32w, d8 *[]int8, p dist.Parts) {
+func encodeDist(w *i32w, p dist.Parts) {
 	w.putInt(p.R)
 	w.putInt(p.Bags)
 	w.putInt(p.MaxDepth)
@@ -223,16 +212,16 @@ func encodeDist(w *i32w, d8 *[]int8, p dist.Parts) {
 	w.putInt(p.Fallbacks)
 	w.putInt(p.TableCells)
 	w.putInt(p.Work)
-	encodeDistNode(w, d8, p.Root)
+	encodeDistNode(w, p.Root)
 }
 
-func encodeDistNode(w *i32w, d8 *[]int8, np *dist.NodeParts) {
+func encodeDistNode(w *i32w, np *dist.NodeParts) {
 	w.putInt(np.Kind)
 	switch np.Kind {
 	case dist.NodeSmall:
 		w.putSlice(np.SmallOff)
 		w.putSlice(np.SmallBall)
-		*d8 = append(*d8, np.SmallD...) // length == len(SmallBall)
+		w.putD8(np.SmallD) // length == len(SmallBall)
 	case dist.NodeRecursive:
 		encodeCover(w, np.Cover)
 		w.putInt(len(np.Bags))
@@ -240,7 +229,7 @@ func encodeDistNode(w *i32w, d8 *[]int8, np *dist.NodeParts) {
 			bp := &np.Bags[i]
 			w.put(bp.SX)
 			w.putSlice(bp.DistS)
-			encodeDistNode(w, d8, bp.Inner)
+			encodeDistNode(w, bp.Inner)
 		}
 	}
 }

@@ -7,16 +7,23 @@
 // The container is deliberately dumb: a fixed header, a CRC-guarded
 // section table, and flat little-endian sections of a single scalar kind
 // each ([]byte, []int8, []int32, []int64, []uint64), 8-byte aligned.
-// Loading is one sequential read plus near-zero decoding — no gob, no
-// reflection; the only per-element work is the little-endian copy into a
-// typed slice. The writer is deterministic: the same graph and query
-// produce byte-identical files, which the golden-file test pins.
+// Loading is one sequential read, one checksum pass and near-zero decoding
+// — no gob, no reflection; on a little-endian host a typed section is a
+// view of the file's bytes, and the writer hands the engine's arrays to the
+// output the same way. The writer is deterministic: the same graph and
+// query produce byte-identical files, which the golden-file test pins.
+//
+// Two format versions exist and differ in nothing but the checksum
+// (checksumOf): version 1 files carry CRC-64/ECMA, version 2 files
+// CRC-32C, which the CPU computes. The reader takes both, the writer
+// writes version 2.
 package snap
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/crc64"
 	"io"
 )
@@ -24,8 +31,9 @@ import (
 // Magic identifies snapshot files; it is the first 8 bytes.
 const Magic = "FODSNAP1"
 
-// Version is the current format version. Readers reject other versions.
-const Version = 1
+// Version is the format version the writer writes. Readers accept it and
+// version 1, and reject every other.
+const Version = 2
 
 // Typed errors for the failure classes a loader must distinguish. All
 // parse and decode failures wrap one of these (test with errors.Is).
@@ -63,9 +71,30 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint32(k))
 }
 
-// crcTable is the CRC-64/ECMA table used for the section and table
-// checksums and for the graph fingerprint.
-var crcTable = crc64.MakeTable(crc64.ECMA)
+var (
+	ecmaTable       = crc64.MakeTable(crc64.ECMA)
+	castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
+)
+
+// checksumOf returns the checksum a file of the given format version
+// carries — over its section table, over each section payload, and over
+// the two section checksums that make the graph fingerprint — with its
+// name, or nil for a version this reader does not know. It is the only
+// place the versions differ: version 1 is CRC-64/ECMA, version 2 is CRC-32C
+// in the low word of the same 8-byte field (a stored high word that is not
+// zero matches no payload).
+func checksumOf(version uint32) (name string, sum func([]byte) uint64) {
+	switch version {
+	case 1:
+		return "CRC-64/ECMA", func(p []byte) uint64 { return crc64.Checksum(p, ecmaTable) }
+	case 2:
+		return "CRC-32C", func(p []byte) uint64 { return uint64(crc32.Checksum(p, castagnoliTable)) }
+	}
+	return "", nil
+}
+
+// writeSum is the checksum of the files this package writes.
+var _, writeSum = checksumOf(Version)
 
 // headerSize is the fixed prefix: magic(8) + version(4) + nsec(4) +
 // tableLen(8) + tableCRC(8).
@@ -84,12 +113,15 @@ type Section struct {
 	Kind Kind
 	Off  uint64 // byte offset from the start of the file, 8-aligned
 	Len  uint64 // payload length in bytes (without padding)
-	CRC  uint64 // CRC-64/ECMA of the payload
+	CRC  uint64 // checksum of the payload, by the file's version (checksumOf)
 }
 
 // Writer accumulates named sections and serializes them as one snapshot
 // file. Sections are written in the order they were added; adding two
-// sections with the same name is a programming error and panics.
+// sections with the same name is a programming error and panics. A typed
+// section is not copied when the host's memory layout is the file's (see
+// zerocopy.go): the slice handed to I8/I32/I64/U64 must stay unmodified
+// until WriteTo returns.
 type Writer struct {
 	secs  []Section
 	blobs [][]byte
@@ -99,7 +131,16 @@ type Writer struct {
 // NewWriter returns an empty snapshot writer.
 func NewWriter() *Writer { return &Writer{names: make(map[string]bool)} }
 
-func (w *Writer) add(name string, kind Kind, payload []byte) {
+// payload is the bytes of one section and their checksum, computed once.
+type payload struct {
+	kind Kind
+	b    []byte
+	crc  uint64
+}
+
+func seal(kind Kind, b []byte) payload { return payload{kind: kind, b: b, crc: writeSum(b)} }
+
+func (w *Writer) add(name string, p payload) {
 	if len(name) == 0 || len(name) > maxNameLen {
 		panic(fmt.Sprintf("snap: section name %q length out of range", name))
 	}
@@ -107,48 +148,24 @@ func (w *Writer) add(name string, kind Kind, payload []byte) {
 		panic(fmt.Sprintf("snap: duplicate section %q", name))
 	}
 	w.names[name] = true
-	w.secs = append(w.secs, Section{Name: name, Kind: kind, Len: uint64(len(payload)), CRC: crc64.Checksum(payload, crcTable)})
-	w.blobs = append(w.blobs, payload)
+	w.secs = append(w.secs, Section{Name: name, Kind: p.kind, Len: uint64(len(p.b)), CRC: p.crc})
+	w.blobs = append(w.blobs, p.b)
 }
 
 // Bytes adds a raw byte section.
-func (w *Writer) Bytes(name string, b []byte) { w.add(name, KindBytes, b) }
+func (w *Writer) Bytes(name string, b []byte) { w.add(name, seal(KindBytes, b)) }
 
 // I8 adds an []int8 section.
-func (w *Writer) I8(name string, v []int8) {
-	b := make([]byte, len(v))
-	for i, x := range v {
-		b[i] = byte(x)
-	}
-	w.add(name, KindI8, b)
-}
+func (w *Writer) I8(name string, v []int8) { w.add(name, seal(KindI8, bytesOfI8(v))) }
 
 // I32 adds an []int32 section.
-func (w *Writer) I32(name string, v []int32) {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
-	}
-	w.add(name, KindI32, b)
-}
+func (w *Writer) I32(name string, v []int32) { w.add(name, seal(KindI32, bytesOf(v))) }
 
 // I64 adds an []int64 section.
-func (w *Writer) I64(name string, v []int64) {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
-	}
-	w.add(name, KindI64, b)
-}
+func (w *Writer) I64(name string, v []int64) { w.add(name, seal(KindI64, bytesOf(v))) }
 
 // U64 adds a []uint64 section.
-func (w *Writer) U64(name string, v []uint64) {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], x)
-	}
-	w.add(name, KindU64, b)
-}
+func (w *Writer) U64(name string, v []uint64) { w.add(name, seal(KindU64, bytesOf(v))) }
 
 func pad8(n uint64) uint64 { return (n + 7) &^ 7 }
 
@@ -195,7 +212,7 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint32(hdr[8:], Version)
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(w.secs)))
 	binary.LittleEndian.PutUint64(hdr[16:], tblLen)
-	binary.LittleEndian.PutUint64(hdr[24:], crc64.Checksum(tbl, crcTable))
+	binary.LittleEndian.PutUint64(hdr[24:], writeSum(tbl))
 
 	var written int64
 	emit := func(b []byte) error {
@@ -232,15 +249,18 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 // table. Every section's checksum has been verified by Parse; the typed
 // accessors only decode.
 type File struct {
-	data   []byte
-	secs   []Section
-	byName map[string]int
+	data    []byte
+	version uint32
+	sum     func([]byte) uint64 // checksumOf(version)
+	secs    []Section
+	byName  map[string]int
 }
 
 // Parse validates data as a snapshot file: magic, version, section table
-// bounds and checksum, per-section bounds and checksums. It never
-// allocates based on unverified lengths — all claimed ranges are checked
-// against len(data) first — so a hostile file cannot cause OOM or panic.
+// bounds and checksum, per-section bounds and checksums, each with the
+// checksum the header's version names. It never allocates based on
+// unverified lengths — all claimed ranges are checked against len(data)
+// first — so a hostile file cannot cause OOM or panic.
 func Parse(data []byte) (*File, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrTruncated, len(data), headerSize)
@@ -248,8 +268,10 @@ func Parse(data []byte) (*File, error) {
 	if string(data[:8]) != Magic {
 		return nil, fmt.Errorf("%w: magic %q", ErrBadMagic, data[:8])
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != Version {
-		return nil, fmt.Errorf("%w: file has version %d, reader supports %d", ErrVersion, v, Version)
+	version := binary.LittleEndian.Uint32(data[8:])
+	_, sum := checksumOf(version)
+	if sum == nil {
+		return nil, fmt.Errorf("%w: file has version %d, reader supports 1 to %d", ErrVersion, version, Version)
 	}
 	nsec := binary.LittleEndian.Uint32(data[12:])
 	tblLen := binary.LittleEndian.Uint64(data[16:])
@@ -261,10 +283,10 @@ func Parse(data []byte) (*File, error) {
 		return nil, fmt.Errorf("%w: section table of %d bytes exceeds the file", ErrTruncated, tblLen)
 	}
 	tbl := data[headerSize : headerSize+tblLen]
-	if crc64.Checksum(tbl, crcTable) != tblCRC {
+	if sum(tbl) != tblCRC {
 		return nil, fmt.Errorf("%w: section table checksum mismatch", ErrCorrupt)
 	}
-	f := &File{data: data, byName: make(map[string]int, nsec)}
+	f := &File{data: data, version: version, sum: sum, byName: make(map[string]int, nsec)}
 	pos := uint64(0)
 	for i := uint32(0); i < nsec; i++ {
 		if uint64(len(tbl))-pos < 4 {
@@ -299,7 +321,7 @@ func Parse(data []byte) (*File, error) {
 			return nil, fmt.Errorf("%w: section %q claims bytes [%d, %d+%d) outside the %d-byte file",
 				ErrTruncated, s.Name, s.Off, s.Off, s.Len, len(data))
 		}
-		if crc64.Checksum(data[s.Off:s.Off+s.Len], crcTable) != s.CRC {
+		if sum(data[s.Off:s.Off+s.Len]) != s.CRC {
 			return nil, fmt.Errorf("%w: section %q checksum mismatch", ErrCorrupt, s.Name)
 		}
 		if _, dup := f.byName[s.Name]; dup {
@@ -308,7 +330,22 @@ func Parse(data []byte) (*File, error) {
 		f.byName[s.Name] = len(f.secs)
 		f.secs = append(f.secs, s)
 	}
+	if pos != uint64(len(tbl)) {
+		// The section count is outside the table's checksum; a count that
+		// leaves entries unread is a damaged one.
+		return nil, fmt.Errorf("%w: section table has %d bytes after its %d entries", ErrCorrupt, uint64(len(tbl))-pos, nsec)
+	}
 	return f, nil
+}
+
+// Version returns the format version the file's header names; it decides
+// the checksum of every CRC the file carries (checksumOf).
+func (f *File) Version() uint32 { return f.version }
+
+// Checksum names the checksum the file's version implies.
+func (f *File) Checksum() string {
+	name, _ := checksumOf(f.version)
+	return name
 }
 
 // Sections returns the section table in file order.

@@ -3,6 +3,7 @@ package snap_test
 import (
 	"bytes"
 	"context"
+	"os"
 	"testing"
 
 	"repro"
@@ -17,7 +18,10 @@ import (
 // in structures the answering hot path would trip over.
 func FuzzSnapshotLoad(f *testing.F) {
 	// Seed with real snapshots and near-valid mutants so the fuzzer starts
-	// deep inside the decoder rather than bouncing off the magic check.
+	// deep inside the decoder rather than bouncing off the magic check. What
+	// is built here is a version-2 file; the version-1 fixtures of both
+	// localities follow at the end, whole and damaged the same ways, and
+	// testdata/fuzz holds bare headers of both versions.
 	g := repro.Generate("grid", 36, repro.GenOptions{Seed: 5, Colors: 2})
 	ix, err := repro.Build(context.Background(), g, repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y"))
 	if err != nil {
@@ -76,6 +80,20 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("FODSNAP1"))
 	f.Add([]byte("FODSNAP2 not really a snapshot"))
+
+	for _, path := range []string{goldenPath, goldenBallsPath} {
+		old, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
+		f.Add(old[:len(old)*3/4])
+		for _, off := range []int{8, 25, 40, len(old) / 2} {
+			mut := append([]byte(nil), old...)
+			mut[off] ^= 0x03 // at 8: the version word, 1 becomes 2
+			f.Add(mut)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := snap.Read(data)

@@ -7,25 +7,36 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/conform"
+	"repro/internal/core"
 	"repro/internal/snap"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden snapshot fixture")
+var updateGolden = flag.Bool("update", false, "rewrite the version-2 golden snapshot fixtures")
 
+// The fixtures come in pairs. The plain names are the version-1 corpus
+// (CRC-64/ECMA): written by the code of their day, never regenerated, the
+// pin that old files keep loading. Beside each lies its version-2 twin
+// (v2Path), the same index as the current writer writes it, which
+// the format test pins byte for byte and -update rewrites.
 const goldenPath = "testdata/golden-grid64.fodsnap"
 
 // goldenAllRowsPath is the fixture as the commit before the skip build was
 // restricted to b ∈ L wrote it, with SC rows for every vertex: the pin that
-// files of that era keep loading. It is never regenerated.
+// files of that era keep loading. No build makes those rows any more; its
+// twin is the version-1 file decoded and written again.
 const goldenAllRowsPath = "testdata/golden-grid64-allrows.fodsnap"
 
 // goldenBallsPath pins the ball form the same way: a lowdeg index over a
 // degree-bounded graph, three positions so that the file carries both row
 // arrays.
 const goldenBallsPath = "testdata/golden-bdeg64.fodsnap"
+
+func v2Path(v1 string) string { return strings.TrimSuffix(v1, ".fodsnap") + ".v2.fodsnap" }
 
 func goldenBallsIndex(t testing.TB) *repro.Index {
 	g := repro.Generate("bdeg", 64, repro.GenOptions{Seed: 3, Colors: 2})
@@ -52,33 +63,47 @@ func goldenIndex(t testing.TB) *repro.Index {
 
 // TestGoldenFormat pins the snapshot format byte for byte: any change to
 // the container layout, the section encodings, or the engine's
-// serialized structures shows up as a diff against the committed fixture
-// and forces a deliberate format-version decision.
+// serialized structures shows up as a diff against the committed version-2
+// fixtures and forces a deliberate format-version decision.
 func TestGoldenFormat(t *testing.T) {
-	goldenFormat(t, goldenIndex(t), goldenPath)
-	goldenFormat(t, goldenBallsIndex(t), goldenBallsPath)
+	goldenFormat(t, indexBytes(t, goldenIndex(t)), v2Path(goldenPath))
+	goldenFormat(t, indexBytes(t, goldenBallsIndex(t)), v2Path(goldenBallsPath))
+
+	old, err := snap.ReadFile(goldenAllRowsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := snap.Write(&buf, old.Graph, old.Meta, old.Parts); err != nil {
+		t.Fatal(err)
+	}
+	goldenFormat(t, buf.Bytes(), v2Path(goldenAllRowsPath))
 }
 
-func goldenFormat(t *testing.T, ix *repro.Index, goldenPath string) {
+func indexBytes(t testing.TB, ix *repro.Index) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := ix.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+func goldenFormat(t *testing.T, got []byte, goldenPath string) {
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", goldenPath, buf.Len())
+		t.Logf("wrote %s (%d bytes)", goldenPath, len(got))
 		return
 	}
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("missing golden fixture (regenerate with -update): %v", err)
 	}
-	got := buf.Bytes()
 	if !bytes.Equal(got, want) {
 		if len(got) != len(want) {
 			t.Fatalf("snapshot format changed: %d bytes, fixture has %d — if intentional, bump snap.Version and run -update",
@@ -93,59 +118,142 @@ func goldenFormat(t *testing.T, ix *repro.Index, goldenPath string) {
 	}
 }
 
-// TestGoldenLoads proves old files stay readable: the committed fixtures —
-// written by whatever code version created them — must still restore and
-// answer exactly like a freshly built index.
+// TestGoldenLoads proves old files stay readable: the committed fixtures of
+// both format versions — the version-1 ones written by whatever code
+// version created them — must still restore and answer exactly like a
+// freshly built index.
 func TestGoldenLoads(t *testing.T) {
 	fresh := goldenIndex(t)
-	for _, path := range []string{goldenPath, goldenAllRowsPath} {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing golden fixture (regenerate %s with -update): %v", goldenPath, err)
+	for _, v1 := range []string{goldenPath, goldenAllRowsPath} {
+		for version, path := range map[uint32]string{1: v1, 2: v2Path(v1)} {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden fixture (regenerate the version-2 ones with -update): %v", err)
+			}
+			f, err := snap.Parse(data)
+			if err != nil {
+				t.Fatalf("%s does not parse: %v", path, err)
+			}
+			if f.Version() != version {
+				t.Fatalf("%s is a version-%d file, want %d", path, f.Version(), version)
+			}
+			meta, err := snap.ReadMeta(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.GraphN != 64 || meta.K != 2 {
+				t.Fatalf("%s: metadata off: n=%d k=%d", path, meta.GraphN, meta.K)
+			}
+			loaded, err := repro.ReadIndexSnapshot(data)
+			if err != nil {
+				t.Fatalf("%s does not restore: %v", path, err)
+			}
+			if got, want := enumerate(loaded), enumerate(fresh); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s answers differently: %d solutions vs %d fresh", path, len(got), len(want))
+			}
+			if st := loaded.Stats(); st.SkipTables != 2 {
+				t.Fatalf("%s restored to %d skip tables, want 2", path, st.SkipTables)
+			}
 		}
-		f, err := snap.Parse(data)
-		if err != nil {
-			t.Fatalf("%s does not parse: %v", path, err)
-		}
-		meta, err := snap.ReadMeta(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if meta.GraphN != 64 || meta.K != 2 {
-			t.Fatalf("%s: metadata off: n=%d k=%d", path, meta.GraphN, meta.K)
-		}
-		loaded, err := repro.ReadIndexSnapshot(data)
+	}
+	// The ball fixtures restore to a lowdeg index that says so.
+	balls := goldenBallsIndex(t)
+	for _, path := range []string{goldenBallsPath, v2Path(goldenBallsPath)} {
+		loaded, err := repro.LoadIndexSnapshot(path)
 		if err != nil {
 			t.Fatalf("%s does not restore: %v", path, err)
 		}
-		if got, want := enumerate(loaded), enumerate(fresh); !reflect.DeepEqual(got, want) {
+		if got, want := enumerate(loaded), enumerate(balls); len(want) == 0 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s answers differently: %d solutions vs %d fresh", path, len(got), len(want))
 		}
-		if st := loaded.Stats(); st.SkipTables != 2 {
-			t.Fatalf("%s restored to %d skip tables, want 2", path, st.SkipTables)
+		if st := loaded.Stats(); loaded.Engine() != repro.EngineLowDeg || st.CompEntries <= st.BallEntries || st.SkipTables != 0 {
+			t.Fatalf("%s restored as %s with %+v", path, loaded.Engine(), st)
 		}
-	}
-	// The ball fixture restores to a lowdeg index that says so.
-	data, err := os.ReadFile(goldenBallsPath)
-	if err != nil {
-		t.Fatalf("missing golden fixture (regenerate %s with -update): %v", goldenBallsPath, err)
-	}
-	loaded, err := repro.ReadIndexSnapshot(data)
-	if err != nil {
-		t.Fatalf("%s does not restore: %v", goldenBallsPath, err)
-	}
-	balls := goldenBallsIndex(t)
-	if got, want := enumerate(loaded), enumerate(balls); len(want) == 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s answers differently: %d solutions vs %d fresh", goldenBallsPath, len(got), len(want))
-	}
-	if st := loaded.Stats(); loaded.Engine() != repro.EngineLowDeg || st.CompEntries <= st.BallEntries || st.SkipTables != 0 {
-		t.Fatalf("%s restored as %s with %+v", goldenBallsPath, loaded.Engine(), st)
 	}
 	// The two fixtures differ in their skip sections and in nothing the
 	// answers depend on: the old one carries the rows nobody reads.
 	if old, cur := mustStat(t, goldenAllRowsPath), mustStat(t, goldenPath); old <= cur {
 		t.Fatalf("the all-rows fixture (%d bytes) is not larger than the current one (%d)", old, cur)
 	}
+}
+
+// TestGoldenTwins: the two versions of a fixture are one index. They differ
+// in the header's version word, in every checksum and in the fingerprint the
+// metadata records — nowhere else, so they have one length — and restore to
+// engines with equal parts that meet the whole answering contract on the
+// same solution list. An engine restored from the version-1 file writes the
+// version-2 one.
+func TestGoldenTwins(t *testing.T) {
+	for _, v1 := range []string{goldenPath, goldenAllRowsPath, goldenBallsPath} {
+		t.Run(filepath.Base(v1), func(t *testing.T) {
+			old, cur := restoreEngine(t, v1), restoreEngine(t, v2Path(v1))
+			if oldMeta, curMeta := old.snap.Meta, cur.snap.Meta; oldMeta.GraphFingerprint == curMeta.GraphFingerprint {
+				t.Fatalf("both versions record the fingerprint %s", oldMeta.GraphFingerprint)
+			} else if oldMeta.GraphFingerprint = curMeta.GraphFingerprint; !reflect.DeepEqual(oldMeta, curMeta) {
+				t.Fatalf("metadata differs beyond the fingerprint:\n%+v\n%+v", old.snap.Meta, curMeta)
+			}
+			if len(old.data) != len(cur.data) {
+				t.Fatalf("version 1 has %d bytes, version 2 %d", len(old.data), len(cur.data))
+			}
+			if !reflect.DeepEqual(old.eng.SnapshotParts(), cur.eng.SnapshotParts()) {
+				t.Fatal("the restored engines have different parts")
+			}
+			want := conform.NewNaive(cur.snap.Graph, cur.lq).Solutions()
+			if len(want) == 0 {
+				t.Fatal("the fixture's query has no solutions")
+			}
+			for name, r := range map[string]restored{"v1": old, "v2": cur} {
+				sys := conform.System{
+					Name: name, Engine: r.eng, K: r.lq.K, N: r.snap.Graph.N(),
+					NewCursor: func(a []int) conform.Cursor { return r.eng.IteratorFrom(a) },
+				}
+				if err := conform.CheckAll(sys, want); err != nil {
+					t.Error(err)
+				}
+			}
+			var buf bytes.Buffer
+			if _, err := snap.Write(&buf, old.snap.Graph, old.snap.Meta, old.eng.SnapshotParts()); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), cur.data) {
+				t.Fatal("the engine restored from the version-1 file does not write its version-2 twin")
+			}
+		})
+	}
+}
+
+type restored struct {
+	data []byte
+	snap *snap.Snapshot
+	lq   *core.LocalQuery
+	eng  *core.Engine
+}
+
+// restoreEngine loads a fixture the way the facade does, one layer down,
+// where the engine's parts can be looked at.
+func restoreEngine(t *testing.T, path string) restored {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := snap.Read(data)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	q, err := repro.ParseQuery(s.Meta.Query, s.Meta.Vars...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lq, err := core.Compile(q.Phi, q.Vars, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.RestoreEngine(s.Graph, lq, s.Parts, core.Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return restored{data, s, lq, eng}
 }
 
 func mustStat(t *testing.T, path string) int64 {

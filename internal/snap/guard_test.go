@@ -12,22 +12,30 @@ import (
 )
 
 // TestSnapshotLoadSpeedGuard pins the point of the snapshot tier: a load
-// skips the whole pseudo-linear preprocessing, so it must be several times
-// faster than the build it replaces. The threshold is what a load provably
-// buys, not what it bought once: the ratio was above 10× until PRs 12–15 made
-// the build 2–4× cheaper, was about 8× on grid-2000 after them, and is about
-// 5.5× (3.9–6.6× over fifteen runs) after PR 23 took the starter phase out
-// of the build, and is 2.3× (1.9–3.1× over fifteen runs: build 1.4–2.0 ms,
-// load 0.58–0.83 ms) since PR 24 halved the cover's share of it; at n = 32k
-// bench reads first_answer_ms 21.6 against first_answer_restore_ms 16.0. A
-// load is linear in the file — 42 % of it is the CRC-64 of the sections, a
-// quarter revalidating the cover and rebuilding its inverted lists — and
-// the build is no longer far from that (1.7× is the lowest ratio seen, next
-// to the other guards), so the guard asks for 1.25×: below it the snapshot
-// tier costs a file and buys next to nothing. A timing ratio, so it runs in
-// verify.sh tier 3
-// under GUARD=1; that the restored index keeps the 0 allocs/op hot paths is
-// a tier-1 row of TestFacadeHotPathsZeroAllocs.
+// skips the whole pseudo-linear preprocessing, so it must be cheaper than
+// the build it replaces by a margin worth a file. The threshold is what a
+// load provably buys, not what it bought once, and its history is the
+// history of both sides of the ratio on grid-2000:
+//
+//	gate 10×    the ratio was above 10× until PRs 12–15 made the build
+//	            2–4× cheaper;
+//	gate 3×     about 8× after them, 5.5× (3.9–6.6× over fifteen runs) after
+//	            PR 23 took the starter phase out of the build;
+//	gate 1.25×  2.3× (1.7–3.1×: build 1.4–2.0 ms, load 0.58–0.83 ms) after
+//	            PR 24 halved the cover's share of it — a load was 42 % the
+//	            CRC-64 of its sections, and the guard could ask for no more
+//	            than "does not cost more than it saves";
+//	gate 1.75×  3.5× (2.6–4.5× over fifteen runs alone: build 1.28–1.81 ms,
+//	            load 0.35–0.54 ms; 2.9×, 3.7×, 3.5× in three runs beside the
+//	            other guards) since PR 25 made the checksum CRC-32C — two
+//	            thirds of the smallest ratio seen.
+//
+// At n = 32k bench reads first_answer_ms 23.7 against
+// first_answer_restore_ms 7.7. What a load still pays is linear in the file
+// and is not the checksum: revalidating the skip rows and the cover,
+// rebuilding the inverted lists (ROADMAP item 9). A timing ratio, so it runs
+// in verify.sh tier 3 under GUARD=1; that the restored index keeps the
+// 0 allocs/op hot paths is a tier-1 row of TestFacadeHotPathsZeroAllocs.
 func TestSnapshotLoadSpeedGuard(t *testing.T) {
 	if os.Getenv("GUARD") == "" {
 		t.Skip("set GUARD=1 to run the timing guards (scripts/verify.sh 3)")
@@ -65,7 +73,7 @@ func TestSnapshotLoadSpeedGuard(t *testing.T) {
 	loadTime := best(func() error { _, err := repro.ReadIndexSnapshot(data); return err })
 	t.Logf("grid-2000: build %v, snapshot load %v (%.1fx), %d snapshot bytes",
 		buildTime, loadTime, float64(buildTime)/float64(loadTime), len(data))
-	if 5*loadTime > 4*buildTime {
-		t.Errorf("snapshot load %v is not ≥1.25x faster than build %v", loadTime, buildTime)
+	if 7*loadTime > 4*buildTime {
+		t.Errorf("snapshot load %v is not ≥1.75x faster than build %v", loadTime, buildTime)
 	}
 }

@@ -230,6 +230,55 @@ func snapshotDeterministic(t *testing.T, tc rtCase, kind repro.EngineKind) {
 	}
 }
 
+// TestSnapshotPortableEncoderSameBytes: on a little-endian host a typed
+// section is the slice's own bytes, on any other the writer encodes it word
+// by word; the file is the same either way, and read back word by word it
+// is the same index. Run over both localities, every section kind the
+// format has, and a star, whose distance index recurses.
+func TestSnapshotPortableEncoderSameBytes(t *testing.T) {
+	star := rtCase{"star-far2", "star", 300, "dist(x,y) > 2 & C0(y)", []string{"x", "y"}}
+	for _, tc := range []rtCase{rtCases()[0], star} {
+		for _, kind := range bothEngines {
+			_, built, loaded, cast := buildAndReload(t, tc, 1, repro.WithEngine(kind))
+			viewed, err := snap.Read(cast)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restore := snap.ForcePortable()
+			var portable bytes.Buffer
+			err = built.WriteSnapshot(&portable)
+			var copied *snap.Snapshot
+			var reloaded *repro.Index
+			if err == nil {
+				copied, err = snap.Read(cast)
+			}
+			if err == nil {
+				reloaded, err = repro.ReadIndexSnapshot(cast)
+			}
+			restore()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, kind, err)
+			}
+			if !bytes.Equal(cast, portable.Bytes()) {
+				t.Fatalf("%s/%s: the word-by-word encoder writes another file (%d vs %d bytes)", tc.name, kind, portable.Len(), len(cast))
+			}
+			if !reflect.DeepEqual(copied.Parts, viewed.Parts) {
+				t.Fatalf("%s/%s: decoded word by word the file holds other parts", tc.name, kind)
+			}
+			if got, want := enumerate(reloaded), enumerate(loaded); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: decoded word by word the index has %d answers, cast %d", tc.name, kind, len(got), len(want))
+			}
+		}
+	}
+
+	// A container with one section of every kind (the engine has no i64).
+	cast := syntheticFile(t)
+	defer snap.ForcePortable()()
+	if !bytes.Equal(cast, syntheticFile(t)) {
+		t.Fatal("the two encoders disagree on a container with one section of every kind")
+	}
+}
+
 // TestSnapshotOfPatchedLowdegIndex pins the PR 12 lesson for the ball
 // locality at the level of the file: the snapshot of an index reached
 // through ApplyEdits is, byte for byte, the snapshot of an index built on

@@ -4,18 +4,55 @@ import "fmt"
 
 // i32w builds an int32 stream: scalars and length-prefixed slices. The
 // stream is the interior encoding of the structured sections ("graph",
-// "cover", "dist", "clauses"); the container only sees one flat []int32.
+// "cover", "dist", "balls", "clauses"); the container only sees one flat
+// []int32. Beside it runs the int8 column of "dist.d8", which only
+// encodeDist feeds.
+//
+// A stream is made by running its encode function twice (newStream): the
+// first run, s still nil, only adds up the lengths it is about to write,
+// the second fills slices of exactly that size — one allocation and one
+// copy a stream, and the layout is written down once.
 type i32w struct {
-	s []int32
+	s      []int32
+	d8     []int8
+	n, nd8 int
 }
 
-func (w *i32w) put(x int32)  { w.s = append(w.s, x) }
-func (w *i32w) putInt(x int) { w.s = append(w.s, clamp32(x)) }
+// newStream returns encode's stream (and d8 column, nil when it has none).
+func newStream(encode func(w *i32w)) *i32w {
+	w := &i32w{}
+	encode(w)
+	w.s, w.d8 = make([]int32, 0, w.n), make([]int8, 0, w.nd8)
+	encode(w)
+	return w
+}
+
+func (w *i32w) put(x int32) {
+	if w.s == nil {
+		w.n++
+		return
+	}
+	w.s = append(w.s, x)
+}
+
+func (w *i32w) putInt(x int) { w.put(clamp32(x)) }
 
 // putSlice writes a length prefix followed by the elements.
 func (w *i32w) putSlice(v []int32) {
-	w.put(int32(len(v)))
-	w.s = append(w.s, v...)
+	if w.s == nil {
+		w.n += 1 + len(v)
+		return
+	}
+	w.s = append(append(w.s, int32(len(v))), v...)
+}
+
+// putD8 appends to the int8 column.
+func (w *i32w) putD8(v []int8) {
+	if w.s == nil {
+		w.nd8 += len(v)
+		return
+	}
+	w.d8 = append(w.d8, v...)
 }
 
 // clamp32 narrows an int to int32, saturating instead of wrapping. Only

@@ -23,6 +23,12 @@ import (
 // must not be modified while the snapshot or a restored index is in use.
 // Every structure restored from a snapshot treats its arrays as
 // immutable, so this is an external contract only.
+//
+// The writer uses the same identity in the other direction (bytesOf…): a
+// typed slice is its section's bytes, checksummed and written where it
+// lies. There is no alignment condition that way round — a []byte view
+// needs none — so only a big-endian host takes the copying encoder, again
+// with identical bytes.
 
 // hostLittleEndian reports whether the host memory layout matches the
 // file's little-endian encoding.
@@ -68,4 +74,33 @@ func castU64(b []byte) ([]uint64, bool) {
 		return nil, true
 	}
 	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8), true
+}
+
+func bytesOfI8(v []int8) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
+}
+
+// bytesOf is the section payload of a typed slice: the slice's own bytes
+// when the host's layout is the file's, a little-endian copy of them on a
+// big-endian host.
+func bytesOf[T int32 | int64 | uint64](v []T) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	size := int(unsafe.Sizeof(v[0]))
+	if hostLittleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), size*len(v))
+	}
+	b := make([]byte, size*len(v))
+	for i, x := range v {
+		if size == 4 {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
+		} else {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+		}
+	}
+	return b
 }

@@ -28,7 +28,7 @@
 #            ./...) is vetted and tested, so a break of an exported
 #            signature it calls is caught here; the snapshot decoder
 #            fuzzes for 30s (FuzzSnapshotLoad, seeded with files of both
-#            localities): hostile bytes must yield typed errors, never a
+#            localities and both format versions): hostile bytes must yield typed errors, never a
 #            panic or OOM; the mutation path runs its seed corpus and the
 #            readers-on-the-old-version / writer test over both localities
 #            five times under -race, then fuzzes for 30s
@@ -47,9 +47,11 @@
 #            (TestTraceDisabledOverheadGuard); a
 #            cold /v1/enumerate page deep in the stream stays within a
 #            constant factor of a first page (TestColdResumeGuard); loading
-#            the grid-2000 index from a snapshot is ≥1.25× faster than
-#            building it, best of three on both sides — the measured ratio
-#            is about 2.3× there and 1.35× at 32k since the build got cheaper
+#            the grid-2000 index from a snapshot is ≥1.75× faster than
+#            building it, best of three on both sides — the gate was 10×,
+#            then 3×, then 1.25× as the build got cheaper (PRs 12–15, 23, 24)
+#            and is two thirds of the smallest of 2.6–4.5× measured since
+#            the checksum became CRC-32C (PR 25; 3.0× at 32k)
 #            (TestSnapshotLoadSpeedGuard); a single-edge
 #            ApplyEdits is ≥10× faster than the rebuild on grid-4000 over
 #            the cover locality and on bdeg-32k over the ball locality,

@@ -111,6 +111,19 @@ func ReadIndexSnapshotCtx(ctx context.Context, data []byte, opts ...Option) (*In
 	return restoreSnapshotCtx(ctx, s, o)
 }
 
+// RestoreIndexSnapshotCtx is ReadIndexSnapshotCtx for a caller that has
+// already run snap.Parse over the bytes — the serve disk tier, which reads
+// the file's metadata before it decides to restore. Parse verified every
+// checksum; this decodes and restores without reading the file again.
+func RestoreIndexSnapshotCtx(ctx context.Context, f *snap.File, opts ...Option) (*Index, error) {
+	o := resolveOptions(opts)
+	s, err := snap.DecodeTraced(ctx, f, o.Metrics)
+	if err != nil {
+		return nil, err
+	}
+	return restoreSnapshotCtx(ctx, s, o)
+}
+
 // LoadIndexSnapshot is ReadIndexSnapshot over the contents of path.
 func LoadIndexSnapshot(path string, opts ...Option) (*Index, error) {
 	s, err := snap.ReadFile(path)
