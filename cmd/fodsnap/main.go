@@ -15,10 +15,12 @@
 // server takes a file only if it holds the engine its own -engine mode
 // builds for the graph, so pass build the same -engine.
 // inspect prints the file's format version, the metadata record and the
-// section table. verify re-checks every checksum, restores the full index,
-// and reports the restored shape; it exits non-zero on any corruption.
-// Both read files of format version 1 (CRC-64/ECMA) and 2 (CRC-32C); build
-// writes version 2.
+// section table — "partners" in it is the partner rows of the query's close
+// pairs, which a file has from version 3 on. verify re-checks every
+// checksum, restores the full index, and reports the restored shape; it
+// exits non-zero on any corruption. Both read files of format version 1
+// (CRC-64/ECMA), 2 (CRC-32C) and 3 (2 with the partners section); build
+// writes version 3.
 package main
 
 import (
@@ -152,8 +154,8 @@ func cmdVerify(args []string) {
 		fail(err)
 	}
 	st := ix.Stats()
-	fmt.Printf("fodsnap: %s OK: arity %d, %s engine, %d cover bags (degree %d, radius %d), %d skip pointers in %d tables, %d+%d ball entries\n",
-		args[0], ix.Arity(), ix.Engine(), st.CoverBags, st.CoverDegree, st.CoverRadius, st.SkipPointers, st.SkipTables, st.BallEntries, st.CompEntries)
+	fmt.Printf("fodsnap: %s OK: arity %d, %s engine, %d cover bags (degree %d, radius %d), %d skip pointers in %d tables, %d+%d ball entries, %d partner cells\n",
+		args[0], ix.Arity(), ix.Engine(), st.CoverBags, st.CoverDegree, st.CoverRadius, st.SkipPointers, st.SkipTables, st.BallEntries, st.CompEntries, st.PartnerCells)
 }
 
 // parseGen parses class:n[:colors[:seed]] (fodserve's -gen without the name).

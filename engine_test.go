@@ -61,70 +61,88 @@ func TestEngineContractConformance(t *testing.T) {
 // either kind, Index.Test, Index.NextLast and Cursor.Next are 0 allocs/op in
 // steady state — and stay so on an index reached through ApplyEdits (patched
 // layouts and the skip-delta overlay of the cover locality, spliced ball rows
-// of the other) or restored from a snapshot, which read the same arrays a
-// built one does. (Allocation counts are deterministic, so this needs no env
-// gate.)
+// of the other, patched partner rows) or restored from a snapshot, which read
+// the same arrays a built one does. Three queries: far2, whose components are
+// singletons; near2, one close pair answered from its partner rows; and
+// bench's far3, whose second clause is a close pair beside a far position.
+// (Allocation counts are deterministic, so this needs no env gate.)
 func TestFacadeHotPathsZeroAllocs(t *testing.T) {
 	g := Generate("grid", 900, GenOptions{Colors: 2, Seed: 16})
-	q := MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
-	indexes := map[string]*Index{}
-	for kind, ix := range bothKinds(t, g, q) {
-		indexes[string(kind)] = ix
-		patched, err := ix.ApplyEdits(context.Background(), []Edit{RemoveEdge(0, 1), AddColor(500, 0)})
-		if err != nil {
-			t.Fatal(err)
+	n := g.N()
+	for _, q := range []*Query{
+		MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y"),
+		MustParseQuery("dist(x,y) <= 2 & C0(x) & C1(y)", "x", "y"),
+		MustParseQuery("dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", "x", "y", "z"),
+	} {
+		indexes := map[string]*Index{}
+		for kind, ix := range bothKinds(t, g, q) {
+			indexes[string(kind)] = ix
+			patched, err := ix.ApplyEdits(context.Background(), []Edit{RemoveEdge(0, 1), AddColor(500, 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := patched.Stats(); st.Mutations != 1 || st.MutRebuilds != 0 {
+				t.Fatalf("premise: the %s edit is patched, got %+v", kind, st)
+			}
+			indexes[string(kind)+", patched"] = patched
+			var buf bytes.Buffer
+			if err := patched.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := ReadIndexSnapshot(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored.Engine() != kind {
+				t.Fatalf("a %s snapshot restored as %s", kind, restored.Engine())
+			}
+			indexes[string(kind)+", restored"] = restored
 		}
-		if st := patched.Stats(); st.Mutations != 1 || st.MutRebuilds != 0 {
-			t.Fatalf("premise: the %s edit is patched, got %+v", kind, st)
-		}
-		indexes[string(kind)+", patched"] = patched
-		var buf bytes.Buffer
-		if err := patched.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		restored, err := ReadIndexSnapshot(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if restored.Engine() != kind {
-			t.Fatalf("a %s snapshot restored as %s", kind, restored.Engine())
-		}
-		indexes[string(kind)+", restored"] = restored
-	}
-	for kind, ix := range indexes {
-		n := g.N()
-		tuple := make([]int, 2)
-		prefix := make([]int, 1)
-		zero := make([]int, 2)
-		it := ix.IteratorFrom(zero)
-		it.Seek(zero) // warm-up: every buffer exists from here on
-		if !it.HasNext() {
-			t.Fatalf("%s: no solutions", kind)
-		}
-		v := 0
-		ops := []struct {
-			name string
-			op   func()
-		}{
-			{"Index.Test", func() { tuple[0], tuple[1] = v%n, (v*31)%n; ix.Test(tuple) }},
-			{"Index.NextLast", func() { prefix[0] = v % n; ix.NextLast(prefix, 0) }},
-			{"Cursor.Next", func() {
-				if _, ok := it.Next(); !ok {
-					it.Seek(zero)
+		for kind, ix := range indexes {
+			k := ix.Arity()
+			tuple := make([]int, k)
+			zero := make([]int, k)
+			it := ix.IteratorFrom(zero)
+			it.Seek(zero) // warm-up: every buffer exists from here on
+			if !it.HasNext() {
+				t.Fatalf("%s, %s: no solutions", q.Canonical(), kind)
+			}
+			v := 0
+			// The probe tuple: a moving vertex and a scattered one, and every
+			// other time the vertex next to the first in the second place, so
+			// that Test and NextLast get past the distance pattern of a close
+			// pair and into its partner rows.
+			probe := func() {
+				tuple[0], tuple[k-1] = v%n, (v*31)%n
+				if v%2 == 0 {
+					tuple[1] = (v + 1) % n
 				}
-			}},
-		}
-		for _, o := range ops {
-			allocs := testing.AllocsPerRun(500, func() { o.op(); v += 17 })
-			if allocs != 0 {
-				t.Errorf("%s: %s = %.2f allocs/op, want 0", kind, o.name, allocs)
+			}
+			ops := []struct {
+				name string
+				op   func()
+			}{
+				{"Index.Test", func() { probe(); ix.Test(tuple) }},
+				{"Index.NextLast", func() { probe(); ix.NextLast(tuple[:k-1], 0) }},
+				{"Cursor.Next", func() {
+					if _, ok := it.Next(); !ok {
+						it.Seek(zero)
+					}
+				}},
+			}
+			for _, o := range ops {
+				allocs := testing.AllocsPerRun(500, func() { o.op(); v += 17 })
+				if allocs != 0 {
+					t.Errorf("%s, %s: %s = %.2f allocs/op, want 0", q.Canonical(), kind, o.name, allocs)
+				}
 			}
 		}
 	}
 }
 
 // TestCursorAllocCounts pins what opening a cursor and one NextGeq allocate,
-// for k = 2 and for k = 3 with two clauses, on both kinds: IteratorFrom is
+// for k = 2 and for k = 3 with two clauses — all singletons, or one of them
+// a close pair — on both kinds: IteratorFrom is
 // four objects whatever the query (the iterator, its clause cursors, one
 // array of tuples, one of frames — before the clause cursor it was 6 + one
 // per clause), and Index.Next is the result tuple alone. The lib workloads
@@ -134,9 +152,11 @@ func TestCursorAllocCounts(t *testing.T) {
 	g := Generate("grid", 900, GenOptions{Colors: 2, Seed: 16})
 	for _, q := range []*Query{
 		MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y"),
-		// Two clauses, every component a singleton: a component of two
-		// positions evaluates its formula through the memo, which allocates.
+		// Two clauses, every component a singleton.
 		MustParseQuery("dist(x,y) > 2 & dist(x,z) > 2 & dist(y,z) > 2 & (C0(z) | C1(x))", "x", "y", "z"),
+		// bench's far3: the second clause has a close pair, sought in its
+		// partner rows.
+		MustParseQuery("dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", "x", "y", "z"),
 	} {
 		for kind, ix := range bothKinds(t, g, q) {
 			from := make([]int, ix.Arity())

@@ -75,6 +75,25 @@ func Cases() []Case {
 			Query: "C1(x) & dist(x,y) > 2", Vars: []string{"x", "y"}, Empty: true},
 		{Name: "empty-close", Class: gen.Cycle, N: 24, Seed: 2, Colors: 1,
 			Query: "C1(y) & dist(x,y) <= 2", Vars: []string{"x", "y"}, Empty: true},
+		// Close pairs, answered from partner rows. A pair whose second
+		// position comes after the far component's: Case II has a prefix
+		// value of another component to stay far from.
+		{Name: "grid-mixed-ternary", Class: gen.Grid, N: 36, Seed: 3, Colors: 2,
+			Query: "dist(x,y) <= 2 & dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", Vars: []string{"x", "z", "y"}},
+		// The same with the pair first: Case I for z has a two-element prefix.
+		{Name: "bdeg-mixed-ternary", Class: gen.BoundedDegree, N: 40, Seed: 3, Colors: 2,
+			Query: "dist(x,y) <= 2 & dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", Vars: []string{"x", "y", "z"}},
+		// A quantifier inside the pair's formula: a cell is evaluated over a ball.
+		{Name: "rtree-close-witness", Class: gen.RandomTree, N: 60, Seed: 3, Colors: 2,
+			Query: "dist(x,y) <= 2 & C0(x) & exists z (E(y,z) & C1(z))", Vars: []string{"x", "y"}},
+		// Two clauses of one close type: their rows overlap, counts take the union.
+		{Name: "grid-close-disjunction", Class: gen.Grid, N: 49, Seed: 3, Colors: 2,
+			Query: "(E(x,y) & C0(x)) | (dist(x,y) <= 2 & C1(y))", Vars: []string{"x", "y"}},
+		// near2 on hubs, where a row is as long as the graph.
+		{Name: "star-near", Class: gen.Star, N: 40, Seed: 3, Colors: 2,
+			Query: "dist(x,y) <= 2 & C0(x) & C1(y)", Vars: []string{"x", "y"}},
+		{Name: "sparse-near", Class: gen.SparseRandom, N: 60, Seed: 3, Colors: 2,
+			Query: "dist(x,y) <= 2 & C0(x) & C1(y)", Vars: []string{"x", "y"}},
 	}
 }
 

@@ -94,25 +94,37 @@ func (e *Engine) prefixMatches(rt *clauseRT, prefix []graph.V) bool {
 		}
 	}
 	for _, c := range rt.comps {
-		if c.last >= len(prefix) {
-			continue
-		}
-		if c.starterReady {
-			// Singleton component: the starter bitmap answers in O(1).
-			if !c.inStart[prefix[c.positions[0]]] {
-				return false
-			}
-			continue
-		}
-		vals := make([]graph.V, len(c.positions))
-		for i, p := range c.positions {
-			vals[i] = prefix[p]
-		}
-		if !e.localEval(c, vals) {
+		if c.last < len(prefix) && !e.holdsAt(c, prefix) {
 			return false
 		}
 	}
 	return true
+}
+
+// holdsAt reports ψ_I on the values a holds at c's positions, all of them
+// placed and their distance pattern verified: a bit of the starter bitmap
+// for a singleton (the case kept small enough to inline), a binary search in
+// the anchor's partner row for a pair, and for a larger component the lazy
+// evaluation behind localEval.
+//
+//fod:hotpath
+func (e *Engine) holdsAt(c *compRT, a []graph.V) bool {
+	if len(c.positions) == 1 {
+		return c.inStart[a[c.positions[0]]]
+	}
+	return e.holdsAtSeveral(c, a)
+}
+
+//fod:hotpath
+func (e *Engine) holdsAtSeveral(c *compRT, a []graph.V) bool {
+	if c.paired() {
+		return c.pairHolds(a[c.positions[0]], a[c.positions[1]])
+	}
+	vals := make([]graph.V, len(c.positions))
+	for i, p := range c.positions {
+		vals[i] = a[p]
+	}
+	return e.localEval(c, vals)
 }
 
 // Test implements Corollary 2.4: constant-time membership of ā in the
@@ -125,8 +137,8 @@ func (e *Engine) Test(a []graph.V) bool {
 }
 
 // test is the Corollary 2.4 membership check proper; the AllocsPerRun
-// suite (alloc_guard_test.go) pins it at 0 allocs/op on
-// singleton-component queries.
+// suite (alloc_guard_test.go) pins it at 0 allocs/op on queries whose
+// components have one or two positions.
 //
 //fod:hotpath
 func (e *Engine) test(a []graph.V) bool {
@@ -148,19 +160,7 @@ func (e *Engine) testClause(rt *clauseRT, a []graph.V) bool {
 		}
 	}
 	for _, c := range rt.comps {
-		if c.starterReady {
-			// Singleton component: the starter bitmap answers in O(1)
-			// without materializing the component tuple.
-			if !c.inStart[a[c.positions[0]]] {
-				return false
-			}
-			continue
-		}
-		vals := make([]graph.V, len(c.positions))
-		for i, p := range c.positions {
-			vals[i] = a[p]
-		}
-		if !e.localEval(c, vals) {
+		if !e.holdsAt(c, a) {
 			return false
 		}
 	}
@@ -182,7 +182,8 @@ func (e *Engine) Arity() int { return e.k }
 // clauseCursor is the resumable lexicographic search of one clause: a
 // backtracking search whose per-level candidate generators are the paper's
 // Case I (new component: the locality's nextOpening over the starter list)
-// and Case II (ball scan around the component's first element), with the
+// and Case II (the partner row of the component's first element, or for a
+// component of ≥ 3 positions a ball scan around it), with the
 // recursion's stack written out so that it can be left and re-entered. It
 // seeks — the smallest match ≥ a, Theorem 2.3 — and it steps — the match
 // after the one it holds, which is the seek's own continuation: advance the
@@ -202,12 +203,18 @@ type clauseCursor struct {
 	ok     bool
 }
 
-// frame is the locality's memory for one position of a clauseCursor. Every
-// field but the bags is a position in a sorted list and is used only after
-// lowerBound has verified it, so a frame left over from another lower bound
-// costs a binary search, never an answer. The zero frame remembers nothing.
+// frame is the memory of one position of a clauseCursor between candidates
+// under one prefix; search resets it with every new prefix. At a position
+// that opens a component it is the locality's, and every field but the bags
+// is a position in a sorted list used only after lowerBound has verified it,
+// so that a stale one costs a binary search, never an answer. At the second
+// position of a pair it is nextPartner's, which takes at as it stands. The
+// zero frame remembers nothing.
 type frame struct {
-	at int32 // index into the component's starter list where the next opening is expected
+	// Case I: index into the component's starter list where the next opening
+	// is expected. nextPartner: index into the anchor's partner row behind
+	// the candidate last returned, 0 before the first.
+	at int32
 	// coverLoc, once per placed prefix: its canonical bags, deduplicated
 	// (nb = 0: not computed yet — a placed prefix has at least one), and
 	// per bag where in c.byKernel[bag] the walk beside the starter list
@@ -288,14 +295,18 @@ func (e *Engine) nextCandidate(rt *clauseRT, j int, prefix []graph.V, lower grap
 	if rt.firstOf[j] == j {
 		return e.loc.nextOpening(c, prefix, lower, fr)
 	}
+	if c.paired() {
+		return e.nextPartner(rt, c, j, prefix, lower, fr)
+	}
 	return e.nextWithinComponent(rt, c, j, prefix, lower)
 }
 
-// nextWithinComponent handles a position whose component already has a
-// placed element (Case II): candidates live in the ball of radius R(k−1)
-// around the component's first element; each is checked against the full
-// distance pattern to the prefix, and the component formula is evaluated
-// when the component completes at this position.
+// nextWithinComponent handles a position whose component of three and more
+// positions already has a placed element (Case II, still lazy): candidates
+// live in the ball of radius R(k−1) around the component's first element;
+// each is checked against the full distance pattern to the prefix, and the
+// component formula is evaluated when the component completes at this
+// position.
 //
 //fod:hotpath
 func (e *Engine) nextWithinComponent(rt *clauseRT, c *compRT, j int, prefix []graph.V, lower graph.V) graph.V {
@@ -326,15 +337,11 @@ func (e *Engine) patternOK(rt *clauseRT, j int, prefix []graph.V, v graph.V) boo
 	return true
 }
 
-// componentHolds evaluates ψ_I with the component completed by v at its
-// last position.
+// componentHolds evaluates ψ_I with the component, of three and more
+// positions, completed by v at its last.
 //
 //fod:hotpath
 func (e *Engine) componentHolds(c *compRT, prefix []graph.V, v graph.V) bool {
-	if c.starterReady {
-		// Singleton component: the starter bitmap answers in O(1).
-		return c.inStart[v]
-	}
 	vals := make([]graph.V, len(c.positions))
 	for i, p := range c.positions[:len(c.positions)-1] {
 		vals[i] = prefix[p]

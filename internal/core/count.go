@@ -15,11 +15,11 @@ import (
 //
 // Arity 1: the clause starter lists are exact solution lists; count their
 // union. Arity 2: group clauses by distance type; close-type groups are
-// counted by scanning R-balls, far-type groups by inclusion–exclusion
+// read off the partner rows, far-type groups counted by inclusion–exclusion
 //
 //	#far(L0, L1) = |L0|·|L1| − #close(L0, L1),
 //
-// with the close-pair term again a ball scan. Both scans cost Σ_a ‖N_R(a)‖.
+// with the close-pair term a ball scan, which costs Σ_a ‖N_R(a)‖.
 //
 // Higher arities are supported when every live clause's distance type is
 // connected (a single component): each solution then lives inside the
@@ -144,22 +144,46 @@ func (e *Engine) countConnectedRec(group []*clauseRT, tuple []graph.V, j int) in
 }
 
 // countCloseGroup counts pairs (a, b) with dist(a,b) ≤ R whose component
-// formula holds for at least one clause of the group.
+// formula holds for at least one clause of the group. A close clause of
+// arity 2 is one component of two positions, and its partner rows are its
+// solutions: one clause counts its cells, several count the union of their
+// rows anchor by anchor.
 func (e *Engine) countCloseGroup(group []*clauseRT) int {
+	if len(group) == 1 {
+		return group[0].comps[0].partners.Cells()
+	}
 	count := 0
-	vals := make([]graph.V, 2)
+	rows := make([][]int32, len(group))
 	for a := 0; a < e.g.N(); a++ {
-		for _, b := range e.loc.rBall(a) {
-			vals[0], vals[1] = a, graph.V(b)
-			for _, rt := range group {
-				if e.localEval(rt.comps[0], vals) {
-					count++
-					break
-				}
+		for i, rt := range group {
+			rows[i] = rt.comps[0].partners.Row(a)
+		}
+		count += unionLen(rows)
+	}
+	return count
+}
+
+// unionLen returns the number of distinct values in the ascending rows,
+// which it consumes.
+func unionLen(rows [][]int32) int {
+	count := 0
+	for {
+		lo, found := int32(0), false
+		for _, r := range rows {
+			if len(r) > 0 && (!found || r[0] < lo) {
+				lo, found = r[0], true
+			}
+		}
+		if !found {
+			return count
+		}
+		count++
+		for i, r := range rows {
+			if len(r) > 0 && r[0] == lo {
+				rows[i] = r[1:]
 			}
 		}
 	}
-	return count
 }
 
 // countFarGroup counts pairs (a, b) with dist(a,b) > R matching at least
@@ -196,7 +220,8 @@ func (e *Engine) countFarGroup(group []*clauseRT) int {
 }
 
 // closePairs counts pairs (a, b) with a ∈ A, b ∈ B, dist(a,b) ≤ R, via an
-// R-ball scan per element of A.
+// R-ball scan per element of A: each ball is read off the locality into one
+// reused buffer and dropped.
 func (e *Engine) closePairs(A, B []graph.V) int {
 	if len(A) == 0 || len(B) == 0 {
 		return 0
@@ -205,9 +230,11 @@ func (e *Engine) closePairs(A, B []graph.V) int {
 	for _, b := range B {
 		inB[b] = true
 	}
+	sc := &rowScratch{g: e.g}
+	defer sc.release()
 	count := 0
 	for _, a := range A {
-		for _, b := range e.loc.rBall(a) {
+		for _, b := range e.loc.near(a, sc) {
 			if inB[b] {
 				count++
 			}

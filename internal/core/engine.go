@@ -51,9 +51,10 @@ type Stats struct {
 	StarterSizes  []int // per (clause, component) starter-list size
 	SkipTables    int   // distinct skip-pointer tables (components with equal starter lists share one)
 	SkipPointers  int   // total materialized skip pointers, a shared table counted once
+	PartnerCells  int   // Σ row lengths of the partner rows, over the components of two positions
 	Candidates    int   // values the clause search placed at a position (NextGeq, Seek: k a match; Next: about one)
 	DeadEnds      int   // placed values rejected after deeper positions failed
-	LocalEvals    int   // local formula evaluations (memo misses)
+	LocalEvals    int   // local formula evaluations: the build's, and the memo misses of components of ≥ 3 positions
 	LocalEvalHits int   // memo hits
 
 	Workers int // preprocessing parallelism used
@@ -149,17 +150,25 @@ type compRT struct {
 
 	// Starter list for the component's first position (Case I of the
 	// paper, generalized to every level that opens a new component).
-	starter      []graph.V // sorted vertices that can open the component
-	inStart      []bool    // membership, indexed by vertex
-	starterReady bool      // singleton component: inStart is the solution set, O(1) evaluation
+	starter []graph.V // sorted vertices that can open the component
+	inStart []bool    // membership, indexed by vertex; for a singleton component the solution set
 
 	// What the cover locality derives from the starter list; nil under the
 	// ball locality, which scans the list itself.
 	skip     *skip.Pointers
 	byKernel [][]int32 // per bag: starter ∩ K_R(bag), sorted; the cover's kernel rows when every vertex starts
 
-	memo sync.Map // tupleKey -> bool, local evaluation memo (multi-position components only)
+	// A component of two positions p < p′ is materialised (partners.go): row
+	// v lists, ascending, the w ∈ N_R(v) with ψ(v, w), and every answering
+	// face reads that row and nothing else. Empty for any other component.
+	partners graph.Rows[int32]
+
+	memo sync.Map // tupleKey -> bool, local evaluation memo (components of ≥ 3 positions only)
 }
+
+// paired reports whether c is a component of two positions, answered from
+// c.partners.
+func (c *compRT) paired() bool { return len(c.positions) == 2 }
 
 // newEngine returns the shell Preprocess, RestoreEngine and ApplyEdits
 // fill in: the query constants and the pooled evaluation scratch, which is
@@ -240,7 +249,7 @@ func preprocess(g *graph.Graph, q *LocalQuery, opt Options, kind *locKind) (*Eng
 		e.clauses = append(e.clauses, rt)
 	}
 	root.End()
-	e.tallySkip()
+	e.tally()
 	return e, nil
 }
 
@@ -294,8 +303,11 @@ func (e *Engine) buildClause(cl *Clause, pool *par.Pool, trace *obs.Span, checkp
 	for li := range cl.Locals {
 		c := rt.newComp(li)
 		sp := trace.Child("starter")
-		e.computeStarter(c, pool)
+		err := e.computeStarter(c, pool)
 		sp.End()
+		if err != nil {
+			return nil, err
+		}
 		e.stats.StarterSizes = append(e.stats.StarterSizes, len(c.starter))
 		if err := checkpoint(); err != nil {
 			return nil, err
@@ -332,26 +344,29 @@ func (c *compRT) shareStarter(d *compRT) {
 	c.starter, c.inStart, c.skip, c.byKernel = d.starter, d.inStart, d.skip, d.byKernel
 }
 
-// tallySkip sets the skip statistics: the distinct tables behind the
-// components and their pointers, a shared table counted once.
-func (e *Engine) tallySkip() {
+// tally sets the statistics read off the finished components: the distinct
+// skip tables behind them and their pointers, a shared table counted once,
+// and the cells of the partner rows.
+func (e *Engine) tally() {
 	var seen []*skip.Pointers
-	pointers := 0
+	pointers, cells := 0, 0
 	for _, cl := range e.clauses {
 		for _, c := range cl.comps {
 			if c.skip != nil && !slices.ContainsFunc(seen, c.skip.SharesTable) {
 				seen = append(seen, c.skip)
 				pointers += c.skip.Size()
 			}
+			cells += c.partners.Cells()
 		}
 	}
-	e.stats.SkipTables, e.stats.SkipPointers = len(seen), pointers
+	e.stats.SkipTables, e.stats.SkipPointers, e.stats.PartnerCells = len(seen), pointers, cells
 }
 
 // computeStarter fills c.starter: the vertices v that can take the
 // component's first position, i.e. for which the component has a local
 // solution with first coordinate v (Step 12 of the paper for singleton
-// components; the multi-position generalization searches the ball around v
+// components; a component of two positions reads it off its partner rows —
+// v starts iff its row is not empty; a larger one searches the ball around v
 // for a completion respecting the component's internal distance pattern).
 //
 // The per-vertex tests are independent — they share only the concurrent
@@ -360,18 +375,29 @@ func (e *Engine) tallySkip() {
 // from the bitmap afterwards, making the result worker-count-independent.
 // A component that reads the colours of v alone is one pass on the caller's
 // goroutine: a test costs less than handing the vertex to a worker.
-func (e *Engine) computeStarter(c *compRT, pool *par.Pool) {
+func (e *Engine) computeStarter(c *compRT, pool *par.Pool) error {
 	c.inStart = make([]bool, e.g.N())
+	if c.paired() {
+		if err := e.buildPartners(c, pool); err != nil {
+			return err
+		}
+		for v := range c.inStart {
+			c.inStart[v] = c.partners.Len(v) > 0
+		}
+		c.finishStarter()
+		return nil
+	}
 	if e.readsOwnColours(c) {
 		pool = par.Sequential()
 	}
 	pool.ForEach(e.g.N(), func(v int) { c.inStart[v] = e.opens(c, v) })
 	c.finishStarter()
+	return nil
 }
 
 // finishStarter assembles the sorted starter list, at its exact size, from
 // the inStart bitmap. For a singleton component the list IS the unary
-// solution list; later localEval calls answer from the bitmap in O(1).
+// solution list; the answering phase reads the bitmap in O(1).
 func (c *compRT) finishStarter() {
 	size := 0
 	for _, in := range c.inStart {
@@ -385,7 +411,6 @@ func (c *compRT) finishStarter() {
 			c.starter = append(c.starter, v)
 		}
 	}
-	c.starterReady = len(c.positions) == 1
 }
 
 // readsOwnColours reports whether inStart[v] of c is a function of the
@@ -399,10 +424,11 @@ func (e *Engine) readsOwnColours(c *compRT) bool {
 	return e.q.Guarded && c.quantFree && len(c.positions) == 1
 }
 
-// opens reports whether v can take c's first position. A singleton
-// component is evaluated without the memo: each vertex is asked once per
-// build and inStart is the memo from then on, so an entry per vertex in
-// c.memo would never be read again.
+// opens reports whether v can take the first position of c, a component of
+// one position or of three and more (a pair reads its partner rows). A
+// singleton component is evaluated without the memo: each vertex is asked
+// once per build and inStart is the memo from then on, so an entry per
+// vertex in c.memo would never be read again.
 func (e *Engine) opens(c *compRT, v graph.V) bool {
 	if e.readsOwnColours(c) {
 		e.ctr.localEvals.Add(1)
@@ -457,17 +483,15 @@ func (e *Engine) checkComponentType(c *compRT, vals []graph.V) bool {
 	return true
 }
 
-// localEval evaluates ψ_I(ā_I) locally, with memoization. vals is aligned
-// with c.positions.
+// localEval evaluates ψ_I(ā_I) locally, with memoization, for a component of
+// three and more positions — the part of Case II still done at answer time
+// (DESIGN.md §3, substitution 4). vals is aligned with c.positions.
 //
 // Safe for concurrent use: the memo is a concurrent map (duplicate
 // concurrent evaluations compute the same value, so racing stores are
 // benign) and evaluator/BFS scratch comes from per-goroutine pools.
 func (e *Engine) localEval(c *compRT, vals []graph.V) bool {
-	if c.starterReady && len(vals) == 1 {
-		return c.inStart[vals[0]]
-	}
-	//fod:coldpath memo key of the general-component path — singleton components (the pinned 0-alloc guards) take the starterReady fast path above
+	//fod:coldpath what is left of the lazy Case II: the memo key, the memo and on a miss the evaluator, for components of ≥ 3 positions only — a singleton reads inStart, a pair its partner row, and neither comes here
 	key := tupleKey(vals)
 	if r, ok := c.memo.Load(key); ok {
 		e.ctr.localEvalHits.Add(1)
@@ -478,7 +502,8 @@ func (e *Engine) localEval(c *compRT, vals []graph.V) bool {
 	return res
 }
 
-// evalLocal is localEval without the memo. For guarded queries
+// evalLocal evaluates ψ_I(ā_I) with no memo: the build's evaluator (starter
+// lists, partner rows) and localEval's on a miss. For guarded queries
 // (compiler-certified witness bounds) the formula is evaluated on the
 // global graph with distance atoms served by the locality — no subgraph
 // construction at all — and it reads what it needs: a quantifier-free ψ its
@@ -495,10 +520,10 @@ func (e *Engine) evalLocal(c *compRT, vals []graph.V) bool {
 			vs[i] = int(w)
 		}
 		bfs.Release()
-		// Hand-built (uncertified) queries only: the pinned 0-alloc delay
-		// guards all run compiler-certified queries, and the memo makes
-		// this a once-per-tuple cost, not a per-answer one.
-		//fod:coldpath memoized fallback for uncertified queries
+		// Hand-built (uncertified) queries only, and for them in the build
+		// (starters, partner rows) or behind the memo of localEval: a
+		// once-per-tuple cost, not a per-answer one.
+		//fod:coldpath build-time or memoized fallback for uncertified queries
 		return exactBallEval(e.g, c, vals, vs)
 	}
 	env := e.scratch.envPool.Get().(fo.Env)

@@ -289,7 +289,7 @@ func safeIndex(xs [][]graph.V, i int) []graph.V {
 // TestSingletonStartersBypassMemo: computeStarter asks every vertex once
 // per singleton component and inStart answers from then on, so the build
 // must leave no memo entry behind (one per vertex and component would be
-// most of the index, and starterReady makes them unreadable) — under
+// most of the index, and nothing would read them) — under
 // either locality.
 func TestSingletonStartersBypassMemo(t *testing.T) {
 	g := gen.Generate(gen.Grid, 400, gen.Options{Seed: 3, Colors: 2})

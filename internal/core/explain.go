@@ -55,8 +55,12 @@ func (e *Engine) Explain() string {
 			if c.skip != nil {
 				skipSize = c.skip.Size()
 			}
-			fmt.Fprintf(&sb, "      I=%v: |starter|=%d, skip pointers=%d, ψ=%s\n",
-				c.positions, len(c.starter), skipSize, c.psi)
+			partners := ""
+			if c.paired() {
+				partners = fmt.Sprintf(" partner cells=%d,", c.partners.Cells())
+			}
+			fmt.Fprintf(&sb, "      I=%v: |starter|=%d,%s skip pointers=%d, ψ=%s\n",
+				c.positions, len(c.starter), partners, skipSize, c.psi)
 		}
 	}
 	return strings.TrimRight(sb.String(), "\n")

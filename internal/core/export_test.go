@@ -129,3 +129,33 @@ func SameKernelRows(a, b []KernelRow) bool {
 		return x.At == y.At && slices.Equal(x.Data, y.Data)
 	})
 }
+
+// PartnerRows returns the partner rows of every live component of two
+// positions, in clause order, as the CSR pair a snapshot stores.
+func (e *Engine) PartnerRows() []RowParts {
+	var out []RowParts
+	for _, rt := range e.clauses {
+		for _, c := range rt.comps {
+			if c.paired() {
+				off, adj := c.partners.Flat()
+				out = append(out, RowParts{Off: off, Adj: adj})
+			}
+		}
+	}
+	return out
+}
+
+// PartnerRowAt returns where the partner row of v lives in each such
+// component (nil for an empty row): equal addresses across two versions mean
+// the write that separates them shared the row's block.
+func (e *Engine) PartnerRowAt(v graph.V) []*int32 {
+	var out []*int32
+	for _, rt := range e.clauses {
+		for _, c := range rt.comps {
+			if c.paired() {
+				out = append(out, rowAt(c.partners.Row(v)))
+			}
+		}
+	}
+	return out
+}

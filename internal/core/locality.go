@@ -23,8 +23,8 @@ import (
 //
 //   - coverLoc is the paper's: the distance index of Proposition 4.2, a
 //     neighborhood cover with R-kernels, skip pointers over each starter
-//     list (Lemma 5.8), balls by BFS on first use. Pseudo-linear to build
-//     on any nowhere dense class.
+//     list (Lemma 5.8), balls read off the distance index or searched.
+//     Pseudo-linear to build on any nowhere dense class.
 //   - ballLoc is Durand–Schweikardt–Segoufin's bounded-degree case: every
 //     N_R(v) and N_{R(k−1)}(v) is small, so both are materialized sorted,
 //     a distance test is a binary search and Case I a forward scan.
@@ -43,10 +43,14 @@ type locality interface {
 	// caller would escape through this interface.
 	nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *frame) graph.V
 	// compBall returns the sorted ball of radius R(k−1) around anchor: the
-	// candidates of Case II and of the starter search.
+	// candidates of Case II and of the starter search, for a component of
+	// three and more positions.
 	compBall(anchor graph.V) []int32
-	// rBall returns the sorted N_R(a) (FastCount's close-pair scans).
-	rBall(a graph.V) []int32
+	// near returns N_R(a) ascending, for a scan that reads it and moves on
+	// (the partner rows of the build, FastCount's close pairs): the
+	// locality's own row or one assembled in sc, valid until sc is used
+	// again, and never kept by the locality.
+	near(a graph.V, sc *rowScratch) []int32
 
 	// indexStarter derives from c's finished starter list whatever
 	// nextOpening needs, as children of trace. With saved non-nil
@@ -106,7 +110,8 @@ var (
 )
 
 // coverLoc is the locality of the paper. It is immutable once built except
-// for the two lazily filled ball caches.
+// for the lazily filled ball cache, which only components of three and more
+// positions reach.
 type coverLoc struct {
 	g         *graph.Graph
 	k         int
@@ -114,7 +119,6 @@ type coverLoc struct {
 	dix       *dist.Index
 	cov       *cover.Cover
 	compBalls sync.Map // graph.V -> []int32, radius compR
-	rBalls    sync.Map // graph.V -> []int32, radius r (unused when compR == r)
 }
 
 // compRadius is R(k−1), the reach of a component from its first element
@@ -174,27 +178,28 @@ func (l *coverLoc) within(a, b graph.V) bool { return l.dix.Within(a, b, l.r) }
 
 func (l *coverLoc) distTester() fo.DistTester { return l.dix }
 
-func (l *coverLoc) compBall(anchor graph.V) []int32 { return l.ball(&l.compBalls, anchor, l.compR) }
-
-func (l *coverLoc) rBall(a graph.V) []int32 {
-	if l.compR == l.r {
-		return l.compBall(a)
-	}
-	return l.ball(&l.rBalls, a, l.r)
-}
-
-// ball memoizes the sorted ball around a. Concurrent callers may compute
-// the same ball twice; both results are identical and the losing store is
-// harmless.
-func (l *coverLoc) ball(cache *sync.Map, a graph.V, radius int) []int32 {
-	if b, ok := cache.Load(a); ok {
+// compBall memoizes the sorted ball around anchor. Concurrent callers may
+// compute the same ball twice; both results are identical and the losing
+// store is harmless.
+func (l *coverLoc) compBall(anchor graph.V) []int32 {
+	if b, ok := l.compBalls.Load(anchor); ok {
 		return b.([]int32)
 	}
 	bfs := graph.BorrowBFS(l.g)
-	out := bfs.AppendSortedBall(nil, a, radius)
+	out := bfs.AppendSortedBall(nil, anchor, l.compR)
 	bfs.Release()
-	cache.Store(a, out)
+	l.compBalls.Store(anchor, out)
 	return out
+}
+
+// near reads the ball off the distance index when its top level is the ball
+// table (every bounded-ball graph) and searches for it otherwise.
+func (l *coverLoc) near(a graph.V, sc *rowScratch) []int32 {
+	var ok bool
+	if sc.ball, ok = l.dix.AppendBall(sc.ball[:0], a, l.r); !ok {
+		sc.ball = sc.search().AppendSortedBall(sc.ball, a, l.r)
+	}
+	return sc.ball
 }
 
 // indexStarter builds the Lemma 5.8 skip pointers over c.starter — or
@@ -397,7 +402,7 @@ func restoreCoverLoc(e *Engine, p *EngineParts, root *obs.Span) (locality, error
 
 func (l *coverLoc) explain(sb *strings.Builder) {
 	fmt.Fprintf(sb, "  cover: radius %d, %d bags, degree %d\n", l.cov.R, l.cov.NumBags(), l.cov.Degree())
-	fmt.Fprintf(sb, "  distance index: radius %d, %v\n", l.dix.Radius(), l.dix.Stats())
+	fmt.Fprintf(sb, "  distance index: radius %d, %+v\n", l.dix.Radius(), l.dix.Stats())
 }
 
 // nextOpening is the paper's Case I. The first starter v ≥ lower is the
@@ -577,13 +582,13 @@ func restoreBallLoc(e *Engine, p *EngineParts, root *obs.Span) (locality, error)
 	if b.R != l.r || b.CompR != l.compR {
 		return nil, fmt.Errorf("core: snapshot balls have radii %d and %d, query needs %d and %d", b.R, b.CompR, l.r, l.compR)
 	}
-	if err := checkBallCSR(e.g.N(), b.ROff, b.RAdj); err != nil {
+	if err := checkRowCSR(e.g.N(), b.ROff, b.RAdj, true); err != nil {
 		return nil, fmt.Errorf("core: snapshot radius-%d balls: %w", b.R, err)
 	}
 	l.rows = graph.FromFlat(b.ROff, b.RAdj)
 	l.comp = l.rows
 	if l.compR != l.r {
-		if err := checkBallCSR(e.g.N(), b.COff, b.CAdj); err != nil {
+		if err := checkRowCSR(e.g.N(), b.COff, b.CAdj, true); err != nil {
 			return nil, fmt.Errorf("core: snapshot radius-%d balls: %w", b.CompR, err)
 		}
 		l.comp = graph.FromFlat(b.COff, b.CAdj)
@@ -594,10 +599,11 @@ func restoreBallLoc(e *Engine, p *EngineParts, root *obs.Span) (locality, error)
 	return l, nil
 }
 
-// checkBallCSR reports whether (off, adj) can be the ball rows of an
-// n-vertex graph: n+1 offsets rising from 0 to len(adj), every row
-// strictly ascending inside [0, n) and holding its own vertex.
-func checkBallCSR(n int, off, adj []int32) error {
+// checkRowCSR reports whether (off, adj) can be rows of vertices of an
+// n-vertex graph: n+1 offsets rising from 0 to len(adj), every row strictly
+// ascending inside [0, n) — and, with own, holding its own vertex, as a
+// ball does.
+func checkRowCSR(n int, off, adj []int32, own bool) error {
 	if len(off) != n+1 || off[0] != 0 || int(off[n]) != len(adj) {
 		return fmt.Errorf("%d offsets over %d entries do not frame %d rows", len(off), len(adj), n)
 	}
@@ -606,14 +612,14 @@ func checkBallCSR(n int, off, adj []int32) error {
 			return fmt.Errorf("row %d has offsets [%d, %d)", v, off[v], off[v+1])
 		}
 		row := adj[off[v]:off[v+1]]
-		prev, own := int32(-1), false
+		prev, has := int32(-1), !own
 		for _, w := range row {
 			if w <= prev || int(w) >= n {
 				return fmt.Errorf("row %d is not a sorted vertex list", v)
 			}
-			prev, own = w, own || int(w) == v
+			prev, has = w, has || int(w) == v
 		}
-		if !own {
+		if !has {
 			return fmt.Errorf("row %d misses its own vertex", v)
 		}
 	}
@@ -660,7 +666,7 @@ scan:
 //fod:hotpath
 func (l *ballLoc) compBall(anchor graph.V) []int32 { return l.comp.Row(anchor) }
 
-func (l *ballLoc) rBall(a graph.V) []int32 { return l.rows.Row(a) }
+func (l *ballLoc) near(a graph.V, _ *rowScratch) []int32 { return l.rows.Row(a) }
 
 // indexStarter has nothing to derive: nextOpening scans the list itself.
 func (l *ballLoc) indexStarter(_ *compRT, saved *CompParts, _ *par.Pool, _ *obs.Span) error {

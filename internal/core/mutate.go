@@ -22,7 +22,9 @@
 //     structure within starterReach of v — a quantified formula sees the
 //     ρ-ball, distance atoms look a constant further, a multi-position
 //     component first searches the R(k−1)-ball for completions — so only
-//     vertices that close to an edited vertex are.
+//     vertices that close to an edited vertex are. The partner row of v (a
+//     component of two positions) depends on the same region: the rows of
+//     those vertices are recomputed and patched into the row store.
 //   - what the locality derives from a starter list (starterPatch). Cover:
 //     skip pointers served through the delta overlay of internal/skip — the
 //     old SC tables stay the base; the eligibility delta is the starter
@@ -162,7 +164,7 @@ func (e *Engine) ApplyEditsTo(ctx context.Context, gNew *graph.Graph, edits []gr
 		}
 		e2.clauses = append(e2.clauses, rt2)
 	}
-	e2.tallySkip()
+	e2.tally()
 	return e2, nil
 }
 
@@ -187,7 +189,8 @@ func (e *Engine) starterReach(c *compRT) int {
 }
 
 // retest derives the successor of component c in the mutated engine e2:
-// its starter bitmap copied and re-tested on the affected vertices only.
+// its starter bitmap copied and re-tested on the affected vertices only — for
+// a component of two positions, read off their recomputed partner rows.
 // starterDiff lists, ascending, where the two bitmaps differ; the starter
 // list is c's with those vertices merged in or left out.
 func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *compRT, starterDiff []graph.V) {
@@ -200,17 +203,20 @@ func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *com
 		quantFree: c.quantFree,
 	}
 	// Re-test the affected vertices; the bitmap and the list are copied only
-	// if one of them changed side (starterReady stays false until both are
-	// whole, so nothing answers from a half-updated bitmap).
+	// if one of them changed side.
 	now := make([]bool, len(affected))
-	pool.ForEach(len(affected), func(i int) { now[i] = e2.opens(c2, affected[i]) })
+	if c.paired() {
+		e2.repartner(c2, c, affected, now)
+	} else {
+		pool.ForEach(len(affected), func(i int) { now[i] = e2.opens(c2, affected[i]) })
+	}
 	for i, v := range affected {
 		if c.inStart[v] != now[i] {
 			starterDiff = append(starterDiff, v)
 		}
 	}
 	if len(starterDiff) == 0 {
-		c2.inStart, c2.starter, c2.starterReady = c.inStart, c.starter, c.starterReady
+		c2.inStart, c2.starter = c.inStart, c.starter
 		return c2, nil
 	}
 	c2.inStart = slices.Clone(c.inStart)
@@ -230,7 +236,6 @@ func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *com
 		}
 	}
 	c2.starter = append(c2.starter, c.starter[from:]...)
-	c2.starterReady = c.starterReady
 	return c2, starterDiff
 }
 

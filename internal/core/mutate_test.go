@@ -562,8 +562,10 @@ func TestMutateGuardFlip(t *testing.T) {
 }
 
 // fuzzMutateShapes are the graphs and queries FuzzMutateVsRebuild draws
-// from: sparse and bounded-degree classes, far and close components, a
-// quantified component and a guard.
+// from: sparse and bounded-degree classes and a hub, far and close
+// components, a quantified component and a guard, and the close pairs of
+// closeShapes (a pair around a far position, a quantifier inside a pair, two
+// clauses of one close type).
 var fuzzMutateShapes = struct {
 	classes []gen.Class
 	queries []struct {
@@ -571,7 +573,7 @@ var fuzzMutateShapes = struct {
 		vars []fo.Var
 	}
 }{
-	classes: []gen.Class{gen.SparseRandom, gen.BoundedDegree, gen.Path, gen.Cycle},
+	classes: []gen.Class{gen.SparseRandom, gen.BoundedDegree, gen.Path, gen.Cycle, gen.Star},
 	queries: []struct {
 		src  string
 		vars []fo.Var
@@ -582,41 +584,63 @@ var fuzzMutateShapes = struct {
 		{"E(x,y) & C0(x)", []fo.Var{"x", "y"}},
 		{"C0(x) & dist(x,y) > 1 & exists z (E(y,z) & C1(z))", []fo.Var{"x", "y"}},
 		{"C0(x) & exists z w (E(z,w) & C1(z) & C1(w))", []fo.Var{"x"}},
+		{closeShapes[1].src, closeShapes[1].vars},
+		{closeShapes[2].src, closeShapes[2].vars},
+		{closeShapes[3].src, closeShapes[3].vars},
 	},
 }
 
 // FuzzMutateVsRebuild drives random interleavings of edits and
 // enumerations from fuzz-provided bytes, over both localities: every
 // prefix of the edit stream must enumerate byte-identically on the mutated
-// engine, a from-scratch rebuild, and the naive oracle; and over the ball
-// locality the mutated engine must also serialize to the very parts the
-// rebuild does. shape picks the graph class (low two bits) and the query.
+// engine, a from-scratch rebuild, and the naive oracle; the partner rows of
+// the mutated engine must be the rebuild's word for word over either
+// locality, and over the ball locality it must also serialize to the very
+// parts the rebuild does. shape picks the graph class (low three bits) and
+// the query.
 func FuzzMutateVsRebuild(f *testing.F) {
 	f.Add(int64(1), uint8(0), []byte{0x01, 0x40, 0x80, 0x13})
 	f.Add(int64(7), uint8(0), []byte{0xff, 0x00, 0x31, 0x62, 0x05, 0x99})
 	f.Add(int64(42), uint8(0), []byte{0x10, 0x20, 0x30})
 	// bdeg, far2: an edge that joins two balls, then its removal.
-	f.Add(int64(3), uint8(1|1<<2), []byte{0x00, 0x02, 0x20, 0x01, 0x02, 0x20})
+	f.Add(int64(3), uint8(1|1<<3), []byte{0x00, 0x02, 0x20, 0x01, 0x02, 0x20})
 	// path, close2: cut the path (op 7 removes a real edge), rejoin it elsewhere.
-	f.Add(int64(5), uint8(2|2<<2), []byte{0x07, 0x0a, 0x00, 0x00, 0x0a, 0x1e, 0x07, 0x14, 0x01})
+	f.Add(int64(5), uint8(2|2<<3), []byte{0x07, 0x0a, 0x00, 0x00, 0x0a, 0x1e, 0x07, 0x14, 0x01})
 	// cycle, E(x,y): colour-only batch (op 6), identity batch (op 5), a cut.
-	f.Add(int64(9), uint8(3|3<<2), []byte{0x06, 0x03, 0x04, 0x05, 0x08, 0x11, 0x07, 0x00, 0x00})
+	f.Add(int64(9), uint8(3|3<<3), []byte{0x06, 0x03, 0x04, 0x05, 0x08, 0x11, 0x07, 0x00, 0x00})
 	// bdeg, quantified component: recolour a witness, remove its edge.
-	f.Add(int64(11), uint8(1|4<<2), []byte{0x03, 0x05, 0x01, 0x07, 0x05, 0x00, 0x02, 0x06, 0x01})
+	f.Add(int64(11), uint8(1|4<<3), []byte{0x03, 0x05, 0x01, 0x07, 0x05, 0x00, 0x02, 0x06, 0x01})
 	// path, guard: strip colour 1 around a vertex (flipping the guard if it
 	// held there), then put it back.
-	f.Add(int64(13), uint8(2|5<<2), []byte{0x03, 0x04, 0x01, 0x03, 0x05, 0x01, 0x02, 0x04, 0x01, 0x02, 0x05, 0x01})
+	f.Add(int64(13), uint8(2|5<<3), []byte{0x03, 0x04, 0x01, 0x03, 0x05, 0x01, 0x02, 0x04, 0x01, 0x02, 0x05, 0x01})
+	// bdeg, a pair around a far position: join two balls next to the far
+	// vertex's, recolour it, cut a real edge.
+	f.Add(int64(15), uint8(1|6<<3), []byte{0x00, 0x03, 0x21, 0x02, 0x03, 0x00, 0x07, 0x03, 0x00, 0x03, 0x21, 0x00})
+	// cycle, a quantifier inside the pair: take the witness's colour away,
+	// cut the edge to it, give the colour back.
+	f.Add(int64(17), uint8(3|7<<3), []byte{0x03, 0x06, 0x01, 0x07, 0x05, 0x00, 0x02, 0x06, 0x01, 0x00, 0x05, 0x05})
+	// path, two clauses of one close type: an edit that moves a pair from one
+	// clause's rows to the other's (recolour x, then y), then a shortcut.
+	f.Add(int64(19), uint8(2|8<<3), []byte{0x03, 0x08, 0x00, 0x02, 0x09, 0x01, 0x00, 0x08, 0x0a, 0x07, 0x09, 0x00})
+	// star and sparserandom, near2: rows as long as the graph; a leaf joins a
+	// leaf, the hub loses a colour, a leaf leaves the hub.
+	f.Add(int64(21), uint8(4|2<<3), []byte{0x00, 0x05, 0x08, 0x03, 0x00, 0x00, 0x07, 0x00, 0x03, 0x02, 0x00, 0x00})
+	f.Add(int64(23), uint8(0|2<<3), []byte{0x00, 0x05, 0x08, 0x03, 0x07, 0x00, 0x07, 0x09, 0x01, 0x02, 0x07, 0x00})
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, program []byte) {
 		if len(program) == 0 || len(program) > 64 {
 			t.Skip()
 		}
-		class := fuzzMutateShapes.classes[int(shape&3)]
-		qc := fuzzMutateShapes.queries[int(shape>>2)%len(fuzzMutateShapes.queries)]
-		g := gen.Generate(class, 60, gen.Options{Seed: seed, Colors: 2})
+		class := fuzzMutateShapes.classes[int(shape&7)%len(fuzzMutateShapes.classes)]
+		qc := fuzzMutateShapes.queries[int(shape>>3)%len(fuzzMutateShapes.queries)]
 		lq, err := core.Compile(fo.MustParse(qc.src), qc.vars, core.CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		size := 60
+		if lq.K > 2 {
+			size = 30 // the oracle tries every tuple
+		}
+		g := gen.Generate(class, size, gen.Options{Seed: seed, Colors: 2})
 		engs := make([]*core.Engine, len(bothLocalities))
 		for li, loc := range bothLocalities {
 			if engs[li], err = loc.preprocess(g, lq, core.Options{Parallelism: 1}); err != nil {
@@ -685,6 +709,9 @@ func FuzzMutateVsRebuild(f *testing.F) {
 				}
 				if !reflect.DeepEqual(got, oracle) {
 					t.Fatalf("%s step %d (%v): mutated diverged from naive oracle", loc.name, i/3, batch)
+				}
+				if !reflect.DeepEqual(mutated.PartnerRows(), rebuiltEng.PartnerRows()) {
+					t.Fatalf("%s step %d (%v): partner rows of the mutated engine differ from the rebuild's", loc.name, i/3, batch)
 				}
 				if mutated.Locality() == core.LocBalls && !reflect.DeepEqual(mutated.SnapshotParts(), rebuiltEng.SnapshotParts()) {
 					t.Fatalf("%s step %d (%v): parts of the mutated engine differ from the rebuild's", loc.name, i/3, batch)

@@ -16,8 +16,9 @@ import (
 // of engine a cursor can stand on: built, patched by ApplyEdits (the cover
 // locality answering Case I through its skip overlay, the ball locality
 // from spliced rows) and restored from the patched engine's parts; over
-// both localities; for far2, far3, near2 and a ternary query whose clauses
-// mix a close pair with a far position. The graph is larger than the
+// both localities; for far2, far3, near2 and two ternary queries whose
+// clauses mix a close pair with a far position, before it and between its
+// two. The graph is larger than the
 // conformance cases so that a write stays an overlay instead of a rebuild.
 func TestSeekStepInterleaving(t *testing.T) {
 	g := gen.Generate(gen.Grid, 900, gen.Options{Seed: 5, Colors: 2})
@@ -35,6 +36,9 @@ func TestSeekStepInterleaving(t *testing.T) {
 		{"far3", "dist(x,y) > 2 & dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", []fo.Var{"x", "y", "z"}},
 		{"near2", "dist(x,y) <= 2 & C0(x) & C1(y)", []fo.Var{"x", "y"}},
 		{"mixed3", "dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", []fo.Var{"x", "y", "z"}},
+		// The pair's second position behind the far one: its partner row is
+		// entered by seeks and by steps under a prefix of two components.
+		{"mixed3-interleaved", "dist(x,y) <= 2 & dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", []fo.Var{"x", "z", "y"}},
 	} {
 		q, err := core.Compile(fo.MustParse(qc.src), qc.vars, core.CompileOptions{})
 		if err != nil {

@@ -45,12 +45,17 @@ type BallParts struct {
 }
 
 // CompParts is the per-component payload: the starter list (Step 12 of
-// the paper) and, under the cover locality for arity ≥ 2, the Lemma 5.8
-// skip-pointer table built over it.
+// the paper), under the cover locality for arity ≥ 2 the Lemma 5.8
+// skip-pointer table built over it, and for a component of two positions
+// its partner rows.
 type CompParts struct {
-	Starter []int32     // sorted vertices that can open the component
-	Skip    *skip.Parts // nil for unary queries and under the ball locality
+	Starter  []int32     // sorted vertices that can open the component
+	Skip     *skip.Parts // nil for unary queries and under the ball locality
+	Partners *RowParts   // nil unless the component has two positions, and in files older than format 3
 }
+
+// RowParts is a row store as one CSR pair: row v is Adj[Off[v]:Off[v+1]].
+type RowParts struct{ Off, Adj []int32 }
 
 // SnapshotParts extracts the serialized form of the engine; see
 // locality.parts for what each locality contributes.
@@ -69,6 +74,10 @@ func (e *Engine) SnapshotParts() EngineParts {
 			for j, v := range c.starter {
 				comps[i].Starter[j] = int32(v)
 			}
+			if c.paired() {
+				off, adj := c.partners.Flat()
+				comps[i].Partners = &RowParts{Off: off, Adj: adj}
+			}
 		}
 		p.Clauses = append(p.Clauses, comps)
 	}
@@ -79,8 +88,10 @@ func (e *Engine) SnapshotParts() EngineParts {
 // RestoreEngine rebuilds a ready-to-answer engine for (g, q) from its
 // serialized parts. It reruns only the cheap deterministic derivations
 // and skips every search phase of Preprocess — distance BFS, cover
-// construction or ball BFS, guard evaluation, starter evaluation, and the
-// SC sweep — so restoring is linear in the snapshot with small constants.
+// construction or ball BFS, guard evaluation, starter evaluation, the partner
+// rows (which a file older than format 3 does not carry: those it builds),
+// and the SC sweep — so restoring is linear in the snapshot with small
+// constants.
 // All cross-structure invariants the answering phase relies on are
 // revalidated against g and q, so a snapshot from a different graph or
 // query errors out instead of producing wrong answers or panics.
@@ -131,7 +142,7 @@ func RestoreEngine(g *graph.Graph, q *LocalQuery, p EngineParts, opt Options) (*
 	}
 	sp.End()
 	root.End()
-	e.tallySkip()
+	e.tally()
 	return e, nil
 }
 
@@ -156,8 +167,14 @@ func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool) (*
 			c.starter[i] = int(v)
 			c.inStart[v] = true
 		}
-		c.starterReady = len(c.positions) == 1
 		e.stats.StarterSizes = append(e.stats.StarterSizes, len(c.starter))
+		if c.paired() {
+			if err := e.adoptPartners(c, cp.Partners, pool); err != nil {
+				return nil, fmt.Errorf("component %d %w", li, err)
+			}
+		} else if cp.Partners != nil {
+			return nil, fmt.Errorf("component %d carries partner rows, which only a component of two positions has", li)
+		}
 		// Components with equal starter lists share one table, as in
 		// Preprocess — when their sections agree word for word, which a
 		// file written by Preprocess guarantees and a crafted one need not.

@@ -390,6 +390,25 @@ func (ix *Index) Within(a, b graph.V, rr int) bool {
 	return bag.within(la, lb, rr)
 }
 
+// AppendBall appends N_rr(a), ascending, to dst when the index holds it —
+// the ball table of the bounded-ball fast path, or no edge at all — and
+// reports whether it did; a caller told no searches the graph. rr ≤ R.
+func (ix *Index) AppendBall(dst []int32, a graph.V, rr int) ([]int32, bool) {
+	switch {
+	case ix.edgeless:
+		return append(dst, int32(a)), true
+	case ix.small != nil:
+		d := ix.small.d.Row(a)
+		for i, w := range ix.small.ball.Row(a) {
+			if int(d[i]) <= rr {
+				dst = append(dst, w)
+			}
+		}
+		return dst, true
+	}
+	return dst, false
+}
+
 func (ix *Index) badRadius(rr int) {
 	panic(fmt.Sprintf("dist: query radius %d exceeds index radius %d", rr, ix.R))
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -155,5 +156,37 @@ func TestIndexWorkBudgetDegradesGracefully(t *testing.T) {
 		if got := ix.Within(a, b, 2); got != want {
 			t.Fatalf("Within(%d,%d,2)=%v want %v", a, b, got, want)
 		}
+	}
+}
+
+// TestAppendBall: an index whose top level is the ball table (or that has no
+// edge to look at) hands out N_rr(a) ascending for every rr ≤ R — the cells
+// of the radius-R row with the farther ones left out — appended behind what
+// dst holds; a recursive or fallback index says it cannot.
+func TestAppendBall(t *testing.T) {
+	for _, class := range testClasses() {
+		g := gen.Generate(class, 300, gen.Options{Seed: 13})
+		ix := New(g, 3, Options{})
+		bfs := graph.NewBFS(g)
+		for a := 0; a < g.N(); a += 7 {
+			for rr := 0; rr <= 3; rr++ {
+				got, ok := ix.AppendBall([]int32{-1}, a, rr)
+				if !ok {
+					if ix.small != nil || ix.edgeless {
+						t.Fatalf("%s: AppendBall refused on an index that holds its balls", class)
+					}
+					continue
+				}
+				if want := bfs.AppendSortedBall([]int32{-1}, a, rr); !slices.Equal(got, want) {
+					t.Fatalf("%s: AppendBall(%d, %d) = %v, want %v", class, a, rr, got, want)
+				}
+			}
+		}
+	}
+	if ball, ok := New(graph.NewBuilder(5, 0).Build(), 2, Options{}).AppendBall(nil, 3, 2); !ok || !slices.Equal(ball, []int32{3}) {
+		t.Fatalf("edgeless: AppendBall = %v, %v", ball, ok)
+	}
+	if _, ok := New(gen.Generate(gen.Grid, 400, gen.Options{Seed: 1}), 2, Options{DisableBallTable: true}).AppendBall(nil, 0, 2); ok {
+		t.Fatal("a recursive index claims to hold a ball")
 	}
 }

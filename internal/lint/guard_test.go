@@ -40,6 +40,11 @@ func TestHotClosureMatchesAllocGuards(t *testing.T) {
 		"core.(Engine).nextLast",
 		"core.(Engine).test",
 		"core.(Engine).localEval",
+		// The readers of the partner rows: a component of two positions is
+		// answered by these and by nothing behind localEval.
+		"core.(Engine).holdsAt",
+		"core.(compRT).pairHolds",
+		"core.(Engine).nextPartner",
 		// What the engine reaches only through the locality interface (the
 		// call graph follows the dispatch by CHA): both implementations of
 		// the distance test and of Case I.

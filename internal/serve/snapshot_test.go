@@ -395,17 +395,30 @@ func TestSnapshotTierReadError(t *testing.T) {
 // TestSnapshotTierVersion1IsAMiss: a file of format version 1 in the
 // snapshot directory — left by a server from before the checksum changed —
 // records the version-1 fingerprint of its graph, which is not the one this
-// server computes: a mismatch, rebuilt and overwritten by a version-2 file
-// that the next cold start takes. The fixture is the snap package's
-// version-1 golden, served under the graph it was built on.
+// server computes: a mismatch, rebuilt and overwritten by a file of the
+// current version that the next cold start takes. The fixture is the snap
+// package's version-1 golden, served under the graph it was built on.
 func TestSnapshotTierVersion1IsAMiss(t *testing.T) {
-	old, err := os.ReadFile(filepath.Join("..", "snap", "testdata", "golden-grid64.fodsnap"))
+	oldVersionIsAMiss(t, "golden-grid64.fodsnap", 1)
+}
+
+// TestSnapshotTierVersion2IsAMiss: a version-2 file records the fingerprint
+// this server computes and would restore, but without the partner rows of
+// version 3, which every cold start would then build again: the same miss,
+// the same overwrite.
+func TestSnapshotTierVersion2IsAMiss(t *testing.T) {
+	oldVersionIsAMiss(t, "golden-grid64.v2.fodsnap", 2)
+	oldVersionIsAMiss(t, "golden-bdeg64.v2.fodsnap", 2)
+}
+
+func oldVersionIsAMiss(t *testing.T, fixture string, version uint32) {
+	old, err := os.ReadFile(filepath.Join("..", "snap", "testdata", fixture))
 	if err != nil {
 		t.Fatal(err)
 	}
 	f, err := snap.Parse(old)
-	if err != nil || f.Version() != 1 {
-		t.Fatalf("the fixture is not a version-1 file: %v", err)
+	if err != nil || f.Version() != version {
+		t.Fatalf("%s is not a version-%d file: %v", fixture, version, err)
 	}
 	meta, err := snap.ReadMeta(f)
 	if err != nil {
@@ -421,7 +434,7 @@ func TestSnapshotTierVersion1IsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	for start, want := range []CacheStats{{Builds: 1, SnapshotWrites: 1}, {SnapshotHits: 1}} {
-		s := NewServer(Config{Graphs: map[string]*repro.Graph{"grid": g}, SnapshotDir: dir, Metrics: obs.New()})
+		s := NewServer(Config{Graphs: map[string]*repro.Graph{"grid": g}, SnapshotDir: dir, Metrics: obs.New(), Engine: engineOf(meta.Locality)})
 		ts := httptest.NewServer(s.Handler())
 		registerQuery(t, ts.URL, "grid", meta.Query, meta.Vars...)
 		ts.Close()
@@ -441,4 +454,13 @@ func TestSnapshotTierVersion1IsAMiss(t *testing.T) {
 	if f, err := snap.Parse(data); err != nil || f.Version() != snap.Version {
 		t.Fatalf("the write-back left a version-%d file (%v), want %d", f.Version(), err, snap.Version)
 	}
+}
+
+// engineOf is the engine mode under which a server builds the locality a
+// snapshot's metadata names.
+func engineOf(locality string) repro.EngineKind {
+	if locality == "balls" {
+		return repro.EngineLowDeg
+	}
+	return repro.EngineCore
 }

@@ -47,8 +47,10 @@ func (s *Server) snapshotPath(key cacheKey) string {
 // decode and restore. A file of either engine restores; one that holds
 // another engine than this server would build for the graph (the -engine
 // mode changed between runs) is a mismatch like a foreign graph, and so is
-// a file of format version 1, whose fingerprint is another function of the
-// graph. Any failure (unreadable file, corruption, mismatch) falls back to
+// a file of an older format version: version 1 records another function of
+// the graph as its fingerprint, and version 2 lacks the partner rows, which
+// every cold start would then compute again — a build, once, overwrites
+// either. Any failure (unreadable file, corruption, mismatch) falls back to
 // building, which overwrites the file; the error classes are counted
 // separately so operators can tell a cold directory from a failing disk
 // from a corrupted file.
@@ -89,6 +91,9 @@ func (s *Server) loadSnapshot(ctx context.Context, key cacheKey) (*repro.Index, 
 	meta, err := snap.ReadMeta(f)
 	if err != nil {
 		return reject("serve.snapshot.corrupt", "corrupt: "+err.Error())
+	}
+	if f.Version() != snap.Version {
+		return reject("serve.snapshot.mismatch", fmt.Sprintf("format version %d, this server writes %d", f.Version(), snap.Version))
 	}
 	if meta.Canonical != key.canonical || meta.GraphFingerprint != s.graphFP[key.graph] {
 		return reject("serve.snapshot.mismatch", "foreign graph or query")

@@ -41,15 +41,30 @@ func syntheticFile(t *testing.T) []byte {
 func engineFile(t *testing.T) []byte { return engineFileOf(t, repro.EngineCore) }
 
 // engineFiles are the snapshots of both kinds of index, the core one under
-// the empty prefix the subtest names have always had.
+// the empty prefix the subtest names have always had, and of a core index
+// with a close pair, whose file has the partners section.
 func engineFiles(t *testing.T) map[string][]byte {
-	return map[string][]byte{"": engineFileOf(t, repro.EngineCore), "lowdeg/": engineFileOf(t, repro.EngineLowDeg)}
+	return map[string][]byte{
+		"":        engineFileOf(t, repro.EngineCore),
+		"lowdeg/": engineFileOf(t, repro.EngineLowDeg),
+		"near2/":  nearFileOf(t, repro.EngineCore),
+	}
 }
 
 func engineFileOf(t *testing.T, kind repro.EngineKind) []byte {
+	return queryFileOf(t, kind, "dist(x,y) > 2 & C0(y)")
+}
+
+// nearFileOf is the snapshot of near2: one clause of one component, a close
+// pair.
+func nearFileOf(t *testing.T, kind repro.EngineKind) []byte {
+	return queryFileOf(t, kind, "dist(x,y) <= 2 & C0(x) & C1(y)")
+}
+
+func queryFileOf(t *testing.T, kind repro.EngineKind, query string) []byte {
 	t.Helper()
 	g := repro.Generate("grid", 64, repro.GenOptions{Seed: 3, Colors: 2})
-	q := repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y")
+	q := repro.MustParseQuery(query, "x", "y")
 	ix, err := repro.Build(context.Background(), g, q, repro.WithEngine(kind))
 	if err != nil {
 		t.Fatal(err)
@@ -62,15 +77,20 @@ func engineFileOf(t *testing.T, kind repro.EngineKind) []byte {
 }
 
 // v1File reads a committed version-1 fixture: the corruption battery runs
-// over files of both format versions, and no writer makes version 1 any
-// more.
-func v1File(t *testing.T, path string) []byte {
+// over files of every format version, and no writer makes the older ones
+// any more.
+func v1File(t *testing.T, path string) []byte { return fixtureFile(t, path, 1) }
+
+// fixtureFile reads the committed fixture of the given version beside the
+// version-1 file v1.
+func fixtureFile(t *testing.T, v1 string, version uint32) []byte {
 	t.Helper()
+	path := versionPath(v1, version)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != 1 {
+	if v := binary.LittleEndian.Uint32(data[8:]); v != version {
 		t.Fatalf("%s is a version-%d file", path, v)
 	}
 	return data
@@ -119,17 +139,22 @@ func patchSectionLen(t *testing.T, data []byte, name string, newLen uint64) []by
 // with the checksum of the file's own version.
 func resealTable(t *testing.T, data []byte) {
 	tblLen := binary.LittleEndian.Uint64(data[16:])
-	binary.LittleEndian.PutUint64(data[24:], fileChecksum(t, data, data[headerSize:headerSize+tblLen]))
+	covered := data[headerSize : headerSize+tblLen]
+	if binary.LittleEndian.Uint32(data[8:]) >= 3 {
+		// From version 3 on the version, count and length words go first.
+		covered = append(slices.Clone(data[8:24]), covered...)
+	}
+	binary.LittleEndian.PutUint64(data[24:], fileChecksum(t, data, covered))
 }
 
 // fileChecksum is the checksum a file with data's header carries over b:
-// CRC-64/ECMA in version 1, CRC-32C in version 2 — both spelled out bit by
-// bit here so the test does not share code with the implementation.
+// CRC-64/ECMA in version 1, CRC-32C in versions 2 and 3 — both spelled out
+// bit by bit here so the test does not share code with the implementation.
 func fileChecksum(t *testing.T, data, b []byte) uint64 {
 	switch v := binary.LittleEndian.Uint32(data[8:]); v {
 	case 1:
 		return reflectedCRC(b, 0xC96C5795D7870F42, ^uint64(0))
-	case 2:
+	case 2, 3:
 		return reflectedCRC(b, 0x82F63B78, 0xFFFFFFFF)
 	default:
 		t.Fatalf("no checksum for a version-%d file", v)
@@ -163,10 +188,12 @@ func typed(err error) bool {
 
 // TestCorruptContainer damages the container — header, section table,
 // lengths — of a file of each format version: a fresh synthetic one under
-// the bare subtest names, the version-1 grid fixture under "v1/".
+// the bare subtest names, the grid fixtures of the older versions under
+// "v1/" and "v2/".
 func TestCorruptContainer(t *testing.T) {
 	corruptContainer(t, "", syntheticFile(t), "words", "ints")
 	corruptContainer(t, "v1/", v1File(t, goldenPath), "clauses", "graph")
+	corruptContainer(t, "v2/", fixtureFile(t, goldenPath, 2), "clauses", "graph")
 }
 
 // corruptContainer runs the battery over valid; big and shrunk name two of
@@ -193,7 +220,7 @@ func corruptContainer(t *testing.T, prefix string, valid []byte, big, shrunk str
 			return d
 		}, snap.ErrBadMagic},
 		{"future-version", func(d []byte) []byte {
-			binary.LittleEndian.PutUint32(d[8:], 3)
+			binary.LittleEndian.PutUint32(d[8:], snap.Version+1)
 			return d
 		}, snap.ErrVersion},
 		{"version-zero", func(d []byte) []byte {
@@ -201,9 +228,13 @@ func corruptContainer(t *testing.T, prefix string, valid []byte, big, shrunk str
 			return d
 		}, snap.ErrVersion},
 		{"other-versions-checksum", func(d []byte) []byte {
-			// A header that names the other known version names the other
-			// checksum: nothing in the file matches it.
-			binary.LittleEndian.PutUint32(d[8:], 3-version)
+			// A header that names a version of the other checksum: nothing in
+			// the file matches it.
+			other := uint32(1)
+			if version == 1 {
+				other = snap.Version
+			}
+			binary.LittleEndian.PutUint32(d[8:], other)
 			return d
 		}, snap.ErrCorrupt},
 		{"absurd-section-count", func(d []byte) []byte {
@@ -219,7 +250,7 @@ func corruptContainer(t *testing.T, prefix string, valid []byte, big, shrunk str
 			return d
 		}, snap.ErrCorrupt},
 		{"table-checksum-high-word", func(d []byte) []byte {
-			d[28] ^= 0x01 // version 2 keeps this word zero
+			d[28] ^= 0x01 // from version 2 on this word is kept zero
 			return d
 		}, snap.ErrCorrupt},
 		{"table-byte-flip", func(d []byte) []byte {
@@ -243,7 +274,7 @@ func corruptContainer(t *testing.T, prefix string, valid []byte, big, shrunk str
 			return patchSectionLen(t, d, shrunk, 4)
 		}, snap.ErrCorrupt},
 		{"section-checksum-high-word", func(d []byte) []byte {
-			// The low word still matches the payload; in version 2, where
+			// The low word still matches the payload; from version 2 on, where
 			// the checksum is 32 bits in a 64-bit field, that must not do.
 			return patchEntry(t, d, big, func(f []byte) { f[entryCRC+4] ^= 0x01 })
 		}, snap.ErrCorrupt},
@@ -300,15 +331,17 @@ func corruptContainer(t *testing.T, prefix string, valid []byte, big, shrunk str
 }
 
 // TestCorruptEverySection flips every byte of each section of a real engine
-// snapshot — fresh files of both localities, and the version-1 fixtures of
-// both under "v1/" — one at a time; the eager per-section checksum must
-// catch all of them at Parse time.
+// snapshot — fresh files of both localities and of a close pair, and the
+// older fixtures of both localities under "v1/" and "v2/" — one at a time;
+// the eager per-section checksum must catch all of them at Parse time.
 func TestCorruptEverySection(t *testing.T) {
 	for prefix, data := range engineFiles(t) {
 		corruptEverySection(t, prefix, data)
 	}
 	corruptEverySection(t, "v1/", v1File(t, goldenPath))
 	corruptEverySection(t, "v1/lowdeg/", v1File(t, goldenBallsPath))
+	corruptEverySection(t, "v2/", fixtureFile(t, goldenPath, 2))
+	corruptEverySection(t, "v2/lowdeg/", fixtureFile(t, goldenBallsPath, 2))
 }
 
 func corruptEverySection(t *testing.T, prefix string, data []byte) {
@@ -585,6 +618,142 @@ func TestCorruptBallRows(t *testing.T) {
 	if _, err := repro.ReadIndexSnapshot(buf.Bytes()); err != nil {
 		t.Fatalf("rewritten valid snapshot: %v", err)
 	}
+}
+
+// TestCorruptPartners damages the partner rows of a decoded near2 snapshot,
+// of either locality, one way at a time and writes the file again, checksums
+// intact: the restore must find every one of them — the answering phase
+// indexes these rows without looking — and say ErrCorrupt. Two more go
+// through the flag word of the component in "clauses": a bit no reader knows,
+// and the partners bit cleared under a section that is still there.
+func TestCorruptPartners(t *testing.T) {
+	for _, kind := range []repro.EngineKind{repro.EngineCore, repro.EngineLowDeg} {
+		file := nearFileOf(t, kind)
+		valid, err := snap.Read(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(valid.Parts.Clauses) != 1 || len(valid.Parts.Clauses[0]) != 1 || valid.Parts.Clauses[0][0].Partners == nil {
+			t.Fatalf("%s: near2 did not come back as one clause of one component with partner rows", kind)
+		}
+		n := int32(valid.Graph.N())
+		// full is an anchor with at least two partners, empty one with none.
+		full, empty := -1, -1
+		rows := valid.Parts.Clauses[0][0].Partners
+		for v := 0; v < int(n); v++ {
+			switch l := rows.Off[v+1] - rows.Off[v]; {
+			case l >= 2 && full < 0:
+				full = v
+			case l == 0 && empty < 0:
+				empty = v
+			}
+		}
+		if full < 0 || empty < 0 {
+			t.Fatalf("%s: the fixture has no anchor with two partners or none without (%d, %d)", kind, full, empty)
+		}
+		row := func(c *core.CompParts, v int) []int32 { return c.Partners.Adj[c.Partners.Off[v]:c.Partners.Off[v+1]] }
+		cases := map[string]func(c *core.CompParts){
+			"unsorted-row":      func(c *core.CompParts) { r := row(c, full); r[0], r[1] = r[1], r[0] },
+			"repeated-entry":    func(c *core.CompParts) { r := row(c, full); r[1] = r[0] },
+			"vertex-past-n":     func(c *core.CompParts) { r := row(c, full); r[len(r)-1] = n },
+			"negative-entry":    func(c *core.CompParts) { row(c, full)[0] = -1 },
+			"truncated-rows":    func(c *core.CompParts) { c.Partners.Adj = c.Partners.Adj[:len(c.Partners.Adj)-1] },
+			"truncated-offsets": func(c *core.CompParts) { c.Partners.Off = c.Partners.Off[:n] },
+			"no-offsets":        func(c *core.CompParts) { c.Partners.Off = nil },
+			"offsets-decrease": func(c *core.CompParts) {
+				c.Partners.Off[full], c.Partners.Off[full+1] = c.Partners.Off[full+1], c.Partners.Off[full]
+			},
+			"offset-past-end": func(c *core.CompParts) { c.Partners.Off[full+1] = int32(len(c.Partners.Adj)) + 5 },
+			"starter-with-empty-row": func(c *core.CompParts) {
+				i, _ := slices.BinarySearch(c.Starter, int32(empty))
+				c.Starter = slices.Insert(c.Starter, i, int32(empty))
+			},
+			"row-without-starter": func(c *core.CompParts) {
+				i, _ := slices.BinarySearch(c.Starter, int32(full))
+				c.Starter = slices.Delete(c.Starter, i, i+1)
+			},
+		}
+		rewritten := func(damage func(c *core.CompParts)) []byte {
+			p := valid.Parts
+			c := p.Clauses[0][0]
+			c.Starter = slices.Clone(c.Starter)
+			c.Partners = &core.RowParts{Off: slices.Clone(c.Partners.Off), Adj: slices.Clone(c.Partners.Adj)}
+			damage(&c)
+			p.Clauses = [][]core.CompParts{{c}}
+			var buf bytes.Buffer
+			if _, err := snap.Write(&buf, valid.Graph, valid.Meta, p); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		for name, damage := range cases {
+			t.Run(string(kind)+"/"+name, func(t *testing.T) {
+				if _, err := repro.ReadIndexSnapshot(rewritten(damage)); !errors.Is(err, snap.ErrCorrupt) {
+					t.Fatalf("ReadIndexSnapshot: %v, want ErrCorrupt", err)
+				}
+			})
+		}
+		// The undamaged parts written the same way are the file: the cases
+		// above fail for the damage, not for the detour.
+		if !bytes.Equal(rewritten(func(*core.CompParts) {}), file) {
+			t.Fatalf("%s: the decoded parts do not write the file they came from", kind)
+		}
+
+		// The stream of "clauses" for one clause of one component: live count,
+		// live index, clause count, component count, the starter list, the
+		// flag word.
+		setFlags := func(edit func(flags uint32) uint32) []byte {
+			return rewriteSections(t, file, func(name string, payload []byte) ([]byte, bool) {
+				if name != "clauses" {
+					return payload, true
+				}
+				at := 4 * (5 + int(binary.LittleEndian.Uint32(payload[4*4:])))
+				flags := binary.LittleEndian.Uint32(payload[at:])
+				if flags&^1 != 2 {
+					t.Fatalf("word %d of clauses is %#x, not the flag word of a component with partner rows", at/4, flags)
+				}
+				payload = slices.Clone(payload)
+				binary.LittleEndian.PutUint32(payload[at:], edit(flags))
+				return payload, true
+			})
+		}
+		for name, data := range map[string][]byte{
+			"unknown-flag-bit":  setFlags(func(f uint32) uint32 { return f | 4 }),
+			"unclaimed-section": setFlags(func(f uint32) uint32 { return f &^ 2 }),
+		} {
+			t.Run(string(kind)+"/"+name, func(t *testing.T) {
+				if _, err := snap.Read(data); !errors.Is(err, snap.ErrCorrupt) {
+					t.Fatalf("Read: %v, want ErrCorrupt", err)
+				}
+				if _, err := repro.ReadIndexSnapshot(data); !errors.Is(err, snap.ErrCorrupt) {
+					t.Fatalf("ReadIndexSnapshot: %v, want ErrCorrupt", err)
+				}
+			})
+		}
+	}
+
+	// A partners bit on a component that is not two positions: far2's second
+	// component, a singleton, handed the rows of near2.
+	t.Run("rows-on-a-singleton", func(t *testing.T) {
+		far, err := snap.Read(engineFile(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		near, err := snap.Read(nearFileOf(t, repro.EngineCore))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := far.Parts
+		p.Clauses = [][]core.CompParts{slices.Clone(p.Clauses[0])}
+		p.Clauses[0][1].Partners = near.Parts.Clauses[0][0].Partners
+		var buf bytes.Buffer
+		if _, err := snap.Write(&buf, far.Graph, far.Meta, p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := repro.ReadIndexSnapshot(buf.Bytes()); !errors.Is(err, snap.ErrCorrupt) {
+			t.Fatalf("ReadIndexSnapshot: %v, want ErrCorrupt", err)
+		}
+	})
 }
 
 // TestCorruptGarbageMeta ensures a structurally valid container with a

@@ -51,7 +51,7 @@ func Read(data []byte) (*Snapshot, error) {
 
 // ReadTraced is Read with decode instrumentation through reg (nil reg is
 // plain Read): a "snap.decode" span with one child per section group
-// (parse, graph, cover and dist or balls, clauses), enrolled in the request
+// (parse, graph, cover and dist or balls, clauses with partners), enrolled in the request
 // trace when ctx carries one.
 func ReadTraced(ctx context.Context, data []byte, reg *obs.Registry) (*Snapshot, error) {
 	root := reg.StartSpan(ctx, "snap.decode")
@@ -375,6 +375,7 @@ func readClauses(f *File, p *core.EngineParts) error {
 		return fmt.Errorf("%w: %d clause payloads for %d live clauses", ErrCorrupt, nclauses, nlive)
 	}
 	p.Clauses = make([][]core.CompParts, nclauses)
+	var paired []*core.RowParts // the components that claim rows of "partners", in order
 	for ci := range p.Clauses {
 		ncomps, err := r.getInt()
 		if err != nil {
@@ -389,11 +390,23 @@ func readClauses(f *File, p *core.EngineParts) error {
 			if cp.Starter, err = r.getSlice(); err != nil {
 				return err
 			}
-			hasSkip, err := r.get()
+			flags, err := r.get()
 			if err != nil {
 				return err
 			}
-			if hasSkip != 0 {
+			if f.version < 3 {
+				// The word was "has a skip table": any non-zero value said yes.
+				if flags != 0 {
+					flags = compHasSkip
+				}
+			} else if flags&^(compHasSkip|compHasPartners) != 0 {
+				return fmt.Errorf("%w: clause %d component %d has flag word %#x", ErrCorrupt, ci, i, flags)
+			}
+			if flags&compHasPartners != 0 {
+				cp.Partners = &core.RowParts{}
+				paired = append(paired, cp.Partners)
+			}
+			if flags&compHasSkip != 0 {
 				sp := &skip.Parts{}
 				if sp.K, err = r.getInt(); err != nil {
 					return err
@@ -408,6 +421,36 @@ func readClauses(f *File, p *core.EngineParts) error {
 			}
 		}
 		p.Clauses[ci] = comps
+	}
+	if err := r.finish(); err != nil {
+		return err
+	}
+	return readPartners(f, paired)
+}
+
+// readPartners is the inverse of encodePartners: the CSR pairs of "partners"
+// go, in order, to the components whose flag word claimed one. The rows
+// alias the file; whether they are partner rows of the graph is
+// core.RestoreEngine's to check.
+func readPartners(f *File, paired []*core.RowParts) error {
+	if len(paired) == 0 {
+		if _, has := f.byName["partners"]; has {
+			return fmt.Errorf("%w: a partners section and no component that claims rows", ErrCorrupt)
+		}
+		return nil
+	}
+	s, err := f.I32Section("partners")
+	if err != nil {
+		return err
+	}
+	r := &i32r{name: "partners", s: s}
+	for _, rows := range paired {
+		if rows.Off, err = r.getSlice(); err != nil {
+			return err
+		}
+		if rows.Adj, err = r.getSlice(); err != nil {
+			return err
+		}
 	}
 	return r.finish()
 }

@@ -128,6 +128,9 @@ func writeSections(out io.Writer, g *graph.Graph, meta Meta, parts core.EnginePa
 
 	sp = root.Child("clauses")
 	w.I32("clauses", newStream(func(qw *i32w) { encodeClauses(qw, parts) }).s)
+	if rows := newStream(func(pw *i32w) { encodePartners(pw, parts) }).s; len(rows) > 0 {
+		w.I32("partners", rows)
+	}
 	sp.End()
 
 	sp = root.Child("flush")
@@ -245,14 +248,39 @@ func encodeClauses(w *i32w, p core.EngineParts) {
 		for i := range comps {
 			cp := &comps[i]
 			w.putSlice(cp.Starter)
-			if cp.Skip == nil {
-				w.put(0)
-				continue
+			flags := int32(0)
+			if cp.Skip != nil {
+				flags |= compHasSkip
 			}
-			w.put(1)
-			w.putInt(cp.Skip.K)
-			w.putSlice(cp.Skip.TableOff)
-			w.putSlice(cp.Skip.TableRow)
+			if cp.Partners != nil {
+				flags |= compHasPartners
+			}
+			w.put(flags)
+			if cp.Skip != nil {
+				w.putInt(cp.Skip.K)
+				w.putSlice(cp.Skip.TableOff)
+				w.putSlice(cp.Skip.TableRow)
+			}
+		}
+	}
+}
+
+// The bits of a component's flag word in "clauses" (format 3; before it the
+// word was 0 or 1, no skip table or one).
+const (
+	compHasSkip     = 1 << iota // a skip table follows the word
+	compHasPartners             // the component's rows are the next CSR pair of "partners"
+)
+
+// encodePartners writes the partner rows of the components that have them,
+// in clause order, each as its offsets and its cells.
+func encodePartners(w *i32w, p core.EngineParts) {
+	for _, comps := range p.Clauses {
+		for i := range comps {
+			if rows := comps[i].Partners; rows != nil {
+				w.putSlice(rows.Off)
+				w.putSlice(rows.Adj)
+			}
 		}
 	}
 }

@@ -13,10 +13,14 @@
 // output the same way. The writer is deterministic: the same graph and
 // query produce byte-identical files, which the golden-file test pins.
 //
-// Two format versions exist and differ in nothing but the checksum
-// (checksumOf): version 1 files carry CRC-64/ECMA, version 2 files
-// CRC-32C, which the CPU computes. The reader takes both, the writer
-// writes version 2.
+// Three format versions exist. Versions 1 and 2 differ in nothing but the
+// checksum (checksumOf): version 1 files carry CRC-64/ECMA, version 2 files
+// CRC-32C, which the CPU computes. Version 3 is version 2 with the partner
+// rows of the two-position components: a component's flag word in "clauses"
+// is a bit set (skip table | partner rows) and the rows lie in a section of
+// their own, "partners", which a file without such a component does not
+// have; and its table checksum covers the header words before it
+// (tableSum). The reader takes all three, the writer writes version 3.
 package snap
 
 import (
@@ -32,8 +36,8 @@ import (
 const Magic = "FODSNAP1"
 
 // Version is the format version the writer writes. Readers accept it and
-// version 1, and reject every other.
-const Version = 2
+// the versions before it, and reject every other.
+const Version = 3
 
 // Typed errors for the failure classes a loader must distinguish. All
 // parse and decode failures wrap one of these (test with errors.Is).
@@ -79,15 +83,14 @@ var (
 // checksumOf returns the checksum a file of the given format version
 // carries — over its section table, over each section payload, and over
 // the two section checksums that make the graph fingerprint — with its
-// name, or nil for a version this reader does not know. It is the only
-// place the versions differ: version 1 is CRC-64/ECMA, version 2 is CRC-32C
-// in the low word of the same 8-byte field (a stored high word that is not
-// zero matches no payload).
+// name, or nil for a version this reader does not know: version 1 is
+// CRC-64/ECMA, versions 2 and 3 are CRC-32C in the low word of the same
+// 8-byte field (a stored high word that is not zero matches no payload).
 func checksumOf(version uint32) (name string, sum func([]byte) uint64) {
 	switch version {
 	case 1:
 		return "CRC-64/ECMA", func(p []byte) uint64 { return crc64.Checksum(p, ecmaTable) }
-	case 2:
+	case 2, 3:
 		return "CRC-32C", func(p []byte) uint64 { return uint64(crc32.Checksum(p, castagnoliTable)) }
 	}
 	return "", nil
@@ -96,8 +99,20 @@ func checksumOf(version uint32) (name string, sum func([]byte) uint64) {
 // writeSum is the checksum of the files this package writes.
 var _, writeSum = checksumOf(Version)
 
+// tableSum is the checksum the header carries at [24, 32). Up to version 2
+// it covers the section table alone; from version 3 on the header's version,
+// section count and table length words come first, so that no bit of the
+// header can change unnoticed — versions 2 and 3 share a checksum, and a
+// version word outside it would relabel a file.
+func tableSum(version uint32, sum func([]byte) uint64, hdr, tbl []byte) uint64 {
+	if version < 3 {
+		return sum(tbl)
+	}
+	return sum(append(append(make([]byte, 0, 16+len(tbl)), hdr[8:24]...), tbl...))
+}
+
 // headerSize is the fixed prefix: magic(8) + version(4) + nsec(4) +
-// tableLen(8) + tableCRC(8).
+// tableLen(8) + tableCRC(8), the last as tableSum defines it.
 const headerSize = 32
 
 // maxSections bounds the section count a reader accepts; real snapshots
@@ -212,7 +227,7 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint32(hdr[8:], Version)
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(w.secs)))
 	binary.LittleEndian.PutUint64(hdr[16:], tblLen)
-	binary.LittleEndian.PutUint64(hdr[24:], writeSum(tbl))
+	binary.LittleEndian.PutUint64(hdr[24:], tableSum(Version, writeSum, hdr, tbl))
 
 	var written int64
 	emit := func(b []byte) error {
@@ -283,7 +298,7 @@ func Parse(data []byte) (*File, error) {
 		return nil, fmt.Errorf("%w: section table of %d bytes exceeds the file", ErrTruncated, tblLen)
 	}
 	tbl := data[headerSize : headerSize+tblLen]
-	if sum(tbl) != tblCRC {
+	if tableSum(version, sum, data[:headerSize], tbl) != tblCRC {
 		return nil, fmt.Errorf("%w: section table checksum mismatch", ErrCorrupt)
 	}
 	f := &File{data: data, version: version, sum: sum, byName: make(map[string]int, nsec)}
@@ -331,8 +346,8 @@ func Parse(data []byte) (*File, error) {
 		f.secs = append(f.secs, s)
 	}
 	if pos != uint64(len(tbl)) {
-		// The section count is outside the table's checksum; a count that
-		// leaves entries unread is a damaged one.
+		// Before version 3 the section count is outside the table's checksum;
+		// a count that leaves entries unread is a damaged one.
 		return nil, fmt.Errorf("%w: section table has %d bytes after its %d entries", ErrCorrupt, uint64(len(tbl))-pos, nsec)
 	}
 	return f, nil

@@ -19,9 +19,9 @@ import (
 func FuzzSnapshotLoad(f *testing.F) {
 	// Seed with real snapshots and near-valid mutants so the fuzzer starts
 	// deep inside the decoder rather than bouncing off the magic check. What
-	// is built here is a version-2 file; the version-1 fixtures of both
-	// localities follow at the end, whole and damaged the same ways, and
-	// testdata/fuzz holds bare headers of both versions.
+	// is built here is a version-3 file; the fixtures of the older versions,
+	// of both localities, follow at the end, whole and damaged the same ways,
+	// and testdata/fuzz holds bare headers of versions 1 and 2.
 	g := repro.Generate("grid", 36, repro.GenOptions{Seed: 5, Colors: 2})
 	ix, err := repro.Build(context.Background(), g, repro.MustParseQuery("dist(x,y) > 2 & C0(y)", "x", "y"))
 	if err != nil {
@@ -77,11 +77,31 @@ func FuzzSnapshotLoad(f *testing.F) {
 		f.Add(mut)
 	}
 
+	// A close pair: the partners section whole, cut inside it (it is the
+	// last), and with a byte flipped in its rows and in the flag word region
+	// of "clauses" before it.
+	nx, err := repro.Build(context.Background(), g, repro.MustParseQuery("dist(x,y) <= 2 & C0(x) & C1(y)", "x", "y"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	buf.Reset()
+	if err := nx.WriteSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	near := append([]byte(nil), buf.Bytes()...)
+	f.Add(near)
+	f.Add(near[:len(near)-40])
+	for _, off := range []int{len(near) - 40, len(near) * 3 / 4} {
+		mut := append([]byte(nil), near...)
+		mut[off] ^= 0x55
+		f.Add(mut)
+	}
+
 	f.Add([]byte{})
 	f.Add([]byte("FODSNAP1"))
 	f.Add([]byte("FODSNAP2 not really a snapshot"))
 
-	for _, path := range []string{goldenPath, goldenBallsPath} {
+	for _, path := range []string{goldenPath, goldenBallsPath, versionPath(goldenPath, 2), versionPath(goldenBallsPath, 2)} {
 		old, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
@@ -90,7 +110,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		f.Add(old[:len(old)*3/4])
 		for _, off := range []int{8, 25, 40, len(old) / 2} {
 			mut := append([]byte(nil), old...)
-			mut[off] ^= 0x03 // at 8: the version word, 1 becomes 2
+			mut[off] ^= 0x03 // at 8: the version word, 1 becomes 2 and 2 becomes 1
 			f.Add(mut)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,27 +17,49 @@ import (
 	"repro/internal/snap"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the version-2 golden snapshot fixtures")
+var updateGolden = flag.Bool("update", false, "rewrite the version-3 golden snapshot fixtures")
 
-// The fixtures come in pairs. The plain names are the version-1 corpus
-// (CRC-64/ECMA): written by the code of their day, never regenerated, the
-// pin that old files keep loading. Beside each lies its version-2 twin
-// (v2Path), the same index as the current writer writes it, which
-// the format test pins byte for byte and -update rewrites.
+// The fixtures come in threes. The plain names are the version-1 corpus
+// (CRC-64/ECMA) and beside each lies its version-2 twin (CRC-32C): written
+// by the code of their day, never regenerated, the pin that old files keep
+// loading. The third (versionPath(·, 3)) is the same index as the current
+// writer writes it, which the format test pins byte for byte and -update
+// rewrites.
 const goldenPath = "testdata/golden-grid64.fodsnap"
 
 // goldenAllRowsPath is the fixture as the commit before the skip build was
 // restricted to b ∈ L wrote it, with SC rows for every vertex: the pin that
 // files of that era keep loading. No build makes those rows any more; its
-// twin is the version-1 file decoded and written again.
+// later versions are the version-1 file decoded and written again.
 const goldenAllRowsPath = "testdata/golden-grid64-allrows.fodsnap"
 
 // goldenBallsPath pins the ball form the same way: a lowdeg index over a
 // degree-bounded graph, three positions so that the file carries both row
-// arrays.
+// arrays — and, two of them being a close pair, from version 3 on its
+// partner rows.
 const goldenBallsPath = "testdata/golden-bdeg64.fodsnap"
 
-func v2Path(v1 string) string { return strings.TrimSuffix(v1, ".fodsnap") + ".v2.fodsnap" }
+// goldenNearPath is the cover form of a close pair: near2 on the grid of
+// goldenPath. It exists from version 3 on.
+const goldenNearPath = "testdata/golden-grid64-near.v3.fodsnap"
+
+// versionPath names the fixture of the given format version beside the
+// version-1 file v1.
+func versionPath(v1 string, version uint32) string {
+	if version == 1 {
+		return v1
+	}
+	return fmt.Sprintf("%s.v%d.fodsnap", strings.TrimSuffix(v1, ".fodsnap"), version)
+}
+
+func goldenNearIndex(t testing.TB) *repro.Index {
+	g := repro.Generate("grid", 64, repro.GenOptions{Seed: 3, Colors: 2})
+	ix, err := repro.Build(context.Background(), g, repro.MustParseQuery("dist(x,y) <= 2 & C0(x) & C1(y)", "x", "y"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
 
 func goldenBallsIndex(t testing.TB) *repro.Index {
 	g := repro.Generate("bdeg", 64, repro.GenOptions{Seed: 3, Colors: 2})
@@ -63,11 +86,12 @@ func goldenIndex(t testing.TB) *repro.Index {
 
 // TestGoldenFormat pins the snapshot format byte for byte: any change to
 // the container layout, the section encodings, or the engine's
-// serialized structures shows up as a diff against the committed version-2
+// serialized structures shows up as a diff against the committed version-3
 // fixtures and forces a deliberate format-version decision.
 func TestGoldenFormat(t *testing.T) {
-	goldenFormat(t, indexBytes(t, goldenIndex(t)), v2Path(goldenPath))
-	goldenFormat(t, indexBytes(t, goldenBallsIndex(t)), v2Path(goldenBallsPath))
+	goldenFormat(t, indexBytes(t, goldenIndex(t)), versionPath(goldenPath, 3))
+	goldenFormat(t, indexBytes(t, goldenBallsIndex(t)), versionPath(goldenBallsPath, 3))
+	goldenFormat(t, indexBytes(t, goldenNearIndex(t)), goldenNearPath)
 
 	old, err := snap.ReadFile(goldenAllRowsPath)
 	if err != nil {
@@ -77,7 +101,7 @@ func TestGoldenFormat(t *testing.T) {
 	if _, err := snap.Write(&buf, old.Graph, old.Meta, old.Parts); err != nil {
 		t.Fatal(err)
 	}
-	goldenFormat(t, buf.Bytes(), v2Path(goldenAllRowsPath))
+	goldenFormat(t, buf.Bytes(), versionPath(goldenAllRowsPath, 3))
 }
 
 func indexBytes(t testing.TB, ix *repro.Index) []byte {
@@ -119,16 +143,17 @@ func goldenFormat(t *testing.T, got []byte, goldenPath string) {
 }
 
 // TestGoldenLoads proves old files stay readable: the committed fixtures of
-// both format versions — the version-1 ones written by whatever code
-// version created them — must still restore and answer exactly like a
-// freshly built index.
+// every format version — the older ones written by whatever code version
+// created them — must still restore and answer exactly like a freshly built
+// index.
 func TestGoldenLoads(t *testing.T) {
 	fresh := goldenIndex(t)
 	for _, v1 := range []string{goldenPath, goldenAllRowsPath} {
-		for version, path := range map[uint32]string{1: v1, 2: v2Path(v1)} {
+		for version := uint32(1); version <= snap.Version; version++ {
+			path := versionPath(v1, version)
 			data, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("missing golden fixture (regenerate the version-2 ones with -update): %v", err)
+				t.Fatalf("missing golden fixture (regenerate the version-3 ones with -update): %v", err)
 			}
 			f, err := snap.Parse(data)
 			if err != nil {
@@ -156,9 +181,12 @@ func TestGoldenLoads(t *testing.T) {
 			}
 		}
 	}
-	// The ball fixtures restore to a lowdeg index that says so.
+	// The ball fixtures restore to a lowdeg index that says so, with the
+	// partner rows of its close pair: read from a version-3 file, built for
+	// an older one.
 	balls := goldenBallsIndex(t)
-	for _, path := range []string{goldenBallsPath, v2Path(goldenBallsPath)} {
+	for version := uint32(1); version <= snap.Version; version++ {
+		path := versionPath(goldenBallsPath, version)
 		loaded, err := repro.LoadIndexSnapshot(path)
 		if err != nil {
 			t.Fatalf("%s does not restore: %v", path, err)
@@ -166,7 +194,8 @@ func TestGoldenLoads(t *testing.T) {
 		if got, want := enumerate(loaded), enumerate(balls); len(want) == 0 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s answers differently: %d solutions vs %d fresh", path, len(got), len(want))
 		}
-		if st := loaded.Stats(); loaded.Engine() != repro.EngineLowDeg || st.CompEntries <= st.BallEntries || st.SkipTables != 0 {
+		if st := loaded.Stats(); loaded.Engine() != repro.EngineLowDeg || st.CompEntries <= st.BallEntries || st.SkipTables != 0 ||
+			st.PartnerCells == 0 || st.PartnerCells != balls.Stats().PartnerCells {
 			t.Fatalf("%s restored as %s with %+v", path, loaded.Engine(), st)
 		}
 	}
@@ -177,49 +206,95 @@ func TestGoldenLoads(t *testing.T) {
 	}
 }
 
-// TestGoldenTwins: the two versions of a fixture are one index. They differ
-// in the header's version word, in every checksum and in the fingerprint the
-// metadata records — nowhere else, so they have one length — and restore to
-// engines with equal parts that meet the whole answering contract on the
-// same solution list. An engine restored from the version-1 file writes the
-// version-2 one.
+// TestGoldenTwins: the versions of a fixture are one index. Versions 1 and 2
+// differ in the header's version word, in every checksum and in the
+// fingerprint the metadata records — nowhere else, so they have one length;
+// version 3 of an index without a close pair differs from version 2 in the
+// version word and the table checksum, which now covers it, and one with a
+// close pair has the partners section on top. All restore to engines with equal parts — the rows an old file lacks
+// are built — that meet the whole answering contract on the same solution
+// list, and an engine restored from an old file writes the version-3 one.
 func TestGoldenTwins(t *testing.T) {
 	for _, v1 := range []string{goldenPath, goldenAllRowsPath, goldenBallsPath} {
 		t.Run(filepath.Base(v1), func(t *testing.T) {
-			old, cur := restoreEngine(t, v1), restoreEngine(t, v2Path(v1))
-			if oldMeta, curMeta := old.snap.Meta, cur.snap.Meta; oldMeta.GraphFingerprint == curMeta.GraphFingerprint {
-				t.Fatalf("both versions record the fingerprint %s", oldMeta.GraphFingerprint)
+			v := map[uint32]restored{}
+			for version := uint32(1); version <= snap.Version; version++ {
+				v[version] = restoreEngine(t, versionPath(v1, version))
+			}
+			cur := v[snap.Version]
+			if oldMeta, curMeta := v[1].snap.Meta, cur.snap.Meta; oldMeta.GraphFingerprint == curMeta.GraphFingerprint {
+				t.Fatalf("versions 1 and 3 record the fingerprint %s", oldMeta.GraphFingerprint)
 			} else if oldMeta.GraphFingerprint = curMeta.GraphFingerprint; !reflect.DeepEqual(oldMeta, curMeta) {
-				t.Fatalf("metadata differs beyond the fingerprint:\n%+v\n%+v", old.snap.Meta, curMeta)
+				t.Fatalf("metadata differs beyond the fingerprint:\n%+v\n%+v", v[1].snap.Meta, curMeta)
 			}
-			if len(old.data) != len(cur.data) {
-				t.Fatalf("version 1 has %d bytes, version 2 %d", len(old.data), len(cur.data))
+			if !reflect.DeepEqual(v[2].snap.Meta, cur.snap.Meta) {
+				t.Fatalf("versions 2 and 3 record different metadata:\n%+v\n%+v", v[2].snap.Meta, cur.snap.Meta)
 			}
-			if !reflect.DeepEqual(old.eng.SnapshotParts(), cur.eng.SnapshotParts()) {
-				t.Fatal("the restored engines have different parts")
+			if len(v[1].data) != len(v[2].data) {
+				t.Fatalf("version 1 has %d bytes, version 2 %d", len(v[1].data), len(v[2].data))
+			}
+			_, paired := sectionOf(t, cur.data, "partners")
+			if !paired {
+				if diff := diffBytes(v[2].data, cur.data); diff[0] != 8 || diff[len(diff)-1] >= 28 {
+					t.Fatalf("versions 2 and 3 of an index without a close pair differ at bytes %v, want the version word and the table checksum it is under", diff)
+				}
+			} else if len(cur.data) <= len(v[2].data) {
+				t.Fatalf("version 3 carries partner rows in %d bytes, version 2 has %d", len(cur.data), len(v[2].data))
 			}
 			want := conform.NewNaive(cur.snap.Graph, cur.lq).Solutions()
 			if len(want) == 0 {
 				t.Fatal("the fixture's query has no solutions")
 			}
-			for name, r := range map[string]restored{"v1": old, "v2": cur} {
+			for version, r := range v {
+				if !reflect.DeepEqual(r.eng.SnapshotParts(), cur.eng.SnapshotParts()) {
+					t.Fatalf("the engine restored from version %d has other parts than the one from version %d", version, snap.Version)
+				}
 				sys := conform.System{
-					Name: name, Engine: r.eng, K: r.lq.K, N: r.snap.Graph.N(),
+					Name: fmt.Sprintf("v%d", version), Engine: r.eng, K: r.lq.K, N: r.snap.Graph.N(),
 					NewCursor: func(a []int) conform.Cursor { return r.eng.IteratorFrom(a) },
 				}
 				if err := conform.CheckAll(sys, want); err != nil {
 					t.Error(err)
 				}
-			}
-			var buf bytes.Buffer
-			if _, err := snap.Write(&buf, old.snap.Graph, old.snap.Meta, old.eng.SnapshotParts()); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), cur.data) {
-				t.Fatal("the engine restored from the version-1 file does not write its version-2 twin")
+				var buf bytes.Buffer
+				if _, err := snap.Write(&buf, r.snap.Graph, r.snap.Meta, r.eng.SnapshotParts()); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf.Bytes(), cur.data) {
+					t.Fatalf("the engine restored from the version-%d file does not write the version-%d one", version, snap.Version)
+				}
 			}
 		})
 	}
+}
+
+// sectionOf returns the payload of the named section of a snapshot.
+func sectionOf(t testing.TB, data []byte, name string) ([]byte, bool) {
+	t.Helper()
+	f, err := snap.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range f.Sections() {
+		if s.Name == name {
+			return data[s.Off : s.Off+s.Len], true
+		}
+	}
+	return nil, false
+}
+
+// diffBytes lists where two files of one length differ.
+func diffBytes(a, b []byte) []int {
+	if len(a) != len(b) {
+		return []int{-1}
+	}
+	var at []int
+	for i := range a {
+		if a[i] != b[i] {
+			at = append(at, i)
+		}
+	}
+	return at
 }
 
 type restored struct {

@@ -50,6 +50,9 @@ func rtCases() []rtCase {
 		{"star", "star", 40, "C0(x) & C1(y) & dist(x,y) > 1", []string{"x", "y"}},
 		{"caterpillar-exists", "caterpillar", 50, "dist(x,y) > 2 & (exists z (E(x,z) & C0(z)))", []string{"x", "y"}},
 		{"ternary", "bdeg", 48, "dist(x,y) > 1 & dist(y,z) > 1 & dist(x,z) > 1 & C0(x)", []string{"x", "y", "z"}},
+		// close pairs, restored from the partners section
+		{"mixed-ternary", "grid", 36, "dist(x,y) <= 2 & dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", []string{"x", "z", "y"}},
+		{"close-disjunction", "rtree", 60, "(E(x,y) & C0(x)) | (dist(x,y) <= 2 & C1(y))", []string{"x", "y"}},
 	}
 }
 
@@ -282,8 +285,8 @@ func TestSnapshotPortableEncoderSameBytes(t *testing.T) {
 // TestSnapshotOfPatchedLowdegIndex pins the PR 12 lesson for the ball
 // locality at the level of the file: the snapshot of an index reached
 // through ApplyEdits is, byte for byte, the snapshot of an index built on
-// the edited graph — a patched ball locality is two plain arrays, not an
-// older version plus corrections.
+// the edited graph — a patched ball locality is two plain arrays, and
+// patched partner rows one CSR pair, not an older version plus corrections.
 func TestSnapshotOfPatchedLowdegIndex(t *testing.T) {
 	ctx := context.Background()
 	g := repro.Generate("bdeg", 400, repro.GenOptions{Seed: 9, Colors: 2})
@@ -293,9 +296,18 @@ func TestSnapshotOfPatchedLowdegIndex(t *testing.T) {
 	}{
 		{"dist(x,y) > 2 & C0(y)", []string{"x", "y"}},
 		{"E(x,y) & dist(y,z) > 1 & dist(x,z) > 1 & C1(z)", []string{"x", "y", "z"}},
+		// Close pairs: the file carries their partner rows, patched here and
+		// built there.
+		{"dist(x,y) <= 2 & C0(x) & C1(y)", []string{"x", "y"}},
+		{"dist(x,y) <= 2 & dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", []string{"x", "z", "y"}},
+		{"(E(x,y) & C0(x)) | (dist(x,y) <= 2 & C1(y))", []string{"x", "y"}},
 	} {
 		q := repro.MustParseQuery(src.query, src.vars...)
 		ix, err := repro.Build(ctx, g, q, repro.WithEngine(repro.EngineLowDeg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cx, err := repro.Build(ctx, g, q, repro.WithEngine(repro.EngineCore))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,6 +317,9 @@ func TestSnapshotOfPatchedLowdegIndex(t *testing.T) {
 			{repro.RemoveColor(100, 0)},
 		} {
 			if ix, err = ix.ApplyEdits(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
+			if cx, err = cx.ApplyEdits(ctx, batch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -325,6 +340,17 @@ func TestSnapshotOfPatchedLowdegIndex(t *testing.T) {
 		if !bytes.Equal(patched.Bytes(), built.Bytes()) {
 			t.Fatalf("%s: snapshot of the patched index (%d bytes) differs from the built one (%d bytes)",
 				src.query, patched.Len(), built.Len())
+		}
+		// A patched cover is another cover than a built one, so a core file
+		// is not the rebuild's byte for byte; its partner rows, a function of
+		// graph and query alone, are — and they are the lowdeg file's.
+		patched.Reset()
+		if err := cx.WriteSnapshot(&patched); err != nil {
+			t.Fatal(err)
+		}
+		want, paired := sectionOf(t, built.Bytes(), "partners")
+		if got, has := sectionOf(t, patched.Bytes(), "partners"); has != paired || !bytes.Equal(got, want) {
+			t.Fatalf("%s: the partners section of the patched core index differs from the built lowdeg one's", src.query)
 		}
 	}
 }

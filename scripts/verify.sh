@@ -28,18 +28,18 @@
 #            ./...) is vetted and tested, so a break of an exported
 #            signature it calls is caught here; the snapshot decoder
 #            fuzzes for 30s (FuzzSnapshotLoad, seeded with files of both
-#            localities and both format versions): hostile bytes must yield typed errors, never a
+#            localities and the three format versions): hostile bytes must yield typed errors, never a
 #            panic or OOM; the mutation path runs its seed corpus and the
 #            readers-on-the-old-version / writer test over both localities
 #            five times under -race, then fuzzes for 30s
 #            (FuzzMutateVsRebuild: patched vs rebuilt vs naive, cover and
-#            balls, and the ball parts word for word);
+#            balls, the partner rows and the ball parts word for word);
 #            the cross-engine fuzzer (FuzzEngineEquivalence, kept with
 #            the lowdeg constructor in internal/lowdeg) drives the one
 #            engine over both localities and the naive oracle through the
 #            shared conformance checks on random bounded-degree graphs
 #            for another 30s
-#   tier 3 — the six timing-ratio guards, every one a test named Test…Guard
+#   tier 3 — the seven timing-ratio guards, every one a test named Test…Guard
 #            behind the one GUARD=1 gate, run with -count=1 so a regression
 #            cannot hide behind the test cache and one package at a time so
 #            they do not time each other: a page from a server without a
@@ -56,9 +56,11 @@
 #            ApplyEdits is ≥10× faster than the rebuild on grid-4000 over
 #            the cover locality and on bdeg-32k over the ball locality,
 #            never through the rebuild fallback (TestMutateSpeedGuard,
-#            TestLowdegMutateSpeedGuard); and on bdeg-4000 the ball-locality
+#            TestLowdegMutateSpeedGuard); on bdeg-4000 the ball-locality
 #            build is ≥25× cheaper than the cover-locality build
-#            (TestLowdegBuildSpeedGuard)
+#            (TestLowdegBuildSpeedGuard); and over a full scan of near2 on
+#            grid-2k and grid-8k the slowest single Next stays within 50× the
+#            median (TestCloseDelayGuard)
 #
 #   scripts/verify.sh          # all tiers
 #   scripts/verify.sh 1        # tier 1 only
@@ -105,7 +107,7 @@ if [[ "$tier" == "2" || "$tier" == "all" ]]; then
 fi
 
 if [[ "$tier" == "3" || "$tier" == "all" ]]; then
-    echo "== tier 3: six timing-ratio guards (GUARD=1) =="
+    echo "== tier 3: seven timing-ratio guards (GUARD=1) =="
     GUARD=1 go test -count=1 -p 1 -run 'Guard$' ./...
 fi
 
