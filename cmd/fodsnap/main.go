@@ -14,13 +14,16 @@
 // repro.LoadIndexSnapshot) then starts answering without rebuilding. The
 // server takes a file only if it holds the engine its own -engine mode
 // builds for the graph, so pass build the same -engine.
-// inspect prints the file's format version, the metadata record and the
+// inspect prints the file's format version, the metadata record, the
 // section table — "partners" in it is the partner rows of the query's close
-// pairs, which a file has from version 3 on. verify re-checks every
+// pairs, which a file has from version 3 on — and the K of every skip table
+// with the component it lies under. verify re-checks every
 // checksum, restores the full index, and reports the restored shape; it
 // exits non-zero on any corruption. Both read files of format version 1
-// (CRC-64/ECMA), 2 (CRC-32C) and 3 (2 with the partners section); build
-// writes version 3.
+// (CRC-64/ECMA), 2 (CRC-32C), 3 (2 with the partners section) and 4 (3 with
+// one skip table a list that is asked, at the K it is asked with, where the
+// older ones hold one at K = arity − 1 under every component); build writes
+// version 4.
 package main
 
 import (
@@ -140,6 +143,17 @@ func cmdInspect(args []string) {
 	fmt.Printf("  sections   %d\n", len(f.Sections()))
 	for _, s := range f.Sections() {
 		fmt.Printf("    %-20s %-5s off=%-10d len=%-10d crc=%016x\n", s.Name, s.Kind, s.Off, s.Len, s.CRC)
+	}
+	s, err := snap.DecodeTraced(context.Background(), f, nil)
+	if err != nil {
+		fail(err)
+	}
+	for i, clause := range s.Parts.Clauses {
+		for j, c := range clause {
+			if c.Skip != nil {
+				fmt.Printf("  clause %d component %d: skip table K=%d (%d words)\n", s.Parts.LiveIdx[i], j, c.Skip.K, len(c.Skip.TableRow))
+			}
+		}
 	}
 }
 

@@ -129,24 +129,38 @@ func TestCLIBenchSingleExperiment(t *testing.T) {
 }
 
 // TestCLISnapVerifyFixtures: fodsnap verify accepts the committed snapshot
-// fixtures of both format versions — the current index, the one written
+// fixtures of every format version — the current index, the one written
 // before the skip build stopped materialising rows for vertices outside the
-// starter list, and the ball form — restores each to what it was taken from,
-// and inspect reports the version the file names, not the reader's.
+// starter list, and the ball form — restores each to what it was taken from
+// (one skip table: the one an older file holds under x is not read), and
+// inspect reports the version the file names, not the reader's, and the K of
+// every table in it.
 func TestCLISnapVerifyFixtures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	fodsnap := buildTool(t, "fodsnap")
 	fixture := func(name string) string { return filepath.Join("internal", "snap", "testdata", name+".fodsnap") }
-	for suffix, header := range map[string]string{"": "format v1, CRC-64/ECMA checksums", ".v2": "format v2, CRC-32C checksums"} {
+	for suffix, header := range map[string]string{
+		"": "format v1, CRC-64/ECMA checksums", ".v2": "format v2, CRC-32C checksums",
+		".v3": "format v3, CRC-32C checksums", ".v4": "format v4, CRC-32C checksums",
+	} {
 		for _, name := range []string{"golden-grid64", "golden-grid64-allrows"} {
 			out, err := exec.Command(fodsnap, "verify", fixture(name+suffix)).CombinedOutput()
 			if err != nil {
 				t.Fatalf("fodsnap verify %s: %v\n%s", name+suffix, err, out)
 			}
-			if !strings.Contains(string(out), " OK: arity 2, core engine") || !strings.Contains(string(out), "in 2 tables") {
+			if !strings.Contains(string(out), " OK: arity 2, core engine") || !strings.Contains(string(out), "in 1 tables") {
 				t.Fatalf("fodsnap verify %s: unexpected report %q", name+suffix, out)
+			}
+			// far2: a version-4 file has y's table and none under x.
+			want := 2
+			if suffix == ".v4" {
+				want = 1
+			}
+			out, err = exec.Command(fodsnap, "inspect", fixture(name+suffix)).CombinedOutput()
+			if err != nil || strings.Count(string(out), "skip table K=1 ") != want {
+				t.Fatalf("fodsnap inspect %s: %v, want %d tables of K=1 in\n%s", name+suffix, err, want, out)
 			}
 		}
 		// The ball form restores as the engine it was taken from.
@@ -155,8 +169,8 @@ func TestCLISnapVerifyFixtures(t *testing.T) {
 			t.Fatalf("fodsnap verify golden-bdeg64%s: %v, report %q", suffix, err, out)
 		}
 		out, err = exec.Command(fodsnap, "inspect", fixture("golden-bdeg64"+suffix)).CombinedOutput()
-		if err != nil || !strings.Contains(string(out), header) {
-			t.Fatalf("fodsnap inspect golden-bdeg64%s: %v, want %q in\n%s", suffix, err, header, out)
+		if err != nil || !strings.Contains(string(out), header) || strings.Contains(string(out), "skip table K") {
+			t.Fatalf("fodsnap inspect golden-bdeg64%s: %v, want %q and no skip table in\n%s", suffix, err, header, out)
 		}
 	}
 }

@@ -152,6 +152,70 @@ func TestCrossEngineMutation(t *testing.T) {
 	}
 }
 
+// TestSkipPlanCases runs the two cases that ask skip pointers at a set size
+// other than arity − 1 — four far positions over two lists, and a pair that
+// opens behind a singleton — through every state an engine answers in: built,
+// patched by ApplyEdits, restored from the patched engine's parts; over both
+// localities, each against the oracle on its own graph.
+func TestSkipPlanCases(t *testing.T) {
+	ran := 0
+	for _, c := range conform.Cases() {
+		if c.Name != "grid-far4" && c.Name != "grid-far-then-pair" {
+			continue
+		}
+		ran++
+		// Every starter list changes. The ternary case runs on a grid large
+		// enough for its cover to take an edge edit without an avalanche — a
+		// rebuild, which tests nothing here; far4, whose oracle tries n⁴
+		// tuples, stays small and gets colour edits only.
+		edits := []graph.Edit{{Op: graph.AddColor, U: 2, Color: 0}, {Op: graph.RemoveColor, U: 15, Color: 0}, {Op: graph.AddColor, U: 9, Color: 1}}
+		if len(c.Vars) == 3 {
+			c.N = 81
+			edits = append(edits, graph.Edit{Op: graph.RemoveEdge, U: 0, V: 1})
+		}
+		g, q := c.Graph(), compileCase(t, c)
+		gNew, err := graph.Patch(g, edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[bool][][]graph.V{false: conform.NewNaive(g, q).Solutions(), true: conform.NewNaive(gNew, q).Solutions()}
+		if len(want[false]) == 0 || len(want[true]) == 0 || len(want[false]) == len(want[true]) {
+			t.Fatalf("%s: %d answers before the edits, %d after; the case exercises nothing", c.Name, len(want[false]), len(want[true]))
+		}
+		for loc, build := range map[string]func(*graph.Graph, *core.LocalQuery, core.Options) (*core.Engine, error){
+			"cover": core.Preprocess, "balls": core.PreprocessBalls,
+		} {
+			built, err := build(g, q, core.Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			patched, err := built.ApplyEdits(context.Background(), edits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := patched.Stats(); st.Mutations != 1 || st.MutRebuilds != 0 {
+				t.Fatalf("%s/%s: the batch was rebuilt, not patched: %+v", c.Name, loc, st)
+			}
+			restored, err := core.RestoreEngine(patched.Graph(), q, patched.SnapshotParts(), core.Options{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.Name, loc, err)
+			}
+			for state, e := range map[string]*core.Engine{"built": built, "patched": patched, "restored": restored} {
+				sys := conform.System{
+					Name: c.Name + "/" + loc + "/" + state, Engine: e, K: q.K, N: g.N(),
+					NewCursor: func(a []graph.V) conform.Cursor { return e.IteratorFrom(a) },
+				}
+				if err := conform.CheckAll(sys, want[e != built]); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+	if ran != 2 {
+		t.Fatalf("%d of the two cases are in conform.Cases()", ran)
+	}
+}
+
 // TestCrossEngineHandBuilt runs one hand-built, uncertified LocalQuery —
 // the literal G[N_ρ(ā_I)] semantics, which no compiled case reaches —
 // through both localities and the oracle. Its quantifiers are unguarded

@@ -94,6 +94,16 @@ func Cases() []Case {
 			Query: "dist(x,y) <= 2 & C0(x) & C1(y)", Vars: []string{"x", "y"}},
 		{Name: "sparse-near", Class: gen.SparseRandom, N: 60, Seed: 3, Colors: 2,
 			Query: "dist(x,y) <= 2 & C0(x) & C1(y)", Vars: []string{"x", "y"}},
+		// Skip pointers at the set size a list is asked, not at arity − 1
+		// everywhere. Four pairwise far positions over two lists: the one that
+		// opens the clause also closes it, behind a prefix of three values
+		// (bag sets up to 3); the other is asked with one value and with two.
+		{Name: "grid-far4", Class: gen.Grid, N: 16, Seed: 1, Colors: 2, Vars: []string{"x", "y", "z", "w"},
+			Query: "dist(x,y) > 1 & dist(x,z) > 1 & dist(x,w) > 1 & dist(y,z) > 1 & dist(y,w) > 1 & dist(z,w) > 1 & C0(x) & C0(w) & C1(y) & C1(z)"},
+		// A pair that opens behind a singleton: its anchors are a Case I list
+		// asked with one bag, in a query of arity 3.
+		{Name: "grid-far-then-pair", Class: gen.Grid, N: 36, Seed: 3, Colors: 2,
+			Query: "dist(x,y) > 2 & dist(x,z) > 2 & dist(y,z) <= 2 & C0(x)", Vars: []string{"x", "y", "z"}},
 	}
 }
 

@@ -49,7 +49,7 @@ type Stats struct {
 	BallEntries   int   // Σ_v |N_R(v)| materialized by the ball locality
 	CompEntries   int   // Σ_v |N_{R(k−1)}(v)| (equals BallEntries for k ≤ 2)
 	StarterSizes  []int // per (clause, component) starter-list size
-	SkipTables    int   // distinct skip-pointer tables (components with equal starter lists share one)
+	SkipTables    int   // distinct skip-pointer tables (one a starter list that a component opens on behind a prefix)
 	SkipPointers  int   // total materialized skip pointers, a shared table counted once
 	PartnerCells  int   // Σ row lengths of the partner rows, over the components of two positions
 	Candidates    int   // values the clause search placed at a position (NextGeq, Seek: k a match; Next: about one)
@@ -95,7 +95,8 @@ type Engine struct {
 	scratch *scratchPool // query-time scratch, shared with the versions ApplyEdits derives
 
 	clauses []*clauseRT
-	liveIdx []int // indices into q.Clauses of guard-surviving clauses
+	liveIdx []int            // indices into q.Clauses of guard-surviving clauses
+	tables  []*skip.Pointers // the distinct skip tables behind the components (tally)
 	stats   Stats
 	ctr     counters
 	obsReg  *obs.Registry // where ApplyEdits opens its spans; nil when built without Options.Obs
@@ -154,7 +155,8 @@ type compRT struct {
 	inStart []bool    // membership, indexed by vertex; for a singleton component the solution set
 
 	// What the cover locality derives from the starter list; nil under the
-	// ball locality, which scans the list itself.
+	// ball locality, which scans the list itself, and for a list no component
+	// opens on behind a prefix (starterList).
 	skip     *skip.Pointers
 	byKernel [][]int32 // per bag: starter ∩ K_R(bag), sorted; the cover's kernel rows when every vertex starts
 
@@ -248,6 +250,17 @@ func preprocess(g *graph.Graph, q *LocalQuery, opt Options, kind *locKind) (*Eng
 		}
 		e.clauses = append(e.clauses, rt)
 	}
+	for _, l := range e.starterLists() {
+		if err = checkpoint(); err == nil {
+			err = e.loc.indexStarter(l.comps[0], l.need, nil, pool, root)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range l.comps[1:] {
+			c.shareStarter(l.comps[0])
+		}
+	}
 	root.End()
 	e.tally()
 	return e, nil
@@ -280,7 +293,7 @@ func (e *Engine) newClauseRT(cl *Clause) *clauseRT {
 
 // newComp returns the runtime form of rt's component li with its static
 // fields set. The caller appends it to rt.comps once its starter list is
-// finished, so sameStarter only ever sees finished components.
+// finished, so tableFor only ever sees finished components.
 func (rt *clauseRT) newComp(li int) *compRT {
 	lf := &rt.clause.Locals[li]
 	c := &compRT{
@@ -298,6 +311,9 @@ func (rt *clauseRT) newComp(li int) *compRT {
 	return c
 }
 
+// buildClause computes the starter lists of cl's components; what the
+// locality derives from a list waits until every live clause has its lists
+// (starterLists).
 func (e *Engine) buildClause(cl *Clause, pool *par.Pool, trace *obs.Span, checkpoint func() error) (*clauseRT, error) {
 	rt := e.newClauseRT(cl)
 	for li := range cl.Locals {
@@ -312,25 +328,50 @@ func (e *Engine) buildClause(cl *Clause, pool *par.Pool, trace *obs.Span, checkp
 		if err := checkpoint(); err != nil {
 			return nil, err
 		}
-		if d := e.sameStarter(rt, c.starter); d != nil {
-			c.shareStarter(d)
-		} else if err := e.loc.indexStarter(c, nil, pool, trace); err != nil {
-			return nil, err
-		}
 		rt.comps = append(rt.comps, c)
 	}
 	return rt, nil
 }
 
-// sameStarter returns a component of a finished clause, or of rt, the clause
-// being assembled, whose starter list equals starter, or nil. Lemma 5.8 is
-// stated for a list, not for the formula it came from: the skip pointers
-// and the per-kernel lists are functions of (cover, k, list) alone, so
-// components with equal lists share them instead of building them again.
-func (e *Engine) sameStarter(rt *clauseRT, starter []graph.V) *compRT {
+// starterList is one distinct starter list of the live clauses: the
+// components that open on it, in clause order, and need, the largest set of
+// bags one of them can ask Lemma 5.8 about. The lemma is stated for a list,
+// not for the formula it came from — the skip pointers and the per-kernel
+// lists are functions of (cover, k, list) alone — so the components of a list
+// share one table, and its k is need: search asks for the next opening of a
+// component under the prefix t[:positions[0]], and a prefix of j values has
+// at most j canonical bags. need = 0 is a list whose components all stand
+// first in their clauses: nextOpening reads neither table nor per-kernel
+// lists without a prefix, and none are made.
+type starterList struct {
+	comps []*compRT
+	need  int
+}
+
+// starterLists is the plan every table is made, kept and accepted by: e's
+// components grouped by equal starter list.
+func (e *Engine) starterLists() []starterList {
+	var lists []starterList
+	for _, rt := range e.clauses {
+		for _, c := range rt.comps {
+			i := slices.IndexFunc(lists, func(l starterList) bool { return slices.Equal(l.comps[0].starter, c.starter) })
+			if i < 0 {
+				i, lists = len(lists), append(lists, starterList{})
+			}
+			lists[i].comps, lists[i].need = append(lists[i].comps, c), max(lists[i].need, c.positions[0])
+		}
+	}
+	return lists
+}
+
+// tableFor returns a component of a finished clause, or of rt, the clause
+// being assembled, whose starter list equals starter and whose skip pointers
+// answer bag sets of size k, or nil: a write that has to make pointers for a
+// list anew makes them once (patchStarter).
+func (e *Engine) tableFor(rt *clauseRT, starter []graph.V, k int) *compRT {
 	for _, cl := range append(slices.Clip(e.clauses), rt) {
 		for _, d := range cl.comps {
-			if slices.Equal(d.starter, starter) {
+			if d.skip != nil && d.skip.K() >= k && slices.Equal(d.starter, starter) {
 				return d
 			}
 		}
@@ -345,21 +386,21 @@ func (c *compRT) shareStarter(d *compRT) {
 }
 
 // tally sets the statistics read off the finished components: the distinct
-// skip tables behind them and their pointers, a shared table counted once,
-// and the cells of the partner rows.
+// skip tables behind them (kept for Explain) and their pointers, a shared
+// table — or the overlays of one base — counted once, and the cells of the
+// partner rows.
 func (e *Engine) tally() {
-	var seen []*skip.Pointers
 	pointers, cells := 0, 0
 	for _, cl := range e.clauses {
 		for _, c := range cl.comps {
-			if c.skip != nil && !slices.ContainsFunc(seen, c.skip.SharesTable) {
-				seen = append(seen, c.skip)
+			if c.skip != nil && !slices.ContainsFunc(e.tables, c.skip.SharesTable) {
+				e.tables = append(e.tables, c.skip)
 				pointers += c.skip.Size()
 			}
 			cells += c.partners.Cells()
 		}
 	}
-	e.stats.SkipTables, e.stats.SkipPointers, e.stats.PartnerCells = len(seen), pointers, cells
+	e.stats.SkipTables, e.stats.SkipPointers, e.stats.PartnerCells = len(e.tables), pointers, cells
 }
 
 // computeStarter fills c.starter: the vertices v that can take the

@@ -45,22 +45,31 @@ func (e *Engine) Explain() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "index over %s\n", e.g)
 	e.loc.explain(&sb)
-	fmt.Fprintf(&sb, "  skip pointers: %d components, %d tables, %d pointers\n",
-		len(e.stats.StarterSizes), e.stats.SkipTables, e.stats.SkipPointers)
+	// Per table the k of Lemma 5.8's n^(1+kε): the one among the paper's
+	// hidden constants that is an exponent.
+	tables := ""
+	for _, t := range e.tables {
+		tables += fmt.Sprintf(", k=%d: %d", t.K(), t.Size())
+	}
+	if tables != "" {
+		tables = " (" + tables[2:] + ")"
+	}
+	fmt.Fprintf(&sb, "  skip pointers: %d components, %d tables%s, %d pointers\n",
+		len(e.stats.StarterSizes), e.stats.SkipTables, tables, e.stats.SkipPointers)
 	fmt.Fprintf(&sb, "  %d live clauses (after guard evaluation):\n", len(e.clauses))
 	for ci, rt := range e.clauses {
 		fmt.Fprintf(&sb, "    clause %d: %s\n", ci, rt.clause.Type)
 		for _, c := range rt.comps {
-			skipSize := 0
+			skipSize, k := 0, 0
 			if c.skip != nil {
-				skipSize = c.skip.Size()
+				skipSize, k = c.skip.Size(), c.skip.K()
 			}
 			partners := ""
 			if c.paired() {
 				partners = fmt.Sprintf(" partner cells=%d,", c.partners.Cells())
 			}
-			fmt.Fprintf(&sb, "      I=%v: |starter|=%d,%s skip pointers=%d, ψ=%s\n",
-				c.positions, len(c.starter), partners, skipSize, c.psi)
+			fmt.Fprintf(&sb, "      I=%v: |starter|=%d,%s skip pointers=%d k=%d, ψ=%s\n",
+				c.positions, len(c.starter), partners, skipSize, k, c.psi)
 		}
 	}
 	return strings.TrimRight(sb.String(), "\n")

@@ -42,6 +42,32 @@ func TestEngineExplain(t *testing.T) {
 	if strings.Contains(s, "partner cells") {
 		t.Fatalf("explain reports partner cells for far2, which has no close pair:\n%s", s)
 	}
+	// The k of Lemma 5.8, per component and per table: y's list is asked with
+	// one value, x's with none.
+	y := e.clauses[0].comps[1].skip
+	for _, want := range []string{
+		fmt.Sprintf("2 components, 1 tables (k=1: %d), %d pointers", y.Size(), y.Size()),
+		"skip pointers=0 k=0,", fmt.Sprintf("skip pointers=%d k=1,", y.Size()),
+	} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("explain missing %q:\n%s", want, s)
+		}
+	}
+	e3, err := Preprocess(gen.Generate(gen.Grid, 100, gen.Options{Seed: 1, Colors: 2}), compileT(t, far3, "x", "y", "z"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, z := e3.clauses[0].comps[0].skip, e3.clauses[0].comps[2].skip
+	if want := fmt.Sprintf("5 components, 2 tables (k=1: %d, k=2: %d), %d pointers", x.Size(), z.Size(), x.Size()+z.Size()); !strings.Contains(e3.Explain(), want) {
+		t.Fatalf("explain missing %q:\n%s", want, e3.Explain())
+	}
+	unary, err := Preprocess(g, compileT(t, "C0(x)", "x"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "1 components, 0 tables, 0 pointers"; !strings.Contains(unary.Explain(), want) {
+		t.Fatalf("explain missing %q:\n%s", want, unary.Explain())
+	}
 
 	// A close pair prints the cells of its rows beside its starter list, and
 	// Stats adds them up.

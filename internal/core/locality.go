@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -53,10 +52,11 @@ type locality interface {
 	near(a graph.V, sc *rowScratch) []int32
 
 	// indexStarter derives from c's finished starter list whatever
-	// nextOpening needs, as children of trace. With saved non-nil
-	// (RestoreEngine) it adopts the component's snapshot payload instead of
-	// searching, and refuses one that does not fit.
-	indexStarter(c *compRT, saved *CompParts, pool *par.Pool, trace *obs.Span) error
+	// nextOpening needs to answer prefixes of up to need values (starterList),
+	// as children of trace. With saved non-nil (RestoreEngine) it adopts the
+	// component's snapshot payload instead of searching, and refuses one that
+	// does not fit.
+	indexStarter(c *compRT, need int, saved *CompParts, pool *par.Pool, trace *obs.Span) error
 	// distTester serves the distance atoms inside component formulas; nil
 	// leaves them to the evaluator's own BFS.
 	distTester() fo.DistTester
@@ -114,7 +114,6 @@ var (
 // positions reach.
 type coverLoc struct {
 	g         *graph.Graph
-	k         int
 	r, compR  int // R and R(k−1)
 	dix       *dist.Index
 	cov       *cover.Cover
@@ -166,7 +165,7 @@ func buildCoverLoc(e *Engine, pool *par.Pool, root *obs.Span, checkpoint func() 
 
 // newCoverLoc returns e's cover locality with dix and cov still to be set.
 func (e *Engine) newCoverLoc() *coverLoc {
-	return &coverLoc{g: e.g, k: e.k, r: e.r, compR: compRadius(e.q)}
+	return &coverLoc{g: e.g, r: e.r, compR: compRadius(e.q)}
 }
 
 func (e *Engine) coverStats(cov *cover.Cover) {
@@ -202,19 +201,25 @@ func (l *coverLoc) near(a graph.V, sc *rowScratch) []int32 {
 	return sc.ball
 }
 
-// indexStarter builds the Lemma 5.8 skip pointers over c.starter — or
-// adopts the saved table — and the per-kernel starter lists.
-func (l *coverLoc) indexStarter(c *compRT, saved *CompParts, pool *par.Pool, trace *obs.Span) (err error) {
+// indexStarter builds the Lemma 5.8 skip pointers over c.starter for bag
+// sets of size need — or adopts the saved table, which may answer larger ones
+// (files older than format 4 hold k = arity − 1 everywhere) — and the
+// per-kernel starter lists; neither for a list nobody asks with a prefix.
+func (l *coverLoc) indexStarter(c *compRT, need int, saved *CompParts, pool *par.Pool, trace *obs.Span) (err error) {
 	switch {
-	case l.k < 2:
+	case need == 0:
+		if saved != nil && saved.Skip != nil {
+			return fmt.Errorf("carries a skip table no component can ask")
+		}
+		return nil
 	case saved == nil:
 		sp := trace.Child("skip")
-		c.skip = skip.New(l.g, l.cov, l.k-1, c.starter)
+		c.skip = skip.New(l.g, l.cov, need, c.starter)
 		sp.End()
 	case saved.Skip == nil:
-		return fmt.Errorf("misses its skip table (arity %d)", l.k)
-	case saved.Skip.K != l.k-1:
-		return fmt.Errorf("skip table has set size %d, arity needs %d", saved.Skip.K, l.k-1)
+		return fmt.Errorf("misses its skip table (set size %d)", need)
+	case saved.Skip.K < need:
+		return fmt.Errorf("skip table has set size %d, a prefix of %d values needs %d", saved.Skip.K, need, need)
 	default:
 		if c.skip, err = skip.FromParts(l.cov, c.starter, *saved.Skip); err != nil {
 			return err
@@ -290,21 +295,22 @@ func (l *coverLoc) patch(old, e2 *Engine, edgeSrcs []graph.V, _ *par.Pool, trace
 // patchStarter overlays (or rebuilds) c's skip pointers for c2 and
 // resplices the per-kernel starter lists.
 func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starterDiff []graph.V, info *cover.PatchInfo) {
+	if c2.positions[0] == 0 {
+		return // never asked with a prefix (starterList): it holds nothing, whatever c shared
+	}
 	// Skip pointers: overlay while the accumulated delta stays small — the
 	// overlay is this component's own, the base under it stays shared and
 	// unwritten — and rebuild past the threshold (the overlay's scan cost
-	// is O(|delta|)), once per distinct list as in Preprocess: pointers an
-	// earlier component of e2 holds for an equal list are exact for this
-	// one too.
-	if l.k >= 2 {
-		delta := mergeSortedV(starterDiff, info.KernelDelta)
-		if c.skip.DeltaLen()+len(delta) <= skip.RebuildThreshold(l.g.N()) {
-			c2.skip = c.skip.WithDelta(l.cov, c2.starter, delta)
-		} else if d := e2.sameStarter(rt2, c2.starter); d != nil {
-			c2.skip = d.skip
-		} else {
-			c2.skip = skip.New(l.g, l.cov, l.k-1, c2.starter)
-		}
+	// is O(|delta|)) at the k the table was planned with, once per distinct
+	// list as in Preprocess: pointers an earlier component of e2 holds for an
+	// equal list and no smaller a k are exact for this one too.
+	delta := sortedUnion(starterDiff, info.KernelDelta)
+	if k := c.skip.K(); c.skip.DeltaLen()+len(delta) <= skip.RebuildThreshold(l.g.N()) {
+		c2.skip = c.skip.WithDelta(l.cov, c2.starter, delta)
+	} else if d := e2.tableFor(rt2, c2.starter, k); d != nil {
+		c2.skip = d.skip
+	} else {
+		c2.skip = skip.New(l.g, l.cov, k, c2.starter)
 	}
 
 	// byKernel rows change only for bags whose kernel changed, bags the
@@ -314,7 +320,7 @@ func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starte
 	nb := l.cov.NumBags()
 	c2.byKernel = make([][]int32, nb)
 	copy(c2.byKernel, c.byKernel)
-	redo := make(map[int]bool, len(info.KernelChanged)+len(info.NewBags))
+	redo := make([]bool, nb)
 	for _, b := range info.KernelChanged {
 		redo[b] = true
 	}
@@ -323,15 +329,13 @@ func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starte
 	}
 	for _, v := range starterDiff {
 		for _, b := range l.cov.KernelsOf(v) {
-			redo[int(b)] = true
+			redo[b] = true
 		}
 	}
-	redoList := make([]int, 0, len(redo))
-	for b := range redo { //fod:sorted — sorted immediately below
-		redoList = append(redoList, b)
-	}
-	sort.Ints(redoList)
-	for _, b := range redoList {
+	for b, again := range redo {
+		if !again {
+			continue
+		}
 		var row []int32
 		for _, v := range l.cov.Kernel(b) {
 			if c2.inStart[v] {
@@ -348,20 +352,30 @@ func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starte
 // per-kernel starter lists are rebuilt from the bag CSRs at restore.
 func (l *coverLoc) parts(e *Engine, p *EngineParts) {
 	p.Cover, p.Dist = l.cov.Parts(), l.dix.Parts()
+	at := map[*compRT]*CompParts{}
 	for i, rt := range e.clauses {
 		for j, c := range rt.comps {
-			sk := c.skip
-			if sk == nil {
-				continue
-			}
-			if sk.DeltaLen() > 0 {
-				// An overlay answers from the table of an older version
-				// plus a correction set the format has no section for; the
-				// file gets this version's table.
-				sk = skip.New(l.g, l.cov, l.k-1, c.starter)
-			}
-			sp := sk.Parts()
-			p.Clauses[i][j].Skip = &sp
+			at[c] = &p.Clauses[i][j]
+		}
+	}
+	// One table a list, at the plan's k, under each of its components: what a
+	// build on this graph holds. A component of a patched engine may hold an
+	// overlay — the table of an older version plus a correction set the
+	// format has no section for — or a table of another k; the file gets this
+	// version's table.
+	for _, sl := range e.starterLists() {
+		if sl.need == 0 {
+			continue
+		}
+		exact := func(c *compRT) bool { return c.skip != nil && c.skip.DeltaLen() == 0 && c.skip.K() == sl.need }
+		var sp skip.Parts
+		if i := slices.IndexFunc(sl.comps, exact); i >= 0 {
+			sp = sl.comps[i].skip.Parts()
+		} else {
+			sp = skip.New(l.g, l.cov, sl.need, sl.comps[0].starter).Parts()
+		}
+		for _, c := range sl.comps {
+			at[c].Skip = &sp
 		}
 	}
 }
@@ -669,7 +683,7 @@ func (l *ballLoc) compBall(anchor graph.V) []int32 { return l.comp.Row(anchor) }
 func (l *ballLoc) near(a graph.V, _ *rowScratch) []int32 { return l.rows.Row(a) }
 
 // indexStarter has nothing to derive: nextOpening scans the list itself.
-func (l *ballLoc) indexStarter(_ *compRT, saved *CompParts, _ *par.Pool, _ *obs.Span) error {
+func (l *ballLoc) indexStarter(_ *compRT, _ int, saved *CompParts, _ *par.Pool, _ *obs.Span) error {
 	if saved != nil && saved.Skip != nil {
 		return fmt.Errorf("carries a skip table, which the ball locality has no use for")
 	}

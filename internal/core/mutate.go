@@ -47,7 +47,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/fo"
 	"repro/internal/graph"
@@ -125,7 +124,7 @@ func (e *Engine) ApplyEditsTo(ctx context.Context, gNew *graph.Graph, edits []gr
 	// reads nothing else, and otherwise the region within its reach of an
 	// effectively edited vertex, in the old or the new graph — searched once
 	// per distinct reach.
-	touched := mergeSortedV(edgeSrcs, colorChanged)
+	touched := sortedUnion(edgeSrcs, colorChanged)
 	type region struct {
 		reach int
 		vs    []graph.V
@@ -270,49 +269,25 @@ func (e *Engine) RebuiltOn(ctx context.Context, g *graph.Graph, build func(*grap
 // whose color set actually changed (an endpoint may be among them), each
 // sorted and deduplicated.
 func effectiveTouch(gOld, gNew *graph.Graph, edits []graph.Edit) (edgeSrcs, colorChanged []graph.V) {
-	es := map[graph.V]bool{}
-	cs := map[graph.V]bool{}
 	for _, ed := range edits {
 		switch ed.Op {
 		case graph.AddEdge, graph.RemoveEdge:
 			if gOld.HasEdge(ed.U, ed.V) != gNew.HasEdge(ed.U, ed.V) {
-				es[ed.U] = true
-				es[ed.V] = true
+				edgeSrcs = append(edgeSrcs, ed.U, ed.V)
 			}
 		case graph.AddColor, graph.RemoveColor:
 			if gOld.HasColor(ed.U, ed.Color) != gNew.HasColor(ed.U, ed.Color) {
-				cs[ed.U] = true
+				colorChanged = append(colorChanged, ed.U)
 			}
 		}
 	}
-	for v := range es { //fod:sorted — sorted immediately below
-		edgeSrcs = append(edgeSrcs, v)
-	}
-	for v := range cs { //fod:sorted — sorted immediately below
-		colorChanged = append(colorChanged, v)
-	}
-	sort.Ints(edgeSrcs)
-	sort.Ints(colorChanged)
-	return edgeSrcs, colorChanged
+	return sortedUnion(edgeSrcs, nil), sortedUnion(colorChanged, nil)
 }
 
-// mergeSortedV unions two sorted vertex lists.
-func mergeSortedV(a, b []graph.V) []graph.V {
-	out := make([]graph.V, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j == len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i == len(a) || a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
+// sortedUnion returns the vertices of a and b ascending, each once. Its inputs
+// are what one write touches — tens of vertices — so it sorts.
+func sortedUnion(a, b []graph.V) []graph.V {
+	out := slices.Concat(a, b)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -563,9 +563,9 @@ func TestMutateGuardFlip(t *testing.T) {
 
 // fuzzMutateShapes are the graphs and queries FuzzMutateVsRebuild draws
 // from: sparse and bounded-degree classes and a hub, far and close
-// components, a quantified component and a guard, and the close pairs of
+// components, a quantified component and a guard, the close pairs of
 // closeShapes (a pair around a far position, a quantifier inside a pair, two
-// clauses of one close type).
+// clauses of one close type), and a pair that opens behind a far singleton.
 var fuzzMutateShapes = struct {
 	classes []gen.Class
 	queries []struct {
@@ -587,6 +587,8 @@ var fuzzMutateShapes = struct {
 		{closeShapes[1].src, closeShapes[1].vars},
 		{closeShapes[2].src, closeShapes[2].vars},
 		{closeShapes[3].src, closeShapes[3].vars},
+		// A pair that opens behind a singleton: its anchors are a Case I list.
+		{"dist(x,y) > 2 & dist(x,z) > 2 & dist(y,z) <= 2 & C0(x)", []fo.Var{"x", "y", "z"}},
 	},
 }
 
@@ -626,6 +628,10 @@ func FuzzMutateVsRebuild(f *testing.F) {
 	// leaf, the hub loses a colour, a leaf leaves the hub.
 	f.Add(int64(21), uint8(4|2<<3), []byte{0x00, 0x05, 0x08, 0x03, 0x00, 0x00, 0x07, 0x00, 0x03, 0x02, 0x00, 0x00})
 	f.Add(int64(23), uint8(0|2<<3), []byte{0x00, 0x05, 0x08, 0x03, 0x07, 0x00, 0x07, 0x09, 0x01, 0x02, 0x07, 0x00})
+	// path and bdeg, a pair behind a far singleton: recolour the singleton
+	// (its list is the one nobody asks), cut inside a pair, shortcut two balls.
+	f.Add(int64(25), uint8(2|9<<3), []byte{0x02, 0x04, 0x00, 0x07, 0x0a, 0x00, 0x00, 0x03, 0x14, 0x03, 0x04, 0x00})
+	f.Add(int64(27), uint8(1|9<<3), []byte{0x03, 0x06, 0x00, 0x00, 0x02, 0x10, 0x07, 0x05, 0x00, 0x02, 0x06, 0x00})
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, program []byte) {
 		if len(program) == 0 || len(program) > 64 {
 			t.Skip()

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/fo"
 	"repro/internal/graph"
 	"repro/internal/par"
 )
@@ -47,15 +48,35 @@ func (sc *rowScratch) release() {
 }
 
 // appendPartners appends the partner row of v to dst: one pass over N_R(v)
-// as the locality holds it, ψ through evalLocal with no memo.
+// as the locality holds it, ψ with no memo. A certified quantifier-free ψ
+// reads its two values and nothing around them, so the row borrows one
+// evaluator and one environment and sets a variable a cell; any other ψ goes
+// through evalLocal, cell by cell.
 func (e *Engine) appendPartners(dst []int32, c *compRT, v graph.V, sc *rowScratch) []int32 {
-	sc.vals[0] = v
-	for _, w := range e.loc.near(v, sc) {
-		sc.vals[1] = graph.V(w)
-		if e.evalLocal(c, sc.vals[:]) {
+	row := e.loc.near(v, sc)
+	if !e.q.Guarded || !c.quantFree {
+		sc.vals[0] = v
+		for _, w := range row {
+			sc.vals[1] = graph.V(w)
+			if e.evalLocal(c, sc.vals[:]) {
+				dst = append(dst, w)
+			}
+		}
+		return dst
+	}
+	e.ctr.localEvals.Add(int64(len(row)))
+	env := e.scratch.envPool.Get().(fo.Env)
+	clear(env)
+	ev := e.scratch.evaluator(e)
+	env[c.vars[0]] = v
+	for _, w := range row {
+		env[c.vars[1]] = graph.V(w)
+		if ev.Eval(c.psi, env) {
 			dst = append(dst, w)
 		}
 	}
+	e.scratch.evPool.Put(ev)
+	e.scratch.envPool.Put(env)
 	return dst
 }
 

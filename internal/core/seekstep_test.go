@@ -58,7 +58,8 @@ func TestSeekStepInterleaving(t *testing.T) {
 			if st := patched.Stats(); st.Mutations != 1 || st.MutRebuilds != 0 {
 				t.Fatalf("%s/%s: the batch was rebuilt, not patched: %+v", qc.name, loc, st)
 			}
-			if loc == "cover" && patched.MaxSkipDelta() == 0 {
+			// near2 is one component that stands first: no table to overlay.
+			if loc == "cover" && built.Stats().SkipTables > 0 && patched.MaxSkipDelta() == 0 {
 				t.Fatalf("%s/cover: no skip overlay after the batch; the patched row exercises nothing", qc.name)
 			}
 			restored, err := core.RestoreEngine(patched.Graph(), q, patched.SnapshotParts(), core.Options{})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/fo"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/skip"
 )
 
 const far3 = "dist(x,z) > 2 & dist(y,z) > 2 & C0(z)"
@@ -53,7 +55,8 @@ func checkSharing(t *testing.T, e *Engine) {
 
 // TestSkipTablesShared: far3 on a 2-coloured grid has five components over
 // two distinct starter lists, so two tables are built and both clauses
-// answer through the same pointers; far2 has two components over two lists.
+// answer through the same pointers; far2 has two components over two lists,
+// of which the one that stands first has no table.
 func TestSkipTablesShared(t *testing.T) {
 	g := gen.Generate(gen.Grid, 400, gen.Options{Seed: 3, Colors: 2})
 	e, err := Preprocess(g, compileT(t, far3, "x", "y", "z"), Options{})
@@ -71,6 +74,9 @@ func TestSkipTablesShared(t *testing.T) {
 	if &x.byKernel[0] != &xy.byKernel[0] || &z.inStart[0] != &z2.inStart[0] {
 		t.Fatal("the per-kernel lists and the starter bitmap are not shared with the table")
 	}
+	if x.skip.K() != 1 || z.skip.K() != 2 {
+		t.Fatalf("tables of set size %d and %d, want 1 (y is asked with one value) and 2 (z with two)", x.skip.K(), z.skip.K())
+	}
 	checkSharing(t, e)
 	st := e.Stats()
 	if st.SkipTables != 2 || st.SkipPointers != x.skip.Size()+z.skip.Size() || len(st.StarterSizes) != 5 {
@@ -85,21 +91,185 @@ func TestSkipTablesShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := e2.Stats(); st.SkipTables != 2 {
-		t.Fatalf("far2: %d tables, want 2", st.SkipTables)
+	if st := e2.Stats(); st.SkipTables != 1 {
+		t.Fatalf("far2: %d tables, want 1", st.SkipTables)
 	}
 }
 
-// TestKernelListsAreCoverRows: a component every vertex starts (far2's x)
-// reads the cover's kernel rows as its per-kernel lists — built or restored,
-// not a cell is copied — and a component with a proper starter list (C0(y))
-// has lists of its own. A write gives x rows of its own for exactly the bags
-// it redoes — those whose kernel changed and those the patch made — and
-// leaves every other list where the parent has it; the parent's rows and
-// lists stay bit for bit.
+// planOf renders what every component holds: its positions and the set size
+// of its table, k0 for none; clauses are separated by "|".
+func planOf(e *Engine) string {
+	var sb strings.Builder
+	for i, cl := range e.clauses {
+		if i > 0 {
+			sb.WriteString(" |")
+		}
+		for _, c := range cl.comps {
+			k := 0
+			if c.skip != nil {
+				k = c.skip.K()
+			}
+			fmt.Fprintf(&sb, " %vk%d", c.positions, k)
+		}
+	}
+	return strings.TrimSpace(sb.String())
+}
+
+// checkPlan asserts what starterLists promises of a built or restored engine:
+// a list whose components all stand first has neither pointers nor per-kernel
+// lists under any of them; any other has one table, at exactly the largest
+// first position among its components, and the lists.
+func checkPlan(t *testing.T, name string, e *Engine) {
+	t.Helper()
+	for _, l := range e.starterLists() {
+		for _, c := range l.comps {
+			switch {
+			case l.need == 0 && (c.skip != nil || c.byKernel != nil):
+				t.Fatalf("%s: component %v of a list nobody asks with a prefix holds pointers or per-kernel lists", name, c.positions)
+			case l.need > 0 && (c.skip != l.comps[0].skip || c.skip.K() != l.need || c.byKernel == nil):
+				t.Fatalf("%s: component %v of a list asked with %d values: table %p (the list's is %p) of set size %d, per-kernel lists: %v",
+					name, c.positions, l.need, c.skip, l.comps[0].skip, c.skip.K(), c.byKernel != nil)
+			}
+		}
+	}
+}
+
+// TestSkipSetSizeByPosition pins the plan: a table is built for a list with
+// k = the largest first position of its components — what search can put
+// before one of them — and not at all for a list that only opens clauses.
+func TestSkipSetSizeByPosition(t *testing.T) {
+	g := gen.Generate(gen.Grid, 144, gen.Options{Seed: 3, Colors: 2})
+	far4 := "dist(x,y) > 2 & dist(x,z) > 2 & dist(x,w) > 2 & dist(y,w) > 2 & dist(z,w) > 2 & dist(y,z) <= 2 & C0(x) & C0(w) & C1(y)"
+	for _, tc := range []struct {
+		name, src string
+		vars      []fo.Var
+		plan      string
+		tables    int
+	}{
+		{"unary", "C0(x)", []fo.Var{"x"}, "[0]k0", 0},
+		{"far2", "dist(x,y) > 2 & C0(y)", []fo.Var{"x", "y"}, "[0]k0 [1]k1", 1},
+		{"far3", far3, []fo.Var{"x", "y", "z"}, "[0]k1 [1]k1 [2]k2 | [0 1]k1 [2]k2", 2},
+		{"first-coloured", "C0(x) & dist(x,y) > 2", []fo.Var{"x", "y"}, "[0]k0 [1]k1", 1},
+		// C0 opens the clause (x) and closes it (w): one list, one table, at
+		// the three values that can stand before w.
+		{"far4", far4, []fo.Var{"x", "y", "z", "w"}, "[0]k3 [1 2]k1 [3]k3", 2},
+	} {
+		q := compileT(t, tc.src, tc.vars...)
+		built, err := Preprocess(g, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreEngine(g, q, built.SnapshotParts(), Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for state, e := range map[string]*Engine{"built": built, "restored": restored} {
+			name := tc.name + "/" + state
+			if got := planOf(e); got != tc.plan || e.Stats().SkipTables != tc.tables {
+				t.Fatalf("%s: components hold %q in %d tables, want %q in %d", name, got, e.Stats().SkipTables, tc.plan, tc.tables)
+			}
+			checkPlan(t, name, e)
+		}
+		if tc.name == "far4" {
+			x, w := built.clauses[0].comps[0], built.clauses[0].comps[2]
+			if x.skip != w.skip || !slices.Equal(x.starter, w.starter) {
+				t.Fatal("far4: x and w do not answer through one table")
+			}
+			sameResumePoints(t, rand.New(rand.NewSource(7)), built, restored)
+		}
+		// In a file, a table lies under the components of a list that is
+		// asked, at the list's k, and under no other.
+		for i, cl := range built.SnapshotParts().Clauses {
+			for j, cp := range cl {
+				if c := built.clauses[i].comps[j]; (cp.Skip != nil) != (c.skip != nil) || (cp.Skip != nil && cp.Skip.K != c.skip.K()) {
+					t.Fatalf("%s: the parts of component %v do not carry the table it holds", tc.name, c.positions)
+				}
+			}
+		}
+	}
+}
+
+// TestRestoreTablesBySetSize: a saved table is adopted iff it answers the bag
+// sets its list can be asked. Parts as the formats before 4 hold them — a
+// table at k = arity − 1 under every component — restore with the tables of
+// the lists that are asked adopted at that k and the others unread; without
+// the mark of an old file a table nobody can ask is refused, and so is, in
+// any file, one below its list's need.
+func TestRestoreTablesBySetSize(t *testing.T) {
+	g := gen.Generate(gen.Grid, 100, gen.Options{Seed: 3, Colors: 2})
+	for _, tc := range []struct {
+		src    string
+		vars   []fo.Var
+		plan   string // restored from old parts
+		strict bool   // the old parts restore as new ones too: every list is asked
+	}{
+		{"dist(x,y) > 2 & C0(y)", []fo.Var{"x", "y"}, "[0]k0 [1]k1", false},
+		{far3, []fo.Var{"x", "y", "z"}, "[0]k2 [1]k2 [2]k2 | [0 1]k2 [2]k2", true},
+	} {
+		q := compileT(t, tc.src, tc.vars...)
+		e, err := Preprocess(g, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := enumerateAll(e)
+		cov := e.loc.(*coverLoc).cov
+		old := e.SnapshotParts()
+		for i, cl := range old.Clauses {
+			for j := range cl {
+				sp := skip.New(g, cov, q.K-1, e.clauses[i].comps[j].starter).Parts()
+				cl[j].Skip = &sp
+			}
+		}
+		old.SkipEverywhere = true
+		r, err := RestoreEngine(g, q, old, Options{})
+		if err != nil {
+			t.Fatalf("%s: parts of an old file: %v", tc.src, err)
+		}
+		if got := planOf(r); got != tc.plan || !reflect.DeepEqual(enumerateAll(r), want) {
+			t.Fatalf("%s: parts of an old file restored to %q, want %q, with the built engine's answers", tc.src, got, tc.plan)
+		}
+		// What the restored engine writes is the plan's again.
+		if !reflect.DeepEqual(r.SnapshotParts(), e.SnapshotParts()) {
+			t.Fatalf("%s: the engine restored from an old file's parts writes other parts than the built one", tc.src)
+		}
+		old.SkipEverywhere = false
+		if _, err := RestoreEngine(g, q, old, Options{}); (err == nil) != tc.strict {
+			t.Fatalf("%s: the same parts as a current file: %v", tc.src, err)
+		}
+
+		low := e.SnapshotParts()
+		last := len(low.Clauses[0]) - 1
+		if low.Clauses[0][last].Skip.K != q.K-1 {
+			t.Fatalf("%s: the last component is not asked with %d values", tc.src, q.K-1)
+		}
+		low.Clauses[0][last].Skip = nil
+		if _, err := RestoreEngine(g, q, low, Options{}); err == nil {
+			t.Fatalf("%s: a component that is asked restored without a table", tc.src)
+		}
+		if q.K > 2 {
+			sp := skip.New(g, cov, q.K-2, e.clauses[0].comps[last].starter).Parts()
+			low.Clauses[0][last].Skip = &sp
+			for _, everywhere := range []bool{false, true} {
+				low.SkipEverywhere = everywhere
+				if _, err := RestoreEngine(g, q, low, Options{}); err == nil || !strings.Contains(err.Error(), "set size") {
+					t.Fatalf("%s: a table of set size %d under a component asked with %d values: %v", tc.src, q.K-2, q.K-1, err)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelListsAreCoverRows: a component every vertex starts that opens
+// behind a prefix (the second of three pairwise far positions; the first
+// shares its list and is never asked) reads the cover's kernel rows as its
+// per-kernel lists — built or restored, not a cell is copied — and a
+// component with a proper starter list (C0(z)) has lists of its own. A write
+// gives the former rows of its own for exactly the bags it redoes — those
+// whose kernel changed and those the patch made — and leaves every other
+// list where the parent has it; the parent's rows and lists stay bit for bit.
 func TestKernelListsAreCoverRows(t *testing.T) {
 	g := gen.Generate(gen.Grid, 900, gen.Options{Seed: 3, Colors: 2})
-	q := compileT(t, "dist(x,y) > 2 & C0(y)", "x", "y")
+	q := compileT(t, "dist(x,y) > 2 & dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", "x", "y", "z")
 	built, err := Preprocess(g, q, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +280,12 @@ func TestKernelListsAreCoverRows(t *testing.T) {
 	}
 	for name, e := range map[string]*Engine{"built": built, "restored": restored} {
 		cov := e.loc.(*coverLoc).cov
-		x, y := e.clauses[0].comps[0], e.clauses[0].comps[1]
+		if len(e.clauses) != 1 || len(e.clauses[0].comps) != 3 {
+			t.Fatalf("%s: three pairwise far positions are no longer one clause of three components: %s", name, e.Explain())
+		}
+		x, y := e.clauses[0].comps[1], e.clauses[0].comps[2]
 		if len(x.starter) != g.N() || len(y.starter) == g.N() {
-			t.Fatalf("%s: far2 no longer has a component every vertex starts and one not: %s", name, e.Explain())
+			t.Fatalf("%s: the query no longer has a component every vertex starts and one not: %s", name, e.Explain())
 		}
 		shared, own := 0, 0
 		for b := 0; b < cov.NumBags(); b++ {
@@ -151,7 +324,7 @@ func TestKernelListsAreCoverRows(t *testing.T) {
 			t.Fatalf("%v was rebuilt, not patched; the test exercises nothing", edits)
 		}
 		cov, cov2 := e.loc.(*coverLoc).cov, e2.loc.(*coverLoc).cov
-		x, x2 := e.clauses[0].comps[0], e2.clauses[0].comps[0]
+		x, x2 := e.clauses[0].comps[1], e2.clauses[0].comps[1]
 		for b := 0; b < cov2.NumBags(); b++ {
 			if !slices.Equal(x2.byKernel[b], cov2.Kernel(b)) {
 				t.Fatalf("%v: x's list for bag %d is not the kernel", edits, b)
@@ -226,6 +399,14 @@ func TestApplyEditsOverSharedTables(t *testing.T) {
 		}
 		if st := e2.Stats(); st.SkipTables > 2 {
 			t.Fatalf("generation %d: %d tables for two distinct lists", gen, st.SkipTables)
+		}
+		// Overlaid or rebuilt, a table keeps the k it was planned with, and
+		// the components that stand first hold none after a write.
+		if y := e2.clauses[0].comps[1]; y.skip.K() != 1 || z.skip.K() != 2 || z2.skip.K() != 2 {
+			t.Fatalf("generation %d: set sizes %d, %d, %d, want 1, 2, 2", gen, y.skip.K(), z.skip.K(), z2.skip.K())
+		}
+		if x, xy := e2.clauses[0].comps[0], e2.clauses[1].comps[0]; x.skip != nil || x.byKernel != nil || xy.skip != nil || xy.byKernel != nil {
+			t.Fatalf("generation %d: a component that stands first holds pointers or per-kernel lists after a write", gen)
 		}
 		if first {
 			fresh, err := Preprocess(e2.g, q, Options{})
@@ -314,32 +495,56 @@ func TestRestoreSharesTables(t *testing.T) {
 // TestSnapshotOfPatchedEngine: the parts of an engine whose skip pointers
 // are overlays hold this version's tables, so restoring them answers like
 // the patched engine (the overlay's base alone would answer for another
-// list and another cover).
+// list and another cover) — under the components and at the set sizes a
+// build on the edited graph writes them, each the table skip.New makes of the
+// patched cover, so that the file of a patched engine is that of a build but
+// for the cover itself.
 func TestSnapshotOfPatchedEngine(t *testing.T) {
 	g := gen.Generate(gen.Grid, 900, gen.Options{Seed: 3, Colors: 1})
-	q := compileT(t, "dist(x,y) > 2 & C0(y)", "x", "y")
-	e, err := Preprocess(g, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var edits []graph.Edit
-	for v := 0; v < 898; v += 29 {
-		edits = append(edits, graph.Edit{Op: graph.AddColor, U: v}, graph.Edit{Op: graph.RemoveColor, U: v + 1})
-	}
-	edits = append(edits, graph.Edit{Op: graph.RemoveEdge, U: 0, V: 1})
-	e2, err := e.ApplyEdits(context.Background(), edits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2.Stats().MutRebuilds != 0 || e2.clauses[0].comps[1].skip.DeltaLen() == 0 {
-		t.Fatal("the batch was not patched through an overlay; the test exercises nothing")
-	}
-	r, err := RestoreEngine(e2.g, q, e2.SnapshotParts(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(enumerateAll(r), enumerateAll(e2)) {
-		t.Fatal("engine restored from a patched engine's parts answers differently")
+	for _, q := range []*LocalQuery{
+		compileT(t, "dist(x,y) > 2 & C0(y)", "x", "y"),
+		compileT(t, far3, "x", "y", "z"),
+	} {
+		e, err := Preprocess(g, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var edits []graph.Edit
+		for v := 0; v < 898; v += 29 {
+			edits = append(edits, graph.Edit{Op: graph.AddColor, U: v}, graph.Edit{Op: graph.RemoveColor, U: v + 1})
+		}
+		edits = append(edits, graph.Edit{Op: graph.RemoveEdge, U: 0, V: 1})
+		e2, err := e.ApplyEdits(context.Background(), edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e2.Stats().MutRebuilds != 0 || e2.MaxSkipDelta() == 0 {
+			t.Fatal("the batch was not patched through an overlay; the test exercises nothing")
+		}
+		parts := e2.SnapshotParts()
+		r, err := RestoreEngine(e2.g, q, parts, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Preprocess(e2.g, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		sameResumePoints(t, rng, r, e2)
+		sameResumePoints(t, rng, r, fresh)
+		cov2 := e2.loc.(*coverLoc).cov
+		for i, cl := range fresh.SnapshotParts().Clauses {
+			for j, fp := range cl {
+				pp := parts.Clauses[i][j]
+				if (pp.Skip == nil) != (fp.Skip == nil) || !slices.Equal(pp.Starter, fp.Starter) {
+					t.Fatalf("clause %d component %d: a table in the patched engine's parts: %v, in a build's: %v", i, j, pp.Skip != nil, fp.Skip != nil)
+				}
+				if pp.Skip != nil && !reflect.DeepEqual(*pp.Skip, skip.New(e2.g, cov2, fp.Skip.K, e2.clauses[i].comps[j].starter).Parts()) {
+					t.Fatalf("clause %d component %d: the patched engine's parts do not hold the table of set size %d over its cover", i, j, fp.Skip.K)
+				}
+			}
+		}
 	}
 }
 

@@ -33,6 +33,10 @@ type EngineParts struct {
 	// Clauses is indexed parallel to LiveIdx; each entry holds one
 	// CompParts per component of that clause.
 	Clauses [][]CompParts
+	// SkipEverywhere says the parts are those of a file older than format 4,
+	// which holds a table at k = arity − 1 under every component: one that no
+	// component can ask (starterList) is left unread instead of refused.
+	SkipEverywhere bool
 }
 
 // BallParts is the ball locality: the sorted N_R(v) and N_{R(k−1)}(v) of
@@ -45,12 +49,12 @@ type BallParts struct {
 }
 
 // CompParts is the per-component payload: the starter list (Step 12 of
-// the paper), under the cover locality for arity ≥ 2 the Lemma 5.8
-// skip-pointer table built over it, and for a component of two positions
-// its partner rows.
+// the paper), under the cover locality the Lemma 5.8 skip-pointer table of
+// the list when one of its components opens behind a prefix, and for a
+// component of two positions its partner rows.
 type CompParts struct {
 	Starter  []int32     // sorted vertices that can open the component
-	Skip     *skip.Parts // nil for unary queries and under the ball locality
+	Skip     *skip.Parts // nil for a list nobody asks with a prefix and under the ball locality
 	Partners *RowParts   // nil unless the component has two positions, and in files older than format 3
 }
 
@@ -121,33 +125,61 @@ func RestoreEngine(g *graph.Graph, q *LocalQuery, p EngineParts, opt Options) (*
 		return nil, err
 	}
 
-	if len(p.LiveIdx) != len(p.Clauses) {
-		return nil, fmt.Errorf("core: snapshot has %d live indices for %d clause payloads", len(p.LiveIdx), len(p.Clauses))
-	}
 	sp := root.Child("clauses")
-	prev := -1
-	for i, ci := range p.LiveIdx {
-		if ci <= prev || ci >= len(q.Clauses) {
-			sp.End()
-			return nil, fmt.Errorf("core: snapshot live-clause indices not increasing within the query's %d clauses", len(q.Clauses))
-		}
-		prev = ci
-		rt, err := e.restoreClause(&q.Clauses[ci], p.Clauses[i], pool)
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("core: clause %d: %w", ci, err)
-		}
-		e.clauses = append(e.clauses, rt)
-		e.liveIdx = append(e.liveIdx, ci)
-	}
+	err = e.restoreClauses(q, &p, pool)
 	sp.End()
+	if err != nil {
+		return nil, err
+	}
 	root.End()
 	e.tally()
 	return e, nil
 }
 
-// restoreClause mirrors buildClause with the starter evaluation and SC
-// sweep replaced by snapshot data.
+// restoreClauses is the two passes of Preprocess over saved lists: the
+// clauses with their starter lists, then the plan (starterLists) — a list
+// gets the saved table of its components if that answers the bag sets the
+// list can be asked, one table when their sections agree word for word, which
+// a file written by Preprocess guarantees and a crafted one need not.
+func (e *Engine) restoreClauses(q *LocalQuery, p *EngineParts, pool *par.Pool) error {
+	if len(p.LiveIdx) != len(p.Clauses) {
+		return fmt.Errorf("core: snapshot has %d live indices for %d clause payloads", len(p.LiveIdx), len(p.Clauses))
+	}
+	saved := map[*compRT]*CompParts{}
+	prev := -1
+	for i, ci := range p.LiveIdx {
+		if ci <= prev || ci >= len(q.Clauses) {
+			return fmt.Errorf("core: snapshot live-clause indices not increasing within the query's %d clauses", len(q.Clauses))
+		}
+		prev = ci
+		rt, err := e.restoreClause(&q.Clauses[ci], p.Clauses[i], pool)
+		if err != nil {
+			return fmt.Errorf("core: clause %d: %w", ci, err)
+		}
+		for li, c := range rt.comps {
+			saved[c] = &p.Clauses[i][li]
+		}
+		e.clauses = append(e.clauses, rt)
+		e.liveIdx = append(e.liveIdx, ci)
+	}
+	for _, l := range e.starterLists() {
+		for i, c := range l.comps {
+			cp := *saved[c]
+			if l.need == 0 && p.SkipEverywhere {
+				cp.Skip = nil
+			}
+			if j := slices.IndexFunc(l.comps[:i], func(d *compRT) bool { return sameSkip(d.skip, cp.Skip) }); j >= 0 {
+				c.shareStarter(l.comps[j])
+			} else if err := e.loc.indexStarter(c, l.need, &cp, pool, nil); err != nil {
+				return fmt.Errorf("core: component I=%v %w", c.positions, err)
+			}
+		}
+	}
+	return nil
+}
+
+// restoreClause mirrors buildClause with the starter evaluation replaced by
+// snapshot data.
 func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool) (*clauseRT, error) {
 	if len(parts) != len(cl.Locals) {
 		return nil, fmt.Errorf("%d component payloads for %d components", len(parts), len(cl.Locals))
@@ -174,14 +206,6 @@ func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool) (*
 			}
 		} else if cp.Partners != nil {
 			return nil, fmt.Errorf("component %d carries partner rows, which only a component of two positions has", li)
-		}
-		// Components with equal starter lists share one table, as in
-		// Preprocess — when their sections agree word for word, which a
-		// file written by Preprocess guarantees and a crafted one need not.
-		if d := e.sameStarter(rt, c.starter); d != nil && sameSkip(d.skip, cp.Skip) {
-			c.shareStarter(d)
-		} else if err := e.loc.indexStarter(c, cp, pool, nil); err != nil {
-			return nil, fmt.Errorf("component %d %w", li, err)
 		}
 		rt.comps = append(rt.comps, c)
 	}

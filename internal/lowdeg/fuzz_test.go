@@ -18,7 +18,7 @@ var fuzzClasses = []gen.Class{
 
 // fuzzQueries is a fixed query menu spanning the answering shapes: unary,
 // binary close, binary far, mixed disjunction, ternary far, ternary
-// connected, ternary mixed.
+// connected, ternary mixed, ternary with the pair behind a far singleton.
 var fuzzQueries = []struct {
 	query string
 	vars  []string
@@ -33,6 +33,8 @@ var fuzzQueries = []struct {
 	// Clauses that mix a close pair with a far position: a step that pops
 	// from z re-enters Case II for y.
 	{"dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", []string{"x", "y", "z"}},
+	// A pair that opens behind a far singleton: Case I over the pair's anchors.
+	{"dist(x,y) > 2 & dist(x,z) > 2 & dist(y,z) <= 2 & C0(x)", []string{"x", "y", "z"}},
 }
 
 // FuzzEngineEquivalence generates random bounded-degree graphs and checks
@@ -51,6 +53,8 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(5), uint8(0), uint8(5), uint8(16))
 	f.Add(int64(11), uint8(4), uint8(7), uint8(17))
 	f.Add(int64(13), uint8(0), uint8(7), uint8(20))
+	f.Add(int64(17), uint8(4), uint8(8), uint8(28))
+	f.Add(int64(19), uint8(0), uint8(8), uint8(22))
 	f.Fuzz(func(t *testing.T, seed int64, classIdx, queryIdx, n uint8) {
 		class := fuzzClasses[int(classIdx)%len(fuzzClasses)]
 		qc := fuzzQueries[int(queryIdx)%len(fuzzQueries)]

@@ -411,6 +411,16 @@ func TestSnapshotTierVersion2IsAMiss(t *testing.T) {
 	oldVersionIsAMiss(t, "golden-bdeg64.v2.fodsnap", 2)
 }
 
+// TestSnapshotTierVersion3IsAMiss: a version-3 file holds a skip table under
+// every component at k = arity − 1; restored, the tables the plan of version
+// 4 builds smaller would stay as large as they were on every cold start. The
+// same miss, the same overwrite — for the cover form, whose file changed, and
+// for the ball form, whose file did not: one rule, the version word.
+func TestSnapshotTierVersion3IsAMiss(t *testing.T) {
+	oldVersionIsAMiss(t, "golden-grid64.v3.fodsnap", 3)
+	oldVersionIsAMiss(t, "golden-bdeg64.v3.fodsnap", 3)
+}
+
 func oldVersionIsAMiss(t *testing.T, fixture string, version uint32) {
 	old, err := os.ReadFile(filepath.Join("..", "snap", "testdata", fixture))
 	if err != nil {

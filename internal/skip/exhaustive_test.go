@@ -213,3 +213,14 @@ func TestFromPartsAdopts(t *testing.T) {
 		t.Error("restriction list outside the vertex range accepted")
 	}
 }
+
+// L returns the sorted restriction list the table was built over.
+func (p *Pointers) L() []graph.V {
+	var out []graph.V
+	for v, c := range p.nextGeqL {
+		if c == int32(v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}

@@ -233,20 +233,12 @@ func (t *table) lookup(es []int32, s *[MaxSetSize]int32) (int32, bool) {
 	return 0, false
 }
 
-// L returns the sorted restriction list.
-func (p *Pointers) L() []graph.V {
-	var out []graph.V
-	for v, c := range p.nextGeqL {
-		if c == int32(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Size returns the number of materialized pointers (the Σ_{b∈L} |SC(b)|
 // of Claim 5.10).
 func (p *Pointers) Size() int { return len(p.rows) / (p.k + 1) }
+
+// K returns the largest |S| the table answers: the k it was built with.
+func (p *Pointers) K() int { return p.k }
 
 // SharesTable reports whether p and q answer from the same table: one is
 // the other, or both are delta overlays of one base.

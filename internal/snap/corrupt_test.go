@@ -9,8 +9,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro"
@@ -148,13 +150,13 @@ func resealTable(t *testing.T, data []byte) {
 }
 
 // fileChecksum is the checksum a file with data's header carries over b:
-// CRC-64/ECMA in version 1, CRC-32C in versions 2 and 3 — both spelled out
+// CRC-64/ECMA in version 1, CRC-32C in versions 2 to 4 — both spelled out
 // bit by bit here so the test does not share code with the implementation.
 func fileChecksum(t *testing.T, data, b []byte) uint64 {
 	switch v := binary.LittleEndian.Uint32(data[8:]); v {
 	case 1:
 		return reflectedCRC(b, 0xC96C5795D7870F42, ^uint64(0))
-	case 2, 3:
+	case 2, 3, 4:
 		return reflectedCRC(b, 0x82F63B78, 0xFFFFFFFF)
 	default:
 		t.Fatalf("no checksum for a version-%d file", v)
@@ -189,11 +191,12 @@ func typed(err error) bool {
 // TestCorruptContainer damages the container — header, section table,
 // lengths — of a file of each format version: a fresh synthetic one under
 // the bare subtest names, the grid fixtures of the older versions under
-// "v1/" and "v2/".
+// "v1/", "v2/" and "v3/".
 func TestCorruptContainer(t *testing.T) {
 	corruptContainer(t, "", syntheticFile(t), "words", "ints")
 	corruptContainer(t, "v1/", v1File(t, goldenPath), "clauses", "graph")
 	corruptContainer(t, "v2/", fixtureFile(t, goldenPath, 2), "clauses", "graph")
+	corruptContainer(t, "v3/", fixtureFile(t, goldenPath, 3), "clauses", "graph")
 }
 
 // corruptContainer runs the battery over valid; big and shrunk name two of
@@ -332,16 +335,19 @@ func corruptContainer(t *testing.T, prefix string, valid []byte, big, shrunk str
 
 // TestCorruptEverySection flips every byte of each section of a real engine
 // snapshot — fresh files of both localities and of a close pair, and the
-// older fixtures of both localities under "v1/" and "v2/" — one at a time;
-// the eager per-section checksum must catch all of them at Parse time.
+// older fixtures of both localities under "v1/", "v2/" and "v3/" — one at a
+// time; the eager per-section checksum must catch all of them at Parse time.
 func TestCorruptEverySection(t *testing.T) {
 	for prefix, data := range engineFiles(t) {
 		corruptEverySection(t, prefix, data)
 	}
 	corruptEverySection(t, "v1/", v1File(t, goldenPath))
 	corruptEverySection(t, "v1/lowdeg/", v1File(t, goldenBallsPath))
-	corruptEverySection(t, "v2/", fixtureFile(t, goldenPath, 2))
-	corruptEverySection(t, "v2/lowdeg/", fixtureFile(t, goldenBallsPath, 2))
+	for _, version := range []uint32{2, 3} {
+		prefix := fmt.Sprintf("v%d/", version)
+		corruptEverySection(t, prefix, fixtureFile(t, goldenPath, version))
+		corruptEverySection(t, prefix+"lowdeg/", fixtureFile(t, goldenBallsPath, version))
+	}
 }
 
 func corruptEverySection(t *testing.T, prefix string, data []byte) {
@@ -754,6 +760,143 @@ func TestCorruptPartners(t *testing.T) {
 			t.Fatalf("ReadIndexSnapshot: %v, want ErrCorrupt", err)
 		}
 	})
+}
+
+// farFileOf is the snapshot of a core index over the fixture grid for a far
+// query of any arity.
+func farFileOf(t *testing.T, query string, vars ...string) []byte {
+	t.Helper()
+	g := repro.Generate("grid", 64, repro.GenOptions{Seed: 3, Colors: 2})
+	ix, err := repro.Build(context.Background(), g, repro.MustParseQuery(query, vars...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return indexBytes(t, ix)
+}
+
+// singletonsOf cuts a skip table down to set size 1: the rows of its
+// one-bag sets, whose pointers do not depend on the k a table was built with.
+func singletonsOf(sk skip.Parts) *skip.Parts {
+	w := sk.K + 1
+	out := &skip.Parts{K: 1, TableOff: make([]int32, len(sk.TableOff))}
+	for b := 0; b+1 < len(sk.TableOff); b++ {
+		for i := int(sk.TableOff[b]) * w; i < int(sk.TableOff[b+1])*w; i += w {
+			if sk.TableRow[i+1] < 0 {
+				out.TableRow = append(out.TableRow, sk.TableRow[i], sk.TableRow[i+sk.K])
+			}
+		}
+		out.TableOff[b+1] = int32(len(out.TableRow) / 2)
+	}
+	return out
+}
+
+// TestCorruptSkipTables: from version 4 on a file holds the skip tables the
+// answering phase can ask and no other. Checksums intact, a version-4 file
+// whose table answers smaller bag sets than its list is asked with, one
+// with a table under a list nobody asks, and one without the table of a
+// list that is asked are each ErrCorrupt. In the older versions, which hold
+// a table at k = arity − 1 under every component, the one nobody asks is
+// not read: damaged, the file still loads and answers; the same damage to
+// the table that is asked is found.
+func TestCorruptSkipTables(t *testing.T) {
+	far3 := farFileOf(t, "dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", "x", "y", "z")
+	far2 := engineFile(t)
+	rewritten := func(file []byte, damage func(clauses [][]core.CompParts)) []byte {
+		s, err := snap.Read(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := s.Parts
+		p.Clauses = make([][]core.CompParts, len(s.Parts.Clauses))
+		for i, cl := range s.Parts.Clauses {
+			p.Clauses[i] = slices.Clone(cl)
+		}
+		damage(p.Clauses)
+		var buf bytes.Buffer
+		if _, err := snap.Write(&buf, s.Graph, s.Meta, p); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for name, tc := range map[string]struct {
+		file   []byte
+		damage func(clauses [][]core.CompParts)
+		says   string
+	}{
+		"set-size-below-need": {far3, func(cl [][]core.CompParts) {
+			if cl[0][2].Skip.K != 2 || cl[1][1].Skip.K != 2 {
+				t.Fatal("far3's z is not under tables of set size 2")
+			}
+			cl[0][2].Skip, cl[1][1].Skip = singletonsOf(*cl[0][2].Skip), singletonsOf(*cl[1][1].Skip)
+		}, "set size 1"},
+		"table-nobody-asks": {far2, func(cl [][]core.CompParts) {
+			if cl[0][0].Skip != nil || cl[0][1].Skip == nil {
+				t.Fatal("far2 is not one table, under y")
+			}
+			cl[0][0].Skip = cl[0][1].Skip
+		}, "no component can ask"},
+		"missing-table": {far2, func(cl [][]core.CompParts) { cl[0][1].Skip = nil }, "misses its skip table"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, err := repro.ReadIndexSnapshot(rewritten(tc.file, tc.damage))
+			if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.says) {
+				t.Fatalf("ReadIndexSnapshot: %v, want ErrCorrupt saying %q", err, tc.says)
+			}
+		})
+	}
+	for _, file := range [][]byte{far2, far3} {
+		if !bytes.Equal(rewritten(file, func([][]core.CompParts) {}), file) {
+			t.Fatal("the decoded parts do not write the file they came from")
+		}
+	}
+
+	// The stream of "clauses" of far2: live count, live index, clause count,
+	// component count; then per component the starter list behind its length,
+	// the flag word and, with a table, K and two arrays behind theirs. The
+	// damage is K = 0, which no table has.
+	fresh := enumerate(goldenIndex(t))
+	for version := uint32(1); version <= 3; version++ {
+		for comp, loads := range []bool{true, false} {
+			data := slices.Clone(fixtureFile(t, goldenPath, version))
+			f, err := snap.Parse(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sec snap.Section
+			for _, s := range f.Sections() {
+				if s.Name == "clauses" {
+					sec = s
+				}
+			}
+			payload := data[sec.Off : sec.Off+sec.Len]
+			word := func(i int) int { return int(int32(binary.LittleEndian.Uint32(payload[4*i:]))) }
+			at := 4
+			for c := 0; ; c++ {
+				at += 1 + word(at) // the starter list
+				if word(at) != 1 || word(at+1) != 1 {
+					t.Fatalf("v%d: words %d, %d of clauses are not the flag word and K of a table of set size 1", version, at, at+1)
+				}
+				if c == comp {
+					break
+				}
+				at += 2
+				at += 1 + word(at) // TableOff
+				at += 1 + word(at) // TableRow
+			}
+			binary.LittleEndian.PutUint32(payload[4*(at+1):], 0)
+			crc := fileChecksum(t, data, payload)
+			data = patchEntry(t, data, "clauses", func(f []byte) { binary.LittleEndian.PutUint64(f[entryCRC:], crc) })
+			ix, err := repro.ReadIndexSnapshot(data)
+			switch {
+			case loads && err != nil:
+				t.Fatalf("v%d: a damaged table under x, which nobody asks: %v", version, err)
+			case loads && !slices.EqualFunc(enumerate(ix), fresh, slices.Equal[[]int]):
+				t.Fatalf("v%d: the file with a damaged table under x answers differently", version)
+			case !loads && !errors.Is(err, snap.ErrCorrupt):
+				t.Fatalf("v%d: a damaged table under y: %v, want ErrCorrupt", version, err)
+			}
+		}
+	}
 }
 
 // TestCorruptGarbageMeta ensures a structurally valid container with a

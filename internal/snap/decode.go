@@ -115,6 +115,7 @@ func readSections(f *File, root *obs.Span) (*Snapshot, error) {
 }
 
 func readCoverLoc(f *File, p *core.EngineParts, root *obs.Span) error {
+	p.SkipEverywhere = f.version < 4
 	sp := root.Child("cover")
 	cp, err := readCover(f)
 	sp.End()

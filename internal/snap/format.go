@@ -13,14 +13,19 @@
 // output the same way. The writer is deterministic: the same graph and
 // query produce byte-identical files, which the golden-file test pins.
 //
-// Three format versions exist. Versions 1 and 2 differ in nothing but the
+// Four format versions exist. Versions 1 and 2 differ in nothing but the
 // checksum (checksumOf): version 1 files carry CRC-64/ECMA, version 2 files
 // CRC-32C, which the CPU computes. Version 3 is version 2 with the partner
 // rows of the two-position components: a component's flag word in "clauses"
 // is a bit set (skip table | partner rows) and the rows lie in a section of
 // their own, "partners", which a file without such a component does not
 // have; and its table checksum covers the header words before it
-// (tableSum). The reader takes all three, the writer writes version 3.
+// (tableSum). Version 4 has the layout of version 3 and fewer skip tables:
+// one a starter list at the k the list can be asked (core's starterList),
+// none for a list that opens every clause it is in, where the older versions
+// hold one at k = arity − 1 under every component — a version 4 file with a
+// table that no component can ask is corrupt, an older one has it skipped.
+// The reader takes all four, the writer writes version 4.
 package snap
 
 import (
@@ -37,7 +42,7 @@ const Magic = "FODSNAP1"
 
 // Version is the format version the writer writes. Readers accept it and
 // the versions before it, and reject every other.
-const Version = 3
+const Version = 4
 
 // Typed errors for the failure classes a loader must distinguish. All
 // parse and decode failures wrap one of these (test with errors.Is).
@@ -84,13 +89,13 @@ var (
 // carries — over its section table, over each section payload, and over
 // the two section checksums that make the graph fingerprint — with its
 // name, or nil for a version this reader does not know: version 1 is
-// CRC-64/ECMA, versions 2 and 3 are CRC-32C in the low word of the same
+// CRC-64/ECMA, versions 2 to 4 are CRC-32C in the low word of the same
 // 8-byte field (a stored high word that is not zero matches no payload).
 func checksumOf(version uint32) (name string, sum func([]byte) uint64) {
 	switch version {
 	case 1:
 		return "CRC-64/ECMA", func(p []byte) uint64 { return crc64.Checksum(p, ecmaTable) }
-	case 2, 3:
+	case 2, 3, 4:
 		return "CRC-32C", func(p []byte) uint64 { return uint64(crc32.Checksum(p, castagnoliTable)) }
 	}
 	return "", nil
@@ -102,7 +107,7 @@ var _, writeSum = checksumOf(Version)
 // tableSum is the checksum the header carries at [24, 32). Up to version 2
 // it covers the section table alone; from version 3 on the header's version,
 // section count and table length words come first, so that no bit of the
-// header can change unnoticed — versions 2 and 3 share a checksum, and a
+// header can change unnoticed — versions 2 to 4 share a checksum, and a
 // version word outside it would relabel a file.
 func tableSum(version uint32, sum func([]byte) uint64, hdr, tbl []byte) uint64 {
 	if version < 3 {

@@ -19,7 +19,7 @@ import (
 func FuzzSnapshotLoad(f *testing.F) {
 	// Seed with real snapshots and near-valid mutants so the fuzzer starts
 	// deep inside the decoder rather than bouncing off the magic check. What
-	// is built here is a version-3 file; the fixtures of the older versions,
+	// is built here is a version-4 file; the fixtures of the older versions,
 	// of both localities, follow at the end, whole and damaged the same ways,
 	// and testdata/fuzz holds bare headers of versions 1 and 2.
 	g := repro.Generate("grid", 36, repro.GenOptions{Seed: 5, Colors: 2})
@@ -101,7 +101,31 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add([]byte("FODSNAP1"))
 	f.Add([]byte("FODSNAP2 not really a snapshot"))
 
-	for _, path := range []string{goldenPath, goldenBallsPath, versionPath(goldenPath, 2), versionPath(goldenBallsPath, 2)} {
+	// far3: five components over two lists, tables of set size 1 and 2 — whole,
+	// cut inside "clauses" (the last section), and with a byte flipped in a
+	// table's rows and where the K words and flag words lie.
+	fx, err := repro.Build(context.Background(), g, repro.MustParseQuery("dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", "x", "y", "z"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	buf.Reset()
+	if err := fx.WriteSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	far3 := append([]byte(nil), buf.Bytes()...)
+	if got := fx.Stats().SkipTables; got != 2 {
+		f.Fatalf("far3 has %d skip tables, want 2", got)
+	}
+	f.Add(far3)
+	f.Add(far3[:len(far3)-60])
+	for _, off := range []int{len(far3) - 60, len(far3) - 400, len(far3) * 7 / 8} {
+		mut := append([]byte(nil), far3...)
+		mut[off] ^= 0x55
+		f.Add(mut)
+	}
+
+	for _, path := range []string{goldenPath, goldenBallsPath, versionPath(goldenPath, 2), versionPath(goldenBallsPath, 2),
+		versionPath(goldenPath, 3), versionPath(goldenBallsPath, 3), goldenNearPath(3)} {
 		old, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)

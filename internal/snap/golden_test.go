@@ -17,20 +17,22 @@ import (
 	"repro/internal/snap"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the version-3 golden snapshot fixtures")
+var updateGolden = flag.Bool("update", false, "rewrite the version-4 golden snapshot fixtures")
 
-// The fixtures come in threes. The plain names are the version-1 corpus
-// (CRC-64/ECMA) and beside each lies its version-2 twin (CRC-32C): written
-// by the code of their day, never regenerated, the pin that old files keep
-// loading. The third (versionPath(·, 3)) is the same index as the current
-// writer writes it, which the format test pins byte for byte and -update
-// rewrites.
+// The fixtures come in fours. The plain names are the version-1 corpus
+// (CRC-64/ECMA), beside each lies its version-2 twin (CRC-32C) and its
+// version-3 one (partner rows): written by the code of their day, never
+// regenerated, the pin that old files keep loading. The fourth
+// (versionPath(·, 4)) is the same index as the current writer writes it —
+// one skip table a list that is asked, none under far2's x — which the
+// format test pins byte for byte and -update rewrites.
 const goldenPath = "testdata/golden-grid64.fodsnap"
 
 // goldenAllRowsPath is the fixture as the commit before the skip build was
 // restricted to b ∈ L wrote it, with SC rows for every vertex: the pin that
 // files of that era keep loading. No build makes those rows any more; its
-// later versions are the version-1 file decoded and written again.
+// versions 2 and 3 are the version-1 file decoded and written again, its
+// version 4 is what the engine restored from it writes.
 const goldenAllRowsPath = "testdata/golden-grid64-allrows.fodsnap"
 
 // goldenBallsPath pins the ball form the same way: a lowdeg index over a
@@ -41,7 +43,9 @@ const goldenBallsPath = "testdata/golden-bdeg64.fodsnap"
 
 // goldenNearPath is the cover form of a close pair: near2 on the grid of
 // goldenPath. It exists from version 3 on.
-const goldenNearPath = "testdata/golden-grid64-near.v3.fodsnap"
+func goldenNearPath(version uint32) string {
+	return versionPath("testdata/golden-grid64-near.fodsnap", version)
+}
 
 // versionPath names the fixture of the given format version beside the
 // version-1 file v1.
@@ -86,22 +90,21 @@ func goldenIndex(t testing.TB) *repro.Index {
 
 // TestGoldenFormat pins the snapshot format byte for byte: any change to
 // the container layout, the section encodings, or the engine's
-// serialized structures shows up as a diff against the committed version-3
+// serialized structures shows up as a diff against the committed version-4
 // fixtures and forces a deliberate format-version decision.
 func TestGoldenFormat(t *testing.T) {
-	goldenFormat(t, indexBytes(t, goldenIndex(t)), versionPath(goldenPath, 3))
-	goldenFormat(t, indexBytes(t, goldenBallsIndex(t)), versionPath(goldenBallsPath, 3))
-	goldenFormat(t, indexBytes(t, goldenNearIndex(t)), goldenNearPath)
+	goldenFormat(t, indexBytes(t, goldenIndex(t)), versionPath(goldenPath, snap.Version))
+	goldenFormat(t, indexBytes(t, goldenBallsIndex(t)), versionPath(goldenBallsPath, snap.Version))
+	goldenFormat(t, indexBytes(t, goldenNearIndex(t)), goldenNearPath(snap.Version))
 
-	old, err := snap.ReadFile(goldenAllRowsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The all-rows file through an engine: its parts as decoded hold the
+	// table under x, which no version-4 file has.
+	old := restoreEngine(t, goldenAllRowsPath)
 	var buf bytes.Buffer
-	if _, err := snap.Write(&buf, old.Graph, old.Meta, old.Parts); err != nil {
+	if _, err := snap.Write(&buf, old.snap.Graph, old.snap.Meta, old.eng.SnapshotParts()); err != nil {
 		t.Fatal(err)
 	}
-	goldenFormat(t, buf.Bytes(), versionPath(goldenAllRowsPath, 3))
+	goldenFormat(t, buf.Bytes(), versionPath(goldenAllRowsPath, snap.Version))
 }
 
 func indexBytes(t testing.TB, ix *repro.Index) []byte {
@@ -153,7 +156,7 @@ func TestGoldenLoads(t *testing.T) {
 			path := versionPath(v1, version)
 			data, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("missing golden fixture (regenerate the version-3 ones with -update): %v", err)
+				t.Fatalf("missing golden fixture (regenerate the version-4 ones with -update): %v", err)
 			}
 			f, err := snap.Parse(data)
 			if err != nil {
@@ -176,14 +179,30 @@ func TestGoldenLoads(t *testing.T) {
 			if got, want := enumerate(loaded), enumerate(fresh); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s answers differently: %d solutions vs %d fresh", path, len(got), len(want))
 			}
-			if st := loaded.Stats(); st.SkipTables != 2 {
-				t.Fatalf("%s restored to %d skip tables, want 2", path, st.SkipTables)
+			// One table, y's: the one an older file holds under x is not read.
+			if st := loaded.Stats(); st.SkipTables != 1 {
+				t.Fatalf("%s restored to %d skip tables, want 1", path, st.SkipTables)
 			}
 		}
 	}
+	// The close pair, one component that stands first: no table in version 4,
+	// one nobody reads in version 3.
+	near := goldenNearIndex(t)
+	for version := uint32(3); version <= snap.Version; version++ {
+		loaded, err := repro.LoadIndexSnapshot(goldenNearPath(version))
+		if err != nil {
+			t.Fatalf("%s does not restore: %v", goldenNearPath(version), err)
+		}
+		if got, want := enumerate(loaded), enumerate(near); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s answers differently: %d solutions vs %d fresh", goldenNearPath(version), len(got), len(want))
+		}
+		if st := loaded.Stats(); st.SkipTables != 0 || st.PartnerCells != near.Stats().PartnerCells {
+			t.Fatalf("%s restored with %+v", goldenNearPath(version), st)
+		}
+	}
 	// The ball fixtures restore to a lowdeg index that says so, with the
-	// partner rows of its close pair: read from a version-3 file, built for
-	// an older one.
+	// partner rows of its close pair: read from a file of version 3 or 4,
+	// built for an older one.
 	balls := goldenBallsIndex(t)
 	for version := uint32(1); version <= snap.Version; version++ {
 		path := versionPath(goldenBallsPath, version)
@@ -211,10 +230,18 @@ func TestGoldenLoads(t *testing.T) {
 // fingerprint the metadata records — nowhere else, so they have one length;
 // version 3 of an index without a close pair differs from version 2 in the
 // version word and the table checksum, which now covers it, and one with a
-// close pair has the partners section on top. All restore to engines with equal parts — the rows an old file lacks
-// are built — that meet the whole answering contract on the same solution
-// list, and an engine restored from an old file writes the version-3 one.
+// close pair has the partners section on top; version 4 of an index without
+// skip tables differs from version 3 in those two header fields again, and
+// one with tables is shorter by those nobody asks. All restore to engines
+// with equal parts — the rows an old file lacks are built, the tables it has
+// too many are dropped — that meet the whole answering contract on the same
+// solution list, and an engine restored from an old file writes the
+// version-4 one.
 func TestGoldenTwins(t *testing.T) {
+	headerOnly := func(a, b []byte) bool {
+		diff := diffBytes(a, b)
+		return diff[0] == 8 && diff[len(diff)-1] < 28
+	}
 	for _, v1 := range []string{goldenPath, goldenAllRowsPath, goldenBallsPath} {
 		t.Run(filepath.Base(v1), func(t *testing.T) {
 			v := map[uint32]restored{}
@@ -223,23 +250,32 @@ func TestGoldenTwins(t *testing.T) {
 			}
 			cur := v[snap.Version]
 			if oldMeta, curMeta := v[1].snap.Meta, cur.snap.Meta; oldMeta.GraphFingerprint == curMeta.GraphFingerprint {
-				t.Fatalf("versions 1 and 3 record the fingerprint %s", oldMeta.GraphFingerprint)
+				t.Fatalf("versions 1 and %d record the fingerprint %s", snap.Version, oldMeta.GraphFingerprint)
 			} else if oldMeta.GraphFingerprint = curMeta.GraphFingerprint; !reflect.DeepEqual(oldMeta, curMeta) {
 				t.Fatalf("metadata differs beyond the fingerprint:\n%+v\n%+v", v[1].snap.Meta, curMeta)
 			}
-			if !reflect.DeepEqual(v[2].snap.Meta, cur.snap.Meta) {
-				t.Fatalf("versions 2 and 3 record different metadata:\n%+v\n%+v", v[2].snap.Meta, cur.snap.Meta)
+			for version := uint32(2); version < snap.Version; version++ {
+				if !reflect.DeepEqual(v[version].snap.Meta, cur.snap.Meta) {
+					t.Fatalf("versions %d and %d record different metadata:\n%+v\n%+v", version, snap.Version, v[version].snap.Meta, cur.snap.Meta)
+				}
 			}
 			if len(v[1].data) != len(v[2].data) {
 				t.Fatalf("version 1 has %d bytes, version 2 %d", len(v[1].data), len(v[2].data))
 			}
 			_, paired := sectionOf(t, cur.data, "partners")
 			if !paired {
-				if diff := diffBytes(v[2].data, cur.data); diff[0] != 8 || diff[len(diff)-1] >= 28 {
-					t.Fatalf("versions 2 and 3 of an index without a close pair differ at bytes %v, want the version word and the table checksum it is under", diff)
+				if !headerOnly(v[2].data, v[3].data) {
+					t.Fatalf("versions 2 and 3 of an index without a close pair differ at bytes %v, want the version word and the table checksum it is under", diffBytes(v[2].data, v[3].data))
 				}
-			} else if len(cur.data) <= len(v[2].data) {
-				t.Fatalf("version 3 carries partner rows in %d bytes, version 2 has %d", len(cur.data), len(v[2].data))
+			} else if len(v[3].data) <= len(v[2].data) {
+				t.Fatalf("version 3 carries partner rows in %d bytes, version 2 has %d", len(v[3].data), len(v[2].data))
+			}
+			if cur.eng.Stats().SkipTables == 0 {
+				if !headerOnly(v[3].data, cur.data) {
+					t.Fatalf("versions 3 and 4 of an index without skip tables differ at bytes %v, want the version word and the table checksum it is under", diffBytes(v[3].data, cur.data))
+				}
+			} else if len(cur.data) >= len(v[3].data) {
+				t.Fatalf("version 4 has %d bytes, version 3 with a table under every component %d", len(cur.data), len(v[3].data))
 			}
 			want := conform.NewNaive(cur.snap.Graph, cur.lq).Solutions()
 			if len(want) == 0 {

@@ -91,9 +91,10 @@ func enumerate(ix *repro.Index) [][]int {
 }
 
 // TestRoundTripSharedTables: far3 has five components over two distinct
-// starter lists. The file still carries one skip section per component;
-// the index restored from it passes the whole engine contract against the
-// naive oracle and holds two tables, not five.
+// starter lists, both asked. The file still carries one skip section per
+// component — set size 1 under the three on "every vertex", 2 under the two
+// on C0 — and the index restored from it passes the whole engine contract
+// against the naive oracle and holds two tables, not five.
 func TestRoundTripSharedTables(t *testing.T) {
 	tc := rtCase{"far3", "grid", 36, "dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", []string{"x", "y", "z"}}
 	g, built, _, data := buildAndReload(t, tc, 1)
@@ -101,13 +102,17 @@ func TestRoundTripSharedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sections := 0
+	sections, sizes := 0, ""
 	for _, clause := range s.Parts.Clauses {
 		for _, comp := range clause {
 			if comp.Skip != nil {
 				sections++
+				sizes += fmt.Sprint(comp.Skip.K)
 			}
 		}
+	}
+	if sizes != "11212" {
+		t.Fatalf("the skip sections have set sizes %s, want 1 1 2 in the first clause and 1 2 in the second", sizes)
 	}
 	lq, err := core.Compile(fo.MustParse(tc.query), []fo.Var{"x", "y", "z"}, core.CompileOptions{})
 	if err != nil {

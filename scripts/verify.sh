@@ -28,7 +28,7 @@
 #            ./...) is vetted and tested, so a break of an exported
 #            signature it calls is caught here; the snapshot decoder
 #            fuzzes for 30s (FuzzSnapshotLoad, seeded with files of both
-#            localities and the three format versions): hostile bytes must yield typed errors, never a
+#            localities and the four format versions): hostile bytes must yield typed errors, never a
 #            panic or OOM; the mutation path runs its seed corpus and the
 #            readers-on-the-old-version / writer test over both localities
 #            five times under -race, then fuzzes for 30s
