@@ -115,7 +115,7 @@ func BenchmarkCoverConstruction(b *testing.B) {
 				g := benchGraph(class, n)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					cover.Compute(g, 2)
+					cover.Compute(g, 2, -1)
 				}
 			})
 		}
@@ -533,8 +533,7 @@ func BenchmarkSkipPointersBuild(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				g := benchGraph(gen.Grid, n)
-				cov := cover.Compute(g, 2)
-				cov.ComputeKernels(2)
+				cov := cover.Compute(g, 2, 2)
 				var L []graph.V
 				for v := 0; v < g.N(); v++ {
 					if g.HasColor(v, 0) {
@@ -556,8 +555,7 @@ func BenchmarkSkipPointersQuery(b *testing.B) {
 	for _, n := range []int{4000, 64000} {
 		b.Run(fmt.Sprintf("grid/n=%d", n), func(b *testing.B) {
 			g := benchGraph(gen.Grid, n)
-			cov := cover.Compute(g, 2)
-			cov.ComputeKernels(2)
+			cov := cover.Compute(g, 2, 2)
 			var L []graph.V
 			for v := 0; v < g.N(); v++ {
 				if g.HasColor(v, 0) {

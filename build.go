@@ -117,7 +117,7 @@ func PatchGraph(g *Graph, edits []Edit) (*Graph, error) { return graph.Patch(g, 
 // edited edge and the starter slots around them are. The receiver is
 // unchanged and keeps enumerating its own version with byte-identical
 // answers — in-flight iterators over it are undisturbed (MVCC snapshot
-// isolation; see LiveIndex for the version-managed wrapper).
+// isolation; the serving layer keeps a window of versions per graph).
 //
 // Edits that are not local (a clause guard flips, the cover refuses to
 // patch) transparently fall back to a full rebuild; Stats().MutRebuilds
@@ -168,3 +168,9 @@ func (ix *Index) Graph() *Graph { return ix.eng.Graph() }
 // Version returns the index's mutation generation: 0 for a freshly built
 // index, incremented by every effective ApplyEdits.
 func (ix *Index) Version() int { return ix.version }
+
+// DefaultRetainVersions is how many past versions of a graph a server keeps
+// readable behind the head by default: cursors pinned up to that many
+// mutations behind it can still be served, older versions answer
+// version_gone.
+const DefaultRetainVersions = 4

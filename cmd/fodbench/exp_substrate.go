@@ -129,7 +129,7 @@ func runE2(quick bool) {
 			for _, n := range sweep(quick) {
 				g := gen.Generate(gen.Class(class), n, gen.Options{Seed: 1})
 				var c *cover.Cover
-				d := xbench.Time(func() { c = cover.Compute(g, r) })
+				d := xbench.Time(func() { c = cover.Compute(g, r, -1) })
 				ns = append(ns, g.N())
 				ts = append(ts, d)
 				t.Add(class, r, g.N(), c.NumBags(), c.Degree(),
@@ -209,8 +209,7 @@ func runE11(quick bool) {
 	for _, class := range []string{"grid", "rtree", "bdeg", "star"} {
 		for _, n := range sweep(quick) {
 			g := gen.Generate(gen.Class(class), n, gen.Options{Seed: 4, Colors: 1, ColorProb: 0.3})
-			cov := cover.Compute(g, 2)
-			cov.ComputeKernels(2)
+			cov := cover.Compute(g, 2, 2)
 			var L []graph.V
 			for v := 0; v < g.N(); v++ {
 				if g.HasColor(v, 0) {

@@ -180,10 +180,12 @@ func TestCursorAllocCounts(t *testing.T) {
 // its vertex, so the ball build is a few dozen objects (74, and 5.1 MB,
 // where a row and an evaluation scratch per vertex cost 96 000 and 14 MB).
 // The cover is one arena of int32 rows with its kernels filtered out of a
-// depth column and x's per-kernel lists are those rows, so the grid build
-// is 209 objects and 22 MB for 9.5 MB kept (21 700, 26 MB and 13.5 MB with
-// a slice a bag, a BFS a kernel and a copy a list). The kept bytes are what
-// bench reports as index_heap_mb.
+// depth column the build then drops, it keeps no inverted lists of its bags
+// (the first write derives them), and x's per-kernel lists are its kernel
+// rows, so the grid build is 169 objects and 17 MB for 6.3 MB kept (21 700,
+// 26 MB and 13.5 MB with a slice a bag, a BFS a kernel and a copy a list;
+// 183, 17 MB and 7.9 MB with the bags' inverted lists and the column kept).
+// The kept bytes are what bench reports as index_heap_mb.
 func TestBuildAllocs(t *testing.T) {
 	if testing.Short() {
 		// As TestApplyEditsAllocBytes: under the race detector sync.Pool

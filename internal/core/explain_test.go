@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -41,6 +42,21 @@ func TestEngineExplain(t *testing.T) {
 	}
 	if strings.Contains(s, "partner cells") {
 		t.Fatalf("explain reports partner cells for far2, which has no close pair:\n%s", s)
+	}
+	// The cover line: its shape, then the bytes of each structure it holds,
+	// memberOf once a write has derived it.
+	cov := e.loc.(*coverLoc).cov
+	line := fmt.Sprintf("cover: radius %d, %d bags, degree %d, %d cells; bags ", cov.R, cov.NumBags(), cov.Degree(), cov.SumBagSizes())
+	fields := regexp.MustCompile(`cover: .*; bags [0-9.]+ MB, kernels [0-9.]+ MB, kernelOf [0-9.]+ MB, assign [0-9.]+ MB\n`)
+	if !strings.Contains(s, line) || !fields.MatchString(s) {
+		t.Fatalf("explain's cover line is not %q…, structures bags, kernels, kernelOf, assign:\n%s", line, s)
+	}
+	e2, err := e.ApplyEdits(nil, []graph.Edit{{Op: graph.RemoveEdge, U: 0, V: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`assign [0-9.]+ MB, memberOf [0-9.]+ MB\n`).MatchString(e2.Explain()) {
+		t.Fatalf("explain after an edge write does not list memberOf last:\n%s", e2.Explain())
 	}
 	// The k of Lemma 5.8, per component and per table: y's list is asked with
 	// one value, x's with none.

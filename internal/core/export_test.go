@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"repro/internal/cover"
 	"repro/internal/fo"
 	"repro/internal/graph"
 )
@@ -158,4 +159,14 @@ func (e *Engine) PartnerRowAt(v graph.V) []*int32 {
 		}
 	}
 	return out
+}
+
+// Covers returns every cover e holds: the cover locality's, then those of the
+// distance index's recursion, outermost first; none under the ball locality.
+func (e *Engine) Covers() []*cover.Cover {
+	l, ok := e.loc.(*coverLoc)
+	if !ok {
+		return nil
+	}
+	return append([]*cover.Cover{l.cov}, l.dix.Covers()...)
 }

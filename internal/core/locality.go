@@ -151,13 +151,7 @@ func buildCoverLoc(e *Engine, pool *par.Pool, root *obs.Span, checkpoint func() 
 	// The kernels make "outside every kernel ⇒ far from every previous
 	// element" sound, which needs bags ⊇ N_{2R}(center of coverage).
 	sp = root.Child("cover")
-	l.cov = cover.Compute(e.g, 2*e.r)
-	sp.End()
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-	sp = root.Child("kernel")
-	l.cov.ComputeKernels(e.r)
+	l.cov = cover.Compute(e.g, 2*e.r, e.r)
 	sp.End()
 	e.coverStats(l.cov)
 	return l, checkpoint()
@@ -348,8 +342,9 @@ func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starte
 
 // parts serializes everything the build computes by search (distance
 // recursion, cover and kernels, SC-tables). What is derived from those is
-// not written: the cover's memberOf/kernelOf inverted lists and the
-// per-kernel starter lists are rebuilt from the bag CSRs at restore.
+// not written: the cover's kernelOf and the per-kernel starter lists are
+// rebuilt from the kernel rows at restore, and memberOf, if a patch derived
+// it, by the first patch after the restore.
 func (l *coverLoc) parts(e *Engine, p *EngineParts) {
 	p.Cover, p.Dist = l.cov.Parts(), l.dix.Parts()
 	at := map[*compRT]*CompParts{}
@@ -415,7 +410,15 @@ func restoreCoverLoc(e *Engine, p *EngineParts, root *obs.Span) (locality, error
 }
 
 func (l *coverLoc) explain(sb *strings.Builder) {
-	fmt.Fprintf(sb, "  cover: radius %d, %d bags, degree %d\n", l.cov.R, l.cov.NumBags(), l.cov.Degree())
+	fmt.Fprintf(sb, "  cover: radius %d, %d bags, degree %d, %d cells;", l.cov.R, l.cov.NumBags(), l.cov.Degree(), l.cov.SumBagSizes())
+	for i, st := range l.cov.Resident() {
+		sep := ","
+		if i == 0 {
+			sep = ""
+		}
+		fmt.Fprintf(sb, "%s %s %.1f MB", sep, st.Name, float64(st.Bytes)/1e6)
+	}
+	sb.WriteByte('\n')
 	fmt.Fprintf(sb, "  distance index: radius %d, %+v\n", l.dix.Radius(), l.dix.Stats())
 }
 

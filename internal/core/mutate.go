@@ -12,7 +12,8 @@
 //     and exact kernel recomputation for bags within reach of an endpoint
 //     (cover.Patch), which shares every untouched slice with the old cover
 //     and rewrites the memberOf/kernelOf inverted lists only at the
-//     vertices of a new or re-kerneled bag. Balls: the sorted R- and
+//     vertices of a new or re-kerneled bag (memberOf is derived from the
+//     bags by the first edge patch of a built or restored cover). Balls: the sorted R- and
 //     R(k−1)-rows of the vertices within that radius of an endpoint.
 //     All of these rows live in graph.Rows stores: a patch rebuilds the
 //     64-row blocks holding a rewritten row and shares the others.

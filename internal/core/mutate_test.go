@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cover"
 	"repro/internal/fo"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -592,18 +593,50 @@ var fuzzMutateShapes = struct {
 	},
 }
 
+// exactKernels checks, by one BFS per cell, that every kernel of c is
+// K_p(X) = {a ∈ X : N_p(a) ⊆ X} of its bag in g, the graph c is over: the
+// property the skip pointers' soundness rests on, which a patched cover
+// keeps however far it strays from the greedy cover of its graph.
+func exactKernels(g *graph.Graph, c *cover.Cover) error {
+	bfs := graph.NewBFS(g)
+	for i := 0; i < c.NumBags(); i++ {
+		var want []int32
+		for _, a := range c.Bag(i) {
+			inside := true
+			for _, w := range bfs.Ball(int(a), c.KernelP()) {
+				if _, in := slices.BinarySearch(c.Bag(i), w); !in {
+					inside = false
+					break
+				}
+			}
+			if inside {
+				want = append(want, a)
+			}
+		}
+		if !slices.Equal(c.Kernel(i), want) {
+			return fmt.Errorf("kernel of bag %d is %v, K_%d of the bag is %v", i, c.Kernel(i), c.KernelP(), want)
+		}
+	}
+	return nil
+}
+
 // FuzzMutateVsRebuild drives random interleavings of edits and
 // enumerations from fuzz-provided bytes, over both localities: every
 // prefix of the edit stream must enumerate byte-identically on the mutated
 // engine, a from-scratch rebuild, and the naive oracle; the partner rows of
 // the mutated engine must be the rebuild's word for word over either
-// locality, and over the ball locality it must also serialize to the very
-// parts the rebuild does. shape picks the graph class (low three bits) and
+// locality, over the ball locality it must also serialize to the very
+// parts the rebuild does, and over the cover locality every kernel must be
+// the exact kernel of its bag. shape picks the graph class (low three bits) and
 // the query.
 func FuzzMutateVsRebuild(f *testing.F) {
 	f.Add(int64(1), uint8(0), []byte{0x01, 0x40, 0x80, 0x13})
 	f.Add(int64(7), uint8(0), []byte{0xff, 0x00, 0x31, 0x62, 0x05, 0x99})
 	f.Add(int64(42), uint8(0), []byte{0x10, 0x20, 0x30})
+	// sparserandom, two cuts the cover patches: the first derives the
+	// cover's memberOf and re-kernels the bags it lists, the second reads
+	// the memberOf the first carried.
+	f.Add(int64(1), uint8(0), []byte{0x07, 0x00, 0x00, 0x07, 0x01, 0x01})
 	// bdeg, far2: an edge that joins two balls, then its removal.
 	f.Add(int64(3), uint8(1|1<<3), []byte{0x00, 0x02, 0x20, 0x01, 0x02, 0x20})
 	// path, close2: cut the path (op 7 removes a real edge), rejoin it elsewhere.
@@ -721,6 +754,11 @@ func FuzzMutateVsRebuild(f *testing.F) {
 				}
 				if mutated.Locality() == core.LocBalls && !reflect.DeepEqual(mutated.SnapshotParts(), rebuiltEng.SnapshotParts()) {
 					t.Fatalf("%s step %d (%v): parts of the mutated engine differ from the rebuild's", loc.name, i/3, batch)
+				}
+				if covers := mutated.Covers(); len(covers) > 0 {
+					if err := exactKernels(gNew, covers[0]); err != nil {
+						t.Fatalf("%s step %d (%v): %v", loc.name, i/3, batch, err)
+					}
 				}
 				engs[li] = mutated
 			}

@@ -65,7 +65,7 @@ func TestEngineInstrumented(t *testing.T) {
 		preprocess preprocessFunc
 		spans      []string
 	}{
-		{"cover", core.Preprocess, []string{"dist", "cover", "kernel", "starter", "skip"}},
+		{"cover", core.Preprocess, []string{"dist", "cover", "starter", "skip"}},
 		{"balls", core.PreprocessBalls, []string{"balls", "starter"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,7 +179,7 @@ func TestRegistryNames(t *testing.T) {
 	for _, path := range []string{
 		"mutate", "mutate.balls", "mutate.cover", "mutate.dist", "mutate.starter",
 		"preprocess", "preprocess.balls", "preprocess.cover", "preprocess.dist",
-		"preprocess.kernel", "preprocess.skip", "preprocess.starter",
+		"preprocess.skip", "preprocess.starter",
 		"restore", "restore.balls", "restore.clauses", "restore.cover", "restore.dist",
 	} {
 		want = append(want, "span."+path+"_count", "span."+path+"_ns")

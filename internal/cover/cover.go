@@ -10,11 +10,13 @@
 // degree is measured rather than proven (Theorem 4.4's constructive bound
 // relies on non-constructive class parameters — see DESIGN.md §3).
 //
-// Bag and kernel membership are served by per-vertex inverted lists
-// (memberOf, kernelOf: the sorted ids of the bags / kernels containing the
-// vertex), each of length at most the cover degree. The paper answers the
-// same question through the Storing Theorem (Theorem 3.1), which
-// internal/store reproduces on its own.
+// Kernel membership is served by per-vertex inverted lists (kernelOf: the
+// sorted ids of the bags whose kernel contains the vertex), each of length
+// at most the cover degree. The paper answers the same question through
+// the Storing Theorem (Theorem 3.1), which internal/store reproduces on its
+// own. Bag membership (memberOf, the transpose of the bags) is read by
+// Patch alone: a built or restored cover does not hold it, the first edge
+// patch derives it and every later version carries it.
 //
 // # Construction
 //
@@ -25,18 +27,19 @@
 // second search yields, for every cell of the bag, its distance to the
 // bag's complement capped at r+1: one byte a cell, the depth column. Cells
 // of depth > r are the vertices the bag covers, and K_p(X) for any p ≤ r
-// is the cells of depth > p — ComputeKernels is a filter of the column, no
-// search. Bags are laid out in BFS order in one int32 arena and sorted by
-// transposing twice: counting into memberOf gives rows ascending in bag
-// id, counting back gives every bag ascending in vertex with its depths
-// aligned.
+// is the cells of depth > p — Compute filters the kernels it is asked for
+// off the column and drops it, no search. Bags are laid out in BFS order
+// in one int32 arena and sorted by transposing twice: counting into
+// per-vertex rows gives rows ascending in bag id, counting back gives
+// every bag ascending in vertex with its depths aligned; the transpose is
+// scratch.
 //
 // Bags and kernels are int32 rows, views of one CSR pair after a build or
 // a restore (Parts hands the pair out, FromParts adopts it); a Patch
 // replaces or appends single rows and never writes one in place, so the
-// versions of an index share every row a write did not redo. A restored or
-// patched cover has no depth column and computes kernels bag by bag
-// (bagKernel).
+// versions of an index share every row a write did not redo. ComputeKernels
+// after the build runs the boundary BFS bag by bag (bagKernel), as Patch
+// does for the bags it redoes.
 package cover
 
 import (
@@ -44,6 +47,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -74,6 +78,23 @@ func viewRows(off, data []int32) rowList {
 	return l
 }
 
+// cells returns the total length of the rows.
+func (l *rowList) cells() int {
+	if l.off != nil {
+		return len(l.data)
+	}
+	total := 0
+	for _, row := range l.rows {
+		total += len(row)
+	}
+	return total
+}
+
+// bytes returns what l holds: its cells, the row headers and the offsets.
+func (l *rowList) bytes() int {
+	return 4*l.cells() + int(unsafe.Sizeof([]int32(nil)))*len(l.rows) + 4*len(l.off)
+}
+
 // flat returns the rows as one CSR pair (read-only): the arrays they view,
 // or a fresh assembly once a row was replaced.
 func (l *rowList) flat() (off, data []int32) {
@@ -91,31 +112,38 @@ func (l *rowList) flat() (off, data []int32) {
 	return off, data
 }
 
-// Cover is an (R, 2R)-neighborhood cover of a colored graph.
+// Cover is an (R, 2R)-neighborhood cover of a colored graph. It holds what
+// its readers read: bags, centers and the assignment (the distance index,
+// Sub.Local, Validate), kernels and kernelOf (the answer path: byKernel
+// aliases kernel rows, the skip pointers read kernelOf), and memberOf only
+// once a Patch has derived it for the next one.
 type Cover struct {
 	g *graph.Graph
 	// R is the cover radius r; S = 2R bounds the bag radius.
 	R, S int
 
-	bags     rowList           // sorted vertex lists
-	centers  []int32           // c_X with X ⊆ N_S(c_X)
-	assign   []int32           // 𝒳(a): index of the canonical bag covering N_R(a)
-	memberOf graph.Rows[int32] // sorted bag indices containing each vertex
-	degree   int               // δ(𝒳): the longest memberOf row
-	// depth[j] is the distance from cell bags.data[j] to the complement of
-	// its bag, capped at R+1. nil on a restored or patched cover, and for
-	// R ≥ 255, where the cap does not fit a byte.
-	depth []uint8
+	bags    rowList // sorted vertex lists
+	centers []int32 // c_X with X ⊆ N_S(c_X)
+	assign  []int32 // 𝒳(a): index of the canonical bag covering N_R(a)
+	degree  int     // δ(𝒳): the most bags a vertex is in
+	// memberOf row v is the sorted ids of the bags containing v. Only Patch
+	// reads it: empty (the zero store) on a built or restored cover, derived
+	// by the first edge patch and carried, toggled, by the ones after it.
+	memberOf graph.Rows[int32]
 
 	kernelP  int               // radius of the computed kernels (-1 = none)
 	kernels  rowList           // p-kernel per bag, sorted
 	kernelOf graph.Rows[int32] // sorted bag indices whose kernel contains v
 }
 
-// Compute builds an (r, 2r)-neighborhood cover of g.
-func Compute(g *graph.Graph, r int) *Cover {
+// Compute builds an (r, 2r)-neighborhood cover of g and, for 0 ≤ p ≤ r,
+// its p-kernels, as ComputeKernels(p) would; p < 0 computes none.
+func Compute(g *graph.Graph, r, p int) *Cover {
 	if r < 1 {
 		panic(fmt.Sprintf("cover: radius %d < 1", r))
+	}
+	if p > r {
+		panic(fmt.Sprintf("cover: kernel radius %d outside [0, %d]", p, r))
 	}
 	n := g.N()
 	c := &Cover{g: g, R: r, S: 2 * r, kernelP: -1}
@@ -133,9 +161,9 @@ func Compute(g *graph.Graph, r int) *Cover {
 	var cells []int32 // the bags, concatenated
 	off := []int32{0}
 	// Per cell, the distance to the bag's complement capped at r+1, kept
-	// while the cap fits a byte.
+	// for the kernel filter while the cap fits a byte.
 	var depth []uint8
-	keepDepth := r < math.MaxUint8
+	keepDepth := p >= 0 && r < math.MaxUint8
 	covered := 0
 	for a := 0; a < n; a++ {
 		if c.assign[a] >= 0 {
@@ -184,19 +212,23 @@ func Compute(g *graph.Graph, r int) *Cover {
 		off = append(off, int32(len(cells)))
 		c.centers = append(c.centers, int32(a))
 	}
-	c.sortBags(off, cells, depth)
+	depth = c.sortBags(off, cells, depth)
+	if p >= 0 {
+		c.computeKernels(p, depth)
+	}
 	return c
 }
 
-// ComputeWith is Compute; see Options.
-func ComputeWith(g *graph.Graph, r int, _ Options) *Cover { return Compute(g, r) }
+// ComputeWith is Compute without kernels; see Options.
+func ComputeWith(g *graph.Graph, r int, _ Options) *Cover { return Compute(g, r, -1) }
 
 // sortBags turns the bags cells[off[i]:off[i+1]], in any order, with the
-// aligned depth column (or nil), into c's sorted bags, depth column,
-// memberOf and degree, by transposing twice. Counting the cells into
-// per-vertex rows bag by bag makes memberOf, its rows ascending in bag id;
-// counting those back vertex by vertex makes every bag ascending in vertex.
-func (c *Cover) sortBags(off, cells []int32, depth []uint8) {
+// aligned depth column (or nil), into c's sorted bags and degree, by
+// transposing twice, and returns the column aligned with the sorted cells.
+// Counting the cells into per-vertex rows bag by bag makes the transpose,
+// its rows ascending in bag id; counting those back vertex by vertex makes
+// every bag ascending in vertex. The transpose is scratch, not memberOf.
+func (c *Cover) sortBags(off, cells []int32, depth []uint8) []uint8 {
 	n, nb := c.g.N(), len(off)-1
 	memOff := make([]int32, n+1)
 	for _, v := range cells {
@@ -222,14 +254,14 @@ func (c *Cover) sortBags(off, cells []int32, depth []uint8) {
 			pos[v]++
 		}
 	}
-	c.memberOf = graph.FromFlat(memOff, memFlat)
 
 	// The arrays that stay are made at their exact size; cells and depth
 	// grew with room to spare and are dropped.
 	off = append(make([]int32, 0, nb+1), off...)
 	data := make([]int32, len(cells))
+	var sorted []uint8
 	if depth != nil {
-		c.depth = make([]uint8, len(cells))
+		sorted = make([]uint8, len(cells))
 	}
 	pos = append(pos[:0], off[:nb]...)
 	for v := 0; v < n; v++ {
@@ -237,22 +269,13 @@ func (c *Cover) sortBags(off, cells []int32, depth []uint8) {
 			i := memFlat[j]
 			data[pos[i]] = int32(v)
 			if depth != nil {
-				c.depth[pos[i]] = memDepth[j]
+				sorted[pos[i]] = memDepth[j]
 			}
 			pos[i]++
 		}
 	}
 	c.bags = viewRows(off, data)
-}
-
-// buildMembership inverts the bag lists into memberOf and measures the
-// cover degree on it.
-func (c *Cover) buildMembership() {
-	c.memberOf = invertLists(c.bags.rows, c.g.N())
-	c.degree = 0
-	for v := 0; v < c.g.N(); v++ {
-		c.degree = max(c.degree, c.memberOf.Len(v))
-	}
+	return sorted
 }
 
 // NumBags returns |𝒳|.
@@ -273,26 +296,54 @@ func (c *Cover) Assign(a graph.V) int { return int(c.assign[a]) }
 func (c *Cover) Degree() int { return c.degree }
 
 // SumBagSizes returns Σ_X |X| (≤ δ(𝒳)·|V|).
-func (c *Cover) SumBagSizes() int { return c.memberOf.Cells() }
+func (c *Cover) SumBagSizes() int { return c.bags.cells() }
+
+// Structure is the bytes one structure of a cover holds.
+type Structure struct {
+	Name  string
+	Bytes int
+}
+
+// Resident returns the bytes c holds, by structure: bags (with their
+// centers), kernels and kernelOf once computed, assign, and memberOf once a
+// Patch has derived it. A row or block shared with another version of the
+// cover counts in full.
+func (c *Cover) Resident() []Structure {
+	out := []Structure{{"bags", c.bags.bytes() + 4*len(c.centers)}}
+	if c.kernelP >= 0 {
+		out = append(out, Structure{"kernels", c.kernels.bytes()}, Structure{"kernelOf", c.kernelOf.Bytes()})
+	}
+	out = append(out, Structure{"assign", 4 * len(c.assign)})
+	if b := c.memberOf.Bytes(); b > 0 {
+		out = append(out, Structure{"memberOf", b})
+	}
+	return out
+}
 
 // ComputeKernels computes the p-kernels K_p(X) = {a ∈ X : N_p(a) ⊆ X} of
 // every bag and indexes them for constant-time membership queries. p must
-// be ≤ R, and the call may be repeated with another p. On a built cover
-// K_p(X) is read off the depth column; a cover without one runs the Lemma
-// 5.7 boundary BFS inside every bag.
+// be ≤ R, and the call may be repeated with another p. It runs the Lemma
+// 5.7 boundary BFS inside every bag; Compute reads the kernels it is asked
+// for off its depth column instead.
 func (c *Cover) ComputeKernels(p int) {
 	if p < 0 || p > c.R {
 		panic(fmt.Sprintf("cover: kernel radius %d outside [0, %d]", p, c.R))
 	}
+	c.computeKernels(p, nil)
+}
+
+// computeKernels sets c's p-kernels: the cells of depth > p, depth aligned
+// with the cells of the bags, or with depth nil a boundary BFS per bag.
+func (c *Cover) computeKernels(p int, depth []uint8) {
 	c.kernelP = p
 	nb := c.NumBags()
 	off := make([]int32, nb+1)
 	var data []int32
-	if c.depth != nil {
+	if depth != nil {
 		bagOff := c.bags.off
 		for i := 0; i < nb; i++ {
 			m := int32(0)
-			for _, d := range c.depth[bagOff[i]:bagOff[i+1]] {
+			for _, d := range depth[bagOff[i]:bagOff[i+1]] {
 				if int(d) > p {
 					m++
 				}
@@ -300,7 +351,7 @@ func (c *Cover) ComputeKernels(p int) {
 			off[i+1] = off[i] + m
 		}
 		data = make([]int32, 0, off[nb])
-		for j, d := range c.depth {
+		for j, d := range depth {
 			if int(d) > p {
 				data = append(data, c.bags.data[j])
 			}

@@ -17,7 +17,7 @@ func TestCoverAxioms(t *testing.T) {
 	for _, class := range classes() {
 		for _, r := range []int{1, 2, 3} {
 			g := gen.Generate(class, 300, gen.Options{Seed: 7})
-			c := Compute(g, r)
+			c := Compute(g, r, -1)
 			if err := c.Validate(); err != nil {
 				t.Errorf("%s r=%d: %v", class, r, err)
 			}
@@ -27,7 +27,7 @@ func TestCoverAxioms(t *testing.T) {
 
 func TestCoverAssignCoversBall(t *testing.T) {
 	g := gen.Generate(gen.Grid, 400, gen.Options{})
-	c := Compute(g, 2)
+	c := Compute(g, 2, -1)
 	bfs := graph.NewBFS(g)
 	for a := 0; a < g.N(); a++ {
 		x := c.Assign(a)
@@ -43,9 +43,8 @@ func TestKernels(t *testing.T) {
 	for _, class := range classes() {
 		g := gen.Generate(class, 200, gen.Options{Seed: 11})
 		r := 2
-		c := Compute(g, r)
 		p := 1
-		c.ComputeKernels(p)
+		c := Compute(g, r, p)
 		bfs := graph.NewBFS(g)
 		for i := 0; i < c.NumBags(); i++ {
 			inBag := map[int32]bool{}
@@ -71,8 +70,7 @@ func TestKernels(t *testing.T) {
 
 func TestKernelOfListsMatch(t *testing.T) {
 	g := gen.Generate(gen.KingGrid, 150, gen.Options{})
-	c := Compute(g, 2)
-	c.ComputeKernels(2)
+	c := Compute(g, 2, 2)
 	for v := 0; v < g.N(); v++ {
 		for _, i := range c.KernelsOf(v) {
 			if !c.InKernel(int(i), v) {
@@ -96,7 +94,7 @@ func TestCoverDegreeSmallOnSparse(t *testing.T) {
 	// rely on: degree stays far below n on nowhere dense classes.
 	for _, class := range classes() {
 		g := gen.Generate(class, 2000, gen.Options{Seed: 5})
-		c := Compute(g, 2)
+		c := Compute(g, 2, -1)
 		if d := c.Degree(); d > g.N()/4 {
 			t.Errorf("%s: cover degree %d too close to n=%d", class, d, g.N())
 		}
@@ -109,5 +107,5 @@ func TestCoverRejectsBadRadius(t *testing.T) {
 			t.Fatal("expected panic for r=0")
 		}
 	}()
-	Compute(gen.Generate(gen.Path, 10, gen.Options{}), 0)
+	Compute(gen.Generate(gen.Path, 10, gen.Options{}), 0, -1)
 }

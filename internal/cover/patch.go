@@ -59,8 +59,9 @@ const maxPatchFraction = 8
 // every block of the inverted lists without a vertex of a new or re-kerneled
 // bag (graph.Rows.Patch), so the work is proportional to the affected
 // region and c remains fully usable — in-flight readers of the old version
-// keep their exact structure. After an edge edit it has no depth column:
-// a later ComputeKernels on it searches bag by bag.
+// keep their exact structure. memberOf is one such list: when c has none
+// (it was built or restored) an edge edit derives it from the bags, and the
+// result carries it, so a stream of writes pays that transposition once.
 func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *PatchInfo, bool) {
 	if gNew.N() != c.g.N() || c.kernelP < 0 {
 		return nil, nil, false
@@ -73,7 +74,6 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 		// Color-only batch: the cover is a pure metric object; share it all.
 		return &out, info, true
 	}
-	out.depth = nil // measured in gOld
 
 	// Vertices whose p-ball (p = kernelP) may have changed: within p of a
 	// source in the old or the new graph.
@@ -155,10 +155,15 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 
 	// --- exact kernel recomputation for touched preexisting bags ---------
 	// A bag's kernel can change only through vertices whose p-ball changed;
-	// collect the bags containing any of them.
+	// collect the bags containing any of them, off memberOf — c's, or derived
+	// from its bags when it holds none.
+	memberOf := c.memberOf
+	if memberOf.Cells() == 0 {
+		memberOf = invertLists(c.bags.rows, n)
+	}
 	var redo []int32
 	for _, v := range affected {
-		redo = append(redo, c.memberOf.Row(v)...)
+		redo = append(redo, memberOf.Row(v)...)
 	}
 	slices.Sort(redo)
 	kernelsCopied := len(violated) > 0
@@ -179,7 +184,7 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 	}
 
 	var vs []graph.V
-	out.memberOf, vs = graph.Toggle(&c.memberOf, memberDelta)
+	out.memberOf, vs = graph.Toggle(&memberOf, memberDelta)
 	for _, v := range vs {
 		out.degree = max(out.degree, out.memberOf.Len(v))
 	}

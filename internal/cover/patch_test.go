@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -101,80 +102,101 @@ func edgeEditBatch(rng *rand.Rand, g *graph.Graph, count int) ([]graph.Edit, []g
 	return edits, srcs
 }
 
-// TestPatchDifferential: a patched cover of the edited graph satisfies the
+// sameRows reports whether two row stores hold the same flat CSR pair.
+func sameRows(a, b graph.Rows[int32]) bool {
+	aOff, aFlat := a.Flat()
+	bOff, bFlat := b.Flat()
+	return reflect.DeepEqual(aOff, bOff) && reflect.DeepEqual(aFlat, bFlat)
+}
+
+// measuredDegree is the longest row of the bags' inverse.
+func measuredDegree(c *Cover) int {
+	inv, d := invertLists(c.bags.rows, c.g.N()), 0
+	for v := 0; v < c.g.N(); v++ {
+		d = max(d, inv.Len(v))
+	}
+	return d
+}
+
+// TestPatchDifferential: over a chain of patches, from a built cover and
+// from a restored one, every patched cover of the edited graph satisfies the
 // cover axioms (Validate brute-forces containment and bag radius) and its
-// kernels are exactly the true kernels of every bag in the new graph —
-// the property the skip pointers' soundness proof rests on.
+// kernels are exactly the true kernels of every bag in the new graph — the
+// property the skip pointers' soundness proof rests on. Its inverted lists
+// are the exact inverses of its lists: kernelOf throughout, memberOf once the
+// first edge patch has derived it.
 func TestPatchDifferential(t *testing.T) {
 	for _, class := range []gen.Class{gen.Path, gen.Grid, gen.RandomTree, gen.BoundedDegree} {
-		g := gen.Generate(class, 300, gen.Options{Seed: 23})
+		g0 := gen.Generate(class, 300, gen.Options{Seed: 23})
 		for _, r := range []int{1, 2} {
-			cov := Compute(g, r)
-			cov.ComputeKernels(r)
-			rng := rand.New(rand.NewSource(int64(r) * 7))
-			for trial := 0; trial < 8; trial++ {
-				edits, srcs := edgeEditBatch(rng, g, 1+rng.Intn(4))
-				gNew, err := graph.Patch(g, edits)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out, info, ok := cov.Patch(g, gNew, srcs)
-				if !ok {
-					continue // avalanche bail: caller rebuilds
-				}
-				if err := out.Validate(); err != nil {
-					t.Fatalf("%s r=%d trial %d: patched cover invalid: %v", class, r, trial, err)
-				}
-				// Exact kernels everywhere, including new bags.
-				for i := 0; i < out.NumBags(); i++ {
-					want := bruteKernel(gNew, out.Bag(i), r)
-					got := out.Kernel(i)
-					if len(want) == 0 && len(got) == 0 {
-						continue
+			built := Compute(g0, r, r)
+			restored, err := FromParts(g0, built.Parts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, from := range []struct {
+				start string
+				cov   *Cover
+			}{{"built", built}, {"restored", restored}} {
+				g, cov := g0, from.cov
+				rng := rand.New(rand.NewSource(int64(r) * 7))
+				for trial := 0; trial < 8; trial++ {
+					label := fmt.Sprintf("%s r=%d from %s, trial %d", class, r, from.start, trial)
+					edits, srcs := edgeEditBatch(rng, g, 1+rng.Intn(4))
+					gNew, err := graph.Patch(g, edits)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s r=%d trial %d: bag %d kernel = %v, want %v",
-							class, r, trial, i, got, want)
+					out, info, ok := cov.Patch(g, gNew, srcs)
+					if !ok {
+						continue // avalanche bail: caller rebuilds
 					}
-				}
-				// The inverted lists stay the exact inverses, cell for cell, and
-				// the carried degree is the measured one.
-				for _, inv := range []struct {
-					name  string
-					got   graph.Rows[int32]
-					lists [][]int32
-				}{{"memberOf", out.memberOf, out.bags.rows}, {"kernelOf", out.kernelOf, out.kernels.rows}} {
-					want := invertLists(inv.lists, gNew.N())
-					gotOff, gotFlat := inv.got.Flat()
-					wantOff, wantFlat := want.Flat()
-					if !reflect.DeepEqual(gotOff, wantOff) || !reflect.DeepEqual(gotFlat, wantFlat) {
-						t.Fatalf("%s r=%d trial %d: patched %s is not the inverse of its lists", class, r, trial, inv.name)
+					if err := out.Validate(); err != nil {
+						t.Fatalf("%s: patched cover invalid: %v", label, err)
 					}
-				}
-				fresh := *out
-				fresh.buildMembership()
-				if out.Degree() != fresh.Degree() {
-					t.Fatalf("%s r=%d trial %d: carried degree %d, measured %d", class, r, trial, out.Degree(), fresh.Degree())
-				}
-				// KernelDelta completeness: vertices outside it keep their
-				// kernel lists verbatim (restricted to preexisting bags they
-				// already had — new-bag members are all inside the delta).
-				inDelta := map[graph.V]bool{}
-				for _, v := range info.KernelDelta {
-					inDelta[v] = true
-				}
-				for v := 0; v < gNew.N(); v++ {
-					if inDelta[v] {
-						continue
+					// Exact kernels everywhere, including new bags.
+					for i := 0; i < out.NumBags(); i++ {
+						want := bruteKernel(gNew, out.Bag(i), r)
+						got := out.Kernel(i)
+						if len(want) == 0 && len(got) == 0 {
+							continue
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: bag %d kernel = %v, want %v", label, i, got, want)
+						}
 					}
-					if !reflect.DeepEqual(cov.KernelsOf(v), out.KernelsOf(v)) {
-						t.Fatalf("vertex %d outside KernelDelta changed kernels: %v -> %v",
-							v, cov.KernelsOf(v), out.KernelsOf(v))
+					// The inverted lists stay the exact inverses, cell for cell, and
+					// the carried degree is the measured one.
+					if !sameRows(out.memberOf, invertLists(out.bags.rows, gNew.N())) {
+						t.Fatalf("%s: patched memberOf is not the inverse of the bags", label)
 					}
-				}
-				// The original cover is untouched.
-				if err := cov.Validate(); err != nil {
-					t.Fatalf("patch corrupted the source cover: %v", err)
+					if !sameRows(out.kernelOf, invertLists(out.kernels.rows, gNew.N())) {
+						t.Fatalf("%s: patched kernelOf is not the inverse of the kernels", label)
+					}
+					if d := measuredDegree(out); out.Degree() != d {
+						t.Fatalf("%s: carried degree %d, measured %d", label, out.Degree(), d)
+					}
+					// KernelDelta completeness: vertices outside it keep their
+					// kernel lists verbatim (restricted to preexisting bags they
+					// already had — new-bag members are all inside the delta).
+					inDelta := map[graph.V]bool{}
+					for _, v := range info.KernelDelta {
+						inDelta[v] = true
+					}
+					for v := 0; v < gNew.N(); v++ {
+						if inDelta[v] {
+							continue
+						}
+						if !reflect.DeepEqual(cov.KernelsOf(v), out.KernelsOf(v)) {
+							t.Fatalf("%s: vertex %d outside KernelDelta changed kernels: %v -> %v",
+								label, v, cov.KernelsOf(v), out.KernelsOf(v))
+						}
+					}
+					// The source cover is untouched.
+					if err := cov.Validate(); err != nil {
+						t.Fatalf("%s: patch corrupted the source cover: %v", label, err)
+					}
+					g, cov = gNew, out
 				}
 			}
 		}
@@ -184,8 +206,7 @@ func TestPatchDifferential(t *testing.T) {
 // TestPatchColorOnly: empty source list shares everything.
 func TestPatchColorOnly(t *testing.T) {
 	g := gen.Generate(gen.Path, 100, gen.Options{Seed: 1, Colors: 1})
-	cov := Compute(g, 2)
-	cov.ComputeKernels(2)
+	cov := Compute(g, 2, 2)
 	gNew, err := graph.Patch(g, []graph.Edit{{Op: graph.AddColor, U: 5, Color: 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -199,5 +220,73 @@ func TestPatchColorOnly(t *testing.T) {
 	}
 	if err := out.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResidentCover: a built cover, with or without kernels, and a restored
+// one hold bags, centers, assignment, kernels and kernelOf and no memberOf;
+// a colour-only patch shares that, and the first edge patch derives memberOf
+// and leaves it the exact inverse of its bags.
+func TestResidentCover(t *testing.T) {
+	names := func(c *Cover) []string {
+		var out []string
+		for _, st := range c.Resident() {
+			if st.Bytes <= 0 {
+				t.Fatalf("%s holds %d bytes", st.Name, st.Bytes)
+			}
+			out = append(out, st.Name)
+		}
+		return out
+	}
+	lean := []string{"bags", "kernels", "kernelOf", "assign"}
+	g := gen.Generate(gen.Grid, 900, gen.Options{Seed: 3, Colors: 1})
+	if got := names(ComputeWith(g, 2, Options{})); !reflect.DeepEqual(got, []string{"bags", "assign"}) {
+		t.Fatalf("a cover without kernels holds %v", got)
+	}
+	built := Compute(g, 2, 2)
+	restored, err := FromParts(g, built.Parts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gColor, err := graph.Patch(g, []graph.Edit{{Op: graph.AddColor, U: 5, Color: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	colored, _, ok := built.Patch(g, gColor, nil)
+	if !ok {
+		t.Fatal("a colour-only patch refused")
+	}
+	type named struct {
+		what string
+		c    *Cover
+	}
+	for _, nc := range []named{{"built", built}, {"restored", restored}, {"colour-patched", colored}} {
+		what, c := nc.what, nc.c
+		if got := names(c); !reflect.DeepEqual(got, lean) {
+			t.Fatalf("%s cover holds %v, want %v", what, got, lean)
+		}
+		if c.memberOf.Cells() != 0 {
+			t.Fatalf("%s cover holds memberOf", what)
+		}
+	}
+	for _, nc := range []named{{"built", built}, {"restored", restored}} {
+		what, c := nc.what, nc.c
+		gNew, err := graph.Patch(g, []graph.Edit{{Op: graph.AddEdge, U: 0, V: 450}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, ok := c.Patch(g, gNew, []graph.V{0, 450})
+		if !ok {
+			t.Fatalf("%s: one added edge refused to patch", what)
+		}
+		if got := names(out); !reflect.DeepEqual(got, append(lean, "memberOf")) {
+			t.Fatalf("an edge patch of the %s cover holds %v", what, got)
+		}
+		if !sameRows(out.memberOf, invertLists(out.bags.rows, g.N())) {
+			t.Fatalf("an edge patch of the %s cover derived a memberOf that is not the inverse of its bags", what)
+		}
+		if c.memberOf.Cells() != 0 {
+			t.Fatalf("an edge patch wrote memberOf into its %s source", what)
+		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // Parts is the flat serialized form of a Cover: the bag lists and kernels
 // in CSR layout plus the canonical assignment, i.e. exactly the arrays
-// the answering phase indexes into. The derived inverted lists (memberOf,
-// kernelOf) are rebuilt on restore — they are pure functions of the bags
-// and kernels.
+// the answering phase indexes into. The inverted list kernelOf is rebuilt
+// on restore, a pure function of the kernels; memberOf, which only Patch
+// reads, is left to the first edge patch.
 type Parts struct {
 	R       int
 	KernelP int // -1 when ComputeKernels was never called
@@ -87,7 +87,7 @@ func invertLists(rows [][]int32, n int) graph.Rows[int32] {
 
 // FromParts reconstructs a Cover over g from its serialized form, which it
 // adopts without copying (p's arrays must not be written afterwards). It
-// rebuilds the derived inverted lists and validates every array the
+// measures the degree, rebuilds kernelOf and validates every array the
 // answering phase indexes with (bag ids, vertex ranges, sortedness) so a
 // corrupted snapshot errors instead of panicking at query time.
 func FromParts(g *graph.Graph, p Parts) (*Cover, error) {
@@ -117,7 +117,11 @@ func FromParts(g *graph.Graph, p Parts) (*Cover, error) {
 		}
 	}
 	c := &Cover{g: g, R: p.R, S: 2 * p.R, kernelP: -1, bags: bags, centers: p.Centers, assign: p.Assign}
-	c.buildMembership()
+	in := make([]int32, n) // how many bags hold each vertex
+	for _, v := range p.BagData {
+		in[v]++
+		c.degree = max(c.degree, int(in[v]))
+	}
 
 	if p.KernelP >= 0 {
 		if p.KernelP > p.R {

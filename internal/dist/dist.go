@@ -261,7 +261,7 @@ func build(g *graph.Graph, r int, opt Options, depth int, stats *Stats, budget i
 		stats.Work += 24 * g.Size() // cost of the aborted attempt
 		budget -= 24 * g.Size()
 	}
-	ix.cov = cover.Compute(g, r)
+	ix.cov = cover.Compute(g, r, -1) // bags, centers and assignment; no kernels
 	stats.Work += ix.cov.SumBagSizes()
 	budget -= ix.cov.SumBagSizes()
 	if budget < 0 {
@@ -352,6 +352,19 @@ func buildBag(g *graph.Graph, cov *cover.Cover, i, r int, opt Options, depth int
 
 // Stats returns construction statistics.
 func (ix *Index) Stats() Stats { return *ix.stats }
+
+// Covers returns the covers of the recursive layout, the outermost first
+// and then each bag's, depth first: none unless the index recursed.
+func (ix *Index) Covers() []*cover.Cover {
+	if ix.cov == nil {
+		return nil
+	}
+	out := []*cover.Cover{ix.cov}
+	for _, b := range ix.bags {
+		out = append(out, b.inner.Covers()...)
+	}
+	return out
+}
 
 // Radius returns the maximum supported radius R.
 func (ix *Index) Radius() int { return ix.R }

@@ -3,6 +3,7 @@ package graph
 import (
 	"cmp"
 	"slices"
+	"unsafe"
 )
 
 // rowsPerBlock is how many consecutive rows share one block of a Rows. A
@@ -64,6 +65,15 @@ func FromFlat[T any](off []int32, adj []T) Rows[T] {
 
 // Cells returns the total length of all rows.
 func (r *Rows[T]) Cells() int { return r.cells }
+
+// Bytes returns what r holds: its cells, and per block the header and
+// rowsPerBlock+1 offsets. A block shared with another store counts in full;
+// the zero store holds none.
+func (r *Rows[T]) Bytes() int {
+	var cell T
+	perBlock := int(unsafe.Sizeof(rowBlock[T]{})) + 4*(rowsPerBlock+1)
+	return r.cells*int(unsafe.Sizeof(cell)) + len(r.blocks)*perBlock
+}
 
 // Row returns row v: shared storage, not to be modified. It is the one
 // read path of every structure built on a Rows.

@@ -15,7 +15,6 @@ import (
 //	preprocess
 //	├── preprocess.dist
 //	├── preprocess.cover
-//	├── preprocess.kernel
 //	├── preprocess.starter
 //	└── preprocess.skip
 //

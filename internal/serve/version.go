@@ -9,12 +9,11 @@ import (
 )
 
 // graphState is one served graph's MVCC write side: an immutable chain of
-// graph versions, mutated through POST /v1/mutate. It mirrors
-// repro.LiveIndex one level up — the server versions *graphs* (shared by
-// every query registered against them) and keys its index cache by
-// (graph, version, query), so each index snapshot is immutable and
-// version-pinned cursors keep reading a consistent stream while the head
-// moves on.
+// graph versions, mutated through POST /v1/mutate. The server versions
+// *graphs* (shared by every query registered against them), not indexes,
+// and keys its index cache by (graph, version, query), so each index
+// snapshot is immutable and version-pinned cursors keep reading a
+// consistent stream while the head moves on.
 //
 // Writers are serialized per graph; readers resolve versions wait-free off
 // the head pointer and only take the lock for the retained ring. A bounded

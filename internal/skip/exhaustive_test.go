@@ -53,8 +53,7 @@ func TestSkipExhaustive(t *testing.T) {
 		n     int
 	}{{gen.Grid, 49}, {gen.RandomTree, 90}, {gen.Path, 24}} {
 		g := gen.Generate(fx.class, fx.n, gen.Options{Seed: 5})
-		cov := cover.Compute(g, 2)
-		cov.ComputeKernels(1)
+		cov := cover.Compute(g, 2, 1)
 		n := g.N()
 		t.Logf("%s: n=%d, %d bags, degree %d", fx.class, n, cov.NumBags(), cov.Degree())
 		//fod:sorted order-free: every list is checked on its own

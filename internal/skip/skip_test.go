@@ -36,8 +36,7 @@ func bruteSkip(cov *cover.Cover, L []graph.V, n int, b graph.V, S []int) graph.V
 func buildFixture(t *testing.T, class gen.Class, n, r int, seed int64) (*graph.Graph, *cover.Cover, []graph.V) {
 	t.Helper()
 	g := gen.Generate(class, n, gen.Options{Seed: seed, Colors: 1, ColorProb: 0.4})
-	cov := cover.Compute(g, r)
-	cov.ComputeKernels(r)
+	cov := cover.Compute(g, r, r)
 	var L []graph.V
 	for v := 0; v < g.N(); v++ {
 		if g.HasColor(v, 0) {
@@ -106,8 +105,7 @@ func TestSkipEmptySet(t *testing.T) {
 
 func TestSkipEmptyL(t *testing.T) {
 	g := gen.Generate(gen.Path, 50, gen.Options{})
-	cov := cover.Compute(g, 2)
-	cov.ComputeKernels(2)
+	cov := cover.Compute(g, 2, 2)
 	p := New(g, cov, 2, nil)
 	if got := p.Query(0, []int{0}); got != None {
 		t.Fatalf("SKIP over empty L = %d, want None", got)
