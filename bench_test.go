@@ -523,17 +523,25 @@ func BenchmarkEnginePreprocessParallel(b *testing.B) {
 
 // The k = 2 rows keep the names they have always had; the k = 1 row beside
 // each is the same list at the set size a second position asks (far2's y,
-// far3's "every vertex"), so that what a unit of k costs is on record.
+// far3's "every vertex"), so that what a unit of k costs is on record. The
+// grid rows build over a radius-2 cover; the rtree and sparserandom rows
+// take the engine's parameters — the gated workloads' graph, cover radius 4
+// with 2-kernels, L = C0 — off the grid, where the cover degree δ, and with
+// it the family size δ^k of Claim 5.10, is larger.
 func BenchmarkSkipPointersBuild(b *testing.B) {
-	for _, n := range []int{4000, 16000} {
+	for _, row := range []struct {
+		class gen.Class
+		n, r  int
+		graph func(gen.Class, int) *graph.Graph
+	}{{gen.Grid, 4000, 2, benchGraph}, {gen.Grid, 16000, 2, benchGraph}, {gen.RandomTree, 8000, 4, gated}, {gen.SparseRandom, 4000, 4, gated}} {
 		for _, k := range []int{2, 1} {
-			name := fmt.Sprintf("grid/n=%d", n)
+			name := fmt.Sprintf("%s/n=%d", row.class, row.n)
 			if k != 2 {
 				name += fmt.Sprintf("/k=%d", k)
 			}
 			b.Run(name, func(b *testing.B) {
-				g := benchGraph(gen.Grid, n)
-				cov := cover.Compute(g, 2, 2)
+				g := row.graph(row.class, row.n)
+				cov := cover.Compute(g, row.r, 2)
 				var L []graph.V
 				for v := 0; v < g.N(); v++ {
 					if g.HasColor(v, 0) {
@@ -546,6 +554,7 @@ func BenchmarkSkipPointersBuild(b *testing.B) {
 					p = skip.New(g, cov, k, L)
 				}
 				b.ReportMetric(float64(p.Size()), "pointers")
+				b.ReportMetric(float64(p.Largest()), "largest")
 			})
 		}
 	}

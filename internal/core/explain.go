@@ -46,10 +46,11 @@ func (e *Engine) Explain() string {
 	fmt.Fprintf(&sb, "index over %s\n", e.g)
 	e.loc.explain(&sb)
 	// Per table the k of Lemma 5.8's n^(1+kε): the one among the paper's
-	// hidden constants that is an exponent.
+	// hidden constants that is an exponent; and its largest family, which
+	// Claim 5.10 bounds by δ^k.
 	tables := ""
 	for _, t := range e.tables {
-		tables += fmt.Sprintf(", k=%d: %d", t.K(), t.Size())
+		tables += fmt.Sprintf("; k=%d: %d, largest %d", t.K(), t.Size(), t.Largest())
 	}
 	if tables != "" {
 		tables = " (" + tables[2:] + ")"

@@ -62,7 +62,7 @@ func TestEngineExplain(t *testing.T) {
 	// one value, x's with none.
 	y := e.clauses[0].comps[1].skip
 	for _, want := range []string{
-		fmt.Sprintf("2 components, 1 tables (k=1: %d), %d pointers", y.Size(), y.Size()),
+		fmt.Sprintf("2 components, 1 tables (k=1: %d, largest %d), %d pointers", y.Size(), y.Largest(), y.Size()),
 		"skip pointers=0 k=0,", fmt.Sprintf("skip pointers=%d k=1,", y.Size()),
 	} {
 		if !strings.Contains(s, want) {
@@ -74,7 +74,8 @@ func TestEngineExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, z := e3.clauses[0].comps[0].skip, e3.clauses[0].comps[2].skip
-	if want := fmt.Sprintf("5 components, 2 tables (k=1: %d, k=2: %d), %d pointers", x.Size(), z.Size(), x.Size()+z.Size()); !strings.Contains(e3.Explain(), want) {
+	if want := fmt.Sprintf("5 components, 2 tables (k=1: %d, largest %d; k=2: %d, largest %d), %d pointers",
+		x.Size(), x.Largest(), z.Size(), z.Largest(), x.Size()+z.Size()); !strings.Contains(e3.Explain(), want) {
 		t.Fatalf("explain missing %q:\n%s", want, e3.Explain())
 	}
 	unary, err := Preprocess(g, compileT(t, "C0(x)", "x"), Options{})

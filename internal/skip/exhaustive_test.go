@@ -46,12 +46,14 @@ func forEachBagTuple(nbags, k int, f func(S []int)) {
 // TestSkipExhaustive compares Query with the definition for every start b
 // (two past the last vertex included), every bag tuple of size ≤ k and k
 // up to 3, over lists that are strict subsets of V — and checks that the
-// table holds rows for the vertices of L and for no other.
+// table holds rows for the vertices of L and for no other. The star is one
+// bag, so every family is one singleton; on sparserandom, as on the grid,
+// sets of SC(b) are reached from more than one parent.
 func TestSkipExhaustive(t *testing.T) {
 	for _, fx := range []struct {
 		class gen.Class
 		n     int
-	}{{gen.Grid, 49}, {gen.RandomTree, 90}, {gen.Path, 24}} {
+	}{{gen.Grid, 49}, {gen.RandomTree, 90}, {gen.Path, 24}, {gen.Star, 30}, {gen.SparseRandom, 49}} {
 		g := gen.Generate(fx.class, fx.n, gen.Options{Seed: 5})
 		cov := cover.Compute(g, 2, 1)
 		n := g.N()
@@ -82,6 +84,100 @@ func TestSkipExhaustive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSkipTableByDefinition builds SC(b) for every b ∈ L straight from
+// Lemma 5.8's two rules — the singletons {X} with b ∈ K(X), and S ∪ {Y}
+// while |S| < k and SKIP(b+1, S) ∈ K(Y) — with the values of the definition,
+// and compares the sorted rows with the table word for word.
+func TestSkipTableByDefinition(t *testing.T) {
+	for _, class := range []gen.Class{gen.Grid, gen.RandomTree, gen.Path, gen.Star, gen.PartialKTree, gen.SparseRandom} {
+		g := gen.Generate(class, 60, gen.Options{Seed: 4})
+		n := g.N()
+		for p := 1; p <= 2; p++ {
+			cov := cover.Compute(g, 2, p)
+			//fod:sorted order-free: every list is checked on its own
+			for name, L := range restrictionLists(n) {
+				for k := 1; k <= 3; k++ {
+					tab := New(g, cov, k, L)
+					var want []int32
+					for b := 0; b < n; b++ {
+						if _, in := slices.BinarySearch(L, b); in {
+							want = appendFamily(want, cov, L, n, k, b)
+						}
+						if tab.off[b+1] != int32(len(want)/(k+1)) {
+							t.Fatalf("%s p=%d %s k=%d: rows of vertex %d end at %d, want %d", class, p, name, k, b, tab.off[b+1], len(want)/(k+1))
+						}
+					}
+					if !slices.Equal(tab.rows, want) {
+						t.Fatalf("%s p=%d %s k=%d: table differs from the definition (%d words, want %d)", class, p, name, k, len(tab.rows), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// appendFamily appends the rows of SC(b), sorted by their sets: each set
+// padded to k words with -1, then SKIP(b+1, S) by bruteSkip.
+func appendFamily(rows []int32, cov *cover.Cover, L []graph.V, n, k int, b graph.V) []int32 {
+	seen := map[[MaxSetSize]int32]bool{}
+	var fam [][MaxSetSize]int32
+	add := func(s [MaxSetSize]int32) {
+		slices.Sort(s[:])
+		if s = padBack(s); !seen[s] {
+			seen[s] = true
+			fam = append(fam, s)
+		}
+	}
+	for x := 0; x < cov.NumBags(); x++ {
+		if cov.InKernel(x, b) {
+			add([MaxSetSize]int32{int32(x), -1, -1, -1})
+		}
+	}
+	var vals []graph.V
+	for i := 0; i < len(fam); i++ {
+		var S []int
+		for _, x := range fam[i] {
+			if x >= 0 {
+				S = append(S, int(x))
+			}
+		}
+		v := bruteSkip(cov, L, n, b+1, S)
+		vals = append(vals, v)
+		if v == None || len(S) == k {
+			continue
+		}
+		for y := 0; y < cov.NumBags(); y++ {
+			if s := fam[i]; cov.InKernel(y, v) && !slices.Contains(s[:], int32(y)) {
+				s[len(S)] = int32(y)
+				add(s)
+			}
+		}
+	}
+	order := make([]int, len(fam))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int { return slices.Compare(fam[i][:], fam[j][:]) })
+	for _, i := range order {
+		rows = append(append(rows, fam[i][:k]...), int32(vals[i]))
+	}
+	return rows
+}
+
+// padBack moves the -1 words of a sorted set behind its bags, where the
+// rows have them.
+func padBack(s [MaxSetSize]int32) [MaxSetSize]int32 {
+	out := [MaxSetSize]int32{-1, -1, -1, -1}
+	i := 0
+	for _, x := range s {
+		if x >= 0 {
+			out[i] = x
+			i++
+		}
+	}
+	return out
 }
 
 // TestSharedBaseOverlays: two components overlay one shared base at the

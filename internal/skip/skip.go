@@ -73,63 +73,82 @@ func New(g *graph.Graph, cov *cover.Cover, k int, L []graph.V) *Pointers {
 	n, w := g.N(), k+1
 	t := &table{cov: cov, k: k, nextGeqL: nextGeq(n, L), off: make([]int32, n+1)}
 
-	// Downward sweep over L. SC(b) is generated breadth-first by set size
-	// into cur, sorted, and written below the rows of the previous vertex:
-	// the arena fills from its end, so the finished table is its tail.
+	// Downward sweep over L. SC(b) is generated one set size at a time,
+	// each size merged from its sorted runs with repeats dropped before its
+	// pointers are computed, then the sizes merged into the order of the
+	// rows and written below the rows of the previous vertex: the arena
+	// fills from its end, so the finished table is its tail.
 	arena := make([]int32, 4*w*len(L))
 	pos := len(arena)
-	var prev, cur []int32 // rows of the element of L after b; rows of b
-	next := int32(-1)     // that element
+	next := int32(-1)              // the element of L after b
+	var prev []int32               // its rows
+	var fam, level, spare []member // SC(b); its sets of one size; scratch
+	var sizes, runs []int          // where each size in fam, each run in level starts
+	// mark[x] is the row of {x} among prev when next ∈ K(x), else -1: it
+	// answers kernelAround(next, ·) and the first lookup of the chase.
+	mark := make([]int32, cov.NumBags())
+	for i := range mark {
+		mark[i] = -1
+	}
 	for b := n - 1; b >= 0; b-- {
 		if t.nextGeqL[b] != int32(b) {
 			continue
 		}
-		cur = cur[:0]
+		fam, sizes, level = fam[:0], sizes[:0], level[:0]
 		for _, x := range cov.KernelsOf(b) {
-			cur = appendRow(cur, k, [MaxSetSize]int32{x, -1, -1, -1})
+			level = append(level, member{s: [MaxSetSize]int32{x, -1, -1, -1}})
 		}
-		// Rows of one set size are contiguous; larger marks where the sets
-		// one bag larger than the one at head start, which are the only
-		// rows a new set can repeat.
-		larger := len(cur)
-		for head := 0; head < len(cur); head += w {
-			if head == larger {
-				larger = len(cur)
-			}
-			var s [MaxSetSize]int32
-			sl := copy(s[:], cur[head:head+k])
-			for sl > 0 && s[sl-1] < 0 {
-				sl--
-			}
-			// Every S ∈ SC(b) holds a kernel around b, so SKIP(b, S) is
-			// SKIP(b+1, S), which the rows of next resolve.
-			v := next
-			if next >= 0 {
-				if x := t.kernelAround(next, s[:sl]); x >= 0 {
-					v = int32(t.chase(prev, x, s[:sl]))
+		for sl := 1; len(level) > 0; sl++ {
+			lo := len(fam)
+			fam, sizes, runs = append(fam, level...), append(sizes, lo), runs[:0]
+			level = level[:0]
+			for i := lo; i < len(fam); i++ {
+				// Every S ∈ SC(b) holds a kernel around b, so SKIP(b, S) is
+				// SKIP(b+1, S), which the rows of next resolve.
+				s, v := fam[i].s, next
+				for _, x := range s[:sl] {
+					if at := mark[x]; at >= 0 {
+						v = int32(t.chase(prev, x, int(at), s[:sl]))
+						break
+					}
+				}
+				fam[i].v = v
+				if v < 0 || sl == k {
+					continue
+				}
+				// Adding the bags in ascending order gives the larger sets in
+				// ascending order: one sorted run.
+				runs = append(runs, len(level))
+				for _, y := range cov.KernelsOf(int(v)) {
+					if ns, ok := setAdd(s, sl, y); ok {
+						level = append(level, member{s: ns})
+					}
 				}
 			}
-			cur[head+k] = v
-			if v < 0 || sl == k {
-				continue
-			}
-			for _, y := range cov.KernelsOf(int(v)) {
-				ns, ok := setAdd(s, sl, y)
-				if ok && !hasRow(cur[larger:], k, ns) {
-					cur = appendRow(cur, k, ns)
-				}
-			}
+			level, spare = mergeRuns(level, runs, spare)
 		}
-		sortRows(cur, k)
-		if len(cur) > pos {
-			grown := make([]int32, 2*len(arena)+len(cur))
+		fam, spare = mergeRuns(fam, sizes, spare)
+		if len(fam)*w > pos {
+			grown := make([]int32, 2*len(arena)+len(fam)*w)
 			pos = len(grown) - copy(grown[len(grown)-(len(arena)-pos):], arena[pos:])
 			arena = grown
 		}
-		pos -= len(cur)
-		prev = arena[pos : pos+copy(arena[pos:], cur)]
+		pos -= len(fam) * w
+		prev = arena[pos : pos+len(fam)*w]
+		if next >= 0 {
+			for _, x := range cov.KernelsOf(int(next)) {
+				mark[x] = -1
+			}
+		}
+		for i, m := range fam {
+			copy(prev[i*w:], m.s[:k])
+			prev[i*w+k] = m.v
+			if m.s[1] < 0 {
+				mark[m.s[0]] = int32(i)
+			}
+		}
 		next = int32(b)
-		t.off[b+1] = int32(len(cur) / w)
+		t.off[b+1] = int32(len(fam))
 	}
 	for b := 0; b < n; b++ {
 		t.off[b+1] += t.off[b]
@@ -162,37 +181,39 @@ func nextGeq(n int, L []graph.V) []int32 {
 	return out
 }
 
-// appendRow appends the row of set s with its value still to be filled in.
-func appendRow(rows []int32, k int, s [MaxSetSize]int32) []int32 {
-	return append(append(rows, s[:k]...), -1)
+// member is one set of a family SC(b) while New assembles it: the set,
+// sorted and padded with -1, and SKIP(b+1, set).
+type member struct {
+	s [MaxSetSize]int32
+	v int32
 }
 
-// hasRow reports whether one of the rows holds the set s.
-func hasRow(rows []int32, k int, s [MaxSetSize]int32) bool {
-	for i := 0; i < len(rows); i += k + 1 {
-		if cmpSets(rows[i:i+k], s[:k]) == 0 {
-			return true
+// mergeRuns sorts ms, made of the sorted runs that start at runs[0] = 0 <
+// runs[1] < …, by merging neighbouring runs until one is left, and drops
+// repeated sets; runs is overwritten. It returns the result, and the other
+// of ms and spare as the next scratch.
+func mergeRuns(ms []member, runs []int, spare []member) ([]member, []member) {
+	for len(runs) > 1 {
+		runs = append(runs, len(ms)) // where the last run ends
+		out, next := spare[:0], runs[:0]
+		for i := 0; i+1 < len(runs); i += 2 {
+			a, b := ms[runs[i]:runs[i+1]], ms[runs[i+1]:runs[min(i+2, len(runs)-1)]]
+			next = append(next, len(out))
+			for len(a) > 0 && len(b) > 0 {
+				switch c := cmpSets(a[0].s[:], b[0].s[:]); {
+				case c < 0:
+					out, a = append(out, a[0]), a[1:]
+				case c > 0:
+					out, b = append(out, b[0]), b[1:]
+				default:
+					out, a, b = append(out, a[0]), a[1:], b[1:]
+				}
+			}
+			out = append(append(out, a...), b...)
 		}
+		ms, spare, runs = out, ms, next
 	}
-	return false
-}
-
-// sortRows sorts rows by their sets (insertion sort: a family is small and
-// its singletons arrive sorted).
-func sortRows(rows []int32, k int) {
-	w := k + 1
-	var tmp [MaxSetSize + 1]int32
-	for i := w; i < len(rows); i += w {
-		j := i
-		for j > 0 && cmpSets(rows[j-w:j-w+k], rows[i:i+k]) > 0 {
-			j -= w
-		}
-		if j < i {
-			copy(tmp[:w], rows[i:i+w])
-			copy(rows[j+w:i+w], rows[j:i])
-			copy(rows[j:j+w], tmp[:w])
-		}
-	}
+	return ms, spare
 }
 
 // cmpSets orders padded sorted sets of equal length lexicographically; the
@@ -211,11 +232,11 @@ func cmpSets(a, b []int32) int {
 	return 0
 }
 
-// lookup finds the value stored for the set s among the rows es of one
-// vertex; it exists whenever s ∈ SC of that vertex.
+// lookup returns the row of the set s among the rows es of one vertex, or
+// -1; it exists whenever s ∈ SC of that vertex.
 //
 //fod:hotpath
-func (t *table) lookup(es []int32, s *[MaxSetSize]int32) (int32, bool) {
+func (t *table) lookup(es []int32, s *[MaxSetSize]int32) int {
 	w := t.k + 1
 	lo, hi := 0, len(es)/w
 	for lo < hi {
@@ -223,19 +244,29 @@ func (t *table) lookup(es []int32, s *[MaxSetSize]int32) (int32, bool) {
 		row := es[mid*w : mid*w+w]
 		switch c := cmpSets(row[:t.k], s[:t.k]); {
 		case c == 0:
-			return row[t.k], true
+			return mid
 		case c < 0:
 			lo = mid + 1
 		default:
 			hi = mid
 		}
 	}
-	return 0, false
+	return -1
 }
 
 // Size returns the number of materialized pointers (the Σ_{b∈L} |SC(b)|
 // of Claim 5.10).
 func (p *Pointers) Size() int { return len(p.rows) / (p.k + 1) }
+
+// Largest returns the size of the largest family SC(b): the δ(𝒳)^k that
+// bounds a family in Claim 5.10.
+func (p *Pointers) Largest() int {
+	m := int32(0)
+	for b := 1; b < len(p.off); b++ {
+		m = max(m, p.off[b]-p.off[b-1])
+	}
+	return int(m)
+}
 
 // K returns the largest |S| the table answers: the k it was built with.
 func (p *Pointers) K() int { return p.k }
@@ -288,7 +319,7 @@ func (t *table) resolve(b graph.V, S []int32) graph.V {
 		return int(c)
 	}
 	w := t.k + 1
-	return t.chase(t.rows[int(t.off[c])*w:int(t.off[c+1])*w], x, S)
+	return t.chase(t.rows[int(t.off[c])*w:int(t.off[c+1])*w], x, -1, S)
 }
 
 // kernelAround returns a bag of S whose kernel contains c, or -1.
@@ -305,18 +336,20 @@ func (t *table) kernelAround(c int32, S []int32) int32 {
 
 // chase implements Claim 5.9 for an element c of L with rows es and a bag
 // x ∈ S whose kernel contains c: it returns SKIP(c, S), reading es and
-// nothing else of the table. It starts from S′ = {x} ∈ SC(c) and follows
-// the stored pointers, growing S′ maximally (each growth step is justified
-// by the SC closure rule).
+// nothing else of the table. It starts from S′ = {x} ∈ SC(c), whose row is
+// at (-1: to be found), and follows the stored pointers, growing S′
+// maximally (each growth step is justified by the SC closure rule).
 //
 //fod:hotpath
-func (t *table) chase(es []int32, x int32, S []int32) graph.V {
+func (t *table) chase(es []int32, x int32, at int, S []int32) graph.V {
 	sp := [MaxSetSize]int32{x, -1, -1, -1}
-	for sl := 1; ; {
-		v, ok := t.lookup(es, &sp)
-		if !ok {
-			panic("skip: missing pointer in the SC table")
+	for sl := 1; ; at = -1 {
+		if at < 0 {
+			if at = t.lookup(es, &sp); at < 0 {
+				panic("skip: missing pointer in the SC table")
+			}
 		}
+		v := es[at*(t.k+1)+t.k]
 		if v < 0 {
 			return None
 		}

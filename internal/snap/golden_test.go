@@ -56,6 +56,20 @@ func versionPath(v1 string, version uint32) string {
 	return fmt.Sprintf("%s.v%d.fodsnap", strings.TrimSuffix(v1, ".fodsnap"), version)
 }
 
+// goldenFar3Path is bench's far3 on the grid of goldenPath: tables of set
+// size 1 and 2, where the other fixtures hold set size 1 only. It exists
+// from version 4 on.
+const goldenFar3Path = "testdata/golden-grid64-far3.fodsnap"
+
+func goldenFar3Index(t testing.TB) *repro.Index {
+	g := repro.Generate("grid", 64, repro.GenOptions{Seed: 3, Colors: 2})
+	ix, err := repro.Build(context.Background(), g, repro.MustParseQuery("dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", "x", "y", "z"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 func goldenNearIndex(t testing.TB) *repro.Index {
 	g := repro.Generate("grid", 64, repro.GenOptions{Seed: 3, Colors: 2})
 	ix, err := repro.Build(context.Background(), g, repro.MustParseQuery("dist(x,y) <= 2 & C0(x) & C1(y)", "x", "y"))
@@ -96,6 +110,7 @@ func TestGoldenFormat(t *testing.T) {
 	goldenFormat(t, indexBytes(t, goldenIndex(t)), versionPath(goldenPath, snap.Version))
 	goldenFormat(t, indexBytes(t, goldenBallsIndex(t)), versionPath(goldenBallsPath, snap.Version))
 	goldenFormat(t, indexBytes(t, goldenNearIndex(t)), goldenNearPath(snap.Version))
+	goldenFormat(t, indexBytes(t, goldenFar3Index(t)), versionPath(goldenFar3Path, snap.Version))
 
 	// The all-rows file through an engine: its parts as decoded hold the
 	// table under x, which no version-4 file has.
