@@ -108,17 +108,30 @@ func BenchmarkStoringTheoremBaselineGoMap(b *testing.B) {
 
 // --- E2: neighborhood covers -----------------------------------------------
 
+// BenchmarkCoverConstruction times cover.Compute and reports the cover's
+// size: cells (Σ|X|) and degree δ(𝒳). The r=2 rows are the distance
+// index's radius without kernels; the r=4/p=2 rows are the engine cover of a
+// far2 query, on the classes where the choice of centers shows.
 func BenchmarkCoverConstruction(b *testing.B) {
+	run := func(class gen.Class, n, r, p int) {
+		b.Run(fmt.Sprintf("%s/n=%d/r=%d", class, n, r), func(b *testing.B) {
+			g := benchGraph(class, n)
+			var c *cover.Cover
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c = cover.Compute(g, r, p)
+			}
+			b.ReportMetric(float64(c.SumBagSizes()), "cells")
+			b.ReportMetric(float64(c.Degree()), "degree")
+		})
+	}
 	for _, class := range []gen.Class{gen.Grid, gen.RandomTree, gen.BoundedDegree} {
 		for _, n := range []int{4000, 16000} {
-			b.Run(fmt.Sprintf("%s/n=%d", class, n), func(b *testing.B) {
-				g := benchGraph(class, n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cover.Compute(g, 2, -1)
-				}
-			})
+			run(class, n, 2, -1)
 		}
+	}
+	for _, class := range []gen.Class{gen.Grid, gen.RandomTree, gen.Outerplanar, gen.PartialKTree, gen.SparseRandom} {
+		run(class, 32000, 4, 2)
 	}
 }
 

@@ -4,11 +4,15 @@
 // A cover is a collection of bags X ⊆ V such that every r-ball N_r(a) is
 // contained in some bag, and every bag is contained in some s-ball
 // N_s(c_X). We compute (r,2r)-covers greedily: scanning vertices in order,
-// each still-uncovered vertex a contributes the bag N_{2r}(a) and covers
-// every vertex of N_r(a). For every vertex b covered by center a we then
-// have N_r(b) ⊆ N_{2r}(a), so the result is a valid (r,2r)-cover; its
-// degree is measured rather than proven (Theorem 4.4's constructive bound
-// relies on non-constructive class parameters — see DESIGN.md §3).
+// each still-uncovered vertex a picks as center c the uncovered vertex of
+// N_r(a) farthest from a (ties to the larger id; a itself when none is
+// farther) and contributes the bag N_{2r}(c), which covers every vertex b
+// with N_r(b) ⊆ N_{2r}(c) — a among them, since dist(a, c) ≤ r. So the
+// result is a valid (r,2r)-cover. Stepping the center away from the covered
+// ground behind a (on a grid, the half of N_{2r}(a) toward smaller ids)
+// gives fewer, fuller bags; the degree is measured rather than proven
+// (Theorem 4.4's constructive bound relies on non-constructive class
+// parameters — see DESIGN.md §3).
 //
 // Kernel membership is served by per-vertex inverted lists (kernelOf: the
 // sorted ids of the bags whose kernel contains the vertex), each of length
@@ -21,9 +25,10 @@
 // # Construction
 //
 // The cover is built in one pass over the greedy centers and kept as the
-// arrays a snapshot writes. A center costs one BFS to depth 2r and one
-// Lemma 5.7 boundary BFS to depth r, seeded from the last BFS layer (a
-// vertex nearer the center has every neighbor inside the ball). That
+// arrays a snapshot writes. A center costs one BFS to depth r to find it,
+// one to depth 2r around it and one Lemma 5.7 boundary BFS to depth r,
+// seeded from the last BFS layer (a vertex nearer the center has every
+// neighbor inside the ball). That
 // second search yields, for every cell of the bag, its distance to the
 // bag's complement capped at r+1: one byte a cell, the depth column. Cells
 // of depth > r are the vertices the bag covers, and K_p(X) for any p ≤ r
@@ -156,8 +161,10 @@ func Compute(g *graph.Graph, r, p int) *Cover {
 	sc := borrowKernelScratch(n)
 	defer kernelScratchPool.Put(sc)
 
-	// One pass over the greedy centers: the smallest vertex no bag covers
-	// yet contributes the bag N_2r(a), laid out in BFS order.
+	// One pass over the greedy centers: the smallest vertex a no bag covers
+	// yet contributes the bag N_2r(ctr), laid out in BFS order, where ctr
+	// is the uncovered vertex of N_r(a) farthest from a (ties: the larger
+	// id), so the bag reaches into ground no earlier bag covers.
 	var cells []int32 // the bags, concatenated
 	off := []int32{0}
 	// Per cell, the distance to the bag's complement capped at r+1, kept
@@ -170,7 +177,13 @@ func Compute(g *graph.Graph, r, p int) *Cover {
 			continue
 		}
 		bag := int32(len(c.centers))
-		ball := bfs.Ball(a, c.S)
+		ctr, far := a, 0
+		for _, v := range bfs.Ball(a, r) {
+			if d := bfs.Dist(int(v)); c.assign[v] < 0 && (d > far || d == far && int(v) > ctr) {
+				ctr, far = int(v), d
+			}
+		}
+		ball := bfs.Ball(ctr, c.S)
 		if need := len(cells) + len(ball); need > cap(cells) {
 			// Grow to where the cells a covered vertex has cost so far put
 			// the end, not by doubling: the arena is the largest array of
@@ -187,7 +200,8 @@ func Compute(g *graph.Graph, r, p int) *Cover {
 		}
 		ep := sc.ballDepths(g, bfs, ball, c.S, r)
 		// The bag covers its r-interior: N_r(v) ⊆ X exactly for the cells
-		// of depth > r. The center is one of them, 2r+1 from the complement.
+		// of depth > r. The center is one of them, 2r+1 from the complement,
+		// and so is a: N_r(a) ⊆ N_2r(ctr) since dist(a, ctr) ≤ r.
 		base := len(cells)
 		cells = append(cells, ball...)
 		if keepDepth {
@@ -210,7 +224,7 @@ func Compute(g *graph.Graph, r, p int) *Cover {
 			panic(fmt.Sprintf("cover: the radius-%d bags of %v do not fit 2³¹ cells", c.S, g))
 		}
 		off = append(off, int32(len(cells)))
-		c.centers = append(c.centers, int32(a))
+		c.centers = append(c.centers, int32(ctr))
 	}
 	depth = c.sortBags(off, cells, depth)
 	if p >= 0 {

@@ -11,11 +11,13 @@ import (
 	"repro/internal/graph"
 )
 
-// refCover is the construction this package had before the one-pass build,
-// kept as the reference the build is held to: per greedy center one 2r-ball,
-// one boundary BFS over the whole ball to find the r-interior, a sort of
-// every bag, and for the kernels one more boundary BFS a bag. Plain ints, no
-// arena, nothing shared with cover.go but the graph.
+// refCover is the reference the one-pass build is held to, written from the
+// rule and not from cover.go: per smallest uncovered vertex a one r-ball to
+// pick the center c (the uncovered vertex of N_r(a) farthest from a, ties to
+// the larger id), one 2r-ball around c, one boundary BFS over the whole ball
+// to find the r-interior, a sort of every bag, and for the kernels one more
+// boundary BFS a bag. Plain ints, no arena, nothing shared with cover.go but
+// the graph.
 type refCover struct {
 	bags    [][]int
 	centers []int
@@ -85,8 +87,16 @@ func refCompute(g *graph.Graph, r int) *refCover {
 		if rc.assign[a] >= 0 {
 			continue
 		}
+		type far struct{ d, v int }
+		best := far{0, a}
+		for _, v := range bfs.Ball(a, r) {
+			cand := far{bfs.Dist(int(v)), int(v)}
+			if rc.assign[v] < 0 && (cand.d > best.d || cand.d == best.d && cand.v > best.v) {
+				best = cand
+			}
+		}
 		var bag []int
-		for _, v := range bfs.Ball(a, 2*r) {
+		for _, v := range bfs.Ball(best.v, 2*r) {
 			bag = append(bag, int(v))
 		}
 		id := int32(len(rc.bags))
@@ -95,12 +105,9 @@ func refCompute(g *graph.Graph, r int) *refCover {
 				rc.assign[bag[i]] = id
 			}
 		}
-		if rc.assign[a] < 0 {
-			rc.assign[a] = id
-		}
 		sort.Ints(bag)
 		rc.bags = append(rc.bags, bag)
-		rc.centers = append(rc.centers, a)
+		rc.centers = append(rc.centers, best.v)
 	}
 	return rc
 }
@@ -321,6 +328,77 @@ func TestOnePassMatchesReference(t *testing.T) {
 			c := Compute(g, r, r/2)
 			if err := sameAsParts(c, refCompute(g, r).refParts(g, r, r/2)); err != nil {
 				t.Fatalf("%s n=%d r=%d: %v", gr.class, gr.n, r, err)
+			}
+		}
+	}
+}
+
+// TestCoverCenterRule replays the construction bag by bag from the finished
+// cover, on every nowhere dense class: a vertex is covered once its r-ball
+// lies inside a bag, a_i is the smallest vertex no bag before i covers, and
+// the center c_i of bag i is within r of a_i, was uncovered at its turn, and
+// has no uncovered rival in N_r(a_i) farther from a_i, or as far with a
+// larger id; Assign(a_i) is i, and the cover passes Validate.
+//
+// Mutation-checked: a center taken from N_{r+1}(a) and a center that is
+// always a each fail here (and in the reference tests above).
+func TestCoverCenterRule(t *testing.T) {
+	for _, class := range gen.Classes {
+		if !gen.NowhereDense(class) {
+			continue
+		}
+		for _, size := range []int{50, 300} {
+			g := gen.Generate(class, size, gen.Options{Seed: 3})
+			n, bfs := g.N(), graph.NewBFS(g)
+			inBag := make([]bool, n)
+			for _, r := range []int{1, 2, 4} {
+				label := fmt.Sprintf("%s n=%d r=%d", class, n, r)
+				c := Compute(g, r, -1)
+				if err := c.Validate(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				covered, a := make([]bool, n), 0
+				for i := 0; i < c.NumBags(); i++ {
+					for a < n && covered[a] {
+						a++
+					}
+					if a == n {
+						t.Fatalf("%s: bag %d comes after every vertex is covered", label, i)
+					}
+					if c.Assign(a) != i {
+						t.Fatalf("%s: Assign(a_%d = %d) = %d", label, i, a, c.Assign(a))
+					}
+					ctr := c.Center(i)
+					near := bfs.Ball(a, r)
+					dc := bfs.Dist(ctr)
+					switch {
+					case dc < 0:
+						t.Fatalf("%s: center %d of bag %d is farther than %d from a_i = %d", label, ctr, i, r, a)
+					case covered[ctr]:
+						t.Fatalf("%s: center %d of bag %d was covered before its turn", label, ctr, i)
+					}
+					for _, v := range near {
+						if d := bfs.Dist(int(v)); !covered[v] && (d > dc || d == dc && int(v) > ctr) {
+							t.Fatalf("%s: bag %d: uncovered %d at distance %d from a_i = %d beats center %d at %d", label, i, v, d, a, ctr, dc)
+						}
+					}
+					for _, v := range c.Bag(i) {
+						inBag[v] = true
+					}
+					for _, v := range c.Bag(i) {
+						inside := true
+						for _, w := range bfs.Ball(int(v), r) {
+							inside = inside && inBag[w]
+						}
+						covered[v] = covered[v] || inside
+					}
+					for _, v := range c.Bag(i) {
+						inBag[v] = false
+					}
+				}
+				if i := slices.Index(covered, false); i >= 0 {
+					t.Fatalf("%s: vertex %d is covered by no bag", label, i)
+				}
 			}
 		}
 	}

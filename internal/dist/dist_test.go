@@ -139,6 +139,20 @@ func TestIndexStatsNoFallbackOnSparse(t *testing.T) {
 			t.Errorf("%s: %d fallbacks on a nowhere dense input", class, f)
 		}
 	}
+	// A partial k-tree has a hub next to most of the graph, so the root
+	// table is over its cap and the index recurses on the cover. With bags
+	// centered on the smallest uncovered vertex itself, almost every bag
+	// was N_4 of a hub neighbour and the recursion ran out of budget: 185
+	// fallbacks at (n, seed) = (4000, 1), 7 at (8000, 1) and 145 at
+	// (8000, 2). Centers stepped into uncovered ground leave none.
+	for _, n := range []int{4000, 8000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			g := gen.Generate(gen.PartialKTree, n, gen.Options{Seed: seed})
+			if f := New(g, 2, Options{}).Stats().Fallbacks; f != 0 {
+				t.Errorf("ktree n=%d seed=%d: %d fallbacks", n, seed, f)
+			}
+		}
+	}
 }
 
 func TestIndexWorkBudgetDegradesGracefully(t *testing.T) {

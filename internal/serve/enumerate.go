@@ -74,7 +74,13 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request, qs url.
 		limit = s.cfg.MaxLimit // cap, don't error: the cursor loses nothing
 	}
 
-	ix, _, err := s.cache.Get(r.Context(), cacheKey{graph: entry.graph, version: gv.version, canonical: entry.canonical})
+	var ix *repro.Index
+	var err error
+	if version == cursorHead {
+		gv, ix, err = s.headIndex(r.Context(), entry)
+	} else {
+		ix, _, err = s.cache.Get(r.Context(), cacheKey{graph: entry.graph, version: gv.version, canonical: entry.canonical})
+	}
 	if err != nil {
 		s.writeCacheErr(w, r, err)
 		return

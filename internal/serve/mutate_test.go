@@ -9,9 +9,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro"
+	"repro/internal/obs"
 )
 
 // encodeLegacyCursor builds a pre-versioning "v1" cursor, as clients from
@@ -212,6 +214,83 @@ func TestMutateVersionGone(t *testing.T) {
 	}
 	if page := mustDecode[EnumerateResponse](t, data); page.Version != 2 {
 		t.Fatalf("v1 cursor served at version %d, want head 2", page.Version)
+	}
+}
+
+// TestHeadRequestsRetryAGoneHead forces the race a head-resolved request
+// can lose: between resolving the head and building its index, two writes
+// push that head out of a retain=1 window, so the build reports it gone.
+// /v1/test, /v1/next, /v1/count and a cursorless /v1/enumerate answer 200 at
+// the new head; a cursor pinned to the lost version still answers 410.
+func TestHeadRequestsRetryAGoneHead(t *testing.T) {
+	s, ts := testServer(t, func(c *Config) { c.RetainVersions = 1 })
+	qr := registerQuery(t, ts.URL, "path", "E(x,y)", "x", "y")
+	gs := s.graphs["path"]
+	// write toggles one edge, so that every write publishes a version. The
+	// race tier calls it from a build flight's goroutine: t.Errorf, not
+	// t.Fatalf.
+	write := func() {
+		op := repro.OpRemoveEdge
+		if !gs.Head().g.HasEdge(10, 11) {
+			op = repro.OpAddEdge
+		}
+		if _, noop, err := gs.Mutate([]repro.Edit{{Op: op, U: 10, V: 11}}); err != nil || noop {
+			t.Errorf("write: noop=%v, %v", noop, err)
+		}
+	}
+	// An armed tier in front of the others lets two writes land on the
+	// next miss before any tier produces the index it was asked for.
+	var armed atomic.Bool
+	race := cacheTier{span: "test.race", counter: new(obs.Counter), load: func(context.Context, cacheKey) (*repro.Index, error) {
+		if armed.CompareAndSwap(true, false) {
+			write()
+			write()
+		}
+		return nil, nil
+	}}
+	s.cache.tiers = append([]cacheTier{race}, s.cache.tiers...)
+
+	// prime moves the head to a version no index exists for and arms the
+	// race; it returns the version the request will answer at.
+	prime := func() int {
+		write()
+		armed.Store(true)
+		return gs.Head().version + 2
+	}
+	tuple := []int{3, 4}
+	for _, probe := range []struct {
+		name string
+		get  func() (*http.Response, []byte)
+		ver  func([]byte) int
+	}{
+		{"test", func() (*http.Response, []byte) {
+			return postJSON(t, ts.URL+"/v1/test", TupleRequest{ID: qr.ID, Tuple: tuple})
+		}, func(d []byte) int { return mustDecode[TestResponse](t, d).Version }},
+		{"next", func() (*http.Response, []byte) {
+			return postJSON(t, ts.URL+"/v1/next", TupleRequest{ID: qr.ID, Tuple: tuple})
+		}, func(d []byte) int { return mustDecode[NextResponse](t, d).Version }},
+		{"count", func() (*http.Response, []byte) {
+			return postJSON(t, ts.URL+"/v1/count", CountRequest{ID: qr.ID})
+		}, func(d []byte) int { return mustDecode[CountResponse](t, d).Version }},
+		{"enumerate", func() (*http.Response, []byte) {
+			return getJSON(t, ts.URL+"/v1/enumerate?query="+qr.ID+"&limit=3")
+		}, func(d []byte) int { return mustDecode[EnumerateResponse](t, d).Version }},
+	} {
+		want := prime()
+		resp, data := probe.get()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s across a lost head: status %d: %s", probe.name, resp.StatusCode, data)
+		}
+		if got := probe.ver(data); got != want || armed.Load() {
+			t.Fatalf("%s answered at version %d, want the new head %d (race fired: %v)", probe.name, got, want, !armed.Load())
+		}
+	}
+
+	// A cursor names its version: lost, it stays lost.
+	pinned := encodeCursor(qr.ID, prime()-2, tuple)
+	resp, data := getJSON(t, ts.URL+"/v1/enumerate?cursor="+pinned)
+	if resp.StatusCode != http.StatusGone || errCode(t, data) != ErrVersionGone || armed.Load() {
+		t.Fatalf("pinned cursor across a lost version: status %d, %s (want 410 %s)", resp.StatusCode, data, ErrVersionGone)
 	}
 }
 

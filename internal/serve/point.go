@@ -39,12 +39,11 @@ func (s *Server) tupleEndpoint(w http.ResponseWriter, r *http.Request) (*queryEn
 		writeErr(w, r, http.StatusNotFound, ErrUnknownQuery, fmt.Sprintf("query %q is not registered", req.ID))
 		return nil, nil, nil, 0, false
 	}
-	gv := s.graphs[entry.graph].Head()
-	if err := validateTuple(req.Tuple, entry.arity, gv.g.N()); err != nil {
+	if err := validateTuple(req.Tuple, entry.arity, s.graphs[entry.graph].Head().g.N()); err != nil {
 		writeErr(w, r, http.StatusBadRequest, ErrBadRequest, err.Error())
 		return nil, nil, nil, 0, false
 	}
-	ix, _, err := s.cache.Get(r.Context(), cacheKey{graph: entry.graph, version: gv.version, canonical: entry.canonical})
+	gv, ix, err := s.headIndex(r.Context(), entry)
 	if err != nil {
 		s.writeCacheErr(w, r, err)
 		return nil, nil, nil, 0, false
@@ -96,8 +95,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, _ url.Value
 		writeErr(w, r, http.StatusNotFound, ErrUnknownQuery, fmt.Sprintf("query %q is not registered", id))
 		return
 	}
-	gv := s.graphs[entry.graph].Head()
-	ix, _, err := s.cache.Get(r.Context(), cacheKey{graph: entry.graph, version: gv.version, canonical: entry.canonical})
+	gv, ix, err := s.headIndex(r.Context(), entry)
 	if err != nil {
 		s.writeCacheErr(w, r, err)
 		return

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -179,4 +181,22 @@ type versionGoneError struct {
 
 func (e *versionGoneError) Error() string {
 	return fmt.Sprintf("version %d of graph %q is no longer retained", e.version, e.graph)
+}
+
+// headIndex acquires entry's index at its graph's head. A head is resolved
+// and then built (or fetched); when a write publishes past it and pushes it
+// out of the retention window in between, the build reports it gone, and a
+// request that asked for no version in particular is answered at the new
+// head instead of with 410.
+func (s *Server) headIndex(ctx context.Context, entry *queryEntry) (*graphVersion, *repro.Index, error) {
+	gs := s.graphs[entry.graph]
+	gv := gs.Head()
+	for {
+		ix, _, err := s.cache.Get(ctx, cacheKey{graph: entry.graph, version: gv.version, canonical: entry.canonical})
+		var gone *versionGoneError
+		if !errors.As(err, &gone) || gs.Head() == gv {
+			return gv, ix, err
+		}
+		gv = gs.Head()
+	}
 }

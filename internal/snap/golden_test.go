@@ -17,16 +17,27 @@ import (
 	"repro/internal/snap"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the version-4 golden snapshot fixtures")
+var updateGolden = flag.Bool("update", false, "rewrite the golden snapshot fixtures this build writes (stepped)")
 
 // The fixtures come in fours. The plain names are the version-1 corpus
 // (CRC-64/ECMA), beside each lies its version-2 twin (CRC-32C) and its
 // version-3 one (partner rows): written by the code of their day, never
 // regenerated, the pin that old files keep loading. The fourth
-// (versionPath(·, 4)) is the same index as the current writer writes it —
-// one skip table a list that is asked, none under far2's x — which the
-// format test pins byte for byte and -update rewrites.
+// (versionPath(·, 4)) is the same index in format 4 — one skip table a list
+// that is asked, none under far2's x — as the build before the cover's
+// centers stepped into uncovered ground wrote it: a pin too, never
+// regenerated. What the current build writes for the cover-form indexes is
+// steppedPath(·), same format, fewer bags, which the format test pins byte
+// for byte and -update rewrites.
 const goldenPath = "testdata/golden-grid64.fodsnap"
+
+// steppedPath names the version-4 fixture the current build writes beside
+// the version-1 file v1: its cover centers each bag on the uncovered vertex
+// of N_R(a) farthest from a, where the committed version-4 file's centers
+// are a itself.
+func steppedPath(v1 string) string {
+	return strings.TrimSuffix(v1, ".fodsnap") + ".v4-stepped.fodsnap"
+}
 
 // goldenAllRowsPath is the fixture as the commit before the skip build was
 // restricted to b ∈ L wrote it, with SC rows for every vertex: the pin that
@@ -107,19 +118,22 @@ func goldenIndex(t testing.TB) *repro.Index {
 // serialized structures shows up as a diff against the committed version-4
 // fixtures and forces a deliberate format-version decision.
 func TestGoldenFormat(t *testing.T) {
-	goldenFormat(t, indexBytes(t, goldenIndex(t)), versionPath(goldenPath, snap.Version))
-	goldenFormat(t, indexBytes(t, goldenBallsIndex(t)), versionPath(goldenBallsPath, snap.Version))
-	goldenFormat(t, indexBytes(t, goldenNearIndex(t)), goldenNearPath(snap.Version))
-	goldenFormat(t, indexBytes(t, goldenFar3Index(t)), versionPath(goldenFar3Path, snap.Version))
+	goldenFormat(t, indexBytes(t, goldenIndex(t)), steppedPath(goldenPath))
+	goldenFormat(t, indexBytes(t, goldenNearIndex(t)), steppedPath(goldenNearPath(1)))
+	goldenFormat(t, indexBytes(t, goldenFar3Index(t)), steppedPath(goldenFar3Path))
 
-	// The all-rows file through an engine: its parts as decoded hold the
-	// table under x, which no version-4 file has.
+	// Two indexes whose bytes no cover construction decides, which this
+	// build writes as the committed version-4 files are (-update leaves
+	// them): the ball form, and the all-rows file through an engine, whose
+	// parts as decoded hold the file's cover and the table under x, which
+	// no version-4 file has.
+	sameAsFixture(t, indexBytes(t, goldenBallsIndex(t)), versionPath(goldenBallsPath, snap.Version))
 	old := restoreEngine(t, goldenAllRowsPath)
 	var buf bytes.Buffer
 	if _, err := snap.Write(&buf, old.snap.Graph, old.snap.Meta, old.eng.SnapshotParts()); err != nil {
 		t.Fatal(err)
 	}
-	goldenFormat(t, buf.Bytes(), versionPath(goldenAllRowsPath, snap.Version))
+	sameAsFixture(t, buf.Bytes(), versionPath(goldenAllRowsPath, snap.Version))
 }
 
 func indexBytes(t testing.TB, ix *repro.Index) []byte {
@@ -142,6 +156,12 @@ func goldenFormat(t *testing.T, got []byte, goldenPath string) {
 		t.Logf("wrote %s (%d bytes)", goldenPath, len(got))
 		return
 	}
+	sameAsFixture(t, got, goldenPath)
+}
+
+// sameAsFixture fails unless got is the committed file byte for byte.
+func sameAsFixture(t *testing.T, got []byte, goldenPath string) {
+	t.Helper()
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("missing golden fixture (regenerate with -update): %v", err)
@@ -200,19 +220,39 @@ func TestGoldenLoads(t *testing.T) {
 			}
 		}
 	}
+	// The files this build writes, with its stepped cover, and the far3
+	// file the build before it wrote: the same index, the same answers.
+	far3 := goldenFar3Index(t)
+	for _, f := range []struct {
+		path string
+		ix   *repro.Index
+	}{
+		{steppedPath(goldenPath), fresh}, {versionPath(goldenFar3Path, 4), far3}, {steppedPath(goldenFar3Path), far3},
+	} {
+		loaded, err := repro.LoadIndexSnapshot(f.path)
+		if err != nil {
+			t.Fatalf("%s does not restore: %v", f.path, err)
+		}
+		if got, want := enumerate(loaded), enumerate(f.ix); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s answers differently: %d solutions vs %d fresh", f.path, len(got), len(want))
+		}
+		if got, want := loaded.Stats().SkipTables, f.ix.Stats().SkipTables; got != want {
+			t.Fatalf("%s restored to %d skip tables, want %d", f.path, got, want)
+		}
+	}
 	// The close pair, one component that stands first: no table in version 4,
 	// one nobody reads in version 3.
 	near := goldenNearIndex(t)
-	for version := uint32(3); version <= snap.Version; version++ {
-		loaded, err := repro.LoadIndexSnapshot(goldenNearPath(version))
+	for _, path := range []string{goldenNearPath(3), goldenNearPath(4), steppedPath(goldenNearPath(1))} {
+		loaded, err := repro.LoadIndexSnapshot(path)
 		if err != nil {
-			t.Fatalf("%s does not restore: %v", goldenNearPath(version), err)
+			t.Fatalf("%s does not restore: %v", path, err)
 		}
 		if got, want := enumerate(loaded), enumerate(near); len(want) == 0 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s answers differently: %d solutions vs %d fresh", goldenNearPath(version), len(got), len(want))
+			t.Fatalf("%s answers differently: %d solutions vs %d fresh", path, len(got), len(want))
 		}
 		if st := loaded.Stats(); st.SkipTables != 0 || st.PartnerCells != near.Stats().PartnerCells {
-			t.Fatalf("%s restored with %+v", goldenNearPath(version), st)
+			t.Fatalf("%s restored with %+v", path, st)
 		}
 	}
 	// The ball fixtures restore to a lowdeg index that says so, with the
