@@ -45,7 +45,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		defer f.Close() //fod:errok — input opened read-only; close errors carry no data loss
+		defer f.Close() // input opened read-only; close errors carry no data loss
 		in = f
 	}
 	g, err := graph.Read(in)

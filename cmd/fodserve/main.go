@@ -81,7 +81,7 @@ func main() {
 			fail(err)
 		}
 		g, err := graph.Read(f)
-		f.Close() //fod:errok — input opened read-only; the Read error below is the one that matters
+		f.Close() // input opened read-only; the Read error below is the one that matters
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", path, err))
 		}

@@ -72,7 +72,7 @@ func cmdBuild(args []string) {
 	out := fs.String("out", "", "output snapshot path")
 	parallel := fs.Int("parallel", 0, "build workers (0 = all CPUs)")
 	engine := fs.String("engine", string(repro.EngineCore), "engine to build: core, lowdeg, or auto (what fodserve -engine will look for)")
-	fs.Parse(args) //fod:errok — ExitOnError flag sets terminate on bad input
+	fs.Parse(args) // ExitOnError flag sets terminate on bad input
 
 	if (*graphPath == "") == (*genSpec == "") {
 		fail(fmt.Errorf("build: exactly one of -graph and -gen is required"))
@@ -87,7 +87,7 @@ func cmdBuild(args []string) {
 			fail(err)
 		}
 		g, err = graph.Read(f)
-		f.Close() //fod:errok — input opened read-only; the Read error below is the one that matters
+		f.Close() // input opened read-only; the Read error below is the one that matters
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", *graphPath, err))
 		}

@@ -175,37 +175,48 @@ func TestCLISnapVerifyFixtures(t *testing.T) {
 	}
 }
 
-// TestCLILintStaleBaseline: a baseline entry that matches no finding fails
-// the run (exit 1, named on stderr) — the reviewed-exceptions file cannot
-// rot behind a green tier 2. The module linted is a scratch one, clean by
-// construction, so the entry is the only thing wrong.
-func TestCLILintStaleBaseline(t *testing.T) {
+// TestCLILintHotPathFinding drives fodlint's exit contract, the one fact
+// tier 2 relies on: exit 0 on a clean module, exit 1 on a finding, named
+// by file:line with the call chain from its //fod:hotpath root. Both
+// modules are scratch ones; the dirty one differs only in what the
+// helper does.
+func TestCLILintHotPathFinding(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	fodlint := buildTool(t, "fodlint")
-	mod := t.TempDir()
-	for name, body := range map[string]string{
-		"go.mod": "module scratch\n\ngo 1.22\n",
-		"a.go":   "package scratch\n\nfunc Twice(x int) int { return 2 * x }\n",
-	} {
-		if err := os.WriteFile(filepath.Join(mod, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
+	module := func(helper string) string {
+		mod := t.TempDir()
+		for name, body := range map[string]string{
+			"go.mod": "module scratch\n\ngo 1.22\n",
+			"a.go": "package scratch\n\n" +
+				"import \"fmt\"\n\n" +
+				"var _ = fmt.Sprint\n\n" +
+				"// Next is the hot root.\n//\n//fod:hotpath\n" +
+				"func Next(x int) int { return helper(x) }\n\n" +
+				"func helper(x int) int {\n" + helper + "\n}\n",
+		} {
+			if err := os.WriteFile(filepath.Join(mod, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return mod
 	}
-	if out, err := exec.Command(fodlint, "-C", mod, "./...").CombinedOutput(); err != nil {
-		t.Fatalf("fodlint on a clean module without a baseline: %v\n%s", err, out)
+
+	clean := module("\treturn 2 * x")
+	if out, err := exec.Command(fodlint, "-C", clean, "./...").CombinedOutput(); err != nil {
+		t.Fatalf("fodlint on a clean module: %v\n%s", err, out)
 	}
-	stale := `{"findings":[{"analyzer":"errdrop","file":"a.go","message":"no such finding","reason":"left behind"}]}`
-	if err := os.WriteFile(filepath.Join(mod, "lint.baseline.json"), []byte(stale), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, err := exec.Command(fodlint, "-C", mod, "./...").CombinedOutput()
+
+	dirty := module("\t_ = fmt.Sprint(x)\n\treturn 2 * x")
+	out, err := exec.Command(fodlint, "-C", dirty, "./...").CombinedOutput()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("fodlint with a stale baseline entry: err = %v, want exit status 1\n%s", err, out)
+		t.Fatalf("fodlint on a hot-path finding: err = %v, want exit status 1\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "stale baseline entry") || !strings.Contains(string(out), "no such finding") {
-		t.Fatalf("the stale entry is not named:\n%s", out)
+	want := "a.go:13:6: helper: calls fmt.Sprint on the hot path"
+	chain := "[hot closure: scratch.Next → scratch.helper]"
+	if !strings.Contains(string(out), want) || !strings.Contains(string(out), chain) {
+		t.Fatalf("fodlint output does not name %q with %q:\n%s", want, chain, out)
 	}
 }

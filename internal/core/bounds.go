@@ -50,7 +50,6 @@ func impliedBounds(f fo.Formula) distBounds {
 	case fo.And:
 		b := distBounds{}
 		for _, g := range f.Fs {
-			//fod:sorted — upd is a commutative min-fold; the result is order-free
 			for k, d := range impliedBounds(g) {
 				b.upd(k[0], k[1], d)
 			}
@@ -65,7 +64,6 @@ func impliedBounds(f fo.Formula) distBounds {
 		for _, g := range f.Fs[1:] {
 			bg := impliedBounds(g)
 			next := distBounds{}
-			//fod:sorted — per-key intersection with max; each entry is independent
 			for k, d := range acc {
 				if dg, ok := bg[k]; ok {
 					if dg > d {
@@ -88,13 +86,11 @@ func impliedBounds(f fo.Formula) distBounds {
 // (Floyd–Warshall over the variables; mid plays the role of k).
 func closure(b distBounds) distBounds {
 	vars := map[fo.Var]bool{}
-	//fod:sorted — set collection; the keys are sorted below before use
 	for k := range b {
 		vars[k[0]] = true
 		vars[k[1]] = true
 	}
 	vs := make([]fo.Var, 0, len(vars))
-	//fod:sorted — collected into vs, which is sorted on the next line
 	for v := range vars {
 		vs = append(vs, v)
 	}
@@ -120,7 +116,6 @@ func closure(b distBounds) distBounds {
 func eliminate(b distBounds, v fo.Var) distBounds {
 	b = closure(b)
 	out := distBounds{}
-	//fod:sorted — per-key filter copy; each entry is independent
 	for k, d := range b {
 		if k[0] != v && k[1] != v {
 			out[k] = d
@@ -189,7 +184,6 @@ func reach(f fo.Formula, ecc map[fo.Var]int) int {
 func reachQuantified(v fo.Var, body, witnessBody fo.Formula, ecc map[fo.Var]int) int {
 	bounds := impliedBounds(witnessBody)
 	ev := unbounded
-	//fod:sorted — commutative min-fold over anchor eccentricities
 	for other, e := range ecc {
 		if d, ok := bounds[pairKey(v, other)]; ok && e+d < ev {
 			ev = e + d
@@ -306,7 +300,6 @@ func maxQuantifiedUnitBound(f fo.Formula) int {
 				walk(h)
 			}
 		case fo.Exists:
-			//fod:sorted — commutative max-fold
 			for _, d := range impliedBounds(g) {
 				if d > best {
 					best = d

@@ -182,7 +182,6 @@ type disjunct struct {
 
 func (d disjunct) clone() disjunct {
 	nd := disjunct{perComp: make(map[int]fo.Formula, len(d.perComp)), guard: d.guard}
-	//fod:sorted — plain map copy; each entry is independent of iteration order
 	for k, v := range d.perComp {
 		nd.perComp[k] = v
 	}
@@ -296,7 +295,6 @@ func (cc *compileCtx) splitLeaf(f fo.Formula, negated bool) ([]disjunct, error) 
 		// its free variables in different components is forced within
 		// distance ≤ R, contradicting the type's "far" requirement.
 		bounds := impliedBounds(f)
-		//fod:sorted — existential scan; every matching entry yields the same return
 		for k, d := range bounds {
 			pi, oki := cc.posOf[k[0]]
 			pj, okj := cc.posOf[k[1]]
@@ -370,7 +368,6 @@ func (cc *compileCtx) decide(f fo.Formula) (bool, bool, error) {
 
 func mergeDisjuncts(a, b disjunct) disjunct {
 	out := a.clone()
-	//fod:sorted — per-key merge; out.perComp[ci] depends only on a and b at ci
 	for ci, f := range b.perComp {
 		if g, ok := out.perComp[ci]; ok {
 			out.perComp[ci] = fo.AndOf(g, f)

@@ -39,8 +39,6 @@ type Iterator struct {
 // IteratorFrom returns a cursor positioned at the smallest solution ≥ a.
 // Every buffer is allocated here — the tuples in one array, the frames in
 // another — and reused by each later Seek and Next.
-//
-//fod:ctxok the loop hands each clause of the compiled query its buffers
 func (e *Engine) IteratorFrom(a []graph.V) *Iterator {
 	k, nc := e.k, len(e.clauses)
 	tuples, frames := make([]graph.V, (nc+2)*k), make([]frame, nc*k)
@@ -56,8 +54,6 @@ func (e *Engine) IteratorFrom(a []graph.V) *Iterator {
 // constant time per clause). The loop is over the compiled query's clauses
 // — work bounded by query size, not by the graph or the solution set, so
 // there is nothing to cancel mid-way.
-//
-//fod:ctxok bounded by query size
 func (it *Iterator) Seek(a []graph.V) {
 	for i := range it.curs {
 		it.e.seek(&it.curs[i], a)
@@ -118,8 +114,6 @@ func (it *Iterator) Next() ([]graph.V, bool) {
 // a deadline returns false from yield (CountCtx does exactly that); a ctx
 // parameter here would put a select on the constant-delay loop of every
 // caller, cancellable or not.
-//
-//fod:ctxok yield returning false is the cancellation path
 func (e *Engine) Enumerate(yield func([]graph.V) bool) {
 	it := e.Iterator()
 	for it.has {

@@ -64,11 +64,10 @@ type RowParts struct{ Off, Adj []int32 }
 // SnapshotParts extracts the serialized form of the engine; see
 // locality.parts for what each locality contributes.
 //
-// (query-size-bounded); the expensive part-extraction calls inside are
+// It takes no ctx: the loops here are over the query's clauses and
+// components (query-size-bounded), the part-extraction calls inside are
 // single passes over already-built structures, and the serve snapshot
 // tier checks its ctx between tiers, not inside the codec.
-//
-//fod:ctxok the loops here are over the query's clauses and components
 func (e *Engine) SnapshotParts() EngineParts {
 	p := EngineParts{LiveIdx: append([]int(nil), e.liveIdx...), Locality: e.kind.name}
 	for _, rt := range e.clauses {

@@ -121,7 +121,6 @@ func (b *Builder) Build() *Graph {
 	}
 	g.setRows(FromFlat(off, out))
 	g.colors = make([]uint64, b.n*g.wpc)
-	//fod:sorted — each key fills its own row of g.colors; order-free
 	for v, cs := range b.cols {
 		for _, c := range cs {
 			g.Colors(v).Set(c)

@@ -51,11 +51,11 @@ func rebuildReference(g *Graph, edits []Edit) *Graph {
 		}
 	}
 	b := NewBuilder(g.N(), g.NumColors())
-	for e := range edges { //fod:sorted — Builder sorts and dedups rows itself
+	for e := range edges { // Builder sorts and dedups rows itself
 		b.AddEdge(e.u, e.v)
 	}
 	for v, cs := range colors {
-		for c := range cs { //fod:sorted — bitset writes commute
+		for c := range cs {
 			b.SetColor(v, c)
 		}
 	}

@@ -266,7 +266,7 @@ func FuzzRowsPatch(f *testing.F) {
 				data = data[2:]
 			}
 			var vs []V
-			for v := range rowOf { //fod:sorted — sorted immediately below
+			for v := range rowOf {
 				vs = append(vs, v)
 			}
 			slices.Sort(vs)

@@ -1,11 +1,9 @@
 package lint
 
-// The whole-program substrate of the v2 analyzers: a call graph over every
-// loaded package, built from the standard library alone. The per-function
-// analyzers of PR 5 (hotpath, maporder, obsnil, errdrop) see one package
-// at a time; the interprocedural analyzers (hotpath-transitive, ctxflow,
-// lockheld) run over a Program — the packages, every declared function as
-// a FuncNode, and resolved call edges between them.
+// The call graph the //fod:hotpath closure is walked over: a Program is
+// the loaded packages, every declared function as a FuncNode, and
+// resolved call edges between them, built from the standard library
+// alone.
 //
 // Callee resolution is deliberately conservative (over-approximating):
 //
@@ -21,12 +19,12 @@ package lint
 //   - calls through func values (variables, fields, parameters, results)
 //     are "dynamic": the candidates are every address-taken in-module
 //     function with an identical signature. A dynamic call with no
-//     candidate stays in the graph with Dynamic=true so analyzers can
-//     flag it instead of silently under-approximating;
+//     candidate stays in the graph with Dynamic=true so Check can flag
+//     it instead of silently under-approximating;
 //   - function-literal bodies are attributed to the enclosing declared
 //     function: a closure's calls become the outer function's calls. This
 //     over-approximates (the literal may escape and run elsewhere) in the
-//     safe direction for every shipped analyzer.
+//     safe direction for the hot-path check.
 
 import (
 	"go/ast"
@@ -73,9 +71,6 @@ type CallSite struct {
 	// static call; possibly many for interface dispatch or func values;
 	// empty for calls that leave the module).
 	Callees []*FuncNode
-	// Interface marks a call resolved by class-hierarchy analysis over an
-	// interface (or type-parameter constraint) method set.
-	Interface bool
 	// Dynamic marks a call through a func value. Callees then holds the
 	// address-taken signature-compatible candidates, possibly none.
 	Dynamic bool
@@ -272,7 +267,6 @@ func unparen(e ast.Expr) ast.Expr {
 // resolveBody walks the node's body (function literals included) and
 // records a CallSite per call expression.
 func (r *resolver) resolveBody(n *FuncNode) {
-	info := n.Pkg.Info
 	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
 		call, ok := nd.(*ast.CallExpr)
 		if !ok {
@@ -282,7 +276,6 @@ func (r *resolver) resolveBody(n *FuncNode) {
 		if site != nil {
 			n.Calls = append(n.Calls, site)
 		}
-		_ = info
 		return true
 	})
 }
@@ -326,17 +319,11 @@ func (r *resolver) resolveCall(pkg *Package, call *ast.CallExpr) *CallSite {
 		case *types.Var:
 			// Call through a func-typed variable or parameter.
 			return r.dynamicSite(info, call, f)
-		case nil:
-			// Defs (rare: calling a just-declared func literal binding).
-			if _, isFn := info.Defs[f].(*types.Func); isFn {
-				return nil
-			}
-			return nil
 		}
 		return nil
 
 	case *ast.SelectorExpr:
-		if pkgName := packageOfInfo(info, f.X); pkgName != nil {
+		if pkgName := packageOf(info, f.X); pkgName != nil {
 			// Package-qualified function call.
 			if obj, ok := info.Uses[f.Sel].(*types.Func); ok {
 				site := &CallSite{Call: call, Pos: call.Pos()}
@@ -433,7 +420,7 @@ func interfaceOf(recv types.Type) *types.Interface {
 // every in-module method with the call's name whose receiver type
 // implements the interface is a candidate.
 func (r *resolver) chaSite(call *ast.CallExpr, name string, iface *types.Interface) *CallSite {
-	site := &CallSite{Call: call, Pos: call.Pos(), Interface: true}
+	site := &CallSite{Call: call, Pos: call.Pos()}
 	for _, m := range r.methodsByName[name] {
 		sig := m.Obj.Type().(*types.Signature)
 		recv := sig.Recv().Type()
@@ -447,14 +434,4 @@ func (r *resolver) chaSite(call *ast.CallExpr, name string, iface *types.Interfa
 		}
 	}
 	return site
-}
-
-// packageOfInfo is packageOf for contexts that carry an Info but no Pass.
-func packageOfInfo(info *types.Info, expr ast.Expr) *types.PkgName {
-	id, ok := expr.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	pkg, _ := info.Uses[id].(*types.PkgName)
-	return pkg
 }

@@ -9,11 +9,10 @@ import (
 // halves of the delay-bound check: every function a dynamic
 // AllocsPerRun guard pins at 0 allocs/op must be a member of the static
 // //fod:hotpath closure, under both localities. If one of these drops out of
-// the closure, hotpath-transitive has silently stopped checking a
+// the closure, fodlint has silently stopped checking a
 // function the benchmarks still rely on. It loads and type-checks the whole
 // module from source the way cmd/fodlint does (a few seconds); that the
-// module lints clean modulo the baseline, with no stale entry, is fodlint's
-// own exit status in verify.sh tier 2.
+// module lints clean is fodlint's own exit status in verify.sh tier 2.
 func TestHotClosureMatchesAllocGuards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
@@ -73,7 +72,7 @@ func TestHotClosureMatchesAllocGuards(t *testing.T) {
 			t.Errorf("no function %s in the call graph (guard target renamed?)", name)
 			continue
 		}
-		if !closure[n] {
+		if _, ok := closure[n]; !ok {
 			t.Errorf("%s is AllocsPerRun-pinned but outside the //fod:hotpath closure", name)
 		}
 	}

@@ -1,7 +1,9 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -27,13 +29,11 @@ import (
 //     reads the clock twice and may take a trace lock, so per-answer
 //     tracing would turn O(1) delay into O(instrumentation)
 //
-// These checks used to ship as the per-function `hotpath` analyzer
-// (PR 5); they are now the body-check half of `hotpath-transitive`
-// (hotpathtrans.go), which runs them over every function in the call
-// closure of a `//fod:hotpath` root, not just the annotated roots. The
-// dynamic twin is the tier-1 AllocsPerRun suite in internal/core, which
-// pins Iterator.Next and Engine.Test at 0 allocs/op (see DESIGN.md
-// "Static analysis").
+// checkBody runs these rules over the body of one member of the
+// //fod:hotpath closure (see HotClosure in hotpathtrans.go). The dynamic
+// twin is the tier-1 AllocsPerRun suite in internal/core, which pins
+// Iterator.Next and Engine.Test at 0 allocs/op (see DESIGN.md "Static
+// analysis").
 
 // timeDependent are the clock-reading functions of package time.
 var timeDependent = map[string]bool{
@@ -41,86 +41,98 @@ var timeDependent = map[string]bool{
 	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
 }
 
-func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
-	allowedAppends := localAppendTargets(pass, fn.Body)
-	loopVars := loopVarObjects(pass, fn.Body)
-	coldCalls := panicArgCalls(pass, fn.Body)
+// hotFunc is one closure member under check; its findings go to diags.
+type hotFunc struct {
+	pkg   *Package
+	decl  *ast.FuncDecl
+	chain string // " [hot closure: …]" for a member a root reaches, "" for a root
+	diags *[]Diagnostic
+}
 
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+// report records a finding, prefixed with the function's name and
+// suffixed with its chain.
+func (h *hotFunc) report(pos token.Pos, format string, args ...any) {
+	*h.diags = append(*h.diags, Diagnostic{
+		Pos:     h.pkg.Fset.Position(pos),
+		Message: h.decl.Name.Name + ": " + fmt.Sprintf(format, args...) + h.chain,
+	})
+}
+
+func (h *hotFunc) checkBody() {
+	info := h.pkg.Info
+	body := h.decl.Body
+	allowedAppends := localAppendTargets(info, h.pkg.Types.Scope(), body)
+	loopVars := loopVarObjects(info, body)
+	coldCalls := panicArgCalls(info, body)
+
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if !coldCalls[n] {
-				checkHotCall(pass, fn, n, allowedAppends)
+				h.checkCall(n, allowedAppends)
 			}
 		case *ast.CompositeLit:
-			if t := pass.Info.TypeOf(n); t != nil {
+			if t := info.TypeOf(n); t != nil {
 				switch t.Underlying().(type) {
 				case *types.Map:
-					pass.Report(n.Pos(), "%s: map literal allocates on the hot path", fn.Name.Name)
+					h.report(n.Pos(), "map literal allocates on the hot path")
 				case *types.Chan:
-					pass.Report(n.Pos(), "%s: channel literal on the hot path", fn.Name.Name)
+					h.report(n.Pos(), "channel literal on the hot path")
 				}
 			}
 		case *ast.FuncLit:
-			reportLoopCaptures(pass, fn, n, loopVars)
-			return true
+			h.reportLoopCaptures(n, loopVars)
 		}
 		return true
 	})
 }
 
-func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, allowedAppends map[*ast.CallExpr]bool) {
+func (h *hotFunc) checkCall(call *ast.CallExpr, allowedAppends map[*ast.CallExpr]bool) {
+	info := h.pkg.Info
 	// Package-qualified calls: fmt.* and the time-dependent set.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if pkg := packageOf(pass, sel.X); pkg != nil {
+		if pkg := packageOf(info, sel.X); pkg != nil {
 			switch pkg.Imported().Path() {
 			case "fmt":
-				pass.Report(call.Pos(), "%s: calls fmt.%s on the hot path (allocates; format outside //fod:hotpath)",
-					fn.Name.Name, sel.Sel.Name)
+				h.report(call.Pos(), "calls fmt.%s on the hot path (allocates; format outside //fod:hotpath)", sel.Sel.Name)
 			case "time":
 				if timeDependent[sel.Sel.Name] {
-					pass.Report(call.Pos(), "%s: calls time.%s on the hot path (clock reads belong in un-annotated instrumented wrappers)",
-						fn.Name.Name, sel.Sel.Name)
+					h.report(call.Pos(), "calls time.%s on the hot path (clock reads belong in un-annotated instrumented wrappers)", sel.Sel.Name)
 				}
 			case "log", "log/slog":
-				pass.Report(call.Pos(), "%s: calls %s.%s on the hot path (logging formats and locks; emit events outside //fod:hotpath)",
-					fn.Name.Name, pkg.Imported().Name(), sel.Sel.Name)
+				h.report(call.Pos(), "calls %s.%s on the hot path (logging formats and locks; emit events outside //fod:hotpath)",
+					pkg.Imported().Name(), sel.Sel.Name)
 			}
-		} else if recv, meth, ok := tracingMethod(pass, sel); ok {
-			pass.Report(call.Pos(), "%s: calls %s.%s on the hot path (tracing reads clocks and locks; spans belong in un-annotated wrappers)",
-				fn.Name.Name, recv, meth)
+		} else if recv, meth, ok := tracingMethod(info, sel); ok {
+			h.report(call.Pos(), "calls %s.%s on the hot path (tracing reads clocks and locks; spans belong in un-annotated wrappers)", recv, meth)
 		}
 	}
-	// Builtins and conversions.
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		switch obj := pass.Info.Uses[fun].(type) {
-		case *types.Builtin:
+	// Builtins.
+	if fun, ok := call.Fun.(*ast.Ident); ok {
+		if obj, ok := info.Uses[fun].(*types.Builtin); ok {
 			switch obj.Name() {
 			case "make":
 				if len(call.Args) > 0 {
-					if t := pass.Info.TypeOf(call.Args[0]); t != nil {
+					if t := info.TypeOf(call.Args[0]); t != nil {
 						switch t.Underlying().(type) {
 						case *types.Map:
-							pass.Report(call.Pos(), "%s: make(map) on the hot path", fn.Name.Name)
+							h.report(call.Pos(), "make(map) on the hot path")
 						case *types.Chan:
-							pass.Report(call.Pos(), "%s: make(chan) on the hot path", fn.Name.Name)
+							h.report(call.Pos(), "make(chan) on the hot path")
 						}
 					}
 				}
 			case "append":
 				if !allowedAppends[call] {
-					pass.Report(call.Pos(), "%s: append escapes (result must be assigned to a plain local variable)", fn.Name.Name)
+					h.report(call.Pos(), "append escapes (result must be assigned to a plain local variable)")
 				}
 			}
 		}
 	}
 	// string <-> []byte conversions.
-	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		to := pass.Info.TypeOf(call.Fun)
-		from := pass.Info.TypeOf(call.Args[0])
-		if isStringByteConv(to, from) {
-			pass.Report(call.Pos(), "%s: string/[]byte conversion allocates on the hot path", fn.Name.Name)
+	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
+		if isStringByteConv(info.TypeOf(call.Fun), info.TypeOf(call.Args[0])) {
+			h.report(call.Pos(), "string/[]byte conversion allocates on the hot path")
 		}
 	}
 }
@@ -161,8 +173,8 @@ var spanConstructors = map[string]bool{
 
 // tracingMethod reports whether sel is a method call on one of the
 // tracing types, or a span-constructor call on a Registry.
-func tracingMethod(pass *Pass, sel *ast.SelectorExpr) (recv, meth string, ok bool) {
-	s := pass.Info.Selections[sel]
+func tracingMethod(info *types.Info, sel *ast.SelectorExpr) (recv, meth string, ok bool) {
+	s := info.Selections[sel]
 	if s == nil || s.Kind() != types.MethodVal {
 		return "", "", false
 	}
@@ -182,19 +194,19 @@ func tracingMethod(pass *Pass, sel *ast.SelectorExpr) (recv, meth string, ok boo
 }
 
 // packageOf resolves expr to the *types.PkgName it names, or nil.
-func packageOf(pass *Pass, expr ast.Expr) *types.PkgName {
+func packageOf(info *types.Info, expr ast.Expr) *types.PkgName {
 	id, ok := expr.(*ast.Ident)
 	if !ok {
 		return nil
 	}
-	pkg, _ := pass.Info.Uses[id].(*types.PkgName)
+	pkg, _ := info.Uses[id].(*types.PkgName)
 	return pkg
 }
 
 // localAppendTargets collects the append calls whose result is assigned to
 // a plain function-local variable — the only form whose amortized growth
 // stays confined to the caller's frame logic (`buf = append(buf, x)`).
-func localAppendTargets(pass *Pass, body *ast.BlockStmt) map[*ast.CallExpr]bool {
+func localAppendTargets(info *types.Info, pkgScope *types.Scope, body *ast.BlockStmt) map[*ast.CallExpr]bool {
 	allowed := map[*ast.CallExpr]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -210,10 +222,10 @@ func localAppendTargets(pass *Pass, body *ast.BlockStmt) map[*ast.CallExpr]bool 
 			if !ok {
 				continue
 			}
-			if b, ok := pass.Info.Uses[fun].(*types.Builtin); !ok || b.Name() != "append" {
+			if b, ok := info.Uses[fun].(*types.Builtin); !ok || b.Name() != "append" {
 				continue
 			}
-			if id, ok := as.Lhs[i].(*ast.Ident); ok && isLocalVar(pass, id) {
+			if id, ok := as.Lhs[i].(*ast.Ident); ok && isLocalVar(info, pkgScope, id) {
 				allowed[call] = true
 			}
 		}
@@ -222,24 +234,24 @@ func localAppendTargets(pass *Pass, body *ast.BlockStmt) map[*ast.CallExpr]bool 
 	return allowed
 }
 
-func isLocalVar(pass *Pass, id *ast.Ident) bool {
+func isLocalVar(info *types.Info, pkgScope *types.Scope, id *ast.Ident) bool {
 	if id.Name == "_" {
 		return false
 	}
-	obj := pass.Info.ObjectOf(id)
+	obj := info.ObjectOf(id)
 	v, ok := obj.(*types.Var)
 	if !ok || v.IsField() {
 		return false
 	}
 	// Package-scope variables are globals; anything nested deeper is local.
-	return v.Parent() != pass.Pkg.Scope()
+	return v.Parent() != pkgScope
 }
 
 // panicArgCalls collects the call expressions nested inside the
 // arguments of panic(...) calls: a panic path is never taken on the
 // success path the delay bound covers, so formatting the panic message
 // (fmt.Sprintf and friends) is exempt from the hot-path rules.
-func panicArgCalls(pass *Pass, body *ast.BlockStmt) map[*ast.CallExpr]bool {
+func panicArgCalls(info *types.Info, body *ast.BlockStmt) map[*ast.CallExpr]bool {
 	cold := map[*ast.CallExpr]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -250,7 +262,7 @@ func panicArgCalls(pass *Pass, body *ast.BlockStmt) map[*ast.CallExpr]bool {
 		if !ok {
 			return true
 		}
-		if b, ok := pass.Info.Uses[id].(*types.Builtin); !ok || b.Name() != "panic" {
+		if b, ok := info.Uses[id].(*types.Builtin); !ok || b.Name() != "panic" {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -268,11 +280,11 @@ func panicArgCalls(pass *Pass, body *ast.BlockStmt) map[*ast.CallExpr]bool {
 
 // loopVarObjects collects the objects declared as range/for loop variables
 // anywhere in body.
-func loopVarObjects(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
+func loopVarObjects(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 	vars := map[types.Object]bool{}
 	def := func(e ast.Expr) {
 		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := pass.Info.Defs[id]; obj != nil {
+			if obj := info.Defs[id]; obj != nil {
 				vars[obj] = true
 			}
 		}
@@ -297,7 +309,7 @@ func loopVarObjects(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
 // reportLoopCaptures flags a closure that references a loop variable of
 // the enclosing function: such a closure cannot be allocated once and
 // reused, so every loop iteration pays a heap allocation.
-func reportLoopCaptures(pass *Pass, fn *ast.FuncDecl, lit *ast.FuncLit, loopVars map[types.Object]bool) {
+func (h *hotFunc) reportLoopCaptures(lit *ast.FuncLit, loopVars map[types.Object]bool) {
 	if len(loopVars) == 0 {
 		return
 	}
@@ -310,11 +322,11 @@ func reportLoopCaptures(pass *Pass, fn *ast.FuncDecl, lit *ast.FuncLit, loopVars
 		if !ok {
 			return true
 		}
-		if obj := pass.Info.Uses[id]; obj != nil && loopVars[obj] {
+		if obj := h.pkg.Info.Uses[id]; obj != nil && loopVars[obj] {
 			// The loop variable must be declared outside the literal for
 			// this to be a capture.
 			if obj.Pos() < lit.Pos() || obj.Pos() > lit.End() {
-				pass.Report(lit.Pos(), "%s: closure captures loop variable %q (allocates per iteration)", fn.Name.Name, id.Name)
+				h.report(lit.Pos(), "closure captures loop variable %q (allocates per iteration)", id.Name)
 				reported = true
 			}
 		}

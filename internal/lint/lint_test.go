@@ -4,13 +4,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// The golden-file suite: each testdata/src/<rule> directory is a
-// standalone package type-checked by LoadDir under an import path that
-// places it inside the analyzer's scope. Expected diagnostics are
+// The golden-file suite: each testdata/src/<case> directory is a
+// standalone package type-checked by LoadDir. Expected diagnostics are
 // declared in the source itself with trailing `// want "regexp"`
 // comments; the harness demands an exact line-for-line match in both
 // directions (no missing findings, no extra ones).
@@ -44,31 +44,16 @@ func goldenWants(t *testing.T, pkg *Package) map[string]*regexp.Regexp {
 }
 
 func posKey(file string, line int) string {
-	return file + ":" + strconvItoa(line)
+	return file + ":" + strconv.Itoa(line)
 }
 
-func strconvItoa(n int) string {
-	// tiny positive-int formatter; avoids importing strconv for one call
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
-
-func runGolden(t *testing.T, rule, pkgPath string, a *Analyzer) {
+func runGolden(t *testing.T, dir, pkgPath string) {
 	t.Helper()
-	pkg, err := LoadDir(filepath.Join("testdata", "src", rule), pkgPath)
+	pkg, err := LoadDir(filepath.Join("testdata", "src", dir), pkgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{a})
+	diags := Check([]*Package{pkg})
 	wants := goldenWants(t, pkg)
 	seen := map[string]bool{}
 	for _, d := range diags {
@@ -91,88 +76,11 @@ func runGolden(t *testing.T, rule, pkgPath string, a *Analyzer) {
 }
 
 func TestHotPathGolden(t *testing.T) {
-	runGolden(t, "hotpath", "example.com/hot", HotPathTrans())
+	runGolden(t, "hotpath", "example.com/hot")
 }
 
 // TestHotPathTransGolden exercises the call-graph closure: interface
 // dispatch, address-taken func values, generics, coldpath pruning.
 func TestHotPathTransGolden(t *testing.T) {
-	runGolden(t, "hotpathtrans", "example.com/engine", HotPathTrans())
-}
-
-// TestCtxFlowGolden loads the fixture under a path that is inside both
-// the serve scope and (via its /reproroot suffix) the module-root scope,
-// so all three ctxflow rules run against one package.
-func TestCtxFlowGolden(t *testing.T) {
-	runGolden(t, "ctxflow", "example.com/internal/serve/reproroot", CtxFlow())
-}
-
-func TestLockHeldGolden(t *testing.T) {
-	runGolden(t, "lockheld", "example.com/held", LockHeld())
-}
-
-func TestAtomicMixGolden(t *testing.T) {
-	runGolden(t, "atomicmix", "example.com/mix", AtomicMix())
-}
-
-func TestMapOrderGolden(t *testing.T) {
-	runGolden(t, "maporder", "example.com/internal/core", MapOrder())
-}
-
-// TestMapOrderScope re-checks the maporder fixture under an import path
-// outside the deterministic packages: every finding must vanish.
-func TestMapOrderScope(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "src", "maporder"), "example.com/internal/api")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{MapOrder()}); len(diags) != 0 {
-		t.Fatalf("out-of-scope package got %d diagnostics: %v", len(diags), diags)
-	}
-}
-
-func TestObsNilGolden(t *testing.T) {
-	runGolden(t, "obsnil", "example.com/internal/obs", ObsNil())
-}
-
-func TestErrDropGolden(t *testing.T) {
-	runGolden(t, "errdrop", "example.com/internal/serve", ErrDrop())
-}
-
-// TestErrDropCmdScope confirms the cmd/* scoping of errdrop.
-func TestErrDropCmdScope(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "src", "errdrop"), "example.com/cmd/handler")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{ErrDrop()})
-	if len(diags) == 0 {
-		t.Fatal("cmd/* package should be in errdrop scope")
-	}
-}
-
-// TestErrDropSnapScope confirms the snapshot codec is in errdrop scope —
-// a dropped io error there persists a truncated snapshot.
-func TestErrDropSnapScope(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "src", "errdrop"), "example.com/internal/snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{ErrDrop()})
-	if len(diags) == 0 {
-		t.Fatal("internal/snap package should be in errdrop scope")
-	}
-}
-
-// TestAnalyzerDocs keeps every analyzer self-describing for -list, and
-// enforces the Run/RunProgram exactly-one contract.
-func TestAnalyzerDocs(t *testing.T) {
-	for _, a := range All() {
-		if a.Name == "" || a.Doc == "" {
-			t.Errorf("analyzer %+v is missing a name or doc", a)
-		}
-		if (a.Run == nil) == (a.RunProgram == nil) {
-			t.Errorf("analyzer %s must set exactly one of Run and RunProgram", a.Name)
-		}
-	}
+	runGolden(t, "hotpathtrans", "example.com/engine")
 }

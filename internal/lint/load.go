@@ -19,7 +19,6 @@ import (
 // Package is one loaded, parsed and type-checked package.
 type Package struct {
 	PkgPath string
-	Dir     string
 	Fset    *token.FileSet
 	Syntax  []*ast.File
 	Types   *types.Package
@@ -137,7 +136,7 @@ func (ld *loader) check(p *listPackage) (*Package, error) {
 	for i, f := range p.GoFiles {
 		files[i] = filepath.Join(p.Dir, f)
 	}
-	cp, err := checkFiles(ld.fset, ld, p.ImportPath, p.Dir, files)
+	cp, err := checkFiles(ld.fset, ld, p.ImportPath, files)
 	if err != nil {
 		return nil, err
 	}
@@ -146,10 +145,9 @@ func (ld *loader) check(p *listPackage) (*Package, error) {
 }
 
 // LoadDir parses and type-checks all .go files of a single directory as a
-// package with the given import path (which the scoped analyzers match
-// against). It is the loader of the golden-file test suite: testdata
-// packages are outside the module, so `go list` never sees them, and the
-// claimed import path places them inside an analyzer's scope at will.
+// package with the given import path. It is the loader of the golden-file
+// test suite: testdata packages are outside the module, so `go list`
+// never sees them, and they may import only the standard library.
 func LoadDir(dir, pkgPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -165,18 +163,10 @@ func LoadDir(dir, pkgPath string) (*Package, error) {
 		return nil, fmt.Errorf("lint: no .go files in %s", dir)
 	}
 	fset := token.NewFileSet()
-	imp := &fallbackImporter{source: importer.ForCompiler(fset, "source", nil)}
-	return checkFiles(fset, imp, pkgPath, dir, files)
+	return checkFiles(fset, importer.ForCompiler(fset, "source", nil), pkgPath, files)
 }
 
-// fallbackImporter serves stdlib imports for standalone testdata packages.
-type fallbackImporter struct{ source types.Importer }
-
-func (f *fallbackImporter) Import(path string) (*types.Package, error) {
-	return f.source.Import(path)
-}
-
-func checkFiles(fset *token.FileSet, imp types.Importer, pkgPath, dir string, files []string) (*Package, error) {
+func checkFiles(fset *token.FileSet, imp types.Importer, pkgPath string, files []string) (*Package, error) {
 	var syntax []*ast.File
 	for _, f := range files {
 		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -199,7 +189,6 @@ func checkFiles(fset *token.FileSet, imp types.Importer, pkgPath, dir string, fi
 	}
 	return &Package{
 		PkgPath: pkgPath,
-		Dir:     dir,
 		Fset:    fset,
 		Syntax:  syntax,
 		Types:   tp,

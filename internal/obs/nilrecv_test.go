@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// TestNilReceiversAreSinks is the dynamic twin of the fodlint obsnil
-// analyzer: the package contract says a nil instrument is a no-op sink,
-// so every exported method of every exported pointer-receiver type must
-// tolerate a typed-nil receiver. Reflection enumerates the methods, so a
-// newly added instrument method is covered the moment it exists.
+// TestNilReceiversAreSinks is the one check of the package contract
+// that a nil instrument is a no-op sink: every exported method of every
+// exported pointer-receiver type must tolerate a typed-nil receiver.
+// Reflection enumerates the methods, so a newly added instrument method
+// is covered the moment it exists.
 func TestNilReceiversAreSinks(t *testing.T) {
 	targets := []any{
 		(*Counter)(nil),

@@ -53,7 +53,7 @@ func ParseTraceID(s string) (TraceID, bool) {
 func randomTraceID() TraceID {
 	var id TraceID
 	for id.IsZero() {
-		rand.Read(id[:]) //fod:errok crypto/rand.Read never fails on supported platforms
+		rand.Read(id[:]) // crypto/rand.Read never fails on supported platforms
 	}
 	return id
 }

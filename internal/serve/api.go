@@ -278,7 +278,7 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	w.Write(body) //fod:errok — the client hung up; there is no one left to tell
+	w.Write(body) // on error the client hung up; there is no one left to tell
 }
 
 func writeEnvelope(w http.ResponseWriter, status int, env envelope) {
@@ -302,7 +302,7 @@ func writeEnvelope(w http.ResponseWriter, status int, env envelope) {
 func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) //fod:errok — a string always marshals
+			q, _ := json.Marshal(s) // a string always marshals
 			return append(b, q...)
 		}
 	}

@@ -213,7 +213,6 @@ func NewServer(cfg Config) *Server {
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
-	//fod:sorted order-free: key-addressed map-to-map copy, no fold state
 	for name, g := range cfg.Graphs {
 		s.graphs[name] = newGraphState(name, g, cfg.RetainVersions)
 	}

@@ -20,7 +20,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ url.Value
 		Cache:  s.cache.Stats(),
 		Engine: string(engine),
 	}
-	//fod:sorted order-free: key-addressed fill of the response map; the JSON encoder emits map keys sorted
+	// resp.Graphs is a map; the JSON encoder emits its keys sorted.
 	for name, gs := range s.graphs {
 		gv := gs.Head()
 		resp.Graphs[name] = GraphStats{
@@ -32,7 +32,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ url.Value
 		}
 	}
 	s.mu.Lock()
-	//fod:sorted the collected slice is sorted by ID immediately after this fold (below)
 	for _, e := range s.queries {
 		qs := QueryStats{
 			ID: e.id, Graph: e.graph, Canonical: e.canonical, Arity: e.arity,

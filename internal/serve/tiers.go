@@ -23,7 +23,6 @@ func (s *Server) installTiers() {
 	var before []cacheTier
 	if s.cfg.SnapshotDir != "" {
 		s.graphFP = make(map[string]string, len(s.cfg.Graphs))
-		//fod:sorted order-free: key-addressed map-to-map copy, no fold state
 		for name, g := range s.cfg.Graphs {
 			s.graphFP[name] = snap.FingerprintString(snap.Fingerprint(g))
 		}
@@ -204,7 +203,7 @@ func (s *Server) buildIndex(ctx context.Context, key cacheKey) (*repro.Index, er
 	}
 	s.mu.Lock()
 	var q *repro.Query
-	//fod:sorted order-free: (graph, canonical) identifies at most one entry, so the scan's first hit is its only hit
+	// (graph, canonical) identifies at most one entry, so the first hit is the only hit.
 	for _, e := range s.queries {
 		if e.graph == key.graph && e.canonical == key.canonical {
 			q = e.q

@@ -157,7 +157,7 @@ func editsEffective(g *repro.Graph, edits []repro.Edit) bool {
 			final[key{1, e.U, e.Color}] = e.Op == repro.OpAddColor
 		}
 	}
-	for k, want := range final { //fod:sorted — order-free any-fold: first difference decides, and existence is order-independent
+	for k, want := range final {
 		have := false
 		if k.kind == 0 {
 			have = g.HasEdge(k.a, k.b)

@@ -81,7 +81,7 @@ func mutateFixture(t *testing.T, rng *rand.Rand, g *graph.Graph, cov *cover.Cove
 		deltaSet[v] = true
 	}
 	delta := make([]graph.V, 0, len(deltaSet))
-	for v := range deltaSet { //fod:sorted — sorted immediately below
+	for v := range deltaSet {
 		delta = append(delta, v)
 	}
 	sort.Ints(delta)

@@ -58,7 +58,6 @@ func TestSkipExhaustive(t *testing.T) {
 		cov := cover.Compute(g, 2, 1)
 		n := g.N()
 		t.Logf("%s: n=%d, %d bags, degree %d", fx.class, n, cov.NumBags(), cov.Degree())
-		//fod:sorted order-free: every list is checked on its own
 		for name, L := range restrictionLists(n) {
 			for k := 1; k <= 3; k++ {
 				p := New(g, cov, k, L)
@@ -96,7 +95,6 @@ func TestSkipTableByDefinition(t *testing.T) {
 		n := g.N()
 		for p := 1; p <= 2; p++ {
 			cov := cover.Compute(g, 2, p)
-			//fod:sorted order-free: every list is checked on its own
 			for name, L := range restrictionLists(n) {
 				for k := 1; k <= 3; k++ {
 					tab := New(g, cov, k, L)

@@ -14,9 +14,8 @@
 #            what a 100-answer page does
 #   tier 2 — static analysis + race-detector pass: go vet (plus an
 #            explicit -copylocks -loopclosure run), the repo's own fodlint
-#            analyzers over the whole module, internal/lint included (see
-#            README "Static analysis"; a finding outside lint.baseline.json
-#            or a baseline entry that matches nothing fails it), and the
+#            hot-path check over the whole module, internal/lint included
+#            (see README "Static analysis"; a finding fails it), and the
 #            concurrency-sensitive suite under -race in -short mode; the
 #            serving layer (internal/serve) additionally runs its full
 #            suite under -race — it is the concurrency surface of the repo —
@@ -81,7 +80,7 @@ if [[ "$tier" == "2" || "$tier" == "all" ]]; then
     echo "== tier 2: go vet ./... (+ explicit -copylocks -loopclosure) =="
     go vet ./...
     go vet -copylocks -loopclosure ./...
-    echo "== tier 2: fodlint (7 whole-program analyzers, all packages) =="
+    echo "== tier 2: fodlint (hot-path closure check, all packages) =="
     go run ./cmd/fodlint ./...
     echo "== tier 2: go test -race -short ./... =="
     go test -race -short ./...
