@@ -1,4 +1,4 @@
-// Benchmarks: one testing.B target per experiment of DESIGN.md §4.
+// Benchmarks: the testing.B targets of the experiments in EXPERIMENTS.md.
 // cmd/fodbench prints the corresponding full tables; EXPERIMENTS.md records
 // the interpretation against the paper's claims.
 package repro_test

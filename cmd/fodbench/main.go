@@ -1,6 +1,6 @@
 // Command fodbench reproduces the paper's evaluation: one experiment per
-// complexity claim (see DESIGN.md §4 and EXPERIMENTS.md). Each experiment
-// prints a table; EXPERIMENTS.md records the interpretation.
+// complexity claim. Each experiment prints a table; EXPERIMENTS.md records
+// the interpretation.
 //
 //	fodbench -exp all
 //	fodbench -exp E1,E5,E6 -quick

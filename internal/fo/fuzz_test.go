@@ -7,7 +7,7 @@ import "testing"
 // benchmarks, tests), so `go test` alone already exercises the round-trip
 // property on the full corpus.
 var fuzzCorpus = []string{
-	// EXPERIMENTS.md (E6 Example-2 query, E13 relational corpus).
+	// EXPERIMENTS.md (E6 Example-2 query, E10 relational corpus).
 	"dist(x,y) > 2 & C0(y)",
 	"Cites(x,y) & Old(y)",
 	// Examples and tests.

@@ -32,8 +32,7 @@ import (
 // checkBody runs these rules over the body of one member of the
 // //fod:hotpath closure (see HotClosure in hotpathtrans.go). The dynamic
 // twin is the tier-1 AllocsPerRun suite in internal/core, which pins
-// Iterator.Next and Engine.Test at 0 allocs/op (see DESIGN.md "Static
-// analysis").
+// Iterator.Next and Engine.Test at 0 allocs/op (see DESIGN.md §3.1).
 
 // timeDependent are the clock-reading functions of package time.
 var timeDependent = map[string]bool{

@@ -13,13 +13,12 @@ import (
 )
 
 // The ball locality's selling points, enforced: preprocessing a
-// bounded-degree graph must be at least 25× cheaper than the general
-// nowhere-dense build (no cover, kernels, skip pointers or distance index
-// to pay for), and a single-edge write at least 10× cheaper than that build
-// again (it patches the ball rows around the edge, it does not rebuild) —
-// two timing ratios, run in verify.sh tier 3 under GUARD=1; and the
-// answering hot path must stay allocation-free like the cover locality's —
-// three deterministic pins, run in tier 1.
+// bounded-degree graph is linear in its size (no cover, kernels, skip
+// pointers or distance index to pay for), and a single-edge write is at
+// least 10× cheaper than that build (it patches the ball rows around the
+// edge, it does not rebuild) — two timing ratios, run in verify.sh tier 3
+// under GUARD=1; and the answering hot path must stay allocation-free like
+// the cover locality's — three deterministic pins, run in tier 1.
 
 func timingGuard(t *testing.T) {
 	t.Helper()
@@ -40,25 +39,30 @@ func buildGuardQuery(t testing.TB) *core.LocalQuery {
 	return lq
 }
 
-// TestLowdegBuildSpeedGuard pins the headline preprocessing advantage:
-// on the degree-bounded bdeg-4000 graph the lowdeg build must be ≥ 25× cheaper
-// than the core build. It is one pass that writes every sorted ball once
-// and two passes over the colours (51–58× over five runs until PR 24 made the
-// core build on this graph an eighth cheaper, 34–53× over six since; the gate
-// is half of what was measured then). Both engines are cross-checked on FastCount before any
-// timing is trusted.
+// TestLowdegBuildSpeedGuard pins the headline preprocessing claim of the
+// ball locality — a build linear in the graph — against its own baseline:
+// on bdeg graphs of 4 000 and 16 000 vertices, one worker, best of five
+// builds a size, the large build may cost at most 6× the small one (linear
+// is 4×; measured 2.9–4.6×). A ratio to the cover-locality build would move
+// with every change to that build and with the CPU count, so the core build
+// is timed once for the log only. FastCount cross-checks the two localities
+// before any timing is trusted.
 func TestLowdegBuildSpeedGuard(t *testing.T) {
 	timingGuard(t)
-	g := gen.Generate(gen.BoundedDegree, 4000, gen.Options{Seed: 16, Colors: 2})
 	lq := buildGuardQuery(t)
+	small := gen.Generate(gen.BoundedDegree, 4000, gen.Options{Seed: 16, Colors: 2})
+	large := gen.Generate(gen.BoundedDegree, 16000, gen.Options{Seed: 16, Colors: 2})
+	one := Options{Parallelism: 1}
 
 	// Warm-up + correctness gate: the speed claim is meaningless if the
-	// cheap build answers differently.
-	ce, err := core.Preprocess(g, lq, core.Options{})
+	// ball locality answers differently.
+	start := time.Now()
+	ce, err := core.Preprocess(small, lq, one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	le, err := Preprocess(g, lq, Options{})
+	coreWall := time.Since(start)
+	le, err := Preprocess(small, lq, one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,27 +72,23 @@ func TestLowdegBuildSpeedGuard(t *testing.T) {
 		t.Fatalf("FastCount disagrees: core %d vs lowdeg %d", cc, lc)
 	}
 
-	// Best-of-3 walls to shave scheduler noise.
-	coreWall, lowWall := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		if _, err := core.Preprocess(g, lq, core.Options{}); err != nil {
-			t.Fatal(err)
+	best := func(g *graph.Graph) time.Duration {
+		wall := time.Duration(1 << 62)
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			if _, err := Preprocess(g, lq, one); err != nil {
+				t.Fatal(err)
+			}
+			wall = min(wall, time.Since(start))
 		}
-		if d := time.Since(start); d < coreWall {
-			coreWall = d
-		}
-		start = time.Now()
-		if _, err := Preprocess(g, lq, Options{}); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start); d < lowWall {
-			lowWall = d
-		}
+		return wall
 	}
-	t.Logf("core build %v, lowdeg build %v (%.1fx)", coreWall, lowWall, float64(coreWall)/float64(lowWall))
-	if lowWall*25 > coreWall {
-		t.Errorf("lowdeg build %v is not ≥25x cheaper than core build %v", lowWall, coreWall)
+	smallWall, largeWall := best(small), best(large)
+	ratio := float64(largeWall) / float64(smallWall)
+	t.Logf("lowdeg build: bdeg-4000 %v, bdeg-16000 %v (%.2fx for 4x the vertices); core build on bdeg-4000 %v (%.1fx the lowdeg one)",
+		smallWall, largeWall, ratio, coreWall, float64(coreWall)/float64(smallWall))
+	if ratio > 6 {
+		t.Errorf("lowdeg build grows %.2fx from bdeg-4000 to bdeg-16000 (%v → %v), want ≤ 6x (linear is 4x)", ratio, smallWall, largeWall)
 	}
 }
 

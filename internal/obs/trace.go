@@ -110,9 +110,6 @@ type SpanCtx struct {
 	Span  uint64
 }
 
-// Active reports whether the position belongs to a live trace.
-func (sc SpanCtx) Active() bool { return sc.Trace != nil }
-
 type spanCtxKey struct{}
 
 // ContextWithSpan returns ctx carrying sc. A nil ctx is treated as
@@ -240,16 +237,6 @@ func (t *Trace) Status() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.status
-}
-
-// Spans returns a copy of the recorded spans, in end order.
-func (t *Trace) Spans() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]SpanRecord(nil), t.spans...)
 }
 
 // TraceSummary is the list-view JSON form of a trace.

@@ -424,22 +424,6 @@ func (f *File) I32Section(name string) ([]int32, error) {
 	return v, nil
 }
 
-// I64Section decodes an []int64 section.
-func (f *File) I64Section(name string) ([]int64, error) {
-	b, err := f.section(name, KindI64)
-	if err != nil {
-		return nil, err
-	}
-	if v, ok := castI64(b); ok {
-		return v, nil
-	}
-	v := make([]int64, len(b)/8)
-	for i := range v {
-		v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return v, nil
-}
-
 // U64Section decodes a []uint64 section.
 func (f *File) U64Section(name string) ([]uint64, error) {
 	b, err := f.section(name, KindU64)

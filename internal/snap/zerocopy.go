@@ -56,16 +56,6 @@ func castI32(b []byte) ([]int32, bool) {
 	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4), true
 }
 
-func castI64(b []byte) ([]int64, bool) {
-	if !hostLittleEndian || !alignedTo(b, 8) {
-		return nil, false
-	}
-	if len(b) == 0 {
-		return nil, true
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8), true
-}
-
 func castU64(b []byte) ([]uint64, bool) {
 	if !hostLittleEndian || !alignedTo(b, 8) {
 		return nil, false

@@ -1,7 +1,9 @@
 package repro
 
 import (
+	"os"
 	"os/exec"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -87,6 +89,34 @@ func TestLayering(t *testing.T) {
 		}
 		if want, leaf := leafImports[pkg]; leaf && !slices.Equal(module, want) {
 			t.Errorf("leaf package %q imports %v from the module, want exactly %v", pkg, module, want)
+		}
+	}
+}
+
+// docBudget is the most DESIGN.md and EXPERIMENTS.md may weigh together.
+// They say what the system is and what was measured; the story of how it
+// got there, PR by PR, belongs in CHANGES.md and git.
+const docBudget = 80_000
+
+// TestDocBudget keeps the two design documents short and free of history:
+// together they stay within docBudget bytes, and DESIGN.md names no PR and
+// says nothing "used to" be.
+func TestDocBudget(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	experiments, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total := len(design) + len(experiments); total > docBudget {
+		t.Errorf("DESIGN.md + EXPERIMENTS.md = %d bytes, want ≤ %d", total, docBudget)
+	}
+	history := regexp.MustCompile(`PR [0-9]|used to`)
+	for i, line := range strings.Split(string(design), "\n") {
+		if m := history.FindString(line); m != "" {
+			t.Errorf("DESIGN.md:%d: %q — history goes to CHANGES.md", i+1, m)
 		}
 	}
 }

@@ -55,8 +55,8 @@
 #            ApplyEdits is ≥10× faster than the rebuild on grid-4000 over
 #            the cover locality and on bdeg-32k over the ball locality,
 #            never through the rebuild fallback (TestMutateSpeedGuard,
-#            TestLowdegMutateSpeedGuard); on bdeg-4000 the ball-locality
-#            build is ≥25× cheaper than the cover-locality build
+#            TestLowdegMutateSpeedGuard); the ball-locality build on
+#            bdeg-16000 costs at most 6× the one on bdeg-4000
 #            (TestLowdegBuildSpeedGuard); and over a full scan of near2 on
 #            grid-2k and grid-8k the slowest single Next stays within 50× the
 #            median (TestCloseDelayGuard)
