@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"repro/internal/graph"
@@ -159,7 +158,7 @@ func Compute(g *graph.Graph, r, p int) *Cover {
 	bfs := graph.BorrowBFS(g)
 	defer bfs.Release()
 	sc := borrowKernelScratch(n)
-	defer kernelScratchPool.Put(sc)
+	defer sc.release()
 
 	// One pass over the greedy centers: the smallest vertex a no bag covers
 	// yet contributes the bag N_2r(ctr), laid out in BFS order, where ctr
@@ -376,7 +375,7 @@ func (c *Cover) computeKernels(p int, depth []uint8) {
 			data = bagKernel(data, c.g, sc, bag, p)
 			off[i+1] = int32(len(data))
 		}
-		kernelScratchPool.Put(sc)
+		sc.release()
 	}
 	c.kernels = viewRows(off, data)
 	c.kernelOf = invertLists(c.kernels.rows, c.g.N())
@@ -392,19 +391,22 @@ type kernelScratch struct {
 	ep    int32
 }
 
-// kernelScratchPool keeps idle kernel scratch, which holds no graph, for
+// kernelScratchFree keeps idle kernel scratch, which holds no graph, for
 // the next Compute, ComputeKernels or Patch: a write allocates none of its
 // own.
-var kernelScratchPool sync.Pool
+var kernelScratchFree graph.FreeList[*kernelScratch]
 
-// borrowKernelScratch returns scratch for graphs of up to n vertices; put
-// it back into kernelScratchPool.
+// borrowKernelScratch returns scratch for graphs of up to n vertices;
+// release it.
 func borrowKernelScratch(n int) *kernelScratch {
-	if sc, ok := kernelScratchPool.Get().(*kernelScratch); ok && len(sc.mark) >= n {
+	if sc, ok := kernelScratchFree.Get(); ok && len(sc.mark) >= n {
 		return sc
 	}
 	return &kernelScratch{mark: make([]int32, n), depth: make([]int32, n)}
 }
+
+// release makes borrowed scratch idle again.
+func (sc *kernelScratch) release() { kernelScratchFree.Put(sc, len(sc.mark)) }
 
 // next starts a search: it returns an epoch no mark holds, or its negation.
 func (sc *kernelScratch) next() int32 {

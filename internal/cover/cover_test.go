@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -108,4 +109,19 @@ func TestCoverRejectsBadRadius(t *testing.T) {
 		}
 	}()
 	Compute(gen.Generate(gen.Path, 10, gen.Options{}), 0, -1)
+}
+
+// TestBorrowKernelScratchAcrossCollections: idle kernel scratch outlives two
+// collections, so a borrow after them allocates nothing.
+func TestBorrowKernelScratchAcrossCollections(t *testing.T) {
+	const n = 4000
+	borrowKernelScratch(n).release()
+	allocs := testing.AllocsPerRun(5, func() {
+		runtime.GC()
+		runtime.GC()
+		borrowKernelScratch(n).release()
+	})
+	if allocs != 0 {
+		t.Fatalf("a borrow after two collections allocates %.1f times, want 0", allocs)
+	}
 }

@@ -112,7 +112,7 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 	}
 
 	sc := borrowKernelScratch(n)
-	defer kernelScratchPool.Put(sc)
+	defer sc.release()
 	// What changes in the inverted lists, as (vertex, bag) cells to toggle:
 	// a bag joins memberOf, and joins or leaves kernelOf.
 	var memberDelta, kernelDelta []graph.Cell

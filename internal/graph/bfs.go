@@ -3,7 +3,6 @@ package graph
 import (
 	"math"
 	"slices"
-	"sync"
 )
 
 // BFS holds reusable scratch space for truncated breadth-first searches on a
@@ -37,27 +36,26 @@ func (b *BFS) Rebind(g *Graph) {
 	b.g = g
 }
 
-// bfsPool is where BorrowBFS and Release keep idle scratch. It is the
-// package's and not a field of anything that has a version: a pool that has
-// been used stays reachable from the runtime for two collections, and what
-// it is a field of with it. The scratch in it holds no graph.
-var bfsPool sync.Pool
+// bfsFree is where BorrowBFS and Release keep idle scratch. It is the
+// package's and not a field of anything that has a version, and the scratch
+// in it holds no graph.
+var bfsFree FreeList[*BFS]
 
-// BorrowBFS returns pooled scratch bound to g, for the span of one
-// operation: a write allocates no search state of its own. Release it.
+// BorrowBFS returns idle scratch bound to g, for the span of one operation:
+// a write allocates no search state of its own. Release it.
 func BorrowBFS(g *Graph) *BFS {
-	if b, ok := bfsPool.Get().(*BFS); ok {
+	if b, ok := bfsFree.Get(); ok {
 		b.Rebind(g)
 		return b
 	}
 	return NewBFS(g)
 }
 
-// Release returns borrowed scratch to the pool, without its graph: idle
+// Release makes borrowed scratch idle again, without its graph: idle
 // scratch must not keep an index version alive.
 func (b *BFS) Release() {
 	b.g = nil
-	bfsPool.Put(b)
+	bfsFree.Put(b, len(b.dist))
 }
 
 // ReachEither lists, ascending, the vertices within radius of srcs in gOld
@@ -88,7 +86,7 @@ func (b *BFS) Ball(src V, r int) []int32 {
 // BallMulti computes N_r(ā) = ∪_i N_r(a_i) for a tuple of sources.
 func (b *BFS) BallMulti(srcs []V, r int) []int32 {
 	if b.cur == math.MaxInt32 {
-		// Pooled scratch lives as long as the process: start the stamps over.
+		// Borrowed scratch lives as long as the process: start the stamps over.
 		clear(b.epoch)
 		b.cur = 0
 	}

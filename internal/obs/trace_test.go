@@ -28,7 +28,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 func TestParseTraceparentMalformed(t *testing.T) {
 	bad := []string{
 		"",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000001", // missing flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000001",     // missing flags
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000001-011", // too long
 		"zz-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000001-01",  // non-hex version
 		"ff-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000001-01",  // reserved version

@@ -237,11 +237,11 @@ func traceIDFrom(r *http.Request) string {
 }
 
 // respBuf is one response body under construction. Every /v1 response is
-// built whole in one of these — by encoding/json for the fixed-size
-// envelopes, by the page writer in enumerate.go for /v1/enumerate — and
-// sent with a single Write, so a failure found half-way (a marshal error,
-// a deadline in the middle of a page scan) can still be answered with a
-// typed error envelope instead of a torn 200.
+// built whole — by encoding/json into one of these for the fixed-size
+// envelopes, by the page writer in enumerate.go into a buffer of its own
+// for /v1/enumerate — and sent with a single Write, so a failure found
+// half-way (a marshal error, a deadline in the middle of a page scan) can
+// still be answered with a typed error envelope instead of a torn 200.
 //
 // Ownership: the function that takes a respBuf from the pool returns it,
 // after its one writeBody call and before it returns itself.
@@ -254,10 +254,9 @@ func (p *respBuf) Write(q []byte) (int, error) {
 	return len(q), nil
 }
 
-// maxPooledBuf is the largest buffer the pool keeps. A MaxLimit page of a
-// binary query is about 0.4 MiB; a body that outgrew 1 MiB came from an
-// unusual request (a huge configured MaxLimit, a metrics-laden /v1/stats)
-// and pinning its buffer for the common ones would only hold memory.
+// maxPooledBuf is the largest buffer the pool keeps: a body that outgrew
+// 1 MiB came from an unusual request (a metrics-laden /v1/stats), and
+// pinning its buffer for the common ones would only hold memory.
 const maxPooledBuf = 1 << 20
 
 var bufPool = sync.Pool{New: func() any { return new(respBuf) }}
@@ -284,9 +283,7 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 func writeEnvelope(w http.ResponseWriter, status int, env envelope) {
 	buf := getBuf()
 	defer putBuf(buf)
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(env); err != nil {
+	if err := json.NewEncoder(buf).Encode(env); err != nil {
 		writeBody(w, http.StatusInternalServerError,
 			[]byte(`{"error":{"code":"internal","message":"response encoding failed"}}`+"\n"))
 		return

@@ -26,8 +26,7 @@ import (
 // materialize-everything oracle.
 //
 // Every page body read on the way is also compared byte for byte with what
-// encoding/json (SetIndent "  ") writes for the same EnumerateResponse in
-// its envelope: the page writer is a second encoder, and this is the test
+// encoding/json writes for the same EnumerateResponse in its envelope: the page writer is a second encoder, and this is the test
 // that keeps it from becoming a second wire format. The smallest graph
 // runs once more against a server with a Tracer, for the trace_id tail.
 func TestCursorPagingDifferential(t *testing.T) {
@@ -107,9 +106,7 @@ func decodePageExact(raw []byte) (page EnumerateResponse, traceID string, err er
 		return page, "", fmt.Errorf("decoding %s: %v", raw, err)
 	}
 	var want bytes.Buffer
-	enc := json.NewEncoder(&want)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(envelope{Data: env.Data, TraceID: env.TraceID}); err != nil {
+	if err := json.NewEncoder(&want).Encode(envelope{Data: env.Data, TraceID: env.TraceID}); err != nil {
 		return page, "", err
 	}
 	if !bytes.Equal(raw, want.Bytes()) {

@@ -521,7 +521,6 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-
 // buildTier is the last tier of the server's cache, the full build, for
 // tests that stand in for it.
 func buildTier(s *Server) *cacheTier { return &s.cache.tiers[len(s.cache.tiers)-1] }

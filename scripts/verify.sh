@@ -10,9 +10,11 @@
 #            TestHotClosureMatchesAllocGuards, which holds the static
 #            //fod:hotpath closure to the functions those tests pin; the
 #            byte-for-byte comparison of every /v1/enumerate page with
-#            encoding/json, and the pin that a 10000-answer page allocates
-#            what a 100-answer page does
-#   tier 2 — static analysis + race-detector pass: go vet (plus an
+#            encoding/json, and the pins that a 10000-answer page allocates
+#            what a 100-answer page does and is compact JSON
+#            (TestPageBytesPerAnswer)
+#   tier 2 — static analysis + race-detector pass: gofmt -l . must list
+#            nothing; go vet (plus an
 #            explicit -copylocks -loopclosure run), the repo's own fodlint
 #            hot-path check over the whole module, internal/lint included
 #            (see README "Static analysis"; a finding fails it), and the
@@ -20,10 +22,10 @@
 #            serving layer (internal/serve) additionally runs its full
 #            suite under -race — it is the concurrency surface of the repo —
 #            and its flight-lifetime tests (Deadline|Singleflight|Abandon)
-#            twenty times over, and TestConcurrentPages ten times — response
-#            buffers are pooled across requests, so 36 clients paging six
-#            queries at six limits through one server must each read their
-#            own stream, byte for byte; the benchmark module bench/ (not part of
+#            twenty times over, and TestConcurrentPages ten times — 36
+#            clients paging six queries at six limits through one server
+#            must each read their own stream, byte for byte; the benchmark
+#            module bench/ (not part of
 #            ./...) is vetted and tested, so a break of an exported
 #            signature it calls is caught here; the snapshot decoder
 #            fuzzes for 30s (FuzzSnapshotLoad, seeded with files of both
@@ -77,6 +79,8 @@ if [[ "$tier" == "1" || "$tier" == "all" ]]; then
 fi
 
 if [[ "$tier" == "2" || "$tier" == "all" ]]; then
+    echo "== tier 2: gofmt -l . lists nothing =="
+    test -z "$(gofmt -l .)"
     echo "== tier 2: go vet ./... (+ explicit -copylocks -loopclosure) =="
     go vet ./...
     go vet -copylocks -loopclosure ./...
@@ -88,7 +92,7 @@ if [[ "$tier" == "2" || "$tier" == "all" ]]; then
     go test -race -count=1 ./internal/serve/
     echo "== tier 2: flight lifetime tests (deadline, singleflight, abandoned builds) x20 under -race =="
     go test -race -count=20 -run 'Deadline|Singleflight|Abandon' ./internal/serve/
-    echo "== tier 2: concurrent pages over pooled response buffers x10 under -race =="
+    echo "== tier 2: concurrent pages x10 under -race =="
     go test -race -count=10 -run 'TestConcurrentPages' ./internal/serve/
     echo "== tier 2: bench/ compiles against the exported signatures and passes its own tests =="
     go vet -C bench ./...
