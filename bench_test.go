@@ -336,6 +336,17 @@ func BenchmarkEnumerationDelay(b *testing.B) {
 		{"grid/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, gen.Grid, 32000, core.Preprocess},
 		{"far3/grid/n=4000", far3Src, []fo.Var{"x", "y", "z"}, gen.Grid, 4000, core.Preprocess},
 		{"balls/bdeg/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, gen.BoundedDegree, 32000, core.PreprocessBalls},
+		// Off the grid: far2 on sparse classes of unbounded degree (cover)
+		// and on bounded-degree ones (balls).
+		{"rtree/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, gen.RandomTree, 32000, core.Preprocess},
+		{"sparserandom/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, gen.SparseRandom, 32000, core.Preprocess},
+		{"outerplanar/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, gen.Outerplanar, 32000, core.Preprocess},
+		{"ktree/n=8000", benchQuerySrc, []fo.Var{"x", "y"}, gen.PartialKTree, 8000, core.Preprocess},
+		{"balls/grid/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, gen.Grid, 32000, core.PreprocessBalls},
+		{"balls/path/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, gen.Path, 32000, core.PreprocessBalls},
+		{"balls/btree/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, gen.BalancedTree, 32000, core.PreprocessBalls},
+		{"balls/kinggrid/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, gen.KingGrid, 32000, core.PreprocessBalls},
+		{"balls/caterpillar/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, gen.Caterpillar, 32000, core.PreprocessBalls},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			lq, err := core.Compile(fo.MustParse(row.src), row.vars, core.CompileOptions{})

@@ -2,6 +2,8 @@ package conform_test
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/conform"
@@ -252,6 +254,47 @@ func TestCrossEngineHandBuilt(t *testing.T) {
 			if err := conform.CheckAll(sys, want); err != nil {
 				t.Error(err)
 			}
+		}
+	}
+}
+
+// TestBallArityPastFrameSlots holds the ball locality to the oracle on a
+// query of arity 6: its Case I walks the R-rows of as many prefix elements
+// as a frame has slots (skip.MaxSetSize, four) and must test the fifth by a
+// distance lookup, not walk past the frame. The cover locality refuses this
+// arity, so only the ball build answers.
+func TestBallArityPastFrameSlots(t *testing.T) {
+	const k = 6
+	vars := make([]fo.Var, k)
+	var atoms []string
+	for i := range vars {
+		vars[i] = fo.Var(fmt.Sprintf("x%d", i+1))
+		for j := 0; j < i; j++ {
+			atoms = append(atoms, fmt.Sprintf("dist(%s,%s) > 1", vars[j], vars[i]))
+		}
+	}
+	q, err := core.Compile(fo.MustParse(strings.Join(atoms, " & ")), vars, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The oracle tries all n⁶ tuples: a second apiece at these sizes.
+	for _, gc := range []struct {
+		class gen.Class
+		n     int
+	}{{gen.Path, 11}, {gen.BoundedDegree, 10}} {
+		g := gen.Generate(gc.class, gc.n, gen.Options{Seed: 2, Colors: 1, Degree: 2})
+		e, err := core.PreprocessBalls(g, q, core.Options{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", gc.class, err)
+		}
+		want := conform.NewNaive(g, q).Solutions()
+		if len(want) == 0 {
+			t.Fatalf("%s: no answers; the case exercises nothing", gc.class)
+		}
+		sys := conform.System{Name: "far6-" + string(gc.class) + "/balls", Engine: e, K: k, N: g.N(),
+			NewCursor: func(a []graph.V) conform.Cursor { return e.IteratorFrom(a) }}
+		if err := conform.CheckAll(sys, want); err != nil {
+			t.Error(err)
 		}
 	}
 }

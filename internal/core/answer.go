@@ -25,7 +25,8 @@ func (e *Engine) NextGeq(a []graph.V) ([]graph.V, bool) {
 // nextGeq computes NextGeq for a correctly-sized tuple: one seek per clause
 // on a cursor without frames (a single call has nothing to resume), the
 // minimum so far kept in one half of the call's only allocation while the
-// next clause seeks into the other.
+// next clause seeks into the other. What the seeks count is folded into the
+// engine once, at the end.
 //
 //fod:hotpath
 func (e *Engine) nextGeq(a []graph.V) ([]graph.V, bool) {
@@ -35,12 +36,14 @@ func (e *Engine) nextGeq(a []graph.V) ([]graph.V, bool) {
 	k := e.k
 	buf := make([]graph.V, 2*k)
 	best, cand, found := buf[:k:k], buf[k:], false
+	var cur clauseCursor
 	for _, rt := range e.clauses {
-		cur := clauseCursor{rt: rt, t: cand}
+		cur.rt, cur.t = rt, cand
 		if e.seek(&cur, a) && (!found || lexLess(cand, best)) {
 			best, cand, found = cand, best, true
 		}
 	}
+	e.fold(&cur)
 	if !found {
 		return nil, false
 	}
@@ -201,6 +204,25 @@ type clauseCursor struct {
 	// nothing.
 	frames []frame
 	ok     bool
+	// min marks, in an Iterator, a cursor whose match is the next answer.
+	min bool
+	// What search counted since the last fold: Stats' Candidates and
+	// DeadEnds, kept here so that placing a value costs no atomic add.
+	candidates, deadEnds int64
+}
+
+// fold moves what cur counted into the engine's counters.
+//
+//fod:hotpath
+func (e *Engine) fold(cur *clauseCursor) {
+	if cur.candidates != 0 {
+		e.ctr.candidates.Add(cur.candidates)
+		cur.candidates = 0
+	}
+	if cur.deadEnds != 0 {
+		e.ctr.deadEnds.Add(cur.deadEnds)
+		cur.deadEnds = 0
+	}
 }
 
 // frame is the memory of one position of a clauseCursor between candidates
@@ -218,7 +240,8 @@ type frame struct {
 	// coverLoc, once per placed prefix: its canonical bags, deduplicated
 	// (nb = 0: not computed yet — a placed prefix has at least one), and
 	// per bag where in c.byKernel[bag] the walk beside the starter list
-	// stands.
+	// stands. ballLoc keeps only kat: per prefix element, where in its
+	// R-row that walk stands.
 	nb   int32
 	bags [skip.MaxSetSize]int32
 	kat  [skip.MaxSetSize]int32
@@ -259,13 +282,13 @@ func (e *Engine) search(cur *clauseCursor, a []graph.V, j int, lower graph.V) bo
 			if j == 0 {
 				return false
 			}
-			e.ctr.deadEnds.Add(1)
+			cur.deadEnds++
 			j--
 			lower, a = t[j]+1, nil
 			continue
 		}
 		t[j] = v
-		e.ctr.candidates.Add(1)
+		cur.candidates++
 		if j++; j == e.k {
 			return true
 		}

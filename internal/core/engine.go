@@ -41,6 +41,12 @@ type Options struct {
 // Stats reports preprocessing facts and running counters of the answering
 // phase. The cover, dist and skip fields are zero under the ball locality,
 // the ball fields under the cover locality.
+//
+// Candidates and DeadEnds are counted by each clause search in its own
+// cursor and folded into the engine at the end of a NextGeq, at an
+// Iterator's Seek and exhaustion, at the end of an Enumerate, and every 256
+// answers an Iterator hands out in between: exact at those points, they
+// trail a live Iterator by less than 256 answers' worth.
 type Stats struct {
 	CoverRadius   int
 	CoverBags     int
@@ -52,7 +58,7 @@ type Stats struct {
 	SkipTables    int   // distinct skip-pointer tables (one a starter list that a component opens on behind a prefix)
 	SkipPointers  int   // total materialized skip pointers, a shared table counted once
 	PartnerCells  int   // Σ row lengths of the partner rows, over the components of two positions
-	Candidates    int   // values the clause search placed at a position (NextGeq, Seek: k a match; Next: about one)
+	Candidates    int   // values the clause search placed at a position (NextGeq, Seek: k a match; Next: about one), as of the last fold
 	DeadEnds      int   // placed values rejected after deeper positions failed
 	LocalEvals    int   // local formula evaluations: the build's, and the memo misses of components of ≥ 3 positions
 	LocalEvalHits int   // memo hits

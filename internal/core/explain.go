@@ -40,7 +40,9 @@ func (q *LocalQuery) String() string {
 // deeper positions found nothing. An enumeration steps its clause cursors,
 // so it places about one value an answer whatever the arity (1.00 on far2
 // and far3); a NextGeq or a Seek places k. A ratio that grows with n is the
-// constant of "constant delay" failing to be one.
+// constant of "constant delay" failing to be one. Both counters are exact
+// after a NextGeq, an Iterator's Seek or exhaustion and an Enumerate; a live
+// Iterator folds its counts in every 256 answers.
 func (e *Engine) Explain() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "index over %s\n", e.g)

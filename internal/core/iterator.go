@@ -11,11 +11,16 @@ import (
 //
 // Internally it keeps one clauseCursor per clause (τ, i) and advances them
 // as a k-way merge: each Next hands out the minimal per-clause match and
-// steps only the clauses that produced it, so a query compiled into many
-// disjuncts does not pay for all of them on every answer, and a clause that
-// is stepped continues from the tuple it holds instead of searching for the
-// successor tuple from position 0 (NextGeq, by contrast, is a one-shot
-// primitive: it seeks every clause).
+// steps only the clauses that produced it — settle wrote down which, so Next
+// compares no tuples — so a query compiled into many disjuncts does not pay
+// for all of them on every answer, and a clause that is stepped continues
+// from the tuple it holds instead of searching for the successor tuple from
+// position 0 (NextGeq, by contrast, is a one-shot primitive: it seeks every
+// clause).
+//
+// The cursors count what they place in fields of their own, which the
+// iterator folds into the engine's Stats at every Seek, at exhaustion, when
+// an Enumerate ends and at least every foldEvery answers in between.
 //
 // The iterator owns every buffer it hands out, keeping steady-state Next
 // calls allocation-free (the AllocsPerRun guards pin Next at 0 allocs/op
@@ -34,7 +39,13 @@ type Iterator struct {
 	buf []graph.V
 	at  int
 	has bool
+	// unfolded counts the answers handed out since the cursors last folded.
+	unfolded int
 }
+
+// foldEvery bounds how many answers a live iterator hands out between two
+// folds of its cursors' counters into the engine's Stats.
+const foldEvery = 256
 
 // IteratorFrom returns a cursor positioned at the smallest solution ≥ a.
 // Every buffer is allocated here — the tuples in one array, the frames in
@@ -59,21 +70,51 @@ func (it *Iterator) Seek(a []graph.V) {
 		it.e.seek(&it.curs[i], a)
 	}
 	it.settle()
+	it.fold()
 }
 
 // settle copies the overall minimum of the per-clause matches into the
-// current half of it.buf.
+// current half of it.buf and marks the cursors that hold it; with none left
+// it folds.
 //
 //fod:hotpath
 func (it *Iterator) settle() {
 	var best []graph.V
 	for i := range it.curs {
-		if c := &it.curs[i]; c.ok && (best == nil || lexLess(c.t, best)) {
+		c := &it.curs[i]
+		d := -1 // c.t against best; below everything while there is none
+		if c.ok && best != nil {
+			d = lexCompare(c.t, best)
+		}
+		c.min = c.ok && d <= 0
+		if c.min && d < 0 {
+			// A new minimum: the cursors marked before hold larger matches.
+			for j := range it.curs[:i] {
+				it.curs[j].min = false
+			}
 			best = c.t
 		}
 	}
 	it.has = best != nil
-	copy(it.buf[it.at:], best)
+	if !it.has {
+		it.fold()
+		return
+	}
+	// A loop, not copy: the tuple is a few words, and copy calls memmove.
+	out := it.buf[it.at : it.at+len(best)]
+	for i, v := range best {
+		out[i] = v
+	}
+}
+
+// fold moves what the cursors counted into the engine's Stats.
+//
+//fod:hotpath
+func (it *Iterator) fold() {
+	for i := range it.curs {
+		it.e.fold(&it.curs[i])
+	}
+	it.unfolded = 0
 }
 
 // HasNext reports whether another solution is available.
@@ -96,9 +137,12 @@ func (it *Iterator) Next() ([]graph.V, bool) {
 	// Step exactly the clauses whose match was consumed (several clauses
 	// may share a solution tuple).
 	for i := range it.curs {
-		if c := &it.curs[i]; c.ok && !lexLess(out, c.t) { // c.t ≤ out, i.e. c.t == out
+		if c := &it.curs[i]; c.min {
 			it.e.step(c)
 		}
+	}
+	if it.unfolded++; it.unfolded == foldEvery {
+		it.fold()
 	}
 	it.settle()
 	return out, true
@@ -118,6 +162,7 @@ func (e *Engine) Enumerate(yield func([]graph.V) bool) {
 	it := e.Iterator()
 	for it.has {
 		if sol, _ := it.Next(); !yield(sol) {
+			it.fold()
 			return
 		}
 	}
@@ -157,11 +202,20 @@ func (e *Engine) CountCtx(ctx context.Context) (int, error) {
 // lexLess reports a < b in the lexicographic order on equal-length tuples.
 //
 //fod:hotpath
-func lexLess(a, b []graph.V) bool {
+func lexLess(a, b []graph.V) bool { return lexCompare(a, b) < 0 }
+
+// lexCompare returns −1, 0 or +1 as a is below, equal to or above b in the
+// lexicographic order on equal-length tuples.
+//
+//fod:hotpath
+func lexCompare(a, b []graph.V) int {
 	for i := range a {
 		if a[i] != b[i] {
-			return a[i] < b[i]
+			if a[i] < b[i] {
+				return -1
+			}
+			return 1
 		}
 	}
-	return false
+	return 0
 }

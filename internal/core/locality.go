@@ -479,9 +479,10 @@ func (l *coverLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *f
 		}
 	}
 	// Scan starter ∩ K_R(X) for each canonical bag X, rejecting candidates
-	// within distance R of some prefix element. Rejections are confined to
-	// the R-balls of the ≤ k−1 prefix elements, hence pseudo-constant on
-	// nowhere dense inputs.
+	// within distance R of some prefix element. A rejection lies in the
+	// R-ball of a prefix element, but nothing bounds those balls: on a hub
+	// (far2 on a star) the scan reads the whole kernel list and rejects it
+	// all, so this loop is linear in n there, not constant.
 	for b, x := range bags {
 		lst := c.byKernel[x]
 		for at := int(fr.kat[b]); at < len(lst); at++ {
@@ -658,23 +659,38 @@ func (l *ballLoc) within(a, b graph.V) bool {
 // nextOpening needs no skip pointers on a degree-d graph: every rejected
 // starter lies in the R-ball of one of the ≤ k−1 prefix elements, so the
 // forward scan skips at most (k−1)·d^R entries before succeeding or
-// clearing the obstruction — constant delay for constant d.
+// clearing the obstruction — constant delay for constant d. Whether a
+// starter lies in such a ball is read off by walking each prefix element's
+// sorted R-row beside the starter list, kat[b] recording where the walk in
+// the row of prefix[b] stands; prefix elements past the frame's slots (an
+// arity above skip.MaxSetSize+1) are tested by within.
 //
 //fod:hotpath
 func (l *ballLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *frame) graph.V {
 	if fr == nil {
 		fr = new(frame)
 	}
+	walked := prefix[:min(len(prefix), len(fr.kat))]
+	rest := prefix[len(walked):]
 scan:
 	for i := lowerBound(c.starter, lower, int(fr.at)); i < len(c.starter); i++ {
-		v := c.starter[i]
-		for _, p := range prefix {
-			if l.within(v, p) {
+		v := int32(c.starter[i])
+		for b, p := range walked {
+			row := l.rows.Row(p)
+			at := lowerBound32(row, v, int(fr.kat[b]))
+			if at < len(row) && row[at] == v {
+				fr.kat[b] = int32(at + 1)
+				continue scan
+			}
+			fr.kat[b] = int32(at)
+		}
+		for _, p := range rest {
+			if l.within(graph.V(v), p) {
 				continue scan
 			}
 		}
 		fr.at = int32(i + 1)
-		return v
+		return graph.V(v)
 	}
 	fr.at = int32(len(c.starter))
 	return -1
