@@ -304,6 +304,58 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 	})
 }
 
+// BenchmarkApplyEdits is one write of bench's edit mix — a colour toggle
+// and an edge toggle at random vertices — patched into far2's index:
+// graph.Patch and ApplyEditsTo, each write on the version the last one made.
+// B/op is what a version costs that the one before it does not share.
+func BenchmarkApplyEdits(b *testing.B) {
+	for _, row := range []struct {
+		name  string
+		class gen.Class
+		build func(*graph.Graph, *core.LocalQuery, core.Options) (*core.Engine, error)
+	}{
+		{"cover/grid", gen.Grid, core.Preprocess},
+		{"balls/bdeg", gen.BoundedDegree, core.PreprocessBalls},
+	} {
+		for _, n := range []int{32000, 128000} {
+			b.Run(fmt.Sprintf("%s/n=%d", row.name, n), func(b *testing.B) {
+				g := benchGraph(row.class, n)
+				lq, err := core.Compile(fo.MustParse(benchQuerySrc), []fo.Var{"x", "y"}, core.CompileOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				e, err := row.build(g, lq, core.Options{Parallelism: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(9))
+				ctx := context.Background()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					v, u := rng.Intn(g.N()), rng.Intn(g.N())
+					for g.Degree(u) == 0 {
+						u = rng.Intn(g.N())
+					}
+					w := int(g.Neighbors(u)[0])
+					cur := e.Graph()
+					colour := graph.Edit{Op: graph.AddColor, U: v}
+					if cur.HasColor(v, 0) {
+						colour.Op = graph.RemoveColor
+					}
+					edge := graph.Edit{Op: graph.AddEdge, U: u, V: w}
+					if cur.HasEdge(u, w) {
+						edge.Op = graph.RemoveEdge
+					}
+					if e, err = e.ApplyEdits(ctx, []graph.Edit{colour, edge}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkNextSolution(b *testing.B) {
 	for _, n := range []int{2000, 32000} {
 		b.Run(fmt.Sprintf("grid/n=%d", n), func(b *testing.B) {

@@ -106,14 +106,13 @@ func (e *Engine) prefixMatches(rt *clauseRT, prefix []graph.V) bool {
 
 // holdsAt reports ψ_I on the values a holds at c's positions, all of them
 // placed and their distance pattern verified: a bit of the starter bitmap
-// for a singleton (the case kept small enough to inline), a binary search in
-// the anchor's partner row for a pair, and for a larger component the lazy
-// evaluation behind localEval.
+// for a singleton, a binary search in the anchor's partner row for a pair,
+// and for a larger component the lazy evaluation behind localEval.
 //
 //fod:hotpath
 func (e *Engine) holdsAt(c *compRT, a []graph.V) bool {
 	if len(c.positions) == 1 {
-		return c.inStart[a[c.positions[0]]]
+		return c.inStart.At(a[c.positions[0]])
 	}
 	return e.holdsAtSeveral(c, a)
 }

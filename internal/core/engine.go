@@ -157,14 +157,14 @@ type compRT struct {
 
 	// Starter list for the component's first position (Case I of the
 	// paper, generalized to every level that opens a new component).
-	starter []graph.V // sorted vertices that can open the component
-	inStart []bool    // membership, indexed by vertex; for a singleton component the solution set
+	starter []graph.V         // sorted vertices that can open the component
+	inStart graph.Paged[bool] // membership, indexed by vertex; for a singleton component the solution set
 
-	// What the cover locality derives from the starter list; nil under the
-	// ball locality, which scans the list itself, and for a list no component
-	// opens on behind a prefix (starterList).
+	// What the cover locality derives from the starter list; nil and empty
+	// under the ball locality, which scans the list itself, and for a list no
+	// component opens on behind a prefix (starterList).
 	skip     *skip.Pointers
-	byKernel [][]int32 // per bag: starter ∩ K_R(bag), sorted; the cover's kernel rows when every vertex starts
+	byKernel graph.Paged[[]int32] // per bag: starter ∩ K_R(bag), sorted; the cover's kernel rows when every vertex starts
 
 	// A component of two positions p < p′ is materialised (partners.go): row
 	// v lists, ascending, the w ∈ N_R(v) with ψ(v, w), and every answering
@@ -423,41 +423,43 @@ func (e *Engine) tally() {
 // A component that reads the colours of v alone is one pass on the caller's
 // goroutine: a test costs less than handing the vertex to a worker.
 func (e *Engine) computeStarter(c *compRT, pool *par.Pool) error {
-	c.inStart = make([]bool, e.g.N())
+	in := graph.PageAligned[bool](e.g.N())
 	if c.paired() {
 		if err := e.buildPartners(c, pool); err != nil {
 			return err
 		}
-		for v := range c.inStart {
-			c.inStart[v] = c.partners.Len(v) > 0
+		for v := range in {
+			in[v] = c.partners.Len(v) > 0
 		}
-		c.finishStarter()
+		c.finishStarter(in)
 		return nil
 	}
 	if e.readsOwnColours(c) {
 		pool = par.Sequential()
 	}
-	pool.ForEach(e.g.N(), func(v int) { c.inStart[v] = e.opens(c, v) })
-	c.finishStarter()
+	pool.ForEach(e.g.N(), func(v int) { in[v] = e.opens(c, v) })
+	c.finishStarter(in)
 	return nil
 }
 
-// finishStarter assembles the sorted starter list, at its exact size, from
-// the inStart bitmap. For a singleton component the list IS the unary
-// solution list; the answering phase reads the bitmap in O(1).
-func (c *compRT) finishStarter() {
+// finishStarter sets the starter bitmap to in, which it views, and
+// assembles the sorted starter list, at its exact size, from it. For a
+// singleton component the list IS the unary solution list; the answering
+// phase reads the bitmap in O(1).
+func (c *compRT) finishStarter(in []bool) {
 	size := 0
-	for _, in := range c.inStart {
-		if in {
+	for _, x := range in {
+		if x {
 			size++
 		}
 	}
 	c.starter = make([]graph.V, 0, size)
-	for v, in := range c.inStart {
-		if in {
+	for v, x := range in {
+		if x {
 			c.starter = append(c.starter, v)
 		}
 	}
+	c.inStart = graph.PagedOf(in)
 }
 
 // readsOwnColours reports whether inStart[v] of c is a function of the
@@ -626,6 +628,9 @@ func (e *Engine) Stats() Stats {
 	s.DeadEnds = int(e.ctr.deadEnds.Load())
 	s.LocalEvals = int(e.ctr.localEvals.Load())
 	s.LocalEvalHits = int(e.ctr.localEvalHits.Load())
+	if _, ok := e.loc.(*ballLoc); ok {
+		s.MaxDegree = e.g.MaxDegree()
+	}
 	return s
 }
 

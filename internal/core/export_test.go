@@ -36,10 +36,33 @@ func (e *Engine) Starters() []StarterList {
 	var out []StarterList
 	for _, rt := range e.clauses {
 		for _, c := range rt.comps {
-			out = append(out, StarterList{c.starter, c.inStart})
+			out = append(out, StarterList{c.starter, c.inStart.Flat()})
 		}
 	}
 	return out
+}
+
+// SharesStarterBitmap reports whether live component i, in clause order, of
+// e holds d's starter bitmap: every page of it the same storage.
+func (e *Engine) SharesStarterBitmap(d *Engine, i int) bool {
+	var mine, theirs []*compRT
+	for _, rt := range e.clauses {
+		mine = append(mine, rt.comps...)
+	}
+	for _, rt := range d.clauses {
+		theirs = append(theirs, rt.comps...)
+	}
+	return sharesAll(&mine[i].inStart, &theirs[i].inStart)
+}
+
+// sharesAll reports whether a and b hold the same pages, all of them.
+func sharesAll[T any](a, b *graph.Paged[T]) bool {
+	for pi := range a.Pages() {
+		if !a.SharesPage(b, pi) {
+			return false
+		}
+	}
+	return a.Pages() == b.Pages()
 }
 
 // StartersByBall computes the same lists the way that looks at no formula's
@@ -108,7 +131,7 @@ func (e *Engine) KernelRows() []KernelRow {
 	if !ok {
 		return nil
 	}
-	lists := [][][]int32{l.cov.Kernels()}
+	lists := []graph.Paged[[]int32]{l.cov.Kernels()}
 	for _, rt := range e.clauses {
 		for _, c := range rt.comps {
 			lists = append(lists, c.byKernel)
@@ -116,7 +139,8 @@ func (e *Engine) KernelRows() []KernelRow {
 	}
 	var out []KernelRow
 	for _, rows := range lists {
-		for _, row := range rows {
+		for i := range rows.Len() {
+			row := rows.At(i)
 			out = append(out, KernelRow{Data: slices.Clone(row), At: rowAt(row)})
 		}
 	}

@@ -234,12 +234,12 @@ func (l *coverLoc) buildKernelLists(c *compRT, pool *par.Pool) {
 	// Two counting passes into one flat backing array: per-bag append
 	// allocations made this a hotspot on the snapshot-restore path.
 	nb := l.cov.NumBags()
-	c.byKernel = make([][]int32, nb)
+	lists := graph.PageAligned[[]int32](nb)
 	cnt := make([]int32, nb+1)
 	pool.ForEach(nb, func(i int) {
 		m := int32(0)
 		for _, v := range l.cov.Kernel(i) {
-			if c.inStart[v] {
+			if c.inStart.At(int(v)) {
 				m++
 			}
 		}
@@ -252,12 +252,13 @@ func (l *coverLoc) buildKernelLists(c *compRT, pool *par.Pool) {
 	pool.ForEach(nb, func(i int) {
 		row := flat[cnt[i]:cnt[i]:cnt[i+1]]
 		for _, v := range l.cov.Kernel(i) {
-			if c.inStart[v] {
+			if c.inStart.At(int(v)) {
 				row = append(row, v)
 			}
 		}
-		c.byKernel[i] = row
+		lists[i] = row
 	})
+	c.byKernel = graph.PagedOf(lists)
 }
 
 // patch is the paper's §3 layer by layer: ball rows of the distance index
@@ -309,35 +310,31 @@ func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starte
 
 	// byKernel rows change only for bags whose kernel changed, bags the
 	// patch created, and bags whose kernel contains a starter-diff vertex.
-	// Those get rows of c2's own; the others stay c's, which may be the old
-	// cover's kernel rows.
-	nb := l.cov.NumBags()
-	c2.byKernel = make([][]int32, nb)
-	copy(c2.byKernel, c.byKernel)
-	redo := make([]bool, nb)
-	for _, b := range info.KernelChanged {
-		redo[b] = true
-	}
-	for _, b := range info.NewBags {
-		redo[b] = true
-	}
+	// Those get rows of c2's own, on pages of c2's own; the others stay c's,
+	// which may be the old cover's kernel rows.
+	redo := slices.Clone(info.KernelChanged)
+	redo = append(redo, info.NewBags...)
 	for _, v := range starterDiff {
 		for _, b := range l.cov.KernelsOf(v) {
-			redo[b] = true
+			redo = append(redo, int(b))
 		}
 	}
-	for b, again := range redo {
-		if !again {
-			continue
-		}
+	slices.Sort(redo)
+	lists := c.byKernel.Edit()
+	for _, b := range slices.Compact(redo) {
 		var row []int32
 		for _, v := range l.cov.Kernel(b) {
-			if c2.inStart[v] {
+			if c2.inStart.At(int(v)) {
 				row = append(row, v)
 			}
 		}
-		c2.byKernel[b] = row
+		if b < lists.Len() {
+			lists.Set(b, row)
+		} else {
+			lists.Append(row) // the new bags, ascending from the old count
+		}
 	}
+	c2.byKernel = lists.Paged()
 }
 
 // parts serializes everything the build computes by search (distance
@@ -455,7 +452,7 @@ func (l *coverLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *f
 	}
 	inKernel := false
 	for b, x := range fr.bags[:fr.nb] {
-		lst := c.byKernel[x]
+		lst := c.byKernel.At(int(x))
 		at := lowerBound32(lst, int32(v), int(fr.kat[b]))
 		if at < len(lst) && lst[at] == int32(v) {
 			inKernel = true
@@ -484,7 +481,7 @@ func (l *coverLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *f
 	// (far2 on a star) the scan reads the whole kernel list and rejects it
 	// all, so this loop is linear in n there, not constant.
 	for b, x := range bags {
-		lst := c.byKernel[x]
+		lst := c.byKernel.At(x)
 		for at := int(fr.kat[b]); at < len(lst); at++ {
 			w := graph.V(lst[at])
 			if best >= 0 && w >= best {
@@ -554,7 +551,6 @@ func (l *ballLoc) fill(g *graph.Graph, pool *par.Pool) error {
 }
 
 func (e *Engine) ballStats(l *ballLoc) {
-	e.stats.MaxDegree = e.g.MaxDegree()
 	e.stats.BallEntries, e.stats.CompEntries = l.rows.Cells(), l.comp.Cells()
 }
 

@@ -32,9 +32,15 @@
 //     diff ∪ the cover patch's KernelDelta — and the per-kernel lists
 //     respliced. Balls: nothing, Case I scans the list itself.
 //
-// Every derived structure is copy-on-write: the receiver engine is never
-// modified and keeps answering for its own version with byte-identical
-// results — this is the MVCC read side the repro facade builds on.
+// Every derived structure is copy-on-write, and at the grain of what the
+// write dirtied: row stores (graph.Rows) copy the 64-row blocks holding a
+// replaced row, and the per-vertex and per-bag arrays — colour words,
+// starter bitmaps, the cover's assignment, centers and row spines, the
+// per-kernel lists — are graph.Paged, which copies the pages holding a
+// written entry. The sorted starter list of a component whose starters
+// changed is copied whole. The receiver engine is never modified and keeps
+// answering for its own version with byte-identical results — this is the
+// MVCC read side the repro facade builds on.
 //
 // When an edit is not local — the locality refuses to patch (a cover
 // avalanche), a clause guard flips, or the query is a hand-built
@@ -189,10 +195,11 @@ func (e *Engine) starterReach(c *compRT) int {
 }
 
 // retest derives the successor of component c in the mutated engine e2:
-// its starter bitmap copied and re-tested on the affected vertices only — for
-// a component of two positions, read off their recomputed partner rows.
-// starterDiff lists, ascending, where the two bitmaps differ; the starter
-// list is c's with those vertices merged in or left out.
+// its starter bitmap re-tested on the affected vertices only — for a
+// component of two positions, read off their recomputed partner rows — and
+// shared with c but for the pages where a vertex changed side. starterDiff
+// lists, ascending, where the two bitmaps differ; the starter list is c's
+// with those vertices merged in or left out.
 func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *compRT, starterDiff []graph.V) {
 	c2 = &compRT{
 		positions: c.positions,
@@ -202,8 +209,8 @@ func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *com
 		last:      c.last,
 		quantFree: c.quantFree,
 	}
-	// Re-test the affected vertices; the bitmap and the list are copied only
-	// if one of them changed side.
+	// Re-test the affected vertices; the list is copied, and the bitmap pages
+	// holding them, only if one of them changed side.
 	now := make([]bool, len(affected))
 	if c.paired() {
 		e2.repartner(c2, c, affected, now)
@@ -211,7 +218,7 @@ func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *com
 		pool.ForEach(len(affected), func(i int) { now[i] = e2.opens(c2, affected[i]) })
 	}
 	for i, v := range affected {
-		if c.inStart[v] != now[i] {
+		if c.inStart.At(v) != now[i] {
 			starterDiff = append(starterDiff, v)
 		}
 	}
@@ -219,17 +226,18 @@ func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *com
 		c2.inStart, c2.starter = c.inStart, c.starter
 		return c2, nil
 	}
-	c2.inStart = slices.Clone(c.inStart)
-	for i, v := range affected {
-		c2.inStart[v] = now[i]
+	in := c.inStart.Edit()
+	for _, v := range starterDiff {
+		in.Set(v, !c.inStart.At(v))
 	}
+	c2.inStart = in.Paged()
 	c2.starter = make([]graph.V, 0, len(c.starter)+len(starterDiff))
 	from := 0
 	for _, v := range starterDiff {
 		at := lowerBound(c.starter, v, from)
 		c2.starter = append(c2.starter, c.starter[from:at]...)
 		from = at
-		if c2.inStart[v] {
+		if c2.inStart.At(v) {
 			c2.starter = append(c2.starter, v)
 		} else {
 			from++ // v leaves: it is c.starter[at]

@@ -423,7 +423,7 @@ func TestMutateRetestsWhatTheFormulaReads(t *testing.T) {
 				t.Fatalf("edge edit: %d evaluations (%d rebuilds), want none", st.LocalEvals, st.MutRebuilds)
 			}
 			for i, sl := range cut.Starters() {
-				if before := coloured.Starters()[i]; &sl.InStart[0] != &before.InStart[0] || !slices.Equal(sl.Starter, before.Starter) {
+				if before := coloured.Starters()[i]; !cut.SharesStarterBitmap(coloured, i) || !slices.Equal(sl.Starter, before.Starter) {
 					t.Fatalf("edge edit next to %d: component %d did not take its starters over", v, i)
 				}
 			}

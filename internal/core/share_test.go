@@ -71,7 +71,7 @@ func TestSkipTablesShared(t *testing.T) {
 	if x.skip != y.skip || x.skip != xy.skip || z.skip != z2.skip || x.skip == z.skip {
 		t.Fatal("equal starter lists do not answer through one pointer")
 	}
-	if &x.byKernel[0] != &xy.byKernel[0] || &z.inStart[0] != &z2.inStart[0] {
+	if !sharesAll(&x.byKernel, &xy.byKernel) || !sharesAll(&z.inStart, &z2.inStart) {
 		t.Fatal("the per-kernel lists and the starter bitmap are not shared with the table")
 	}
 	if x.skip.K() != 1 || z.skip.K() != 2 {
@@ -124,11 +124,11 @@ func checkPlan(t *testing.T, name string, e *Engine) {
 	for _, l := range e.starterLists() {
 		for _, c := range l.comps {
 			switch {
-			case l.need == 0 && (c.skip != nil || c.byKernel != nil):
+			case l.need == 0 && (c.skip != nil || c.byKernel.Len() != 0):
 				t.Fatalf("%s: component %v of a list nobody asks with a prefix holds pointers or per-kernel lists", name, c.positions)
-			case l.need > 0 && (c.skip != l.comps[0].skip || c.skip.K() != l.need || c.byKernel == nil):
+			case l.need > 0 && (c.skip != l.comps[0].skip || c.skip.K() != l.need || c.byKernel.Len() == 0):
 				t.Fatalf("%s: component %v of a list asked with %d values: table %p (the list's is %p) of set size %d, per-kernel lists: %v",
-					name, c.positions, l.need, c.skip, l.comps[0].skip, c.skip.K(), c.byKernel != nil)
+					name, c.positions, l.need, c.skip, l.comps[0].skip, c.skip.K(), c.byKernel.Len() != 0)
 			}
 		}
 	}
@@ -289,11 +289,11 @@ func TestKernelListsAreCoverRows(t *testing.T) {
 		}
 		shared, own := 0, 0
 		for b := 0; b < cov.NumBags(); b++ {
-			if rowAt(x.byKernel[b]) != rowAt(cov.Kernel(b)) {
+			if rowAt(x.byKernel.At(b)) != rowAt(cov.Kernel(b)) {
 				t.Fatalf("%s: x's list for bag %d is not the cover's kernel row", name, b)
 			}
-			if len(y.byKernel[b]) > 0 {
-				if rowAt(y.byKernel[b]) == rowAt(cov.Kernel(b)) {
+			if len(y.byKernel.At(b)) > 0 {
+				if rowAt(y.byKernel.At(b)) == rowAt(cov.Kernel(b)) {
 					t.Fatalf("%s: y's list for bag %d is the cover's kernel row", name, b)
 				}
 				own++
@@ -326,14 +326,14 @@ func TestKernelListsAreCoverRows(t *testing.T) {
 		cov, cov2 := e.loc.(*coverLoc).cov, e2.loc.(*coverLoc).cov
 		x, x2 := e.clauses[0].comps[1], e2.clauses[0].comps[1]
 		for b := 0; b < cov2.NumBags(); b++ {
-			if !slices.Equal(x2.byKernel[b], cov2.Kernel(b)) {
+			if !slices.Equal(x2.byKernel.At(b), cov2.Kernel(b)) {
 				t.Fatalf("%v: x's list for bag %d is not the kernel", edits, b)
 			}
 			redone := b >= cov.NumBags() || !slices.Equal(cov.Kernel(b), cov2.Kernel(b))
 			switch {
-			case !redone && rowAt(x2.byKernel[b]) != rowAt(x.byKernel[b]):
+			case !redone && rowAt(x2.byKernel.At(b)) != rowAt(x.byKernel.At(b)):
 				t.Fatalf("%v: x's list for bag %d, which the write did not redo, moved", edits, b)
-			case redone && len(x2.byKernel[b]) > 0 && rowAt(x2.byKernel[b]) == rowAt(cov2.Kernel(b)):
+			case redone && len(x2.byKernel.At(b)) > 0 && rowAt(x2.byKernel.At(b)) == rowAt(cov2.Kernel(b)):
 				t.Fatalf("%v: x's list for redone bag %d is the new cover's row, not one of its own", edits, b)
 			}
 			if redone {
@@ -347,6 +347,97 @@ func TestKernelListsAreCoverRows(t *testing.T) {
 	}
 	if !changedSeen || !newSeen {
 		t.Fatalf("the writes changed a kernel: %v, made a bag: %v; the test needs both", changedSeen, newSeen)
+	}
+}
+
+// TestWritesSharePages: a version shares with the one it was derived from
+// every page of its per-vertex and per-bag arrays that the write did not
+// dirty, and none that it did. After a colour-only write the two graphs
+// share every page of colour words but the recoloured vertex's. After an
+// edge write the successor's starter bitmap shares every page without a
+// vertex that changed side, and its per-kernel lists every page without a
+// redone bag: one whose kernel changed, one the write made, or one whose
+// kernel holds a vertex that changed side.
+func TestWritesSharePages(t *testing.T) {
+	ctx := context.Background()
+	g := gen.Generate(gen.Grid, 40000, gen.Options{Seed: 3, Colors: 1, ColorProb: 0.05})
+	e, err := Preprocess(g, compileT(t, "dist(x,y) > 2 & exists z (E(y,z) & C0(z))", "x", "y"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.clauses) != 1 || len(e.clauses[0].comps) != 2 {
+		t.Fatalf("the query is no longer one clause of two components: %s", e.Explain())
+	}
+	if y := e.clauses[0].comps[1]; y.inStart.Pages() < 2 || y.byKernel.Pages() < 2 {
+		t.Fatalf("y's bitmap has %d pages and its per-kernel lists %d; the test needs several", y.inStart.Pages(), y.byKernel.Pages())
+	}
+
+	v := 20000
+	op := graph.AddColor
+	if g.HasColor(v, 0) {
+		op = graph.RemoveColor
+	}
+	recoloured, err := e.ApplyEdits(ctx, []graph.Edit{{Op: op, U: v}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages, shared := recoloured.Graph().ColorPages(g); shared != pages-1 {
+		t.Fatalf("a colour edit left %d of %d colour pages shared, want all but one", shared, pages)
+	}
+
+	// Cutting a coloured vertex off its neighbours moves y's starters around
+	// it and grows kernels; a chord across the grid breaks containment.
+	c := -1
+	for u := 200*50 + 50; c < 0; u++ {
+		if g.HasColor(u, 0) {
+			c = u
+		}
+	}
+	var cut []graph.Edit
+	for _, w := range g.Neighbors(c) {
+		cut = append(cut, graph.Edit{Op: graph.RemoveEdge, U: c, V: int(w)})
+	}
+	flipSeen, newSeen := false, false
+	for _, edits := range [][]graph.Edit{cut, {{Op: graph.AddEdge, U: 200*20 + 20, V: 200*150 + 150}}} {
+		e2, err := e.ApplyEdits(ctx, edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e2.Stats().MutRebuilds != e.Stats().MutRebuilds {
+			t.Fatalf("%v was rebuilt, not patched; the test exercises nothing", edits)
+		}
+		y, y2 := e.clauses[0].comps[1], e2.clauses[0].comps[1]
+		cov, cov2 := e.loc.(*coverLoc).cov, e2.loc.(*coverLoc).cov
+		dirtyV, dirtyB := map[int]bool{}, map[int]bool{}
+		for v := range g.N() {
+			if y.inStart.At(v) != y2.inStart.At(v) {
+				dirtyV[y.inStart.PageOf(v)] = true
+				for _, b := range cov2.KernelsOf(v) {
+					dirtyB[y.byKernel.PageOf(int(b))] = true
+				}
+			}
+		}
+		for b := range cov2.NumBags() {
+			if b >= cov.NumBags() || !slices.Equal(cov.Kernel(b), cov2.Kernel(b)) {
+				dirtyB[y.byKernel.PageOf(b)] = true
+				newSeen = newSeen || b >= cov.NumBags()
+			}
+		}
+		flipSeen = flipSeen || len(dirtyV) > 0
+		for pi := range y.inStart.Pages() {
+			if y2.inStart.SharesPage(&y.inStart, pi) == dirtyV[pi] {
+				t.Fatalf("%v: page %d of y's bitmap shared: %v, dirtied: %v", edits, pi, !dirtyV[pi], dirtyV[pi])
+			}
+		}
+		for pi := range y.byKernel.Pages() {
+			if y2.byKernel.SharesPage(&y.byKernel, pi) == dirtyB[pi] {
+				t.Fatalf("%v: page %d of y's per-kernel lists shared: %v, dirtied: %v", edits, pi, !dirtyB[pi], dirtyB[pi])
+			}
+		}
+		e = e2
+	}
+	if !flipSeen || !newSeen {
+		t.Fatalf("the writes moved a starter: %v, made a bag: %v; the test needs both", flipSeen, newSeen)
 	}
 }
 
@@ -405,7 +496,7 @@ func TestApplyEditsOverSharedTables(t *testing.T) {
 		if y := e2.clauses[0].comps[1]; y.skip.K() != 1 || z.skip.K() != 2 || z2.skip.K() != 2 {
 			t.Fatalf("generation %d: set sizes %d, %d, %d, want 1, 2, 2", gen, y.skip.K(), z.skip.K(), z2.skip.K())
 		}
-		if x, xy := e2.clauses[0].comps[0], e2.clauses[1].comps[0]; x.skip != nil || x.byKernel != nil || xy.skip != nil || xy.byKernel != nil {
+		if x, xy := e2.clauses[0].comps[0], e2.clauses[1].comps[0]; x.skip != nil || x.byKernel.Len() != 0 || xy.skip != nil || xy.byKernel.Len() != 0 {
 			t.Fatalf("generation %d: a component that stands first holds pointers or per-kernel lists after a write", gen)
 		}
 		if first {
@@ -471,7 +562,7 @@ func TestRestoreSharesTables(t *testing.T) {
 	}
 
 	z := e.clauses[1].comps[1]
-	b := slices.Index(z.inStart, false)
+	b := slices.Index(z.inStart.Flat(), false)
 	sk := *parts.Clauses[1][1].Skip
 	at := int(sk.TableOff[b]) * (sk.K + 1)
 	sk.TableRow = slices.Insert(slices.Clone(sk.TableRow), at, 0, -1, -1)

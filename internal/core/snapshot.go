@@ -187,7 +187,7 @@ func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool) (*
 	for li := range cl.Locals {
 		cp := &parts[li]
 		c := rt.newComp(li)
-		c.inStart = make([]bool, e.g.N())
+		in := graph.PageAligned[bool](e.g.N())
 		c.starter = make([]graph.V, len(cp.Starter))
 		prev := int32(-1)
 		for i, v := range cp.Starter {
@@ -196,8 +196,9 @@ func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool) (*
 			}
 			prev = v
 			c.starter[i] = int(v)
-			c.inStart[v] = true
+			in[v] = true
 		}
+		c.inStart = graph.PagedOf(in)
 		e.stats.StarterSizes = append(e.stats.StarterSizes, len(c.starter))
 		if c.paired() {
 			if err := e.adoptPartners(c, cp.Partners, pool); err != nil {

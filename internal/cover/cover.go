@@ -40,9 +40,11 @@
 // scratch.
 //
 // Bags and kernels are int32 rows, views of one CSR pair after a build or
-// a restore (Parts hands the pair out, FromParts adopts it); a Patch
-// replaces or appends single rows and never writes one in place, so the
-// versions of an index share every row a write did not redo. ComputeKernels
+// a restore (Parts hands the pair out, FromParts adopts it), reached
+// through spines of row headers that are graph.Paged arrays, as are the
+// centers and the assignment; a Patch replaces or appends single rows and
+// never writes one in place, so the versions of an index share every row a
+// write did not redo and every page of a spine holding none. ComputeKernels
 // after the build runs the boundary BFS bag by bag (bagKernel), as Patch
 // does for the bags it redoes.
 package cover
@@ -51,7 +53,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -67,7 +68,8 @@ type Options struct {
 
 // rowList is a family of ascending int32 rows: bags, or kernels.
 type rowList struct {
-	rows [][]int32
+	rows  graph.Paged[[]int32]
+	cells int // Σ row lengths
 	// The CSR pair every row views; nil once a Patch has replaced or
 	// appended a row.
 	off, data []int32
@@ -75,28 +77,19 @@ type rowList struct {
 
 // viewRows returns the rows data[off[i]:off[i+1]], viewing both arrays.
 func viewRows(off, data []int32) rowList {
-	l := rowList{rows: make([][]int32, len(off)-1), off: off, data: data}
-	for i := range l.rows {
-		l.rows[i] = data[off[i]:off[i+1]:off[i+1]]
+	rows := graph.PageAligned[[]int32](len(off) - 1)
+	for i := range rows {
+		rows[i] = data[off[i]:off[i+1]:off[i+1]]
 	}
-	return l
+	return rowList{rows: graph.PagedOf(rows), cells: len(data), off: off, data: data}
 }
 
-// cells returns the total length of the rows.
-func (l *rowList) cells() int {
-	if l.off != nil {
-		return len(l.data)
-	}
-	total := 0
-	for _, row := range l.rows {
-		total += len(row)
-	}
-	return total
-}
+// len returns the number of rows.
+func (l *rowList) len() int { return l.rows.Len() }
 
-// bytes returns what l holds: its cells, the row headers and the offsets.
+// bytes returns what l holds: its cells, the row spine and the offsets.
 func (l *rowList) bytes() int {
-	return 4*l.cells() + int(unsafe.Sizeof([]int32(nil)))*len(l.rows) + 4*len(l.off)
+	return 4*l.cells + l.rows.Bytes() + 4*len(l.off)
 }
 
 // flat returns the rows as one CSR pair (read-only): the arrays they view,
@@ -105,15 +98,46 @@ func (l *rowList) flat() (off, data []int32) {
 	if l.off != nil {
 		return l.off, l.data
 	}
-	off = make([]int32, len(l.rows)+1)
-	for i, row := range l.rows {
-		off[i+1] = off[i] + int32(len(row))
-	}
-	data = make([]int32, 0, off[len(l.rows)])
-	for _, row := range l.rows {
-		data = append(data, row...)
+	off = make([]int32, l.len()+1)
+	data = make([]int32, 0, l.cells)
+	for i := range l.len() {
+		data = append(data, l.rows.At(i)...)
+		off[i+1] = int32(len(data))
 	}
 	return off, data
+}
+
+// rowEdit derives a rowList from another, as a Patch does: rows replaced or
+// appended, never written in place.
+type rowEdit struct {
+	rows  graph.PagedEdit[[]int32]
+	cells int
+	dirty bool
+}
+
+func (l *rowList) edit() rowEdit { return rowEdit{rows: l.rows.Edit(), cells: l.cells} }
+
+// set replaces row i.
+func (e *rowEdit) set(i int, row []int32) {
+	e.cells += len(row) - len(e.rows.At(i))
+	e.rows.Set(i, row)
+	e.dirty = true
+}
+
+// add appends row and returns its index.
+func (e *rowEdit) add(row []int32) int32 {
+	e.cells += len(row)
+	e.rows.Append(row)
+	e.dirty = true
+	return int32(e.rows.Len() - 1)
+}
+
+// list returns the rows made, or base when none was replaced or appended.
+func (e *rowEdit) list(base rowList) rowList {
+	if !e.dirty {
+		return base
+	}
+	return rowList{rows: e.rows.Paged(), cells: e.cells}
 }
 
 // Cover is an (R, 2R)-neighborhood cover of a colored graph. It holds what
@@ -126,10 +150,10 @@ type Cover struct {
 	// R is the cover radius r; S = 2R bounds the bag radius.
 	R, S int
 
-	bags    rowList // sorted vertex lists
-	centers []int32 // c_X with X ⊆ N_S(c_X)
-	assign  []int32 // 𝒳(a): index of the canonical bag covering N_R(a)
-	degree  int     // δ(𝒳): the most bags a vertex is in
+	bags    rowList            // sorted vertex lists
+	centers graph.Paged[int32] // c_X with X ⊆ N_S(c_X)
+	assign  graph.Paged[int32] // 𝒳(a): index of the canonical bag covering N_R(a)
+	degree  int                // δ(𝒳): the most bags a vertex is in
 	// memberOf row v is the sorted ids of the bags containing v. Only Patch
 	// reads it: empty (the zero store) on a built or restored cover, derived
 	// by the first edge patch and carried, toggled, by the ones after it.
@@ -151,10 +175,11 @@ func Compute(g *graph.Graph, r, p int) *Cover {
 	}
 	n := g.N()
 	c := &Cover{g: g, R: r, S: 2 * r, kernelP: -1}
-	c.assign = make([]int32, n)
-	for i := range c.assign {
-		c.assign[i] = -1
+	assign := graph.PageAligned[int32](n)
+	for i := range assign {
+		assign[i] = -1
 	}
+	var centers []int32
 	bfs := graph.BorrowBFS(g)
 	defer bfs.Release()
 	sc := borrowKernelScratch(n)
@@ -172,13 +197,13 @@ func Compute(g *graph.Graph, r, p int) *Cover {
 	keepDepth := p >= 0 && r < math.MaxUint8
 	covered := 0
 	for a := 0; a < n; a++ {
-		if c.assign[a] >= 0 {
+		if assign[a] >= 0 {
 			continue
 		}
-		bag := int32(len(c.centers))
+		bag := int32(len(centers))
 		ctr, far := a, 0
 		for _, v := range bfs.Ball(a, r) {
-			if d := bfs.Dist(int(v)); c.assign[v] < 0 && (d > far || d == far && int(v) > ctr) {
+			if d := bfs.Dist(int(v)); assign[v] < 0 && (d > far || d == far && int(v) > ctr) {
 				ctr, far = int(v), d
 			}
 		}
@@ -211,8 +236,8 @@ func Compute(g *graph.Graph, r, p int) *Cover {
 			if sc.mark[v] == ep {
 				d = int(sc.depth[v])
 			}
-			if d > r && c.assign[v] < 0 {
-				c.assign[v] = bag
+			if d > r && assign[v] < 0 {
+				assign[v] = bag
 				covered++
 			}
 			if keepDepth {
@@ -223,8 +248,9 @@ func Compute(g *graph.Graph, r, p int) *Cover {
 			panic(fmt.Sprintf("cover: the radius-%d bags of %v do not fit 2³¹ cells", c.S, g))
 		}
 		off = append(off, int32(len(cells)))
-		c.centers = append(c.centers, int32(ctr))
+		centers = append(centers, int32(ctr))
 	}
+	c.assign, c.centers = graph.PagedOf(assign), graph.PagedOf(centers)
 	depth = c.sortBags(off, cells, depth)
 	if p >= 0 {
 		c.computeKernels(p, depth)
@@ -292,24 +318,24 @@ func (c *Cover) sortBags(off, cells []int32, depth []uint8) []uint8 {
 }
 
 // NumBags returns |𝒳|.
-func (c *Cover) NumBags() int { return len(c.bags.rows) }
+func (c *Cover) NumBags() int { return c.bags.len() }
 
 // Bag returns the sorted vertex list of bag i (shared; do not modify).
-func (c *Cover) Bag(i int) []int32 { return c.bags.rows[i] }
+func (c *Cover) Bag(i int) []int32 { return c.bags.rows.At(i) }
 
 // Center returns c_X for bag i, a vertex with X ⊆ N_{2R}(c_X).
-func (c *Cover) Center(i int) graph.V { return int(c.centers[i]) }
+func (c *Cover) Center(i int) graph.V { return int(c.centers.At(i)) }
 
 // Assign returns 𝒳(a), the index of the canonical bag containing N_R(a).
 //
 //fod:hotpath
-func (c *Cover) Assign(a graph.V) int { return int(c.assign[a]) }
+func (c *Cover) Assign(a graph.V) int { return int(c.assign.At(a)) }
 
 // Degree returns δ(𝒳) = max_a |{X : a ∈ X}|.
 func (c *Cover) Degree() int { return c.degree }
 
 // SumBagSizes returns Σ_X |X| (≤ δ(𝒳)·|V|).
-func (c *Cover) SumBagSizes() int { return c.bags.cells() }
+func (c *Cover) SumBagSizes() int { return c.bags.cells }
 
 // Structure is the bytes one structure of a cover holds.
 type Structure struct {
@@ -322,11 +348,11 @@ type Structure struct {
 // Patch has derived it. A row or block shared with another version of the
 // cover counts in full.
 func (c *Cover) Resident() []Structure {
-	out := []Structure{{"bags", c.bags.bytes() + 4*len(c.centers)}}
+	out := []Structure{{"bags", c.bags.bytes() + c.centers.Bytes()}}
 	if c.kernelP >= 0 {
 		out = append(out, Structure{"kernels", c.kernels.bytes()}, Structure{"kernelOf", c.kernelOf.Bytes()})
 	}
-	out = append(out, Structure{"assign", 4 * len(c.assign)})
+	out = append(out, Structure{"assign", c.assign.Bytes()})
 	if b := c.memberOf.Bytes(); b > 0 {
 		out = append(out, Structure{"memberOf", b})
 	}
@@ -371,14 +397,14 @@ func (c *Cover) computeKernels(p int, depth []uint8) {
 		}
 	} else {
 		sc := borrowKernelScratch(c.g.N())
-		for i, bag := range c.bags.rows {
-			data = bagKernel(data, c.g, sc, bag, p)
+		for i := range nb {
+			data = bagKernel(data, c.g, sc, c.Bag(i), p)
 			off[i+1] = int32(len(data))
 		}
 		sc.release()
 	}
 	c.kernels = viewRows(off, data)
-	c.kernelOf = invertLists(c.kernels.rows, c.g.N())
+	c.kernelOf = invertLists(&c.kernels.rows, c.g.N())
 }
 
 // kernelScratch is the state of one boundary BFS: epoch-marked vertices
@@ -514,11 +540,11 @@ func bagKernel(dst []int32, g *graph.Graph, sc *kernelScratch, bag []int32, p in
 func (c *Cover) KernelP() int { return c.kernelP }
 
 // Kernel returns the sorted p-kernel of bag i (shared; do not modify).
-func (c *Cover) Kernel(i int) []int32 { return c.kernels.rows[i] }
+func (c *Cover) Kernel(i int) []int32 { return c.kernels.rows.At(i) }
 
-// Kernels returns the p-kernels of all bags, Kernels()[i] == Kernel(i): the
-// spine and the rows are shared and not to be modified.
-func (c *Cover) Kernels() [][]int32 { return c.kernels.rows }
+// Kernels returns the p-kernels of all bags, Kernels().At(i) == Kernel(i):
+// the spine and the rows are shared and not to be modified.
+func (c *Cover) Kernels() graph.Paged[[]int32] { return c.kernels.rows }
 
 // InKernel reports whether v ∈ K_p(X_i), in constant time (a scan of the
 // ≤ δ(𝒳) sorted kernel ids of v).
@@ -562,11 +588,11 @@ func (c *Cover) Validate() error {
 			}
 		}
 	}
-	for i, bag := range c.bags.rows {
+	for i := range c.NumBags() {
 		bfs.Ball(c.Center(i), c.S)
-		for _, v := range bag {
+		for _, v := range c.Bag(i) {
 			if bfs.Dist(int(v)) < 0 {
-				return fmt.Errorf("bag %d ⊄ N_%d(center %d)", i, c.S, c.centers[i])
+				return fmt.Errorf("bag %d ⊄ N_%d(center %d)", i, c.S, c.Center(i))
 			}
 		}
 	}

@@ -460,7 +460,7 @@ func TestComputeKernelsRepeated(t *testing.T) {
 			if !ok {
 				continue
 			}
-			own := &refCover{assign: patched.assign}
+			own := &refCover{assign: patched.assign.Flat()}
 			for i := 0; i < patched.NumBags(); i++ {
 				bag := make([]int, len(patched.Bag(i)))
 				for j, v := range patched.Bag(i) {

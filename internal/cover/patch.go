@@ -55,13 +55,15 @@ const maxPatchFraction = 8
 // batch is not local enough to patch and the caller should rebuild.
 //
 // The returned cover shares with c every bag and kernel row it did not
-// replace — a row is replaced or appended, never written in place — and
-// every block of the inverted lists without a vertex of a new or re-kerneled
-// bag (graph.Rows.Patch), so the work is proportional to the affected
-// region and c remains fully usable — in-flight readers of the old version
-// keep their exact structure. memberOf is one such list: when c has none
-// (it was built or restored) an edge edit derives it from the bags, and the
-// result carries it, so a stream of writes pays that transposition once.
+// replace — a row is replaced or appended, never written in place — every
+// page of the row spines, centers and assignment without a replaced or
+// appended entry (graph.Paged), and every block of the inverted lists
+// without a vertex of a new or re-kerneled bag (graph.Rows.Patch), so the
+// work is proportional to the affected region and c remains fully usable —
+// in-flight readers of the old version keep their exact structure.
+// memberOf is one such list: when c has none (it was built or restored) an
+// edge edit derives it from the bags, and the result carries it, so a
+// stream of writes pays that transposition once.
 func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *PatchInfo, bool) {
 	if gNew.N() != c.g.N() || c.kernelP < 0 {
 		return nil, nil, false
@@ -116,42 +118,36 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 	// What changes in the inverted lists, as (vertex, bag) cells to toggle:
 	// a bag joins memberOf, and joins or leaves kernelOf.
 	var memberDelta, kernelDelta []graph.Cell
-	if len(violated) > 0 {
-		// Appends below reallocate.
-		out.bags = rowList{rows: slices.Clip(c.bags.rows)}
-		out.kernels = rowList{rows: slices.Clip(c.kernels.rows)}
-		out.centers = slices.Clip(c.centers)
-		out.assign = slices.Clone(c.assign)
-		repaired := make([]bool, len(violated))
-		for i, a := range violated {
-			if repaired[i] {
-				continue
-			}
-			// New bag N_{2R}(a): contains N_R(a), so assigning a (and any
-			// other violated vertex whose R-ball it swallows) restores
-			// containment.
-			bag := bfs.AppendSortedBall(nil, a, c.S)
-			id := int32(len(out.bags.rows))
-			out.bags.rows = append(out.bags.rows, bag)
-			out.centers = append(out.centers, int32(a))
-			out.assign[a] = id
-			info.NewBags = append(info.NewBags, int(id))
-			for _, v := range bag {
-				memberDelta = append(memberDelta, graph.Cell{Row: int(v), Val: id})
-			}
-			kern := bagKernel(nil, gNew, sc, bag, c.kernelP)
-			out.kernels.rows = append(out.kernels.rows, kern)
-			for _, v := range kern {
-				kernelDelta = append(kernelDelta, graph.Cell{Row: int(v), Val: id})
-			}
-			for j := i + 1; j < len(violated); j++ {
-				if !repaired[j] && inside(violated[j], bag) {
-					out.assign[violated[j]] = id
-					repaired[j] = true
-				}
+	bags, kernels := c.bags.edit(), c.kernels.edit()
+	centers, assign := c.centers.Edit(), c.assign.Edit()
+	repaired := make([]bool, len(violated))
+	for i, a := range violated {
+		if repaired[i] {
+			continue
+		}
+		// New bag N_{2R}(a): contains N_R(a), so assigning a (and any other
+		// violated vertex whose R-ball it swallows) restores containment.
+		bag := bfs.AppendSortedBall(nil, a, c.S)
+		id := bags.add(bag)
+		centers.Append(int32(a))
+		assign.Set(a, id)
+		info.NewBags = append(info.NewBags, int(id))
+		for _, v := range bag {
+			memberDelta = append(memberDelta, graph.Cell{Row: int(v), Val: id})
+		}
+		kern := bagKernel(nil, gNew, sc, bag, c.kernelP)
+		kernels.add(kern)
+		for _, v := range kern {
+			kernelDelta = append(kernelDelta, graph.Cell{Row: int(v), Val: id})
+		}
+		for j := i + 1; j < len(violated); j++ {
+			if !repaired[j] && inside(violated[j], bag) {
+				assign.Set(violated[j], id)
+				repaired[j] = true
 			}
 		}
 	}
+	out.centers, out.assign = centers.Paged(), assign.Paged()
 
 	// --- exact kernel recomputation for touched preexisting bags ---------
 	// A bag's kernel can change only through vertices whose p-ball changed;
@@ -159,29 +155,26 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 	// from its bags when it holds none.
 	memberOf := c.memberOf
 	if memberOf.Cells() == 0 {
-		memberOf = invertLists(c.bags.rows, n)
+		memberOf = invertLists(&c.bags.rows, n)
 	}
 	var redo []int32
 	for _, v := range affected {
 		redo = append(redo, memberOf.Row(v)...)
 	}
 	slices.Sort(redo)
-	kernelsCopied := len(violated) > 0
 	for _, b := range slices.Compact(redo) {
 		newKern := bagKernel(nil, gNew, sc, c.Bag(int(b)), c.kernelP)
 		changed := symDiffSorted(c.Kernel(int(b)), newKern)
 		if len(changed) == 0 {
 			continue
 		}
-		if !kernelsCopied {
-			out.kernels, kernelsCopied = rowList{rows: slices.Clone(c.kernels.rows)}, true
-		}
-		out.kernels.rows[b] = newKern
+		kernels.set(int(b), newKern)
 		for _, v := range changed {
 			kernelDelta = append(kernelDelta, graph.Cell{Row: int(v), Val: b})
 		}
 		info.KernelChanged = append(info.KernelChanged, int(b))
 	}
+	out.bags, out.kernels = bags.list(c.bags), kernels.list(c.kernels)
 
 	var vs []graph.V
 	out.memberOf, vs = graph.Toggle(&memberOf, memberDelta)

@@ -111,7 +111,7 @@ func sameRows(a, b graph.Rows[int32]) bool {
 
 // measuredDegree is the longest row of the bags' inverse.
 func measuredDegree(c *Cover) int {
-	inv, d := invertLists(c.bags.rows, c.g.N()), 0
+	inv, d := invertLists(&c.bags.rows, c.g.N()), 0
 	for v := 0; v < c.g.N(); v++ {
 		d = max(d, inv.Len(v))
 	}
@@ -167,10 +167,10 @@ func TestPatchDifferential(t *testing.T) {
 					}
 					// The inverted lists stay the exact inverses, cell for cell, and
 					// the carried degree is the measured one.
-					if !sameRows(out.memberOf, invertLists(out.bags.rows, gNew.N())) {
+					if !sameRows(out.memberOf, invertLists(&out.bags.rows, gNew.N())) {
 						t.Fatalf("%s: patched memberOf is not the inverse of the bags", label)
 					}
-					if !sameRows(out.kernelOf, invertLists(out.kernels.rows, gNew.N())) {
+					if !sameRows(out.kernelOf, invertLists(&out.kernels.rows, gNew.N())) {
 						t.Fatalf("%s: patched kernelOf is not the inverse of the kernels", label)
 					}
 					if d := measuredDegree(out); out.Degree() != d {
@@ -282,7 +282,7 @@ func TestResidentCover(t *testing.T) {
 		if got := names(out); !reflect.DeepEqual(got, append(lean, "memberOf")) {
 			t.Fatalf("an edge patch of the %s cover holds %v", what, got)
 		}
-		if !sameRows(out.memberOf, invertLists(out.bags.rows, g.N())) {
+		if !sameRows(out.memberOf, invertLists(&out.bags.rows, g.N())) {
 			t.Fatalf("an edge patch of the %s cover derived a memberOf that is not the inverse of its bags", what)
 		}
 		if c.memberOf.Cells() != 0 {

@@ -27,7 +27,7 @@ type Parts struct {
 // Parts returns the serialized form of the cover: the arrays it holds, or
 // for a patched cover their assembly. Read-only.
 func (c *Cover) Parts() Parts {
-	p := Parts{R: c.R, KernelP: c.kernelP, Centers: c.centers, Assign: c.assign}
+	p := Parts{R: c.R, KernelP: c.kernelP, Centers: c.centers.Flat(), Assign: c.assign.Flat()}
 	p.BagOff, p.BagData = c.bags.flat()
 	if c.kernelP >= 0 {
 		p.KernOff, p.KernData = c.kernels.flat()
@@ -62,10 +62,11 @@ func adoptRows(off, data []int32, n int, what string) (rowList, error) {
 // invertLists returns the inverted lists of rows over [0,n): row v of the
 // result lists, in increasing order, the indices of the rows containing v.
 // Two counting passes into one flat CSR pair, which the store views.
-func invertLists(rows [][]int32, n int) graph.Rows[int32] {
+func invertLists(rows *graph.Paged[[]int32], n int) graph.Rows[int32] {
 	off := make([]int32, n+1)
 	total := 0
-	for _, row := range rows {
+	for i := range rows.Len() {
+		row := rows.At(i)
 		total += len(row)
 		for _, v := range row {
 			off[v+1]++
@@ -76,8 +77,8 @@ func invertLists(rows [][]int32, n int) graph.Rows[int32] {
 	}
 	flat := make([]int32, total)
 	pos := append([]int32(nil), off[:n]...)
-	for i, row := range rows {
-		for _, v := range row {
+	for i := range rows.Len() {
+		for _, v := range rows.At(i) {
 			flat[pos[v]] = int32(i)
 			pos[v]++
 		}
@@ -99,7 +100,7 @@ func FromParts(g *graph.Graph, p Parts) (*Cover, error) {
 	if err != nil {
 		return nil, err
 	}
-	nb := len(bags.rows)
+	nb := bags.len()
 	if len(p.Centers) != nb {
 		return nil, fmt.Errorf("cover: %d centers for %d bags", len(p.Centers), nb)
 	}
@@ -116,7 +117,7 @@ func FromParts(g *graph.Graph, p Parts) (*Cover, error) {
 			return nil, fmt.Errorf("cover: vertex %d assigned to bag %d of %d", v, b, nb)
 		}
 	}
-	c := &Cover{g: g, R: p.R, S: 2 * p.R, kernelP: -1, bags: bags, centers: p.Centers, assign: p.Assign}
+	c := &Cover{g: g, R: p.R, S: 2 * p.R, kernelP: -1, bags: bags, centers: graph.PagedOf(p.Centers), assign: graph.PagedOf(p.Assign)}
 	in := make([]int32, n) // how many bags hold each vertex
 	for _, v := range p.BagData {
 		in[v]++
@@ -131,12 +132,12 @@ func FromParts(g *graph.Graph, p Parts) (*Cover, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(kerns.rows) != nb {
-			return nil, fmt.Errorf("cover: %d kernels for %d bags", len(kerns.rows), nb)
+		if kerns.len() != nb {
+			return nil, fmt.Errorf("cover: %d kernels for %d bags", kerns.len(), nb)
 		}
 		c.kernelP = p.KernelP
 		c.kernels = kerns
-		c.kernelOf = invertLists(kerns.rows, n)
+		c.kernelOf = invertLists(&kerns.rows, n)
 	}
 	return c, nil
 }

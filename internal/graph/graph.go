@@ -11,6 +11,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // V is a vertex identifier. Vertices of a graph with n vertices are exactly
@@ -22,19 +23,26 @@ type Color = int
 
 // Graph is an immutable colored graph. Build one with a Builder.
 type Graph struct {
-	n    int
-	m    int         // number of undirected edges
-	rows Rows[int32] // sorted adjacency lists
-	// maxDeg is the maximum degree and maxDegAt how many vertices have it:
-	// Patch carries both over the rows it touches instead of scanning n.
-	maxDeg, maxDegAt int
-	ncol             int
-	// colors holds the color sets as one matrix of wpc = ⌈ncol/64⌉ words a
-	// vertex, row v at colors[v*wpc:(v+1)*wpc]: one allocation, and one
-	// copy when Patch derives a version with a color changed.
-	colors []uint64
-	wpc    int
+	// degrees packs the maximum degree plus one (high half) and how many
+	// vertices have it (low half); 0 until counted. Patch carries it over the
+	// rows it touches; where it cannot — the last vertex of maximum degree
+	// lost an edge — the first MaxDegree call counts it, and readers of one
+	// version may count it at once.
+	degrees atomic.Uint64
+	n       int
+	m       int         // number of undirected edges
+	rows    Rows[int32] // sorted adjacency lists
+	ncol    int
+	// colors holds the color sets as a matrix of stride words a vertex, the
+	// first wpc = ⌈ncol/64⌉ of them its set: row v at words [v*stride,
+	// v*stride+wpc). stride is wpc rounded up to a power of two, so no row
+	// straddles a page, and Patch copies the pages a color edit dirties.
+	colors      Paged[uint64]
+	wpc, stride int
 }
+
+// maxColors is the most colors a graph holds: a vertex's words fit a page.
+const maxColors = 64 * pageLen
 
 // Builder accumulates vertices, edges and colors and produces a Graph.
 // Duplicate edges and self-loops are ignored.
@@ -47,7 +55,7 @@ type Builder struct {
 }
 
 // NewBuilder returns a builder for a graph with n vertices and ncolors
-// available colors.
+// available colors, at most 64 × 256 = 16 384.
 func NewBuilder(n, ncolors int) *Builder {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
@@ -120,41 +128,42 @@ func (b *Builder) Build() *Graph {
 		off[v+1] = int32(len(out))
 	}
 	g.setRows(FromFlat(off, out))
-	g.colors = make([]uint64, b.n*g.wpc)
+	colors := PageAligned[uint64](b.n * g.stride)
 	for v, cs := range b.cols {
 		for _, c := range cs {
-			g.Colors(v).Set(c)
+			Bitset(colors[v*g.stride:]).Set(c)
 		}
 	}
+	g.colors = PagedOf(colors)
 	return g
 }
 
 // newGraph returns the shell of a graph on n vertices and ncol colors.
-func newGraph(n, ncol int) *Graph { return &Graph{n: n, ncol: ncol, wpc: (ncol + 63) / 64} }
+func newGraph(n, ncol int) *Graph {
+	if ncol > maxColors {
+		panic(fmt.Sprintf("graph: %d colors, a graph holds at most %d", ncol, maxColors))
+	}
+	g := &Graph{n: n, ncol: ncol, wpc: (ncol + 63) / 64}
+	for g.stride < g.wpc {
+		g.stride = max(1, 2*g.stride)
+	}
+	return g
+}
 
 // setRows installs the adjacency rows and what is counted from them.
 func (g *Graph) setRows(rows Rows[int32]) {
 	g.rows, g.m = rows, rows.Cells()/2
-	g.scanMaxDegree()
 }
 
-func (g *Graph) scanMaxDegree() {
-	g.maxDeg, g.maxDegAt = 0, 0
-	for v := 0; v < g.n; v++ {
-		g.countDegree(g.rows.Len(v), 1)
-	}
+// degreeCount is the maximum degree and how many vertices have it, as
+// counted or carried; ok is false when neither has happened yet.
+func (g *Graph) degreeCount() (d, at int, ok bool) {
+	w := g.degrees.Load()
+	return int(w>>32) - 1, int(uint32(w)), w != 0
 }
 
-// countDegree records that by more vertices (fewer, when negative) have
-// degree d. A count that falls to zero leaves maxDeg stale; Patch, the only
-// caller that takes vertices away, rescans then.
-func (g *Graph) countDegree(d, by int) {
-	switch {
-	case d > g.maxDeg:
-		g.maxDeg, g.maxDegAt = d, by
-	case d == g.maxDeg:
-		g.maxDegAt += by
-	}
+func (g *Graph) setDegreeCount(d, at int) {
+	g.degrees.Store(uint64(d+1)<<32 | uint64(uint32(at)))
 }
 
 // N returns the number of vertices |G|.
@@ -199,11 +208,43 @@ func (g *Graph) HasColor(v V, c Color) bool {
 
 // Colors returns the color set of v: a row of the graph's storage, not to
 // be modified.
-func (g *Graph) Colors(v V) Bitset { return g.colors[v*g.wpc : (v+1)*g.wpc] }
+func (g *Graph) Colors(v V) Bitset {
+	if g.wpc == 0 {
+		return nil
+	}
+	return g.colors.Run(v*g.stride, g.wpc)
+}
 
-// MaxDegree returns the maximum vertex degree. It is kept, not scanned for:
-// every version of a graph knows it.
-func (g *Graph) MaxDegree() int { return g.maxDeg }
+// ColorPages returns how many pages the color words of g are held in and
+// how many of them h, another version of the graph, holds too.
+func (g *Graph) ColorPages(h *Graph) (pages, shared int) {
+	for pi := range g.colors.Pages() {
+		if g.colors.SharesPage(&h.colors, pi) {
+			shared++
+		}
+	}
+	return g.colors.Pages(), shared
+}
+
+// MaxDegree returns the maximum vertex degree: carried from the version a
+// Patch derived g from, or counted over the n rows on the first call and
+// kept.
+func (g *Graph) MaxDegree() int {
+	if d, _, ok := g.degreeCount(); ok {
+		return d
+	}
+	d, at := 0, 0
+	for v := 0; v < g.n; v++ {
+		switch l := g.rows.Len(v); {
+		case l > d:
+			d, at = l, 1
+		case l == d:
+			at++
+		}
+	}
+	g.setDegreeCount(d, at)
+	return d
+}
 
 // String returns a short description, e.g. "graph(n=10, m=9, c=2)".
 func (g *Graph) String() string {

@@ -203,6 +203,7 @@ func TestGraphReadErrors(t *testing.T) {
 		"graph x y",
 		"graph 2 1\nbogus 1 2",
 		"graph 2 0\ngraph 2 0",
+		"graph 2 16385", // more colors than a graph holds
 	} {
 		if _, err := Read(bytes.NewBufferString(src)); err == nil {
 			t.Errorf("Read(%q): expected error", src)

@@ -63,7 +63,7 @@ func Read(r io.Reader) (*Graph, error) {
 			}
 			n, err1 := strconv.Atoi(f[1])
 			nc, err2 := strconv.Atoi(f[2])
-			if err1 != nil || err2 != nil || n < 0 || nc < 0 {
+			if err1 != nil || err2 != nil || n < 0 || nc < 0 || nc > maxColors {
 				return nil, fmt.Errorf("graph: line %d: bad header %q", line, txt)
 			}
 			b = NewBuilder(n, nc)

@@ -84,14 +84,16 @@ func (e Edit) Validate(g *Graph) error {
 }
 
 // Patch applies edits to g and returns the resulting graph, leaving g
-// untouched. The cost is that of the rows an edit touches: the adjacency
-// rows are a Rows, so the result shares every block of them without an
-// edited endpoint, carries the edge count and the maximum degree over from
-// g, and copies the color matrix only when a color edit is present. Through
-// Parts the result is byte-identical to rebuilding the same edge/color sets
-// through a Builder: adjacency lists stay sorted and deduplicated, so graph
-// fingerprints and every downstream structure built on the patched graph
-// agree with a from-scratch construction.
+// untouched. The cost is that of the rows and pages an edit touches: the
+// adjacency rows are a Rows and the color matrix a Paged, so the result
+// shares every block of rows without an edited endpoint and every page of
+// colors without an edited vertex, carries the edge count over from g, and
+// the maximum degree too unless the last vertex of that degree lost an edge
+// (MaxDegree counts it then, when asked). Through Parts the result is
+// byte-identical to rebuilding the same edge/color sets through a Builder:
+// adjacency lists stay sorted and deduplicated, so graph fingerprints and
+// every downstream structure built on the patched graph agree with a
+// from-scratch construction.
 //
 // Later edits win: an AddEdge followed by a RemoveEdge of the same pair
 // nets to removal. Edits that do not change the graph (adding a present
@@ -102,38 +104,44 @@ func Patch(g *Graph, edits []Edit) (*Graph, error) {
 			return nil, err
 		}
 	}
-	out := *g
+	out := &Graph{n: g.n, m: g.m, rows: g.rows, ncol: g.ncol, colors: g.colors, wpc: g.wpc, stride: g.stride}
+	d, at, counted := g.degreeCount()
 	if arcs := netArcs(g, edits); len(arcs) > 0 {
 		// One row per distinct tail: the old row with the tail's arcs merged
 		// in or taken out.
 		var vs []V
 		out.rows, vs = Toggle(&g.rows, arcs)
 		out.m = out.rows.Cells() / 2
-		for _, v := range vs {
-			out.countDegree(g.Degree(v), -1)
+		count := func(deg, by int) {
+			switch {
+			case deg > d:
+				d, at = deg, by
+			case deg == d:
+				at += by
+			}
 		}
 		for _, v := range vs {
-			out.countDegree(out.Degree(v), 1)
+			count(g.Degree(v), -1)
 		}
-		if out.maxDegAt == 0 {
-			out.scanMaxDegree()
+		for _, v := range vs {
+			count(out.Degree(v), 1)
 		}
+		counted = counted && at > 0
 	}
-	cloned := false
+	if counted {
+		out.setDegreeCount(d, at)
+	}
+	colors := g.colors.Edit()
 	for _, e := range edits {
-		if e.Op != AddColor && e.Op != RemoveColor {
-			continue
-		}
-		if !cloned {
-			out.colors, cloned = slices.Clone(g.colors), true
-		}
-		if e.Op == AddColor {
-			out.Colors(e.U).Set(e.Color)
-		} else {
-			out.Colors(e.U).Clear(e.Color)
+		switch e.Op {
+		case AddColor:
+			Bitset(colors.Run(e.U*g.stride, g.wpc)).Set(e.Color)
+		case RemoveColor:
+			Bitset(colors.Run(e.U*g.stride, g.wpc)).Clear(e.Color)
 		}
 	}
-	return &out, nil
+	out.colors = colors.Paged()
+	return out, nil
 }
 
 // netArcs returns both directions of every edge whose presence the edits

@@ -96,8 +96,8 @@ func graphsIdentical(t *testing.T, got, want *Graph) {
 	if !reflect.DeepEqual(gotAdj, wantAdj) {
 		t.Fatalf("adjacency arrays differ")
 	}
-	if !reflect.DeepEqual(got.colors, want.colors) {
-		t.Fatalf("color sets differ: got %v want %v", got.colors, want.colors)
+	if gotC, wantC := got.colors.Flat(), want.colors.Flat(); !reflect.DeepEqual(gotC, wantC) {
+		t.Fatalf("color sets differ: got %v want %v", gotC, wantC)
 	}
 }
 
@@ -201,5 +201,58 @@ func TestEditOpRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseEditOp("bogus"); err == nil {
 		t.Fatal("expected error for unknown op")
+	}
+}
+
+// TestMaxDegreeOnDemand: on star-8k, removing an edge of the hub — the one
+// vertex of maximum degree — leaves the maximum uncounted rather than
+// scanning n rows in the write; MaxDegree counts it when asked (at once from
+// several readers, race-free under -race) and agrees with a rebuild, and so
+// does the version that re-adds the edge. A leaf edge elsewhere keeps the
+// count carried.
+func TestMaxDegreeOnDemand(t *testing.T) {
+	const n = 8000
+	b := NewBuilder(n, 1)
+	for v := 1; v < n; v++ {
+		b.AddEdge(0, v)
+	}
+	b.AddEdge(1, 2)
+	star := b.Build()
+	if d := star.MaxDegree(); d != n-1 {
+		t.Fatalf("star-8k has maximum degree %d, want %d", d, n-1)
+	}
+	hubEdge := []Edit{{Op: RemoveEdge, U: 0, V: 5}}
+	cut, err := Patch(star, hubEdge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, counted := cut.degreeCount(); counted {
+		t.Fatal("removing a hub edge counted the maximum degree: the write scanned the rows")
+	}
+	got := make(chan int, 4)
+	for range cap(got) {
+		go func() { got <- cut.MaxDegree() }()
+	}
+	for range cap(got) {
+		if d := <-got; d != n-2 {
+			t.Fatalf("after removing a hub edge MaxDegree = %d, want %d", d, n-2)
+		}
+	}
+	if d := rebuildReference(star, hubEdge).MaxDegree(); d != n-2 {
+		t.Fatalf("a rebuild has maximum degree %d, want %d", d, n-2)
+	}
+	back, err := Patch(cut, []Edit{{Op: AddEdge, U: 0, V: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := back.MaxDegree(); d != n-1 {
+		t.Fatalf("after re-adding the hub edge MaxDegree = %d, want %d", d, n-1)
+	}
+	leaf, err := Patch(back, []Edit{{Op: RemoveEdge, U: 1, V: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, at, counted := leaf.degreeCount(); !counted || d != n-1 || at != 1 {
+		t.Fatalf("a leaf edge removal carried (%d, %d, %v), want (%d, 1, true)", d, at, counted, n-1)
 	}
 }

@@ -42,7 +42,7 @@ func (g *Graph) Parts() Parts {
 // exact bitset width. A corrupted snapshot yields an error, never a
 // malformed graph.
 func FromParts(p Parts) (*Graph, error) {
-	if p.N < 0 || p.NColors < 0 {
+	if p.N < 0 || p.NColors < 0 || p.NColors > maxColors {
 		return nil, fmt.Errorf("graph: snapshot has n=%d, colors=%d", p.N, p.NColors)
 	}
 	n := p.N
@@ -91,7 +91,7 @@ func FromParts(p Parts) (*Graph, error) {
 	if len(p.ColorOff) != n+1 || p.ColorOff[0] != 0 || int(p.ColorOff[n]) != len(p.ColorWords) {
 		return nil, fmt.Errorf("graph: snapshot color offsets malformed")
 	}
-	g.colors = make([]uint64, n*wpc)
+	colors := PageAligned[uint64](n * g.stride)
 	for v := 0; v < n; v++ {
 		lo, hi := p.ColorOff[v], p.ColorOff[v+1]
 		if lo > hi || int(hi) > len(p.ColorWords) {
@@ -100,10 +100,11 @@ func FromParts(p Parts) (*Graph, error) {
 		switch int(hi - lo) {
 		case 0:
 		case wpc:
-			copy(g.Colors(v), p.ColorWords[lo:hi])
+			copy(colors[v*g.stride:], p.ColorWords[lo:hi])
 		default:
 			return nil, fmt.Errorf("graph: color row of vertex %d has %d words, want 0 or %d", v, hi-lo, wpc)
 		}
 	}
+	g.colors = PagedOf(colors)
 	return g, nil
 }

@@ -30,6 +30,8 @@
 package skip
 
 import (
+	"slices"
+
 	"repro/internal/cover"
 	"repro/internal/graph"
 )
@@ -49,7 +51,10 @@ func RebuildThreshold(n int) int {
 // table remains the base, read and never written (it keeps serving the
 // receiver's version, and any other overlay of it, unchanged), while
 // queries against the result are answered under the new cover newCov and
-// new restriction list newL, exact for every (b, S).
+// new restriction list newL, sorted, exact for every (b, S). The overlay
+// keeps L′-membership of the delta's vertices only: its size and the cost
+// of making it are the accumulated delta's, not n, and only the new
+// delta's vertices are searched in newL.
 //
 // delta must contain every vertex whose eligibility ingredients changed,
 // sorted ascending: the L-diff, KernelDelta of the cover patch, and the
@@ -58,34 +63,30 @@ func RebuildThreshold(n int) int {
 // table and the deltas union (a vertex whose eligibility changed
 // base→v1 or v1→v2 is in one of them).
 func (p *Pointers) WithDelta(newCov *cover.Cover, newL []graph.V, delta []graph.V) *Pointers {
-	out := &Pointers{table: p.table, newCov: newCov, newInL: make([]bool, len(p.nextGeqL))}
-	for _, v := range newL {
-		out.newInL[v] = true
+	out := &Pointers{
+		table:    p.table,
+		newCov:   newCov,
+		delta:    make([]int32, 0, len(p.delta)+len(delta)),
+		deltaInL: make([]bool, 0, len(p.delta)+len(delta)),
 	}
-	if p.delta == nil {
-		out.delta = make([]int32, len(delta))
-		for i, v := range delta {
-			out.delta[i] = int32(v)
+	// The union of the accumulated delta and the new one. L′-membership is
+	// asked of delta vertices only: a vertex of the new delta is searched in
+	// newL, which is sorted; one of the accumulated delta alone did not
+	// change sides (the L-diff is in the new delta) and keeps its bit.
+	i, from := 0, 0
+	for _, v := range delta {
+		for ; i < len(p.delta) && p.delta[i] < int32(v); i++ {
+			out.delta, out.deltaInL = append(out.delta, p.delta[i]), append(out.deltaInL, p.deltaInL[i])
 		}
-		return out
-	}
-	// Chained overlay: union the accumulated delta with the new one.
-	out.delta = make([]int32, 0, len(p.delta)+len(delta))
-	i, j := 0, 0
-	for i < len(p.delta) || j < len(delta) {
-		switch {
-		case j == len(delta) || (i < len(p.delta) && p.delta[i] < int32(delta[j])):
-			out.delta = append(out.delta, p.delta[i])
+		if i < len(p.delta) && p.delta[i] == int32(v) {
 			i++
-		case i == len(p.delta) || p.delta[i] > int32(delta[j]):
-			out.delta = append(out.delta, int32(delta[j]))
-			j++
-		default:
-			out.delta = append(out.delta, p.delta[i])
-			i++
-			j++
 		}
+		at, in := slices.BinarySearch(newL[from:], v)
+		from += at
+		out.delta, out.deltaInL = append(out.delta, int32(v)), append(out.deltaInL, in)
 	}
+	out.delta = append(out.delta, p.delta[i:]...)
+	out.deltaInL = append(out.deltaInL, p.deltaInL[i:]...)
 	return out
 }
 
@@ -148,7 +149,7 @@ func (p *Pointers) queryDelta(b graph.V, S []int32) graph.V {
 		if v != None && w >= v {
 			break
 		}
-		if p.newInL[w] && !p.inKernelsNew(w, S) {
+		if p.deltaInL[i] && !p.inKernelsNew(w, S) {
 			return w
 		}
 	}

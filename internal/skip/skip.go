@@ -51,10 +51,10 @@ type Pointers struct {
 	// Delta overlay (nil on a freshly built table): when a mutation patched
 	// the index, the table above stays the *base* version, shared with
 	// every other overlay of it, and queries are answered under
-	// newCov/newInL with the correction set delta; see delta.go.
-	newCov *cover.Cover
-	newInL []bool
-	delta  []int32 // sorted vertices whose eligibility may differ from base
+	// newCov and L′ with the correction set delta; see delta.go.
+	newCov   *cover.Cover
+	delta    []int32 // sorted vertices whose eligibility may differ from base
+	deltaInL []bool  // per delta vertex: whether it is in L′
 }
 
 // None is returned by Query when no element qualifies.

@@ -28,7 +28,7 @@
 #            module bench/ (not part of
 #            ./...) is vetted and tested, so a break of an exported
 #            signature it calls is caught here; the root benchmarks
-#            EnumerationDelay and NextSolution run 100 iterations a row, so
+#            EnumerationDelay, NextSolution and ApplyEdits run 100 iterations a row, so
 #            a row that panics or stops compiling fails here; the snapshot decoder
 #            fuzzes for 30s (FuzzSnapshotLoad, seeded with files of both
 #            localities and the four format versions): hostile bytes must yield typed errors, never a
@@ -99,8 +99,8 @@ if [[ "$tier" == "2" || "$tier" == "all" ]]; then
     echo "== tier 2: bench/ compiles against the exported signatures and passes its own tests =="
     go vet -C bench ./...
     go test -C bench -count=1 ./...
-    echo "== tier 2: the EnumerationDelay and NextSolution benchmark rows run (100 iterations each) =="
-    go test -run XXX -bench 'EnumerationDelay|NextSolution' -benchtime 100x .
+    echo "== tier 2: the EnumerationDelay, NextSolution and ApplyEdits benchmark rows run (100 iterations each) =="
+    go test -run XXX -bench 'EnumerationDelay|NextSolution|ApplyEdits' -benchtime 100x .
     echo "== tier 2: trace ring + tail sampling under -race =="
     go test -race -count=1 -run 'TestRing|TestTailSampling|TestTraceSpanTree' ./internal/obs/
     echo "== tier 2: snapshot decoder fuzz (30s) =="
