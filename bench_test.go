@@ -223,6 +223,12 @@ func BenchmarkEnginePreprocess(b *testing.B) {
 		{"grid/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return benchGraph(gen.Grid, 32000) }, core.Preprocess},
 		{"balls/bdeg/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return gated(gen.BoundedDegree, 32000) }, core.PreprocessBalls},
 		{"far3/grid/n=4000", far3Src, []fo.Var{"x", "y", "z"}, func() *graph.Graph { return gated(gen.Grid, 4000) }, core.Preprocess},
+		// ROADMAP item 4(a): dist recurses on the hub of a partial k-tree.
+		{"ktree/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return gated(gen.PartialKTree, 32000) },
+			func(g *graph.Graph, lq *core.LocalQuery, o core.Options) (*core.Engine, error) {
+				o.Parallelism = 1
+				return core.Preprocess(g, lq, o)
+			}},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			g := row.g()
@@ -236,6 +242,26 @@ func BenchmarkEnginePreprocess(b *testing.B) {
 				if _, err := row.build(g, lq, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkGenerate is graph generation — the edge list and Builder.Build —
+// for the two graphs of each gated workload.
+func BenchmarkGenerate(b *testing.B) {
+	for _, row := range []struct {
+		class gen.Class
+		n     int
+	}{
+		{gen.Grid, 32000}, {gen.Grid, 8000},
+		{gen.BoundedDegree, 32000}, {gen.BoundedDegree, 8000},
+		{gen.Grid, 4000}, {gen.Grid, 1000},
+	} {
+		b.Run(fmt.Sprintf("%s/n=%d", row.class, row.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				gated(row.class, row.n)
 			}
 		})
 	}

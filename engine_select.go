@@ -67,11 +67,18 @@ func kindOn(locality string) EngineKind {
 // did not need one: a forced kind, or a maximum degree that settles it —
 // above DegreeLimit, or at most DegeneracyLimit, which bounds the
 // degeneracy too). The serving layer surfaces it in /v1/stats.
+//
+// MaxDegree is the graph's maximum degree when it is at most DegreeLimit,
+// or when the graph knew it already (counted, or carried over a write).
+// Otherwise it is the degree of the first vertex by id above the limit: a
+// lower bound, which settles the choice without counting the other rows —
+// the case of a write that took an edge from the one vertex of maximum
+// degree.
 type Selection struct {
 	Requested EngineKind `json:"requested"` // the configured kind ("" means the core default)
 	Chosen    EngineKind `json:"chosen"`    // the engine actually built
 
-	MaxDegree       int `json:"max_degree"`       // measured maximum degree, or −1
+	MaxDegree       int `json:"max_degree"`       // maximum degree, a lower bound of it above DegreeLimit, or −1
 	Degeneracy      int `json:"degeneracy"`       // measured degeneracy, or −1
 	DegreeLimit     int `json:"degree_limit"`     // AutoMaxDegree at decision time
 	DegeneracyLimit int `json:"degeneracy_limit"` // AutoMaxDegeneracy at decision time
@@ -97,8 +104,8 @@ func SelectEngine(g *Graph, req EngineKind) (Selection, error) {
 		sel.Chosen = EngineLowDeg
 		return sel, nil
 	case EngineAuto:
-		sel.MaxDegree = g.MaxDegree()
-		if sel.MaxDegree > AutoMaxDegree {
+		var above bool
+		if sel.MaxDegree, above = g.DegreeAbove(AutoMaxDegree); above {
 			// Degeneracy cannot rescue a high-degree graph: the lowdeg
 			// ball structure is already oversized. Skip the second scan.
 			sel.Chosen = EngineCore

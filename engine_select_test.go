@@ -286,3 +286,36 @@ func TestParseCountQuery(t *testing.T) {
 		t.Fatal("undeclared free variable should be rejected")
 	}
 }
+
+// TestAutoSelectionAfterHubEdgeRemoval: on star-8k (the graph of
+// graph.TestMaxDegreeOnDemand) a write that takes an edge from the hub, the
+// one vertex of maximum degree, leaves the new version's maximum uncounted.
+// Its auto selection asks only whether some row is above AutoMaxDegree: the
+// hub, vertex 0, answers that (graph.TestDegreeAbove pins that nothing
+// else is counted), so the write stays on core with the hub's degree as its
+// estimate, and the degeneracy is not measured.
+func TestAutoSelectionAfterHubEdgeRemoval(t *testing.T) {
+	const n = 8000
+	b := NewGraphBuilder(n, 1)
+	for v := 1; v < n; v++ {
+		b.AddEdge(0, v)
+	}
+	b.AddEdge(1, 2)
+	b.SetColor(3, 0)
+	ctx := context.Background()
+	ix, err := Build(ctx, b.Build(), selTestQuery(), WithEngine(EngineAuto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel := ix.Selection(); ix.Engine() != EngineCore || sel.MaxDegree != n-1 {
+		t.Fatalf("auto build on star-8k: engine %s, selection %+v", ix.Engine(), sel)
+	}
+	next, err := ix.ApplyEdits(ctx, []Edit{RemoveEdge(0, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := next.Selection()
+	if next.Engine() != EngineCore || sel.Chosen != EngineCore || sel.MaxDegree != n-2 || sel.Degeneracy != -1 {
+		t.Fatalf("after a hub-edge removal: engine %s, selection %+v", next.Engine(), sel)
+	}
+}

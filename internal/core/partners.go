@@ -48,12 +48,20 @@ func (sc *rowScratch) release() {
 }
 
 // appendPartners appends the partner row of v to dst: one pass over N_R(v)
-// as the locality holds it, ψ with no memo. A certified quantifier-free ψ
-// reads its two values and nothing around them, so the row borrows one
+// as the locality holds it, ψ with no memo. A constant ψ (far3's close pair
+// has ψ ≡ ⊤) keeps the whole row or none of it. A certified quantifier-free
+// ψ reads its two values and nothing around them, so the row borrows one
 // evaluator and one environment and sets a variable a cell; any other ψ goes
-// through evalLocal, cell by cell.
+// through evalLocal, cell by cell. Every cell counts as a local evaluation.
 func (e *Engine) appendPartners(dst []int32, c *compRT, v graph.V, sc *rowScratch) []int32 {
 	row := e.loc.near(v, sc)
+	if t, ok := c.psi.(fo.Truth); ok {
+		e.ctr.localEvals.Add(int64(len(row)))
+		if t.Value {
+			dst = append(dst, row...)
+		}
+		return dst
+	}
 	if !e.q.Guarded || !c.quantFree {
 		sc.vals[0] = v
 		for _, w := range row {

@@ -172,6 +172,85 @@ func TestPartnersPatchedEqualRebuilt(t *testing.T) {
 	}
 }
 
+// TestPartnersOfConstantPsi: far3's close pair has ψ ≡ ⊤, so its partner
+// row of v is N_R(v) — checked against a BFS — copied, with no formula
+// evaluated, yet counted as evaluated. On a partial k-tree, where the distance index recurses and the
+// cover locality reads N_R(v) off a BFS rather than a table, the rows are the
+// ball locality's, the same restored with and without them, and patched
+// equal to a rebuild's.
+func TestPartnersOfConstantPsi(t *testing.T) {
+	g := gen.Generate(gen.PartialKTree, 2000, gen.Options{Seed: 1, Colors: 2})
+	lq := compileShape(t, "dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", []fo.Var{"x", "y", "z"})
+	built, err := core.Preprocess(g, lq, core.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(built.Covers()) < 2 {
+		t.Fatal("the distance index did not recurse: the rows come off its table, not a BFS")
+	}
+	rows := built.PartnerRows()
+	if len(rows) != 1 || built.Stats().PartnerCells == 0 {
+		t.Fatalf("far3 has %d components of two positions, want 1 with cells", len(rows))
+	}
+	bfs := graph.NewBFS(g)
+	for v := range g.N() {
+		row := rows[0].Adj[rows[0].Off[v]:rows[0].Off[v+1]]
+		if ball := bfs.AppendSortedBall(nil, v, lq.R); !slices.Equal(row, ball) {
+			t.Fatalf("the partner row of %d has %d cells, N_%d(%d) %d", v, len(row), lq.R, v, len(ball))
+		}
+	}
+	if st := built.Stats(); st.LocalEvals < st.PartnerCells {
+		t.Fatalf("%d local evaluations for %d partner cells: a copied row must count as evaluated", st.LocalEvals, st.PartnerCells)
+	}
+	balls, err := core.PreprocessBalls(g, lq, core.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(balls.PartnerRows(), rows) {
+		t.Fatal("the cover locality's partner rows differ from the ball locality's")
+	}
+	parts := built.SnapshotParts()
+	restored, err := core.RestoreEngine(g, lq, parts, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, comps := range parts.Clauses {
+		for i := range comps {
+			comps[i].Partners = nil
+		}
+	}
+	rebuiltAtRestore, err := core.RestoreEngine(g, lq, parts, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.PartnerRows(), rows) || !reflect.DeepEqual(rebuiltAtRestore.PartnerRows(), rows) {
+		t.Fatal("restored partner rows differ from the built ones")
+	}
+	// An edge write on a partial k-tree reaches the whole graph at cover
+	// scale and rebuilds; a colour write is patched. (closeShapes' mixed3
+	// has ψ ≡ ⊤ too, and TestPartnersPatchedEqualRebuilt patches its edges
+	// on a grid.)
+	edits := []graph.Edit{{Op: graph.AddColor, U: 7, Color: 0}, {Op: graph.RemoveColor, U: 8, Color: 0}}
+	patched, err := built.ApplyEdits(nil, edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := patched.Stats(); st.MutRebuilds != 0 {
+		t.Fatalf("the write rebuilt the index: %+v", st)
+	}
+	g2, err := graph.Patch(g, edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := core.Preprocess(g2, lq, core.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(patched.PartnerRows(), rebuilt.PartnerRows()) {
+		t.Fatal("patched partner rows differ from the rebuild's")
+	}
+}
+
 // TestFastCountLeavesNothing: FastCount runs once an index, and what its
 // close-pair scans read — every N_R(v) of a far2 starter — must not stay
 // behind. The live heap it leaves on a cover index does not grow from

@@ -339,13 +339,7 @@ func buildBag(g *graph.Graph, cov *cover.Cover, i, r int, opt Options, depth int
 	}
 
 	// Step 5: recursive index on X′ = G[X \ {s_X}].
-	rest := make([]graph.V, 0, sub.G.N()-1)
-	for v := 0; v < sub.G.N(); v++ {
-		if v != sLocal {
-			rest = append(rest, v)
-		}
-	}
-	b.prime = graph.Induce(sub.G, rest)
+	b.prime = graph.RemoveVertex(sub.G, sLocal)
 	b.inner = build(b.prime.G, r, opt, depth+1, stats, budget, pool)
 	return b
 }

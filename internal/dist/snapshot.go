@@ -25,8 +25,8 @@ const maxSnapshotDepth = 64
 // nodes carry the level's cover, the per-bag splitter vertex and Step-4
 // distance column, and one child per bag. The arena graphs themselves are
 // NOT serialized: each level's G[X] and X′ = G[X \ {s_X}] are
-// reconstructed by the same graph.Induce calls the builder ran, which is
-// deterministic and skips every BFS the build paid for.
+// reconstructed by the same graph.Induce and graph.RemoveVertex calls the
+// builder ran, which are deterministic and skip every BFS the build paid for.
 type NodeParts struct {
 	Kind int
 
@@ -143,13 +143,7 @@ func fromNode(g *graph.Graph, r int, np *NodeParts, stats *Stats, depth int) (*I
 				return nil, fmt.Errorf("dist: bag %d distance column has %d entries for %d vertices", i, len(bp.DistS), sub.G.N())
 			}
 			b := &bagIndex{sub: sub, sX: int(bp.SX), distS: bp.DistS}
-			rest := make([]graph.V, 0, sub.G.N()-1)
-			for v := 0; v < sub.G.N(); v++ {
-				if v != b.sX {
-					rest = append(rest, v)
-				}
-			}
-			b.prime = graph.Induce(sub.G, rest)
+			b.prime = graph.RemoveVertex(sub.G, b.sX)
 			inner, err := fromNode(b.prime.G, r, bp.Inner, stats, depth+1)
 			if err != nil {
 				return nil, err

@@ -38,13 +38,7 @@ func NewRemoval(g *graph.Graph, s graph.V, maxD int) *Removal {
 	if maxD < 1 {
 		maxD = 1
 	}
-	rest := make([]graph.V, 0, g.N()-1)
-	for v := 0; v < g.N(); v++ {
-		if v != s {
-			rest = append(rest, v)
-		}
-	}
-	sub := graph.Induce(g, rest)
+	sub := graph.RemoveVertex(g, s)
 	// Distance classes around s, computed in G.
 	bfs := graph.NewBFS(g)
 	classes := make([][]graph.V, maxD)

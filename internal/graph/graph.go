@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -26,17 +27,17 @@ type Graph struct {
 	// degrees packs the maximum degree plus one (high half) and how many
 	// vertices have it (low half); 0 until counted. Patch carries it over the
 	// rows it touches; where it cannot — the last vertex of maximum degree
-	// lost an edge — the first MaxDegree call counts it, and readers of one
-	// version may count it at once.
+	// lost an edge — the first MaxDegree call counts it (DegreeAbove only
+	// when no row is longer than its bound), and readers of one version may
+	// count it at once.
 	degrees atomic.Uint64
 	n       int
 	m       int         // number of undirected edges
 	rows    Rows[int32] // sorted adjacency lists
 	ncol    int
 	// colors holds the color sets as a matrix of stride words a vertex, the
-	// first wpc = ⌈ncol/64⌉ of them its set: row v at words [v*stride,
-	// v*stride+wpc). stride is wpc rounded up to a power of two, so no row
-	// straddles a page, and Patch copies the pages a color edit dirties.
+	// first wpc of them its set: row v at words [v*stride, v*stride+wpc)
+	// (colorLayout). Patch copies the pages a color edit dirties.
 	colors      Paged[uint64]
 	wpc, stride int
 }
@@ -47,11 +48,12 @@ const maxColors = 64 * pageLen
 // Builder accumulates vertices, edges and colors and produces a Graph.
 // Duplicate edges and self-loops are ignored.
 type Builder struct {
-	n    int
-	ncol int
-	us   []int32
-	vs   []int32
-	cols map[V][]Color
+	n, ncol int
+	stride  int
+	us, vs  []int32
+	// colors is the colour matrix Build hands to the graph, laid out as the
+	// graph's: SetColor sets its bits.
+	colors []uint64
 }
 
 // NewBuilder returns a builder for a graph with n vertices and ncolors
@@ -60,7 +62,8 @@ func NewBuilder(n, ncolors int) *Builder {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
-	return &Builder{n: n, ncol: ncolors, cols: make(map[V][]Color)}
+	_, stride := colorLayout(ncolors)
+	return &Builder{n: n, ncol: ncolors, stride: stride, colors: PageAligned[uint64](n * stride)}
 }
 
 // AddEdge records the undirected edge {u, v}. Self-loops are dropped.
@@ -83,70 +86,89 @@ func (b *Builder) SetColor(v V, c Color) {
 	if c < 0 || c >= b.ncol {
 		panic(fmt.Sprintf("graph: color %d out of range [0,%d)", c, b.ncol))
 	}
-	b.cols[v] = append(b.cols[v], c)
+	Bitset(b.colors[v*b.stride:]).Set(c)
 }
 
 // N returns the number of vertices the builder was created with.
 func (b *Builder) N() int { return b.n }
 
 // Build finalizes the graph. The builder may not be reused afterwards.
+//
+// Two counting passes lay the rows out sorted, with no comparison sort: the
+// first groups the arcs — both directions of every edge — by head, the
+// second walks the heads in ascending order and appends each to the row of
+// its tail. A duplicate edge lands next to its first copy and is dropped.
 func (b *Builder) Build() *Graph {
-	deg := make([]int32, b.n+1)
+	n := b.n
+	g := newGraph(n, b.ncol)
+	// A vertex heads as many arcs as it tails: off is the row offsets and
+	// the head groups' offsets alike.
+	off := blockOffsets(n)
 	for i := range b.us {
-		deg[b.us[i]+1]++
-		deg[b.vs[i]+1]++
+		off[b.us[i]+1]++
+		off[b.vs[i]+1]++
 	}
-	for i := 1; i <= b.n; i++ {
-		deg[i] += deg[i-1]
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
 	}
-	adj := make([]int32, deg[b.n])
-	pos := make([]int32, b.n)
-	copy(pos, deg[:b.n])
+	next := make([]int32, n)
+	copy(next, off)
+	tails := make([]int32, off[n])
 	for i := range b.us {
 		u, v := b.us[i], b.vs[i]
-		adj[pos[u]] = v
-		pos[u]++
-		adj[pos[v]] = u
-		pos[v]++
+		tails[next[v]] = u
+		next[v]++
+		tails[next[u]] = v
+		next[u]++
 	}
-	// Sort and deduplicate each list in place, compacting the storage.
-	g := newGraph(b.n, b.ncol)
-	off := make([]int32, b.n+1)
-	out := adj[:0]
-	for v := 0; v < b.n; v++ {
-		lo, hi := deg[v], deg[v+1]
-		lst := adj[lo:hi]
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
-		start := len(out)
-		for i, w := range lst {
-			if i > 0 && w == lst[i-1] {
+	copy(next, off)
+	adj := make([]int32, off[n])
+	dups := false
+	for h := range n {
+		for _, t := range tails[off[h]:off[h+1]] {
+			if i := next[t]; i > off[t] && adj[i-1] == int32(h) {
+				dups = true
 				continue
 			}
-			out = append(out, w)
-		}
-		off[v] = int32(start)
-		off[v+1] = int32(len(out))
-	}
-	g.setRows(FromFlat(off, out))
-	colors := PageAligned[uint64](b.n * g.stride)
-	for v, cs := range b.cols {
-		for _, c := range cs {
-			Bitset(colors[v*g.stride:]).Set(c)
+			adj[next[t]] = int32(h)
+			next[t]++
 		}
 	}
-	g.colors = PagedOf(colors)
+	if dups {
+		// Close the gaps the dropped copies left, row by row.
+		k := int32(0)
+		for v := range n {
+			lo, hi := off[v], next[v]
+			off[v] = k
+			k += int32(copy(adj[k:], adj[lo:hi]))
+		}
+		off[n] = k
+		adj = adj[:k]
+	}
+	g.setRows(fromBlockOffsets(off, adj))
+	g.colors = PagedOf(b.colors)
+	b.us, b.vs, b.colors = nil, nil, nil
 	return g
+}
+
+// colorLayout returns the words of a vertex's color set, wpc = ⌈ncol/64⌉,
+// and the words a vertex takes in the color matrix: wpc rounded up to a
+// power of two, so no row straddles a page.
+func colorLayout(ncol int) (wpc, stride int) {
+	if ncol > maxColors {
+		panic(fmt.Sprintf("graph: %d colors, a graph holds at most %d", ncol, maxColors))
+	}
+	wpc = (ncol + 63) / 64
+	for stride < wpc {
+		stride = max(1, 2*stride)
+	}
+	return wpc, stride
 }
 
 // newGraph returns the shell of a graph on n vertices and ncol colors.
 func newGraph(n, ncol int) *Graph {
-	if ncol > maxColors {
-		panic(fmt.Sprintf("graph: %d colors, a graph holds at most %d", ncol, maxColors))
-	}
-	g := &Graph{n: n, ncol: ncol, wpc: (ncol + 63) / 64}
-	for g.stride < g.wpc {
-		g.stride = max(1, 2*g.stride)
-	}
+	g := &Graph{n: n, ncol: ncol}
+	g.wpc, g.stride = colorLayout(ncol)
 	return g
 }
 
@@ -230,12 +252,24 @@ func (g *Graph) ColorPages(h *Graph) (pages, shared int) {
 // Patch derived g from, or counted over the n rows on the first call and
 // kept.
 func (g *Graph) MaxDegree() int {
+	d, _ := g.DegreeAbove(math.MaxInt)
+	return d
+}
+
+// DegreeAbove reports whether some vertex has more than k neighbours, with a
+// degree that settles it: the maximum when it is carried or when no row is
+// longer than k (it is counted then, and kept, as MaxDegree keeps it), and
+// otherwise the degree of the first vertex by id with more than k, a lower
+// bound of the maximum at which the count stops.
+func (g *Graph) DegreeAbove(k int) (d int, above bool) {
 	if d, _, ok := g.degreeCount(); ok {
-		return d
+		return d, d > k
 	}
-	d, at := 0, 0
+	at := 0
 	for v := 0; v < g.n; v++ {
 		switch l := g.rows.Len(v); {
+		case l > k:
+			return l, true
 		case l > d:
 			d, at = l, 1
 		case l == d:
@@ -243,7 +277,7 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	g.setDegreeCount(d, at)
-	return d
+	return d, false
 }
 
 // String returns a short description, e.g. "graph(n=10, m=9, c=2)".

@@ -256,3 +256,54 @@ func TestMaxDegreeOnDemand(t *testing.T) {
 		t.Fatalf("a leaf edge removal carried (%d, %d, %v), want (%d, 1, true)", d, at, counted, n-1)
 	}
 }
+
+// TestDegreeAbove: after a hub-edge removal on star-8k leaves the maximum
+// uncounted, DegreeAbove stops at the first vertex above its bound — the
+// hub, first or last by id — and counts nothing; a bound nothing exceeds
+// counts every row, and the count is kept. A carried count answers at once.
+func TestDegreeAbove(t *testing.T) {
+	const n = 8000
+	for _, hub := range []V{0, n - 1} {
+		b := NewBuilder(n, 1)
+		for v := range n {
+			if v != hub {
+				b.AddEdge(hub, v)
+			}
+		}
+		star := b.Build()
+		if d, above := star.DegreeAbove(8); d != n-1 || !above {
+			t.Fatalf("hub %d: star-8k DegreeAbove(8) = (%d, %v), want (%d, true)", hub, d, above, n-1)
+		}
+		if _, _, counted := star.degreeCount(); counted {
+			t.Fatalf("hub %d: DegreeAbove counted the rows of a graph with a row above its bound", hub)
+		}
+		star.MaxDegree()
+		cut, err := Patch(star, []Edit{{Op: RemoveEdge, U: hub, V: (hub + 5) % n}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, counted := cut.degreeCount(); counted {
+			t.Fatal("removing a hub edge carried the maximum degree")
+		}
+		if d, above := cut.DegreeAbove(8); d != n-2 || !above {
+			t.Fatalf("hub %d: after a hub-edge removal DegreeAbove(8) = (%d, %v), want (%d, true)", hub, d, above, n-2)
+		}
+		if _, _, counted := cut.degreeCount(); counted {
+			t.Fatalf("hub %d: DegreeAbove counted every row after a hub-edge removal", hub)
+		}
+		if d, above := cut.DegreeAbove(n); d != n-2 || above {
+			t.Fatalf("hub %d: DegreeAbove(n) = (%d, %v), want (%d, false)", hub, d, above, n-2)
+		}
+		if d, at, counted := cut.degreeCount(); !counted || d != n-2 || at != 1 {
+			t.Fatalf("hub %d: a bound no row exceeds left the count (%d, %d, %v)", hub, d, at, counted)
+		}
+	}
+	// A leaf before the hub: the first vertex above 0 is the leaf.
+	b := NewBuilder(4, 0)
+	b.AddEdge(0, 3)
+	b.AddEdge(1, 3)
+	b.AddEdge(2, 3)
+	if d, above := b.Build().DegreeAbove(0); d != 1 || !above {
+		t.Fatalf("DegreeAbove(0) = (%d, %v), want the first vertex's degree (1, true)", d, above)
+	}
+}

@@ -63,6 +63,26 @@ func FromFlat[T any](off []int32, adj []T) Rows[T] {
 	return r
 }
 
+// blockOffsets returns n+1 zero row offsets in an array whose capacity
+// holds the last block's header, for fromBlockOffsets to view whole.
+func blockOffsets(n int) []int32 {
+	return make([]int32, n+1, (n+rowsPerBlock-1)/rowsPerBlock*rowsPerBlock+1)
+}
+
+// fromBlockOffsets is FromFlat for offsets from blockOffsets: the last
+// block's rows past n, empty, are written into their capacity, so no block
+// is a padded copy.
+func fromBlockOffsets[T any](off []int32, adj []T) Rows[T] {
+	n := len(off) - 1
+	whole := off[:cap(off)]
+	for i := n + 1; i < len(whole); i++ {
+		whole[i] = off[n]
+	}
+	r := FromFlat(whole, adj)
+	r.n, r.off = n, off
+	return r
+}
+
 // Cells returns the total length of all rows.
 func (r *Rows[T]) Cells() int { return r.cells }
 
