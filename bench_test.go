@@ -382,14 +382,40 @@ func BenchmarkApplyEdits(b *testing.B) {
 	}
 }
 
+// BenchmarkNextSolution is Theorem 2.3's NextGeq at random tuples: the
+// grid rows on the paper's far2, and the two gated in-process seeks —
+// far2 on bdeg under the ball locality (lowdeg-lib) and far3 on grid-4k
+// (ternary-lib) — whose first step finds the first starter ≥ a value.
 func BenchmarkNextSolution(b *testing.B) {
-	for _, n := range []int{2000, 32000} {
-		b.Run(fmt.Sprintf("grid/n=%d", n), func(b *testing.B) {
-			g, e, _ := benchEngine(b, gen.Grid, n)
+	for _, row := range []struct {
+		name  string
+		src   string
+		vars  []fo.Var
+		g     func() *graph.Graph
+		build func(*graph.Graph, *core.LocalQuery, core.Options) (*core.Engine, error)
+	}{
+		{"grid/n=2000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return benchGraph(gen.Grid, 2000) }, core.Preprocess},
+		{"grid/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return benchGraph(gen.Grid, 32000) }, core.Preprocess},
+		{"balls/bdeg/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return gated(gen.BoundedDegree, 32000) }, core.PreprocessBalls},
+		{"far3/grid/n=4000", far3Src, []fo.Var{"x", "y", "z"}, func() *graph.Graph { return gated(gen.Grid, 4000) }, core.Preprocess},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			g := row.g()
+			lq, err := core.Compile(fo.MustParse(row.src), row.vars, core.CompileOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := row.build(g, lq, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
 			rng := rand.New(rand.NewSource(8))
 			tuples := make([][]int, 4096)
 			for i := range tuples {
-				tuples[i] = []int{rng.Intn(g.N()), rng.Intn(g.N())}
+				tuples[i] = make([]int, len(row.vars))
+				for j := range tuples[i] {
+					tuples[i][j] = rng.Intn(g.N())
+				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

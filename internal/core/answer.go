@@ -105,14 +105,14 @@ func (e *Engine) prefixMatches(rt *clauseRT, prefix []graph.V) bool {
 }
 
 // holdsAt reports ψ_I on the values a holds at c's positions, all of them
-// placed and their distance pattern verified: a bit of the starter bitmap
+// placed and their distance pattern verified: a bit of the starter set
 // for a singleton, a binary search in the anchor's partner row for a pair,
 // and for a larger component the lazy evaluation behind localEval.
 //
 //fod:hotpath
 func (e *Engine) holdsAt(c *compRT, a []graph.V) bool {
 	if len(c.positions) == 1 {
-		return c.inStart.At(a[c.positions[0]])
+		return c.inStart.Has(a[c.positions[0]])
 	}
 	return e.holdsAtSeveral(c, a)
 }
@@ -227,10 +227,11 @@ func (e *Engine) fold(cur *clauseCursor) {
 // frame is the memory of one position of a clauseCursor between candidates
 // under one prefix; search resets it with every new prefix. At a position
 // that opens a component it is the locality's, and every field but the bags
-// is a position in a sorted list used only after lowerBound has verified it,
-// so that a stale one costs a binary search, never an answer. At the second
-// position of a pair it is nextPartner's, which takes at as it stands. The
-// zero frame remembers nothing.
+// is a position in a sorted list used only once the list has verified it
+// (startsAt, lowerBound32), so that a stale one costs a rank or a
+// binary search, never an answer. At the second position of a pair it is
+// nextPartner's, which takes at as it stands. The zero frame remembers
+// nothing.
 type frame struct {
 	// Case I: index into the component's starter list where the next opening
 	// is expected. nextPartner: index into the anchor's partner row behind

@@ -157,8 +157,8 @@ type compRT struct {
 
 	// Starter list for the component's first position (Case I of the
 	// paper, generalized to every level that opens a new component).
-	starter []graph.V         // sorted vertices that can open the component
-	inStart graph.Paged[bool] // membership, indexed by vertex; for a singleton component the solution set
+	starter []graph.V     // sorted vertices that can open the component
+	inStart graph.RankSet // the same vertices as a set, whose Rank(x) is the index in starter of the first ≥ x; for a singleton component the solution set
 
 	// What the cover locality derives from the starter list; nil and empty
 	// under the ball locality, which scans the list itself, and for a list no
@@ -417,49 +417,38 @@ func (e *Engine) tally() {
 // for a completion respecting the component's internal distance pattern).
 //
 // The per-vertex tests are independent — they share only the concurrent
-// caches and pooled scratch — so they fan out across the pool; each vertex
-// writes its own inStart slot and the sorted starter list is assembled
-// from the bitmap afterwards, making the result worker-count-independent.
-// A component that reads the colours of v alone is one pass on the caller's
-// goroutine: a test costs less than handing the vertex to a worker.
+// caches and pooled scratch — so they fan out across the pool, a task a
+// word of 64 vertices writing that word of the starter set; the sorted
+// starter list is read off the finished set afterwards, making the result
+// worker-count-independent. A component that reads the colours of v alone
+// is one pass on the caller's goroutine: a test costs less than handing the
+// vertex to a worker.
 func (e *Engine) computeStarter(c *compRT, pool *par.Pool) error {
-	in := graph.PageAligned[bool](e.g.N())
+	n := e.g.N()
+	words := graph.PageAligned[uint64]((n + 63) / 64)
+	opens := func(v int) bool { return e.opens(c, v) }
 	if c.paired() {
 		if err := e.buildPartners(c, pool); err != nil {
 			return err
 		}
-		for v := range in {
-			in[v] = c.partners.Len(v) > 0
-		}
-		c.finishStarter(in)
-		return nil
-	}
-	if e.readsOwnColours(c) {
+		opens, pool = func(v int) bool { return c.partners.Len(v) > 0 }, par.Sequential()
+	} else if e.readsOwnColours(c) {
 		pool = par.Sequential()
 	}
-	pool.ForEach(e.g.N(), func(v int) { in[v] = e.opens(c, v) })
-	c.finishStarter(in)
+	pool.ForEach(len(words), func(w int) {
+		var x uint64
+		for v := w * 64; v < min(w*64+64, n); v++ {
+			if opens(v) {
+				x |= 1 << (v % 64)
+			}
+		}
+		words[w] = x
+	})
+	// For a singleton component the list IS the unary solution list; the
+	// answering phase reads the set in O(1).
+	c.inStart = graph.RankSetOfWords(n, words)
+	c.starter = c.inStart.AppendMembers(make([]graph.V, 0, c.inStart.Count()))
 	return nil
-}
-
-// finishStarter sets the starter bitmap to in, which it views, and
-// assembles the sorted starter list, at its exact size, from it. For a
-// singleton component the list IS the unary solution list; the answering
-// phase reads the bitmap in O(1).
-func (c *compRT) finishStarter(in []bool) {
-	size := 0
-	for _, x := range in {
-		if x {
-			size++
-		}
-	}
-	c.starter = make([]graph.V, 0, size)
-	for v, x := range in {
-		if x {
-			c.starter = append(c.starter, v)
-		}
-	}
-	c.inStart = graph.PagedOf(in)
 }
 
 // readsOwnColours reports whether inStart[v] of c is a function of the

@@ -23,8 +23,8 @@ func (e *Engine) MaxSkipDelta() int {
 	return d
 }
 
-// StarterList is the starter list of one live component and the bitmap it
-// was assembled from.
+// StarterList is the starter list of one live component and the
+// membership its starter set reads.
 type StarterList struct {
 	Starter []graph.V
 	InStart []bool
@@ -36,7 +36,11 @@ func (e *Engine) Starters() []StarterList {
 	var out []StarterList
 	for _, rt := range e.clauses {
 		for _, c := range rt.comps {
-			out = append(out, StarterList{c.starter, c.inStart.Flat()})
+			in := make([]bool, c.inStart.Len())
+			for v := range in {
+				in[v] = c.inStart.Has(v)
+			}
+			out = append(out, StarterList{c.starter, in})
 		}
 	}
 	return out
@@ -55,8 +59,12 @@ func (e *Engine) SharesStarterBitmap(d *Engine, i int) bool {
 	return sharesAll(&mine[i].inStart, &theirs[i].inStart)
 }
 
-// sharesAll reports whether a and b hold the same pages, all of them.
-func sharesAll[T any](a, b *graph.Paged[T]) bool {
+// sharesAll reports whether a and b, two versions of a paged array or of a
+// starter set, hold the same pages, all of them.
+func sharesAll[P interface {
+	Pages() int
+	SharesPage(P, int) bool
+}](a, b P) bool {
 	for pi := range a.Pages() {
 		if !a.SharesPage(b, pi) {
 			return false

@@ -239,7 +239,7 @@ func (l *coverLoc) buildKernelLists(c *compRT, pool *par.Pool) {
 	pool.ForEach(nb, func(i int) {
 		m := int32(0)
 		for _, v := range l.cov.Kernel(i) {
-			if c.inStart.At(int(v)) {
+			if c.inStart.Has(int(v)) {
 				m++
 			}
 		}
@@ -252,7 +252,7 @@ func (l *coverLoc) buildKernelLists(c *compRT, pool *par.Pool) {
 	pool.ForEach(nb, func(i int) {
 		row := flat[cnt[i]:cnt[i]:cnt[i+1]]
 		for _, v := range l.cov.Kernel(i) {
-			if c.inStart.At(int(v)) {
+			if c.inStart.Has(int(v)) {
 				row = append(row, v)
 			}
 		}
@@ -324,7 +324,7 @@ func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starte
 	for _, b := range slices.Compact(redo) {
 		var row []int32
 		for _, v := range l.cov.Kernel(b) {
-			if c2.inStart.At(int(v)) {
+			if c2.inStart.Has(int(v)) {
 				row = append(row, v)
 			}
 		}
@@ -431,7 +431,10 @@ func (l *coverLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *f
 	if fr == nil {
 		fr = new(frame)
 	}
-	i := lowerBound(c.starter, lower, int(fr.at))
+	i := int(fr.at)
+	if !c.startsAt(lower, i) {
+		i = c.inStart.Rank(lower)
+	}
 	fr.at = int32(i + 1)
 	if i == len(c.starter) {
 		return -1
@@ -668,8 +671,12 @@ func (l *ballLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *fr
 	}
 	walked := prefix[:min(len(prefix), len(fr.kat))]
 	rest := prefix[len(walked):]
+	i := int(fr.at)
+	if !c.startsAt(lower, i) {
+		i = c.inStart.Rank(lower)
+	}
 scan:
-	for i := lowerBound(c.starter, lower, int(fr.at)); i < len(c.starter); i++ {
+	for ; i < len(c.starter); i++ {
 		v := int32(c.starter[i])
 		for b, p := range walked {
 			row := l.rows.Row(p)
@@ -729,30 +736,24 @@ func searchInt32(row []int32, x int32) int {
 	return lo
 }
 
-// lowerBound returns the smallest index i with s[i] ≥ x. at is where the
-// caller expects it — the position after the one it last read — and is
-// taken only when s[at−1] < x ≤ s[at] shows it to be the answer; any other
-// at, stale or out of range, costs the binary search and nothing else.
+// startsAt reports whether at is the index in c.starter of the first
+// starter ≥ x: c.starter[at−1] < x ≤ c.starter[at]. at is where a caller
+// expects it — the position after the one it last read — and when it is
+// not, stale or out of range, the index is c.inStart.Rank(x): three reads
+// of the starter set, never an answer changed. The check is a function of
+// its own, the rank a call beside it, so that the check inlines into both
+// nextOpenings.
 //
 //fod:hotpath
-func lowerBound(s []graph.V, x graph.V, at int) int {
-	if uint(at) <= uint(len(s)) && (at == 0 || s[at-1] < x) && (at == len(s) || x <= s[at]) {
-		return at
-	}
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+func (c *compRT) startsAt(x graph.V, at int) bool {
+	s := c.starter
+	return uint(at) <= uint(len(s)) && (at == 0 || s[at-1] < x) && (at == len(s) || x <= s[at])
 }
 
-// lowerBound32 is lowerBound over an int32 list: the per-kernel starter
-// lists, which are the cover's rows or cut from them.
+// lowerBound32 returns the smallest index i with s[i] ≥ x in a sorted
+// int32 list — a per-kernel starter list, which is the cover's row or cut
+// from it, or a ball row — taking at, the caller's guess, when s[at−1] <
+// x ≤ s[at] shows it right and searching otherwise.
 //
 //fod:hotpath
 func lowerBound32(s []int32, x int32, at int) int {

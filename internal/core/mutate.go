@@ -35,12 +35,13 @@
 // Every derived structure is copy-on-write, and at the grain of what the
 // write dirtied: row stores (graph.Rows) copy the 64-row blocks holding a
 // replaced row, and the per-vertex and per-bag arrays — colour words,
-// starter bitmaps, the cover's assignment, centers and row spines, the
-// per-kernel lists — are graph.Paged, which copies the pages holding a
-// written entry. The sorted starter list of a component whose starters
-// changed is copied whole. The receiver engine is never modified and keeps
-// answering for its own version with byte-identical results — this is the
-// MVCC read side the repro facade builds on.
+// the words and counts of the starter sets, the cover's assignment,
+// centers and row spines, the per-kernel lists — are graph.Paged, which
+// copies the pages holding a written entry. The sorted starter list of a
+// component whose starters changed is copied whole. The receiver engine is
+// never modified and keeps answering for its own version with
+// byte-identical results — this is the MVCC read side the repro facade
+// builds on.
 //
 // When an edit is not local — the locality refuses to patch (a cover
 // avalanche), a clause guard flips, or the query is a hand-built
@@ -195,11 +196,11 @@ func (e *Engine) starterReach(c *compRT) int {
 }
 
 // retest derives the successor of component c in the mutated engine e2:
-// its starter bitmap re-tested on the affected vertices only — for a
+// its starter set re-tested on the affected vertices only — for a
 // component of two positions, read off their recomputed partner rows — and
 // shared with c but for the pages where a vertex changed side. starterDiff
-// lists, ascending, where the two bitmaps differ; the starter list is c's
-// with those vertices merged in or left out.
+// lists, ascending, where the two sets differ; the starter list is c's
+// with those vertices merged in or left out, each at its rank in c's set.
 func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *compRT, starterDiff []graph.V) {
 	c2 = &compRT{
 		positions: c.positions,
@@ -209,7 +210,7 @@ func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *com
 		last:      c.last,
 		quantFree: c.quantFree,
 	}
-	// Re-test the affected vertices; the list is copied, and the bitmap pages
+	// Re-test the affected vertices; the list is copied, and the set's pages
 	// holding them, only if one of them changed side.
 	now := make([]bool, len(affected))
 	if c.paired() {
@@ -218,7 +219,7 @@ func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *com
 		pool.ForEach(len(affected), func(i int) { now[i] = e2.opens(c2, affected[i]) })
 	}
 	for i, v := range affected {
-		if c.inStart.At(v) != now[i] {
+		if c.inStart.Has(v) != now[i] {
 			starterDiff = append(starterDiff, v)
 		}
 	}
@@ -228,16 +229,16 @@ func (e2 *Engine) retest(c *compRT, affected []graph.V, pool *par.Pool) (c2 *com
 	}
 	in := c.inStart.Edit()
 	for _, v := range starterDiff {
-		in.Set(v, !c.inStart.At(v))
+		in.Flip(v)
 	}
-	c2.inStart = in.Paged()
-	c2.starter = make([]graph.V, 0, len(c.starter)+len(starterDiff))
+	c2.inStart = in.RankSet()
+	c2.starter = make([]graph.V, 0, c2.inStart.Count())
 	from := 0
 	for _, v := range starterDiff {
-		at := lowerBound(c.starter, v, from)
+		at := c.inStart.Rank(v)
 		c2.starter = append(c2.starter, c.starter[from:at]...)
 		from = at
-		if c2.inStart.At(v) {
+		if c2.inStart.Has(v) {
 			c2.starter = append(c2.starter, v)
 		} else {
 			from++ // v leaves: it is c.starter[at]

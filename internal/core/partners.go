@@ -180,7 +180,7 @@ func (e *Engine) adoptPartners(c *compRT, saved *RowParts, pool *par.Pool) error
 		c.partners = graph.FromFlat(saved.Off, saved.Adj)
 	}
 	for v := range c.inStart.Len() {
-		if c.inStart.At(v) != (c.partners.Len(v) > 0) {
+		if c.inStart.Has(v) != (c.partners.Len(v) > 0) {
 			return fmt.Errorf("starter list is not the vertices with a partner (vertex %d)", v)
 		}
 	}

@@ -410,7 +410,7 @@ func TestWritesSharePages(t *testing.T) {
 		cov, cov2 := e.loc.(*coverLoc).cov, e2.loc.(*coverLoc).cov
 		dirtyV, dirtyB := map[int]bool{}, map[int]bool{}
 		for v := range g.N() {
-			if y.inStart.At(v) != y2.inStart.At(v) {
+			if y.inStart.Has(v) != y2.inStart.Has(v) {
 				dirtyV[y.inStart.PageOf(v)] = true
 				for _, b := range cov2.KernelsOf(v) {
 					dirtyB[y.byKernel.PageOf(int(b))] = true
@@ -562,7 +562,10 @@ func TestRestoreSharesTables(t *testing.T) {
 	}
 
 	z := e.clauses[1].comps[1]
-	b := slices.Index(z.inStart.Flat(), false)
+	b := 0
+	for z.inStart.Has(b) {
+		b++
+	}
 	sk := *parts.Clauses[1][1].Skip
 	at := int(sk.TableOff[b]) * (sk.K + 1)
 	sk.TableRow = slices.Insert(slices.Clone(sk.TableRow), at, 0, -1, -1)

@@ -187,7 +187,6 @@ func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool) (*
 	for li := range cl.Locals {
 		cp := &parts[li]
 		c := rt.newComp(li)
-		in := graph.PageAligned[bool](e.g.N())
 		c.starter = make([]graph.V, len(cp.Starter))
 		prev := int32(-1)
 		for i, v := range cp.Starter {
@@ -196,9 +195,8 @@ func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool) (*
 			}
 			prev = v
 			c.starter[i] = int(v)
-			in[v] = true
 		}
-		c.inStart = graph.PagedOf(in)
+		c.inStart = graph.RankSetOf(e.g.N(), c.starter)
 		e.stats.StarterSizes = append(e.stats.StarterSizes, len(c.starter))
 		if c.paired() {
 			if err := e.adoptPartners(c, cp.Partners, pool); err != nil {

@@ -333,10 +333,11 @@ func buildBag(g *graph.Graph, cov *cover.Cover, i, r int, opt Options, depth int
 	for v := range b.distS {
 		b.distS[v] = int32(r) + 1
 	}
-	bfs := graph.NewBFS(sub.G)
+	bfs := graph.BorrowBFS(sub.G)
 	for _, w := range bfs.Ball(sLocal, r) {
 		b.distS[w] = int32(bfs.Dist(int(w)))
 	}
+	bfs.Release()
 
 	// Step 5: recursive index on X′ = G[X \ {s_X}].
 	b.prime = graph.RemoveVertex(sub.G, sLocal)

@@ -83,11 +83,11 @@ func TestPagedOfViews(t *testing.T) {
 	flat := PageAligned[int32](3*pageLen + 7)
 	p := PagedOf(flat)
 	for pi := range 4 {
-		if &p.pages[pi][0] != &flat[pi*pageLen] {
+		if &p.page(pi)[0] != &flat[pi*pageLen] {
 			t.Fatalf("page %d is not a view of the flat array", pi)
 		}
 	}
-	if short := PagedOf(make([]int32, 3*pageLen+7)); short.At(3*pageLen+6) != 0 || short.pages[3][pageLen-1] != 0 {
+	if short := PagedOf(make([]int32, 3*pageLen+7)); short.At(3*pageLen+6) != 0 || short.page(3)[pageLen-1] != 0 {
 		t.Fatal("the padded last page of an unaligned array is not zero past the end")
 	}
 	if &p.Flat()[0] != &flat[0] {

@@ -33,7 +33,7 @@ func TestHotClosureMatchesAllocGuards(t *testing.T) {
 		"core.(Engine).seek",
 		"core.(Engine).step",
 		"core.(Engine).search",
-		"core.lowerBound",
+		"core.(compRT).startsAt",
 		"core.lowerBound32", // over the per-kernel lists, which are int32
 		"core.(Engine).nextGeq",
 		"core.(Engine).nextLast",
@@ -54,6 +54,9 @@ func TestHotClosureMatchesAllocGuards(t *testing.T) {
 		// The one read path under all of them: adjacency, ball and inverted
 		// rows are graph.Rows, built, patched or restored.
 		"graph.(Rows[T]).Row",
+		// The starter set: Case I's first step and a singleton's test.
+		"graph.(RankSet).Rank",
+		"graph.(RankSet).Has",
 		// The Claim 5.9 chase under coverLoc.nextOpening: one row lookup
 		// per hop.
 		"skip.(table).lookup",

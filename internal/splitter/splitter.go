@@ -39,17 +39,20 @@ type BallCenter struct{}
 
 // Answer implements Strategy.
 func (BallCenter) Answer(arena *graph.Graph, c graph.V, r int) graph.V {
-	bfs := graph.NewBFS(arena)
+	bfs := graph.BorrowBFS(arena)
 	ball := bfs.Ball(c, r)
 	if len(ball) == 1 {
+		bfs.Release()
 		return c
 	}
 	vs := make([]graph.V, len(ball))
 	for i, v := range ball {
 		vs[i] = int(v)
 	}
+	bfs.Release()
 	sub := graph.Induce(arena, vs)
-	sb := graph.NewBFS(sub.G)
+	sb := graph.BorrowBFS(sub.G)
+	defer sb.Release()
 	lc := sub.Local(c)
 	u, _ := sb.FarthestWithin(lc, 2*r)
 	// BFS from u, record parents to walk back to the midpoint of the path
@@ -92,7 +95,8 @@ type MaxDegree struct{}
 
 // Answer implements Strategy.
 func (MaxDegree) Answer(arena *graph.Graph, c graph.V, r int) graph.V {
-	bfs := graph.NewBFS(arena)
+	bfs := graph.BorrowBFS(arena)
+	defer bfs.Release()
 	best, bestDeg := c, -1
 	for _, v := range bfs.Ball(c, r) {
 		if d := arena.Degree(int(v)); d > bestDeg {
@@ -120,7 +124,8 @@ type ForestDepth struct {
 // and records depths.
 func NewForestDepth(g *graph.Graph) *ForestDepth {
 	depths := make([]int, g.N())
-	bfs := graph.NewBFS(g)
+	bfs := graph.BorrowBFS(g)
+	defer bfs.Release()
 	seen := make([]bool, g.N())
 	for root := 0; root < g.N(); root++ {
 		if seen[root] {
@@ -136,7 +141,8 @@ func NewForestDepth(g *graph.Graph) *ForestDepth {
 
 // Answer implements Strategy.
 func (f *ForestDepth) Answer(arena *graph.Graph, c graph.V, r int) graph.V {
-	bfs := graph.NewBFS(arena)
+	bfs := graph.BorrowBFS(arena)
+	defer bfs.Release()
 	orig := func(v graph.V) graph.V {
 		if f.OrigOf == nil {
 			return v
@@ -197,7 +203,7 @@ func Play(g *graph.Graph, r int, s Strategy, conn Connector, maxRounds int) Resu
 		}
 		c := conn.Pick(arena)
 		sv := s.Answer(arena, c, r)
-		bfs := graph.NewBFS(arena)
+		bfs := graph.BorrowBFS(arena)
 		ball := bfs.Ball(c, r)
 		next := make([]graph.V, 0, len(ball))
 		for _, v := range ball {
@@ -205,6 +211,7 @@ func Play(g *graph.Graph, r int, s Strategy, conn Connector, maxRounds int) Resu
 				next = append(next, int(v))
 			}
 		}
+		bfs.Release()
 		if len(next) == 0 {
 			return Result{Rounds: round, SplitterWon: true}
 		}
