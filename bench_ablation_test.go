@@ -27,11 +27,12 @@ func BenchmarkAblationStoreEpsilon(b *testing.B) {
 			for i := 0; i < n; i++ {
 				s.Set([]int{rng.Intn(n), rng.Intn(n)}, int64(i))
 			}
-			b.ReportMetric(float64(s.Registers())/float64(s.Len()), "regs/entry")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.NextGeq([]int{i % n, (i * 7) % n})
 			}
+			// After the loop: ResetTimer drops the metrics reported so far.
+			b.ReportMetric(float64(s.Registers())/float64(s.Len()), "regs/entry")
 		})
 	}
 }

@@ -1,6 +1,7 @@
-// Benchmarks: the testing.B targets of the experiments in EXPERIMENTS.md.
-// cmd/fodbench prints the corresponding full tables; EXPERIMENTS.md records
-// the interpretation against the paper's claims.
+// Benchmarks: the testing.B targets of the experiments in EXPERIMENTS.md,
+// which names the row behind each number it records and reads it against
+// the paper's claims. With the paper-claim tests they are the one harness:
+// go test -run XXX -bench . reproduces every table.
 package repro_test
 
 import (
@@ -30,20 +31,6 @@ const (
 
 func benchGraph(class gen.Class, n int) *graph.Graph {
 	return gen.Generate(class, n, gen.Options{Seed: 7, Colors: 1, ColorProb: 0.05})
-}
-
-func benchEngine(b *testing.B, class gen.Class, n int) (*graph.Graph, *core.Engine, *core.LocalQuery) {
-	b.Helper()
-	g := benchGraph(class, n)
-	lq, err := core.Compile(fo.MustParse(benchQuerySrc), []fo.Var{"x", "y"}, core.CompileOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := core.Preprocess(g, lq, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g, e, lq
 }
 
 // --- E1: Storing Theorem ---------------------------------------------------
@@ -386,6 +373,9 @@ func BenchmarkApplyEdits(b *testing.B) {
 // grid rows on the paper's far2, and the two gated in-process seeks —
 // far2 on bdeg under the ball locality (lowdeg-lib) and far3 on grid-4k
 // (ternary-lib) — whose first step finds the first starter ≥ a value.
+// The star rows are far2 on the cover locality where Theorem 2.3 does not
+// hold yet: a probe costs time that grows faster than n (ROADMAP items 2
+// and 4).
 func BenchmarkNextSolution(b *testing.B) {
 	for _, row := range []struct {
 		name  string
@@ -398,6 +388,8 @@ func BenchmarkNextSolution(b *testing.B) {
 		{"grid/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return benchGraph(gen.Grid, 32000) }, core.Preprocess},
 		{"balls/bdeg/n=32000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return gated(gen.BoundedDegree, 32000) }, core.PreprocessBalls},
 		{"far3/grid/n=4000", far3Src, []fo.Var{"x", "y", "z"}, func() *graph.Graph { return gated(gen.Grid, 4000) }, core.Preprocess},
+		{"star/n=2000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return gated(gen.Star, 2000) }, core.Preprocess},
+		{"star/n=8000", benchQuerySrc, []fo.Var{"x", "y"}, func() *graph.Graph { return gated(gen.Star, 8000) }, core.Preprocess},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			g := row.g()
@@ -505,41 +497,57 @@ func BenchmarkNaiveEnumerationDelay(b *testing.B) {
 
 // --- E7: testing --------------------------------------------------------------
 
-func BenchmarkTesting(b *testing.B) {
-	for _, n := range []int{2000, 32000} {
-		b.Run(fmt.Sprintf("grid/n=%d", n), func(b *testing.B) {
-			g, e, _ := benchEngine(b, gen.Grid, n)
-			rng := rand.New(rand.NewSource(9))
-			tuples := make([][]int, 4096)
-			for i := range tuples {
-				tuples[i] = []int{rng.Intn(g.N()), rng.Intn(g.N())}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Test(tuples[i%len(tuples)])
-			}
-		})
+// testingRows runs one E7 benchmark on two grids and two queries: the
+// paper's far2, whose direct evaluation is one truncated BFS, and one with
+// a guarded quantifier, whose direct evaluation loops z over the domain
+// (on the two-colour gated graphs, as it reads C1).
+func testingRows(b *testing.B, run func(b *testing.B, g *graph.Graph, phi fo.Formula, tuples [][]int)) {
+	for _, row := range []struct {
+		name, src string
+		graph     func(gen.Class, int) *graph.Graph
+	}{
+		{"grid", benchQuerySrc, benchGraph},
+		{"quantified/grid", "dist(x,y) > 2 & C0(y) & ~(exists z (dist(y,z) <= 2 & C1(z)))", gated},
+	} {
+		for _, n := range []int{2000, 32000} {
+			b.Run(fmt.Sprintf("%s/n=%d", row.name, n), func(b *testing.B) {
+				g := row.graph(gen.Grid, n)
+				rng := rand.New(rand.NewSource(9))
+				tuples := make([][]int, 4096)
+				for i := range tuples {
+					tuples[i] = []int{rng.Intn(g.N()), rng.Intn(g.N())}
+				}
+				run(b, g, fo.MustParse(row.src), tuples)
+			})
+		}
 	}
 }
 
+func BenchmarkTesting(b *testing.B) {
+	testingRows(b, func(b *testing.B, g *graph.Graph, phi fo.Formula, tuples [][]int) {
+		lq, err := core.Compile(phi, []fo.Var{"x", "y"}, core.CompileOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e, err := core.Preprocess(g, lq, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Test(tuples[i%len(tuples)])
+		}
+	})
+}
+
 func BenchmarkTestingNaiveBaseline(b *testing.B) {
-	for _, n := range []int{2000, 32000} {
-		b.Run(fmt.Sprintf("grid/n=%d", n), func(b *testing.B) {
-			g := benchGraph(gen.Grid, n)
-			phi := fo.MustParse(benchQuerySrc)
-			vars := []fo.Var{"x", "y"}
-			ev := fo.NewEvaluator(g)
-			rng := rand.New(rand.NewSource(9))
-			tuples := make([][]int, 4096)
-			for i := range tuples {
-				tuples[i] = []int{rng.Intn(g.N()), rng.Intn(g.N())}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev.EvalTuple(phi, vars, tuples[i%len(tuples)])
-			}
-		})
-	}
+	testingRows(b, func(b *testing.B, g *graph.Graph, phi fo.Formula, tuples [][]int) {
+		ev := fo.NewEvaluator(g)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ev.EvalTuple(phi, []fo.Var{"x", "y"}, tuples[i%len(tuples)])
+		}
+	})
 }
 
 // --- E8: first-K crossover ----------------------------------------------------
@@ -688,10 +696,15 @@ func BenchmarkSkipPointersBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkSkipPointersQuery is Lemma 5.8's SKIP at random (b, S). On the
+// star one bag's kernel is the whole graph, the case the lemma exists for.
 func BenchmarkSkipPointersQuery(b *testing.B) {
-	for _, n := range []int{4000, 64000} {
-		b.Run(fmt.Sprintf("grid/n=%d", n), func(b *testing.B) {
-			g := benchGraph(gen.Grid, n)
+	for _, row := range []struct {
+		class gen.Class
+		n     int
+	}{{gen.Grid, 4000}, {gen.Grid, 64000}, {gen.Star, 1000}, {gen.Star, 64000}} {
+		b.Run(fmt.Sprintf("%s/n=%d", row.class, row.n), func(b *testing.B) {
+			g := benchGraph(row.class, row.n)
 			cov := cover.Compute(g, 2, 2)
 			var L []graph.V
 			for v := 0; v < g.N(); v++ {

@@ -112,22 +112,6 @@ func TestCLIRelationalPipeline(t *testing.T) {
 	}
 }
 
-func TestCLIBenchSingleExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	fodbench := buildTool(t, "fodbench")
-	out, err := exec.Command(fodbench, "-exp", "F1").Output()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"R_1", "( 0,  19)", "Remove(19)"} {
-		if !strings.Contains(string(out), want) {
-			t.Fatalf("F1 output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestCLISnapVerifyFixtures: fodsnap verify accepts the committed snapshot
 // fixtures of every format version — the current index, the one written
 // before the skip build stopped materialising rows for vertices outside the

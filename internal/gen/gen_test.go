@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -147,6 +148,11 @@ func TestGenerateColors(t *testing.T) {
 	}
 }
 
+// TestNowhereDenseFlag checks the flag and, per class, Theorem 2.1
+// (EXPERIMENTS.md E9): ‖G‖ ≤ |G|^(1+ε) on the nowhere dense classes. The
+// edge growth exponent log(m₂/m₁)/log(n₂/n₁) from n = 250 to 2 000 is at
+// most 1.1 on each of them and at least 1.4 on the dense controls;
+// subclique is exempt, as one graph of it is sparse.
 func TestNowhereDenseFlag(t *testing.T) {
 	for _, c := range Classes {
 		nd := NowhereDense(c)
@@ -159,6 +165,12 @@ func TestNowhereDenseFlag(t *testing.T) {
 			if !nd {
 				t.Errorf("%s misclassified as dense", c)
 			}
+		}
+		g1, g2 := Generate(c, 250, Options{Seed: 1}), Generate(c, 2000, Options{Seed: 1})
+		exp := math.Log(float64(g2.M())/float64(g1.M())) / math.Log(float64(g2.N())/float64(g1.N()))
+		t.Logf("%s: edge exponent %.3f (m = %d at n = %d, %d at n = %d)", c, exp, g1.M(), g1.N(), g2.M(), g2.N())
+		if nd && exp > 1.1 || (c == Clique || c == DenseRandom) && exp < 1.4 {
+			t.Errorf("%s: edge exponent %.3f contradicts Theorem 2.1", c, exp)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -267,4 +268,28 @@ func TestCursorRoundTrip(t *testing.T) {
 			t.Fatalf("decode(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzDecodeCursor: decodeCursor never panics, and every cursor
+// appendCursor makes — a 16-hex-digit query id, a version ≥ 0, a tuple of
+// arity 1–4 — decodes back to its own id, version and tuple. The seeds are
+// a v1 cursor and the malformed cursors the handler answers
+// invalid_cursor.
+func FuzzDecodeCursor(f *testing.F) {
+	raw := func(s string) string { return base64.RawURLEncoding.EncodeToString([]byte(s)) }
+	for _, cur := range []string{raw("v1 abc123 4 7"), "", "!!!", "djEgYQ",
+		encodeCursor("q", 0, nil), raw("v2 q -3 1"), raw("v3 q 0 1")} {
+		f.Add(cur, uint64(0), uint64(0), uint8(0), int64(0), int64(0), int64(0), int64(0))
+	}
+	f.Add("", uint64(math.MaxUint64), uint64(math.MaxUint64), uint8(3),
+		int64(math.MaxInt64), int64(math.MinInt64), int64(0), int64(1)<<40)
+	f.Fuzz(func(t *testing.T, cur string, id, version uint64, arity uint8, v0, v1, v2, v3 int64) {
+		decodeCursor(cur)
+		qid, ver := fmt.Sprintf("%016x", id), int(version>>1)
+		tuple := []int{int(v0), int(v1), int(v2), int(v3)}[:1+arity%4]
+		gotID, gotVer, got, err := decodeCursor(string(appendCursor(nil, qid, ver, tuple)))
+		if err != nil || gotID != qid || gotVer != ver || !tupleEqual(got, tuple) {
+			t.Fatalf("(%s, %d, %v) decoded to (%s, %d, %v), %v", qid, ver, tuple, gotID, gotVer, got, err)
+		}
+	})
 }

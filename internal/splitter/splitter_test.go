@@ -35,12 +35,17 @@ func TestSplitterWinsOnNowhereDenseClasses(t *testing.T) {
 	}
 }
 
-// TestSplitterLambdaIndependentOfN is the heart of Theorem 4.6: λ(r) must
-// not grow with the graph, for fixed r, on a nowhere dense class.
+// TestSplitterLambdaIndependentOfN is the heart of Theorem 4.6
+// (EXPERIMENTS.md E4): λ(r) must not grow with the graph, for fixed r, on
+// any nowhere dense class.
 func TestSplitterLambdaIndependentOfN(t *testing.T) {
-	for _, class := range []gen.Class{gen.Path, gen.BalancedTree, gen.Grid} {
+	for _, class := range gen.Classes {
+		if !gen.NowhereDense(class) {
+			continue
+		}
 		small := Lambda(gen.Generate(class, 200, gen.Options{Seed: 1}), 2, BallCenter{}, 64)
 		large := Lambda(gen.Generate(class, 3200, gen.Options{Seed: 1}), 2, BallCenter{}, 64)
+		t.Logf("%s: λ(2) = %d at n = 200, %d at n = 3200", class, small, large)
 		if large > small+2 {
 			t.Errorf("%s: λ grew from %d (n=200) to %d (n=3200)", class, small, large)
 		}

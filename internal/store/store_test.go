@@ -359,6 +359,8 @@ func TestFigure1Layout(t *testing.T) {
 	if _, found, succ, ok := s.Lookup([]int{6}); found || !ok || succ[0] != 24 {
 		t.Fatalf("Lookup(6) after removal = %v,%v", succ, ok)
 	}
+	t.Logf("R_1 = (1, %d), R_%d = (-1, 1), R_2 = (0, 19); %d registers, %d after Remove(19)",
+		child0, child0+int64(s.Degree()), regsBefore, s.Registers())
 }
 
 // TestStoreQuickEncodeDecode is a testing/quick property: DecodeKey is the

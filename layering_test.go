@@ -15,7 +15,7 @@ import (
 // top layer and need no entry. A package missing here fails the test —
 // place it in the table and in DESIGN.md §6.
 var layer = map[string]int{
-	"internal/graph": 0, "internal/obs": 0, "internal/lint": 0, "internal/xbench": 0, "internal/store": 0, "internal/par": 0,
+	"internal/graph": 0, "internal/obs": 0, "internal/lint": 0, "internal/store": 0, "internal/par": 0,
 	"internal/fo": 1, "internal/gen": 1, "internal/splitter": 1,
 	"internal/cover": 2, "internal/wcol": 2, "internal/rel": 2,
 	"internal/dist": 3, "internal/skip": 3,

@@ -28,8 +28,10 @@
 #            module bench/ (not part of
 #            ./...) is vetted and tested, so a break of an exported
 #            signature it calls is caught here; the root benchmarks
-#            EnumerationDelay, NextSolution and ApplyEdits run 100 iterations a row, so
-#            a row that panics or stops compiling fails here; the snapshot decoder
+#            EnumerationDelay, NextSolution and ApplyEdits run 100 iterations a row,
+#            and every root benchmark — the rows EXPERIMENTS.md cites for
+#            F1–E13 — one iteration, so a row that panics or stops compiling
+#            fails here; the snapshot decoder
 #            fuzzes for 30s (FuzzSnapshotLoad, seeded with files of both
 #            localities and the four format versions): hostile bytes must yield typed errors, never a
 #            panic or OOM; the mutation path runs its seed corpus and the
@@ -101,6 +103,8 @@ if [[ "$tier" == "2" || "$tier" == "all" ]]; then
     go test -C bench -count=1 ./...
     echo "== tier 2: the EnumerationDelay, NextSolution and ApplyEdits benchmark rows run (100 iterations each) =="
     go test -run XXX -bench 'EnumerationDelay|NextSolution|ApplyEdits' -benchtime 100x .
+    echo "== tier 2: every root benchmark row runs (one iteration each) =="
+    go test -run XXX -bench . -benchtime 1x .
     echo "== tier 2: trace ring + tail sampling under -race =="
     go test -race -count=1 -run 'TestRing|TestTailSampling|TestTraceSpanTree' ./internal/obs/
     echo "== tier 2: snapshot decoder fuzz (30s) =="
