@@ -188,8 +188,8 @@ func TestCursorAllocCounts(t *testing.T) {
 // The kept bytes are what bench reports as index_heap_mb.
 func TestBuildAllocs(t *testing.T) {
 	if testing.Short() {
-		// As TestApplyEditsAllocBytes: under the race detector sync.Pool
-		// drops scratch and every borrow that misses allocates n-sized arrays.
+		// As TestApplyEditsAllocBytes: under the race detector the
+		// evaluator pool drops evaluators, each with n-sized scratch.
 		t.Skip("allocation counts rely on warm scratch pools")
 	}
 	ctx := context.Background()

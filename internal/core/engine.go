@@ -164,7 +164,7 @@ type compRT struct {
 	// under the ball locality, which scans the list itself, and for a list no
 	// component opens on behind a prefix (starterList).
 	skip     *skip.Pointers
-	byKernel graph.Paged[[]int32] // per bag: starter ∩ K_R(bag), sorted; the cover's kernel rows when every vertex starts
+	byKernel graph.Rows[int32] // per bag: starter ∩ K_R(bag), sorted; the cover's kernel rows when every vertex starts
 
 	// A component of two positions p < p′ is materialised (partners.go): row
 	// v lists, ascending, the w ∈ N_R(v) with ψ(v, w), and every answering

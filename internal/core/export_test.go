@@ -73,6 +73,17 @@ func sharesAll[P interface {
 	return a.Pages() == b.Pages()
 }
 
+// sharesAllBlocks reports whether a and b, two versions of a row store,
+// hold the same blocks, all of them.
+func sharesAllBlocks(a, b *graph.Rows[int32]) bool {
+	for bi := range a.Blocks() {
+		if !a.SharesBlock(b, bi) {
+			return false
+		}
+	}
+	return a.Blocks() == b.Blocks()
+}
+
 // StartersByBall computes the same lists the way that looks at no formula's
 // shape: every component formula, quantifier-free or not, singleton or not,
 // is evaluated by EvalOver with its quantifiers ranging over N_ρ of its
@@ -139,7 +150,7 @@ func (e *Engine) KernelRows() []KernelRow {
 	if !ok {
 		return nil
 	}
-	lists := []graph.Paged[[]int32]{l.cov.Kernels()}
+	lists := []graph.Rows[int32]{l.cov.Kernels()}
 	for _, rt := range e.clauses {
 		for _, c := range rt.comps {
 			lists = append(lists, c.byKernel)
@@ -147,8 +158,8 @@ func (e *Engine) KernelRows() []KernelRow {
 	}
 	var out []KernelRow
 	for _, rows := range lists {
-		for i := range rows.Len() {
-			row := rows.At(i)
+		for i := range rows.N() {
+			row := rows.Row(i)
 			out = append(out, KernelRow{Data: slices.Clone(row), At: rowAt(row)})
 		}
 	}

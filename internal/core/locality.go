@@ -231,11 +231,10 @@ func (l *coverLoc) buildKernelLists(c *compRT, pool *par.Pool) {
 		c.byKernel = l.cov.Kernels()
 		return
 	}
-	// Two counting passes into one flat backing array: per-bag append
-	// allocations made this a hotspot on the snapshot-restore path.
+	// Two counting passes into one CSR pair: per-bag append allocations
+	// made this a hotspot on the snapshot-restore path.
 	nb := l.cov.NumBags()
-	lists := graph.PageAligned[[]int32](nb)
-	cnt := make([]int32, nb+1)
+	off := make([]int32, nb+1)
 	pool.ForEach(nb, func(i int) {
 		m := int32(0)
 		for _, v := range l.cov.Kernel(i) {
@@ -243,22 +242,21 @@ func (l *coverLoc) buildKernelLists(c *compRT, pool *par.Pool) {
 				m++
 			}
 		}
-		cnt[i+1] = m
+		off[i+1] = m
 	})
 	for i := 0; i < nb; i++ {
-		cnt[i+1] += cnt[i]
+		off[i+1] += off[i]
 	}
-	flat := make([]int32, cnt[nb])
+	flat := make([]int32, off[nb])
 	pool.ForEach(nb, func(i int) {
-		row := flat[cnt[i]:cnt[i]:cnt[i+1]]
+		row := flat[off[i]:off[i]:off[i+1]]
 		for _, v := range l.cov.Kernel(i) {
 			if c.inStart.Has(int(v)) {
 				row = append(row, v)
 			}
 		}
-		lists[i] = row
 	})
-	c.byKernel = graph.PagedOf(lists)
+	c.byKernel = graph.FromFlat(off, flat)
 }
 
 // patch is the paper's §3 layer by layer: ball rows of the distance index
@@ -310,8 +308,8 @@ func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starte
 
 	// byKernel rows change only for bags whose kernel changed, bags the
 	// patch created, and bags whose kernel contains a starter-diff vertex.
-	// Those get rows of c2's own, on pages of c2's own; the others stay c's,
-	// which may be the old cover's kernel rows.
+	// Those get rows of c2's own, in blocks of c2's own; the others stay
+	// c's, which may be the old cover's kernel rows.
 	redo := slices.Clone(info.KernelChanged)
 	redo = append(redo, info.NewBags...)
 	for _, v := range starterDiff {
@@ -320,21 +318,16 @@ func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starte
 		}
 	}
 	slices.Sort(redo)
-	lists := c.byKernel.Edit()
-	for _, b := range slices.Compact(redo) {
-		var row []int32
+	redo = slices.Compact(redo) // the new bags last, ascending from the old count
+	rows := make([][]int32, len(redo))
+	for i, b := range redo {
 		for _, v := range l.cov.Kernel(b) {
 			if c2.inStart.Has(int(v)) {
-				row = append(row, v)
+				rows[i] = append(rows[i], v)
 			}
 		}
-		if b < lists.Len() {
-			lists.Set(b, row)
-		} else {
-			lists.Append(row) // the new bags, ascending from the old count
-		}
 	}
-	c2.byKernel = lists.Paged()
+	c2.byKernel = c.byKernel.Patch(redo, rows)
 }
 
 // parts serializes everything the build computes by search (distance
@@ -455,7 +448,7 @@ func (l *coverLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *f
 	}
 	inKernel := false
 	for b, x := range fr.bags[:fr.nb] {
-		lst := c.byKernel.At(int(x))
+		lst := c.byKernel.Row(int(x))
 		at := lowerBound32(lst, int32(v), int(fr.kat[b]))
 		if at < len(lst) && lst[at] == int32(v) {
 			inKernel = true
@@ -484,7 +477,7 @@ func (l *coverLoc) nextOpening(c *compRT, prefix []graph.V, lower graph.V, fr *f
 	// (far2 on a star) the scan reads the whole kernel list and rejects it
 	// all, so this loop is linear in n there, not constant.
 	for b, x := range bags {
-		lst := c.byKernel.At(x)
+		lst := c.byKernel.Row(x)
 		for at := int(fr.kat[b]); at < len(lst); at++ {
 			w := graph.V(lst[at])
 			if best >= 0 && w >= best {
@@ -599,13 +592,13 @@ func restoreBallLoc(e *Engine, p *EngineParts, root *obs.Span) (locality, error)
 	if b.R != l.r || b.CompR != l.compR {
 		return nil, fmt.Errorf("core: snapshot balls have radii %d and %d, query needs %d and %d", b.R, b.CompR, l.r, l.compR)
 	}
-	if err := checkRowCSR(e.g.N(), b.ROff, b.RAdj, true); err != nil {
+	if err := checkBalls(e.g.N(), b.ROff, b.RAdj); err != nil {
 		return nil, fmt.Errorf("core: snapshot radius-%d balls: %w", b.R, err)
 	}
 	l.rows = graph.FromFlat(b.ROff, b.RAdj)
 	l.comp = l.rows
 	if l.compR != l.r {
-		if err := checkRowCSR(e.g.N(), b.COff, b.CAdj, true); err != nil {
+		if err := checkBalls(e.g.N(), b.COff, b.CAdj); err != nil {
 			return nil, fmt.Errorf("core: snapshot radius-%d balls: %w", b.CompR, err)
 		}
 		l.comp = graph.FromFlat(b.COff, b.CAdj)
@@ -616,27 +609,15 @@ func restoreBallLoc(e *Engine, p *EngineParts, root *obs.Span) (locality, error)
 	return l, nil
 }
 
-// checkRowCSR reports whether (off, adj) can be rows of vertices of an
-// n-vertex graph: n+1 offsets rising from 0 to len(adj), every row strictly
-// ascending inside [0, n) — and, with own, holding its own vertex, as a
-// ball does.
-func checkRowCSR(n int, off, adj []int32, own bool) error {
-	if len(off) != n+1 || off[0] != 0 || int(off[n]) != len(adj) {
-		return fmt.Errorf("%d offsets over %d entries do not frame %d rows", len(off), len(adj), n)
+// checkBalls reports whether (off, adj) can be the ball rows of an n-vertex
+// graph: n ascending vertex rows (graph.CheckRows), each holding its own
+// vertex.
+func checkBalls(n int, off, adj []int32) error {
+	if err := graph.CheckRows(off, adj, n, n); err != nil {
+		return err
 	}
-	for v := 0; v < n; v++ {
-		if off[v+1] < off[v] || int(off[v+1]) > len(adj) {
-			return fmt.Errorf("row %d has offsets [%d, %d)", v, off[v], off[v+1])
-		}
-		row := adj[off[v]:off[v+1]]
-		prev, has := int32(-1), !own
-		for _, w := range row {
-			if w <= prev || int(w) >= n {
-				return fmt.Errorf("row %d is not a sorted vertex list", v)
-			}
-			prev, has = w, has || int(w) == v
-		}
-		if !has {
+	for v := range n {
+		if _, ok := slices.BinarySearch(adj[off[v]:off[v+1]], int32(v)); !ok {
 			return fmt.Errorf("row %d misses its own vertex", v)
 		}
 	}

@@ -174,21 +174,22 @@ func MakeClause(t *fo.DistType, psis ...fo.Formula) (Clause, error) {
 // EvalReference is the slow, obviously correct semantics of a LocalQuery,
 // used as the oracle in tests and by the naive baselines: the distance type
 // is computed by BFS and every ψ_I is evaluated in the induced ball
-// G[N_ρ(ā_I)].
+// G[N_ρ(ā_I)]. One borrowed search scratch serves the type, the guards and
+// the balls, so a call allocates nothing n-sized.
 func EvalReference(g *graph.Graph, q *LocalQuery, a []graph.V) bool {
 	if len(a) != q.K {
 		panic(fmt.Sprintf("core: tuple arity %d, want %d", len(a), q.K))
 	}
-	bfs := graph.NewBFS(g)
-	tester := fo.NewBFSDistTester(g)
-	typ := fo.TypeOf(tester, a, q.R)
+	bfs := graph.BorrowBFS(g)
+	defer bfs.Release()
+	typ := fo.TypeOf(bfs, a, q.R)
 	for ci, cl := range q.Clauses {
 		if !typ.Equal(cl.Type) {
 			continue
 		}
 		if q.Guards != nil && q.Guards[ci] != nil {
 			gd := q.Guards[ci]
-			holds := fo.NewEvaluator(g).Eval(gd.Sentence, fo.Env{})
+			holds := fo.NewEvaluatorOn(g, bfs).Eval(gd.Sentence, fo.Env{})
 			if holds == gd.Negated {
 				continue
 			}
@@ -212,13 +213,14 @@ func evalLocalReference(g *graph.Graph, bfs *graph.BFS, rho int, lf ComponentFor
 	for i, p := range lf.Positions {
 		srcs[i] = a[p]
 	}
+	bfs.Rebind(g) // the last ψ's evaluator bound it to its ball
 	ball := bfs.BallMulti(srcs, rho)
 	vs := make([]graph.V, len(ball))
 	for i, v := range ball {
 		vs[i] = int(v)
 	}
 	sub := graph.Induce(g, vs)
-	ev := fo.NewEvaluator(sub.G)
+	ev := fo.NewEvaluatorOn(sub.G, bfs)
 	env := fo.Env{}
 	for i, p := range lf.Positions {
 		env[PosVar(p)] = sub.Local(srcs[i])

@@ -174,7 +174,7 @@ func (e *Engine) adoptPartners(c *compRT, saved *RowParts, pool *par.Pool) error
 			return err
 		}
 	} else {
-		if err := checkRowCSR(e.g.N(), saved.Off, saved.Adj, false); err != nil {
+		if err := graph.CheckRows(saved.Off, saved.Adj, e.g.N(), e.g.N()); err != nil {
 			return fmt.Errorf("partner rows: %w", err)
 		}
 		c.partners = graph.FromFlat(saved.Off, saved.Adj)

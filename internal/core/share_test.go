@@ -71,7 +71,7 @@ func TestSkipTablesShared(t *testing.T) {
 	if x.skip != y.skip || x.skip != xy.skip || z.skip != z2.skip || x.skip == z.skip {
 		t.Fatal("equal starter lists do not answer through one pointer")
 	}
-	if !sharesAll(&x.byKernel, &xy.byKernel) || !sharesAll(&z.inStart, &z2.inStart) {
+	if !sharesAllBlocks(&x.byKernel, &xy.byKernel) || !sharesAll(&z.inStart, &z2.inStart) {
 		t.Fatal("the per-kernel lists and the starter bitmap are not shared with the table")
 	}
 	if x.skip.K() != 1 || z.skip.K() != 2 {
@@ -124,11 +124,11 @@ func checkPlan(t *testing.T, name string, e *Engine) {
 	for _, l := range e.starterLists() {
 		for _, c := range l.comps {
 			switch {
-			case l.need == 0 && (c.skip != nil || c.byKernel.Len() != 0):
+			case l.need == 0 && (c.skip != nil || c.byKernel.N() != 0):
 				t.Fatalf("%s: component %v of a list nobody asks with a prefix holds pointers or per-kernel lists", name, c.positions)
-			case l.need > 0 && (c.skip != l.comps[0].skip || c.skip.K() != l.need || c.byKernel.Len() == 0):
+			case l.need > 0 && (c.skip != l.comps[0].skip || c.skip.K() != l.need || c.byKernel.N() == 0):
 				t.Fatalf("%s: component %v of a list asked with %d values: table %p (the list's is %p) of set size %d, per-kernel lists: %v",
-					name, c.positions, l.need, c.skip, l.comps[0].skip, c.skip.K(), c.byKernel.Len() != 0)
+					name, c.positions, l.need, c.skip, l.comps[0].skip, c.skip.K(), c.byKernel.N() != 0)
 			}
 		}
 	}
@@ -265,8 +265,9 @@ func TestRestoreTablesBySetSize(t *testing.T) {
 // per-kernel lists — built or restored, not a cell is copied — and a
 // component with a proper starter list (C0(z)) has lists of its own. A write
 // gives the former rows of its own for exactly the bags it redoes — those
-// whose kernel changed and those the patch made — and leaves every other
-// list where the parent has it; the parent's rows and lists stay bit for bit.
+// whose kernel changed and those the patch made — and shares with the
+// parent every block of lists without such a bag; the parent's rows and
+// lists stay bit for bit.
 func TestKernelListsAreCoverRows(t *testing.T) {
 	g := gen.Generate(gen.Grid, 900, gen.Options{Seed: 3, Colors: 2})
 	q := compileT(t, "dist(x,y) > 2 & dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", "x", "y", "z")
@@ -289,11 +290,11 @@ func TestKernelListsAreCoverRows(t *testing.T) {
 		}
 		shared, own := 0, 0
 		for b := 0; b < cov.NumBags(); b++ {
-			if rowAt(x.byKernel.At(b)) != rowAt(cov.Kernel(b)) {
+			if rowAt(x.byKernel.Row(b)) != rowAt(cov.Kernel(b)) {
 				t.Fatalf("%s: x's list for bag %d is not the cover's kernel row", name, b)
 			}
-			if len(y.byKernel.At(b)) > 0 {
-				if rowAt(y.byKernel.At(b)) == rowAt(cov.Kernel(b)) {
+			if len(y.byKernel.Row(b)) > 0 {
+				if rowAt(y.byKernel.Row(b)) == rowAt(cov.Kernel(b)) {
 					t.Fatalf("%s: y's list for bag %d is the cover's kernel row", name, b)
 				}
 				own++
@@ -325,19 +326,23 @@ func TestKernelListsAreCoverRows(t *testing.T) {
 		}
 		cov, cov2 := e.loc.(*coverLoc).cov, e2.loc.(*coverLoc).cov
 		x, x2 := e.clauses[0].comps[1], e2.clauses[0].comps[1]
+		dirty := map[int]bool{}
 		for b := 0; b < cov2.NumBags(); b++ {
-			if !slices.Equal(x2.byKernel.At(b), cov2.Kernel(b)) {
+			if !slices.Equal(x2.byKernel.Row(b), cov2.Kernel(b)) {
 				t.Fatalf("%v: x's list for bag %d is not the kernel", edits, b)
 			}
 			redone := b >= cov.NumBags() || !slices.Equal(cov.Kernel(b), cov2.Kernel(b))
-			switch {
-			case !redone && rowAt(x2.byKernel.At(b)) != rowAt(x.byKernel.At(b)):
-				t.Fatalf("%v: x's list for bag %d, which the write did not redo, moved", edits, b)
-			case redone && len(x2.byKernel.At(b)) > 0 && rowAt(x2.byKernel.At(b)) == rowAt(cov2.Kernel(b)):
+			if redone && len(x2.byKernel.Row(b)) > 0 && rowAt(x2.byKernel.Row(b)) == rowAt(cov2.Kernel(b)) {
 				t.Fatalf("%v: x's list for redone bag %d is the new cover's row, not one of its own", edits, b)
 			}
 			if redone {
+				dirty[x.byKernel.BlockOf(b)] = true
 				changedSeen, newSeen = changedSeen || b < cov.NumBags(), newSeen || b >= cov.NumBags()
+			}
+		}
+		for bi := range x.byKernel.Blocks() {
+			if x2.byKernel.SharesBlock(&x.byKernel, bi) == dirty[bi] {
+				t.Fatalf("%v: block %d of x's lists shared: %v, holds a redone bag: %v", edits, bi, !dirty[bi], dirty[bi])
 			}
 		}
 		if !SameKernelRows(before, e.KernelRows()) {
@@ -368,8 +373,8 @@ func TestWritesSharePages(t *testing.T) {
 	if len(e.clauses) != 1 || len(e.clauses[0].comps) != 2 {
 		t.Fatalf("the query is no longer one clause of two components: %s", e.Explain())
 	}
-	if y := e.clauses[0].comps[1]; y.inStart.Pages() < 2 || y.byKernel.Pages() < 2 {
-		t.Fatalf("y's bitmap has %d pages and its per-kernel lists %d; the test needs several", y.inStart.Pages(), y.byKernel.Pages())
+	if y := e.clauses[0].comps[1]; y.inStart.Pages() < 2 || y.byKernel.Blocks() < 2 {
+		t.Fatalf("y's bitmap has %d pages and its per-kernel lists %d blocks; the test needs several", y.inStart.Pages(), y.byKernel.Blocks())
 	}
 
 	v := 20000
@@ -413,13 +418,13 @@ func TestWritesSharePages(t *testing.T) {
 			if y.inStart.Has(v) != y2.inStart.Has(v) {
 				dirtyV[y.inStart.PageOf(v)] = true
 				for _, b := range cov2.KernelsOf(v) {
-					dirtyB[y.byKernel.PageOf(int(b))] = true
+					dirtyB[y.byKernel.BlockOf(int(b))] = true
 				}
 			}
 		}
 		for b := range cov2.NumBags() {
 			if b >= cov.NumBags() || !slices.Equal(cov.Kernel(b), cov2.Kernel(b)) {
-				dirtyB[y.byKernel.PageOf(b)] = true
+				dirtyB[y.byKernel.BlockOf(b)] = true
 				newSeen = newSeen || b >= cov.NumBags()
 			}
 		}
@@ -429,9 +434,9 @@ func TestWritesSharePages(t *testing.T) {
 				t.Fatalf("%v: page %d of y's bitmap shared: %v, dirtied: %v", edits, pi, !dirtyV[pi], dirtyV[pi])
 			}
 		}
-		for pi := range y.byKernel.Pages() {
-			if y2.byKernel.SharesPage(&y.byKernel, pi) == dirtyB[pi] {
-				t.Fatalf("%v: page %d of y's per-kernel lists shared: %v, dirtied: %v", edits, pi, !dirtyB[pi], dirtyB[pi])
+		for bi := range y.byKernel.Blocks() {
+			if y2.byKernel.SharesBlock(&y.byKernel, bi) == dirtyB[bi] {
+				t.Fatalf("%v: block %d of y's per-kernel lists shared: %v, dirtied: %v", edits, bi, !dirtyB[bi], dirtyB[bi])
 			}
 		}
 		e = e2
@@ -496,7 +501,7 @@ func TestApplyEditsOverSharedTables(t *testing.T) {
 		if y := e2.clauses[0].comps[1]; y.skip.K() != 1 || z.skip.K() != 2 || z2.skip.K() != 2 {
 			t.Fatalf("generation %d: set sizes %d, %d, %d, want 1, 2, 2", gen, y.skip.K(), z.skip.K(), z2.skip.K())
 		}
-		if x, xy := e2.clauses[0].comps[0], e2.clauses[1].comps[0]; x.skip != nil || x.byKernel.Len() != 0 || xy.skip != nil || xy.byKernel.Len() != 0 {
+		if x, xy := e2.clauses[0].comps[0], e2.clauses[1].comps[0]; x.skip != nil || x.byKernel.N() != 0 || xy.skip != nil || xy.byKernel.N() != 0 {
 			t.Fatalf("generation %d: a component that stands first holds pointers or per-kernel lists after a write", gen)
 		}
 		if first {

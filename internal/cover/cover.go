@@ -39,12 +39,11 @@
 // every bag ascending in vertex with its depths aligned; the transpose is
 // scratch.
 //
-// Bags and kernels are int32 rows, views of one CSR pair after a build or
-// a restore (Parts hands the pair out, FromParts adopts it), reached
-// through spines of row headers that are graph.Paged arrays, as are the
-// centers and the assignment; a Patch replaces or appends single rows and
-// never writes one in place, so the versions of an index share every row a
-// write did not redo and every page of a spine holding none. ComputeKernels
+// Bags and kernels are graph.Rows stores, views of one CSR pair after a
+// build or a restore (Parts hands the pair out, FromParts adopts it); the
+// centers and the assignment are graph.Paged arrays. A Patch replaces or
+// appends rows and never writes one in place, so the versions of an index
+// share every block of rows a write did not redo. ComputeKernels
 // after the build runs the boundary BFS bag by bag (bagKernel), as Patch
 // does for the bags it redoes.
 package cover
@@ -66,80 +65,6 @@ type Options struct {
 	Workers int
 }
 
-// rowList is a family of ascending int32 rows: bags, or kernels.
-type rowList struct {
-	rows  graph.Paged[[]int32]
-	cells int // Σ row lengths
-	// The CSR pair every row views; nil once a Patch has replaced or
-	// appended a row.
-	off, data []int32
-}
-
-// viewRows returns the rows data[off[i]:off[i+1]], viewing both arrays.
-func viewRows(off, data []int32) rowList {
-	rows := graph.PageAligned[[]int32](len(off) - 1)
-	for i := range rows {
-		rows[i] = data[off[i]:off[i+1]:off[i+1]]
-	}
-	return rowList{rows: graph.PagedOf(rows), cells: len(data), off: off, data: data}
-}
-
-// len returns the number of rows.
-func (l *rowList) len() int { return l.rows.Len() }
-
-// bytes returns what l holds: its cells, the row spine and the offsets.
-func (l *rowList) bytes() int {
-	return 4*l.cells + l.rows.Bytes() + 4*len(l.off)
-}
-
-// flat returns the rows as one CSR pair (read-only): the arrays they view,
-// or a fresh assembly once a row was replaced.
-func (l *rowList) flat() (off, data []int32) {
-	if l.off != nil {
-		return l.off, l.data
-	}
-	off = make([]int32, l.len()+1)
-	data = make([]int32, 0, l.cells)
-	for i := range l.len() {
-		data = append(data, l.rows.At(i)...)
-		off[i+1] = int32(len(data))
-	}
-	return off, data
-}
-
-// rowEdit derives a rowList from another, as a Patch does: rows replaced or
-// appended, never written in place.
-type rowEdit struct {
-	rows  graph.PagedEdit[[]int32]
-	cells int
-	dirty bool
-}
-
-func (l *rowList) edit() rowEdit { return rowEdit{rows: l.rows.Edit(), cells: l.cells} }
-
-// set replaces row i.
-func (e *rowEdit) set(i int, row []int32) {
-	e.cells += len(row) - len(e.rows.At(i))
-	e.rows.Set(i, row)
-	e.dirty = true
-}
-
-// add appends row and returns its index.
-func (e *rowEdit) add(row []int32) int32 {
-	e.cells += len(row)
-	e.rows.Append(row)
-	e.dirty = true
-	return int32(e.rows.Len() - 1)
-}
-
-// list returns the rows made, or base when none was replaced or appended.
-func (e *rowEdit) list(base rowList) rowList {
-	if !e.dirty {
-		return base
-	}
-	return rowList{rows: e.rows.Paged(), cells: e.cells}
-}
-
 // Cover is an (R, 2R)-neighborhood cover of a colored graph. It holds what
 // its readers read: bags, centers and the assignment (the distance index,
 // Sub.Local, Validate), kernels and kernelOf (the answer path: byKernel
@@ -150,7 +75,7 @@ type Cover struct {
 	// R is the cover radius r; S = 2R bounds the bag radius.
 	R, S int
 
-	bags    rowList            // sorted vertex lists
+	bags    graph.Rows[int32]  // sorted vertex lists
 	centers graph.Paged[int32] // c_X with X ⊆ N_S(c_X)
 	assign  graph.Paged[int32] // 𝒳(a): index of the canonical bag covering N_R(a)
 	degree  int                // δ(𝒳): the most bags a vertex is in
@@ -160,7 +85,7 @@ type Cover struct {
 	memberOf graph.Rows[int32]
 
 	kernelP  int               // radius of the computed kernels (-1 = none)
-	kernels  rowList           // p-kernel per bag, sorted
+	kernels  graph.Rows[int32] // p-kernel per bag, sorted
 	kernelOf graph.Rows[int32] // sorted bag indices whose kernel contains v
 }
 
@@ -313,15 +238,15 @@ func (c *Cover) sortBags(off, cells []int32, depth []uint8) []uint8 {
 			pos[i]++
 		}
 	}
-	c.bags = viewRows(off, data)
+	c.bags = graph.FromFlat(off, data)
 	return sorted
 }
 
 // NumBags returns |𝒳|.
-func (c *Cover) NumBags() int { return c.bags.len() }
+func (c *Cover) NumBags() int { return c.bags.N() }
 
 // Bag returns the sorted vertex list of bag i (shared; do not modify).
-func (c *Cover) Bag(i int) []int32 { return c.bags.rows.At(i) }
+func (c *Cover) Bag(i int) []int32 { return c.bags.Row(i) }
 
 // Center returns c_X for bag i, a vertex with X ⊆ N_{2R}(c_X).
 func (c *Cover) Center(i int) graph.V { return int(c.centers.At(i)) }
@@ -335,7 +260,7 @@ func (c *Cover) Assign(a graph.V) int { return int(c.assign.At(a)) }
 func (c *Cover) Degree() int { return c.degree }
 
 // SumBagSizes returns Σ_X |X| (≤ δ(𝒳)·|V|).
-func (c *Cover) SumBagSizes() int { return c.bags.cells }
+func (c *Cover) SumBagSizes() int { return c.bags.Cells() }
 
 // Structure is the bytes one structure of a cover holds.
 type Structure struct {
@@ -348,9 +273,9 @@ type Structure struct {
 // Patch has derived it. A row or block shared with another version of the
 // cover counts in full.
 func (c *Cover) Resident() []Structure {
-	out := []Structure{{"bags", c.bags.bytes() + c.centers.Bytes()}}
+	out := []Structure{{"bags", c.bags.Bytes() + c.centers.Bytes()}}
 	if c.kernelP >= 0 {
-		out = append(out, Structure{"kernels", c.kernels.bytes()}, Structure{"kernelOf", c.kernelOf.Bytes()})
+		out = append(out, Structure{"kernels", c.kernels.Bytes()}, Structure{"kernelOf", c.kernelOf.Bytes()})
 	}
 	out = append(out, Structure{"assign", c.assign.Bytes()})
 	if b := c.memberOf.Bytes(); b > 0 {
@@ -379,7 +304,7 @@ func (c *Cover) computeKernels(p int, depth []uint8) {
 	off := make([]int32, nb+1)
 	var data []int32
 	if depth != nil {
-		bagOff := c.bags.off
+		bagOff, bagData := c.bags.Flat()
 		for i := 0; i < nb; i++ {
 			m := int32(0)
 			for _, d := range depth[bagOff[i]:bagOff[i+1]] {
@@ -392,7 +317,7 @@ func (c *Cover) computeKernels(p int, depth []uint8) {
 		data = make([]int32, 0, off[nb])
 		for j, d := range depth {
 			if int(d) > p {
-				data = append(data, c.bags.data[j])
+				data = append(data, bagData[j])
 			}
 		}
 	} else {
@@ -403,8 +328,8 @@ func (c *Cover) computeKernels(p int, depth []uint8) {
 		}
 		sc.release()
 	}
-	c.kernels = viewRows(off, data)
-	c.kernelOf = invertLists(&c.kernels.rows, c.g.N())
+	c.kernels = graph.FromFlat(off, data)
+	c.kernelOf = invertLists(&c.kernels, c.g.N())
 }
 
 // kernelScratch is the state of one boundary BFS: epoch-marked vertices
@@ -540,11 +465,11 @@ func bagKernel(dst []int32, g *graph.Graph, sc *kernelScratch, bag []int32, p in
 func (c *Cover) KernelP() int { return c.kernelP }
 
 // Kernel returns the sorted p-kernel of bag i (shared; do not modify).
-func (c *Cover) Kernel(i int) []int32 { return c.kernels.rows.At(i) }
+func (c *Cover) Kernel(i int) []int32 { return c.kernels.Row(i) }
 
-// Kernels returns the p-kernels of all bags, Kernels().At(i) == Kernel(i):
-// the spine and the rows are shared and not to be modified.
-func (c *Cover) Kernels() graph.Paged[[]int32] { return c.kernels.rows }
+// Kernels returns the p-kernels of all bags, Kernels().Row(i) == Kernel(i):
+// the store is shared and not to be modified.
+func (c *Cover) Kernels() graph.Rows[int32] { return c.kernels }
 
 // InKernel reports whether v ∈ K_p(X_i), in constant time (a scan of the
 // ≤ δ(𝒳) sorted kernel ids of v).

@@ -54,11 +54,10 @@ const maxPatchFraction = 8
 // not influence a cover and must not be passed. ok=false means the edit
 // batch is not local enough to patch and the caller should rebuild.
 //
-// The returned cover shares with c every bag and kernel row it did not
-// replace — a row is replaced or appended, never written in place — every
-// page of the row spines, centers and assignment without a replaced or
-// appended entry (graph.Paged), and every block of the inverted lists
-// without a vertex of a new or re-kerneled bag (graph.Rows.Patch), so the
+// The returned cover shares with c every block of bags and kernels without
+// a replaced or appended row, every block of the inverted lists without a
+// vertex of a new or re-kerneled bag (graph.Rows.Patch), and every page of
+// the centers and assignment without a written entry (graph.Paged), so the
 // work is proportional to the affected region and c remains fully usable —
 // in-flight readers of the old version keep their exact structure.
 // memberOf is one such list: when c has none (it was built or restored) an
@@ -118,7 +117,7 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 	// What changes in the inverted lists, as (vertex, bag) cells to toggle:
 	// a bag joins memberOf, and joins or leaves kernelOf.
 	var memberDelta, kernelDelta []graph.Cell
-	bags, kernels := c.bags.edit(), c.kernels.edit()
+	var newBags, newKerns, kernRows [][]int32
 	centers, assign := c.centers.Edit(), c.assign.Edit()
 	repaired := make([]bool, len(violated))
 	for i, a := range violated {
@@ -128,7 +127,8 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 		// New bag N_{2R}(a): contains N_R(a), so assigning a (and any other
 		// violated vertex whose R-ball it swallows) restores containment.
 		bag := bfs.AppendSortedBall(nil, a, c.S)
-		id := bags.add(bag)
+		id := int32(c.NumBags() + len(newBags))
+		newBags = append(newBags, bag)
 		centers.Append(int32(a))
 		assign.Set(a, id)
 		info.NewBags = append(info.NewBags, int(id))
@@ -136,7 +136,7 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 			memberDelta = append(memberDelta, graph.Cell{Row: int(v), Val: id})
 		}
 		kern := bagKernel(nil, gNew, sc, bag, c.kernelP)
-		kernels.add(kern)
+		newKerns = append(newKerns, kern)
 		for _, v := range kern {
 			kernelDelta = append(kernelDelta, graph.Cell{Row: int(v), Val: id})
 		}
@@ -155,7 +155,7 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 	// from its bags when it holds none.
 	memberOf := c.memberOf
 	if memberOf.Cells() == 0 {
-		memberOf = invertLists(&c.bags.rows, n)
+		memberOf = invertLists(&c.bags, n)
 	}
 	var redo []int32
 	for _, v := range affected {
@@ -168,13 +168,15 @@ func (c *Cover) Patch(gOld, gNew *graph.Graph, sources []graph.V) (*Cover, *Patc
 		if len(changed) == 0 {
 			continue
 		}
-		kernels.set(int(b), newKern)
+		kernRows = append(kernRows, newKern)
 		for _, v := range changed {
 			kernelDelta = append(kernelDelta, graph.Cell{Row: int(v), Val: b})
 		}
 		info.KernelChanged = append(info.KernelChanged, int(b))
 	}
-	out.bags, out.kernels = bags.list(c.bags), kernels.list(c.kernels)
+	// The new bags' rows are appended, behind the re-kerneled ones.
+	out.bags = c.bags.Patch(info.NewBags, newBags)
+	out.kernels = c.kernels.Patch(slices.Concat(info.KernelChanged, info.NewBags), append(kernRows, newKerns...))
 
 	var vs []graph.V
 	out.memberOf, vs = graph.Toggle(&memberOf, memberDelta)

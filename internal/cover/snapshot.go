@@ -28,57 +28,30 @@ type Parts struct {
 // for a patched cover their assembly. Read-only.
 func (c *Cover) Parts() Parts {
 	p := Parts{R: c.R, KernelP: c.kernelP, Centers: c.centers.Flat(), Assign: c.assign.Flat()}
-	p.BagOff, p.BagData = c.bags.flat()
+	p.BagOff, p.BagData = c.bags.Flat()
 	if c.kernelP >= 0 {
-		p.KernOff, p.KernData = c.kernels.flat()
+		p.KernOff, p.KernData = c.kernels.Flat()
 	}
 	return p
-}
-
-// adoptRows validates one CSR pair against the vertex universe n and
-// returns its rows, views of the pair. Rows must be strictly increasing
-// vertex lists (the binary searches of Sub.Local and InKernel depend on
-// it).
-func adoptRows(off, data []int32, n int, what string) (rowList, error) {
-	if len(off) == 0 || off[0] != 0 || int(off[len(off)-1]) != len(data) {
-		return rowList{}, fmt.Errorf("cover: %s offsets malformed", what)
-	}
-	for i := 0; i+1 < len(off); i++ {
-		lo, hi := off[i], off[i+1]
-		if lo > hi || int(hi) > len(data) {
-			return rowList{}, fmt.Errorf("cover: %s row %d offsets out of order", what, i)
-		}
-		prev := int32(-1)
-		for _, v := range data[lo:hi] {
-			if v <= prev || int(v) >= n {
-				return rowList{}, fmt.Errorf("cover: %s row %d not a sorted vertex list over [0,%d)", what, i, n)
-			}
-			prev = v
-		}
-	}
-	return viewRows(off, data), nil
 }
 
 // invertLists returns the inverted lists of rows over [0,n): row v of the
 // result lists, in increasing order, the indices of the rows containing v.
 // Two counting passes into one flat CSR pair, which the store views.
-func invertLists(rows *graph.Paged[[]int32], n int) graph.Rows[int32] {
+func invertLists(rows *graph.Rows[int32], n int) graph.Rows[int32] {
 	off := make([]int32, n+1)
-	total := 0
-	for i := range rows.Len() {
-		row := rows.At(i)
-		total += len(row)
-		for _, v := range row {
+	for i := range rows.N() {
+		for _, v := range rows.Row(i) {
 			off[v+1]++
 		}
 	}
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]
 	}
-	flat := make([]int32, total)
+	flat := make([]int32, rows.Cells())
 	pos := append([]int32(nil), off[:n]...)
-	for i := range rows.Len() {
-		for _, v := range rows.At(i) {
+	for i := range rows.N() {
+		for _, v := range rows.Row(i) {
 			flat[pos[v]] = int32(i)
 			pos[v]++
 		}
@@ -95,12 +68,10 @@ func FromParts(g *graph.Graph, p Parts) (*Cover, error) {
 	if p.R < 1 {
 		return nil, fmt.Errorf("cover: snapshot radius %d < 1", p.R)
 	}
-	n := g.N()
-	bags, err := adoptRows(p.BagOff, p.BagData, n, "bag")
-	if err != nil {
-		return nil, err
+	n, nb := g.N(), len(p.BagOff)-1
+	if err := graph.CheckRows(p.BagOff, p.BagData, nb, n); err != nil {
+		return nil, fmt.Errorf("cover: bags: %w", err)
 	}
-	nb := bags.len()
 	if len(p.Centers) != nb {
 		return nil, fmt.Errorf("cover: %d centers for %d bags", len(p.Centers), nb)
 	}
@@ -117,7 +88,7 @@ func FromParts(g *graph.Graph, p Parts) (*Cover, error) {
 			return nil, fmt.Errorf("cover: vertex %d assigned to bag %d of %d", v, b, nb)
 		}
 	}
-	c := &Cover{g: g, R: p.R, S: 2 * p.R, kernelP: -1, bags: bags, centers: graph.PagedOf(p.Centers), assign: graph.PagedOf(p.Assign)}
+	c := &Cover{g: g, R: p.R, S: 2 * p.R, kernelP: -1, bags: graph.FromFlat(p.BagOff, p.BagData), centers: graph.PagedOf(p.Centers), assign: graph.PagedOf(p.Assign)}
 	in := make([]int32, n) // how many bags hold each vertex
 	for _, v := range p.BagData {
 		in[v]++
@@ -128,16 +99,12 @@ func FromParts(g *graph.Graph, p Parts) (*Cover, error) {
 		if p.KernelP > p.R {
 			return nil, fmt.Errorf("cover: kernel radius %d exceeds cover radius %d", p.KernelP, p.R)
 		}
-		kerns, err := adoptRows(p.KernOff, p.KernData, n, "kernel")
-		if err != nil {
-			return nil, err
-		}
-		if kerns.len() != nb {
-			return nil, fmt.Errorf("cover: %d kernels for %d bags", kerns.len(), nb)
+		if err := graph.CheckRows(p.KernOff, p.KernData, nb, n); err != nil {
+			return nil, fmt.Errorf("cover: kernels: %w", err)
 		}
 		c.kernelP = p.KernelP
-		c.kernels = kerns
-		c.kernelOf = invertLists(&kerns.rows, n)
+		c.kernels = graph.FromFlat(p.KernOff, p.KernData)
+		c.kernelOf = invertLists(&c.kernels, n)
 	}
 	return c, nil
 }

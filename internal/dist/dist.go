@@ -37,7 +37,6 @@ package dist
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/cover"
 	"repro/internal/graph"
@@ -126,7 +125,7 @@ type Index struct {
 	// Exactly one of the following four layouts is active.
 	edgeless bool         // λ=1 base case: dist(a,b) ≤ rr iff a = b
 	small    *smallTable  // truncated distance table
-	fallback *bfsPool     // MaxDepth/budget exhausted: on-demand BFS
+	fallback bool         // MaxDepth/budget exhausted: on-demand BFS
 	cov      *cover.Cover // recursive layout
 	bags     []*bagIndex
 
@@ -141,26 +140,6 @@ type bagIndex struct {
 	inner *Index     // recursive index on prime.G
 }
 
-// bfsPool hands out per-goroutine BFS scratch for the on-demand fallback,
-// so concurrent Within calls do not share mutable search state.
-type bfsPool struct {
-	g *graph.Graph
-	p sync.Pool
-}
-
-func newBFSPool(g *graph.Graph) *bfsPool {
-	bp := &bfsPool{g: g}
-	bp.p.New = func() any { return graph.NewBFS(g) }
-	return bp
-}
-
-func (bp *bfsPool) distance(a, b graph.V, max int) int {
-	bfs := bp.p.Get().(*graph.BFS)
-	d := bfs.Distance(a, b, max)
-	bp.p.Put(bfs)
-	return d
-}
-
 // smallTable stores, per vertex of a small arena, the sorted list of
 // (vertex, distance) pairs of its r-ball, so the space is the sum of ball
 // sizes rather than n². The two columns are row stores over the same
@@ -170,15 +149,9 @@ type smallTable struct {
 	d    graph.Rows[int8]  // distances, aligned with ball
 }
 
-// tableCSR is a smallTable under construction: plain CSR arrays.
-type tableCSR struct {
-	off  []int32
-	ball []int32
-	d    []int8
-}
-
-func (c *tableCSR) table() *smallTable {
-	return &smallTable{ball: graph.FromFlat(c.off, c.ball), d: graph.FromFlat(c.off, c.d)}
+// smallOf returns the table of the CSR columns off, ball and d, viewing them.
+func smallOf(off, ball []int32, d []int8) *smallTable {
+	return &smallTable{ball: graph.FromFlat(off, ball), d: graph.FromFlat(off, d)}
 }
 
 func newSmallTable(g *graph.Graph, r int, pool *par.Pool) *smallTable {
@@ -197,7 +170,7 @@ func newSmallTableCapped(g *graph.Graph, r, maxCells int, pool *par.Pool) (*smal
 	if !ok {
 		return nil, false
 	}
-	return (&tableCSR{off: t.Off, ball: t.Ball, d: t.D}).table(), true
+	return smallOf(t.Off, t.Ball, t.D), true
 }
 
 func (t *smallTable) cells() int { return t.ball.Cells() }
@@ -235,7 +208,7 @@ func build(g *graph.Graph, r int, opt Options, depth int, stats *Stats, budget i
 	stats.Work += g.Size()
 	budget -= g.Size()
 	if depth >= opt.MaxDepth || budget < 0 {
-		ix.fallback = newBFSPool(g)
+		ix.fallback = true
 		stats.Fallbacks++
 		return ix
 	}
@@ -270,7 +243,7 @@ func build(g *graph.Graph, r int, opt Options, depth int, stats *Stats, budget i
 		// query costs O(‖N_r(a)‖), which on such arenas is of the same
 		// order as the table chain would have been.
 		ix.cov = nil
-		ix.fallback = newBFSPool(g)
+		ix.fallback = true
 		stats.Fallbacks++
 		return ix
 	}
@@ -385,8 +358,11 @@ func (ix *Index) Within(a, b graph.V, rr int) bool {
 		return false // a ≠ b and there are no edges
 	case ix.small != nil:
 		return ix.small.within(a, b, rr)
-	case ix.fallback != nil:
-		return ix.fallback.distance(a, b, rr) >= 0
+	case ix.fallback:
+		bfs := graph.BorrowBFS(ix.g)
+		d := bfs.Distance(a, b, rr)
+		bfs.Release()
+		return d >= 0
 	}
 	x := ix.cov.Assign(a)
 	bag := ix.bags[x]

@@ -12,8 +12,7 @@ import (
 
 // equalIndexes compares two indexes structurally — layout choice, table
 // contents, cover shape, splitter vertices, Step-4 distances, and the
-// recursive sub-indexes. It deliberately ignores runtime-only state (the
-// fallback BFS pool and stats pointers).
+// recursive sub-indexes. It deliberately ignores the stats pointers.
 func equalIndexes(t *testing.T, path string, a, b *Index) {
 	t.Helper()
 	if a.R != b.R {
@@ -28,8 +27,8 @@ func equalIndexes(t *testing.T, path string, a, b *Index) {
 	if a.small != nil && !reflect.DeepEqual(a.small, b.small) {
 		t.Fatalf("%s: small tables differ", path)
 	}
-	if (a.fallback == nil) != (b.fallback == nil) {
-		t.Fatalf("%s: fallback layout %v vs %v", path, a.fallback != nil, b.fallback != nil)
+	if a.fallback != b.fallback {
+		t.Fatalf("%s: fallback layout %v vs %v", path, a.fallback, b.fallback)
 	}
 	if (a.cov == nil) != (b.cov == nil) {
 		t.Fatalf("%s: cover layout %v vs %v", path, a.cov != nil, b.cov != nil)
@@ -126,7 +125,7 @@ func TestParallelIndexAnswers(t *testing.T) {
 }
 
 // TestConcurrentWithin hammers one shared index — including one forced
-// into the BFS-fallback layout, whose scratch is pooled — from many
+// into the BFS-fallback layout, whose scratch is borrowed — from many
 // goroutines; run with -race.
 func TestConcurrentWithin(t *testing.T) {
 	for _, opt := range []Options{

@@ -17,10 +17,11 @@ import "repro/internal/graph"
 //     for x within R of a source in the old or new graph, so those rows
 //     are recomputed on gNew and the blocks holding them rebuilt
 //     (graph.Rows.Patch); every other block is shared. Cost
-//     O(Σ_{x∈A} ‖N_R(x)‖) for the affected set A, plus one block header a
-//     64 vertices — the paper's n^ε update regime when balls are bounded.
+//     O(Σ_{x∈A} ‖N_R(x)‖) for the affected set A, plus a page of header
+//     pointers a dirty block — the paper's n^ε update regime when balls
+//     are bounded.
 //   - fallback (on-demand BFS): nothing is precomputed; the patched index
-//     is a fresh BFS pool over gNew.
+//     searches gNew with borrowed scratch.
 //
 // Color edits never reach this function (distances are color-blind); the
 // caller passes only edge-edit endpoints.
@@ -29,10 +30,8 @@ func Patch(ix *Index, gOld, gNew *graph.Graph, sources []graph.V) (*Index, bool)
 		return nil, false
 	}
 	switch {
-	case ix.fallback != nil:
-		out := &Index{g: gNew, R: ix.R, stats: ix.stats}
-		out.fallback = newBFSPool(gNew)
-		return out, true
+	case ix.fallback:
+		return &Index{g: gNew, R: ix.R, fallback: true, stats: ix.stats}, true
 	case ix.small != nil:
 		if len(sources) == 0 {
 			// Color-only mutation batches: distances are untouched; share

@@ -76,7 +76,7 @@ func nodeParts(ix *Index) *NodeParts {
 		np.SmallOff, np.SmallBall = ix.small.ball.Flat()
 		_, np.SmallD = ix.small.d.Flat()
 		return np
-	case ix.fallback != nil:
+	case ix.fallback:
 		return &NodeParts{Kind: NodeFallback}
 	}
 	np := &NodeParts{Kind: NodeRecursive, Cover: ix.cov.Parts(), Bags: make([]BagParts, len(ix.bags))}
@@ -119,7 +119,7 @@ func fromNode(g *graph.Graph, r int, np *NodeParts, stats *Stats, depth int) (*I
 		}
 		ix.small = t
 	case NodeFallback:
-		ix.fallback = newBFSPool(g)
+		ix.fallback = true
 	case NodeRecursive:
 		cov, err := cover.FromParts(g, np.Cover)
 		if err != nil {
@@ -158,25 +158,11 @@ func fromNode(g *graph.Graph, r int, np *NodeParts, stats *Stats, depth int) (*I
 }
 
 func smallFromParts(np *NodeParts, n int) (*smallTable, error) {
-	t := &tableCSR{off: np.SmallOff, ball: np.SmallBall, d: np.SmallD}
-	if len(t.off) != n+1 || (n >= 0 && (len(t.off) == 0 || t.off[0] != 0)) {
-		return nil, fmt.Errorf("dist: ball table has %d offsets for %d vertices", len(t.off), n)
+	if len(np.SmallD) != len(np.SmallBall) {
+		return nil, fmt.Errorf("dist: ball table has %d ids and %d distances", len(np.SmallBall), len(np.SmallD))
 	}
-	if int(t.off[n]) != len(t.ball) || len(t.d) != len(t.ball) {
-		return nil, fmt.Errorf("dist: ball table columns disagree (%d offsets end, %d ids, %d distances)",
-			t.off[n], len(t.ball), len(t.d))
+	if err := graph.CheckRows(np.SmallOff, np.SmallBall, n, n); err != nil {
+		return nil, fmt.Errorf("dist: ball table: %w", err)
 	}
-	for i := 0; i < n; i++ {
-		if t.off[i] > t.off[i+1] || int(t.off[i+1]) > len(t.ball) {
-			return nil, fmt.Errorf("dist: ball table offsets of vertex %d out of order", i)
-		}
-		prev := int32(-1)
-		for _, w := range t.ball[t.off[i]:t.off[i+1]] {
-			if w <= prev || int(w) >= n {
-				return nil, fmt.Errorf("dist: ball list of vertex %d not a sorted vertex list", i)
-			}
-			prev = w
-		}
-	}
-	return t.table(), nil
+	return smallOf(np.SmallOff, np.SmallBall, np.SmallD), nil
 }

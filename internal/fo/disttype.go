@@ -7,24 +7,12 @@ import (
 	"repro/internal/graph"
 )
 
-// DistTester answers dist(a,b) ≤ r queries for a fixed graph; both the
-// naive BFS tester and the index of Proposition 4.2 implement it.
+// DistTester answers dist(a,b) ≤ r queries for a fixed graph; both a
+// truncated search (graph.BFS) and the index of Proposition 4.2 implement
+// it.
 type DistTester interface {
 	// Within reports whether dist(a, b) ≤ r.
 	Within(a, b graph.V, r int) bool
-}
-
-// BFSDistTester is the naive DistTester backed by truncated BFS.
-type BFSDistTester struct{ bfs *graph.BFS }
-
-// NewBFSDistTester returns a BFS-backed distance tester for g.
-func NewBFSDistTester(g *graph.Graph) *BFSDistTester {
-	return &BFSDistTester{bfs: graph.NewBFS(g)}
-}
-
-// Within reports whether dist(a,b) ≤ r by truncated BFS.
-func (t *BFSDistTester) Within(a, b graph.V, r int) bool {
-	return t.bfs.Distance(a, b, r) >= 0
 }
 
 // DistType is the r-distance type τ_r^G(ā) of a k-tuple (Section 5.1.2):

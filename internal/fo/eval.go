@@ -7,9 +7,14 @@ import (
 )
 
 // Evaluator evaluates FO⁺ formulas on a colored graph by direct recursion
-// (∃/∀ loop over the whole domain, distance atoms run a truncated BFS).
-// This is the semantics oracle: exponential in the quantifier rank, used by
-// tests and by the naive baselines, never by the index structures.
+// (∃/∀ loop over the whole domain, distance atoms run a truncated BFS or
+// ask a DistTester). It is the semantics oracle of the tests and the naive
+// baselines, exponential in the quantifier rank. The engine uses it where
+// the paper evaluates a formula outright: a component's ψ on one tuple
+// (core's evalLocal, behind the starter lists, the partner rows and the
+// answer memo), its distance atoms answered by the index and its
+// quantifiers ranging over N_ρ of the tuple, and a clause guard's sentence
+// once a build.
 //
 // An Evaluator is not safe for concurrent use.
 type Evaluator struct {
@@ -54,8 +59,14 @@ func (e *Evaluator) Rebind(g *graph.Graph, t DistTester) {
 }
 
 // NewEvaluator returns an evaluator for g.
-func NewEvaluator(g *graph.Graph) *Evaluator {
-	return &Evaluator{g: g, bfs: graph.NewBFS(g)}
+func NewEvaluator(g *graph.Graph) *Evaluator { return NewEvaluatorOn(g, graph.NewBFS(g)) }
+
+// NewEvaluatorOn returns an evaluator for g that searches with bfs, bound to
+// g first: scratch the caller owns, borrowed or shared with its own
+// searches, and not to be used by anyone else while the evaluator is.
+func NewEvaluatorOn(g *graph.Graph, bfs *graph.BFS) *Evaluator {
+	bfs.Rebind(g)
+	return &Evaluator{g: g, bfs: bfs}
 }
 
 // NewCachedEvaluator returns an evaluator with per-source distance

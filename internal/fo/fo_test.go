@@ -153,7 +153,7 @@ func TestEvaluatorBasics(t *testing.T) {
 func TestEvalAtAgreesWithEval(t *testing.T) {
 	g := randomColored(25, 4)
 	ev, tested := NewEvaluator(g), NewEvaluator(g)
-	tested.UseDistTester(NewBFSDistTester(g))
+	tested.UseDistTester(graph.NewBFS(g))
 	tried := 0
 	for seed := uint64(1); seed <= 300; seed++ {
 		f := genf(&randSource{seed * 977}, 3)
@@ -240,7 +240,7 @@ func TestDistTypeComponents(t *testing.T) {
 
 func TestDistTypeOf(t *testing.T) {
 	g := pathGraph(10)
-	tester := NewBFSDistTester(g)
+	tester := graph.NewBFS(g)
 	typ := TypeOf(tester, []graph.V{0, 1, 9}, 2)
 	if !typ.Close(0, 1) || typ.Close(0, 2) || typ.Close(1, 2) {
 		t.Fatalf("wrong type: %v", typ)

@@ -175,6 +175,10 @@ func (b *BFS) Distance(u, v V, max int) int {
 	return b.Dist(v)
 }
 
+// Within reports whether dist_G(u, v) ≤ r, by a truncated search: the
+// distance tester of the reference semantics (fo.DistTester).
+func (b *BFS) Within(u, v V, r int) bool { return b.Distance(u, v, r) >= 0 }
+
 // FarthestWithin returns a vertex of N_r(src) at maximal distance from src,
 // together with that distance. It is used by center-finding heuristics.
 func (b *BFS) FarthestWithin(src V, r int) (V, int) {

@@ -103,7 +103,7 @@ func (b *Builder) Build() *Graph {
 	g := newGraph(n, b.ncol)
 	// A vertex heads as many arcs as it tails: off is the row offsets and
 	// the head groups' offsets alike.
-	off := blockOffsets(n)
+	off := make([]int32, n+1)
 	for i := range b.us {
 		off[b.us[i]+1]++
 		off[b.vs[i]+1]++
@@ -145,7 +145,7 @@ func (b *Builder) Build() *Graph {
 		off[n] = k
 		adj = adj[:k]
 	}
-	g.setRows(fromBlockOffsets(off, adj))
+	g.setRows(FromFlat(off, adj))
 	g.colors = PagedOf(b.colors)
 	b.us, b.vs, b.colors = nil, nil, nil
 	return g

@@ -7,13 +7,13 @@ import (
 
 // pageLen is how many consecutive entries share one page of a Paged. A write
 // copies the pages it dirties and the page table, a pointer a page: at 256
-// a dirty page of slice headers is 6 KB, one of bools 256 bytes, and the
-// table of a million entries 32 KB.
+// a dirty page of words or of pointers is 2 KB, one of bytes 256 bytes, and
+// the table of a million entries 32 KB.
 const pageLen = 256
 
 // Paged is an immutable array held in pages of pageLen consecutive entries:
 // the per-vertex and per-bag arrays of an index version (colour words,
-// starter sets, bag assignments, row spines). PagedOf keeps the flat array
+// starter sets, bag assignments, the block header pointers of a Rows). PagedOf keeps the flat array
 // it is given and makes no page table, so a build and a snapshot restore
 // copy nothing; the first Edit makes the table, its pages views of the flat
 // array, copies a page on its first write to it and shares every other

@@ -2,97 +2,98 @@ package graph
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"unsafe"
 )
 
 // rowsPerBlock is how many consecutive rows share one block of a Rows. A
 // write copies the blocks it dirtied: small enough that a dirty block is a
-// few KB of ball rows, large enough that the block headers (32 bytes each)
-// cost half a byte a row.
+// few KB of ball rows, large enough that a block's header (48 bytes, and 8
+// for the pointer to it) costs under a byte a row.
 const rowsPerBlock = 64
 
-// Rows is an immutable store of n rows of cells — adjacency lists, ball
-// rows, inverted lists — held in blocks of rowsPerBlock consecutive rows.
-// FromFlat makes the blocks views of one CSR pair, so a build and a
-// snapshot restore copy nothing; Patch returns a store that shares every
-// block without a replaced row with its receiver, so the versions of an
-// index pay for the rows a write touched and not for n. The zero value is
-// the store of no rows.
+// Rows is an immutable store of rows of cells — adjacency lists, ball rows,
+// bags, kernels, inverted lists — held in blocks of rowsPerBlock
+// consecutive rows, the pointers to the block headers in Paged pages.
+// FromFlat makes the blocks views of one CSR pair, so a build and a snapshot
+// restore copy nothing; Patch returns a store that shares every block
+// without a replaced or appended row with its receiver, and every page of
+// header pointers without a rebuilt block, so the versions of an index pay
+// for the rows a write touched and not for n. The zero value is the store
+// of no rows.
 type Rows[T any] struct {
+	// The CSR pair every block views, which Row reads directly; nil once a
+	// Patch has replaced a row. First, so that a reader of a store inside
+	// another struct finds them on that struct's cache line.
+	off    []int32
+	flat   []T
 	n      int
 	cells  int // Σ row lengths
-	blocks []rowBlock[T]
-	// The CSR pair every block views; nil once a Patch has replaced a row.
-	off  []int32
-	flat []T
+	blocks Paged[*rowBlock[T]]
 }
 
-// rowBlock holds rows [64b, 64b+64): row i is adj[off[i]:off[i+1]]. Under
-// FromFlat off points into the caller's offsets and adj is the caller's
-// whole array; a block Patch rebuilt owns both, offsets from 0.
+// rowBlock holds rows [64b, 64b+len(off)-1): row i is adj[off[i]:off[i+1]].
+// Under FromFlat off is a window of the caller's offsets and adj is the
+// caller's whole array; a block Patch rebuilt owns both, offsets from 0.
 type rowBlock[T any] struct {
-	off *[rowsPerBlock + 1]int32
+	off []int32
 	adj []T
 }
 
 // FromFlat returns the store whose row v is adj[off[v]:off[v+1]], viewing
-// both arrays: they must not be written afterwards. off must hold n+1
+// both arrays: they must not be written afterwards. off must hold
 // non-decreasing offsets from 0 to len(adj) — callers restoring a snapshot
-// validate that first.
+// check that first (CheckRows).
 func FromFlat[T any](off []int32, adj []T) Rows[T] {
 	n := len(off) - 1
-	r := Rows[T]{n: n, cells: len(adj), off: off, flat: adj}
-	r.blocks = make([]rowBlock[T], (n+rowsPerBlock-1)/rowsPerBlock)
-	for b := range r.blocks {
+	hdr := make([]rowBlock[T], (n+rowsPerBlock-1)/rowsPerBlock)
+	ptr := PageAligned[*rowBlock[T]](len(hdr))
+	for b := range hdr {
 		lo := b * rowsPerBlock
-		if lo+rowsPerBlock <= n {
-			r.blocks[b] = rowBlock[T]{off: (*[rowsPerBlock + 1]int32)(off[lo:]), adj: adj}
-			continue
-		}
-		// The last block of an n that is no multiple of the block size has
-		// fewer offsets than a header points to: a padded copy, whose rows
-		// past n are empty.
-		pad := new([rowsPerBlock + 1]int32)
-		k := copy(pad[:], off[lo:])
-		for i := k; i < len(pad); i++ {
-			pad[i] = off[n]
-		}
-		r.blocks[b] = rowBlock[T]{off: pad, adj: adj}
+		hdr[b] = rowBlock[T]{off: off[lo : min(lo+rowsPerBlock, n)+1], adj: adj}
+		ptr[b] = &hdr[b]
 	}
-	return r
+	return Rows[T]{n: n, cells: len(adj), blocks: PagedOf(ptr), off: off, flat: adj}
 }
 
-// blockOffsets returns n+1 zero row offsets in an array whose capacity
-// holds the last block's header, for fromBlockOffsets to view whole.
-func blockOffsets(n int) []int32 {
-	return make([]int32, n+1, (n+rowsPerBlock-1)/rowsPerBlock*rowsPerBlock+1)
+// CheckRows reports whether (off, data) is the CSR pair of rows rows, each
+// an ascending list over [0, universe): rows+1 offsets that start at 0,
+// never decrease and end at len(data), and in every row each value above
+// the one before it. It is what every restore checks of a saved row family
+// before FromFlat adopts it; the callers add their own rules.
+func CheckRows(off, data []int32, rows, universe int) error {
+	if rows < 0 || len(off) != rows+1 || off[0] != 0 || int(off[rows]) != len(data) {
+		return fmt.Errorf("%d offsets over %d cells do not frame %d rows", len(off), len(data), rows)
+	}
+	for i := 0; i < rows; i++ {
+		if off[i+1] < off[i] || int(off[i+1]) > len(data) {
+			return fmt.Errorf("row %d has offsets [%d, %d)", i, off[i], off[i+1])
+		}
+		prev := int32(-1)
+		for _, v := range data[off[i]:off[i+1]] {
+			if v <= prev || int(v) >= universe {
+				return fmt.Errorf("row %d is not an ascending list over [0,%d)", i, universe)
+			}
+			prev = v
+		}
+	}
+	return nil
 }
 
-// fromBlockOffsets is FromFlat for offsets from blockOffsets: the last
-// block's rows past n, empty, are written into their capacity, so no block
-// is a padded copy.
-func fromBlockOffsets[T any](off []int32, adj []T) Rows[T] {
-	n := len(off) - 1
-	whole := off[:cap(off)]
-	for i := n + 1; i < len(whole); i++ {
-		whole[i] = off[n]
-	}
-	r := FromFlat(whole, adj)
-	r.n, r.off = n, off
-	return r
-}
+// N returns the number of rows.
+func (r *Rows[T]) N() int { return r.n }
 
 // Cells returns the total length of all rows.
 func (r *Rows[T]) Cells() int { return r.cells }
 
-// Bytes returns what r holds: its cells, and per block the header and
-// rowsPerBlock+1 offsets. A block shared with another store counts in full;
-// the zero store holds none.
+// Bytes returns what r holds: its cells, the block headers and the row
+// offsets. A block shared with another store counts in full; the zero store
+// holds none.
 func (r *Rows[T]) Bytes() int {
 	var cell T
-	perBlock := int(unsafe.Sizeof(rowBlock[T]{})) + 4*(rowsPerBlock+1)
-	return r.cells*int(unsafe.Sizeof(cell)) + len(r.blocks)*perBlock
+	hdr := int(unsafe.Sizeof(rowBlock[T]{})) + 4
+	return r.cells*int(unsafe.Sizeof(cell)) + r.blocks.Bytes() + 4*r.n + hdr*r.Blocks()
 }
 
 // Row returns row v: shared storage, not to be modified. It is the one
@@ -100,39 +101,49 @@ func (r *Rows[T]) Bytes() int {
 //
 //fod:hotpath
 func (r *Rows[T]) Row(v V) []T {
-	b := &r.blocks[uint(v)/rowsPerBlock]
-	i := uint(v) % rowsPerBlock
-	return b.adj[b.off[i]:b.off[i+1]]
+	off, adj, i := r.off, r.flat, uint(v)
+	if off == nil {
+		b := r.blocks.pages[i/(rowsPerBlock*pageLen)][i/rowsPerBlock%pageLen]
+		off, adj, i = b.off, b.adj, i%rowsPerBlock
+	}
+	return adj[off[i]:off[i+1]]
 }
 
 // Len returns the length of row v.
-func (r *Rows[T]) Len(v V) int {
-	b := &r.blocks[uint(v)/rowsPerBlock]
-	i := uint(v) % rowsPerBlock
-	return int(b.off[i+1] - b.off[i])
-}
+func (r *Rows[T]) Len(v V) int { return len(r.Row(v)) }
 
 // Patch returns the store whose row vs[i] is rows[i] and whose other rows
-// are r's; vs ascends strictly. Blocks without a replaced row are shared
-// with r, the others are rebuilt into arrays of their own, so r — and
+// are r's; vs ascends strictly, and its entries from N() on are N(),
+// N()+1, …: rows appended. Blocks without a replaced or appended row are
+// shared with r, the others are rebuilt into arrays of their own, and only
+// the pages of header pointers to rebuilt blocks are copied, so r — and
 // whatever flat pair it views — stays as it is. rows are copied.
 func (r *Rows[T]) Patch(vs []V, rows [][]T) Rows[T] {
 	if len(vs) == 0 {
 		return *r
 	}
-	out := Rows[T]{n: r.n, cells: r.cells, blocks: slices.Clone(r.blocks)}
+	n := max(r.n, vs[len(vs)-1]+1)
+	if k, _ := slices.BinarySearch(vs, r.n); n-r.n != len(vs)-k {
+		panic(fmt.Sprintf("graph: rows appended to %d rows are not %d, %d, …", r.n, r.n, r.n+1))
+	}
+	blocks := r.blocks.Edit()
+	cells := r.cells
 	for i := 0; i < len(vs); {
 		bi := vs[i] / rowsPerBlock
 		j := i + 1
 		for j < len(vs) && vs[j]/rowsPerBlock == bi {
 			j++
 		}
-		old := r.blocks[bi]
-		total := int(old.off[rowsPerBlock] - old.off[0])
-		for k := i; k < j; k++ {
-			total += len(rows[k]) - r.Len(vs[k])
+		var old rowBlock[T] // none for a block of appended rows only
+		if bi < blocks.Len() {
+			old = *blocks.At(bi)
 		}
-		nb := rowBlock[T]{off: new([rowsPerBlock + 1]int32), adj: make([]T, 0, total)}
+		total := old.len(0, len(old.off)-1)
+		for k := i; k < j; k++ {
+			u := vs[k] % rowsPerBlock
+			total += len(rows[k]) - old.len(u, u+1)
+		}
+		nb := rowBlock[T]{off: make([]int32, min(rowsPerBlock, n-bi*rowsPerBlock)+1), adj: make([]T, 0, total)}
 		from := 0
 		for k := i; k < j; k++ {
 			u := vs[k] % rowsPerBlock
@@ -141,17 +152,32 @@ func (r *Rows[T]) Patch(vs []V, rows [][]T) Rows[T] {
 			nb.off[u+1] = int32(len(nb.adj))
 			from = u + 1
 		}
-		nb.keep(&old, from, rowsPerBlock)
-		out.cells += total - int(old.off[rowsPerBlock]-old.off[0])
-		out.blocks[bi] = nb
+		nb.keep(&old, from, len(nb.off)-1)
+		cells += total - old.len(0, len(old.off)-1)
+		if bi < blocks.Len() {
+			blocks.Set(bi, &nb)
+		} else {
+			blocks.Append(&nb)
+		}
 		i = j
 	}
-	return out
+	return Rows[T]{n: n, cells: cells, blocks: blocks.Paged()}
+}
+
+// len returns the cells of rows [from, to) of b, none past its end.
+func (b *rowBlock[T]) len(from, to int) int {
+	if to = min(to, len(b.off)-1); from >= to {
+		return 0
+	}
+	return int(b.off[to] - b.off[from])
 }
 
 // keep appends rows [from, to) of old to b, a block under construction
 // whose rows before from are in place, in one piece.
 func (b *rowBlock[T]) keep(old *rowBlock[T], from, to int) {
+	if to = min(to, len(old.off)-1); from >= to {
+		return
+	}
 	shift := int32(len(b.adj)) - old.off[from]
 	b.adj = append(b.adj, old.adj[old.off[from]:old.off[to]]...)
 	for u := from + 1; u <= to; u++ {
@@ -167,17 +193,28 @@ func (r *Rows[T]) Flat() (off []int32, adj []T) {
 		return r.off, r.flat
 	}
 	off, adj = make([]int32, r.n+1), make([]T, 0, r.cells)
-	for bi := range r.blocks {
-		b := &r.blocks[bi]
+	for bi := range r.Blocks() {
+		b := r.blocks.At(bi)
 		lo := bi * rowsPerBlock
-		cnt := min(rowsPerBlock, r.n-lo)
 		shift := int32(len(adj)) - b.off[0]
-		for i := 0; i <= cnt; i++ {
-			off[lo+i] = b.off[i] + shift
+		for i, o := range b.off {
+			off[lo+i] = o + shift
 		}
-		adj = append(adj, b.adj[b.off[0]:b.off[cnt]]...)
+		adj = append(adj, b.adj[b.off[0]:b.off[len(b.off)-1]]...)
 	}
 	return off, adj
+}
+
+// Blocks returns the number of blocks.
+func (r *Rows[T]) Blocks() int { return (r.n + rowsPerBlock - 1) / rowsPerBlock }
+
+// BlockOf returns the index of the block that holds row v.
+func (r *Rows[T]) BlockOf(v V) int { return v / rowsPerBlock }
+
+// SharesBlock reports whether block bi of r is block bi of q: the same
+// storage, as two versions of one store share what no write dirtied.
+func (r *Rows[T]) SharesBlock(q *Rows[T], bi int) bool {
+	return bi < r.Blocks() && bi < q.Blocks() && r.blocks.At(bi) == q.blocks.At(bi)
 }
 
 // Cell is one cell of a store of ascending int32 rows: Val in row Row.

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // flatten is the reference: the CSR pair of a list of rows.
@@ -26,8 +28,8 @@ func sameStore(t *testing.T, what string, r *Rows[int32], model [][]int32) {
 	if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
 		t.Fatalf("%s: Flat() = %v %v, a flat rebuild gives %v %v", what, gotOff, gotAdj, wantOff, wantAdj)
 	}
-	if r.n != len(model) || r.Cells() != len(wantAdj) {
-		t.Fatalf("%s: n, Cells = %d, %d, want %d, %d", what, r.n, r.Cells(), len(model), len(wantAdj))
+	if r.N() != len(model) || r.Cells() != len(wantAdj) {
+		t.Fatalf("%s: N, Cells = %d, %d, want %d, %d", what, r.N(), r.Cells(), len(model), len(wantAdj))
 	}
 	for v, row := range model {
 		if !slices.Equal(r.Row(v), row) || r.Len(v) != len(row) {
@@ -44,35 +46,48 @@ func randomRow(rng *rand.Rand, maxLen int) []int32 {
 	return row
 }
 
-// patchBoth replaces rows vs of the store and of the model alike.
+// patchBoth replaces rows vs of the store and of the model alike; vs past
+// the model's end append.
 func patchBoth(r Rows[int32], model [][]int32, vs []V, rows [][]int32) (Rows[int32], [][]int32) {
 	model = slices.Clone(model)
 	for i, v := range vs {
+		if v == len(model) {
+			model = append(model, nil)
+		}
 		model[v] = rows[i]
 	}
 	return r.Patch(vs, rows), model
 }
 
 // sharedBlocks checks the sharing contract between a store and the one it
-// was patched from: a block without a replaced row is the same block, one
-// with a replaced row is not.
+// was patched from: a block without a replaced or appended row is the same
+// block, one with such a row is not.
 func sharedBlocks(t *testing.T, what string, old, next *Rows[int32], vs []V) {
 	t.Helper()
 	dirty := map[int]bool{}
 	for _, v := range vs {
-		dirty[v/rowsPerBlock] = true
+		dirty[old.BlockOf(v)] = true
 	}
-	for b := range old.blocks {
-		same := old.blocks[b].off == next.blocks[b].off
-		if same == dirty[b] {
+	for b := range old.Blocks() {
+		if same := next.SharesBlock(old, b); same == dirty[b] {
 			t.Fatalf("%s: block %d shared = %v, a row of it replaced = %v", what, b, same, dirty[b])
 		}
 	}
 }
 
+// appended returns the indices of k rows appended to a store of n.
+func appended(n, k int) []V {
+	vs := make([]V, k)
+	for i := range vs {
+		vs[i] = n + i
+	}
+	return vs
+}
+
 func TestRowsPatchAgainstFlatRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 5, 63, 64, 65, 128, 130, 200} {
+	// Past 64·256 rows the header pointers fill more than one page.
+	for _, n := range []int{0, 1, 5, 63, 64, 65, 128, 130, 200, 2*rowsPerBlock*pageLen + 70} {
 		model := make([][]int32, n)
 		for v := range model {
 			model[v] = randomRow(rng, 4)
@@ -80,18 +95,23 @@ func TestRowsPatchAgainstFlatRebuild(t *testing.T) {
 		r := FromFlat(flatten(model))
 		sameStore(t, "built", &r, model)
 		if n == 0 {
+			for _, r := range []Rows[int32]{r, {}} {
+				rows := [][]int32{{1}, nil, {2, 3}}
+				next, nextModel := patchBoth(r, model, appended(0, 3), rows)
+				sameStore(t, "rows appended to none", &next, nextModel)
+			}
 			continue
 		}
-		all := make([]V, n)
-		for v := range all {
-			all[v] = v
-		}
+		all := appended(0, n)
 		steps := []struct {
 			name string
 			vs   []V
 			row  func(v V) []int32
 		}{
 			{"first and last row", slices.Compact([]V{0, n - 1}), func(V) []int32 { return randomRow(rng, 6) }},
+			{"append a row", appended(n, 1), func(V) []int32 { return randomRow(rng, 4) }},
+			{"the first row and 70 appended", append([]V{0}, appended(n+1, 70)...), func(V) []int32 { return randomRow(rng, 3) }},
+			{"append nothing but empty rows", appended(n+71, 3), func(V) []int32 { return nil }},
 			{"grow a row", []V{n / 2}, func(V) []int32 { return []int32{1, 2, 3, 4, 5, 6, 7, 8, 9} }},
 			{"shrink the same row", []V{n / 2}, func(V) []int32 { return []int32{7} }},
 			{"empty the same row", []V{n / 2}, func(V) []int32 { return nil }},
@@ -112,7 +132,7 @@ func TestRowsPatchAgainstFlatRebuild(t *testing.T) {
 			r, model = next, nextModel
 		}
 		for i := 0; i < 30; i++ {
-			vs := randomAscending(rng, n)
+			vs := append(randomAscending(rng, len(model)), appended(len(model), rng.Intn(3))...)
 			rows := make([][]int32, len(vs))
 			for j := range rows {
 				rows[j] = randomRow(rng, 5)
@@ -233,7 +253,9 @@ func TestToggle(t *testing.T) {
 
 // FuzzRowsPatch drives a chain of patches from the input bytes — the first
 // sets n, then each patch reads how many rows it replaces, which, and how
-// long each new row is — and holds every version against a flat rebuild.
+// long each new row is — an index past the rows appends one — and holds
+// every version against a flat rebuild. A store past one page of header
+// pointers (16 384 rows) is TestRowsPatchAgainstFlatRebuild's.
 func FuzzRowsPatch(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 1, 0, 0})                                // n = 1, its row emptied
@@ -242,6 +264,8 @@ func FuzzRowsPatch(f *testing.F) {
 	f.Add([]byte{65, 1, 64, 2, 1, 64, 9, 1, 64, 0})          // the one row of a partial block: grow, grow, empty
 	f.Add([]byte{200, 3, 0, 1, 64, 1, 199, 1, 2, 10, 0, 0})  // three blocks dirty at once
 	f.Add([]byte{130, 255, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2}) // more rows asked for than there are
+	f.Add([]byte{63, 2, 63, 1, 70, 2, 1, 0, 3})              // two rows appended, the second in a new block
+	f.Add([]byte{0, 3, 0, 1, 1, 2, 9, 0})                    // rows appended to no rows
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -253,16 +277,21 @@ func FuzzRowsPatch(f *testing.F) {
 		}
 		r := FromFlat(flatten(model))
 		sameStore(t, "built", &r, model)
-		for step := 0; len(data) > 0 && n > 0; step++ {
+		for step := 0; len(data) > 0; step++ {
 			count := int(data[0])
 			data = data[1:]
 			rowOf := map[V][]int32{}
+			var tail [][]int32 // rows appended
 			for ; count > 0 && len(data) >= 2; count-- {
 				row := make([]int32, data[1]%16)
 				for i := range row {
 					row[i] = int32(step*16 + i)
 				}
-				rowOf[int(data[0])%n] = row
+				if v := int(data[0]); v < len(model) {
+					rowOf[v] = row
+				} else {
+					tail = append(tail, row)
+				}
 				data = data[2:]
 			}
 			var vs []V
@@ -274,6 +303,7 @@ func FuzzRowsPatch(f *testing.F) {
 			for i, v := range vs {
 				rows[i] = rowOf[v]
 			}
+			vs, rows = append(vs, appended(len(model), len(tail))...), append(rows, tail...)
 			next, nextModel := patchBoth(r, model, vs, rows)
 			sameStore(t, "patched", &next, nextModel)
 			sameStore(t, "receiver", &r, model)
@@ -281,4 +311,67 @@ func FuzzRowsPatch(f *testing.F) {
 			r, model = next, nextModel
 		}
 	})
+}
+
+// TestRowsPatchCopiesOneHeaderPage: replacing one row of a million-row store
+// allocates the rebuilt block, one page of header pointers and the table of
+// those pages — not a copy of every header.
+func TestRowsPatchCopiesOneHeaderPage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures allocated bytes")
+	}
+	const n = 1_000_000
+	off, adj := make([]int32, n+1), make([]int32, n)
+	for v := range adj {
+		adj[v], off[v+1] = int32(v), int32(v+1)
+	}
+	r := FromFlat(off, adj)
+	page := pageLen * int(unsafe.Sizeof(&rowBlock[int32]{}))
+	table := 8 * r.blocks.Pages()
+	block := int(unsafe.Sizeof(rowBlock[int32]{})) + 4*(rowsPerBlock+1) + 4*(rowsPerBlock+1)
+	const sizeClassSlack = 512
+	for _, v := range []V{n / 2, n/2 + 1} { // a built store, then a patched one
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		next := r.Patch([]V{v}, [][]int32{{1, 2}})
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(page+table+block+sizeClassSlack) {
+			t.Fatalf("patching row %d allocated %d bytes, want at most a page of header pointers (%d), the page table (%d) and a block (%d)",
+				v, got, page, table, block)
+		}
+		r = next
+	}
+	if !slices.Equal(r.Row(n/2), []int32{1, 2}) || !slices.Equal(r.Row(n/2+1), []int32{1, 2}) || r.Cells() != n+2 {
+		t.Fatalf("rows %v %v, %d cells after two patches", r.Row(n/2), r.Row(n/2+1), r.Cells())
+	}
+}
+
+// TestCheckRows: each malformation of a saved CSR pair is rejected, and the
+// valid pairs are accepted.
+func TestCheckRows(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		off, data      []int32
+		rows, universe int
+		ok             bool
+	}{
+		{"three rows", []int32{0, 2, 2, 3}, []int32{0, 4, 1}, 3, 5, true},
+		{"no rows", []int32{0}, nil, 0, 0, true},
+		{"no offsets", nil, nil, 0, 5, false},
+		{"negative row count", nil, nil, -1, 5, false},
+		{"one offset short", []int32{0, 2, 3}, []int32{0, 4, 1}, 3, 5, false},
+		{"first offset not 0", []int32{1, 2, 2, 3}, []int32{0, 4, 1}, 3, 5, false},
+		{"last offset short of the data", []int32{0, 2, 2, 2}, []int32{0, 4, 1}, 3, 5, false},
+		{"last offset past the data", []int32{0, 2, 2, 4}, []int32{0, 4, 1}, 3, 5, false},
+		{"an offset past the data", []int32{0, 5, 2, 3}, []int32{0, 4, 1}, 3, 5, false},
+		{"offsets decrease", []int32{0, 2, 1, 3}, []int32{0, 4, 1}, 3, 5, false},
+		{"a row descends", []int32{0, 2, 2, 3}, []int32{4, 0, 1}, 3, 5, false},
+		{"a row repeats a value", []int32{0, 2, 2, 3}, []int32{4, 4, 1}, 3, 5, false},
+		{"a value past the universe", []int32{0, 2, 2, 3}, []int32{0, 5, 1}, 3, 5, false},
+		{"a negative value", []int32{0, 2, 2, 3}, []int32{-1, 4, 1}, 3, 5, false},
+	} {
+		if err := CheckRows(c.off, c.data, c.rows, c.universe); (err == nil) != c.ok {
+			t.Errorf("%s: CheckRows = %v, want accepted: %v", c.name, err, c.ok)
+		}
+	}
 }

@@ -46,20 +46,8 @@ func FromParts(p Parts) (*Graph, error) {
 		return nil, fmt.Errorf("graph: snapshot has n=%d, colors=%d", p.N, p.NColors)
 	}
 	n := p.N
-	if len(p.Off) != n+1 || p.Off[0] != 0 || int(p.Off[n]) != len(p.Adj) {
-		return nil, fmt.Errorf("graph: snapshot offsets malformed")
-	}
-	for v := 0; v < n; v++ {
-		if p.Off[v] > p.Off[v+1] {
-			return nil, fmt.Errorf("graph: offsets of vertex %d out of order", v)
-		}
-		prev := int32(-1)
-		for _, w := range p.Adj[p.Off[v]:p.Off[v+1]] {
-			if w <= prev || int(w) >= n || int(w) == v {
-				return nil, fmt.Errorf("graph: adjacency list of vertex %d not a sorted loop-free vertex list", v)
-			}
-			prev = w
-		}
+	if err := CheckRows(p.Off, p.Adj, n, n); err != nil {
+		return nil, fmt.Errorf("graph: snapshot adjacency: %w", err)
 	}
 	if len(p.Adj)%2 != 0 {
 		return nil, fmt.Errorf("graph: odd arc count %d cannot be symmetric", len(p.Adj))
@@ -72,7 +60,10 @@ func FromParts(p Parts) (*Graph, error) {
 	cur := make([]int32, n)
 	for v := 0; v < n; v++ {
 		for _, w := range p.Adj[p.Off[v]:p.Off[v+1]] {
-			if int32(v) >= w {
+			if int32(v) == w {
+				return nil, fmt.Errorf("graph: vertex %d has a self-loop", v)
+			}
+			if int32(v) > w {
 				continue
 			}
 			c := p.Off[w] + cur[w]

@@ -84,7 +84,7 @@ func Induce(g *Graph, vs []V) *Sub {
 	for i, v := range orig {
 		sc.pos[v] = int32(i) + 1
 	}
-	off := blockOffsets(k)
+	off := make([]int32, k+1)
 	adj := sc.adj[:0]
 	for i, v := range orig {
 		row := g.Neighbors(v)
@@ -109,7 +109,7 @@ func Induce(g *Graph, vs []V) *Sub {
 		sc.pos[v] = 0
 	}
 	h := newGraph(k, g.ncol)
-	h.setRows(fromBlockOffsets(off, append(make([]int32, 0, len(adj)), adj...)))
+	h.setRows(FromFlat(off, append(make([]int32, 0, len(adj)), adj...)))
 	sc.adj = adj
 	induceFree.Put(sc, len(sc.pos))
 	h.colors = colorsOf(g, orig)
@@ -158,7 +158,7 @@ func RemoveVertex(g *Graph, s V) *Sub {
 			orig[i]++
 		}
 	}
-	off := blockOffsets(n - 1)
+	off := make([]int32, n)
 	adj := make([]int32, 0, g.rows.Cells()-2*g.Degree(s))
 	for i, v := range orig {
 		for _, w := range g.Neighbors(v) {
@@ -172,7 +172,7 @@ func RemoveVertex(g *Graph, s V) *Sub {
 		off[i+1] = int32(len(adj))
 	}
 	h := newGraph(n-1, g.ncol)
-	h.setRows(fromBlockOffsets(off, adj))
+	h.setRows(FromFlat(off, adj))
 	h.colors = colorsOf(g, orig)
 	return &Sub{G: h, Orig: orig}
 }

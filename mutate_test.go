@@ -145,22 +145,23 @@ func TestDeadVersionsAreCollected(t *testing.T) {
 // TestApplyEditsAllocBytes pins what a write copies: the bytes one
 // ApplyEdits of a colour edit and an edge toggle allocates (TotalAlloc
 // delta, median of eight chained writes, far2) on a grid under the cover
-// locality and on a degree-4 graph under the ball locality. The graph, the
-// distance table, the ball rows and the cover's inverted lists are row
-// stores in 64-row blocks, and the colour matrix, starter bitmaps, cover
-// spines and per-kernel lists arrays in 256-entry pages, that a write
-// copies only where it changed them. Gates at n = 32 000: the measured
-// bytes plus 15 % (grid 193 KB, bdeg 225 KB). What keeps the large/small
-// ratio above 1 is what stays flat on purpose — the starter list of a
-// component whose starters changed, 8 bytes a starter, and the Rows block
-// headers, 32 bytes a block — and the page tables, a pointer a page: the
-// ratio is gated too (measured 2.00 and 1.77; the flat colour matrix and
-// starter bitmaps read 3.03 and 2.59).
+// locality and on a degree-4 graph under the ball locality. Every row
+// family is a row store in 64-row blocks, and the colour matrix, starter
+// bitmaps and the cover's centers and assignment arrays in 256-entry pages,
+// that a write copies only where it changed them. Gates at n = 32 000: 193
+// and 225 KB measured when they were set, plus 15 % (now 163 and 203 KB).
+// What keeps the large/small ratio above 1 is what stays flat on purpose —
+// the starter list of a component whose starters changed, 8 bytes a
+// starter — and the page tables, a pointer a page: the ratio is gated too
+// (measured 1.67 and 1.60; the flat colour matrix and starter bitmaps read
+// 3.03 and 2.59).
 func TestApplyEditsAllocBytes(t *testing.T) {
 	if testing.Short() {
-		// verify.sh runs -short under the race detector, where sync.Pool
-		// drops a quarter of what is put back and every borrow that misses
-		// allocates n-sized scratch.
+		// verify.sh runs -short under the race detector, where the
+		// sync.Pool of the engine's evaluators drops a quarter of what is
+		// put back, and each evaluator made anew holds an n-sized BFS of
+		// its own; the BFS and kernel scratch a write borrows stays in
+		// graph.FreeList.
 		t.Skip("allocation bytes rely on warm scratch pools")
 	}
 	ctx := context.Background()

@@ -43,7 +43,10 @@
 #            the lowdeg constructor in internal/lowdeg) drives the one
 #            engine over both localities and the naive oracle through the
 #            shared conformance checks on random bounded-degree graphs
-#            for another 30s
+#            for another 30s; and the row store (FuzzRowsPatch: chains of
+#            patches with replaced and appended rows against a flat
+#            rebuild) — adjacency, balls, bags, kernels and inverted lists
+#            all live in one — for 30s more
 #   tier 3 — the seven timing-ratio guards, every one a test named Test…Guard
 #            behind the one GUARD=1 gate, run with -count=1 so a regression
 #            cannot hide behind the test cache and one package at a time so
@@ -115,6 +118,8 @@ if [[ "$tier" == "2" || "$tier" == "all" ]]; then
     go test -run FuzzMutateVsRebuild -fuzz FuzzMutateVsRebuild -fuzztime 30s ./internal/core/
     echo "== tier 2: cross-engine equivalence fuzz (30s) =="
     go test -run FuzzEngineEquivalence -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/lowdeg/
+    echo "== tier 2: row-store patch fuzz (30s) =="
+    go test -run FuzzRowsPatch -fuzz FuzzRowsPatch -fuzztime 30s ./internal/graph/
 fi
 
 if [[ "$tier" == "3" || "$tier" == "all" ]]; then
