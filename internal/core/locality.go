@@ -306,10 +306,16 @@ func (l *coverLoc) patchStarter(e2 *Engine, rt2 *clauseRT, c2, c *compRT, starte
 		c2.skip = skip.New(l.g, l.cov, k, c2.starter)
 	}
 
-	// byKernel rows change only for bags whose kernel changed, bags the
-	// patch created, and bags whose kernel contains a starter-diff vertex.
-	// Those get rows of c2's own, in blocks of c2's own; the others stay
-	// c's, which may be the old cover's kernel rows.
+	// A component every vertex starts reads the new cover's kernel rows,
+	// which share every block the write did not dirty, as buildKernelLists
+	// has it read the built cover's. Otherwise byKernel rows change only for
+	// bags whose kernel changed, bags the patch created, and bags whose
+	// kernel contains a starter-diff vertex. Those get rows of c2's own, in
+	// blocks of c2's own; the others stay c's.
+	if len(c2.starter) == l.g.N() {
+		c2.byKernel = l.cov.Kernels()
+		return
+	}
 	redo := slices.Clone(info.KernelChanged)
 	redo = append(redo, info.NewBags...)
 	for _, v := range starterDiff {

@@ -37,6 +37,7 @@ package dist
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/cover"
 	"repro/internal/graph"
@@ -139,6 +140,13 @@ type bagIndex struct {
 	prime *graph.Sub // X′ = sub minus sX, local to sub
 	inner *Index     // recursive index on prime.G
 }
+
+// fallbackScratch keeps idle BFS scratch, bound to no graph, for the
+// fallback layout's Within: query-time scratch, in a sync.Pool as the
+// engine's evaluators are, for its per-processor caches. Borrowed from
+// graph.BorrowBFS, whose one mutex serves the writes, concurrent Within
+// calls took 4–5× as long on two cores as on one.
+var fallbackScratch sync.Pool
 
 // smallTable stores, per vertex of a small arena, the sorted list of
 // (vertex, distance) pairs of its r-ball, so the space is the sum of ball
@@ -359,9 +367,13 @@ func (ix *Index) Within(a, b graph.V, rr int) bool {
 	case ix.small != nil:
 		return ix.small.within(a, b, rr)
 	case ix.fallback:
-		bfs := graph.BorrowBFS(ix.g)
+		bfs, _ := fallbackScratch.Get().(*graph.BFS)
+		if bfs == nil {
+			bfs = graph.NewBFS(ix.g)
+		}
+		bfs.Rebind(ix.g)
 		d := bfs.Distance(a, b, rr)
-		bfs.Release()
+		fallbackScratch.Put(bfs.Unbind())
 		return d >= 0
 	}
 	x := ix.cov.Assign(a)

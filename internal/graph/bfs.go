@@ -53,9 +53,13 @@ func BorrowBFS(g *Graph) *BFS {
 
 // Release makes borrowed scratch idle again, without its graph: idle
 // scratch must not keep an index version alive.
-func (b *BFS) Release() {
+func (b *BFS) Release() { bfsFree.Put(b.Unbind(), len(b.dist)) }
+
+// Unbind drops the scratch's graph, as scratch kept idle anywhere must;
+// Rebind binds it again.
+func (b *BFS) Unbind() *BFS {
 	b.g = nil
-	bfsFree.Put(b, len(b.dist))
+	return b
 }
 
 // ReachEither lists, ascending, the vertices within radius of srcs in gOld

@@ -14,28 +14,28 @@ import (
 const rowsPerBlock = 64
 
 // Rows is an immutable store of rows of cells — adjacency lists, ball rows,
-// bags, kernels, inverted lists — held in blocks of rowsPerBlock
-// consecutive rows, the pointers to the block headers in Paged pages.
-// FromFlat makes the blocks views of one CSR pair, so a build and a snapshot
-// restore copy nothing; Patch returns a store that shares every block
-// without a replaced or appended row with its receiver, and every page of
-// header pointers without a rebuilt block, so the versions of an index pay
-// for the rows a write touched and not for n. The zero value is the store
-// of no rows.
+// bags, kernels, inverted lists. FromFlat views one CSR pair and makes
+// nothing else, so a build and a snapshot restore copy nothing. The first
+// Patch of such a store cuts it into blocks of rowsPerBlock consecutive
+// rows, the pointers to their headers in Paged pages; Patch returns a store
+// that shares every block without a replaced or appended row with its
+// receiver, and every page of header pointers without a rebuilt block, so
+// the versions of an index pay for the rows a write touched and not for n.
+// The zero value is the store of no rows.
 type Rows[T any] struct {
-	// The CSR pair every block views, which Row reads directly; nil once a
-	// Patch has replaced a row. First, so that a reader of a store inside
+	// The CSR pair of a store no Patch made, which Row reads directly; nil
+	// for one a Patch made. First, so that a reader of a store inside
 	// another struct finds them on that struct's cache line.
 	off    []int32
 	flat   []T
 	n      int
-	cells  int // Σ row lengths
-	blocks Paged[*rowBlock[T]]
+	cells  int                 // Σ row lengths
+	blocks Paged[*rowBlock[T]] // of a store a Patch made; none before
 }
 
 // rowBlock holds rows [64b, 64b+len(off)-1): row i is adj[off[i]:off[i+1]].
-// Under FromFlat off is a window of the caller's offsets and adj is the
-// caller's whole array; a block Patch rebuilt owns both, offsets from 0.
+// A header made over a flat pair has a window of its offsets for off and
+// its whole array for adj; a block Patch rebuilt owns both, offsets from 0.
 type rowBlock[T any] struct {
 	off []int32
 	adj []T
@@ -46,15 +46,23 @@ type rowBlock[T any] struct {
 // non-decreasing offsets from 0 to len(adj) — callers restoring a snapshot
 // check that first (CheckRows).
 func FromFlat[T any](off []int32, adj []T) Rows[T] {
-	n := len(off) - 1
-	hdr := make([]rowBlock[T], (n+rowsPerBlock-1)/rowsPerBlock)
+	return Rows[T]{n: len(off) - 1, cells: len(adj), off: off, flat: adj}
+}
+
+// headers returns the block headers of r: its own once a Patch made it,
+// otherwise new ones viewing its flat pair, 56 bytes a block, which the
+// first write to a built or restored store makes once.
+func (r *Rows[T]) headers() Paged[*rowBlock[T]] {
+	if r.off == nil {
+		return r.blocks
+	}
+	hdr := make([]rowBlock[T], r.Blocks())
 	ptr := PageAligned[*rowBlock[T]](len(hdr))
 	for b := range hdr {
-		lo := b * rowsPerBlock
-		hdr[b] = rowBlock[T]{off: off[lo : min(lo+rowsPerBlock, n)+1], adj: adj}
+		hdr[b] = rowBlock[T]{off: r.blockOff(b), adj: r.flat}
 		ptr[b] = &hdr[b]
 	}
-	return Rows[T]{n: n, cells: len(adj), blocks: PagedOf(ptr), off: off, flat: adj}
+	return PagedOf(ptr)
 }
 
 // CheckRows reports whether (off, data) is the CSR pair of rows rows, each
@@ -87,13 +95,16 @@ func (r *Rows[T]) N() int { return r.n }
 // Cells returns the total length of all rows.
 func (r *Rows[T]) Cells() int { return r.cells }
 
-// Bytes returns what r holds: its cells, the block headers and the row
-// offsets. A block shared with another store counts in full; the zero store
-// holds none.
+// Bytes returns what r holds: its cells, the row offsets and, once a Patch
+// made it, the block headers. A block shared with another store counts in
+// full; the zero store holds none.
 func (r *Rows[T]) Bytes() int {
 	var cell T
-	hdr := int(unsafe.Sizeof(rowBlock[T]{})) + 4
-	return r.cells*int(unsafe.Sizeof(cell)) + r.blocks.Bytes() + 4*r.n + hdr*r.Blocks()
+	b := r.cells*int(unsafe.Sizeof(cell)) + 4*r.n
+	if r.off == nil {
+		b += r.blocks.Bytes() + (int(unsafe.Sizeof(rowBlock[T]{}))+4)*r.Blocks()
+	}
+	return b
 }
 
 // Row returns row v: shared storage, not to be modified. It is the one
@@ -126,7 +137,8 @@ func (r *Rows[T]) Patch(vs []V, rows [][]T) Rows[T] {
 	if k, _ := slices.BinarySearch(vs, r.n); n-r.n != len(vs)-k {
 		panic(fmt.Sprintf("graph: rows appended to %d rows are not %d, %d, …", r.n, r.n, r.n+1))
 	}
-	blocks := r.blocks.Edit()
+	hdr := r.headers()
+	blocks := hdr.Edit()
 	cells := r.cells
 	for i := 0; i < len(vs); {
 		bi := vs[i] / rowsPerBlock
@@ -214,7 +226,16 @@ func (r *Rows[T]) BlockOf(v V) int { return v / rowsPerBlock }
 // SharesBlock reports whether block bi of r is block bi of q: the same
 // storage, as two versions of one store share what no write dirtied.
 func (r *Rows[T]) SharesBlock(q *Rows[T], bi int) bool {
-	return bi < r.Blocks() && bi < q.Blocks() && r.blocks.At(bi) == q.blocks.At(bi)
+	return bi < r.Blocks() && bi < q.Blocks() && &r.blockOff(bi)[0] == &q.blockOff(bi)[0]
+}
+
+// blockOff returns the row offsets of block bi, whose storage is the block's.
+func (r *Rows[T]) blockOff(bi int) []int32 {
+	if r.off == nil {
+		return r.blocks.At(bi).off
+	}
+	lo := bi * rowsPerBlock
+	return r.off[lo : min(lo+rowsPerBlock, r.n)+1]
 }
 
 // Cell is one cell of a store of ascending int32 rows: Val in row Row.
