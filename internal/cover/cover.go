@@ -487,13 +487,11 @@ func (c *Cover) InKernel(i int, v graph.V) bool {
 	return false
 }
 
-// KernelsOf returns the sorted indices of bags whose kernel contains v.
+// KernelsOf returns the sorted indices of bags whose kernel contains v;
+// before ComputeKernels there are none to read, and it panics.
 //
 //fod:hotpath
 func (c *Cover) KernelsOf(v graph.V) []int32 {
-	if c.kernelP < 0 {
-		panic("cover: ComputeKernels has not been called")
-	}
 	return c.kernelOf.Row(v)
 }
 

@@ -9,33 +9,33 @@ import (
 
 // rowsPerBlock is how many consecutive rows share one block of a Rows. A
 // write copies the blocks it dirtied: small enough that a dirty block is a
-// few KB of ball rows, large enough that a block's header (48 bytes, and 8
-// for the pointer to it) costs under a byte a row.
+// few KB of ball rows, large enough that the pointer to a block (8 bytes)
+// costs an eighth of a byte a row.
 const rowsPerBlock = 64
 
 // Rows is an immutable store of rows of cells — adjacency lists, ball rows,
-// bags, kernels, inverted lists. FromFlat views one CSR pair and makes
-// nothing else, so a build and a snapshot restore copy nothing. The first
-// Patch of such a store cuts it into blocks of rowsPerBlock consecutive
-// rows, the pointers to their headers in Paged pages; Patch returns a store
-// that shares every block without a replaced or appended row with its
-// receiver, and every page of header pointers without a rebuilt block, so
-// the versions of an index pay for the rows a write touched and not for n.
-// The zero value is the store of no rows.
+// bags, kernels, inverted lists — in blocks of rowsPerBlock consecutive
+// rows. FromFlat views one CSR pair, the base, and makes nothing else, so a
+// build and a snapshot restore copy nothing. Patch rebuilds each block with
+// a replaced or appended row into arrays of its own, behind Paged pages of
+// pointers that are nil for a block the base still holds; the store it
+// returns shares the base, every other rebuilt block and every page without
+// a block it rebuilt with its receiver, so the versions of an index pay for
+// the rows a write touched and not for n. The zero value is the store of no
+// rows.
 type Rows[T any] struct {
-	// The CSR pair of a store no Patch made, which Row reads directly; nil
-	// for one a Patch made. First, so that a reader of a store inside
-	// another struct finds them on that struct's cache line.
+	// The base, which Row reads for every block not rebuilt. First, so
+	// that a reader of a store inside another struct finds it on that
+	// struct's cache line.
 	off    []int32
 	flat   []T
 	n      int
 	cells  int                 // Σ row lengths
-	blocks Paged[*rowBlock[T]] // of a store a Patch made; none before
+	blocks Paged[*rowBlock[T]] // the rebuilt blocks; no pages before the first Patch
 }
 
-// rowBlock holds rows [64b, 64b+len(off)-1): row i is adj[off[i]:off[i+1]].
-// A header made over a flat pair has a window of its offsets for off and
-// its whole array for adj; a block Patch rebuilt owns both, offsets from 0.
+// rowBlock holds the rows [64b, 64b+len(off)-1) of block b: row i is
+// adj[off[i]:off[i+1]].
 type rowBlock[T any] struct {
 	off []int32
 	adj []T
@@ -49,20 +49,15 @@ func FromFlat[T any](off []int32, adj []T) Rows[T] {
 	return Rows[T]{n: len(off) - 1, cells: len(adj), off: off, flat: adj}
 }
 
-// headers returns the block headers of r: its own once a Patch made it,
-// otherwise new ones viewing its flat pair, 56 bytes a block, which the
-// first write to a built or restored store makes once.
-func (r *Rows[T]) headers() Paged[*rowBlock[T]] {
-	if r.off == nil {
-		return r.blocks
+// block returns block bi: the rebuilt one, or a view of the base.
+func (r *Rows[T]) block(bi int) rowBlock[T] {
+	if bi < r.blocks.Len() {
+		if b := r.blocks.At(bi); b != nil {
+			return *b
+		}
 	}
-	hdr := make([]rowBlock[T], r.Blocks())
-	ptr := PageAligned[*rowBlock[T]](len(hdr))
-	for b := range hdr {
-		hdr[b] = rowBlock[T]{off: r.blockOff(b), adj: r.flat}
-		ptr[b] = &hdr[b]
-	}
-	return PagedOf(ptr)
+	lo := bi * rowsPerBlock
+	return rowBlock[T]{off: r.off[lo : min(lo+rowsPerBlock, len(r.off)-1)+1], adj: r.flat}
 }
 
 // CheckRows reports whether (off, data) is the CSR pair of rows rows, each
@@ -95,16 +90,12 @@ func (r *Rows[T]) N() int { return r.n }
 // Cells returns the total length of all rows.
 func (r *Rows[T]) Cells() int { return r.cells }
 
-// Bytes returns what r holds: its cells, the row offsets and, once a Patch
-// made it, the block headers. A block shared with another store counts in
-// full; the zero store holds none.
+// Bytes returns what r holds: its cells, the row offsets and the pages of
+// block pointers. A block shared with another store counts in full; the
+// zero store holds none.
 func (r *Rows[T]) Bytes() int {
 	var cell T
-	b := r.cells*int(unsafe.Sizeof(cell)) + 4*r.n
-	if r.off == nil {
-		b += r.blocks.Bytes() + (int(unsafe.Sizeof(rowBlock[T]{}))+4)*r.Blocks()
-	}
-	return b
+	return r.cells*int(unsafe.Sizeof(cell)) + 4*r.n + r.blocks.Bytes()
 }
 
 // Row returns row v: shared storage, not to be modified. It is the one
@@ -113,9 +104,10 @@ func (r *Rows[T]) Bytes() int {
 //fod:hotpath
 func (r *Rows[T]) Row(v V) []T {
 	off, adj, i := r.off, r.flat, uint(v)
-	if off == nil {
-		b := r.blocks.pages[i/(rowsPerBlock*pageLen)][i/rowsPerBlock%pageLen]
-		off, adj, i = b.off, b.adj, i%rowsPerBlock
+	if r.blocks.pages != nil {
+		if b := r.blocks.pages[i/(rowsPerBlock*pageLen)][i/rowsPerBlock%pageLen]; b != nil {
+			off, adj, i = b.off, b.adj, i%rowsPerBlock
+		}
 	}
 	return adj[off[i]:off[i+1]]
 }
@@ -137,8 +129,11 @@ func (r *Rows[T]) Patch(vs []V, rows [][]T) Rows[T] {
 	if k, _ := slices.BinarySearch(vs, r.n); n-r.n != len(vs)-k {
 		panic(fmt.Sprintf("graph: rows appended to %d rows are not %d, %d, …", r.n, r.n, r.n+1))
 	}
-	hdr := r.headers()
-	blocks := hdr.Edit()
+	blocks := r.blocks.Edit()
+	if r.blocks.pages == nil { // every block in the base
+		none := PagedOf(PageAligned[*rowBlock[T]](r.Blocks()))
+		blocks = none.Edit()
+	}
 	cells := r.cells
 	for i := 0; i < len(vs); {
 		bi := vs[i] / rowsPerBlock
@@ -147,8 +142,8 @@ func (r *Rows[T]) Patch(vs []V, rows [][]T) Rows[T] {
 			j++
 		}
 		var old rowBlock[T] // none for a block of appended rows only
-		if bi < blocks.Len() {
-			old = *blocks.At(bi)
+		if bi < r.Blocks() {
+			old = r.block(bi)
 		}
 		total := old.len(0, len(old.off)-1)
 		for k := i; k < j; k++ {
@@ -173,7 +168,7 @@ func (r *Rows[T]) Patch(vs []V, rows [][]T) Rows[T] {
 		}
 		i = j
 	}
-	return Rows[T]{n: n, cells: cells, blocks: blocks.Paged()}
+	return Rows[T]{off: r.off, flat: r.flat, n: n, cells: cells, blocks: blocks.Paged()}
 }
 
 // len returns the cells of rows [from, to) of b, none past its end.
@@ -201,12 +196,12 @@ func (b *rowBlock[T]) keep(old *rowBlock[T], from, to int) {
 // when no row was ever replaced, a fresh assembly otherwise. It is what a
 // snapshot writes, so a patched store and a rebuilt one serialize alike.
 func (r *Rows[T]) Flat() (off []int32, adj []T) {
-	if r.off != nil {
+	if r.blocks.pages == nil && r.off != nil {
 		return r.off, r.flat
 	}
 	off, adj = make([]int32, r.n+1), make([]T, 0, r.cells)
 	for bi := range r.Blocks() {
-		b := r.blocks.At(bi)
+		b := r.block(bi)
 		lo := bi * rowsPerBlock
 		shift := int32(len(adj)) - b.off[0]
 		for i, o := range b.off {
@@ -226,16 +221,7 @@ func (r *Rows[T]) BlockOf(v V) int { return v / rowsPerBlock }
 // SharesBlock reports whether block bi of r is block bi of q: the same
 // storage, as two versions of one store share what no write dirtied.
 func (r *Rows[T]) SharesBlock(q *Rows[T], bi int) bool {
-	return bi < r.Blocks() && bi < q.Blocks() && &r.blockOff(bi)[0] == &q.blockOff(bi)[0]
-}
-
-// blockOff returns the row offsets of block bi, whose storage is the block's.
-func (r *Rows[T]) blockOff(bi int) []int32 {
-	if r.off == nil {
-		return r.blocks.At(bi).off
-	}
-	lo := bi * rowsPerBlock
-	return r.off[lo : min(lo+rowsPerBlock, r.n)+1]
+	return bi < r.Blocks() && bi < q.Blocks() && &r.block(bi).off[0] == &q.block(bi).off[0]
 }
 
 // Cell is one cell of a store of ascending int32 rows: Val in row Row.

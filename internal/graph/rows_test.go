@@ -314,9 +314,9 @@ func FuzzRowsPatch(f *testing.F) {
 }
 
 // TestRowsPatchCopiesOneHeaderPage: the first write to a built
-// million-row store makes its block headers, once; after that, replacing
-// one row allocates the rebuilt block, one page of header pointers and the
-// table of those pages — not a copy of every header.
+// million-row store makes its pages of block pointers, once; after that,
+// replacing one row allocates the rebuilt block, one page of pointers and
+// the table of those pages — not a copy of every pointer or header.
 func TestRowsPatchCopiesOneHeaderPage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures allocated bytes")
@@ -330,7 +330,7 @@ func TestRowsPatchCopiesOneHeaderPage(t *testing.T) {
 	ptr := int(unsafe.Sizeof(&rowBlock[int32]{}))
 	page, table := pageLen*ptr, ptr*(r.Blocks()+pageLen-1)/pageLen
 	block := int(unsafe.Sizeof(rowBlock[int32]{})) + 4*(rowsPerBlock+1) + 4*(rowsPerBlock+1)
-	headers := (int(unsafe.Sizeof(rowBlock[int32]{})) + ptr) * r.Blocks()
+	pointers := ptr * r.Blocks()
 	const sizeClassSlack = 512
 	for i, v := range []V{0, n / 2, n/2 + 1} { // a built store, then patched ones
 		var before, after runtime.MemStats
@@ -339,13 +339,13 @@ func TestRowsPatchCopiesOneHeaderPage(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		want := page + table + block + sizeClassSlack
 		if i == 0 {
-			// The headers, the last page filled out, and the headers and
-			// pointers each rounded up to whole 8 KB spans.
-			want += headers + pageLen*ptr + 2*8192
+			// The pointers, their last page filled out and rounded up to
+			// a whole 8 KB span.
+			want += pointers + pageLen*ptr + 8192
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(want) {
-			t.Fatalf("patching row %d allocated %d bytes, want at most %d: a page of header pointers (%d), the page table (%d) and a block (%d), and the first time the headers (%d)",
-				v, got, want, page, table, block, headers)
+			t.Fatalf("patching row %d allocated %d bytes, want at most %d: a page of block pointers (%d), the page table (%d) and a block (%d), and the first time every pointer (%d)",
+				v, got, want, page, table, block, pointers)
 		}
 		r = next
 	}
