@@ -17,7 +17,7 @@ import "repro/internal/graph"
 //     for x within R of a source in the old or new graph, so those rows
 //     are recomputed on gNew and the blocks holding them rebuilt
 //     (graph.Rows.Patch); every other block is shared. Cost
-//     O(Σ_{x∈A} ‖N_R(x)‖) for the affected set A, plus a page of header
+//     O(Σ_{x∈A} ‖N_R(x)‖) for the affected set A, plus a page of block
 //     pointers a dirty block — the paper's n^ε update regime when balls
 //     are bounded.
 //   - fallback (on-demand BFS): nothing is precomputed; the patched index

@@ -13,7 +13,7 @@ const pageLen = 256
 
 // Paged is an immutable array held in pages of pageLen consecutive entries:
 // the per-vertex and per-bag arrays of an index version (colour words,
-// starter sets, bag assignments, the block header pointers of a Rows). PagedOf keeps the flat array
+// starter sets, bag assignments, the block pointers of a Rows). PagedOf keeps the flat array
 // it is given and makes no page table, so a build and a snapshot restore
 // copy nothing; the first Edit makes the table, its pages views of the flat
 // array, copies a page on its first write to it and shares every other

@@ -24,13 +24,15 @@ const rowsPerBlock = 64
 // the rows a write touched and not for n. The zero value is the store of no
 // rows.
 type Rows[T any] struct {
-	// The base, which Row reads for every block not rebuilt. First, so
-	// that a reader of a store inside another struct finds it on that
-	// struct's cache line.
+	// The base offsets of a store no Patch made (nil for one a Patch made)
+	// and the base cells, which Row reads off directly. First, so that a
+	// reader of a store inside another struct finds them on that struct's
+	// cache line.
 	off    []int32
 	flat   []T
 	n      int
 	cells  int                 // Σ row lengths
+	base   []int32             // the base offsets, for a store a Patch made
 	blocks Paged[*rowBlock[T]] // the rebuilt blocks; no pages before the first Patch
 }
 
@@ -56,8 +58,16 @@ func (r *Rows[T]) block(bi int) rowBlock[T] {
 			return *b
 		}
 	}
-	lo := bi * rowsPerBlock
-	return rowBlock[T]{off: r.off[lo : min(lo+rowsPerBlock, len(r.off)-1)+1], adj: r.flat}
+	base, lo := r.baseOff(), bi*rowsPerBlock
+	return rowBlock[T]{off: base[lo : min(lo+rowsPerBlock, len(base)-1)+1], adj: r.flat}
+}
+
+// baseOff returns the base offsets.
+func (r *Rows[T]) baseOff() []int32 {
+	if r.off != nil {
+		return r.off
+	}
+	return r.base
 }
 
 // CheckRows reports whether (off, data) is the CSR pair of rows rows, each
@@ -104,7 +114,8 @@ func (r *Rows[T]) Bytes() int {
 //fod:hotpath
 func (r *Rows[T]) Row(v V) []T {
 	off, adj, i := r.off, r.flat, uint(v)
-	if r.blocks.pages != nil {
+	if off == nil {
+		off = r.base
 		if b := r.blocks.pages[i/(rowsPerBlock*pageLen)][i/rowsPerBlock%pageLen]; b != nil {
 			off, adj, i = b.off, b.adj, i%rowsPerBlock
 		}
@@ -119,7 +130,7 @@ func (r *Rows[T]) Len(v V) int { return len(r.Row(v)) }
 // are r's; vs ascends strictly, and its entries from N() on are N(),
 // N()+1, …: rows appended. Blocks without a replaced or appended row are
 // shared with r, the others are rebuilt into arrays of their own, and only
-// the pages of header pointers to rebuilt blocks are copied, so r — and
+// the pages of pointers to rebuilt blocks are copied, so r — and
 // whatever flat pair it views — stays as it is. rows are copied.
 func (r *Rows[T]) Patch(vs []V, rows [][]T) Rows[T] {
 	if len(vs) == 0 {
@@ -168,7 +179,7 @@ func (r *Rows[T]) Patch(vs []V, rows [][]T) Rows[T] {
 		}
 		i = j
 	}
-	return Rows[T]{off: r.off, flat: r.flat, n: n, cells: cells, blocks: blocks.Paged()}
+	return Rows[T]{flat: r.flat, n: n, cells: cells, base: r.baseOff(), blocks: blocks.Paged()}
 }
 
 // len returns the cells of rows [from, to) of b, none past its end.
@@ -196,7 +207,7 @@ func (b *rowBlock[T]) keep(old *rowBlock[T], from, to int) {
 // when no row was ever replaced, a fresh assembly otherwise. It is what a
 // snapshot writes, so a patched store and a rebuilt one serialize alike.
 func (r *Rows[T]) Flat() (off []int32, adj []T) {
-	if r.blocks.pages == nil && r.off != nil {
+	if r.off != nil {
 		return r.off, r.flat
 	}
 	off, adj = make([]int32, r.n+1), make([]T, 0, r.cells)

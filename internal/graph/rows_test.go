@@ -86,7 +86,7 @@ func appended(n, k int) []V {
 
 func TestRowsPatchAgainstFlatRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// Past 64·256 rows the header pointers fill more than one page.
+	// Past 64·256 rows the block pointers fill more than one page.
 	for _, n := range []int{0, 1, 5, 63, 64, 65, 128, 130, 200, 2*rowsPerBlock*pageLen + 70} {
 		model := make([][]int32, n)
 		for v := range model {
